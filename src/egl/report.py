@@ -77,7 +77,9 @@ class RunReport:
     config: dict
     results: list
     overall: str
-    timings: dict = field(default_factory=dict)   # not part of the canonical JSON
+    # seconds per run_check call, keyed by the index of its first record;
+    # not part of the canonical JSON
+    timings: dict = field(default_factory=dict)
 
     def canonical(self) -> dict:
         return {"artifact": ARTIFACT, "config": self.config,
@@ -88,10 +90,10 @@ class RunReport:
 
     def to_text(self) -> str:
         lines = [f"egl {ARTIFACT['version']} ({ARTIFACT['rng']})"]
-        for rec in self.results:
+        for index, rec in enumerate(self.results):
             label = rec.get("check", rec.get("kind", "?"))
             model = rec.get("model", rec.get("input", ""))
-            elapsed = self.timings.get(f"{label}:{model}")
+            elapsed = self.timings.get(index)
             suffix = f"  [{elapsed:.2f}s]" if elapsed is not None else ""
             if "decision" in rec:
                 lines.append(f"{label} {model}: {str(rec['decision']).lower()}{suffix}")
@@ -118,11 +120,11 @@ def run_verify(config: RunConfig) -> RunReport:
         for check in todo:
             any_applicable[check] = True
             start = time.perf_counter()
-            for report in run_check(entry, check, seed=config.seed,
-                                    samples=config.samples, prof=prof):
-                rec = report.to_dict()
-                results.append(rec)
-                timings[f"{rec['check']}:{rec['model']}"] = time.perf_counter() - start
+            reports = run_check(entry, check, seed=config.seed,
+                                samples=config.samples, prof=prof)
+            # one time per call, shown on the call's first record
+            timings[len(results)] = time.perf_counter() - start
+            results.extend(report.to_dict() for report in reports)
     silent = [c for c, used in any_applicable.items() if not used]
     if silent:
         raise ConfigError(

@@ -5,12 +5,17 @@ permuting coordinates and then conjugating the flagged ones.  The group
 law used everywhere is the one induced by composing these
 transformations, so ``(g * h).act(z) == g.act(h.act(z))`` holds exactly;
 cross-oracle tests against the chart-level twisted composition pin this
-convention.  Enumeration-based operations are bounded at k <= 8.
+convention.
+
+A twist group is held as its generators plus a stabiliser chain
+(Schreier-Sims), so its order, membership and descriptor name cost no
+listing of elements.  Degrees are bounded at k <= K_MAX; listing the
+elements is further bounded by the group's order (ENUMERATION_LIMIT).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -31,6 +36,8 @@ __all__ = [
 ]
 
 K_MAX = 8
+# order of (Z/2)^6 x| Sigma_6: the largest group ``TwistGroup.elements`` lists
+ENUMERATION_LIMIT = 46_080
 
 
 @dataclass(frozen=True)
@@ -135,64 +142,197 @@ def semidirect_inverse(g):
     return (tuple(1.0 / a for a in acted), si)
 
 
-@dataclass(frozen=True)
-class TwistGroup:
-    """Explicit subgroup of (Z/2)^k x| Sigma_k, closed under the group law."""
+# A signed permutation g acts faithfully on the 2k points 2*j + s, one
+# per (slot j, sign s): g sends (j, s) to (perm[j], s ^ flips[perm[j]]),
+# so that g * h acts as g after h.  The points 2*j (sign 0) form a base:
+# only the identity fixes them all.  Point permutations are tuples ``p``
+# with ``p[x]`` the image of x.
 
-    k: int
-    elements: Tuple[SignedPermutation, ...]
+def _points(g: SignedPermutation) -> Tuple[int, ...]:
+    out = [0] * (2 * g.degree)
+    for j, pj in enumerate(g.perm):
+        f = g.flips[pj]
+        out[2 * j] = 2 * pj + f
+        out[2 * j + 1] = 2 * pj + 1 - f
+    return tuple(out)
+
+
+def _signed(p: Tuple[int, ...]) -> SignedPermutation:
+    images = p[::2]
+    flips = [0] * len(images)
+    for x in images:
+        flips[x >> 1] = x & 1
+    return SignedPermutation(tuple(x >> 1 for x in images), tuple(flips))
+
+
+def _compose(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """a after b."""
+    return tuple([a[x] for x in b])
+
+
+def _invert(a: Tuple[int, ...]) -> Tuple[int, ...]:
+    out = [0] * len(a)
+    for x, y in enumerate(a):
+        out[y] = x
+    return tuple(out)
+
+
+def _orbit(base_point: int, gens, ident) -> Dict[int, Tuple[tuple, tuple]]:
+    """{orbit point q: (u, u^-1)} with ``u[base_point] == q``."""
+    trans = {base_point: (ident, ident)}
+    frontier = [base_point]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            u = trans[q][0]
+            for s in gens:
+                r = s[q]
+                if r not in trans:
+                    w = _compose(s, u)
+                    trans[r] = (w, _invert(w))
+                    nxt.append(r)
+        frontier = nxt
+    return trans
+
+
+def _sift(p: Tuple[int, ...], chain, start: int = 0):
+    """Strip p through levels start.. of the chain: (residue, level it stopped at)."""
+    for level in range(start, len(chain)):
+        u = chain[level].get(p[2 * level])
+        if u is None:
+            return p, level
+        p = _compose(u[1], p)
+    return p, len(chain)
+
+
+def _stabiliser_chain(gens, k: int):
+    """Schreier-Sims over the base 0, 2, ..., 2k-2 (Sims 1970).
+
+    Level i holds the transversal of base point 2i under the stabiliser
+    of the earlier base points, as ``{q: (u, u^-1)}`` with ``u[2i] == q``.
+    Levels are completed deepest first; a Schreier generator that does
+    not sift becomes a strong generator of every level it passed, and
+    the scan resumes at the deepest level it reached.
+    """
+    ident = tuple(range(2 * k))
+    strong = [[] for _ in range(k)]
+    for p in dict.fromkeys(gens):
+        if p != ident:
+            for level in range(k):
+                strong[level].append(p)
+                if p[2 * level] != 2 * level:
+                    break
+    chain = [_orbit(2 * level, strong[level], ident) for level in range(k)]
+    level = k - 1
+    while level >= 0:
+        resume = _unsifted(level, strong, chain, ident)
+        if resume is None:
+            level -= 1
+        else:
+            level = resume
+    return tuple(chain)
+
+
+def _unsifted(level: int, strong, chain, ident):
+    """Add the first Schreier generator of ``level`` that fails to sift.
+
+    Returns the deepest level changed, or None when all of them sift.
+    """
+    trans = chain[level]
+    for u, _ in trans.values():
+        for s in strong[level]:
+            su = _compose(s, u)
+            h = _compose(trans[su[2 * level]][1], su)
+            if h == ident:
+                continue
+            h, stop = _sift(h, chain, level + 1)
+            if h == ident:
+                continue
+            for deeper in range(level + 1, stop + 1):
+                strong[deeper].append(h)
+                chain[deeper] = _orbit(2 * deeper, strong[deeper], ident)
+            return stop
+    return None
+
+
+class TwistGroup:
+    """Subgroup of (Z/2)^k x| Sigma_k held as generators plus a stabiliser chain.
+
+    Order and membership come from the chain; ``elements`` lists the
+    group, in ``(perm, flips)`` order, only up to ``ENUMERATION_LIMIT``.
+    """
+
+    __slots__ = ("k", "generators", "_chain")
+
+    def __init__(self, k: int, generators: Tuple[SignedPermutation, ...], chain):
+        self.k = k
+        self.generators = generators
+        self._chain = chain
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(len(level) for level in self._chain)
 
     @property
     def untwisted_coorientable(self) -> bool:
         return self.order == 1
 
+    @property
+    def elements(self) -> Tuple[SignedPermutation, ...]:
+        if self.order > ENUMERATION_LIMIT:
+            raise KTooLarge(f"order {self.order} exceeds enumeration bound {ENUMERATION_LIMIT}")
+        products = [tuple(range(2 * self.k))]
+        for level in self._chain:
+            products = [_compose(p, u) for p in products for u, _ in level.values()]
+        return tuple(sorted((_signed(p) for p in products), key=lambda s: (s.perm, s.flips)))
+
     def __contains__(self, g: SignedPermutation) -> bool:
-        return g in self.elements
+        if g.degree != self.k:
+            return False
+        residue, _ = _sift(_points(g), self._chain)
+        return residue == tuple(range(2 * self.k))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TwistGroup):
+            return NotImplemented
+        return (self.k == other.k and self.order == other.order
+                and all(g in other for g in self.generators)
+                and all(g in self for g in other.generators))
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.order))
+
+    def __repr__(self) -> str:
+        return f"TwistGroup(k={self.k}, order={self.order}, generators={self.generators!r})"
 
 
 def twist_group(images: Iterable[SignedPermutation], k: Optional[int] = None) -> TwistGroup:
-    """Closure of a generating set under multiplication.
+    """Subgroup generated by ``images``, with its stabiliser chain built.
 
     Empty generators give the trivial group (the untwisted coorientable
-    case).  Raises KTooLarge beyond the enumeration bound.
+    case).  Raises KTooLarge beyond k = K_MAX.
     """
-    gens = list(images)
+    gens = tuple(images)
     if k is None:
         if not gens:
             raise ValueError("k required when the generating set is empty")
         k = gens[0].degree
     if k > K_MAX:
-        raise KTooLarge(f"k={k} exceeds enumeration bound {K_MAX}")
+        raise KTooLarge(f"k={k} exceeds bound {K_MAX}")
     if any(g.degree != k for g in gens):
         raise DimensionMismatch("generators of mixed degree")
-    seen = {SignedPermutation.identity(k)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                for b in (a * g, g * a):
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-        frontier = nxt
-    ordered = sorted(seen, key=lambda s: (s.perm, s.flips))
-    return TwistGroup(k=k, elements=tuple(ordered))
+    return TwistGroup(k, gens, _stabiliser_chain([_points(g) for g in gens], k))
 
 
 def full_hyperoctahedral(k: int) -> TwistGroup:
-    """All of (Z/2)^k x| Sigma_k by exhaustive enumeration."""
+    """All of (Z/2)^k x| Sigma_k, generated by a transposition, a k-cycle and a flip."""
     if k > K_MAX:
-        raise KTooLarge(f"k={k} exceeds enumeration bound {K_MAX}")
-    elements = [SignedPermutation(p, f)
-                for p in itertools.permutations(range(k))
-                for f in itertools.product((0, 1), repeat=k)]
-    ordered = sorted(elements, key=lambda s: (s.perm, s.flips))
-    return TwistGroup(k=k, elements=tuple(ordered))
+        raise KTooLarge(f"k={k} exceeds bound {K_MAX}")
+    ident = tuple(range(k))
+    no_flips = (0,) * k
+    return twist_group([SignedPermutation(ident[1:2] + ident[:1] + ident[2:], no_flips),
+                        SignedPermutation(ident[1:] + ident[:1], no_flips),
+                        SignedPermutation(ident, tuple(int(i == 0) for i in range(k)))], k=k)
 
 
 @dataclass(frozen=True)
@@ -288,12 +428,11 @@ def _fiber_name(j: int) -> str:
 
 
 def _discrete_name(group: TwistGroup) -> str:
-    import math
-
     if group.order == 1:
         return "1"
-    pure_flips = all(g.perm == tuple(range(group.k)) for g in group.elements)
-    pure_perms = all(not any(g.flips) for g in group.elements)
+    # both properties are closed under products, so the generators decide
+    pure_flips = all(g.perm == tuple(range(group.k)) for g in group.generators)
+    pure_perms = all(not any(g.flips) for g in group.generators)
     if pure_flips:
         if group.order == 2:
             return "ℤ/2"

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +143,21 @@ def test_model_name_with_factor_count(capsys, tmp_path):
     report = run_verify(RunConfig(models=["caseIV:3"], checks=["axioms"],
                                   seed=7, samples=200, dim=6))
     assert json.loads(report.to_json()) == report.canonical()
+
+
+def test_text_shows_each_check_time_once():
+    # morphism on sympl-nonzero returns two records (phi-nonzero and psi)
+    # from one timed call: its time is shown once, on the first of them
+    from egl.report import RunConfig, run_verify
+    start = time.perf_counter()
+    report = run_verify(RunConfig(models=["sympl-nonzero"], checks=["axioms", "morphism"],
+                                  seed=7, samples=50))
+    total = time.perf_counter() - start
+    assert len(report.results) == 3
+    shown = [float(x) for x in re.findall(r"\[(\d+\.\d+)s\]", report.to_text())]
+    assert len(shown) == 2
+    assert abs(sum(shown) - sum(report.timings.values())) <= 0.005 * len(shown)
+    assert sum(shown) <= total + 0.005 * len(shown)
 
 
 def test_decide_negative_smooth_answer_reports_witness(capsys, tmp_path):

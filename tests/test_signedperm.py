@@ -131,7 +131,7 @@ def _matrix_closure(gens, k):
 
 
 def test_twist_group_closure_matches_matrix_enumeration(rng):
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         pool = full_hyperoctahedral(k).elements
         for _ in range(10):
             count = int(rng.integers(1, 4))
@@ -148,6 +148,105 @@ def test_twist_group_k_bound():
         twist_group([], k=9)
     with pytest.raises(KTooLarge):
         full_hyperoctahedral(9)
+
+
+def test_twist_group_enumeration_bounded_by_order():
+    assert len(full_hyperoctahedral(6).elements) == 46_080
+    G = full_hyperoctahedral(8)
+    assert G.order == 10_321_920
+    assert SignedPermutation((7, 0, 1, 2, 3, 4, 5, 6), (0, 1, 0, 0, 1, 0, 0, 1)) in G
+    with pytest.raises(KTooLarge):
+        G.elements
+    with pytest.raises(KTooLarge):
+        full_hyperoctahedral(7).elements
+
+
+def _random_element(rng, k):
+    perm = tuple(int(x) for x in rng.permutation(k))
+    return SignedPermutation(perm, tuple(int(x) for x in rng.integers(0, 2, size=k)))
+
+
+def test_twist_group_membership_matches_enumeration(rng):
+    for k in (1, 2, 3, 4):
+        pool = full_hyperoctahedral(k).elements
+        for _ in range(10):
+            count = int(rng.integers(0, 3))
+            gens = [pool[int(rng.integers(0, len(pool)))] for _ in range(count)]
+            group = twist_group(gens, k=k)
+            reference = _matrix_closure(gens, k)
+            # every element of the full group, members and non-members alike
+            for g in pool:
+                matrix = tuple(map(tuple, np.array(g.matrix(), dtype=int)))
+                assert (g in group) == (matrix in reference)
+    assert SignedPermutation.identity(3) not in twist_group([], k=2)
+
+
+def test_twist_group_equality_across_generating_sets(rng):
+    swap = SignedPermutation((1, 0, 2), (0, 0, 0))
+    cycle = SignedPermutation((1, 2, 0), (0, 0, 0))
+    other_swap = SignedPermutation((0, 2, 1), (0, 0, 0))
+    assert twist_group([swap, cycle]) == twist_group([swap, other_swap])
+    assert twist_group([swap, cycle]) == twist_group([cycle * swap, cycle.inverse(), swap])
+    assert twist_group([swap]) != twist_group([other_swap])
+    assert twist_group([swap, cycle]) != twist_group([cycle])
+    assert twist_group([], k=2) != twist_group([], k=3)
+    for k in (2, 3, 4):
+        flip = SignedPermutation(tuple(range(k)), (1,) + (0,) * (k - 1))
+        words = [_random_element(rng, k) for _ in range(4)]
+        mixed = twist_group(words + [flip] + [a * b for a in words for b in words])
+        assert mixed == twist_group(words + [flip])
+        assert hash(mixed) == hash(twist_group(words + [flip]))
+    assert full_hyperoctahedral(4) == twist_group(full_hyperoctahedral(4).elements)
+
+
+def _name_from_elements(group):
+    """Descriptor name with the pure-flips/pure-perms tests run over every element."""
+    import math
+    elements = group.elements
+    if len(elements) == 1:
+        return "1"
+    k = group.k
+    if all(g.perm == tuple(range(k)) for g in elements):
+        return "ℤ/2" if len(elements) == 2 else f"(ℤ/2)^{int(math.log2(len(elements)))}"
+    if all(not any(g.flips) for g in elements):
+        if len(elements) == math.factorial(k):
+            return "Σ" + "₀₁₂₃₄₅₆₇₈₉"[k]
+        return f"Σ-subgroup of order {len(elements)}"
+    if len(elements) == 2 ** k * math.factorial(k):
+        return f"(ℤ/2)^{k}⋊Σ" + "₀₁₂₃₄₅₆₇₈₉"[k]
+    return f"twist group of order {len(elements)}"
+
+
+def test_descriptor_names_unchanged(rng):
+    sub = "₀₁₂₃₄₅₆₇₈₉"
+    for k in (3, 4, 5, 6):
+        ident = tuple(range(k))
+        no_flips = (0,) * k
+        swap = SignedPermutation((1, 0) + ident[2:], no_flips)
+        cycle = SignedPermutation(ident[1:] + ident[:1], no_flips)
+        h = _random_element(rng, k)
+        by_perm = SignedPermutation(tuple(int(x) for x in rng.permutation(k)), no_flips)
+        flips = [SignedPermutation(ident, tuple(int(i == j) for i in range(k)))
+                 for j in range(k)]
+        cases = [
+            (twist_group([swap, cycle]), f"Σ{sub[k]}"),
+            (twist_group([by_perm * g * by_perm.inverse() for g in (swap, cycle)]), f"Σ{sub[k]}"),
+            (twist_group([h * g * h.inverse() for g in (swap, cycle)]), None),
+            (full_hyperoctahedral(k), f"(ℤ/2)^{k}⋊Σ{sub[k]}"),
+            (twist_group([h * g * h.inverse() for g in (swap, cycle, flips[0])]),
+             f"(ℤ/2)^{k}⋊Σ{sub[k]}"),
+            (twist_group(flips[:1]), "ℤ/2"),
+            (twist_group(flips[:2]), "(ℤ/2)^2"),
+            (twist_group(flips), f"(ℤ/2)^{k}"),
+            (twist_group([flips[0] * flips[1], flips[1] * flips[2]]), "(ℤ/2)^2"),
+            (twist_group([swap]), "Σ-subgroup of order 2"),
+        ]
+        for group, want in cases:
+            name = covering_isotropy(MonodromyRep(
+                images={f"g{i}": g for i, g in enumerate(group.generators)}), 1).name
+            assert name == f"ℂ*⋊{_name_from_elements(group)}"
+            if want is not None:
+                assert name == f"ℂ*⋊{want}"
 
 
 def test_monodromy_words():
