@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import NotComposable, SamplerExhausted
 from .groupoids import GroupoidChartModel, pair_groupoid
+from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
                      exterior_derivative, jacobian, nullspace, pullback,
-                     subspace_angle)
+                     pullback_at, subspace_angle)
 from .signedperm import SignedPermutation, semidirect_mul
 from .symplectic import (MorphismBundle, SymplecticModel, morphism_psi,
                          psi_domain_candidates)
@@ -99,6 +100,14 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _worst(*values) -> float:
+    """The largest value, or the first NaN: the builtin ``max`` drops NaN."""
+    for v in values:
+        if v != v:
+            return v
+    return max(values)
+
+
 class _Accumulator:
     def __init__(self, tol: float):
         self.tol = tol
@@ -110,7 +119,8 @@ class _Accumulator:
     def add(self, residual: float, witness=None):
         residual = float(residual)
         self.samples += 1
-        self.max_residual = max(self.max_residual, residual)
+        if residual > self.max_residual or residual != residual:
+            self.max_residual = residual        # NaN is kept: nothing exceeds it
         if residual <= self.tol:
             self.passed += 1
         elif len(self.witnesses) < WITNESS_CAP:
@@ -175,13 +185,13 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int = 10_000,
         res["left inverse"] = guarded(lambda: _gap(model.compose(ginv, g), us))
         worst_name = max(res, key=res.get)
         for name, value in res.items():
-            per_axiom[name] = max(per_axiom[name], value)
+            if value > per_axiom[name]:
+                per_axiom[name] = value
+            elif value != value:            # NaN, which max and > both skip
+                per_axiom[name] = value
+                worst_name = name
         acc.add(res[worst_name], {"identity": worst_name, "g": _round_tuple(g)})
     return acc.report("axioms", model.name, seed, details={"per_identity": per_axiom})
-
-
-def _gap(a, b) -> float:
-    return max(abs(x - y) for x, y in zip(a, b)) if a else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +207,14 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     constrained models (fibre products) the constraint Jacobian rows are
     appended before the nullspace.
     """
-    s_map, t_map, unit_map = model.maps_for_algebroid()
+    ts_map, unit_map = model.maps_for_algebroid()
     u = unit_map(np.asarray(p, dtype=float))
-    Js = jacobian(s_map, u, prof)
+    J = jacobian(ts_map, u, prof)
+    Jt, Js = J[:model.base_dim], J[model.base_dim:]
     extra = model.extra_kernel_rows(u)
     if extra is not None:
         Js = np.vstack([Js, extra])
     kernel = nullspace(Js, null_tol)
-    Jt = jacobian(t_map, u, prof)
     if kernel.shape[0] == 0:
         return np.zeros((0, model.base_dim))
     return kernel @ Jt.T
@@ -279,13 +289,16 @@ def check_symplectic(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
     model = sym.model
     rng = rng_for(seed, f"symplectic:{model.name}")
     acc = _Accumulator(pullback_tol)
-    d = model.arrow_dim
+    d, b = model.arrow_dim, model.base_dim
+    ts = model.ts
     details = {}
     for g in _dense_arrows(sym, rng, n_samples):
         vs = _unit_vectors(rng, d, 2)
         lhs = sym.Omega(g, vs)
-        rhs = pullback(model.t, sym.omega_base, g, vs, prof) \
-            - pullback(model.s, sym.omega_base, g, vs, prof)
+        J = jacobian(ts, g, prof)
+        tsg = ts(g)
+        rhs = pullback_at(sym.omega_base, tsg[:b], J[:b], vs) \
+            - pullback_at(sym.omega_base, tsg[b:], J[b:], vs)
         acc.add(abs(lhs - rhs), {"g": _round_tuple(g), "kind": "pullback"})
 
     closed_max = 0.0
@@ -349,19 +362,22 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int =
     rng = rng_for(seed, f"multiplicative:{model.name}")
     d = model.arrow_dim
 
-    G1 = SmoothMap(P.domain_dim, d, lambda w: P(w)[:d], name="pr1")
-    G2 = SmoothMap(P.domain_dim, d, lambda w: P(w)[d:], name="pr2")
-    Gm = SmoothMap(P.domain_dim, d,
-                   lambda w: np.asarray(model.compose_raw(tuple(P(w)[:d]),
-                                                          tuple(P(w)[d:])), dtype=float),
-                   name="m(pr1,pr2)")
+    def m_of_pair(w):
+        gh = P(w).tolist()
+        return np.asarray(model.compose_raw(tuple(gh[:d]), tuple(gh[d:])), dtype=float)
+
+    Gm = SmoothMap(P.domain_dim, d, m_of_pair, name="m(pr1,pr2)")
 
     acc = _Accumulator(tol)
     for _ in range(n_samples):
         w = sample_params(rng)
         vs = _unit_vectors(rng, P.domain_dim, 2)
         lhs = pullback(Gm, sym.Omega, w, vs, prof)
-        rhs = pullback(G1, sym.Omega, w, vs, prof) + pullback(G2, sym.Omega, w, vs, prof)
+        # pr1 and pr2 are row blocks of P: one Jacobian serves both
+        J = jacobian(P, w, prof)
+        gh = P(w)
+        rhs = pullback_at(sym.Omega, gh[:d], J[:d], vs) \
+            + pullback_at(sym.Omega, gh[d:], J[d:], vs)
         acc.add(abs(lhs - rhs), {"params": _round_tuple(w)})
     return acc.report("multiplicative", model.name, seed)
 
@@ -452,19 +468,19 @@ def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
         if bundle.sample_filter and not (bundle.sample_filter(g) and bundle.sample_filter(h)):
             continue
         fg, fh = tuple(f(g)), tuple(f(h))
-        res = max(_gap(cod.source_of(fg), dom.source_of(g)),
-                  _gap(cod.target_of(fg), dom.target_of(g)))
+        res = _worst(_gap(cod.source_of(fg), dom.source_of(g)),
+                     _gap(cod.target_of(fg), dom.target_of(g)))
         try:
-            res = max(res, _gap(tuple(f(dom.compose(g, h))), cod.compose(fg, fh)))
+            res = _worst(res, _gap(tuple(f(dom.compose(g, h))), cod.compose(fg, fh)))
         except NotComposable as err:
-            res = max(res, getattr(err, "gap", 1.0))
+            res = _worst(res, getattr(err, "gap", 1.0))
         p = dom.target_of(g)
-        res = max(res, _gap(tuple(f(dom.unit_at(p))), cod.unit_at(p)))
+        res = _worst(res, _gap(tuple(f(dom.unit_at(p))), cod.unit_at(p)))
         if bundle.dom_form is not None and forms_done < form_budget:
             if bundle.dom_form.defined_at(g) and bundle.cod_form.defined_at(fg):
                 vs = _unit_vectors(rng, dom.arrow_dim, 2)
                 lhs = pullback(f, bundle.cod_form, g, vs, prof)
-                res = max(res, abs(lhs - bundle.dom_form(g, vs)))
+                res = _worst(res, abs(lhs - bundle.dom_form(g, vs)))
                 forms_done += 1
         acc.add(res, {"g": _round_tuple(g)})
         drawn += 1

@@ -6,9 +6,12 @@ closed-form evaluators for source, target, multiplication, inverse and
 unit, plus a chart-validity predicate.  Two access layers coexist: fast
 scalar operations on flat tuples, used by the sampled verification
 suites, and SmoothMap views of the same formulas for the numerical
-kernel (Jacobians, pullbacks).  All models are immutable value objects;
-samplers draw from an explicit seeded generator, so a fixed seed fixes
-every report.
+kernel (Jacobians, pullbacks).  The views hand the formulas tuples of
+Python floats, exactly as the sampled path does.  The ``ts`` view
+(target ++ source) lets one Jacobian serve both endpoint maps, and the
+algebroid computation differentiates the pair ``(ts, unit)``.  All
+models are immutable value objects; samplers draw from an explicit
+seeded generator, so a fixed seed fixes every report.
 """
 
 from __future__ import annotations
@@ -48,7 +51,14 @@ def _pair(z: complex) -> Tuple[float, float]:
 
 
 def _maxdiff(a, b) -> float:
-    return max(abs(x - y) for x, y in zip(a, b)) if a else 0.0
+    """Max coordinate difference; NaN if any coordinate difference is NaN.
+
+    The builtin ``max`` drops NaN unless it comes first, so the sum of
+    the (nonnegative) differences decides whether one is NaN.
+    """
+    diffs = [abs(x - y) for x, y in zip(a, b)]
+    total = sum(diffs)
+    return max(diffs, default=0.0) if total == total else total
 
 
 def _finite(seq) -> bool:
@@ -69,14 +79,18 @@ def _box(rng, half=1.0) -> float:
 class GroupoidChartModel:
     """A groupoid local model on a single coordinate chart.
 
-    Scalar operations work on flat tuples; ``s``, ``t``, ``m``, ``inv``,
-    ``unit`` expose the same formulas as SmoothMaps for the numerical
-    kernel.  ``composable_tol`` is how exactly ``source(g) == target(h)``
-    must hold before ``compose`` accepts a pair; samplers construct
-    exactly composable data rather than relying on slack.
-    ``algebroid_maps``, when set, supplies (s, t, unit) SmoothMaps on a
-    smooth sector suitable for finite differencing (used where the full
-    chart carries a discrete coordinate or a gluing constraint).
+    Scalar operations work on flat tuples; ``s``, ``t``, ``ts``, ``m``,
+    ``inv``, ``unit`` expose the same formulas as SmoothMaps for the
+    numerical kernel, passing the formulas tuples of Python floats.
+    ``ts`` is target ++ source on ``arrow_valid``, so one Jacobian gives
+    dt (its first ``base_dim`` rows) and ds (the rest).
+    ``composable_tol`` is how exactly ``source(g) == target(h)`` must
+    hold before ``compose`` accepts a pair (a NaN gap never does);
+    samplers construct exactly composable data rather than relying on
+    slack.  ``algebroid_maps``, when set, supplies the (ts, unit)
+    SmoothMaps on a smooth sector suitable for finite differencing (used
+    where the full chart carries a discrete coordinate or a gluing
+    constraint).
     """
 
     name: str
@@ -98,7 +112,7 @@ class GroupoidChartModel:
     sample_base: Optional[Callable] = None      # rng -> base point
     sample_base_like: Optional[Callable] = None  # (p, rng) -> point on p's stratum
     divisor_factors: Optional[Callable] = None  # arrow -> [(a_j, b_j)]
-    algebroid_maps: Optional[tuple] = None      # (s, t, unit) SmoothMaps for FD
+    algebroid_maps: Optional[tuple] = None      # (ts, unit) SmoothMaps for FD
 
     # -- scalar layer ------------------------------------------------------
 
@@ -111,7 +125,7 @@ class GroupoidChartModel:
         self.require_valid(g)
         self.require_valid(h)
         gap = _maxdiff(self.source_of(g), self.target_of(h))
-        if gap > self.composable_tol:
+        if not gap <= self.composable_tol:
             err = NotComposable(f"{self.name}: endpoint gap {gap:.3e}")
             err.gap = gap
             raise err
@@ -155,62 +169,68 @@ class GroupoidChartModel:
 
     # -- SmoothMap layer ----------------------------------------------------
 
+    def _view(self, label, domain_dim, codomain_dim, formula, valid) -> SmoothMap:
+        return SmoothMap(
+            domain_dim, codomain_dim,
+            lambda x: np.asarray(formula(tuple(x.tolist())), dtype=float),
+            lambda x: valid(tuple(x.tolist())), f"{self.name}.{label}")
+
     @property
     def s(self) -> SmoothMap:
-        return SmoothMap(
-            self.arrow_dim, self.base_dim,
-            lambda g: np.asarray(self.source_of(tuple(g)), dtype=float),
-            lambda g: self.arrow_valid(tuple(g)), f"{self.name}.s")
+        return self._view("s", self.arrow_dim, self.base_dim, self.source_of,
+                          self.arrow_valid)
 
     @property
     def t(self) -> SmoothMap:
-        return SmoothMap(
-            self.arrow_dim, self.base_dim,
-            lambda g: np.asarray(self.target_of(tuple(g)), dtype=float),
-            lambda g: self.arrow_valid(tuple(g)), f"{self.name}.t")
+        return self._view("t", self.arrow_dim, self.base_dim, self.target_of,
+                          self.arrow_valid)
+
+    @property
+    def ts(self) -> SmoothMap:
+        return self._view("ts", self.arrow_dim, 2 * self.base_dim,
+                          lambda g: self.target_of(g) + self.source_of(g),
+                          self.arrow_valid)
 
     @property
     def inv(self) -> SmoothMap:
-        return SmoothMap(
-            self.arrow_dim, self.arrow_dim,
-            lambda g: np.asarray(self.invert(tuple(g)), dtype=float),
-            lambda g: self.arrow_valid(tuple(g)), f"{self.name}.inv")
+        return self._view("inv", self.arrow_dim, self.arrow_dim, self.invert,
+                          self.arrow_valid)
 
     @property
     def unit(self) -> SmoothMap:
-        return SmoothMap(
-            self.base_dim, self.arrow_dim,
-            lambda p: np.asarray(self.unit_at(tuple(p)), dtype=float),
-            lambda p: self.base_valid(tuple(p)), f"{self.name}.unit")
+        return self._view("unit", self.base_dim, self.arrow_dim, self.unit_at,
+                          self.base_valid)
 
     @property
     def m(self) -> SmoothMap:
         d = self.arrow_dim
 
+        def split(gh):
+            gh = gh.tolist()
+            return tuple(gh[:d]), tuple(gh[d:])
+
         def pred(gh):
-            g, h = tuple(gh[:d]), tuple(gh[d:])
+            g, h = split(gh)
             if not (self.arrow_valid(g) and self.arrow_valid(h)):
                 return False
             return _maxdiff(self.source_of(g), self.target_of(h)) <= self.composable_tol
 
         return SmoothMap(
-            2 * d, d,
-            lambda gh: np.asarray(self.compose_raw(tuple(gh[:d]), tuple(gh[d:])),
-                                  dtype=float),
+            2 * d, d, lambda gh: np.asarray(self.compose_raw(*split(gh)), dtype=float),
             pred, f"{self.name}.m")
 
     @property
     def beta(self) -> Optional[SmoothMap]:
         if self.beta_map is None:
             return None
-        return SmoothMap(self.arrow_dim, 2 * self.base_dim,
-                         lambda g: np.asarray(self.beta_map(tuple(g)), dtype=float),
-                         lambda g: self.arrow_valid(tuple(g)), f"{self.name}.beta")
+        return self._view("beta", self.arrow_dim, 2 * self.base_dim, self.beta_map,
+                          self.arrow_valid)
 
     def maps_for_algebroid(self):
+        """(ts, unit) SmoothMaps for the algebroid computation."""
         if self.algebroid_maps is not None:
             return self.algebroid_maps
-        return (self.s, self.t, self.unit)
+        return (self.ts, self.unit)
 
     def extra_kernel_rows(self, arrow_point):
         """Extra Jacobian rows constraining the arrow space (fibre products)."""
@@ -513,7 +533,7 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base.sample_base, sample_base_like=base.sample_base_like,
         divisor_factors=lambda g: [(_cx(g, ia), _cx(g, ib))],
-        algebroid_maps=(base.s, base.t, base.unit),
+        algebroid_maps=(base.ts, base.unit),
     )
 
 
@@ -759,10 +779,8 @@ class _FibreProductModel(GroupoidChartModel):
         m1, m2 = self.factors
         d1 = m1.arrow_dim
         g = np.asarray(arrow_point, dtype=float)
-        j1 = np.vstack([jacobian(m1.t, g[:d1], DEFAULT_PROFILE),
-                        jacobian(m1.s, g[:d1], DEFAULT_PROFILE)])
-        j2 = np.vstack([jacobian(m2.t, g[d1:], DEFAULT_PROFILE),
-                        jacobian(m2.s, g[d1:], DEFAULT_PROFILE)])
+        j1 = jacobian(m1.ts, g[:d1], DEFAULT_PROFILE)
+        j2 = jacobian(m2.ts, g[d1:], DEFAULT_PROFILE)
         return np.hstack([j1, -j2])
 
 
@@ -835,15 +853,18 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         g1, g2 = split(g)
         return m1.arrow_valid(g1) and m2.arrow_valid(g2)
 
-    fd_s = SmoothMap(d1 + d2, nd,
-                     lambda g: np.asarray(m1.source_of(tuple(g[:d1])), dtype=float),
-                     lambda g: ambient_valid(tuple(g)), "fibre.s(ambient)")
-    fd_t = SmoothMap(d1 + d2, nd,
-                     lambda g: np.asarray(m1.target_of(tuple(g[:d1])), dtype=float),
-                     lambda g: ambient_valid(tuple(g)), "fibre.t(ambient)")
+    def ambient_ts(g):
+        g1 = split(g)[0]
+        return m1.target_of(g1) + m1.source_of(g1)
+
+    def unit_pair(p):
+        return m1.unit_at(p) + m2.unit_at(p)
+
+    fd_ts = SmoothMap(d1 + d2, 2 * nd,
+                      lambda g: np.asarray(ambient_ts(tuple(g.tolist())), dtype=float),
+                      lambda g: ambient_valid(tuple(g.tolist())), "fibre.ts(ambient)")
     fd_unit = SmoothMap(nd, d1 + d2,
-                        lambda p: np.asarray(m1.unit_at(tuple(p))
-                                             + m2.unit_at(tuple(p)), dtype=float),
+                        lambda p: np.asarray(unit_pair(tuple(p.tolist())), dtype=float),
                         None, "fibre.unit")
 
     model = _FibreProductModel(
@@ -853,14 +874,14 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         compose_raw=lambda g, h: (m1.compose_raw(split(g)[0], split(h)[0])
                                   + m2.compose_raw(split(g)[1], split(h)[1])),
         invert=lambda g: m1.invert(split(g)[0]) + m2.invert(split(g)[1]),
-        unit_at=lambda p: m1.unit_at(p) + m2.unit_at(p),
+        unit_at=unit_pair,
         arrow_valid=arrow_valid,
         composable_tol=tol, is_hausdorff=m1.is_hausdorff and m2.is_hausdorff,
         expected_frame=expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base_sampler, sample_base_like=base_like,
         divisor_factors=divisor_factors if has_factors else None,
-        algebroid_maps=(fd_s, fd_t, fd_unit),
+        algebroid_maps=(fd_ts, fd_unit),
     )
     object.__setattr__(model, "factors", (m1, m2))
 

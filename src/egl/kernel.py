@@ -28,6 +28,7 @@ __all__ = [
     "subspace_equal",
     "exterior_derivative",
     "pullback",
+    "pullback_at",
     "pullback_form",
     "two_form_from_matrix",
     "compose_maps",
@@ -203,25 +204,44 @@ def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.nd
     """Central-difference Jacobian of ``f`` at ``p``.
 
     Entry ``(i, j)`` is the central difference of component ``i`` along
-    coordinate axis ``j`` with step ``prof.fd_step``.  Raises
-    StencilOutsideDomain if any stencil point violates the domain
-    predicate, NonFiniteValue on NaN/Inf.
+    coordinate axis ``j`` with step ``prof.fd_step``.  The 2n stencil
+    points are built as one block: each is a copy of ``p`` with one
+    coordinate stepped, so the others keep their exact bits.  The domain
+    predicate is checked at ``p`` and at every stencil point before any
+    evaluation; StencilOutsideDomain names the first axis whose stencil
+    leaves the domain.  ``f.func`` then runs once per point.  Raises
+    NonFiniteValue on NaN/Inf.  The result is C-ordered.
     """
     p = np.asarray(p, dtype=float)
     h = prof.fd_step
+    n = f.domain_dim
+    if p.shape != (n,):
+        raise DimensionMismatch(
+            f"{f.name or 'map'}: expected point of dim {n}, got {p.shape}")
     if not f.defined_at(p):
         raise StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
-    J = np.empty((f.codomain_dim, f.domain_dim))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(f.domain_dim):
-            pp = p.copy()
-            pm = p.copy()
-            pp[j] += h
-            pm[j] -= h
-            if not (f.defined_at(pp) and f.defined_at(pm)):
+    stencil = np.empty((2 * n, n))
+    stencil[:] = p
+    axes = np.arange(n)
+    stencil[axes, axes] += h
+    stencil[n + axes, axes] -= h
+    pred = f.domain_predicate
+    if pred is not None:
+        for j in range(n):
+            if not (pred(stencil[j]) and pred(stencil[n + j])):
                 raise StencilOutsideDomain(
                     f"jacobian: stencil left domain of {f.name} along axis {j}")
-            J[:, j] = (f(pp) - f(pm)) / (2.0 * h)
+    func = f.func
+    rows = [func(q) for q in stencil]
+    try:
+        values = np.asarray(rows, dtype=float)
+    except ValueError as err:  # outputs of different lengths
+        raise DimensionMismatch(f"{f.name or 'map'}: evaluator returned mixed shapes") from err
+    if values.shape != (2 * n, f.codomain_dim):
+        raise DimensionMismatch(
+            f"{f.name or 'map'}: evaluator returned shape {values.shape[1:]}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        J = ((values[:n] - values[n:]) / (2.0 * h)).T.copy()
     _check_finite(J, f"jacobian of {f.name}")
     return J
 
@@ -321,7 +341,15 @@ def pullback(f: SmoothMap, form: FormField, p, vectors,
              prof: ToleranceProfile = DEFAULT_PROFILE) -> complex:
     """(f^* form)(p; v_1..v_k) = form(f(p); df v_1, .., df v_k)."""
     J = jacobian(f, p, prof)
-    fp = f(np.asarray(p, dtype=float))
+    return pullback_at(form, f(np.asarray(p, dtype=float)), J, vectors)
+
+
+def pullback_at(form: FormField, fp, J, vectors) -> complex:
+    """form(fp; J v_1, .., J v_k): a pullback from an image point and Jacobian.
+
+    Lets a caller that differentiated a map once evaluate the pullback
+    through row blocks of that Jacobian (components of the map).
+    """
     return form(fp, [J @ np.asarray(v, dtype=float) for v in vectors])
 
 

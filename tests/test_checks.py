@@ -1,16 +1,19 @@
 """Check reports, negative controls, algebroid recovery, A-paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egl.apaths import PolarCurve, apath_anchor_residual, apath_rescale
-from egl.checks import (check_algebroid, check_groupoid_axioms, check_isotropy,
-                        lie_algebroid_of, perturbed_model)
+from egl.checks import (_Accumulator, _gap, check_algebroid, check_groupoid_axioms,
+                        check_isotropy, lie_algebroid_of, perturbed_model)
 from egl.divisors import residue_model_frame
 from egl.errors import DegenerateRadius
-from egl.groupoids import case1_model, caseIV_model, ssc_surface_model
+from egl.groupoids import case1_model, caseIV_model, pair_groupoid, ssc_surface_model
 from egl.kernel import DEFAULT_PROFILE, subspace_angle, subspace_equal
 from egl.symplectic import (symplectic_nonzero_residue_model,
                             symplectic_zero_residue_model)
@@ -170,3 +173,49 @@ def test_apath_degenerate_radius():
         path.base(0.2)
     with pytest.raises(ValueError):
         apath_rescale(curve, 0.0)
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=8), st.lists(finite, min_size=8, max_size=8))
+def test_gap_is_nan_when_any_coordinate_is_nan(a, b):
+    b = b[:len(a)]
+    assert not math.isnan(_gap(a, b))
+    for i in range(len(a)):
+        with_nan = a[:i] + [math.nan] + a[i + 1:]
+        assert math.isnan(_gap(with_nan, b))
+        assert math.isnan(_gap(b, with_nan))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 1e-10), max_size=6), st.lists(st.floats(0.0, 1e-10), max_size=6))
+def test_accumulator_fails_on_nan_and_reports_it(before, after):
+    acc = _Accumulator(1e-9)
+    for r in before + [math.nan] + after:
+        acc.add(r)
+    rep = acc.report("residuals", "none", seed=0)
+    assert not rep.ok
+    assert math.isnan(rep.max_residual)
+    assert rep.passed == len(before) + len(after)
+
+
+def test_axioms_name_the_identity_that_went_nan():
+    # a target map that goes NaN at the product gh only: the builtin max
+    # would read t(m(g,h)) = t(g) as an exact match and name another identity
+    pair = pair_groupoid(2)
+    g, h, k = (0.1, 0.2, 0.3, 0.4), (0.3, 0.4, 0.5, 0.6), (0.5, 0.6, 0.7, 0.8)
+    gh = pair.compose_raw(g, h)
+
+    def target_of(x):
+        return (x[0], math.nan) if tuple(x) == gh else pair.target_of(x)
+
+    model = replace(pair, target_of=target_of)
+    rep = check_groupoid_axioms(model, n_samples=3, seed=1, sampler=lambda rng: (g, h, k))
+    assert not rep.ok
+    assert math.isnan(rep.max_residual)
+    assert rep.witnesses[0]["identity"] == "t(m(g,h))=t(g)"
+    per_identity = rep.details["per_identity"]
+    assert math.isnan(per_identity["t(m(g,h))=t(g)"])
+    assert all(v == 0.0 for name, v in per_identity.items() if name != "t(m(g,h))=t(g)")

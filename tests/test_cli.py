@@ -231,18 +231,6 @@ def test_missing_fixture_is_config_error():
         resolve_fixture("does_not_exist_anywhere.json")
 
 
-def test_schema_and_fixture_copies_stay_in_sync():
-    from importlib import resources
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parent.parent
-    for rel in ("fixtures/klein_t4.json", "fixtures/nc_twisted_line.json",
-                "schemas/decision.v1.json"):
-        root_copy = (repo / rel).read_text()
-        packaged = resources.files("egl").joinpath(rel).read_text()
-        assert root_copy == packaged, rel
-
-
 def test_run_config_validation():
     from egl.report import RunConfig
 

@@ -1,7 +1,12 @@
 """Chart-level groupoid models: structure maps, blow-down, fibre products."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from egl.checks import check_groupoid_axioms, lie_algebroid_of, rng_for
 from egl.errors import ChartInvalid, NotComposable, NotTransverse
@@ -95,6 +100,22 @@ def test_caseIV_associativity_sampled(rng):
         rhs = model.compose(g, model.compose(h, k))
         worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs)))
     assert worst < 1e-9
+
+
+@given(st.integers(0, 1))
+def test_compose_rejects_a_nan_endpoint_gap(i):
+    pair = pair_groupoid(2)
+
+    def source_of(g):
+        out = list(pair.source_of(g))
+        out[i] = math.nan
+        return tuple(out)
+
+    model = replace(pair, source_of=source_of)
+    g = (0.1, 0.2, 0.1, 0.2)
+    with pytest.raises(NotComposable) as err:
+        model.compose(g, g)
+    assert math.isnan(err.value.gap)
 
 
 def test_multiplication_smooth_map_view(rng):

@@ -5,12 +5,118 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egl.errors import DimensionMismatch, StencilOutsideDomain
+from egl.checks import rng_for
+from egl.errors import DimensionMismatch, NonFiniteValue, StencilOutsideDomain
 from egl.groupoids import case1_model
 from egl.kernel import (FormField, SmoothMap, ToleranceProfile, compose_maps,
                         exterior_derivative, jacobian, nullspace, pullback,
                         pullback_form, subspace_angle, subspace_equal,
                         two_form_from_matrix)
+from egl.registry import MODEL_NAMES, build_model
+from egl.symplectic import pair_groupoid_symplectic
+
+
+def _reference_jacobian(f, p, prof):
+    """The column-at-a-time central differences ``jacobian`` must reproduce."""
+    p = np.asarray(p, dtype=float)
+    h = prof.fd_step
+    if not f.defined_at(p):
+        raise StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
+    J = np.empty((f.codomain_dim, f.domain_dim))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(f.domain_dim):
+            pp = p.copy()
+            pm = p.copy()
+            pp[j] += h
+            pm[j] -= h
+            if not (f.defined_at(pp) and f.defined_at(pm)):
+                raise StencilOutsideDomain(
+                    f"jacobian: stencil left domain of {f.name} along axis {j}")
+            J[:, j] = (f(pp) - f(pm)) / (2.0 * h)
+    if not np.all(np.isfinite(J)):
+        raise NonFiniteValue(f"non-finite value in jacobian of {f.name}")
+    return J
+
+
+def _outcome(jac, f, x, prof):
+    """The Jacobian, or the message of the StencilOutsideDomain it raised."""
+    try:
+        return jac(f, x, prof)
+    except StencilOutsideDomain as err:
+        return str(err)
+
+
+def _assert_matches_reference(f, x, prof):
+    got, want = _outcome(jacobian, f, x, prof), _outcome(_reference_jacobian, f, x, prof)
+    if isinstance(want, str):
+        assert got == want
+        return None
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_blocked_jacobian_equals_column_loop_on_models(name, prof):
+    # the algebroid maps at units, and the chart's own ts at arrows (where
+    # a discrete or glued chart refuses the stencil on the same axis)
+    model = build_model(name).chart
+    ts, unit = model.maps_for_algebroid()
+    rng = rng_for(5, f"jacobian-reference:{name}")
+    for _ in range(6):
+        p = np.asarray(model.random_base(rng), dtype=float)
+        _assert_matches_reference(unit, p, prof)
+        _assert_matches_reference(ts, unit(p), prof)
+        g = np.asarray(model.random_arrow(rng), dtype=float)
+        J = _assert_matches_reference(model.ts, g, prof)
+        if J is not None:
+            stacked = np.vstack([jacobian(model.t, g, prof), jacobian(model.s, g, prof)])
+            assert np.array_equal(J, stacked)
+
+
+@pytest.mark.parametrize("sym", [build_model("sympl-nonzero").symplectic,
+                                 build_model("sympl-zero").symplectic,
+                                 pair_groupoid_symplectic()], ids=lambda s: s.name)
+def test_blocked_jacobian_equals_column_loop_on_pair_params(sym, prof):
+    P, sample_params = sym.pair_param
+    rng = rng_for(5, f"jacobian-reference:{sym.name}.pairs")
+    for _ in range(6):
+        assert _assert_matches_reference(P, sample_params(rng), prof) is not None
+
+
+def test_jacobian_checks_every_stencil_point_before_evaluating(prof):
+    n = 3
+    p = np.array([0.2, -0.4, 0.6])
+    last_minus = p.copy()
+    last_minus[n - 1] -= prof.fd_step
+    calls = []
+    f = SmoothMap(n, 1, lambda x: calls.append(x) or np.array([x.sum()]),
+                  domain_predicate=lambda x: not np.array_equal(x, last_minus))
+    with pytest.raises(StencilOutsideDomain, match=f"along axis {n - 1}$"):
+        jacobian(f, p, prof)
+    assert not calls
+
+
+def test_jacobian_steps_one_coordinate_and_keeps_the_others_bits(prof):
+    # -0.0 must stay -0.0 off the stepped axis (p + h*I would make it +0.0)
+    p = np.array([-0.0, 0.5, -0.0])
+    seen = []
+    f = SmoothMap(3, 1, lambda x: seen.append(x.copy()) or np.array([x[1]]))
+    jacobian(f, p, prof)
+    assert len(seen) == 6
+    for q in seen:
+        changed = np.flatnonzero(q.view(np.int64) != p.view(np.int64))
+        assert changed.size == 1
+
+
+def test_jacobian_rejects_wrong_output_shape(prof):
+    with pytest.raises(DimensionMismatch):
+        jacobian(SmoothMap(2, 3, lambda x: np.zeros(2)), [0.1, 0.2], prof)
+    with pytest.raises(DimensionMismatch):
+        jacobian(SmoothMap(2, 1, lambda x: 1.0), [0.1, 0.2], prof)
+    with pytest.raises(DimensionMismatch):
+        jacobian(SmoothMap(2, 2, lambda x: np.zeros(2 if x[0] > 0.1 else 3)),
+                 [0.1, 0.2], prof)
 
 
 def test_tolerance_profile_validates():
@@ -41,8 +147,6 @@ def test_jacobian_respects_domain_predicate(prof):
 
 
 def test_jacobian_rejects_non_finite_values(prof):
-    from egl.errors import NonFiniteValue
-
     f = SmoothMap(1, 1, lambda p: np.array([np.inf]))
     with pytest.raises(NonFiniteValue):
         jacobian(f, [0.0], prof)
