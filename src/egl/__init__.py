@@ -8,7 +8,7 @@ Hausdorff integrability, and the sampled numerical suites that verify
 all of it.
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from .apaths import APath, PolarCurve, apath_anchor_residual, apath_rescale
 from .divisors import AlgebroidFrame, DivisorLocalModel, residue_model_frame

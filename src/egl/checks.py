@@ -211,7 +211,7 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     u = unit_map(np.asarray(p, dtype=float))
     J = jacobian(ts_map, u, prof)
     Jt, Js = J[:model.base_dim], J[model.base_dim:]
-    extra = model.extra_kernel_rows(u)
+    extra = model.extra_kernel_rows(u, J, prof)
     if extra is not None:
         Js = np.vstack([Js, extra])
     kernel = nullspace(Js, null_tol)

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .homology import (HomologyPresentation, IntHom, double_cover_exists,
-                       hausdorff_smooth_decision, smooth_decision_witness)
-from .signedperm import MonodromyRep, SignedPermutation, hausdorff_nc_decision, \
-    nc_decision_witness
+                       smooth_decision_witness)
+from .signedperm import (K_MAX, MonodromyRep, SignedPermutation, nc_decision_witness,
+                         parse_token)
 
 SCHEMA_VERSION = "decision.v1"
 
@@ -24,17 +24,40 @@ __all__ = ["SCHEMA_VERSION", "load_document", "validate_document",
            "decide_smooth", "decide_double_cover", "decide_normal_crossing"]
 
 
+# Size limits: every document they admit is decided in bounded time and
+# memory (README, "Size limits").
+MAX_GENERATORS = 64        # per presentation and per stratum
+MAX_RELATIONS = 64         # per presentation
+MAX_COVER_DIM = 256        # rows and columns of i_pullback
+MAX_ENTRY = 2 ** 15 - 1    # |entry| of relations and i_star
+MAX_K = K_MAX              # degree of a stratum's monodromy
+MAX_STRATA = 64
+MAX_WORD_TOKENS = 100_000  # kernel-word tokens in a document; an empty word counts one
+
+
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _expect_int_matrix(value, path, rows=None, cols=None):
+def _expect_at_most(value, limit: int, path: str, what: str):
+    if len(value) > limit:
+        _fail(path, f"at most {limit} {what} allowed, got {len(value)}")
+
+
+def _expect_int_matrix(value, path, rows=None, cols=None, max_rows=None, max_cols=None):
     if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
         _fail(path, "expected a list of integer rows")
+    if max_rows is not None:
+        _expect_at_most(value, max_rows, path, "rows")
     for i, row in enumerate(value):
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                _fail(f"{path}[{i}][{j}]", "expected integer")
+        if max_cols is not None:
+            _expect_at_most(row, max_cols, f"{path}[{i}]", "columns")
+        if not {int}.issuperset(map(type, row)):   # bool is not int here
+            j = next(j for j, x in enumerate(row) if type(x) is not int)
+            _fail(f"{path}[{i}][{j}]", "expected integer")
+        if row and (max(row) > MAX_ENTRY or min(row) < -MAX_ENTRY):
+            j = next(j for j, x in enumerate(row) if abs(x) > MAX_ENTRY)
+            _fail(f"{path}[{i}][{j}]", f"entry magnitude exceeds {MAX_ENTRY}")
     if value and len({len(r) for r in value}) != 1:
         _fail(path, "ragged matrix")
     if rows is not None and len(value) != rows:
@@ -45,7 +68,11 @@ def _expect_int_matrix(value, path, rows=None, cols=None):
 
 
 def _expect_bits(value, path, length=None):
-    if not isinstance(value, list) or any(x not in (0, 1) for x in value):
+    try:
+        bits = isinstance(value, list) and {0, 1}.issuperset(value)
+    except TypeError:       # unhashable entries
+        bits = False
+    if not bits:
         _fail(path, "expected a list of 0/1 entries")
     if length is not None and len(value) != length:
         _fail(path, f"expected length {length}, got {len(value)}")
@@ -55,6 +82,7 @@ def _expect_bits(value, path, length=None):
 def _expect_names(value, path):
     if not isinstance(value, list) or any(not isinstance(x, str) or not x for x in value):
         _fail(path, "expected a list of nonempty generator names")
+    _expect_at_most(value, MAX_GENERATORS, path, "generators")
     if len(set(value)) != len(value):
         _fail(path, "duplicate generator names")
     return value
@@ -65,7 +93,8 @@ def _parse_presentation(obj, path) -> HomologyPresentation:
         _fail(path, "expected an object with generators/relations")
     names = _expect_names(obj.get("generators"), f"{path}.generators")
     relations = obj.get("relations", [])
-    _expect_int_matrix(relations, f"{path}.relations", cols=len(names) if relations else None)
+    _expect_int_matrix(relations, f"{path}.relations", cols=len(names) if relations else None,
+                       max_rows=MAX_RELATIONS)
     return HomologyPresentation(ngens=len(names), relations=tuple(map(tuple, relations)),
                                 names=tuple(names))
 
@@ -94,7 +123,8 @@ def validate_document(doc: dict, path: str = "$") -> dict:
         dc = doc["double_cover"]
         dpath = f"{path}.double_cover"
         mat = dc.get("i_pullback")
-        _expect_int_matrix(mat, f"{dpath}.i_pullback")
+        _expect_int_matrix(mat, f"{dpath}.i_pullback",
+                           max_rows=MAX_COVER_DIM, max_cols=MAX_COVER_DIM)
         for i, row in enumerate(mat):
             _expect_bits(row, f"{dpath}.i_pullback[{i}]")
         _expect_bits(dc.get("eta_class"), f"{dpath}.eta_class",
@@ -106,8 +136,14 @@ def validate_document(doc: dict, path: str = "$") -> dict:
         strata = nc.get("strata")
         if not isinstance(strata, list):
             _fail(f"{npath}.strata", "expected a list of strata")
+        _expect_at_most(strata, MAX_STRATA, f"{npath}.strata", "strata")
+        tokens = 0
         for i, stratum in enumerate(strata):
-            _parse_stratum(stratum, f"{npath}.strata[{i}]")
+            rep = _parse_stratum(stratum, f"{npath}.strata[{i}]")
+            tokens += sum(len(word) or 1 for word in rep.kernel_words)
+            if tokens > MAX_WORD_TOKENS:
+                _fail(f"{npath}.strata[{i}].kernel_words",
+                      f"more than {MAX_WORD_TOKENS} word tokens in the document")
     return doc
 
 
@@ -117,6 +153,8 @@ def _parse_stratum(obj, path):
     k = obj.get("k")
     if not isinstance(k, int) or k < 1:
         _fail(f"{path}.k", "expected a positive integer")
+    if k > MAX_K:
+        _fail(f"{path}.k", f"at most {MAX_K} allowed, got {k}")
     names = _expect_names(obj.get("generators"), f"{path}.generators")
     mono = obj.get("monodromy")
     if not isinstance(mono, dict) or set(mono) != set(names):
@@ -137,6 +175,11 @@ def _parse_stratum(obj, path):
     for i, word in enumerate(words):
         if not isinstance(word, list) or any(not isinstance(tk, str) for tk in word):
             _fail(f"{path}.kernel_words[{i}]", "expected a list of generator tokens")
+    unknown = {tk for tk in set().union(*words) if parse_token(tk)[0] not in images}
+    if unknown:
+        i, j, tk = next((i, j, tk) for i, word in enumerate(words)
+                        for j, tk in enumerate(word) if tk in unknown)
+        _fail(f"{path}.kernel_words[{i}][{j}]", f"unknown generator {parse_token(tk)[0]!r}")
     return MonodromyRep(images=images,
                         kernel_words=tuple(tuple(w) for w in words))
 
@@ -170,12 +213,10 @@ def _smooth_hom(doc) -> tuple:
 def decide_smooth(doc: dict):
     """Hausdorff integrability for a smooth divisor: (answer, witness)."""
     hom, eta = _smooth_hom(doc)
-    answer = hausdorff_smooth_decision(hom, eta)
-    witness = None if answer else {
-        "kernel_generator": smooth_decision_witness(hom, eta),
-        "generators": list(hom.domain.names),
-    }
-    return answer, witness
+    generator = smooth_decision_witness(hom, eta)
+    if generator is None:
+        return True, None
+    return False, {"kernel_generator": generator, "generators": list(hom.domain.names)}
 
 
 def decide_double_cover(doc: dict):
@@ -195,12 +236,11 @@ def decide_normal_crossing(doc: dict):
         raise ConfigError("$.normal_crossing: section required")
     reps = [_parse_stratum(stratum, f"$.normal_crossing.strata[{i}]")
             for i, stratum in enumerate(nc["strata"])]
-    answer = hausdorff_nc_decision(reps)
-    witness = None
-    if not answer:
-        idx, word, image = nc_decision_witness(reps)
-        witness = {"stratum": nc["strata"][idx].get("name", idx),
+    found = nc_decision_witness(reps)
+    if found is None:
+        return True, None
+    idx, word, image = found
+    return False, {"stratum": nc["strata"][idx].get("name", idx),
                    "word": list(word),
                    "image": {"perm": [x + 1 for x in image.perm],
                              "flips": list(image.flips)}}
-    return answer, witness

@@ -232,8 +232,13 @@ class GroupoidChartModel:
             return self.algebroid_maps
         return (self.ts, self.unit)
 
-    def extra_kernel_rows(self, arrow_point):
-        """Extra Jacobian rows constraining the arrow space (fibre products)."""
+    def extra_kernel_rows(self, arrow_point, ts_jacobian=None, prof=DEFAULT_PROFILE):
+        """Extra Jacobian rows constraining the arrow space (fibre products).
+
+        ``ts_jacobian``, when given, is the Jacobian of
+        ``maps_for_algebroid()[0]`` at ``arrow_point`` under ``prof``; a
+        model may read rows from it instead of differentiating again.
+        """
         return None
 
 
@@ -775,12 +780,17 @@ def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
 class _FibreProductModel(GroupoidChartModel):
     """Pairs of arrows with equal (target, source) base pairs."""
 
-    def extra_kernel_rows(self, arrow_point):
+    def extra_kernel_rows(self, arrow_point, ts_jacobian=None, prof=DEFAULT_PROFILE):
         m1, m2 = self.factors
         d1 = m1.arrow_dim
         g = np.asarray(arrow_point, dtype=float)
-        j1 = jacobian(m1.ts, g[:d1], DEFAULT_PROFILE)
-        j2 = jacobian(m2.ts, g[d1:], DEFAULT_PROFILE)
+        # the ambient ts reads only the first factor: its first d1
+        # columns are exactly the Jacobian of m1.ts at g[:d1]
+        if ts_jacobian is None:
+            j1 = jacobian(m1.ts, g[:d1], prof)
+        else:
+            j1 = ts_jacobian[:, :d1]
+        j2 = jacobian(m2.ts, g[d1:], prof)
         return np.hstack([j1, -j2])
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "twist_group",
     "full_hyperoctahedral",
     "MonodromyRep",
+    "parse_token",
     "hausdorff_nc_decision",
     "nc_decision_witness",
     "GroupDescriptor",
@@ -335,6 +336,15 @@ def full_hyperoctahedral(k: int) -> TwistGroup:
                         SignedPermutation(ident, tuple(int(i == 0) for i in range(k)))], k=k)
 
 
+def parse_token(token: str) -> Tuple[str, bool]:
+    """(generator name, whether inverted) of a word token: ``~g`` and ``g^-1`` invert g."""
+    if token.startswith("~"):
+        return token[1:], True
+    if token.endswith("^-1"):
+        return token[:-3], True
+    return token, False
+
+
 @dataclass(frozen=True)
 class MonodromyRep:
     """Named fundamental-group generators with signed-permutation images.
@@ -362,20 +372,36 @@ class MonodromyRep:
     def generators(self) -> Tuple[str, ...]:
         return tuple(self.images)
 
+    def _step(self, token: str):
+        """(perm, flips, inverse of perm) of a token's image, as tuples."""
+        name, inverse = parse_token(token)
+        if name not in self.images:
+            raise UnknownGenerator(f"unknown generator {name!r}")
+        g = self.images[name]
+        if not inverse:
+            return g.perm, g.flips, g._inv_perm()
+        return g._inv_perm(), tuple(g.flips[v] for v in g.perm), g.perm
+
     def evaluate(self, word: Sequence[str]) -> SignedPermutation:
-        out = SignedPermutation.identity(self.k)
+        """Left-to-right product of the images of ``word``'s tokens.
+
+        Works on (perm, flips) tuples with the formula of
+        ``SignedPermutation.__mul__``, resolving each distinct token
+        once, and validates only the result.
+        """
+        k = self.k
+        perm, flips, inv = tuple(range(k)), (0,) * k, tuple(range(k))
+        steps = {}
         for token in word:
-            inverse = False
-            name = token
-            if name.startswith("~"):
-                inverse, name = True, name[1:]
-            elif name.endswith("^-1"):
-                inverse, name = True, name[:-3]
-            if name not in self.images:
-                raise UnknownGenerator(f"unknown generator {name!r}")
-            g = self.images[name]
-            out = out * (g.inverse() if inverse else g)
-        return out
+            step = steps.get(token)
+            if step is None:
+                step = steps[token] = self._step(token)
+            p, f, pinv = step
+            # (perm, flips) * (p, f): flips read through the inverse of perm
+            flips = tuple([a ^ f[j] for a, j in zip(flips, inv)])
+            perm = tuple([perm[j] for j in p])
+            inv = tuple([pinv[j] for j in inv])
+        return SignedPermutation(perm, flips)
 
     def image_group(self) -> TwistGroup:
         return twist_group(self.images.values(), k=self.k)

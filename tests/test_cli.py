@@ -251,6 +251,80 @@ def test_validate_document_rejects_unknown_fields():
         validate_document({"schema": "decision.v0"})
 
 
+def _smooth_doc(n_dom=2, n_cod=1, dom_rels=0, entry=1):
+    return {"schema": "decision.v1",
+            "smooth": {"domain": {"generators": [f"a{i}" for i in range(n_dom)],
+                                  "relations": [[2] * n_dom for _ in range(dom_rels)]},
+                       "codomain": {"generators": [f"x{i}" for i in range(n_cod)],
+                                    "relations": []},
+                       "i_star": [[entry] + [0] * (n_dom - 1) for _ in range(n_cod)],
+                       "eta": [0] * n_dom}}
+
+
+def _cover_doc(rows=2, cols=2):
+    return {"schema": "decision.v1",
+            "double_cover": {"i_pullback": [[1] * cols for _ in range(rows)],
+                             "eta_class": [0] * rows}}
+
+
+def _stratum(k=1, gens=1, words=()):
+    names = [f"g{i}" for i in range(gens)]
+    return {"k": k, "generators": names,
+            "monodromy": {g: {"perm": list(range(1, k + 1)), "flips": [0] * k} for g in names},
+            "kernel_words": list(words)}
+
+
+def _nc_doc(*strata):
+    return {"schema": "decision.v1", "normal_crossing": {"strata": list(strata)}}
+
+
+def _relation_entry_doc(x):
+    doc = _smooth_doc(dom_rels=1)
+    doc["smooth"]["domain"]["relations"][0][1] = x
+    return doc
+
+
+OVER_THE_LIMITS = {
+    "domain-generators": (_smooth_doc(n_dom=65), "smooth", "$.smooth.domain.generators"),
+    "codomain-generators": (_smooth_doc(n_cod=65), "smooth", "$.smooth.codomain.generators"),
+    "relations": (_smooth_doc(dom_rels=65), "smooth", "$.smooth.domain.relations"),
+    "entry": (_smooth_doc(entry=2 ** 15), "smooth", "$.smooth.i_star[0][0]"),
+    "relation-entry": (_relation_entry_doc(-2 ** 15), "smooth",
+                       "$.smooth.domain.relations[0][1]"),
+    "cover-rows": (_cover_doc(rows=257), "double-cover", "$.double_cover.i_pullback"),
+    "cover-columns": (_cover_doc(cols=257), "double-cover", "$.double_cover.i_pullback[0]"),
+    "k": (_nc_doc(_stratum(k=9)), "normal-crossing", "$.normal_crossing.strata[0].k"),
+    "strata": (_nc_doc(*[_stratum()] * 65), "normal-crossing", "$.normal_crossing.strata"),
+    "stratum-generators": (_nc_doc(_stratum(gens=65)), "normal-crossing",
+                           "$.normal_crossing.strata[0].generators"),
+    "word-tokens": (_nc_doc(_stratum(words=[["g0"] * 60_000]),
+                            _stratum(words=[["~g0"] * 40_000, []])),
+                    "normal-crossing", "$.normal_crossing.strata[1].kernel_words"),
+    "unknown-token": (_nc_doc(_stratum(gens=2, words=[["g1", "~h", "g0"]])), "normal-crossing",
+                      "$.normal_crossing.strata[0].kernel_words[0][1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_THE_LIMITS))
+def test_decide_rejects_documents_over_each_limit(case, capsys, tmp_path):
+    doc, kind, field = OVER_THE_LIMITS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["decide", "--kind", kind, str(path)], capsys)
+    assert code == 2 and not out
+    assert f"{field}:" in err
+
+
+def test_documents_at_each_limit_are_accepted():
+    for doc in (_smooth_doc(n_dom=64, n_cod=64, dom_rels=64, entry=2 ** 15 - 1),
+                _relation_entry_doc(1 - 2 ** 15),
+                _cover_doc(rows=256, cols=256),
+                _nc_doc(*[_stratum(k=8, gens=64)] * 64),
+                _nc_doc(_stratum(words=[["g0"] * 60_000]),
+                        _stratum(words=[["~g0", "g0^-1"] * 19_999, []]))):
+        validate_document(doc)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "egl.cli", "list-models"],
                           capture_output=True, text=True)

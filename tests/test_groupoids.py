@@ -15,7 +15,8 @@ from egl.groupoids import (action_groupoid_model, case1_model,
                            elliptic_ideal_pullback, fibre_product,
                            pair_groupoid, smooth_factor_model,
                            ssc_surface_model)
-from egl.kernel import subspace_equal
+from egl.kernel import jacobian, subspace_equal
+from egl.registry import build_model
 from egl.signedperm import SignedPermutation, semidirect_mul
 
 
@@ -207,6 +208,24 @@ def test_fibre_of_transverse_factors_recovers_nc_algebroid(rng):
         recovered = lie_algebroid_of(model, p)
         expected = nc.expected_frame(p)
         assert subspace_equal(recovered, expected, 1e-5)
+
+
+@pytest.mark.parametrize("name", ["fibre:case1,case1", "fibre:case1,pair"])
+def test_fibre_kernel_rows_reuse_the_ambient_ts_jacobian(name, prof):
+    # lie_algebroid_of hands over the ambient ts Jacobian at the unit;
+    # the rows built from it equal the ones built from both factors
+    model = build_model(name).chart
+    m1, m2 = model.factors
+    d1 = m1.arrow_dim
+    ts, unit = model.maps_for_algebroid()
+    rng = rng_for(3, f"fibre-rows:{name}")
+    for _ in range(20):
+        u = unit(np.asarray(model.random_base(rng), dtype=float))
+        J = jacobian(ts, u, prof)
+        assert not J[:, d1:].any()
+        want = np.hstack([jacobian(m1.ts, u[:d1], prof), -jacobian(m2.ts, u[d1:], prof)])
+        assert np.array_equal(model.extra_kernel_rows(u, J, prof), want)
+        assert np.array_equal(model.extra_kernel_rows(u), want)
 
 
 def test_fibre_hausdorff_flag_is_conjunction():

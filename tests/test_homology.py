@@ -1,15 +1,95 @@
 """Exact integer algebra: Smith forms, kernels, decision procedures."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egl.homology as homology
+from egl.decisions_io import decide_smooth
 from egl.errors import MalformedPresentation
 from egl.homology import (HomologyPresentation, IntHom, double_cover_exists,
                           hausdorff_smooth_decision, integer_determinant,
                           integer_kernel_basis, kernel_generators,
-                          lattice_member, smith_normal_form)
+                          lattice_member, smith_normal_form,
+                          smooth_decision_witness)
+
+
+def _reference_snf(M):
+    """The smallest-pivot elimination without transform reduction that
+    ``smith_normal_form`` used to run; S is unique, so both must agree."""
+    S = [[int(x) for x in row] for row in M]
+    m = len(S)
+    n = len(S[0]) if m else 0
+
+    def add_row(dst, src, c):
+        S[dst] = [a + c * b for a, b in zip(S[dst], S[src])]
+
+    def add_col(dst, src, c):
+        for row in S:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                a = S[i][j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            S[t], S[i] = S[i], S[t]
+        if j != t:
+            for row in S:
+                row[t], row[j] = row[j], row[t]
+        dirty = False
+        for i in range(t + 1, m):
+            if S[i][t]:
+                add_row(i, t, -(S[i][t] // S[t][t]))
+                dirty = dirty or bool(S[i][t])
+        for j in range(t + 1, n):
+            if S[t][j]:
+                add_col(j, t, -(S[t][j] // S[t][t]))
+                dirty = dirty or bool(S[t][j])
+        if dirty:
+            continue
+        offender = next((i for i in range(t + 1, m)
+                         if any(S[i][j] % S[t][t] for j in range(t + 1, n))), None)
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        if S[t][t] < 0:
+            S[t] = [-a for a in S[t]]
+        t += 1
+    return S
+
+
+def _reference_double_cover(i_pullback, eta_class):
+    """The list-of-lists GF(2) elimination that ``double_cover_exists`` used to run."""
+    A = [[int(x) % 2 for x in row] for row in i_pullback]
+    b = [int(x) % 2 for x in eta_class]
+    if not A:
+        return not any(b)
+    aug = [row[:] + [bb] for row, bb in zip(A, b)]
+    row = 0
+    for col in range(len(A[0])):
+        piv = next((r for r in range(row, len(aug)) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        for r in range(len(aug)):
+            if r != row and aug[r][col]:
+                aug[r] = [(x + y) % 2 for x, y in zip(aug[r], aug[row])]
+        row += 1
+    return not any(not any(r[:-1]) and r[-1] for r in aug)
 
 
 def _as_np(M):
@@ -22,6 +102,7 @@ def _det_pm1(M):
 
 def snf_self_check(M):
     U, S, V = smith_normal_form(M)
+    assert S == _reference_snf(M)
     assert (_as_np(U) @ _as_np(M) @ _as_np(V) == _as_np(S)).all()
     assert _det_pm1(U) and _det_pm1(V)
     diag = [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
@@ -162,3 +243,108 @@ def test_smooth_decision_matches_functional_enumeration(rng):
     hom, _, _, kernel_gens = scrambled_smooth_fixture(rng)
     for k in kernel_gens:
         assert lattice_member(hom.codomain.relation_columns, hom.apply(k))
+
+
+# ---------------------------------------------------------------------------
+# bounded Smith forms, one factorisation per lattice, one decision per document
+# ---------------------------------------------------------------------------
+
+def _digits(x: int) -> int:
+    return len(str(abs(x)))
+
+
+def _hadamard_digits(M) -> int:
+    """Digits of ceil(prod ||row||_2) over the nonzero rows of M."""
+    square = math.prod(sum(x * x for x in row) for row in M if any(row))
+    root = math.isqrt(square)
+    return _digits(root if root * root == square else root + 1)
+
+
+def _products():
+    rng = random.Random(4)
+    for m, r, n in [(24, 12, 24), (32, 20, 40), (40, 30, 24), (30, 30, 45), (45, 30, 30)]:
+        A = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(m)]
+        B = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+        yield pytest.param((np.array(A, dtype=object) @ np.array(B, dtype=object)).tolist(),
+                           id=f"{m}x{r}x{n}")
+
+
+def _squares():
+    for n in (24, 32, 40):
+        rng = random.Random(n)
+        yield pytest.param([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
+                           id=f"{n}x{n}")
+
+
+@pytest.mark.parametrize("M", [*_squares(), *_products()])
+def test_snf_transform_digits_stay_within_twice_the_hadamard_bound(M):
+    U, S, V = smith_normal_form(M)
+    assert (_as_np(U) @ _as_np(M) @ _as_np(V) == _as_np(S)).all()
+    assert _det_pm1(U) and _det_pm1(V)
+    assert S == _reference_snf(M)
+    bound = 2 * _hadamard_digits(M) + 10
+    worst = max(_digits(x) for T in (U, V) for row in T for x in row)
+    assert worst <= bound, f"transform entries reach {worst} digits, bound {bound}"
+
+
+def _count_snf_calls(monkeypatch):
+    calls = []
+    real = homology.smith_normal_form
+
+    def counted(M):
+        calls.append(len(M))
+        return real(M)
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    return calls
+
+
+def test_each_lattice_is_factored_once(monkeypatch):
+    cod = HomologyPresentation(3, relations=((2, 0, 0), (0, 3, 0), (0, 0, 4)))
+    dom = HomologyPresentation(3, relations=((2, 0, 0), (0, 6, 0), (0, 0, 8), (4, 6, 8)))
+    calls = _count_snf_calls(monkeypatch)
+    f = IntHom(((1, 0, 0), (0, 1, 0), (0, 0, 1)), dom, cod)
+    assert len(calls) == 1      # four relations, one codomain factorisation
+    calls.clear()
+    gens = kernel_generators(f)
+    assert len(calls) == 2      # the block's kernel, then the domain lattice once
+    assert gens and all(lattice_member(cod.relation_columns, f.apply(g)) for g in gens)
+    assert not any(lattice_member(dom.relation_columns, g) for g in gens)
+
+
+def test_smooth_no_answer_computes_the_kernel_once(monkeypatch):
+    doc = {"schema": "decision.v1",
+           "smooth": {"domain": {"generators": ["a", "b"], "relations": [[0, 2]]},
+                      "codomain": {"generators": ["x"], "relations": []},
+                      "i_star": [[2, 0]], "eta": [0, 1]}}
+    calls = []
+    real = homology.kernel_generators
+    monkeypatch.setattr(homology, "kernel_generators",
+                        lambda f: calls.append(f) or real(f))
+    answer, witness = decide_smooth(doc)
+    assert answer is False and len(calls) == 1
+    assert witness["kernel_generator"][1] % 2 == 1
+
+
+def test_merged_smooth_path_rejects_ill_defined_eta():
+    dom = HomologyPresentation(1, relations=((3,),))
+    cod = HomologyPresentation(1, relations=((3,),))
+    f = IntHom(((1,),), dom, cod)
+    with pytest.raises(MalformedPresentation):
+        smooth_decision_witness(f, [1])
+    doc = {"schema": "decision.v1",
+           "smooth": {"domain": {"generators": ["a"], "relations": [[3]]},
+                      "codomain": {"generators": ["x"], "relations": [[3]]},
+                      "i_star": [[1]], "eta": [1]}}
+    with pytest.raises(MalformedPresentation):
+        decide_smooth(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=8),
+    st.lists(st.integers(0, 1), min_size=8, max_size=8))))
+def test_bit_packed_cover_matches_list_elimination(system):
+    A, b = system
+    b = b[:len(A)]
+    assert double_cover_exists(A, b) == _reference_double_cover(A, b)
+

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egl.errors import DimensionMismatch, KTooLarge, UnknownGenerator
 from egl.homology import (HomologyPresentation, IntHom,
@@ -256,6 +258,32 @@ def test_monodromy_words():
     assert rep.evaluate(["a", "b^-1"]) == FLIP
     with pytest.raises(UnknownGenerator):
         rep.evaluate(["c"])
+
+
+@st.composite
+def _rep_and_word(draw):
+    k = draw(st.integers(1, 6))
+    names = [f"g{i}" for i in range(draw(st.integers(1, 4)))]
+    images = {name: SignedPermutation(tuple(draw(st.permutations(range(k)))),
+                                      tuple(draw(st.lists(st.integers(0, 1),
+                                                          min_size=k, max_size=k))))
+              for name in names}
+    word = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(["", "~", "^-1"])),
+                         max_size=40))
+    tokens = [name + mark if mark == "^-1" else mark + name for name, mark in word]
+    return MonodromyRep(images=images), tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rep_and_word())
+def test_evaluate_is_a_left_fold_of_mul(case):
+    rep, word = case
+    want = SignedPermutation.identity(rep.k)
+    for token in word:
+        name = token.lstrip("~").removesuffix("^-1")
+        g = rep.images[name]
+        want = want * (g.inverse() if token != name else g)
+    assert rep.evaluate(word) == want
 
 
 def test_nc_decision_trivial_and_flip():
