@@ -112,8 +112,7 @@ def main(argv=None) -> int:
                       if args.checks else list(CHECK_NAMES))
             config = RunConfig(models=args.model, checks=checks, seed=args.seed,
                                samples=args.samples, dim=args.dim, k=args.k,
-                               tol=_parse_tol(args.tol), out=args.out,
-                               format=args.format)
+                               tol=_parse_tol(args.tol))
             report = run_verify(config)
             _emit(report, args.format, args.out)
             return 0 if report.overall == "pass" else 1

@@ -12,6 +12,11 @@ Python floats, exactly as the sampled path does.  The ``ts`` view
 algebroid computation differentiates the pair ``(ts, unit)``.  All
 models are immutable value objects; samplers draw from an explicit
 seeded generator, so a fixed seed fixes every report.
+
+Each family of formulas is written once.  case1 is the k = 1 member of
+the blow-up family behind caseIV; ssc-surface is the exp-on-target,
+unscaled member of the exponential family whose four conventions are
+the covering-morphism domain candidates of ``egl.symplectic``.
 """
 
 from __future__ import annotations
@@ -270,146 +275,65 @@ def pair_groupoid(dim: int, half: float = 1.2) -> GroupoidChartModel:
 
 
 # ---------------------------------------------------------------------------
-# smooth coorientable divisor (blow-up chart of the pair groupoid)
+# blow-up family: smooth (k = 1) and untwisted coorientable normal-crossing
 # ---------------------------------------------------------------------------
 
-def case1_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
-    """Blow-up local model for a smooth coorientable divisor in dimension n.
+def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
+                  composable_tol: float) -> GroupoidChartModel:
+    """Iterated-blow-up chart around a multiplicity-k stratum in dimension n.
 
-    Arrows (x, y, a, b) with x, y real (n-2)-vectors, a complex, b
-    nonzero complex; base (x, v) with v complex.  The blow-down sends an
-    arrow to the base pair ((x, a), (y, ab)); multiplication, inverse
-    and unit are the closed forms obtained by conjugating the pair
-    groupoid through it and extending over the exceptional locus, where
-    the multiplication is (x,y,0,b1).(y,z,0,b2) = (x,z,0,b1*b2).
+    Arrows (x, y, a_1..a_k, b_1..b_k) with x, y real (n-2k)-vectors and
+    a_j, b_j complex, b_j nonzero; base (x, z_1..z_k) with z_j complex.
+    The blow-down sends an arrow to the base pair ((x, a), (y, a_1 b_1,
+    .., a_k b_k)); multiplication, inverse and unit are the closed forms
+    obtained by conjugating the pair groupoid through it factor by
+    factor and extending over the exceptional locus, where the
+    multiplication is (x,y,0,b1).(y,z,0,b2) = (x,z,0,b1*b2) in each
+    factor, with unit u(x, z) = (x, x, z, 1, .., 1).  ``on_divisor_prob``
+    is the chance that a sampled a_j (or base z_j) lies on the divisor.
     """
-    if n < 2:
-        raise ValueError("case1_model requires n >= 2")
-    nx = n - 2
-    ia, ib = 2 * nx, 2 * nx + 2
-
-    def source_of(g):
-        ab = _cx(g, ia) * _cx(g, ib)
-        return tuple(g[nx:2 * nx]) + _pair(ab)
-
-    def target_of(g):
-        return tuple(g[:nx]) + (g[ia], g[ia + 1])
-
-    def compose_raw(g, h):
-        b = _cx(g, ib) * _cx(h, ib)
-        return tuple(g[:nx]) + tuple(h[nx:2 * nx]) + (g[ia], g[ia + 1]) + _pair(b)
-
-    def invert(g):
-        ab = _cx(g, ia) * _cx(g, ib)
-        binv = 1.0 / _cx(g, ib)
-        return tuple(g[nx:2 * nx]) + tuple(g[:nx]) + _pair(ab) + _pair(binv)
-
-    def unit_at(p):
-        return tuple(p[:nx]) + tuple(p[:nx]) + (p[nx], p[nx + 1]) + (1.0, 0.0)
-
-    def arrow_valid(g):
-        return len(g) == 2 * n and _finite(g) and _cx(g, ib) != 0
-
-    def beta_map(g):
-        return target_of(g) + source_of(g)
-
-    divisor = DivisorLocalModel(n=n, k=1)
-
-    def sample_base(rng, on_divisor_prob=0.25):
-        x = tuple(_box(rng) for _ in range(nx))
-        v = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.15, 1.2)
-        return x + _pair(v)
-
-    def sample_base_like(p, rng):
-        x = tuple(_box(rng) for _ in range(nx))
-        v = 0j if _cx(p, nx) == 0 else _annulus(rng, 0.15, 1.2)
-        return x + _pair(v)
-
-    def arrow_between(p, q, rng):
-        vp, vq = _cx(p, nx), _cx(q, nx)
-        if vp == 0 and vq == 0:
-            a, b = 0j, _annulus(rng, 0.3, 1.6)
-        elif vp == 0 or vq == 0:
-            raise NotComposable("no arrow between different strata")
-        else:
-            a, b = vp, vq / vp
-        return tuple(p[:nx]) + tuple(q[:nx]) + _pair(a) + _pair(b)
-
-    def sample_arrow(rng):
-        x = tuple(_box(rng) for _ in range(nx))
-        y = tuple(_box(rng) for _ in range(nx))
-        a = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.1, 1.2)
-        b = _annulus(rng, 0.3, 1.6)
-        return x + y + _pair(a) + _pair(b)
-
-    return GroupoidChartModel(
-        name=f"case1({n})", arrow_dim=2 * n, base_dim=n,
-        source_of=source_of, target_of=target_of, compose_raw=compose_raw,
-        invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol,
-        expected_frame=lambda p: divisor.algebroid_frame(np.asarray(p)).vectors,
-        beta_map=beta_map,
-        arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_factors=lambda g: [(_cx(g, ia), _cx(g, ib))],
-    )
-
-
-# ---------------------------------------------------------------------------
-# normal-crossing divisor, untwisted coorientable (componentwise blow-up)
-# ---------------------------------------------------------------------------
-
-def caseIV_model(n: int, k: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
-    """Iterated-blow-up local model around a multiplicity-k stratum.
-
-    Arrows (x, y, a_1..a_k, b_1..b_k); source (y, a_1 b_1, .., a_k b_k),
-    target (x, a); multiplication, inverse and unit extend the smooth
-    model factor by factor, with u(x) = (x, x, z, 1, .., 1).
-    """
-    if not (n >= 2 * k >= 2):
-        raise ValueError("caseIV_model requires n >= 2k >= 2")
     nx = n - 2 * k
-    ia = 2 * nx
-    ib = 2 * nx + 2 * k
-
-    def _as(g):
-        return [_cx(g, ia + 2 * j) for j in range(k)]
-
-    def _bs(g):
-        return [_cx(g, ib + 2 * j) for j in range(k)]
+    ia, ib = 2 * nx, 2 * nx + 2 * k
+    factors = tuple((ia + 2 * j, ib + 2 * j) for j in range(k))  # (a_j, b_j) slots
+    zs = tuple(nx + 2 * j for j in range(k))                      # z_j slots in the base
 
     def source_of(g):
         out = tuple(g[nx:2 * nx])
-        for a, b in zip(_as(g), _bs(g)):
-            out += _pair(a * b)
+        for i, j in factors:
+            out += _pair(_cx(g, i) * _cx(g, j))
         return out
 
     def target_of(g):
-        return tuple(g[:nx]) + tuple(g[ia:ia + 2 * k])
+        return tuple(g[:nx]) + tuple(g[ia:ib])
 
     def compose_raw(g, h):
-        out = tuple(g[:nx]) + tuple(h[nx:2 * nx]) + tuple(g[ia:ia + 2 * k])
-        for bg, bh in zip(_bs(g), _bs(h)):
-            out += _pair(bg * bh)
+        out = tuple(g[:nx]) + tuple(h[nx:2 * nx]) + tuple(g[ia:ib])
+        for _, j in factors:
+            out += _pair(_cx(g, j) * _cx(h, j))
         return out
 
     def invert(g):
         out = tuple(g[nx:2 * nx]) + tuple(g[:nx])
-        for a, b in zip(_as(g), _bs(g)):
-            out += _pair(a * b)
-        for b in _bs(g):
-            out += _pair(1.0 / b)
+        for i, j in factors:
+            out += _pair(_cx(g, i) * _cx(g, j))
+        for _, j in factors:
+            out += _pair(1.0 / _cx(g, j))
         return out
 
     def unit_at(p):
         return tuple(p[:nx]) + tuple(p[:nx]) + tuple(p[nx:nx + 2 * k]) + (1.0, 0.0) * k
 
     def arrow_valid(g):
-        return len(g) == 2 * n and _finite(g) and all(b != 0 for b in _bs(g))
+        if len(g) != 2 * n or not _finite(g):
+            return False
+        for _, j in factors:
+            if _cx(g, j) == 0:
+                return False
+        return True
 
     divisor = DivisorLocalModel(n=n, k=k)
 
-    def sample_base(rng, on_divisor_prob=0.3):
+    def sample_base(rng):
         out = tuple(_box(rng) for _ in range(nx))
         for _ in range(k):
             z = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.15, 1.2)
@@ -418,41 +342,36 @@ def caseIV_model(n: int, k: int, composable_tol: float = 1e-9) -> GroupoidChartM
 
     def sample_base_like(p, rng):
         out = tuple(_box(rng) for _ in range(nx))
-        for j in range(k):
-            z = 0j if _cx(p, nx + 2 * j) == 0 else _annulus(rng, 0.15, 1.2)
+        for i in zs:
+            z = 0j if _cx(p, i) == 0 else _annulus(rng, 0.15, 1.2)
             out += _pair(z)
         return out
 
     def arrow_between(p, q, rng):
-        out = tuple(p[:nx]) + tuple(q[:nx])
-        avals, bvals = [], []
-        for j in range(k):
-            vp, vq = _cx(p, nx + 2 * j), _cx(q, nx + 2 * j)
+        avals, bvals = (), ()
+        for i in zs:
+            vp, vq = _cx(p, i), _cx(q, i)
             if vp == 0 and vq == 0:
-                avals.append(0j)
-                bvals.append(_annulus(rng, 0.3, 1.6))
+                avals += (0.0, 0.0)
+                bvals += _pair(_annulus(rng, 0.3, 1.6))
             elif vp == 0 or vq == 0:
                 raise NotComposable("no arrow between different strata")
             else:
-                avals.append(vp)
-                bvals.append(vq / vp)
-        for a in avals:
-            out += _pair(a)
-        for b in bvals:
-            out += _pair(b)
-        return out
+                avals += _pair(vp)
+                bvals += _pair(vq / vp)
+        return tuple(p[:nx]) + tuple(q[:nx]) + avals + bvals
 
     def sample_arrow(rng):
         out = tuple(_box(rng) for _ in range(nx)) + tuple(_box(rng) for _ in range(nx))
         for _ in range(k):
-            a = 0j if rng.uniform() < 0.3 else _annulus(rng, 0.1, 1.2)
+            a = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.1, 1.2)
             out += _pair(a)
         for _ in range(k):
             out += _pair(_annulus(rng, 0.3, 1.6))
         return out
 
     return GroupoidChartModel(
-        name=f"caseIV({n},{k})", arrow_dim=2 * n, base_dim=n,
+        name=name, arrow_dim=2 * n, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
         composable_tol=composable_tol,
@@ -460,8 +379,22 @@ def caseIV_model(n: int, k: int, composable_tol: float = 1e-9) -> GroupoidChartM
         beta_map=lambda g: target_of(g) + source_of(g),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_factors=lambda g: list(zip(_as(g), _bs(g))),
+        divisor_factors=lambda g: [(_cx(g, i), _cx(g, j)) for i, j in factors],
     )
+
+
+def case1_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
+    """Blow-up local model for a smooth coorientable divisor: k = 1."""
+    if n < 2:
+        raise ValueError("case1_model requires n >= 2")
+    return _blowup_model(n, 1, f"case1({n})", 0.25, composable_tol)
+
+
+def caseIV_model(n: int, k: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
+    """Iterated-blow-up local model around a multiplicity-k stratum."""
+    if not (n >= 2 * k >= 2):
+        raise ValueError("caseIV_model requires n >= 2k >= 2")
+    return _blowup_model(n, k, f"caseIV({n},{k})", 0.3, composable_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +425,6 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
     def source_of(g):
         ab = _conj(_cx(g, ia) * _cx(g, ib), _delta(g))
         return tuple(g[nx:2 * nx]) + _pair(ab)
-
-    def target_of(g):
-        return tuple(g[:nx]) + (g[ia], g[ia + 1])
 
     def compose_raw(g, h):
         d1, d2 = _delta(g), _delta(h)
@@ -531,13 +461,13 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
 
     return GroupoidChartModel(
         name=f"case2({n})", arrow_dim=d + 1, base_dim=n,
-        source_of=source_of, target_of=target_of, compose_raw=compose_raw,
+        source_of=source_of, target_of=base.target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
         composable_tol=composable_tol, is_hausdorff=True,
         expected_frame=base.expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base.sample_base, sample_base_like=base.sample_base_like,
-        divisor_factors=lambda g: [(_cx(g, ia), _cx(g, ib))],
+        divisor_factors=base.divisor_factors,
         algebroid_maps=(base.ts, base.unit),
     )
 
@@ -622,71 +552,109 @@ def smooth_factor_model(n: int, k: int, j: int,
 
 
 # ---------------------------------------------------------------------------
-# source-simply-connected surface model
+# exponential family: the source-simply-connected surface model and the
+# covering-morphism domain candidates
 # ---------------------------------------------------------------------------
 
-def ssc_surface_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
-    """Exponential model over the plane with divisor the origin.
+def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
+               rmin: float, rmax: float,
+               composable_tol: float = 1e-9) -> GroupoidChartModel:
+    """Exponential groupoid on C^2 in one of four conventions.
 
-    Arrows (Z, zeta) in C^2 with s = zeta, t = zeta e^Z; composition
-    adds the exponents: (Z, xi e^W).(W, xi) = (Z + W, xi).  Restricted
-    to nonzero zeta this presents the fundamental groupoid of the
-    punctured plane: arrows with equal endpoints have Z in 2 pi i Z and
-    compose additively.
+    Arrows (Z, zeta) over the plane with divisor the origin; one endpoint
+    map is zeta and the other zeta e^Z.  ``exp_on_source`` moves the
+    exponential factor from the target map to the source map;
+    ``scaled`` weights the exponent by the conjugate base coordinate
+    (Z -> zbar Z), the reparametrization that turns the surface model
+    into the symplectic covering domain.  Samplers draw Z from the box
+    of half-width ``z_half`` and points off the divisor from the annulus
+    rmin <= |zeta| <= rmax.
     """
 
-    def source_of(g):
+    def plain(g):
         return (g[2], g[3])
 
-    def target_of(g):
-        return _pair(_cx(g, 2) * cmath.exp(_cx(g, 0)))
+    def dressed(g):
+        Z, zeta = _cx(g, 0), _cx(g, 2)
+        return _pair(zeta * (cmath.exp(zeta.conjugate() * Z) if scaled else cmath.exp(Z)))
+
+    source_of = dressed if exp_on_source else plain
+    target_of = plain if exp_on_source else dressed
 
     def compose_raw(g, h):
-        return _pair(_cx(g, 0) + _cx(h, 0)) + (h[2], h[3])
+        Z1, z1 = _cx(g, 0), _cx(g, 2)
+        Z2, z2 = _cx(h, 0), _cx(h, 2)
+        if not scaled:
+            anchor = (g[2], g[3]) if exp_on_source else (h[2], h[3])
+            return _pair(Z1 + Z2) + anchor
+        if exp_on_source:
+            return _pair(Z1 + cmath.exp(z1 * Z1.conjugate()) * Z2) + (g[2], g[3])
+        return _pair(Z2 + cmath.exp(z2 * Z2.conjugate()) * Z1) + (h[2], h[3])
 
     def invert(g):
-        z = _cx(g, 0)
-        return _pair(-z) + _pair(_cx(g, 2) * cmath.exp(z))
+        Z, zeta = _cx(g, 0), _cx(g, 2)
+        if not scaled:
+            return _pair(-Z) + _pair(zeta * cmath.exp(Z))
+        w = zeta * cmath.exp(zeta.conjugate() * Z)
+        return _pair(-Z * cmath.exp(-zeta * Z.conjugate())) + _pair(w)
 
     def unit_at(p):
         return (0.0, 0.0, p[0], p[1])
 
-    def sample_base(rng, on_divisor_prob=0.15):
-        if rng.uniform() < on_divisor_prob:
+    def sample_base(rng):
+        if rng.uniform() < 0.15:
             return (0.0, 0.0)
-        return _pair(_annulus(rng, 0.2, 1.5))
+        return _pair(_annulus(rng, rmin, rmax))
 
     def sample_base_like(p, rng):
-        if _cx(p, 0) == 0:
+        if p[0] == 0 and p[1] == 0:
             return (0.0, 0.0)
-        return _pair(_annulus(rng, 0.2, 1.5))
+        return _pair(_annulus(rng, rmin, rmax))
 
     def arrow_between(p, q, rng):
         zp, zq = _cx(p, 0), _cx(q, 0)
         if zp == 0 and zq == 0:
-            Z = complex(_box(rng, 1.2), _box(rng, 1.2))
-            return _pair(Z) + (0.0, 0.0)
+            return (_box(rng, z_half), _box(rng, z_half), 0.0, 0.0)
         if zp == 0 or zq == 0:
             raise NotComposable("no arrow between the puncture and its complement")
-        return _pair(cmath.log(zp / zq)) + _pair(zq)
+        if exp_on_source:
+            zeta, ratio = zp, zq / zp
+        else:
+            zeta, ratio = zq, zp / zq
+        L = cmath.log(ratio)
+        Z = L / zeta.conjugate() if scaled else L
+        return _pair(Z) + _pair(zeta)
 
     def sample_arrow(rng):
-        Z = complex(_box(rng, 1.2), _box(rng, 1.2))
-        zeta = 0j if rng.uniform() < 0.15 else _annulus(rng, 0.2, 1.5)
+        Z = complex(_box(rng, z_half), _box(rng, z_half))
+        zeta = 0j if rng.uniform() < 0.15 else _annulus(rng, rmin, rmax)
         return _pair(Z) + _pair(zeta)
 
     frame_model = DivisorLocalModel(n=2, k=1)
 
     return GroupoidChartModel(
-        name="ssc-surface", arrow_dim=4, base_dim=2,
+        name=name, arrow_dim=4, base_dim=2,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
-        invert=invert, unit_at=unit_at,
-        arrow_valid=_finite,
+        invert=invert, unit_at=unit_at, arrow_valid=_finite,
         composable_tol=composable_tol,
-        expected_frame=lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors,
+        expected_frame=(None if scaled
+                        else (lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
     )
+
+
+def ssc_surface_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
+    """Exponential model over the plane with divisor the origin.
+
+    The exp-on-target, unscaled member of the exponential family:
+    arrows (Z, zeta) in C^2 with s = zeta, t = zeta e^Z; composition
+    adds the exponents: (Z, xi e^W).(W, xi) = (Z + W, xi).  Restricted
+    to nonzero zeta this presents the fundamental groupoid of the
+    punctured plane: arrows with equal endpoints have Z in 2 pi i Z and
+    compose additively.
+    """
+    return _exp_model("ssc-surface", False, False, 1.2, 0.2, 1.5, composable_tol)
 
 
 # ---------------------------------------------------------------------------

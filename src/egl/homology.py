@@ -307,18 +307,6 @@ class HomologyPresentation:
     def relation_columns(self):
         return [list(map(int, r)) for r in self.relations]
 
-    def invariant_factors(self) -> List[int]:
-        """Nontrivial diagonal entries of the SNF of the relation matrix."""
-        if not self.relations:
-            return []
-        R = [[int(rel[i]) for rel in self.relations] for i in range(self.ngens)]
-        _, S, _ = smith_normal_form(R)
-        out = []
-        for i in range(min(len(S), len(S[0]) if S else 0)):
-            if S[i][i] not in (0, 1):
-                out.append(S[i][i])
-        return out
-
 
 @dataclass(frozen=True)
 class IntHom:

@@ -34,16 +34,12 @@ class RunConfig:
     dim: Optional[int] = None
     k: Optional[int] = None
     tol: dict = field(default_factory=dict)
-    out: Optional[str] = None
-    format: str = "json"
 
     def __post_init__(self):
         if self.seed <= 0:
             raise ConfigError("seed must be a positive integer")
         if self.samples is not None and self.samples <= 0:
             raise ConfigError("sample count must be positive")
-        if self.format not in ("json", "text"):
-            raise ConfigError(f"unknown format {self.format!r}")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")

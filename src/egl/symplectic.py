@@ -11,7 +11,9 @@ is what multiplicativity, closedness and the covering-morphism
 identities pin down; the variants that differ from this (a sign on one
 coefficient in the zero-residue case, missing da^db data in the nonzero
 case, and the b/b' slot swap in the zero-residue multiplication) are
-kept as negative controls.
+kept as negative controls.  The four candidate domains of the covering
+morphism psi are members of the exponential family of
+``egl.groupoids``, whose exp-on-target, unscaled member is ssc-surface.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartInvalid, SamplerExhausted
-from .groupoids import (GroupoidChartModel, _annulus, _box, _cx, _finite,
-                        _pair, case1_model)
+from .divisors import residue_model_frame
+from .errors import NotComposable, SamplerExhausted
+from .groupoids import (GroupoidChartModel, _annulus, _box, _cx, _exp_model,
+                        _finite, _pair, case1_model)
 from .kernel import FormField, SmoothMap
 
 __all__ = [
@@ -132,31 +135,29 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None,
     def unit_at(p):
         return (p[0], p[1], 0.0, 0.0)
 
-    def sample_base(rng, on_divisor_prob=0.2):
-        if rng.uniform() < on_divisor_prob:
+    def sample_base(rng):
+        if rng.uniform() < 0.2:
             return (0.0, 0.0)
-        v = _annulus(rng, 0.25, 1.0)
-        return (v.real, v.imag)
+        return _pair(_annulus(rng, 0.25, 1.0))
 
     def sample_base_like(p, rng):
         if p[0] == 0 and p[1] == 0:
             return (0.0, 0.0)
-        v = _annulus(rng, 0.25, 1.0)
-        return (v.real, v.imag)
+        return _pair(_annulus(rng, 0.25, 1.0))
 
     def arrow_between(p, q, rng):
-        if p[0] == 0 and p[1] == 0:
-            if q[0] == 0 and q[1] == 0:
-                return (0.0, 0.0, _box(rng, 0.8), _box(rng, 0.8))
-            raise ChartInvalid("no arrow between the origin and its complement")
+        p_origin, q_origin = p[0] == 0 and p[1] == 0, q[0] == 0 and q[1] == 0
+        if p_origin and q_origin:
+            return (0.0, 0.0, _box(rng, 0.8), _box(rng, 0.8))
+        if p_origin or q_origin:
+            raise NotComposable("no arrow between the origin and its complement")
         r2 = p[0] * p[0] + p[1] * p[1]
         return (p[0], p[1], (q[0] - p[0]) / r2, (q[1] - p[1]) / r2)
 
     def sample_arrow(rng):
         for _ in range(256):
             if rng.uniform() < 0.2:
-                g = (0.0, 0.0, _box(rng, 0.8), _box(rng, 0.8))
-                return g
+                return (0.0, 0.0, _box(rng, 0.8), _box(rng, 0.8))
             v = _annulus(rng, 0.3, 0.9)
             g = (v.real, v.imag, _box(rng, 0.35), _box(rng, 0.35))
             s1, s2 = source_of(g)
@@ -240,7 +241,7 @@ def _nonzero_Omega_closed() -> FormField:
     def coeff(p):
         x1, x2, a, b = p
         r2 = x1 * x1 + x2 * x2
-        Q = (a * a + b * b) * r2 + 2 * a * x1 + 2 * b * x2 + 1.0
+        Q = _nonzero_Q(p)
         c = np.zeros((4, 4))
         c[0, 1] = (a * a + b * b) / Q
         c[0, 2] = 2 * b * x1 / Q
@@ -266,7 +267,7 @@ def _nonzero_Omega_variant() -> FormField:
     def coeff(p):
         x1, x2, a, b = p
         r2 = x1 * x1 + x2 * x2
-        Q = (a * a + b * b) * r2 + 2 * a * x1 + 2 * b * x2 + 1.0
+        Q = _nonzero_Q(p)
         c = np.zeros((4, 4))
         c[0, 1] = (a * a + b * b) * r2 / Q
         c[0, 2] = -2 * b * x1 / Q
@@ -310,6 +311,17 @@ def _nonzero_Omega_assembled(fval) -> FormField:
 # zero elliptic residue: holomorphic chart over C^2
 # ---------------------------------------------------------------------------
 
+def _zero_base(rng):
+    """A point (u, v) of C^2; u = 0 (the divisor) with probability 0.25."""
+    u = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.2, 1.1)
+    return _pair(u) + (_box(rng), _box(rng))
+
+
+def _zero_base_like(p, rng):
+    u = 0j if _cx(p, 0) == 0 else _annulus(rng, 0.2, 1.1)
+    return _pair(u) + (_box(rng), _box(rng))
+
+
 def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticModel:
     """Local symplectic integration with vanishing elliptic residue.
 
@@ -350,14 +362,6 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
     def arrow_valid(g):
         return len(g) == 8 and _finite(g) and _cx(g, 4) != 0
 
-    def sample_base(rng, on_divisor_prob=0.25):
-        u = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.2, 1.1)
-        return _pair(u) + (_box(rng), _box(rng))
-
-    def sample_base_like(p, rng):
-        u = 0j if _cx(p, 0) == 0 else _annulus(rng, 0.2, 1.1)
-        return _pair(u) + (_box(rng), _box(rng))
-
     def arrow_between(p, q, rng):
         u, v = _cx(p, 0), _cx(p, 2)
         u2, v2 = _cx(q, 0), _cx(q, 2)
@@ -366,7 +370,7 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
             c = complex(_box(rng), _box(rng))
             return _pair(v) + (0.0, 0.0) + _pair(b) + _pair(c)
         if u == 0 or u2 == 0:
-            raise ChartInvalid("no arrow between different orbits")
+            raise NotComposable("no arrow between different orbits")
         # t = (u, v), s = (u2, v2): a = u, b = u2/u, ac + z = v2, z = v
         b = u2 / u
         c = (v2 - v) / u
@@ -379,7 +383,6 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
         c = complex(_box(rng), _box(rng))
         return _pair(z) + _pair(a) + _pair(b) + _pair(c)
 
-    from .divisors import residue_model_frame
     frame = residue_model_frame("zero")
 
     model = GroupoidChartModel(
@@ -389,7 +392,7 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
         composable_tol=composable_tol,
         expected_frame=lambda p: frame(np.asarray(p)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=sample_base, sample_base_like=sample_base_like,
+        sample_base=_zero_base, sample_base_like=_zero_base_like,
     )
 
     omega = _dlog_wedge_form()
@@ -499,14 +502,6 @@ def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartMode
     def arrow_valid(g):
         return len(g) == 8 and _finite(g) and _cx(g, 2) != 0
 
-    def sample_base(rng, on_divisor_prob=0.25):
-        u = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.2, 1.1)
-        return _pair(u) + (_box(rng), _box(rng))
-
-    def sample_base_like(p, rng):
-        u = 0j if _cx(p, 0) == 0 else _annulus(rng, 0.2, 1.1)
-        return _pair(u) + (_box(rng), _box(rng))
-
     def arrow_between(p, q, rng):
         u, w1 = _cx(p, 0), _cx(p, 2)
         u2, w2 = _cx(q, 0), _cx(q, 2)
@@ -514,15 +509,13 @@ def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartMode
             B = _annulus(rng, 0.4, 1.8)
             return (0.0, 0.0) + _pair(B) + _pair(w1) + _pair(w2)
         if u == 0 or u2 == 0:
-            raise ChartInvalid("no arrow between strata")
+            raise NotComposable("no arrow between strata")
         return _pair(u) + _pair(u2 / u) + _pair(w1) + _pair(w2)
 
     def sample_arrow(rng):
         A = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.2, 1.1)
         B = _annulus(rng, 0.4, 1.8)
         return _pair(A) + _pair(B) + (_box(rng), _box(rng), _box(rng), _box(rng))
-
-    from .divisors import residue_model_frame
 
     def expected_frame(p):
         u1, u2 = p[0], p[1]
@@ -539,7 +532,7 @@ def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartMode
         composable_tol=composable_tol,
         expected_frame=expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=sample_base, sample_base_like=sample_base_like,
+        sample_base=_zero_base, sample_base_like=_zero_base_like,
         divisor_factors=lambda g: [(_cx(g, 0), _cx(g, 2))],
     )
 
@@ -704,91 +697,6 @@ def morphism_psi(series_threshold: float = PSI_SERIES_THRESHOLD) -> SmoothMap:
     return SmoothMap(4, 4, func, name="psi")
 
 
-def _exp_model(name, exp_on_source: bool, scaled: bool) -> GroupoidChartModel:
-    """Exponential groupoid on C^2 in one of the four conventions.
-
-    ``exp_on_source`` moves the exponential factor from the target map
-    to the source map; ``scaled`` weights the exponent by the conjugate
-    base coordinate (Z -> zbar Z), which is the reparametrization that
-    turns the surface model into the symplectic covering domain.
-    """
-
-    def expfac(Z, zeta):
-        return cmath.exp(zeta.conjugate() * Z) if scaled else cmath.exp(Z)
-
-    def plain(g):
-        return (g[2], g[3])
-
-    def dressed(g):
-        Z, zeta = _cx(g, 0), _cx(g, 2)
-        return _pair(zeta * expfac(Z, zeta))
-
-    source_of = dressed if exp_on_source else plain
-    target_of = plain if exp_on_source else dressed
-
-    def compose_raw(g, h):
-        Z1, z1 = _cx(g, 0), _cx(g, 2)
-        Z2, z2 = _cx(h, 0), _cx(h, 2)
-        if not scaled:
-            anchor = (g[2], g[3]) if exp_on_source else (h[2], h[3])
-            return _pair(Z1 + Z2) + anchor
-        if exp_on_source:
-            return _pair(Z1 + cmath.exp(z1 * Z1.conjugate()) * Z2) + (g[2], g[3])
-        return _pair(Z2 + cmath.exp(z2 * Z2.conjugate()) * Z1) + (h[2], h[3])
-
-    def invert(g):
-        Z, zeta = _cx(g, 0), _cx(g, 2)
-        if not scaled:
-            return _pair(-Z) + _pair(zeta * cmath.exp(Z))
-        w = zeta * cmath.exp(zeta.conjugate() * Z)
-        return _pair(-Z * cmath.exp(-zeta * Z.conjugate())) + _pair(w)
-
-    def unit_at(p):
-        return (0.0, 0.0, p[0], p[1])
-
-    def sample_base(rng, on_divisor_prob=0.15):
-        if rng.uniform() < on_divisor_prob:
-            return (0.0, 0.0)
-        return _pair(_annulus(rng, 0.25, 1.1))
-
-    def sample_base_like(p, rng):
-        if p[0] == 0 and p[1] == 0:
-            return (0.0, 0.0)
-        return _pair(_annulus(rng, 0.25, 1.1))
-
-    def arrow_between(p, q, rng):
-        zp, zq = _cx(p, 0), _cx(q, 0)
-        if zp == 0 and zq == 0:
-            return (_box(rng, 0.8), _box(rng, 0.8), 0.0, 0.0)
-        if zp == 0 or zq == 0:
-            raise ChartInvalid("no arrow between strata")
-        if exp_on_source:
-            zeta, ratio = zp, zq / zp
-        else:
-            zeta, ratio = zq, zp / zq
-        L = cmath.log(ratio)
-        Z = L / zeta.conjugate() if scaled else L
-        return _pair(Z) + _pair(zeta)
-
-    def sample_arrow(rng):
-        Z = complex(_box(rng, 0.8), _box(rng, 0.8))
-        zeta = 0j if rng.uniform() < 0.15 else _annulus(rng, 0.25, 1.1)
-        return _pair(Z) + _pair(zeta)
-
-    from .divisors import DivisorLocalModel
-    frame_model = DivisorLocalModel(n=2, k=1)
-
-    return GroupoidChartModel(
-        name=name, arrow_dim=4, base_dim=2,
-        source_of=source_of, target_of=target_of, compose_raw=compose_raw,
-        invert=invert, unit_at=unit_at, arrow_valid=_finite,
-        expected_frame=(None if scaled
-                        else (lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors)),
-        arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=sample_base, sample_base_like=sample_base_like,
-    )
-
-
 def psi_domain_candidates() -> dict:
     """The four convention assignments for the covering morphism's domain.
 
@@ -799,10 +707,12 @@ def psi_domain_candidates() -> dict:
     which empirically and the report names it.
     """
     return {
-        "exp-on-target": _exp_model("ssc-exp-target", False, False),
-        "exp-on-source": _exp_model("ssc-exp-source", True, False),
-        "exp-on-target-conjugate-scaled": _exp_model("ssc-exp-target-scaled", False, True),
-        "exp-on-source-conjugate-scaled": _exp_model("ssc-exp-source-scaled", True, True),
+        "exp-on-target": _exp_model("ssc-exp-target", False, False, 0.8, 0.25, 1.1),
+        "exp-on-source": _exp_model("ssc-exp-source", True, False, 0.8, 0.25, 1.1),
+        "exp-on-target-conjugate-scaled":
+            _exp_model("ssc-exp-target-scaled", False, True, 0.8, 0.25, 1.1),
+        "exp-on-source-conjugate-scaled":
+            _exp_model("ssc-exp-source-scaled", True, True, 0.8, 0.25, 1.1),
     }
 
 

@@ -240,8 +240,6 @@ def test_run_config_validation():
         RunConfig(models=["case1"], checks=["axioms"], samples=-5)
     with pytest.raises(ConfigError):
         RunConfig(models=["case1"], checks=["axioms"], tol={"bogus": 1.0})
-    with pytest.raises(ConfigError):
-        RunConfig(models=["case1"], checks=["axioms"], format="yaml")
 
 
 def test_validate_document_rejects_unknown_fields():

@@ -1,7 +1,9 @@
 """Chart-level groupoid models: structure maps, blow-down, fibre products."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from egl.groupoids import (action_groupoid_model, case1_model,
                            pair_groupoid, smooth_factor_model,
                            ssc_surface_model)
 from egl.kernel import jacobian, subspace_equal
-from egl.registry import build_model
+from egl.registry import MODEL_NAMES, build_model
+from egl.report import ARTIFACT
 from egl.signedperm import SignedPermutation, semidirect_mul
+from egl.symplectic import psi_domain_candidates, zero_residue_target_model
 
 
 def test_case1_multiplication_over_divisor():
@@ -306,3 +310,74 @@ def test_elliptic_ideal_pullback_examples(rng):
         s_val, t_val, ratio = elliptic_ideal_pullback(nc, g)
         assert ratio > 0
         assert s_val == pytest.approx(t_val * ratio, rel=1e-12, abs=1e-300)
+
+
+# A base point on the divisor and one off it, in each model's base layout.
+_ON_OFF_PLANE = ((0.0, 0.0), (0.5, 0.2))
+_ON_OFF_FIRST_LINE = ((0.0, 0.0, 0.3, 0.1), (0.5, 0.2, 0.3, 0.1))
+_ON_OFF_LAST_LINE = ((0.1, 0.2, 0.0, 0.0), (0.3, -0.1, 0.5, 0.2))
+_STRATA_CASES = {
+    "case1": _ON_OFF_LAST_LINE,
+    "caseIV": ((0.0, 0.0, 0.4, 0.1), (0.5, 0.2, 0.4, 0.1)),
+    "case2": _ON_OFF_LAST_LINE,
+    "sympl-nonzero": _ON_OFF_PLANE,
+    "sympl-zero": _ON_OFF_FIRST_LINE,
+    "ssc-surface": _ON_OFF_PLANE,
+    "action-groupoid": _ON_OFF_FIRST_LINE,
+    "fibre:case1,case1": _ON_OFF_FIRST_LINE,
+    "fibre:case1,pair": _ON_OFF_LAST_LINE,
+    "H(zero)": _ON_OFF_FIRST_LINE,
+    **{f"psi:{key}": _ON_OFF_PLANE for key in psi_domain_candidates()},
+}
+
+
+def _strata_model(name):
+    if name == "H(zero)":
+        return zero_residue_target_model()
+    if name.startswith("psi:"):
+        return psi_domain_candidates()[name[4:]]
+    return build_model(name).chart
+
+
+def test_strata_cases_cover_every_model_with_a_divisor():
+    # the pair groupoid has no divisor, so any two points are joined
+    assert set(MODEL_NAMES) - set(_STRATA_CASES) == {"pair"}
+
+
+@pytest.mark.parametrize("name", sorted(_STRATA_CASES))
+def test_arrow_between_refuses_endpoints_on_different_strata(name):
+    # extend_from and check_morphism retry on NotComposable; any other
+    # error, or an arrow, would be a crash or an invalid sample
+    model = _strata_model(name)
+    on, off = _STRATA_CASES[name]
+    rng = rng_for(7, f"strata:{name}")
+    for p, q in ((on, off), (off, on)):
+        with pytest.raises(NotComposable):
+            model.arrow_between(p, q, rng)
+    assert model.arrow_valid(model.arrow_between(on, on, rng))
+
+
+_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v1.json")
+                     .read_text(encoding="utf-8"))
+
+
+def test_draw_layout_file_names_the_current_generator():
+    # a new draw layout is a versioned break: bump ARTIFACT["rng"] and
+    # record a new layout file rather than editing this one
+    assert _LAYOUT["generator"] == ARTIFACT["rng"]
+    assert set(_LAYOUT["models"]) == set(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_draw_layout_is_pinned(name):
+    """The first composable triples and base points of each seeded stream."""
+    model = build_model(name).chart
+    rng = rng_for(_LAYOUT["seed"], f"layout:{name}")
+    triples = [model.random_composable_triple(rng) for _ in range(3)]
+    bases = [model.random_base(rng) for _ in range(3)]
+    pinned = _LAYOUT["models"][name]
+    drawn = [list(g) for triple in triples for g in triple] + [list(p) for p in bases]
+    expected = [g for triple in pinned["triples"] for g in triple] + pinned["bases"]
+    assert len(drawn) == len(expected)
+    for got, want in zip(drawn, expected):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
