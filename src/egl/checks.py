@@ -7,18 +7,27 @@ are deterministic functions of (model, seed, profile).  Negative
 controls (a perturbed multiplication, near-miss variant formulas and
 composition, a non-Jacobi bivector) ship alongside so the suite
 demonstrably fails on wrong formulas.
+
+The structure-map suites (axioms, ideal, isotropy, morphism) draw their
+samples one at a time and evaluate every identity once per block of up
+to ``BLOCK_ROWS`` samples, on coordinate columns (see
+``egl.groupoids``); residuals, witnesses and verdicts are those of the
+sample-by-sample evaluation.  They fail closed: where a structure map's
+output leaves the chart (``compose`` would raise ChartInvalid), the
+identity's residual is inf and its witness names the map.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotComposable, SamplerExhausted
-from .groupoids import GroupoidChartModel, pair_groupoid
+from .errors import ChartInvalid, NotComposable, SamplerExhausted
+from .groupoids import GroupoidChartModel, _cabs, _cmul, ideal_values, pair_groupoid
 from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
                      exterior_derivative, jacobian, nullspace, pullback,
@@ -49,6 +58,7 @@ __all__ = [
 ]
 
 WITNESS_CAP = 20
+BLOCK_ROWS = 512      # samples drawn, then evaluated together
 
 
 @dataclass
@@ -100,12 +110,14 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _worst(*values) -> float:
-    """The largest value, or the first NaN: the builtin ``max`` drops NaN."""
-    for v in values:
-        if v != v:
-            return v
-    return max(values)
+def _running_max(current: float, column) -> float:
+    """The larger of ``current`` and the column's max; NaN, once seen, stays."""
+    if current != current or len(column) == 0:
+        return current
+    if np.isnan(column).any():
+        return math.nan
+    top = float(column.max())
+    return top if top > current else current
 
 
 class _Accumulator:
@@ -126,6 +138,19 @@ class _Accumulator:
         elif len(self.witnesses) < WITNESS_CAP:
             self.witnesses.append({"residual": residual, **(witness or {})})
 
+    def add_block(self, residuals, witness):
+        """``add`` for each entry of a residual column, in order.
+
+        ``witness(i)`` builds the witness of entry i; it is called only
+        for the failing entries that still fit under the cap.
+        """
+        self.samples += len(residuals)
+        ok = residuals <= self.tol
+        self.passed += int(np.count_nonzero(ok))
+        self.max_residual = _running_max(self.max_residual, residuals)
+        for i in np.flatnonzero(~ok)[:WITNESS_CAP - len(self.witnesses)]:
+            self.witnesses.append({"residual": float(residuals[i]), **witness(i)})
+
     def report(self, check: str, model: str, seed: int, details=None) -> CheckReport:
         return CheckReport(check=check, model=model, samples=self.samples,
                            passed=self.passed, max_residual=self.max_residual,
@@ -135,6 +160,75 @@ class _Accumulator:
 
 def _round_tuple(g, digits=6):
     return [round(float(x), digits) for x in g]
+
+
+# ---------------------------------------------------------------------------
+# blocks of samples
+# ---------------------------------------------------------------------------
+
+def _block_sizes(n_samples: int) -> list:
+    return [min(BLOCK_ROWS, n_samples - start) for start in range(0, n_samples, BLOCK_ROWS)]
+
+
+def _draw_block(draw: Callable, n: int) -> tuple:
+    """n calls of ``draw()``, each a tuple of points, as a tuple of blocks.
+
+    A block holds one column per coordinate.  Each draw is copied in as
+    it is made, so the points themselves are not kept.
+    """
+    parts = draw()
+    blocks = [np.empty((len(p), n)) for p in parts]
+    for i in range(n):
+        if i:
+            parts = draw()
+        for block, p in zip(blocks, parts):
+            block[:, i] = p
+    return tuple(tuple(block) for block in blocks)
+
+
+def _row(block, i) -> list:
+    return _round_tuple(column[i] for column in block)
+
+
+def _outside(model: GroupoidChartModel, x, n: int) -> np.ndarray:
+    """The rows of the n-point block x that leave the model's chart."""
+    return np.broadcast_to(np.logical_not(model.arrow_valid(x)), (n,))
+
+
+def _composed(model: GroupoidChartModel, g, h, g_from: str, h_from: str, n: int,
+              prefix: str = ""):
+    """``model.compose(g, h)`` on a block of n pairs, failing closed.
+
+    Returns (product, gap, composable, exits).  ``composable`` holds
+    where the endpoint gap is within ``composable_tol`` (never where it
+    is NaN); there ``compose`` returns the product, elsewhere it raises
+    NotComposable carrying the gap.  ``exits`` lists (rows, map) for the
+    rows where ``compose`` raises ChartInvalid instead: g or h (made by
+    ``g_from`` or ``h_from``) leaves the chart, or, on composable rows,
+    the product does.
+    """
+    gap = _gap(model.source_of(g), model.target_of(h))
+    out = model.compose_raw(g, h)
+    ok = np.broadcast_to(gap <= model.composable_tol, (n,))
+    exits = [(_outside(model, g, n), g_from), (_outside(model, h, n), h_from),
+             (ok & _outside(model, out, n), prefix + "compose_raw")]
+    return out, gap, ok, exits
+
+
+def _fail_closed(residual, exits, n: int) -> np.ndarray:
+    """The residual as an n-vector, inf on the rows of every chart exit."""
+    out = np.array(np.broadcast_to(residual, (n,)), dtype=float)
+    for rows, _ in exits:
+        out[rows] = np.inf
+    return out
+
+
+def _with_exit(witness: dict, exits, i) -> dict:
+    """The witness, naming the first map whose output left the chart at row i."""
+    for rows, name in exits:
+        if rows[i]:
+            return {**witness, "map": name}
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -150,48 +244,49 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int = 10_000,
                           sampler=None) -> CheckReport:
     """The seven structure-map identities on sampled arrows and tuples.
 
-    Souce/target of products, associativity on exactly composable
+    Source/target of products, associativity on exactly composable
     triples, the two unit laws and the two inverse laws, each measured
-    as a max coordinate residual.
+    as a max coordinate residual.  A law whose pair is not composable
+    records the endpoint gap.  Each sample's witness names its worst
+    identity: the last one that went NaN, else the first largest.
     """
     rng = rng_for(seed, f"axioms:{model.name}")
     acc = _Accumulator(prof.abs_tol)
     per_axiom = {name: 0.0 for name in AXIOM_NAMES}
     draw_triple = sampler or model.random_composable_triple
-
-    def guarded(fn):
-        # a broken multiplication can push endpoints apart; record the
-        # gap as the residual instead of aborting the suite
-        try:
-            return fn()
-        except NotComposable as err:
-            return getattr(err, "gap", 1.0)
-
-    for _ in range(n_samples):
-        g, h, k = draw_triple(rng)
-        gh = model.compose_raw(g, h)
-        hk = model.compose_raw(h, k)
-        res = {}
-        res["s(m(g,h))=s(h)"] = _gap(model.source_of(gh), model.source_of(h))
-        res["t(m(g,h))=t(g)"] = _gap(model.target_of(gh), model.target_of(g))
-        res["associativity"] = guarded(
-            lambda: _gap(model.compose_raw(gh, k), model.compose_raw(g, hk)))
-        ut = model.unit_at(model.target_of(g))
-        us = model.unit_at(model.source_of(g))
-        res["left unit"] = guarded(lambda: _gap(model.compose(ut, g), g))
-        res["right unit"] = guarded(lambda: _gap(model.compose(g, us), g))
-        ginv = model.invert(g)
-        res["right inverse"] = guarded(lambda: _gap(model.compose(g, ginv), ut))
-        res["left inverse"] = guarded(lambda: _gap(model.compose(ginv, g), us))
-        worst_name = max(res, key=res.get)
-        for name, value in res.items():
-            if value > per_axiom[name]:
-                per_axiom[name] = value
-            elif value != value:            # NaN, which max and > both skip
-                per_axiom[name] = value
-                worst_name = name
-        acc.add(res[worst_name], {"identity": worst_name, "g": _round_tuple(g)})
+    last = len(AXIOM_NAMES) - 1
+    for n in _block_sizes(n_samples):
+        g, h, k = _draw_block(lambda: draw_triple(rng), n)
+        with np.errstate(all="ignore"):
+            res, exits = _axiom_residuals(model, g, h, k, n)
+        for name, column in zip(AXIOM_NAMES, res):
+            per_axiom[name] = _running_max(per_axiom[name], column)
+        nan = np.isnan(res)
+        worst = np.where(nan.any(axis=0), last - np.argmax(nan[::-1], axis=0),
+                         np.argmax(np.where(nan, -np.inf, res), axis=0))
+        acc.add_block(res[worst, np.arange(n)], lambda i: _with_exit(
+            {"identity": AXIOM_NAMES[worst[i]], "g": _row(g, i)}, exits[worst[i]], i))
     return acc.report("axioms", model.name, seed, details={"per_identity": per_axiom})
+
+
+def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
+    """The (7, n) residuals of the axioms on a block and each one's chart exits."""
+    gh, hk = model.compose_raw(g, h), model.compose_raw(h, k)
+    ut = model.unit_at(model.target_of(g))
+    us = model.unit_at(model.source_of(g))
+    ginv = model.invert(g)
+
+    def law(a, b, a_from, b_from, want):
+        out, gap, ok, exits = _composed(model, a, b, a_from, b_from, n)
+        return _fail_closed(np.where(ok, _gap(out, want), gap), exits, n), exits
+
+    laws = [law(ut, g, "unit_at", "sample", g), law(g, us, "sample", "unit_at", g),
+            law(g, ginv, "sample", "invert", ut), law(ginv, g, "invert", "sample", us)]
+    plain = [_gap(model.source_of(gh), model.source_of(h)),
+             _gap(model.target_of(gh), model.target_of(g)),
+             _gap(model.compose_raw(gh, k), model.compose_raw(g, hk))]
+    res = np.array([np.broadcast_to(r, (n,)) for r in plain] + [r for r, _ in laws])
+    return res, [[]] * len(plain) + [exits for _, exits in laws]
 
 
 # ---------------------------------------------------------------------------
@@ -449,42 +544,80 @@ def non_jacobi_bivector():
 def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
                    prof: ToleranceProfile = DEFAULT_PROFILE,
                    tol: float = 1e-7, form_samples: Optional[int] = None) -> CheckReport:
-    """s/t compatibility, unit and multiplication intertwining, form pullback."""
+    """s/t compatibility, unit and multiplication intertwining, form pullback.
+
+    Pairs are drawn one at a time, together with the unit vectors of the
+    form comparison (done on the first ``form_samples`` pairs where both
+    forms are defined); the map identities are then evaluated per block.
+    """
     dom, cod, f = bundle.dom, bundle.cod, bundle.f
+    image = _block_image(f)
     rng = rng_for(seed, f"morphism:{bundle.name}")
     acc = _Accumulator(tol)
     form_budget = form_samples if form_samples is not None else max(1, n_samples // 10)
     forms_done = 0
-    drawn = 0
     attempts = 0
-    while drawn < n_samples:
-        attempts += 1
-        if attempts > 50 * n_samples:
-            raise SamplerExhausted(f"{bundle.name}: morphism sampler")
-        try:
-            g, h = dom.random_composable_pair(rng)
-        except (SamplerExhausted, NotComposable):
-            continue
-        if bundle.sample_filter and not (bundle.sample_filter(g) and bundle.sample_filter(h)):
-            continue
-        fg, fh = tuple(f(g)), tuple(f(h))
-        res = _worst(_gap(cod.source_of(fg), dom.source_of(g)),
-                     _gap(cod.target_of(fg), dom.target_of(g)))
-        try:
-            res = _worst(res, _gap(tuple(f(dom.compose(g, h))), cod.compose(fg, fh)))
-        except NotComposable as err:
-            res = _worst(res, getattr(err, "gap", 1.0))
-        p = dom.target_of(g)
-        res = _worst(res, _gap(tuple(f(dom.unit_at(p))), cod.unit_at(p)))
+
+    def draw():
+        nonlocal attempts, forms_done
+        while True:
+            attempts += 1
+            if attempts > 50 * n_samples:
+                raise SamplerExhausted(f"{bundle.name}: morphism sampler")
+            try:
+                g, h = dom.random_composable_pair(rng)
+            except (SamplerExhausted, NotComposable):
+                continue
+            if not bundle.sample_filter or (bundle.sample_filter(g)
+                                            and bundle.sample_filter(h)):
+                break
+        form_res = 0.0
         if bundle.dom_form is not None and forms_done < form_budget:
-            if bundle.dom_form.defined_at(g) and bundle.cod_form.defined_at(fg):
+            if bundle.dom_form.defined_at(g) and bundle.cod_form.defined_at(f(g)):
                 vs = _unit_vectors(rng, dom.arrow_dim, 2)
                 lhs = pullback(f, bundle.cod_form, g, vs, prof)
-                res = _worst(res, abs(lhs - bundle.dom_form(g, vs)))
+                form_res = abs(lhs - bundle.dom_form(g, vs))
                 forms_done += 1
-        acc.add(res, {"g": _round_tuple(g)})
-        drawn += 1
+        return g, h, (form_res,)
+
+    for n in _block_sizes(n_samples):
+        g, h, (form_res,) = _draw_block(draw, n)
+        res, exits = _morphism_residuals(dom, cod, image, g, h, form_res, n)
+        acc.add_block(res, lambda i: _with_exit({"g": _row(g, i)}, exits, i))
     return acc.report(f"morphism:{bundle.name}", f"{dom.name}->{cod.name}", seed)
+
+
+def _block_image(f: SmoothMap) -> Callable:
+    """f on a block: its tuple formula, or else its evaluator point by point."""
+    if f.formula is not None:
+        return f.formula
+
+    def pointwise(block):
+        points = np.stack(np.broadcast_arrays(*block), axis=-1)
+        return tuple(np.array([f(p) for p in points]).T)
+    return pointwise
+
+
+def _morphism_residuals(dom, cod, image, g, h, form_res, n: int):
+    """Residual column of a block of sampled pairs, and its chart exits.
+
+    The residual is the worst of s and t compatibility, multiplication
+    (``f(dom.compose(g, h))`` against ``cod.compose(f(g), f(h))``, or
+    the gap of the first ``compose`` that refuses its pair), the unit at
+    t(g) and the form residual.
+    """
+    with np.errstate(all="ignore"):
+        fg, fh = image(g), image(h)
+        res = np.maximum(_gap(cod.source_of(fg), dom.source_of(g)),
+                         _gap(cod.target_of(fg), dom.target_of(g)))
+        out, gap, ok, exits = _composed(dom, g, h, "sample", "sample", n, "dom.")
+        f_out, f_gap, f_ok, f_exits = _composed(cod, fg, fh, "f", "f", n, "cod.")
+        res = np.maximum(res, np.where(ok, np.where(f_ok, _gap(image(out), f_out), f_gap),
+                                       gap))
+        p = dom.target_of(g)
+        res = np.maximum(res, _gap(image(dom.unit_at(p)), cod.unit_at(p)))
+        exits += [(ok & cod_rows, name) for cod_rows, name in f_exits]
+        return _fail_closed(np.maximum(res, form_res), exits, n), exits
 
 
 def morphism_beta(model: GroupoidChartModel) -> MorphismBundle:
@@ -583,27 +716,16 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 
     rng = rng_for(seed, f"isotropy:{model.name}")
     acc = _Accumulator(prof.abs_tol)
     kind = _isotropy_kind(model.name)
-    for _ in range(n_samples):
-        if kind == "case2":
-            nx = model.base_dim - 2
-            x0 = tuple(float(rng.uniform(-1, 1)) for _ in range(nx))
-            b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
-            d1, d2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            g1 = x0 + x0 + (0.0, 0.0) + (b1.real, b1.imag) + (float(d1),)
-            g2 = x0 + x0 + (0.0, 0.0) + (b2.real, b2.imag) + (float(d2),)
-            out = model.compose(g1, g2)
-            got = complex(out[-3], out[-2])
-            flip1 = SignedPermutation((0,), (d1,))
-            flip2 = SignedPermutation((0,), (d2,))
-            (zexp,), spexp = semidirect_mul(((b1,), flip1), ((b2,), flip2))
-            res = abs(got - zexp) + abs(out[-1] - float(spexp.flips[0]))
-        elif kind == "affine":
-            res = _affine_isotropy_residual(model, rng)
-        elif kind == "torus":
-            res = _torus_isotropy_residual(model, rng)
-        else:
-            raise SamplerExhausted(f"{model.name}: no isotropy oracle")
-        acc.add(res)
+    if kind == "none":
+        raise SamplerExhausted(f"{model.name}: no isotropy oracle")
+    draw, residual = _ISOTROPY[kind]
+    for n in _block_sizes(n_samples):
+        g1, g2, want = _draw_block(lambda: draw(model, rng), n)
+        with np.errstate(all="ignore"):
+            out, gap, ok, exits = _composed(model, g1, g2, "sample", "sample", n)
+            res = _fail_closed(np.where(ok, residual(model, g1, g2, out, want), gap),
+                               exits, n)
+        acc.add_block(res, lambda i: _with_exit({}, exits, i))
     return acc.report("isotropy", model.name, seed)
 
 
@@ -623,34 +745,77 @@ def _rand_cstar(rng) -> complex:
     return complex(mag * np.cos(ph), mag * np.sin(ph))
 
 
-def _affine_isotropy_residual(model, rng) -> float:
+# Each isotropy oracle draws one pair of isotropy arrows (g1, g2) and the
+# exact product data it expects, then measures a block of products.
+
+def _case2_draw(model, rng):
+    nx = model.base_dim - 2
+    x0 = tuple(float(rng.uniform(-1, 1)) for _ in range(nx))
+    b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
+    d1, d2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+    g1 = x0 + x0 + (0.0, 0.0) + (b1.real, b1.imag) + (float(d1),)
+    g2 = x0 + x0 + (0.0, 0.0) + (b2.real, b2.imag) + (float(d2),)
+    flip1 = SignedPermutation((0,), (d1,))
+    flip2 = SignedPermutation((0,), (d2,))
+    (zexp,), spexp = semidirect_mul(((b1,), flip1), ((b2,), flip2))
+    return g1, g2, (zexp.real, zexp.imag, float(spexp.flips[0]))
+
+
+def _case2_residual(model, g1, g2, out, want):
+    return (_cabs(out[-3] - want[0], out[-2] - want[1])
+            + abs(out[-1] - want[2]))
+
+
+def _affine_slots(model):
+    """Slots of (b, c) in an isotropy arrow, and of z2 in its base point (0, z2)."""
+    if model.name.startswith("sympl-zero"):
+        return 4, 0
+    return 0, 6
+
+
+def _affine_draw(model, rng):
     z2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
     b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
     c1 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
     c2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-    if model.name.startswith("sympl-zero"):
-        mk = lambda b, c: (z2.real, z2.imag, 0.0, 0.0, b.real, b.imag, c.real, c.imag)
-        out = model.compose(mk(b1, c1), mk(b2, c2))
-        got_b, got_c = complex(out[4], out[5]), complex(out[6], out[7])
-    else:
-        mk = lambda b, c: (b.real, b.imag, c.real, c.imag, 0.0, 0.0, z2.real, z2.imag)
-        out = model.compose(mk(b1, c1), mk(b2, c2))
-        got_b, got_c = complex(out[0], out[1]), complex(out[2], out[3])
-    return abs(got_b - b1 * b2) + abs(got_c - (c1 + b1 * c2))
+    ib, iw = _affine_slots(model)
+
+    def mk(b, c):
+        g = [0.0] * 8
+        g[ib:ib + 4] = (b.real, b.imag, c.real, c.imag)
+        g[iw:iw + 2] = (z2.real, z2.imag)
+        return tuple(g)
+
+    b, c = b1 * b2, c1 + b1 * c2
+    return mk(b1, c1), mk(b2, c2), (b.real, b.imag, c.real, c.imag)
 
 
-def _torus_isotropy_residual(model, rng) -> float:
+def _affine_residual(model, g1, g2, out, want):
+    ib = _affine_slots(model)[0]
+    return (_cabs(out[ib] - want[0], out[ib + 1] - want[1])
+            + _cabs(out[ib + 2] - want[2], out[ib + 3] - want[3]))
+
+
+def _torus_draw(model, rng):
     zeroed = _zero_divisor_coords(model, model.random_base(rng))
     g1 = model.arrow_between(zeroed, zeroed, rng)
     g2 = model.arrow_between(zeroed, zeroed, rng)
-    out = model.compose(g1, g2)
-    f1 = model.divisor_factors(g1)
-    f2 = model.divisor_factors(g2)
-    fo = model.divisor_factors(out)
+    return g1, g2, ()
+
+
+def _torus_residual(model, g1, g2, out, want):
     res = 0.0
-    for (a1, b1), (a2, b2), (ao, bo) in zip(f1, f2, fo):
-        res = max(res, abs(bo - b1 * b2), abs(ao - a1))
+    for f1, f2, fo in zip(model.divisor_factors(g1), model.divisor_factors(g2),
+                          model.divisor_factors(out)):
+        b12 = _cmul(*f1[2:], *f2[2:])
+        res = np.maximum(res, np.maximum(_cabs(fo[2] - b12[0], fo[3] - b12[1]),
+                                         _cabs(fo[0] - f1[0], fo[1] - f1[1])))
     return res
+
+
+_ISOTROPY = {"case2": (_case2_draw, _case2_residual),
+             "affine": (_affine_draw, _affine_residual),
+             "torus": (_torus_draw, _torus_residual)}
 
 
 def _zero_divisor_coords(model, p):
@@ -676,21 +841,27 @@ def _zero_divisor_coords(model, p):
 
 def check_ideal(model: GroupoidChartModel, n_samples: int = 1000, seed: int = 7,
                 prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
-    """s*I = (ratio) t*I with invertible ratio, and ratio 1 on units."""
-    from .groupoids import elliptic_ideal_pullback
+    """s*I = (ratio) t*I with invertible ratio, and ratio 1 on units.
 
+    The quantities are those of ``elliptic_ideal_pullback`` on a sampled
+    arrow and on the unit at a sampled base point, evaluated per block.
+    """
+    if model.divisor_factors is None:
+        raise ChartInvalid(f"{model.name}: no divisor factor data")
     rng = rng_for(seed, f"ideal:{model.name}")
     acc = _Accumulator(prof.abs_tol)
-    for _ in range(n_samples):
-        g = model.random_arrow(rng)
-        s_val, t_val, ratio = elliptic_ideal_pullback(model, g)
-        res = abs(s_val - t_val * ratio)
-        if ratio <= 0:
-            res = max(res, 1.0)
-        u = model.unit_at(model.random_base(rng))
-        _, _, unit_ratio = elliptic_ideal_pullback(model, u)
-        res = max(res, abs(unit_ratio - 1.0))
-        acc.add(res, {"g": _round_tuple(g)})
+    for n in _block_sizes(n_samples):
+        g, p = _draw_block(lambda: (model.random_arrow(rng), model.random_base(rng)), n)
+        with np.errstate(all="ignore"):
+            u = model.unit_at(p)
+            s_val, t_val, ratio = ideal_values(model.divisor_factors(g))
+            res = abs(s_val - t_val * ratio)
+            res = np.where(ratio <= 0, np.maximum(res, 1.0), res)
+            unit_ratio = ideal_values(model.divisor_factors(u))[2]
+            res = np.maximum(res, abs(unit_ratio - 1.0))
+            exits = [(_outside(model, g, n), "sample"), (_outside(model, u, n), "unit_at")]
+            res = _fail_closed(res, exits, n)
+        acc.add_block(res, lambda i: _with_exit({"g": _row(g, i)}, exits, i))
     return acc.report("ideal", model.name, seed)
 
 

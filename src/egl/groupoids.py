@@ -3,15 +3,23 @@
 Every model is a carrier coordinate domain (flat tuples of reals,
 complex coordinates stored as consecutive real pairs) together with
 closed-form evaluators for source, target, multiplication, inverse and
-unit, plus a chart-validity predicate.  Two access layers coexist: fast
-scalar operations on flat tuples, used by the sampled verification
-suites, and SmoothMap views of the same formulas for the numerical
-kernel (Jacobians, pullbacks).  The views hand the formulas tuples of
-Python floats, exactly as the sampled path does.  The ``ts`` view
-(target ++ source) lets one Jacobian serve both endpoint maps, and the
-algebroid computation differentiates the pair ``(ts, unit)``.  All
-models are immutable value objects; samplers draw from an explicit
-seeded generator, so a fixed seed fixes every report.
+unit, plus a chart-validity predicate.  Each evaluator is one formula
+on a tuple of coordinates, and a coordinate is either a Python float
+(one point) or an (N,) float column (a block of N points): the sampled
+suites draw points one at a time and evaluate every identity once per
+block, while the samplers, ``compose`` and the SmoothMap views for the
+numerical kernel (Jacobians, pullbacks) pass single points.  On a block,
+some output coordinates may be plain floats (constants such as the unit
+fibre); they broadcast against the columns.
+
+Complex arithmetic is written on real pairs (``_cmul``, ``_cdiv``,
+``_cexp``, ``_cabs``) with the operations CPython's complex type
+performs, so a point and the same point inside a block give the same
+bits.  Predicates return a bool for a point and a bool column for a
+block.  The ``ts`` view (target ++ source) lets one Jacobian serve both
+endpoint maps, and the algebroid computation differentiates the pair
+``(ts, unit)``.  All models are immutable value objects; samplers draw
+from an explicit seeded generator, so a fixed seed fixes every report.
 
 Each family of formulas is written once.  case1 is the k = 1 member of
 the blow-up family behind caseIV; ssc-surface is the exp-on-target,
@@ -22,6 +30,7 @@ the covering-morphism domain candidates of ``egl.symplectic``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -55,19 +64,91 @@ def _pair(z: complex) -> Tuple[float, float]:
     return (z.real, z.imag)
 
 
-def _maxdiff(a, b) -> float:
+def _is_block(*xs) -> bool:
+    return any(isinstance(x, np.ndarray) for x in xs)
+
+
+def _maxdiff(a, b):
     """Max coordinate difference; NaN if any coordinate difference is NaN.
 
     The builtin ``max`` drops NaN unless it comes first, so the sum of
-    the (nonnegative) differences decides whether one is NaN.
+    the (nonnegative) differences decides whether one is NaN.  On a
+    block the result is a column, and ``np.maximum`` keeps NaN itself.
     """
     diffs = [abs(x - y) for x, y in zip(a, b)]
     total = sum(diffs)
+    if isinstance(total, np.ndarray):
+        return functools.reduce(np.maximum, diffs)
     return max(diffs, default=0.0) if total == total else total
 
 
-def _finite(seq) -> bool:
-    return all(math.isfinite(x) for x in seq)
+def _finite(seq):
+    """Every coordinate finite: 0 * x is 0 for finite x and NaN otherwise."""
+    return sum(0.0 * x for x in seq) == 0.0
+
+
+def _nonzero(re, im):
+    return (re != 0) | (im != 0)
+
+
+def _branch(cond, then, other):
+    """``then()`` where ``cond`` holds and ``other()`` elsewhere.
+
+    A point evaluates one branch; a block evaluates both and selects
+    per row, so the branch it drops may divide by zero silently.
+    """
+    if not isinstance(cond, np.ndarray):
+        return then() if cond else other()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yes, no = then(), other()
+    return tuple(np.where(cond, a, b) for a, b in zip(yes, no))
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi), as CPython multiplies complex numbers."""
+    return (ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) by CPython's division (Smith's method).
+
+    A point divided by 0 raises ZeroDivisionError, as complex division
+    does; a NaN denominator gives (NaN, NaN).
+    """
+    def by_real():
+        ratio = bi / br
+        denom = br + bi * ratio
+        return ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+
+    def by_imag():
+        ratio = br / bi
+        denom = br * ratio + bi
+        return ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+
+    abs_r, abs_i = abs(br), abs(bi)
+    return _branch(abs_r >= abs_i, by_real,
+                   lambda: _branch(abs_i >= abs_r, by_imag, lambda: (math.nan, math.nan)))
+
+
+def _cexp(re, im):
+    """e^(re + i im): ``cmath.exp`` on a point, ``np.exp`` on a complex column."""
+    if _is_block(re, im):
+        z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+        z.real, z.imag = re, im
+        w = np.exp(z)
+    else:
+        w = cmath.exp(complex(re, im))
+    return (w.real, w.imag)
+
+
+def _cabs(re, im):
+    """|re + i im| by the C library's hypot, as ``abs(complex)`` computes it."""
+    return np.hypot(re, im) if _is_block(re, im) else abs(complex(re, im))
+
+
+def _square(x):
+    """x ** 2 by the C library's pow, as Python computes it (not x * x)."""
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
 def _annulus(rng, rmin, rmax) -> complex:
@@ -84,9 +165,13 @@ def _box(rng, half=1.0) -> float:
 class GroupoidChartModel:
     """A groupoid local model on a single coordinate chart.
 
-    Scalar operations work on flat tuples; ``s``, ``t``, ``ts``, ``m``,
-    ``inv``, ``unit`` expose the same formulas as SmoothMaps for the
-    numerical kernel, passing the formulas tuples of Python floats.
+    The structure-map fields (``source_of``, ``target_of``,
+    ``compose_raw``, ``invert``, ``unit_at``, ``arrow_valid``,
+    ``beta_map``, ``divisor_factors``) take a point or a block of points
+    (see the module docstring); the samplers, ``compose`` and
+    ``require_valid`` work on single points.  ``s``, ``t``, ``ts``,
+    ``m``, ``inv``, ``unit`` expose the same formulas as SmoothMaps for
+    the numerical kernel, passing the formulas tuples of Python floats.
     ``ts`` is target ++ source on ``arrow_valid``, so one Jacobian gives
     dt (its first ``base_dim`` rows) and ds (the rest).
     ``composable_tol`` is how exactly ``source(g) == target(h)`` must
@@ -116,7 +201,7 @@ class GroupoidChartModel:
     sample_arrow: Optional[Callable] = None     # rng -> arrow
     sample_base: Optional[Callable] = None      # rng -> base point
     sample_base_like: Optional[Callable] = None  # (p, rng) -> point on p's stratum
-    divisor_factors: Optional[Callable] = None  # arrow -> [(a_j, b_j)]
+    divisor_factors: Optional[Callable] = None  # arrow -> [(Re a_j, Im a_j, Re b_j, Im b_j)]
     algebroid_maps: Optional[tuple] = None      # (ts, unit) SmoothMaps for FD
 
     # -- scalar layer ------------------------------------------------------
@@ -175,10 +260,8 @@ class GroupoidChartModel:
     # -- SmoothMap layer ----------------------------------------------------
 
     def _view(self, label, domain_dim, codomain_dim, formula, valid) -> SmoothMap:
-        return SmoothMap(
-            domain_dim, codomain_dim,
-            lambda x: np.asarray(formula(tuple(x.tolist())), dtype=float),
-            lambda x: valid(tuple(x.tolist())), f"{self.name}.{label}")
+        return SmoothMap.from_formula(domain_dim, codomain_dim, formula, valid,
+                                      f"{self.name}.{label}")
 
     @property
     def s(self) -> SmoothMap:
@@ -300,7 +383,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
     def source_of(g):
         out = tuple(g[nx:2 * nx])
         for i, j in factors:
-            out += _pair(_cx(g, i) * _cx(g, j))
+            out += _cmul(g[i], g[i + 1], g[j], g[j + 1])
         return out
 
     def target_of(g):
@@ -309,27 +392,27 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
     def compose_raw(g, h):
         out = tuple(g[:nx]) + tuple(h[nx:2 * nx]) + tuple(g[ia:ib])
         for _, j in factors:
-            out += _pair(_cx(g, j) * _cx(h, j))
+            out += _cmul(g[j], g[j + 1], h[j], h[j + 1])
         return out
 
     def invert(g):
         out = tuple(g[nx:2 * nx]) + tuple(g[:nx])
         for i, j in factors:
-            out += _pair(_cx(g, i) * _cx(g, j))
+            out += _cmul(g[i], g[i + 1], g[j], g[j + 1])
         for _, j in factors:
-            out += _pair(1.0 / _cx(g, j))
+            out += _cdiv(1.0, 0.0, g[j], g[j + 1])
         return out
 
     def unit_at(p):
         return tuple(p[:nx]) + tuple(p[:nx]) + tuple(p[nx:nx + 2 * k]) + (1.0, 0.0) * k
 
     def arrow_valid(g):
-        if len(g) != 2 * n or not _finite(g):
+        if len(g) != 2 * n:
             return False
+        ok = _finite(g)
         for _, j in factors:
-            if _cx(g, j) == 0:
-                return False
-        return True
+            ok = ok & _nonzero(g[j], g[j + 1])
+        return ok
 
     divisor = DivisorLocalModel(n=n, k=k)
 
@@ -379,7 +462,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
         beta_map=lambda g: target_of(g) + source_of(g),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_factors=lambda g: [(_cx(g, i), _cx(g, j)) for i, j in factors],
+        divisor_factors=lambda g: [(g[i], g[i + 1], g[j], g[j + 1]) for i, j in factors],
     )
 
 
@@ -410,6 +493,8 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
     sheet-crossing arrow reads through conjugation and composition
     conjugates the second factor's data before the chart-level product.
     The isotropy over the divisor is C* x| Z/2 acting by conjugation.
+    The formulas read delta rounded to the nearest integer; a NaN or
+    infinite delta passes through to the outputs instead of raising.
     """
     base = case1_model(n, composable_tol)
     nx = n - 2
@@ -417,34 +502,38 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
     d = base.arrow_dim
 
     def _delta(g):
-        return int(round(g[d]))
+        x = g[d]
+        if isinstance(x, np.ndarray):
+            return np.rint(x) + 0.0     # round() gives an int: its zero has no sign
+        return float(round(x)) if x - x == 0 else x
 
-    def _conj(z, flag):
-        return z.conjugate() if flag else z
+    def _conj(re, im, flag):
+        # multiplying by -1.0 is exact, so this is z.conjugate() where flag != 0
+        return (re, im * (1.0 - 2.0 * (flag != 0)))
 
     def source_of(g):
-        ab = _conj(_cx(g, ia) * _cx(g, ib), _delta(g))
-        return tuple(g[nx:2 * nx]) + _pair(ab)
+        ab = _conj(*_cmul(g[ia], g[ia + 1], g[ib], g[ib + 1]), _delta(g))
+        return tuple(g[nx:2 * nx]) + ab
 
     def compose_raw(g, h):
         d1, d2 = _delta(g), _delta(h)
-        b = _cx(g, ib) * _conj(_cx(h, ib), d1)
-        return (tuple(g[:nx]) + tuple(h[nx:2 * nx]) + (g[ia], g[ia + 1]) + _pair(b)
-                + (float((d1 + d2) % 2),))
+        b = _cmul(g[ib], g[ib + 1], *_conj(h[ib], h[ib + 1], d1))
+        return (tuple(g[:nx]) + tuple(h[nx:2 * nx]) + (g[ia], g[ia + 1]) + b
+                + ((d1 + d2) % 2.0,))
 
     def invert(g):
         dd = _delta(g)
-        ab = _conj(_cx(g, ia) * _cx(g, ib), dd)
-        bstar = 1.0 / _conj(_cx(g, ib), dd)
-        return (tuple(g[nx:2 * nx]) + tuple(g[:nx]) + _pair(ab) + _pair(bstar)
-                + (float(dd),))
+        ab = _conj(*_cmul(g[ia], g[ia + 1], g[ib], g[ib + 1]), dd)
+        bstar = _cdiv(1.0, 0.0, *_conj(g[ib], g[ib + 1], dd))
+        return tuple(g[nx:2 * nx]) + tuple(g[:nx]) + ab + bstar + (dd,)
 
     def unit_at(p):
         return base.unit_at(p) + (0.0,)
 
     def arrow_valid(g):
-        return (len(g) == d + 1 and _finite(g) and _cx(g, ib) != 0
-                and g[d] in (0.0, 1.0))
+        if len(g) != d + 1:
+            return False
+        return _finite(g) & _nonzero(g[ib], g[ib + 1]) & ((g[d] == 0.0) | (g[d] == 1.0))
 
     def sample_arrow(rng):
         return base.sample_arrow(rng) + (float(rng.integers(0, 2)),)
@@ -575,28 +664,29 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
         return (g[2], g[3])
 
     def dressed(g):
-        Z, zeta = _cx(g, 0), _cx(g, 2)
-        return _pair(zeta * (cmath.exp(zeta.conjugate() * Z) if scaled else cmath.exp(Z)))
+        # zeta e^Z, or zeta e^(conj(zeta) Z) when scaled
+        exponent = _cmul(g[2], -g[3], g[0], g[1]) if scaled else (g[0], g[1])
+        return _cmul(g[2], g[3], *_cexp(*exponent))
 
     source_of = dressed if exp_on_source else plain
     target_of = plain if exp_on_source else dressed
 
     def compose_raw(g, h):
-        Z1, z1 = _cx(g, 0), _cx(g, 2)
-        Z2, z2 = _cx(h, 0), _cx(h, 2)
         if not scaled:
             anchor = (g[2], g[3]) if exp_on_source else (h[2], h[3])
-            return _pair(Z1 + Z2) + anchor
-        if exp_on_source:
-            return _pair(Z1 + cmath.exp(z1 * Z1.conjugate()) * Z2) + (g[2], g[3])
-        return _pair(Z2 + cmath.exp(z2 * Z2.conjugate()) * Z1) + (h[2], h[3])
+            return (g[0] + h[0], g[1] + h[1]) + anchor
+        # Z1 + e^(z1 conj(Z1)) Z2 on the source side; the roles swap on the target side
+        first, second = (g, h) if exp_on_source else (h, g)
+        Z, z = first[:2], first[2:4]
+        w = _cmul(*_cexp(*_cmul(z[0], z[1], Z[0], -Z[1])), second[0], second[1])
+        return (Z[0] + w[0], Z[1] + w[1]) + tuple(z)
 
     def invert(g):
-        Z, zeta = _cx(g, 0), _cx(g, 2)
         if not scaled:
-            return _pair(-Z) + _pair(zeta * cmath.exp(Z))
-        w = zeta * cmath.exp(zeta.conjugate() * Z)
-        return _pair(-Z * cmath.exp(-zeta * Z.conjugate())) + _pair(w)
+            return (-g[0], -g[1]) + _cmul(g[2], g[3], *_cexp(g[0], g[1]))
+        w = _cmul(g[2], g[3], *_cexp(*_cmul(g[2], -g[3], g[0], g[1])))
+        # -Z e^(-zeta conj(Z))
+        return _cmul(-g[0], -g[1], *_cexp(*_cmul(-g[2], -g[3], g[0], -g[1]))) + w
 
     def unit_at(p):
         return (0.0, 0.0, p[0], p[1])
@@ -671,31 +761,28 @@ def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
     the zero-residue symplectic model.
     """
 
-    def _act(b, c, z1, z2):
-        return (b * z1, z2 + c * z1)
-
     def source_of(g):
-        w1, w2 = _act(_cx(g, 0), _cx(g, 2), _cx(g, 4), _cx(g, 6))
-        return _pair(w1) + _pair(w2)
+        # (b, c) acts by (z1, z2) -> (b z1, z2 + c z1)
+        cz1 = _cmul(g[2], g[3], g[4], g[5])
+        return _cmul(g[0], g[1], g[4], g[5]) + (g[6] + cz1[0], g[7] + cz1[1])
 
     def target_of(g):
         return tuple(g[4:8])
 
     def compose_raw(g, h):
-        b1, c1 = _cx(g, 0), _cx(g, 2)
-        b2, c2 = _cx(h, 0), _cx(h, 2)
-        return _pair(b1 * b2) + _pair(c1 + b1 * c2) + tuple(g[4:8])
+        bc2 = _cmul(g[0], g[1], h[2], h[3])
+        return (_cmul(g[0], g[1], h[0], h[1]) + (g[2] + bc2[0], g[3] + bc2[1])
+                + tuple(g[4:8]))
 
     def invert(g):
-        b, c = _cx(g, 0), _cx(g, 2)
-        w1, w2 = _act(b, c, _cx(g, 4), _cx(g, 6))
-        return _pair(1.0 / b) + _pair(-c / b) + _pair(w1) + _pair(w2)
+        return (_cdiv(1.0, 0.0, g[0], g[1]) + _cdiv(-g[2], -g[3], g[0], g[1])
+                + source_of(g))
 
     def unit_at(p):
         return (1.0, 0.0, 0.0, 0.0) + tuple(p)
 
     def arrow_valid(g):
-        return _finite(g) and _cx(g, 0) != 0
+        return _finite(g) & _nonzero(g[0], g[1])
 
     def sample_base(rng, on_divisor_prob=0.25):
         z1 = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.15, 1.2)
@@ -791,11 +878,10 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         if len(g) != d1 + d2:
             return False
         g1, g2 = split(g)
-        if not (m1.arrow_valid(g1) and m2.arrow_valid(g2)):
-            return False
         pair1 = m1.target_of(g1) + m1.source_of(g1)
         pair2 = m2.target_of(g2) + m2.source_of(g2)
-        return _maxdiff(pair1, pair2) <= glue_tol
+        return (m1.arrow_valid(g1) & m2.arrow_valid(g2)
+                & (_maxdiff(pair1, pair2) <= glue_tol))
 
     def arrow_between(p, q, rng):
         return m1.arrow_between(p, q, rng) + m2.arrow_between(p, q, rng)
@@ -838,12 +924,9 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
     def unit_pair(p):
         return m1.unit_at(p) + m2.unit_at(p)
 
-    fd_ts = SmoothMap(d1 + d2, 2 * nd,
-                      lambda g: np.asarray(ambient_ts(tuple(g.tolist())), dtype=float),
-                      lambda g: ambient_valid(tuple(g.tolist())), "fibre.ts(ambient)")
-    fd_unit = SmoothMap(nd, d1 + d2,
-                        lambda p: np.asarray(unit_pair(tuple(p.tolist())), dtype=float),
-                        None, "fibre.unit")
+    fd_ts = SmoothMap.from_formula(d1 + d2, 2 * nd, ambient_ts, ambient_valid,
+                                   "fibre.ts(ambient)")
+    fd_unit = SmoothMap.from_formula(nd, d1 + d2, unit_pair, None, "fibre.unit")
 
     model = _FibreProductModel(
         name=f"fibre:{m1.name},{m2.name}", arrow_dim=d1 + d2, base_dim=nd,
@@ -913,9 +996,15 @@ def elliptic_ideal_pullback(model: GroupoidChartModel, g) -> Tuple[float, float,
     if model.divisor_factors is None:
         raise ChartInvalid(f"{model.name}: no divisor factor data")
     model.require_valid(g)
+    return ideal_values(model.divisor_factors(g))
+
+
+def ideal_values(factors):
+    """(s_value, t_value, ratio) of ``elliptic_ideal_pullback`` from the
+    divisor factors of a point or a block, without the validity check."""
     s_value = t_value = ratio = 1.0
-    for a, b in model.divisor_factors(g):
-        s_value *= abs(a * b) ** 2
-        t_value *= abs(a) ** 2
-        ratio *= abs(b) ** 2
+    for ar, ai, br, bi in factors:
+        s_value *= _square(_cabs(*_cmul(ar, ai, br, bi)))
+        t_value *= _square(_cabs(ar, ai))
+        ratio *= _square(_cabs(br, bi))
     return (s_value, t_value, ratio)

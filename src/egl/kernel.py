@@ -66,7 +66,10 @@ class SmoothMap:
 
     ``func`` maps a coordinate vector of length ``domain_dim`` to one of
     length ``codomain_dim``.  ``domain_predicate`` bounds where the
-    evaluator may be called; ``None`` means everywhere.
+    evaluator may be called; ``None`` means everywhere.  ``formula``,
+    when set, is the map on coordinate tuples that ``func`` was derived
+    from (see ``from_formula``); it also takes a block of points, one
+    (N,) column per coordinate, and returns the block of images.
     """
 
     domain_dim: int
@@ -74,6 +77,20 @@ class SmoothMap:
     func: Callable[[np.ndarray], np.ndarray]
     domain_predicate: Optional[Callable[[np.ndarray], bool]] = None
     name: str = ""
+    formula: Optional[Callable] = None
+
+    @classmethod
+    def from_formula(cls, domain_dim: int, codomain_dim: int, formula: Callable,
+                     valid: Optional[Callable] = None, name: str = "") -> "SmoothMap":
+        """The SmoothMap of a formula on coordinate tuples.
+
+        ``func`` and the predicate hand ``formula`` and ``valid`` tuples
+        of Python floats.
+        """
+        return cls(domain_dim, codomain_dim,
+                   lambda x: np.asarray(formula(tuple(x.tolist())), dtype=float),
+                   None if valid is None else (lambda x: valid(tuple(x.tolist()))),
+                   name, formula)
 
     def defined_at(self, p) -> bool:
         p = np.asarray(p, dtype=float)

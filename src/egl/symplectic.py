@@ -18,7 +18,6 @@ morphism psi are members of the exponential family of
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,8 +26,9 @@ import numpy as np
 
 from .divisors import residue_model_frame
 from .errors import NotComposable, SamplerExhausted
-from .groupoids import (GroupoidChartModel, _annulus, _box, _cx, _exp_model,
-                        _finite, _pair, case1_model)
+from .groupoids import (GroupoidChartModel, _annulus, _box, _branch, _cabs,
+                        _cdiv, _cexp, _cmul, _cx, _exp_model, _finite,
+                        _nonzero, _pair, case1_model)
 from .kernel import FormField, SmoothMap
 
 __all__ = [
@@ -106,13 +106,12 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None,
         return (g[0], g[1])
 
     def arrow_valid(g):
-        if len(g) != 4 or not _finite(g):
+        # the source may sit at the origin only when the target does
+        if len(g) != 4:
             return False
         x1, x2, _, _ = g
-        if x1 == 0 and x2 == 0:
-            return True
         s1, s2 = source_of(g)
-        return not (s1 == 0 and s2 == 0)
+        return _finite(g) & (((x1 == 0) & (x2 == 0)) | _nonzero(s1, s2))
 
     def compose_raw(g, h):
         lam = _nonzero_Q(g)
@@ -334,33 +333,38 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
     (b, c)(b', c') = (b b', c + b c'), the affine group of the plane.
     """
 
+    def _ac_plus_z(g):
+        ac = _cmul(g[2], g[3], g[6], g[7])
+        return (ac[0] + g[0], ac[1] + g[1])
+
     def source_of(g):
-        z, a, b, c = _cx(g, 0), _cx(g, 2), _cx(g, 4), _cx(g, 6)
-        return _pair(a * b) + _pair(a * c + z)
+        return _cmul(g[2], g[3], g[4], g[5]) + _ac_plus_z(g)
 
     def target_of(g):
         return (g[2], g[3], g[0], g[1])
 
     def compose_raw(g, h):
-        b, c = _cx(g, 4), _cx(g, 6)
-        b2, c2 = _cx(h, 4), _cx(h, 6)
-        return (g[0], g[1], g[2], g[3]) + _pair(b * b2) + _pair(c + b * c2)
+        bc2 = _cmul(g[4], g[5], h[6], h[7])
+        return ((g[0], g[1], g[2], g[3]) + _cmul(g[4], g[5], h[4], h[5])
+                + (g[6] + bc2[0], g[7] + bc2[1]))
 
     def compose_variant(g, h):
         # transposed-slot near miss: last slot c + b' c
-        b, c = _cx(g, 4), _cx(g, 6)
-        b2, c2 = _cx(h, 4), _cx(h, 6)
-        return (g[0], g[1], g[2], g[3]) + _pair(b * b2) + _pair(c + b2 * c)
+        b2c = _cmul(h[4], h[5], g[6], g[7])
+        return ((g[0], g[1], g[2], g[3]) + _cmul(g[4], g[5], h[4], h[5])
+                + (g[6] + b2c[0], g[7] + b2c[1]))
 
     def invert(g):
-        z, a, b, c = _cx(g, 0), _cx(g, 2), _cx(g, 4), _cx(g, 6)
-        return _pair(a * c + z) + _pair(a * b) + _pair(1.0 / b) + _pair(-c / b)
+        return (_ac_plus_z(g) + _cmul(g[2], g[3], g[4], g[5])
+                + _cdiv(1.0, 0.0, g[4], g[5]) + _cdiv(-g[6], -g[7], g[4], g[5]))
 
     def unit_at(p):
         return (p[2], p[3], p[0], p[1], 1.0, 0.0, 0.0, 0.0)
 
     def arrow_valid(g):
-        return len(g) == 8 and _finite(g) and _cx(g, 4) != 0
+        if len(g) != 8:
+            return False
+        return _finite(g) & _nonzero(g[4], g[5])
 
     def arrow_between(p, q, rng):
         u, v = _cx(p, 0), _cx(p, 2)
@@ -484,23 +488,25 @@ def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartMode
     """
 
     def source_of(g):
-        return _pair(_cx(g, 0) * _cx(g, 2)) + (g[6], g[7])
+        return _cmul(g[0], g[1], g[2], g[3]) + (g[6], g[7])
 
     def target_of(g):
         return (g[0], g[1], g[4], g[5])
 
     def compose_raw(g, h):
-        return (g[0], g[1]) + _pair(_cx(g, 2) * _cx(h, 2)) + (g[4], g[5], h[6], h[7])
+        return (g[0], g[1]) + _cmul(g[2], g[3], h[2], h[3]) + (g[4], g[5], h[6], h[7])
 
     def invert(g):
-        return _pair(_cx(g, 0) * _cx(g, 2)) + _pair(1.0 / _cx(g, 2)) + \
-            (g[6], g[7], g[4], g[5])
+        return (_cmul(g[0], g[1], g[2], g[3]) + _cdiv(1.0, 0.0, g[2], g[3])
+                + (g[6], g[7], g[4], g[5]))
 
     def unit_at(p):
         return (p[0], p[1], 1.0, 0.0, p[2], p[3], p[2], p[3])
 
     def arrow_valid(g):
-        return len(g) == 8 and _finite(g) and _cx(g, 2) != 0
+        if len(g) != 8:
+            return False
+        return _finite(g) & _nonzero(g[2], g[3])
 
     def arrow_between(p, q, rng):
         u, w1 = _cx(p, 0), _cx(p, 2)
@@ -533,7 +539,7 @@ def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartMode
         expected_frame=expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
-        divisor_factors=lambda g: [(_cx(g, 0), _cx(g, 2))],
+        divisor_factors=lambda g: [(g[0], g[1], g[2], g[3])],
     )
 
 
@@ -631,12 +637,12 @@ def morphism_phi_nonzero() -> MorphismBundle:
     sym = symplectic_nonzero_residue_model()
     H = case1_model(2)
 
-    def func(g):
-        x = complex(g[0], g[1])
-        w = complex(g[2], g[3]) * x.conjugate() + 1.0
-        return np.array([x.real, x.imag, w.real, w.imag])
+    def phi(g):
+        # (a + b i) conj(x) + 1, with the + 0.0 that complex + float adds
+        w = _cmul(g[2], g[3], g[0], -g[1])
+        return (g[0], g[1], w[0] + 1.0, w[1] + 0.0)
 
-    f = SmoothMap(4, 4, func, name="phi(nonzero)")
+    f = SmoothMap.from_formula(4, 4, phi, name="phi(nonzero)")
 
     def sample_filter(g):
         x = complex(g[0], g[1])
@@ -653,12 +659,11 @@ def morphism_phi_zero() -> MorphismBundle:
     sym = symplectic_zero_residue_model()
     H = zero_residue_target_model()
 
-    def func(g):
-        z, a, c = _cx(g, 0), _cx(g, 2), _cx(g, 6)
-        w2 = a * c + z
-        return np.array([g[2], g[3], g[4], g[5], g[0], g[1], w2.real, w2.imag])
+    def phi(g):
+        ac = _cmul(g[2], g[3], g[6], g[7])
+        return (g[2], g[3], g[4], g[5], g[0], g[1], ac[0] + g[0], ac[1] + g[1])
 
-    f = SmoothMap(8, 8, func, name="phi(zero)")
+    f = SmoothMap.from_formula(8, 8, phi, name="phi(zero)")
 
     def sample_filter(g):
         return abs(_cx(g, 2)) > 0.15  # keep the receiving dense chart honest
@@ -673,28 +678,41 @@ def morphism_phi_zero() -> MorphismBundle:
 PSI_SERIES_THRESHOLD = 1e-6
 
 
-def _psi_coefficient(Z: complex, zbar: complex, threshold: float) -> complex:
-    """(e^{zbar Z} - 1) / zbar with the series branch near zbar = 0.
+def _psi_coefficient(Zr, Zi, wr, wi, threshold: float):
+    """(e^{w Z} - 1) / w with the series branch near w = 0, as a real pair.
 
-    The truncation keeps terms through (zbar Z)^4 of the reduced series,
-    leaving an error below |Z| |zbar Z|^5 / 120, far under the default
-    absolute tolerance for |zbar| under the threshold.
+    The truncation keeps terms through (w Z)^4 of the reduced series,
+    leaving an error below |Z| |w Z|^5 / 120, far under the default
+    absolute tolerance for |w| under the threshold.  The operations are
+    those of the complex expression Z (1 + u/2 + u u/6 + u**3/24 +
+    u**4/120), u = w Z, in CPython: an integer is the complex number
+    (n, 0), and u**n multiplies by repeated squaring from 1.
     """
-    if abs(zbar) < threshold:
-        u = zbar * Z
-        return Z * (1 + u / 2 + u * u / 6 + u ** 3 / 24 + u ** 4 / 120)
-    return (cmath.exp(zbar * Z) - 1.0) / zbar
+    def series():
+        u = _cmul(wr, wi, Zr, Zi)
+        uu = _cmul(*u, *u)
+        u3 = _cmul(*_cmul(1.0, 0.0, *u), *uu)
+        u4 = _cmul(1.0, 0.0, *_cmul(*uu, *uu))
+        total = (1.0, 0.0)
+        for term, n in ((u, 2.0), (uu, 6.0), (u3, 24.0), (u4, 120.0)):
+            q = _cdiv(*term, n, 0.0)
+            total = (total[0] + q[0], total[1] + q[1])
+        return _cmul(Zr, Zi, *total)
+
+    def closed():
+        e = _cexp(*_cmul(wr, wi, Zr, Zi))
+        return _cdiv(e[0] - 1.0, e[1] - 0.0, wr, wi)
+
+    return _branch(_cabs(wr, wi) < threshold, series, closed)
 
 
 def morphism_psi(series_threshold: float = PSI_SERIES_THRESHOLD) -> SmoothMap:
     """The covering morphism onto the nonzero-residue model."""
 
-    def func(g):
-        Z, z = complex(g[0], g[1]), complex(g[2], g[3])
-        A = _psi_coefficient(Z, z.conjugate(), series_threshold)
-        return np.array([z.real, z.imag, A.real, A.imag])
+    def psi(g):
+        return (g[2], g[3]) + _psi_coefficient(g[0], g[1], g[2], -g[3], series_threshold)
 
-    return SmoothMap(4, 4, func, name="psi")
+    return SmoothMap.from_formula(4, 4, psi, name="psi")
 
 
 def psi_domain_candidates() -> dict:

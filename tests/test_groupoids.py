@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,7 +76,72 @@ def test_case1_not_composable():
         model.compose(g, h)
 
 
+def _blowup_closed_forms(nx, k):
+    """The maps of the blow-up docstring, in Python complex arithmetic."""
+    def parts(g):
+        cx = [complex(g[i], g[i + 1]) for i in range(2 * nx, 2 * nx + 4 * k, 2)]
+        return tuple(g[:nx]), tuple(g[nx:2 * nx]), cx[:k], cx[k:]
+
+    def flat(zs):
+        return tuple(v for z in zs for v in (z.real, z.imag))
+
+    def source(g):
+        _, y, a, b = parts(g)
+        return y + flat(aj * bj for aj, bj in zip(a, b))
+
+    def target(g):
+        x, _, a, _ = parts(g)
+        return x + flat(a)
+
+    def compose(g, h):
+        x, _, a, b = parts(g)
+        _, y2, _, b2 = parts(h)
+        return x + y2 + flat(a) + flat(bj * b2j for bj, b2j in zip(b, b2))
+
+    def invert(g):
+        x, y, a, b = parts(g)
+        return y + x + flat(aj * bj for aj, bj in zip(a, b)) + flat(1.0 / bj for bj in b)
+
+    def unit(p):
+        x = tuple(p[:nx])
+        return x + x + tuple(p[nx:]) + (1.0, 0.0) * k
+
+    return source, target, compose, invert, unit
+
+
+def _float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (6, 2)])
+def test_blowup_maps_match_their_closed_forms(n, k):
+    # fixed arrows: generic, on the divisor (a = 0), with -0.0 coordinates,
+    # and with b purely imaginary (the other branch of complex division)
+    nx = n - 2 * k
+    vals = (0.3, -0.7, 1.1, 0.2, 0.5, -0.4, 0.6, -0.25, 1.3, 0.45, -0.8, 0.9)
+    generic = vals[:2 * n]
+    on_divisor = generic[:2 * nx] + (0.0, 0.0) * k + generic[2 * nx + 2 * k:]
+    signed_zeros = tuple(-0.0 if i % 3 == 0 else x for i, x in enumerate(on_divisor))
+    signed_zeros = signed_zeros[:2 * nx + 2 * k] + (0.7, -0.0) * k
+    imaginary_b = generic[:2 * nx + 2 * k] + (0.0, 1.5, -0.0, -2.0)[:2 * k]
+    arrows = [generic, on_divisor, signed_zeros, imaginary_b]
+    bases = [generic[:n], on_divisor[:nx] + (0.0, -0.0) * k, signed_zeros[:n]]
+    models = [caseIV_model(n, k)] + ([case1_model(n)] if k == 1 else [])
+    source, target, compose, invert, unit = _blowup_closed_forms(nx, k)
+    for model in models:
+        for g in arrows:
+            assert _float_bits(model.source_of(g)) == _float_bits(source(g))
+            assert _float_bits(model.target_of(g)) == _float_bits(target(g))
+            assert _float_bits(model.invert(g)) == _float_bits(invert(g))
+            for h in arrows:
+                assert _float_bits(model.compose_raw(g, h)) == _float_bits(compose(g, h))
+        for p in bases:
+            assert _float_bits(model.unit_at(p)) == _float_bits(unit(p))
+
+
 def test_caseIV_reduces_to_case1_pointwise(rng):
+    # the fixed-point closed forms above are the independent oracle; this
+    # checks that both constructors reach them with the same arguments
     m1 = case1_model(5)
     mk = caseIV_model(5, 1)
     for _ in range(200):
