@@ -14,7 +14,10 @@ to ``BLOCK_ROWS`` samples, on coordinate columns (see
 ``egl.groupoids``); residuals, witnesses and verdicts are those of the
 sample-by-sample evaluation.  They fail closed: where a structure map's
 output leaves the chart (``compose`` would raise ChartInvalid), the
-identity's residual is inf and its witness names the map.
+identity's residual is inf and its witness names the map.  The
+algebroid and symplectic checks likewise differentiate a block of
+points with one stacked Jacobian and run their SVDs stacked (see
+``egl.kernel``), with the bits of the point-by-point computation.
 """
 
 from __future__ import annotations
@@ -270,14 +273,21 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int = 10_000,
 
 
 def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
-    """The (7, n) residuals of the axioms on a block and each one's chart exits."""
+    """The (7, n) residuals of the axioms on a block and each one's chart exits.
+
+    A sample whose drawn g, h or k leaves the chart (a sampler extending
+    from a non-finite endpoint returns a NaN arrow) fails every identity.
+    """
     gh, hk = model.compose_raw(g, h), model.compose_raw(h, k)
     ut = model.unit_at(model.target_of(g))
     us = model.unit_at(model.source_of(g))
     ginv = model.invert(g)
+    drawn = [(_outside(model, g, n) | _outside(model, h, n) | _outside(model, k, n),
+              "sample")]
 
     def law(a, b, a_from, b_from, want):
         out, gap, ok, exits = _composed(model, a, b, a_from, b_from, n)
+        exits = drawn + exits
         return _fail_closed(np.where(ok, _gap(out, want), gap), exits, n), exits
 
     laws = [law(ut, g, "unit_at", "sample", g), law(g, us, "sample", "unit_at", g),
@@ -285,8 +295,8 @@ def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
     plain = [_gap(model.source_of(gh), model.source_of(h)),
              _gap(model.target_of(gh), model.target_of(g)),
              _gap(model.compose_raw(gh, k), model.compose_raw(g, hk))]
-    res = np.array([np.broadcast_to(r, (n,)) for r in plain] + [r for r, _ in laws])
-    return res, [[]] * len(plain) + [exits for _, exits in laws]
+    res = np.array([_fail_closed(r, drawn, n) for r in plain] + [r for r, _ in laws])
+    return res, [drawn] * len(plain) + [exits for _, exits in laws]
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +304,47 @@ def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
 # ---------------------------------------------------------------------------
 
 def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFAULT_PROFILE,
-                     null_tol: float = 1e-6) -> np.ndarray:
+                     null_tol: float = 1e-6):
     """dt(ker ds) at the unit over p, as rows of a frame matrix.
 
     The kernel of the source differential at the unit is computed
     numerically and pushed through the target differential; for
     constrained models (fibre products) the constraint Jacobian rows are
-    appended before the nullspace.
+    appended before the nullspace.  A stack of base points (N, base_dim)
+    gives the list of their frames, from one block of units, one stacked
+    Jacobian and one stacked nullspace; a point is the one-row stack.
     """
     ts_map, unit_map = model.maps_for_algebroid()
-    u = unit_map(np.asarray(p, dtype=float))
-    J = jacobian(ts_map, u, prof)
-    Jt, Js = J[:model.base_dim], J[model.base_dim:]
-    extra = model.extra_kernel_rows(u, J, prof)
+    p = np.asarray(p, dtype=float)
+    b = model.base_dim
+    units = unit_map(p.reshape(-1, b))
+    J = jacobian(ts_map, units, prof)
+    Js = J[:, b:]
+    extra = model.extra_kernel_rows(units, J, prof)
     if extra is not None:
-        Js = np.vstack([Js, extra])
-    kernel = nullspace(Js, null_tol)
-    if kernel.shape[0] == 0:
-        return np.zeros((0, model.base_dim))
-    return kernel @ Jt.T
+        Js = np.concatenate([Js, extra], axis=1)
+    frames = [kernel @ Jt.T if kernel.shape[0] else np.zeros((0, b))
+              for kernel, Jt in zip(nullspace(Js, null_tol), J[:, :b])]
+    return frames if p.ndim == 2 else frames[0]
 
 
 def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 7,
                     prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
-    """Recovered algebroid span vs the stated frame, by principal angle."""
+    """Recovered algebroid span vs the stated frame, by principal angle.
+
+    Base points are drawn one at a time; each block of up to
+    ``BLOCK_ROWS`` of them is recovered by one stacked ``lie_algebroid_of``
+    and compared by one stacked ``subspace_angle``.  The stated frames
+    are evaluated per point.
+    """
     rng = rng_for(seed, f"algebroid:{model.name}")
     acc = _Accumulator(prof.subspace_tol)
-    for _ in range(n_points):
-        p = model.random_base(rng)
-        recovered = lie_algebroid_of(model, p, prof)
-        expected = model.expected_frame(p)
-        angle = subspace_angle(recovered, expected)
-        acc.add(angle, {"p": _round_tuple(p)})
+    for n in _block_sizes(n_points):
+        points = [model.random_base(rng) for _ in range(n)]
+        recovered = lie_algebroid_of(model, points, prof)
+        expected = [model.expected_frame(p) for p in points]
+        acc.add_block(subspace_angle(recovered, expected),
+                      lambda i: {"p": _round_tuple(points[i])})
     return acc.report("algebroid", model.name, seed)
 
 
@@ -387,14 +406,17 @@ def check_symplectic(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
     d, b = model.arrow_dim, model.base_dim
     ts = model.ts
     details = {}
-    for g in _dense_arrows(sym, rng, n_samples):
-        vs = _unit_vectors(rng, d, 2)
-        lhs = sym.Omega(g, vs)
-        J = jacobian(ts, g, prof)
-        tsg = ts(g)
-        rhs = pullback_at(sym.omega_base, tsg[:b], J[:b], vs) \
-            - pullback_at(sym.omega_base, tsg[b:], J[b:], vs)
-        acc.add(abs(lhs - rhs), {"g": _round_tuple(g), "kind": "pullback"})
+    arrows = _dense_arrows(sym, rng, n_samples)
+    # every arrow is drawn before the first unit vector, so the ts
+    # Jacobians and images can be stacked per block
+    for start in range(0, len(arrows), BLOCK_ROWS):
+        block = arrows[start:start + BLOCK_ROWS]
+        for g, J, tsg in zip(block, jacobian(ts, block, prof), ts(block)):
+            vs = _unit_vectors(rng, d, 2)
+            lhs = sym.Omega(g, vs)
+            rhs = pullback_at(sym.omega_base, tsg[:b], J[:b], vs) \
+                - pullback_at(sym.omega_base, tsg[b:], J[b:], vs)
+            acc.add(abs(lhs - rhs), {"g": _round_tuple(g), "kind": "pullback"})
 
     closed_max = 0.0
     for g in _dense_arrows(sym, rng, max(20, n_samples // 10)):

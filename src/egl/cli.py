@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, EglError
-from .registry import CHECK_NAMES, DEFAULT_SAMPLES, MODEL_NAMES
+from .registry import CHECK_NAMES, DEFAULT_SAMPLES, MODEL_NAMES, SAMPLE_CAPS
 from .report import RunConfig, run_decide, run_verify
 
 __all__ = ["main", "entry", "resolve_fixture"]
@@ -114,6 +114,10 @@ def main(argv=None) -> int:
                                samples=args.samples, dim=args.dim, k=args.k,
                                tol=_parse_tol(args.tol))
             report = run_verify(config)
+            for check in sorted(SAMPLE_CAPS.keys() & set(checks)):
+                if (args.samples or 0) > SAMPLE_CAPS[check]:
+                    print(f"warning: {check} runs at most {SAMPLE_CAPS[check]} samples, "
+                          f"not the {args.samples} requested", file=sys.stderr)
             _emit(report, args.format, args.out)
             return 0 if report.overall == "pass" else 1
         if args.command == "decide":

@@ -7,8 +7,9 @@ unit, plus a chart-validity predicate.  Each evaluator is one formula
 on a tuple of coordinates, and a coordinate is either a Python float
 (one point) or an (N,) float column (a block of N points): the sampled
 suites draw points one at a time and evaluate every identity once per
-block, while the samplers, ``compose`` and the SmoothMap views for the
-numerical kernel (Jacobians, pullbacks) pass single points.  On a block,
+block, the kernel's stacked Jacobians evaluate every stencil point of a
+stack at once through the SmoothMap views, and the samplers and
+``compose`` pass single points.  On a block,
 some output coordinates may be plain floats (constants such as the unit
 fibre); they broadcast against the columns.
 
@@ -234,7 +235,12 @@ class GroupoidChartModel:
         return self.sample_base(rng)
 
     def extend_from(self, p, rng):
-        """A random arrow whose target is exactly the base point p."""
+        """A random arrow whose target is exactly the base point p.
+
+        No arrow ends at a non-finite p (a structure map went NaN): when
+        ``arrow_between`` refuses one, the arrow returned is all NaN, so
+        the suites fail closed on the sample instead of drawing again.
+        """
         if self.arrow_between is None:
             raise SamplerExhausted(f"{self.name}: no endpoint-constrained sampler")
         for _ in range(64):
@@ -243,7 +249,8 @@ class GroupoidChartModel:
             try:
                 return self.arrow_between(p, q, rng)
             except NotComposable:
-                continue
+                if not _finite(p):
+                    return (math.nan,) * self.arrow_dim
         raise SamplerExhausted(f"{self.name}: could not extend from {p}")
 
     def random_composable_pair(self, rng):
@@ -323,9 +330,11 @@ class GroupoidChartModel:
     def extra_kernel_rows(self, arrow_point, ts_jacobian=None, prof=DEFAULT_PROFILE):
         """Extra Jacobian rows constraining the arrow space (fibre products).
 
-        ``ts_jacobian``, when given, is the Jacobian of
-        ``maps_for_algebroid()[0]`` at ``arrow_point`` under ``prof``; a
-        model may read rows from it instead of differentiating again.
+        ``arrow_point`` is a point or a stack of points, as for
+        ``jacobian``, and so are the rows.  ``ts_jacobian``, when given,
+        is the Jacobian of ``maps_for_algebroid()[0]`` at ``arrow_point``
+        under ``prof``; a model may read rows from it instead of
+        differentiating again.
         """
         return None
 
@@ -842,11 +851,11 @@ class _FibreProductModel(GroupoidChartModel):
         # the ambient ts reads only the first factor: its first d1
         # columns are exactly the Jacobian of m1.ts at g[:d1]
         if ts_jacobian is None:
-            j1 = jacobian(m1.ts, g[:d1], prof)
+            j1 = jacobian(m1.ts, g[..., :d1], prof)
         else:
-            j1 = ts_jacobian[:, :d1]
-        j2 = jacobian(m2.ts, g[d1:], prof)
-        return np.hstack([j1, -j2])
+            j1 = ts_jacobian[..., :d1]
+        j2 = jacobian(m2.ts, g[..., d1:], prof)
+        return np.concatenate([j1, -j2], axis=-1)
 
 
 def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
@@ -915,7 +924,7 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
     # constraint enters the algebroid computation as extra Jacobian rows
     def ambient_valid(g):
         g1, g2 = split(g)
-        return m1.arrow_valid(g1) and m2.arrow_valid(g2)
+        return m1.arrow_valid(g1) & m2.arrow_valid(g2)
 
     def ambient_ts(g):
         g1 = split(g)[0]

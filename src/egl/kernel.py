@@ -6,11 +6,20 @@ derivative.  Everything downstream (algebroid recovery, multiplicativity
 of symplectic forms, morphism checks) is built on these primitives, so
 they are kept deliberately small and auditable: fixed step size, no
 adaptivity, no clamping of singular loci.
+
+``jacobian``, ``nullspace`` and ``subspace_angle`` take one point or
+matrix, or a stack of them.  A stack of Jacobians evaluates all its
+stencil points in one call of the map's tuple formula (``SmoothMap.formula``,
+which takes a block of coordinate columns), and the SVDs of a stack run
+in one LAPACK call per group of equal shape; the results are those of
+the one-at-a-time computation, bit for bit.  A single point or matrix
+is the one-row stack.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -70,6 +79,9 @@ class SmoothMap:
     when set, is the map on coordinate tuples that ``func`` was derived
     from (see ``from_formula``); it also takes a block of points, one
     (N,) column per coordinate, and returns the block of images.
+    ``valid`` is the domain predicate on coordinate tuples that
+    ``domain_predicate`` was derived from; on a block it returns a bool
+    column (or one bool for every row).
     """
 
     domain_dim: int
@@ -78,6 +90,7 @@ class SmoothMap:
     domain_predicate: Optional[Callable[[np.ndarray], bool]] = None
     name: str = ""
     formula: Optional[Callable] = None
+    valid: Optional[Callable] = None
 
     @classmethod
     def from_formula(cls, domain_dim: int, codomain_dim: int, formula: Callable,
@@ -85,12 +98,12 @@ class SmoothMap:
         """The SmoothMap of a formula on coordinate tuples.
 
         ``func`` and the predicate hand ``formula`` and ``valid`` tuples
-        of Python floats.
+        of Python floats; stacks of points reach both as blocks.
         """
         return cls(domain_dim, codomain_dim,
                    lambda x: np.asarray(formula(tuple(x.tolist())), dtype=float),
                    None if valid is None else (lambda x: valid(tuple(x.tolist()))),
-                   name, formula)
+                   name, formula, valid)
 
     def defined_at(self, p) -> bool:
         p = np.asarray(p, dtype=float)
@@ -99,7 +112,10 @@ class SmoothMap:
         return bool(self.domain_predicate(p))
 
     def __call__(self, p) -> np.ndarray:
+        """The image of a point, or the (N, codomain_dim) images of a stack."""
         p = np.asarray(p, dtype=float)
+        if p.ndim == 2 and p.shape[1] == self.domain_dim:
+            return _images(self, p).T.copy()
         if p.shape != (self.domain_dim,):
             raise DimensionMismatch(
                 f"{self.name or 'map'}: expected point of dim {self.domain_dim}, got {p.shape}")
@@ -217,104 +233,176 @@ def _check_finite(arr, what: str):
         raise NonFiniteValue(f"non-finite value in {what}")
 
 
-def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``p``.
+def _inside(f: SmoothMap, X) -> np.ndarray:
+    """Whether each row of X lies in the domain of f, as a bool array."""
+    if f.valid is not None:
+        with np.errstate(all="ignore"):
+            inside = f.valid(tuple(X.T))
+        return np.broadcast_to(np.asarray(inside, dtype=bool), (len(X),))
+    if f.domain_predicate is None:
+        return np.ones(len(X), dtype=bool)
+    return np.fromiter((bool(f.domain_predicate(x)) for x in X), bool, len(X))
 
-    Entry ``(i, j)`` is the central difference of component ``i`` along
-    coordinate axis ``j`` with step ``prof.fd_step``.  The 2n stencil
-    points are built as one block: each is a copy of ``p`` with one
-    coordinate stepped, so the others keep their exact bits.  The domain
-    predicate is checked at ``p`` and at every stencil point before any
-    evaluation; StencilOutsideDomain names the first axis whose stencil
-    leaves the domain.  ``f.func`` then runs once per point.  Raises
-    NonFiniteValue on NaN/Inf.  The result is C-ordered.
+
+def _images(f: SmoothMap, X) -> np.ndarray:
+    """f at each row of X, as a (codomain_dim, rows) array.
+
+    One call of ``f.formula`` on the columns of X, or ``f.func`` row by
+    row for a map without a formula.
     """
-    p = np.asarray(p, dtype=float)
+    m, rows = f.codomain_dim, len(X)
+    if rows == 0:
+        return np.empty((m, 0))
+    if f.formula is None:
+        try:
+            values = np.asarray([f.func(x) for x in X], dtype=float)
+        except ValueError as err:  # outputs of different lengths
+            raise DimensionMismatch(f"{f.name or 'map'}: evaluator returned mixed shapes") from err
+        if values.shape != (rows, m):
+            raise DimensionMismatch(
+                f"{f.name or 'map'}: evaluator returned shape {values.shape[1:]}")
+        return values.T
+    with np.errstate(all="ignore"):
+        out = f.formula(tuple(X.T))
+    if len(out) != m:
+        raise DimensionMismatch(f"{f.name or 'map'}: evaluator returned shape ({len(out)},)")
+    values = np.empty((m, rows))
+    for row, column in zip(values, out):
+        row[...] = column
+    return values
+
+
+def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at a point, or at each point of a stack.
+
+    ``p`` is one point (n,), giving the (m, n) Jacobian, or a stack of N
+    points (N, n), giving an (N, m, n) array; a point is the one-row
+    stack.  Entry ``(i, j)`` is the central difference of component
+    ``i`` along coordinate axis ``j`` with step ``prof.fd_step``.  The
+    2n stencil points of a point are copies of it with one coordinate
+    stepped, so the others keep their exact bits.  The domain is checked
+    at every point and stencil point before any evaluation (one call of
+    ``f.valid`` when the map has it); then the stencils of the points
+    before the first one outside the domain are evaluated together, by
+    one call of ``f.formula`` on their coordinate columns, or ``f.func``
+    per stencil point for a map without a formula.  The error raised is
+    that of the first point, in stack order, that has one:
+    StencilOutsideDomain (the base point, else the first axis whose
+    stencil leaves the domain) or NonFiniteValue on NaN/Inf.  The result
+    is C-ordered.
+    """
+    P = np.asarray(p, dtype=float)
     h = prof.fd_step
     n = f.domain_dim
-    if p.shape != (n,):
+    if P.ndim not in (1, 2) or P.shape[-1] != n:
         raise DimensionMismatch(
-            f"{f.name or 'map'}: expected point of dim {n}, got {p.shape}")
-    if not f.defined_at(p):
-        raise StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
-    stencil = np.empty((2 * n, n))
-    stencil[:] = p
+            f"{f.name or 'map'}: expected point of dim {n}, got {P.shape}")
+    points = P.reshape(-1, n)
+    count = len(points)
+    stencil = np.repeat(points[:, None, :], 2 * n, axis=1)
     axes = np.arange(n)
-    stencil[axes, axes] += h
-    stencil[n + axes, axes] -= h
-    pred = f.domain_predicate
-    if pred is not None:
-        for j in range(n):
-            if not (pred(stencil[j]) and pred(stencil[n + j])):
-                raise StencilOutsideDomain(
-                    f"jacobian: stencil left domain of {f.name} along axis {j}")
-    func = f.func
-    rows = [func(q) for q in stencil]
-    try:
-        values = np.asarray(rows, dtype=float)
-    except ValueError as err:  # outputs of different lengths
-        raise DimensionMismatch(f"{f.name or 'map'}: evaluator returned mixed shapes") from err
-    if values.shape != (2 * n, f.codomain_dim):
-        raise DimensionMismatch(
-            f"{f.name or 'map'}: evaluator returned shape {values.shape[1:]}")
+    stencil[:, axes, axes] += h
+    stencil[:, n + axes, axes] -= h
+    inside = _inside(f, np.concatenate([points, stencil.reshape(-1, n)]))
+    base_ok = inside[:count]
+    axis_ok = inside[count:].reshape(count, 2, n).all(axis=1)
+    outside = np.flatnonzero(~(base_ok & axis_ok.all(axis=1)))
+    good = outside[0] if len(outside) else count
+    values = _images(f, stencil[:good].reshape(-1, n)).reshape(f.codomain_dim, good, 2 * n)
     with np.errstate(invalid="ignore", over="ignore"):
-        J = ((values[:n] - values[n:]) / (2.0 * h)).T.copy()
+        J = ((values[:, :, :n] - values[:, :, n:]) / (2.0 * h)).transpose(1, 0, 2).copy()
     _check_finite(J, f"jacobian of {f.name}")
-    return J
+    if good < count:
+        if not base_ok[good]:
+            raise StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
+        raise StencilOutsideDomain(
+            f"jacobian: stencil left domain of {f.name} along axis {np.argmin(axis_ok[good])}")
+    return J if P.ndim == 2 else J[0]
 
 
-def nullspace(M, tol: float) -> np.ndarray:
+def nullspace(M, tol: float):
     """Orthonormal basis (rows) of the numerical right nullspace of ``M``.
 
     Right-singular vectors whose singular value is below ``tol``;
     directions outside the row space of a wide matrix count as singular
-    value zero.  May be empty (shape ``(0, n)``).
+    value zero.  May be empty (shape ``(0, n)``).  A stack of matrices
+    (N, r, n) gives the list of their N bases, from one SVD call.
     """
     M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3):
+        raise DimensionMismatch(f"nullspace: expected a matrix or a stack, got {M.shape}")
     _check_finite(M, "nullspace input")
-    if M.size == 0:
-        return np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))
-    _, svals, vt = np.linalg.svd(M, full_matrices=True)
-    keep = [i for i in range(vt.shape[0]) if i >= len(svals) or svals[i] < tol]
-    return vt[keep]
+    stack = M if M.ndim == 3 else M[None]
+    n = M.shape[-1]
+    if M.shape[-2] == 0 or n == 0:
+        bases = [np.eye(n) if n else np.zeros((0, 0)) for _ in stack]
+    else:
+        _, svals, vt = np.linalg.svd(stack, full_matrices=True)
+        keep = np.ones((len(stack), n), dtype=bool)
+        keep[:, :svals.shape[1]] = svals < tol
+        bases = [v[rows] for v, rows in zip(vt, keep)]
+    return bases if M.ndim == 3 else bases[0]
 
 
-def _orthonormal_rows(vectors, rank_tol: float = 1e-9,
-                      abs_floor: float = 1e-7) -> np.ndarray:
-    """Orthonormal basis of the row span, dropping near-zero directions.
+def _orthonormal_rows(spans, rank_tol: float, abs_floor: float) -> list:
+    """Orthonormal bases of the row spans, dropping near-zero directions.
 
-    The absolute floor keeps finite-difference noise from promoting a
+    One SVD call per group of spanning sets of equal shape.  The
+    absolute floor keeps finite-difference noise from promoting a
     direction the exact frame does not have (frames vanish identically
     on divisor strata while their numerical images are ~1e-11).
     """
-    A = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if A.shape[0] == 0 or not A.any():
-        return np.zeros((0, A.shape[1] if A.ndim == 2 else 0))
-    _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    cutoff = max(rank_tol * svals[0], abs_floor)
-    rank = int(np.sum(svals > cutoff))
-    return vt[:rank]
+    out = [np.zeros((0, A.shape[1])) for A in spans]
+    groups = defaultdict(list)
+    for i, A in enumerate(spans):
+        if A.shape[0] and A.any():
+            groups[A.shape].append(i)
+    for idx in groups.values():
+        _, svals, vt = np.linalg.svd(np.stack([spans[i] for i in idx]), full_matrices=False)
+        cutoff = np.maximum(rank_tol * svals[:, 0], abs_floor)
+        ranks = np.count_nonzero(svals > cutoff[:, None], axis=1)
+        for i, v, rank in zip(idx, vt, ranks):
+            out[i] = v[:rank]
+    return out
 
 
-def subspace_angle(A, B, rank_tol: float = 1e-9, abs_floor: float = 1e-7) -> float:
+def _is_stack(A) -> bool:
+    """A sequence of 2-D spanning sets, rather than one spanning set."""
+    return len(A) > 0 and np.ndim(A[0]) == 2
+
+
+def subspace_angle(A, B, rank_tol: float = 1e-9, abs_floor: float = 1e-7):
     """Largest principal angle between span(A) and span(B), in radians.
 
     Returns ``pi/2`` on a rank mismatch (the spans cannot be equal).
     Zero and near-noise vectors in either spanning set are ignored.
+    ``A`` and ``B`` may also be stacks, equal-length sequences of 2-D
+    spanning sets; the result is then the array of their angles, with
+    one SVD call per group of sets of equal shape and one per group of
+    equal-rank pairs.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[0] and B.shape[0] and A.shape[1] != B.shape[1]:
-        raise DimensionMismatch("subspace_angle: ambient dimensions differ")
-    Qa = _orthonormal_rows(A, rank_tol, abs_floor)
-    Qb = _orthonormal_rows(B, rank_tol, abs_floor)
-    if Qa.shape[0] != Qb.shape[0]:
-        return np.pi / 2
-    if Qa.shape[0] == 0:
-        return 0.0
-    svals = np.linalg.svd(Qa @ Qb.T, compute_uv=False)
-    cos_min = min(1.0, max(-1.0, float(svals.min())))
-    return float(np.arccos(cos_min))
+    stacked = _is_stack(A)
+    As = [np.atleast_2d(np.asarray(a, dtype=float)) for a in (A if stacked else [A])]
+    Bs = [np.atleast_2d(np.asarray(b, dtype=float)) for b in (B if stacked else [B])]
+    if len(As) != len(Bs):
+        raise DimensionMismatch("subspace_angle: stacks of different lengths")
+    for a, b in zip(As, Bs):
+        if a.shape[0] and b.shape[0] and a.shape[1] != b.shape[1]:
+            raise DimensionMismatch("subspace_angle: ambient dimensions differ")
+    Qa = _orthonormal_rows(As, rank_tol, abs_floor)
+    Qb = _orthonormal_rows(Bs, rank_tol, abs_floor)
+    angles = np.zeros(len(As))
+    by_rank = defaultdict(list)
+    for i, (qa, qb) in enumerate(zip(Qa, Qb)):
+        if qa.shape[0] != qb.shape[0]:
+            angles[i] = np.pi / 2
+        elif qa.shape[0]:
+            by_rank[qa.shape[0]].append(i)
+    for idx in by_rank.values():
+        svals = np.linalg.svd(np.stack([Qa[i] @ Qb[i].T for i in idx]), compute_uv=False)
+        for i, s in zip(idx, svals):
+            angles[i] = np.arccos(min(1.0, max(-1.0, float(s.min()))))
+    return angles if stacked else float(angles[0])
 
 
 def subspace_equal(A, B, tol: float) -> bool:

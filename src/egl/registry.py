@@ -26,7 +26,7 @@ from .symplectic import (SymplecticModel, morphism_phi_nonzero,
                          symplectic_zero_residue_model)
 
 __all__ = ["ModelEntry", "MODEL_NAMES", "CHECK_NAMES", "build_model",
-           "checks_for", "run_check", "DEFAULT_SAMPLES"]
+           "checks_for", "run_check", "DEFAULT_SAMPLES", "SAMPLE_CAPS"]
 
 MODEL_NAMES = ("case1", "caseIV", "case2", "sympl-nonzero", "sympl-zero",
                "ssc-surface", "action-groupoid", "fibre:case1,case1",
@@ -46,6 +46,9 @@ DEFAULT_SAMPLES = {
     "isotropy": 500,
     "ideal": 1_000,
 }
+
+# the most samples run_check runs, whatever count it is asked for
+SAMPLE_CAPS = {"algebroid": 200, "poisson": 100}
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,13 @@ def run_check(entry: ModelEntry, check: str, seed: int = 7,
     if check == "axioms":
         return [check_groupoid_axioms(entry.chart, n, seed, prof)]
     if check == "algebroid":
-        return [check_algebroid(entry.chart, min(n, 200), seed, prof)]
+        return [check_algebroid(entry.chart, min(n, SAMPLE_CAPS[check]), seed, prof)]
     if check == "symplectic":
         return [check_symplectic(entry.symplectic, n, seed, prof)]
     if check == "multiplicative":
         return [check_multiplicative(entry.symplectic, n, seed, prof)]
     if check == "poisson":
-        return [check_poisson(entry.symplectic, min(n, 100), seed, prof)]
+        return [check_poisson(entry.symplectic, min(n, SAMPLE_CAPS[check]), seed, prof)]
     if check == "variants":
         return [check_zero_residue_variant(entry.symplectic, n, seed)]
     if check == "isotropy":

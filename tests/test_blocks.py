@@ -387,6 +387,28 @@ def test_every_structure_map_suite_fails_closed():
     assert {w["map"] for w in rep.witnesses} == {"dom.compose_raw"}
 
 
+@pytest.mark.parametrize("component", [2, 3])
+def test_a_nan_endpoint_fails_the_axioms_instead_of_exhausting_the_sampler(component):
+    # a NaN in the z2 slot of s(g) makes arrow_between refuse every
+    # candidate over the divisor (w2 != z2 holds for NaN)
+    model = build_model("action-groupoid").chart
+    source_of = model.source_of
+
+    def nan_source(g):
+        out = source_of(g)
+        return out[:component] + (out[component] + math.nan,) + out[component + 1:]
+
+    bad = replace(model, source_of=nan_source)
+    on_divisor = nan_source(model.unit_at((0.0, 0.0, 0.3, 0.4)))
+    h = bad.extend_from(on_divisor, rng_for(1, "nan-endpoint"))
+    assert len(h) == 8 and all(math.isnan(x) for x in h)
+    rep = check_groupoid_axioms(bad, 300, 7)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert math.isinf(rep.max_residual)
+    assert rep.witnesses and all(w["map"] == "sample" and math.isinf(w["residual"])
+                                 for w in rep.witnesses)
+
+
 # ---------------------------------------------------------------------------
 # pinned report bytes
 # ---------------------------------------------------------------------------
@@ -395,11 +417,23 @@ _DIGESTS = json.loads((Path(__file__).parent / "report_digests_philox4x64_v1.jso
                       .read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("entry", _DIGESTS["reports"],
-                         ids=lambda e: f"{e['model']}:{e['dim']}:{e['k']}:{e['check']}")
-def test_structure_map_reports_keep_their_bytes(entry):
+def _report_digest(entry, samples):
     cfg = RunConfig(models=[entry["model"]], checks=[entry["check"]],
-                    seed=_DIGESTS["seed"], samples=_DIGESTS["samples"],
-                    dim=entry["dim"], k=entry["k"])
-    text = run_verify(cfg).to_json()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == entry["sha256"]
+                    seed=_DIGESTS["seed"], samples=samples, dim=entry["dim"], k=entry["k"])
+    return hashlib.sha256(run_verify(cfg).to_json().encode("utf-8")).hexdigest()
+
+
+def _digest_id(entry):
+    return f"{entry['model']}:{entry['dim']}:{entry['k']}:{entry['check']}"
+
+
+@pytest.mark.parametrize("entry", _DIGESTS["reports"], ids=_digest_id)
+def test_structure_map_reports_keep_their_bytes(entry):
+    assert _report_digest(entry, _DIGESTS["samples"]) == entry["sha256"]
+
+
+@pytest.mark.parametrize("entry", _DIGESTS["calculus_reports"], ids=_digest_id)
+def test_calculus_reports_keep_their_bytes(entry):
+    # default sample counts: the stacked Jacobians and SVDs of the
+    # algebroid and symplectic checks must not move a bit
+    assert _report_digest(entry, None) == entry["sha256"]

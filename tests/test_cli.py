@@ -342,3 +342,40 @@ def test_documented_runs_finish_quickly(capsys, tmp_path):
         code, out, _ = run_cli(argv + ["--out", str(tmp_path / "r.json")], capsys)
         assert code == 0
         assert time.perf_counter() - start < 60.0
+
+
+def test_verify_warns_when_a_sample_cap_applies(capsys, tmp_path):
+    from egl.report import RunConfig, run_verify
+
+    capped = tmp_path / "capped.json"
+    code, _, err = run_cli(["verify", "--model", "sympl-zero", "--checks",
+                            "algebroid,poisson,axioms", "--samples", "250",
+                            "--out", str(capped)], capsys)
+    assert code == 0
+    assert "warning: algebroid runs at most 200 samples" in err
+    assert "warning: poisson runs at most 100 samples" in err
+    assert "axioms" not in err
+    # the warning leaves the report as it was
+    want = run_verify(RunConfig(models=["sympl-zero"], checks=["algebroid", "poisson", "axioms"],
+                                seed=7, samples=250)).to_json()
+    assert capped.read_text() == want
+    code, _, err = run_cli(["verify", "--model", "case1", "--checks", "algebroid",
+                            "--samples", "200", "--out", str(tmp_path / "at_cap.json")], capsys)
+    assert code == 0 and err == ""
+
+
+def test_verify_prints_the_first_failing_points_jacobian_error(capsys, monkeypatch):
+    import egl.report as report
+    from egl.kernel import SmoothMap, jacobian
+
+    # point 1 overflows to inf, point 2 leaves the stencil domain
+    f = SmoothMap.from_formula(2, 1, lambda x: (x[0] * x[1] * x[1],),
+                               lambda x: x[0] > -0.5, "overflow")
+
+    def stacked(entry, check, seed=7, samples=None, prof=None):
+        jacobian(f, [(0.1, 0.2), (1.0, 1e200), (-0.5 + 1e-7, 0.3)])
+
+    monkeypatch.setattr(report, "run_check", stacked)
+    code, out, err = run_cli(["verify", "--model", "case1", "--checks", "algebroid"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: NonFiniteValue: non-finite value in jacobian of overflow\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from egl.checks import rng_for
 from egl.errors import DimensionMismatch, NonFiniteValue, StencilOutsideDomain
-from egl.groupoids import case1_model
+from egl.groupoids import case1_model, caseIV_model
 from egl.kernel import (FormField, SmoothMap, ToleranceProfile, compose_maps,
                         exterior_derivative, jacobian, nullspace, pullback,
                         pullback_form, subspace_angle, subspace_equal,
@@ -294,3 +294,197 @@ def test_wedge_of_one_forms(rng):
     u, v = np.eye(3)[0], np.eye(3)[1]
     assert w(p, [u, v]) == pytest.approx(2.0)
     assert w(p, [v, u]) == pytest.approx(-2.0)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one call for many points or matrices, the bits of one at a time
+# ---------------------------------------------------------------------------
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _error_or_jacobian(jac, f, x, prof):
+    try:
+        return jac(f, x, prof)
+    except (StencilOutsideDomain, NonFiniteValue) as err:
+        return type(err), str(err)
+
+
+def _assert_stack_matches_points(f, points, prof):
+    """The stacked Jacobian against the column loop at each point: equal
+    bits where every point succeeds, else the first failing point's error."""
+    points = np.asarray(points, dtype=float)
+    want = [_error_or_jacobian(_reference_jacobian, f, x, prof) for x in points]
+    ok = [i for i, w in enumerate(want) if isinstance(w, np.ndarray)]
+    stacked = jacobian(f, points[ok], prof)
+    assert stacked.flags.c_contiguous
+    assert _bits_equal(stacked, np.stack([want[i] for i in ok])
+                       if ok else np.empty((0, f.codomain_dim, f.domain_dim))), f.name
+    failed = [w for w in want if not isinstance(w, np.ndarray)]
+    if failed:
+        kind, message = failed[0]
+        with pytest.raises(kind) as err:
+            jacobian(f, points, prof)
+        assert str(err.value) == message
+    return stacked
+
+
+def _with_negated_zeros(points):
+    return [tuple(-0.0 if x == 0 else x for x in p) for p in points]
+
+
+def _stack_maps(model, rng):
+    """(map, points) pairs: the ts and unit views at units and arrows, the
+    algebroid maps, a fibre product's second-factor ts, and the ts view
+    with its formula taken away (the per-point evaluator loop)."""
+    bases = [model.random_base(rng) for _ in range(10)]
+    bases += _with_negated_zeros(bases[:4])
+    arrows = [model.random_arrow(rng) for _ in range(6)]
+    units = [model.unit_at(p) for p in bases]
+    ts, unit = model.maps_for_algebroid()
+    fd_units = unit(np.asarray(bases, dtype=float))
+    cases = [(model.unit, bases), (model.ts, units + arrows), (unit, bases), (ts, fd_units)]
+    if hasattr(model, "factors"):
+        d1 = model.factors[0].arrow_dim
+        cases.append((model.factors[1].ts, fd_units[:, d1:]))
+    plain = model.ts
+    cases.append((SmoothMap(plain.domain_dim, plain.codomain_dim, plain.func,
+                            plain.domain_predicate, "plain"), units + arrows))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(MODEL_NAMES) + ["caseIV(6,3)"])
+def test_stacked_jacobian_equals_pointwise_jacobian(name, prof):
+    model = caseIV_model(6, 3) if name == "caseIV(6,3)" else build_model(name).chart
+    rng = rng_for(8, f"jacobian-stack:{name}")
+    for f, points in _stack_maps(model, rng):
+        stacked = _assert_stack_matches_points(f, points, prof)
+        if len(stacked):
+            # a point is the one-row stack
+            x = np.asarray(points, dtype=float)[0]
+            assert _bits_equal(_error_or_jacobian(jacobian, f, x, prof), stacked[0])
+
+
+@pytest.mark.parametrize("sym", [build_model("sympl-nonzero").symplectic,
+                                 build_model("sympl-zero").symplectic,
+                                 pair_groupoid_symplectic()], ids=lambda s: s.name)
+def test_stacked_jacobian_of_pair_params_equals_pointwise(sym, prof):
+    P, sample_params = sym.pair_param
+    rng = rng_for(8, f"jacobian-stack:{sym.name}.pairs")
+    _assert_stack_matches_points(P, [sample_params(rng) for _ in range(8)], prof)
+
+
+def _overflowing_map():
+    # x0 x1^2 overflows to inf at x1 = 1e200 (Python floats do not raise);
+    # the domain is x0 > -0.5
+    return SmoothMap.from_formula(2, 1, lambda x: (x[0] * x[1] * x[1],),
+                                  lambda x: x[0] > -0.5, "overflow")
+
+
+@pytest.mark.parametrize("with_formula", [True, False])
+def test_stacked_jacobian_raises_the_error_of_the_first_failing_point(prof, with_formula):
+    f = _overflowing_map()
+    if not with_formula:
+        f = SmoothMap(2, 1, f.func, f.domain_predicate, f.name)
+    fine, non_finite = (0.1, 0.2), (1.0, 1e200)
+    stencil_out, base_out = (-0.5 + 1e-7, 0.3), (-0.6, 0.1)
+    for order in ([fine, non_finite, fine, stencil_out],
+                  [fine, stencil_out, non_finite],
+                  [base_out, non_finite, stencil_out]):
+        first = next(p for p in order if p != fine)
+        kind, message = _error_or_jacobian(_reference_jacobian, f, first, prof)
+        assert _error_or_jacobian(jacobian, f, first, prof) == (kind, message)
+        with pytest.raises(kind) as err:
+            jacobian(f, order, prof)
+        assert str(err.value) == message
+
+
+def _reference_nullspace(M, tol):
+    """``nullspace`` on one matrix, as it ran before stacks."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))
+    _, svals, vt = np.linalg.svd(M, full_matrices=True)
+    keep = [i for i in range(vt.shape[0]) if i >= len(svals) or svals[i] < tol]
+    return vt[keep]
+
+
+def _reference_orthonormal_rows(vectors, rank_tol=1e-9, abs_floor=1e-7):
+    A = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if A.shape[0] == 0 or not A.any():
+        return np.zeros((0, A.shape[1] if A.ndim == 2 else 0))
+    _, svals, vt = np.linalg.svd(A, full_matrices=False)
+    cutoff = max(rank_tol * svals[0], abs_floor)
+    return vt[:int(np.sum(svals > cutoff))]
+
+
+def _reference_subspace_angle(A, B):
+    """``subspace_angle`` on one pair, as it ran before stacks."""
+    Qa, Qb = _reference_orthonormal_rows(A), _reference_orthonormal_rows(B)
+    if Qa.shape[0] != Qb.shape[0]:
+        return np.pi / 2
+    if Qa.shape[0] == 0:
+        return 0.0
+    svals = np.linalg.svd(Qa @ Qb.T, compute_uv=False)
+    return float(np.arccos(min(1.0, max(-1.0, float(svals.min())))))
+
+
+def _of_rank(rng, rank, rows, cols):
+    return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 5), (5, 3), (4, 4), (0, 3)])
+def test_stacked_nullspace_equals_pointwise(rows, cols):
+    rng = np.random.Generator(np.random.Philox(key=rows * 10 + cols))
+    # mixed ranks in one stack, from 0 (the zero matrix) to full
+    stack = np.array([_of_rank(rng, r % (min(rows, cols) + 1), rows, cols)
+                      for r in range(9)]).reshape(9, rows, cols)
+    bases = nullspace(stack, 1e-8)
+    assert len(bases) == 9
+    for M, basis in zip(stack, bases):
+        assert _bits_equal(basis, _reference_nullspace(M, 1e-8))
+        assert _bits_equal(nullspace(M, 1e-8), basis)
+
+
+def test_stacked_subspace_angle_equals_pointwise(prof):
+    from egl.checks import lie_algebroid_of
+
+    rng = np.random.Generator(np.random.Philox(key=77))
+    e = np.eye(4)
+    pairs = [
+        (e[:2], e[[1, 0]]),                          # one span, two bases
+        (e[:2], e[:3]),                              # rank mismatch: pi/2
+        (np.zeros((3, 4)), np.zeros((2, 4))),        # all-zero frames: rank 0
+        (np.zeros((0, 4)), e[:1] * 1e-9),            # empty and near-noise sets
+        (np.zeros((2, 4)), e[:1]),                   # rank 0 against rank 1
+        (np.array([e[0], 5e-7 * e[1]]), e[:2]),      # just above the absolute floor
+        (np.array([1e3 * e[0], 5e-7 * e[1]]), e[:1]),  # below the relative cutoff
+        (_of_rank(rng, 2, 3, 4), _of_rank(rng, 2, 3, 4)),
+        (_of_rank(rng, 3, 4, 4), _of_rank(rng, 3, 3, 4)),
+        (_of_rank(rng, 1, 2, 4), _of_rank(rng, 1, 4, 4)),
+    ]
+    model = case1_model(4)
+    r = rng_for(4, "angle-stack")
+    points = [model.random_base(r) for _ in range(12)]
+    pairs += [(lie_algebroid_of(model, p, prof), model.expected_frame(p)) for p in points]
+    A, B = [a for a, _ in pairs], [b for _, b in pairs]
+    angles = subspace_angle(A, B)
+    want = [_reference_subspace_angle(a, b) for a, b in pairs]
+    assert _bits_equal(angles, want)
+    assert angles[1] == np.pi / 2 and angles[2] == 0.0 and angles[4] == np.pi / 2
+    assert [subspace_angle(a, b) for a, b in pairs] == want
+    with pytest.raises(DimensionMismatch):
+        subspace_angle(A, B[:-1])
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_algebroid_frames_of_a_stack_equal_the_frames_of_its_points(name, prof):
+    from egl.checks import lie_algebroid_of
+
+    model = build_model(name).chart
+    rng = rng_for(6, f"algebroid-stack:{name}")
+    points = [model.random_base(rng) for _ in range(10)]
+    for frame, p in zip(lie_algebroid_of(model, points, prof), points):
+        assert _bits_equal(frame, lie_algebroid_of(model, p, prof))
