@@ -30,12 +30,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartInvalid, NotComposable, SamplerExhausted
-from .groupoids import GroupoidChartModel, _cabs, _cmul, ideal_values, pair_groupoid
+from .groupoids import GroupoidChartModel, ideal_values, pair_groupoid
 from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
                      exterior_derivative, jacobian, nullspace, pullback,
                      pullback_at, subspace_angle)
-from .signedperm import SignedPermutation, semidirect_mul
 from .symplectic import (MorphismBundle, SymplecticModel, morphism_psi,
                          psi_domain_candidates)
 
@@ -335,16 +334,20 @@ def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 
     Base points are drawn one at a time; each block of up to
     ``BLOCK_ROWS`` of them is recovered by one stacked ``lie_algebroid_of``
     and compared by one stacked ``subspace_angle``.  The stated frames
-    are evaluated per point.
+    are evaluated per point; a point whose stated frame is not finite
+    fails with an inf residual and a witness naming ``expected_frame``.
     """
     rng = rng_for(seed, f"algebroid:{model.name}")
     acc = _Accumulator(prof.subspace_tol)
     for n in _block_sizes(n_points):
         points = [model.random_base(rng) for _ in range(n)]
         recovered = lie_algebroid_of(model, points, prof)
-        expected = [model.expected_frame(p) for p in points]
-        acc.add_block(subspace_angle(recovered, expected),
-                      lambda i: {"p": _round_tuple(points[i])})
+        angles = subspace_angle(recovered, [model.expected_frame(p) for p in points])
+        # jacobian refuses non-finite maps, so the recovered frames are
+        # finite and a NaN angle is a stated frame holding NaN or inf
+        exits = [(np.isnan(angles), "expected_frame")]
+        acc.add_block(_fail_closed(angles, exits, n),
+                      lambda i: _with_exit({"p": _round_tuple(points[i])}, exits, i))
     return acc.report("algebroid", model.name, seed)
 
 
@@ -722,25 +725,24 @@ def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300, seed:
 
 
 # ---------------------------------------------------------------------------
-# isotropy cross-oracles
+# divisor isotropy
 # ---------------------------------------------------------------------------
 
 def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 7,
                    prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
-    """Divisor isotropy composition against the exact discrete oracle.
+    """Divisor isotropy composition against the model's exact law.
 
-    For the double-cover quotient the isotropy is C* x| Z/2 acting by
-    conjugation (checked against semidirect_mul); for the zero-residue
-    and action-groupoid models it is the affine group law
-    (b, c)(b', c') = (b b', c + b c'); for the normal-crossing model it
-    is (C*)^k componentwise.
+    The law is the model's ``isotropy`` field: for the double-cover
+    quotient C* x| Z/2 acting by conjugation (checked against
+    semidirect_mul); for the zero-residue and action-groupoid models the
+    affine group law (b, c)(b', c') = (b b', c + b c'); for the blow-up
+    models, their relabellings and fibre products (C*)^k componentwise.
     """
+    if model.isotropy is None:
+        raise SamplerExhausted(f"{model.name}: no isotropy oracle")
+    draw, residual = model.isotropy
     rng = rng_for(seed, f"isotropy:{model.name}")
     acc = _Accumulator(prof.abs_tol)
-    kind = _isotropy_kind(model.name)
-    if kind == "none":
-        raise SamplerExhausted(f"{model.name}: no isotropy oracle")
-    draw, residual = _ISOTROPY[kind]
     for n in _block_sizes(n_samples):
         g1, g2, want = _draw_block(lambda: draw(model, rng), n)
         with np.errstate(all="ignore"):
@@ -749,112 +751,6 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 
                                exits, n)
         acc.add_block(res, lambda i: _with_exit({}, exits, i))
     return acc.report("isotropy", model.name, seed)
-
-
-def _isotropy_kind(name: str) -> str:
-    if name.startswith("case2"):
-        return "case2"
-    if name.startswith(("sympl-zero", "action-groupoid")):
-        return "affine"
-    if name.startswith(("case1", "caseIV", "fibre")):
-        return "torus"
-    return "none"
-
-
-def _rand_cstar(rng) -> complex:
-    mag = float(rng.uniform(0.4, 1.7))
-    ph = float(rng.uniform(-np.pi, np.pi))
-    return complex(mag * np.cos(ph), mag * np.sin(ph))
-
-
-# Each isotropy oracle draws one pair of isotropy arrows (g1, g2) and the
-# exact product data it expects, then measures a block of products.
-
-def _case2_draw(model, rng):
-    nx = model.base_dim - 2
-    x0 = tuple(float(rng.uniform(-1, 1)) for _ in range(nx))
-    b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
-    d1, d2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-    g1 = x0 + x0 + (0.0, 0.0) + (b1.real, b1.imag) + (float(d1),)
-    g2 = x0 + x0 + (0.0, 0.0) + (b2.real, b2.imag) + (float(d2),)
-    flip1 = SignedPermutation((0,), (d1,))
-    flip2 = SignedPermutation((0,), (d2,))
-    (zexp,), spexp = semidirect_mul(((b1,), flip1), ((b2,), flip2))
-    return g1, g2, (zexp.real, zexp.imag, float(spexp.flips[0]))
-
-
-def _case2_residual(model, g1, g2, out, want):
-    return (_cabs(out[-3] - want[0], out[-2] - want[1])
-            + abs(out[-1] - want[2]))
-
-
-def _affine_slots(model):
-    """Slots of (b, c) in an isotropy arrow, and of z2 in its base point (0, z2)."""
-    if model.name.startswith("sympl-zero"):
-        return 4, 0
-    return 0, 6
-
-
-def _affine_draw(model, rng):
-    z2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-    b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
-    c1 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-    c2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-    ib, iw = _affine_slots(model)
-
-    def mk(b, c):
-        g = [0.0] * 8
-        g[ib:ib + 4] = (b.real, b.imag, c.real, c.imag)
-        g[iw:iw + 2] = (z2.real, z2.imag)
-        return tuple(g)
-
-    b, c = b1 * b2, c1 + b1 * c2
-    return mk(b1, c1), mk(b2, c2), (b.real, b.imag, c.real, c.imag)
-
-
-def _affine_residual(model, g1, g2, out, want):
-    ib = _affine_slots(model)[0]
-    return (_cabs(out[ib] - want[0], out[ib + 1] - want[1])
-            + _cabs(out[ib + 2] - want[2], out[ib + 3] - want[3]))
-
-
-def _torus_draw(model, rng):
-    zeroed = _zero_divisor_coords(model, model.random_base(rng))
-    g1 = model.arrow_between(zeroed, zeroed, rng)
-    g2 = model.arrow_between(zeroed, zeroed, rng)
-    return g1, g2, ()
-
-
-def _torus_residual(model, g1, g2, out, want):
-    res = 0.0
-    for f1, f2, fo in zip(model.divisor_factors(g1), model.divisor_factors(g2),
-                          model.divisor_factors(out)):
-        b12 = _cmul(*f1[2:], *f2[2:])
-        res = np.maximum(res, np.maximum(_cabs(fo[2] - b12[0], fo[3] - b12[1]),
-                                         _cabs(fo[0] - f1[0], fo[1] - f1[1])))
-    return res
-
-
-_ISOTROPY = {"case2": (_case2_draw, _case2_residual),
-             "affine": (_affine_draw, _affine_residual),
-             "torus": (_torus_draw, _torus_residual)}
-
-
-def _zero_divisor_coords(model, p):
-    """Project a base point onto its deepest stratum (all factors zero)."""
-    name = model.name
-    p = list(p)
-    if name.startswith("case1") or name.startswith("case2"):
-        p[-2] = p[-1] = 0.0
-    elif name.startswith("caseIV"):
-        k = int(name.split(",")[1].rstrip(")"))
-        for j in range(k):
-            p[-2 * j - 1] = p[-2 * j - 2] = 0.0
-    elif name.startswith("fibre"):
-        nx = len(p) - 4
-        for i in range(nx, len(p)):
-            p[i] = 0.0
-    return tuple(p)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,15 @@ endpoint maps, and the algebroid computation differentiates the pair
 from an explicit seeded generator, so a fixed seed fixes every report.
 
 Each family of formulas is written once.  case1 is the k = 1 member of
-the blow-up family behind caseIV; ssc-surface is the exp-on-target,
-unscaled member of the exponential family whose four conventions are
-the covering-morphism domain candidates of ``egl.symplectic``.
+the blow-up family behind caseIV; the smooth factors of a normal-crossing
+fibre product and the receiving model H(zero) of the zero-residue
+morphism are case1 read in other coordinates (``_relabel``);
+ssc-surface is the exp-on-target, unscaled member of the exponential
+family whose four conventions are the covering-morphism domain
+candidates of ``egl.symplectic``.  A model also carries the data its
+suites need: the base slots of its deepest divisor stratum, its exact
+isotropy law (the torus, affine and C* x| Z/2 laws below), and, for a
+fibre product, its two factors.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -42,6 +49,7 @@ from .divisors import DivisorLocalModel, residue_model_frame
 from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
 from .kernel import DEFAULT_PROFILE, SmoothMap, jacobian
+from .signedperm import SignedPermutation, semidirect_mul
 
 __all__ = [
     "GroupoidChartModel",
@@ -181,7 +189,12 @@ class GroupoidChartModel:
     slack.  ``algebroid_maps``, when set, supplies the (ts, unit)
     SmoothMaps on a smooth sector suitable for finite differencing (used
     where the full chart carries a discrete coordinate or a gluing
-    constraint).
+    constraint).  ``factors`` holds a fibre product's two factor models,
+    ``divisor_slots`` the base coordinates that vanish on the deepest
+    divisor stratum, and ``isotropy`` the exact isotropy law as a
+    (draw, residual) pair (see ``TORUS_ISOTROPY``).  All of them are
+    fields, so ``dataclasses.replace`` copies (renamed, perturbed or
+    traced models) keep them.
     """
 
     name: str
@@ -204,6 +217,9 @@ class GroupoidChartModel:
     sample_base_like: Optional[Callable] = None  # (p, rng) -> point on p's stratum
     divisor_factors: Optional[Callable] = None  # arrow -> [(Re a_j, Im a_j, Re b_j, Im b_j)]
     algebroid_maps: Optional[tuple] = None      # (ts, unit) SmoothMaps for FD
+    factors: Optional[tuple] = None             # fibre products: (m1, m2)
+    divisor_slots: tuple = ()                   # base slots zero on the deepest stratum
+    isotropy: Optional[tuple] = None            # (draw, residual): the isotropy law
 
     # -- scalar layer ------------------------------------------------------
 
@@ -328,15 +344,112 @@ class GroupoidChartModel:
         return (self.ts, self.unit)
 
     def extra_kernel_rows(self, arrow_point, ts_jacobian=None, prof=DEFAULT_PROFILE):
-        """Extra Jacobian rows constraining the arrow space (fibre products).
+        """A fibre product's gluing-constraint Jacobian rows; None otherwise.
 
         ``arrow_point`` is a point or a stack of points, as for
-        ``jacobian``, and so are the rows.  ``ts_jacobian``, when given,
-        is the Jacobian of ``maps_for_algebroid()[0]`` at ``arrow_point``
-        under ``prof``; a model may read rows from it instead of
-        differentiating again.
+        ``jacobian``, and so are the rows: [J(m1.ts) | -J(m2.ts)].
+        ``ts_jacobian``, when given, is the Jacobian of
+        ``maps_for_algebroid()[0]`` at ``arrow_point`` under ``prof``;
+        the ambient ts reads only the first factor, so its first
+        ``m1.arrow_dim`` columns are exactly J(m1.ts) and are reused.
         """
-        return None
+        if self.factors is None:
+            return None
+        m1, m2 = self.factors
+        d1 = m1.arrow_dim
+        g = np.asarray(arrow_point, dtype=float)
+        if ts_jacobian is None:
+            j1 = jacobian(m1.ts, g[..., :d1], prof)
+        else:
+            j1 = ts_jacobian[..., :d1]
+        j2 = jacobian(m2.ts, g[..., d1:], prof)
+        return np.concatenate([j1, -j2], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# isotropy laws
+# ---------------------------------------------------------------------------
+# An isotropy law is a pair (draw, residual): draw(model, rng) returns one
+# pair of isotropy arrows (g1, g2) and the exact product data it expects;
+# residual(model, g1, g2, out, want) measures a block of products ``out``
+# against it.  Both read the model they are given, so a relabelled,
+# renamed or traced copy of a model runs its law unchanged.
+
+def _rand_cstar(rng) -> complex:
+    mag = float(rng.uniform(0.4, 1.7))
+    ph = float(rng.uniform(-np.pi, np.pi))
+    return complex(mag * np.cos(ph), mag * np.sin(ph))
+
+
+def _torus_draw(model, rng):
+    slots = model.divisor_slots
+    p = tuple(0.0 if i in slots else x for i, x in enumerate(model.random_base(rng)))
+    return model.arrow_between(p, p, rng), model.arrow_between(p, p, rng), ()
+
+
+def _torus_residual(model, g1, g2, out, want):
+    res = 0.0
+    for f1, f2, fo in zip(model.divisor_factors(g1), model.divisor_factors(g2),
+                          model.divisor_factors(out)):
+        b12 = _cmul(*f1[2:], *f2[2:])
+        res = np.maximum(res, np.maximum(_cabs(fo[2] - b12[0], fo[3] - b12[1]),
+                                         _cabs(fo[0] - f1[0], fo[1] - f1[1])))
+    return res
+
+
+# (C*)^k componentwise over the deepest stratum: isotropy arrows over a
+# base point zeroed on ``divisor_slots``, read through ``divisor_factors``
+TORUS_ISOTROPY = (_torus_draw, _torus_residual)
+
+
+def _affine_isotropy(ib: int, iw: int) -> tuple:
+    """The affine law (b, c)(b', c') = (b b', c + b c') of the plane.
+
+    Isotropy arrows are zero except for (b, c) at arrow slots ib..ib+3
+    and the divisor point's z2 at slots iw, iw+1.
+    """
+    def draw(model, rng):
+        z2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+        b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
+        c1 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+        c2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+
+        def mk(b, c):
+            g = [0.0] * 8
+            g[ib:ib + 4] = (b.real, b.imag, c.real, c.imag)
+            g[iw:iw + 2] = (z2.real, z2.imag)
+            return tuple(g)
+
+        b, c = b1 * b2, c1 + b1 * c2
+        return mk(b1, c1), mk(b2, c2), (b.real, b.imag, c.real, c.imag)
+
+    def residual(model, g1, g2, out, want):
+        return (_cabs(out[ib] - want[0], out[ib + 1] - want[1])
+                + _cabs(out[ib + 2] - want[2], out[ib + 3] - want[3]))
+
+    return draw, residual
+
+
+def _case2_draw(model, rng):
+    nx = model.base_dim - 2
+    x0 = tuple(float(rng.uniform(-1, 1)) for _ in range(nx))
+    b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
+    d1, d2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+    g1 = x0 + x0 + (0.0, 0.0) + (b1.real, b1.imag) + (float(d1),)
+    g2 = x0 + x0 + (0.0, 0.0) + (b2.real, b2.imag) + (float(d2),)
+    flip1 = SignedPermutation((0,), (d1,))
+    flip2 = SignedPermutation((0,), (d2,))
+    (zexp,), spexp = semidirect_mul(((b1,), flip1), ((b2,), flip2))
+    return g1, g2, (zexp.real, zexp.imag, float(spexp.flips[0]))
+
+
+def _case2_residual(model, g1, g2, out, want):
+    return (_cabs(out[-3] - want[0], out[-2] - want[1])
+            + abs(out[-1] - want[2]))
+
+
+# C* x| Z/2 acting by conjugation, against ``semidirect_mul``
+CASE2_ISOTROPY = (_case2_draw, _case2_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +585,8 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_factors=lambda g: [(g[i], g[i + 1], g[j], g[j + 1]) for i, j in factors],
+        divisor_slots=tuple(i + c for i in zs for c in (0, 1)),
+        isotropy=TORUS_ISOTROPY,
     )
 
 
@@ -567,86 +682,103 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
         sample_base=base.sample_base, sample_base_like=base.sample_base_like,
         divisor_factors=base.divisor_factors,
         algebroid_maps=(base.ts, base.unit),
+        divisor_slots=base.divisor_slots,
+        isotropy=CASE2_ISOTROPY,
     )
 
 
 # ---------------------------------------------------------------------------
-# smooth factor inside a normal-crossing base (for fibre products)
+# a model read in other coordinates; the smooth factors of a
+# normal-crossing base (for fibre products)
 # ---------------------------------------------------------------------------
+
+def _same(x):
+    return x
+
+
+def _getter(order) -> Callable:
+    """x -> (x[order[0]], x[order[1]], ...), or ``_same`` for the identity."""
+    order = tuple(order)
+    return _same if order == tuple(range(len(order))) else itemgetter(*order)
+
+
+def _via(fn, into, out):
+    """x -> out(fn(into(x))), leaving out the identity getters; None for no fn."""
+    if fn is None:
+        return None
+    if into is _same:
+        return fn if out is _same else (lambda x: out(fn(x)))
+    return (lambda x: fn(into(x))) if out is _same else (lambda x: out(fn(into(x))))
+
+
+def _relabel(inner: GroupoidChartModel, name: str, base_order,
+             arrow_order) -> GroupoidChartModel:
+    """``inner`` read in another layout of its base and arrow coordinates.
+
+    Coordinate r of inner's base (arrow) is coordinate ``base_order[r]``
+    (``arrow_order[r]``) of the new model's.  Every field is inner's,
+    read through these permutations: structure maps, ``arrow_valid``,
+    samplers, ``arrow_between``, ``divisor_factors``, ``divisor_slots``,
+    and ``expected_frame`` with its rows and columns permuted by the
+    base order; the isotropy law reads the new model's fields itself.
+    An identity order costs nothing: inner's maps are used as they are.
+    ``inner`` must not be a fibre product or carry ``algebroid_maps``.
+    """
+    n = inner.base_dim
+    base_back = sorted(range(n), key=base_order.__getitem__)
+    b_in, b_out = _getter(base_order), _getter(base_back)
+    a_in = _getter(arrow_order)
+    a_out = _getter(sorted(range(inner.arrow_dim), key=arrow_order.__getitem__))
+    pair_out = _getter(base_back + [n + i for i in base_back])
+    cells = np.ix_(base_back, base_back)
+    same_arrows = a_in is _same
+
+    def compose_raw(g, h):
+        return a_out(inner.compose_raw(a_in(g), a_in(h)))
+
+    def arrow_valid(g):
+        return len(g) == inner.arrow_dim and inner.arrow_valid(a_in(g))
+
+    def frame(rows):
+        return rows[cells]
+
+    return GroupoidChartModel(
+        name=name, arrow_dim=inner.arrow_dim, base_dim=n,
+        source_of=_via(inner.source_of, a_in, b_out),
+        target_of=_via(inner.target_of, a_in, b_out),
+        compose_raw=inner.compose_raw if same_arrows else compose_raw,
+        invert=_via(inner.invert, a_in, a_out),
+        unit_at=_via(inner.unit_at, b_in, a_out),
+        arrow_valid=inner.arrow_valid if same_arrows else arrow_valid,
+        base_valid=_via(inner.base_valid, b_in, _same),
+        composable_tol=inner.composable_tol, is_hausdorff=inner.is_hausdorff,
+        expected_frame=_via(inner.expected_frame, b_in, _same if b_in is _same else frame),
+        beta_map=_via(inner.beta_map, a_in, pair_out),
+        arrow_between=lambda p, q, rng: a_out(inner.arrow_between(b_in(p), b_in(q), rng)),
+        sample_arrow=_via(inner.sample_arrow, _same, a_out),
+        sample_base=_via(inner.sample_base, _same, b_out),
+        sample_base_like=lambda p, rng: b_out(inner.sample_base_like(b_in(p), rng)),
+        divisor_factors=_via(inner.divisor_factors, a_in, _same),
+        divisor_slots=tuple(sorted(base_order[i] for i in inner.divisor_slots)),
+        isotropy=inner.isotropy,
+    )
+
 
 def smooth_factor_model(n: int, k: int, j: int,
                         composable_tol: float = 1e-9) -> GroupoidChartModel:
     """Smooth-divisor model for the j-th factor of a k-factor base.
 
     The base keeps the normal-crossing layout (x real, z_1..z_k complex)
-    but only {z_j = 0} is blown up; the other complex pairs ride along
-    untouched.  Implemented by conjugating the smooth model through the
-    base-coordinate shuffle that moves pair j to the end.
+    but only {z_j = 0} is blown up: this is case1(n) with its divisor
+    pair read at z_j and its real coordinates at x and the other pairs,
+    which ride along untouched; the arrows are case1's.
     """
     if not (0 <= j < k):
         raise ValueError("factor index out of range")
-    nx = n - 2 * k
-    inner = case1_model(n, composable_tol)
-
-    # shared layout index of pair j, and the shuffle into case1 layout
-    pj = nx + 2 * j
-    order = list(range(nx)) + [nx + 2 * i + c for i in range(k) if i != j for c in (0, 1)]
-    order += [pj, pj + 1]
-    inverse_order = [0] * n
-    for dst, src in enumerate(order):
-        inverse_order[src] = dst
-
-    def to_inner(p):
-        return tuple(p[i] for i in order)
-
-    def from_inner(p):
-        return tuple(p[i] for i in inverse_order)
-
-    divisor_rows = np.zeros((n, n))
-    for i in range(n):
-        if i not in (pj, pj + 1):
-            divisor_rows[i, i] = 1.0
-
-    def expected_frame(p):
-        rows = divisor_rows.copy()
-        v1, v2 = p[pj], p[pj + 1]
-        rows[pj, pj], rows[pj, pj + 1] = v1, v2
-        rows[pj + 1, pj], rows[pj + 1, pj + 1] = -v2, v1
-        return rows
-
-    def sample_base(rng, on_divisor_prob=0.3):
-        out = tuple(_box(rng) for _ in range(nx))
-        for i in range(k):
-            z = 0j if (i == j and rng.uniform() < on_divisor_prob) \
-                else _annulus(rng, 0.15, 1.2) if i == j else complex(_box(rng), _box(rng))
-            out += _pair(z)
-        return out
-
-    def sample_base_like(p, rng):
-        out = tuple(_box(rng) for _ in range(nx))
-        for i in range(k):
-            if i == j:
-                z = 0j if _cx(p, nx + 2 * i) == 0 else _annulus(rng, 0.15, 1.2)
-            else:
-                z = complex(_box(rng), _box(rng))
-            out += _pair(z)
-        return out
-
-    return GroupoidChartModel(
-        name=f"smooth-factor({n},{k},{j})", arrow_dim=inner.arrow_dim, base_dim=n,
-        source_of=lambda g: from_inner(inner.source_of(g)),
-        target_of=lambda g: from_inner(inner.target_of(g)),
-        compose_raw=inner.compose_raw,
-        invert=inner.invert,
-        unit_at=lambda p: inner.unit_at(to_inner(p)),
-        arrow_valid=inner.arrow_valid,
-        composable_tol=composable_tol,
-        expected_frame=expected_frame,
-        arrow_between=lambda p, q, rng: inner.arrow_between(to_inner(p), to_inner(q), rng),
-        sample_arrow=inner.sample_arrow,
-        sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_factors=inner.divisor_factors,
-    )
+    pj = n - 2 * k + 2 * j
+    order = [i for i in range(n) if i not in (pj, pj + 1)] + [pj, pj + 1]
+    return _relabel(case1_model(n, composable_tol), f"smooth-factor({n},{k},{j})",
+                    order, range(2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +872,7 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
                         else (lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
+        divisor_slots=(0, 1),
     )
 
 
@@ -793,8 +926,8 @@ def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
     def arrow_valid(g):
         return _finite(g) & _nonzero(g[0], g[1])
 
-    def sample_base(rng, on_divisor_prob=0.25):
-        z1 = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.15, 1.2)
+    def sample_base(rng):
+        z1 = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.15, 1.2)
         return _pair(z1) + (_box(rng), _box(rng))
 
     def sample_base_like(p, rng):
@@ -834,29 +967,13 @@ def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
         expected_frame=lambda p: frame(np.asarray(p)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
+        divisor_slots=(0, 1), isotropy=_affine_isotropy(0, 6),
     )
 
 
 # ---------------------------------------------------------------------------
 # strong fibre product over base x base
 # ---------------------------------------------------------------------------
-
-class _FibreProductModel(GroupoidChartModel):
-    """Pairs of arrows with equal (target, source) base pairs."""
-
-    def extra_kernel_rows(self, arrow_point, ts_jacobian=None, prof=DEFAULT_PROFILE):
-        m1, m2 = self.factors
-        d1 = m1.arrow_dim
-        g = np.asarray(arrow_point, dtype=float)
-        # the ambient ts reads only the first factor: its first d1
-        # columns are exactly the Jacobian of m1.ts at g[:d1]
-        if ts_jacobian is None:
-            j1 = jacobian(m1.ts, g[..., :d1], prof)
-        else:
-            j1 = ts_jacobian[..., :d1]
-        j2 = jacobian(m2.ts, g[..., d1:], prof)
-        return np.concatenate([j1, -j2], axis=-1)
-
 
 def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
                   check_transverse: bool = True, seed: int = 11,
@@ -867,9 +984,11 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
     pairs; structure maps act componentwise.  The two chart-to-base-pair
     maps must be transverse, verified numerically by the rank of the
     combined Jacobian at sampled arrows (NotTransverse reports it).
-    The Hausdorff flag is the conjunction of the factors' flags.  Base
-    samplers default to the first factor's but can be overridden when
-    the joint divisor has more strata than either factor sees alone.
+    The Hausdorff flag is the conjunction of the factors' flags, the
+    divisor slots are the union of theirs, and the isotropy law is the
+    torus law over those slots.  Base samplers default to the first
+    factor's but can be overridden when the joint divisor has more
+    strata than either factor sees alone.
     """
     if m1.base_dim != m2.base_dim:
         raise DimensionMismatch("fibre_product: factors over different bases")
@@ -908,8 +1027,10 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
     def expected_frame(p):
         if m1.expected_frame is None or m2.expected_frame is None:
             return None
-        return _span_intersection(np.atleast_2d(m1.expected_frame(p)),
-                                  np.atleast_2d(m2.expected_frame(p)))
+        f1, f2 = np.atleast_2d(m1.expected_frame(p)), np.atleast_2d(m2.expected_frame(p))
+        if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
+            return np.full((nd, nd), np.nan)    # no intersection to take: fail closed
+        return _span_intersection(f1, f2)
 
     has_factors = m1.divisor_factors or m2.divisor_factors
 
@@ -937,7 +1058,8 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
                                    "fibre.ts(ambient)")
     fd_unit = SmoothMap.from_formula(nd, d1 + d2, unit_pair, None, "fibre.unit")
 
-    model = _FibreProductModel(
+    slots = tuple(sorted(set(m1.divisor_slots) | set(m2.divisor_slots)))
+    model = GroupoidChartModel(
         name=f"fibre:{m1.name},{m2.name}", arrow_dim=d1 + d2, base_dim=nd,
         source_of=lambda g: m1.source_of(split(g)[0]),
         target_of=lambda g: m1.target_of(split(g)[0]),
@@ -951,9 +1073,9 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base_sampler, sample_base_like=base_like,
         divisor_factors=divisor_factors if has_factors else None,
-        algebroid_maps=(fd_ts, fd_unit),
+        algebroid_maps=(fd_ts, fd_unit), factors=(m1, m2),
+        divisor_slots=slots, isotropy=TORUS_ISOTROPY if slots else None,
     )
-    object.__setattr__(model, "factors", (m1, m2))
 
     if check_transverse:
         rng = np.random.Generator(np.random.Philox(key=seed))

@@ -350,7 +350,9 @@ def _orthonormal_rows(spans, rank_tol: float, abs_floor: float) -> list:
     One SVD call per group of spanning sets of equal shape.  The
     absolute floor keeps finite-difference noise from promoting a
     direction the exact frame does not have (frames vanish identically
-    on divisor strata while their numerical images are ~1e-11).
+    on divisor strata while their numerical images are ~1e-11).  A set
+    holding NaN or an infinity has no basis: its entry is None, and it
+    stays out of its group's SVD call.
     """
     out = [np.zeros((0, A.shape[1])) for A in spans]
     groups = defaultdict(list)
@@ -358,7 +360,13 @@ def _orthonormal_rows(spans, rank_tol: float, abs_floor: float) -> list:
         if A.shape[0] and A.any():
             groups[A.shape].append(i)
     for idx in groups.values():
-        _, svals, vt = np.linalg.svd(np.stack([spans[i] for i in idx]), full_matrices=False)
+        stack = np.stack([spans[i] for i in idx])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            for i in np.asarray(idx)[~finite]:
+                out[i] = None
+            idx, stack = [i for i, ok in zip(idx, finite) if ok], stack[finite]
+        _, svals, vt = np.linalg.svd(stack, full_matrices=False)
         cutoff = np.maximum(rank_tol * svals[:, 0], abs_floor)
         ranks = np.count_nonzero(svals > cutoff[:, None], axis=1)
         for i, v, rank in zip(idx, vt, ranks):
@@ -374,7 +382,8 @@ def _is_stack(A) -> bool:
 def subspace_angle(A, B, rank_tol: float = 1e-9, abs_floor: float = 1e-7):
     """Largest principal angle between span(A) and span(B), in radians.
 
-    Returns ``pi/2`` on a rank mismatch (the spans cannot be equal).
+    Returns ``pi/2`` on a rank mismatch (the spans cannot be equal),
+    and NaN when either spanning set holds a NaN or an infinity.
     Zero and near-noise vectors in either spanning set are ignored.
     ``A`` and ``B`` may also be stacks, equal-length sequences of 2-D
     spanning sets; the result is then the array of their angles, with
@@ -394,7 +403,9 @@ def subspace_angle(A, B, rank_tol: float = 1e-9, abs_floor: float = 1e-7):
     angles = np.zeros(len(As))
     by_rank = defaultdict(list)
     for i, (qa, qb) in enumerate(zip(Qa, Qb)):
-        if qa.shape[0] != qb.shape[0]:
+        if qa is None or qb is None:
+            angles[i] = np.nan
+        elif qa.shape[0] != qb.shape[0]:
             angles[i] = np.pi / 2
         elif qa.shape[0]:
             by_rank[qa.shape[0]].append(i)

@@ -26,9 +26,9 @@ import numpy as np
 
 from .divisors import residue_model_frame
 from .errors import NotComposable, SamplerExhausted
-from .groupoids import (GroupoidChartModel, _annulus, _box, _branch, _cabs,
-                        _cdiv, _cexp, _cmul, _cx, _exp_model, _finite,
-                        _nonzero, _pair, case1_model)
+from .groupoids import (GroupoidChartModel, _affine_isotropy, _annulus, _box,
+                        _branch, _cabs, _cdiv, _cexp, _cmul, _cx, _exp_model,
+                        _finite, _nonzero, _pair, _relabel, case1_model)
 from .kernel import FormField, SmoothMap
 
 __all__ = [
@@ -172,6 +172,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None,
         expected_frame=_nonzero_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
+        divisor_slots=(0, 1),
     )
 
     fval = f if f is not None else (lambda p: 1.0)
@@ -397,6 +398,7 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
         expected_frame=lambda p: frame(np.asarray(p)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
+        divisor_slots=(0, 1), isotropy=_affine_isotropy(4, 0),
     )
 
     omega = _dlog_wedge_form()
@@ -481,66 +483,15 @@ def _zero_Omega(sign: float) -> FormField:
 def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
     """Blow-up model of (C^2, {u = 0}) receiving the zero-residue morphism.
 
-    Arrows (A, B, w1, w2) with B != 0: t = (A, w1), s = (AB, w2);
-    multiplication keeps the first blow-up data and composes the free
-    coordinates, the smooth-divisor picture with a complex transverse
-    direction.
+    case1(4) with arrows (A, B, w1, w2), B != 0, over base points (u, v):
+    t = (A, w1), s = (AB, w2), (A, B, w1, w2)(A', B', w1', w2') =
+    (A, B B', w1, w2'), inverse (AB, 1/B, w2, w1), unit (u, 1, v, v).
+    These are case1's (x, y, a, b) at x = w1, y = w2, a = A, b = B over
+    its base (x, z) = (v, u): the smooth-divisor picture with a complex
+    transverse direction.
     """
-
-    def source_of(g):
-        return _cmul(g[0], g[1], g[2], g[3]) + (g[6], g[7])
-
-    def target_of(g):
-        return (g[0], g[1], g[4], g[5])
-
-    def compose_raw(g, h):
-        return (g[0], g[1]) + _cmul(g[2], g[3], h[2], h[3]) + (g[4], g[5], h[6], h[7])
-
-    def invert(g):
-        return (_cmul(g[0], g[1], g[2], g[3]) + _cdiv(1.0, 0.0, g[2], g[3])
-                + (g[6], g[7], g[4], g[5]))
-
-    def unit_at(p):
-        return (p[0], p[1], 1.0, 0.0, p[2], p[3], p[2], p[3])
-
-    def arrow_valid(g):
-        if len(g) != 8:
-            return False
-        return _finite(g) & _nonzero(g[2], g[3])
-
-    def arrow_between(p, q, rng):
-        u, w1 = _cx(p, 0), _cx(p, 2)
-        u2, w2 = _cx(q, 0), _cx(q, 2)
-        if u == 0 and u2 == 0:
-            B = _annulus(rng, 0.4, 1.8)
-            return (0.0, 0.0) + _pair(B) + _pair(w1) + _pair(w2)
-        if u == 0 or u2 == 0:
-            raise NotComposable("no arrow between strata")
-        return _pair(u) + _pair(u2 / u) + _pair(w1) + _pair(w2)
-
-    def sample_arrow(rng):
-        A = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.2, 1.1)
-        B = _annulus(rng, 0.4, 1.8)
-        return _pair(A) + _pair(B) + (_box(rng), _box(rng), _box(rng), _box(rng))
-
-    def expected_frame(p):
-        u1, u2 = p[0], p[1]
-        rows = np.zeros((4, 4))
-        rows[0, 0], rows[0, 1] = u1, u2
-        rows[1, 0], rows[1, 1] = -u2, u1
-        rows[2, 2] = rows[3, 3] = 1.0
-        return rows
-
-    return GroupoidChartModel(
-        name="H(zero)", arrow_dim=8, base_dim=4,
-        source_of=source_of, target_of=target_of, compose_raw=compose_raw,
-        invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol,
-        expected_frame=expected_frame,
-        arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=_zero_base, sample_base_like=_zero_base_like,
-        divisor_factors=lambda g: [(g[0], g[1], g[2], g[3])],
-    )
+    return _relabel(case1_model(4, composable_tol), "H(zero)", (2, 3, 0, 1),
+                    (4, 5, 6, 7, 0, 1, 2, 3))
 
 
 def zero_target_Omega() -> FormField:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from egl.apaths import PolarCurve, apath_anchor_residual, apath_rescale
 from egl.checks import (_Accumulator, _gap, check_algebroid, check_groupoid_axioms,
-                        check_isotropy, lie_algebroid_of, perturbed_model)
+                        check_isotropy, lie_algebroid_of, perturbed_model, rng_for)
 from egl.divisors import residue_model_frame
 from egl.errors import DegenerateRadius
-from egl.groupoids import case1_model, caseIV_model, pair_groupoid, ssc_surface_model
+from egl.groupoids import (case1_model, caseIV_model, fibre_product, pair_groupoid,
+                           ssc_surface_model)
 from egl.kernel import DEFAULT_PROFILE, subspace_angle, subspace_equal
+from egl.registry import build_model
 from egl.symplectic import (symplectic_nonzero_residue_model,
                             symplectic_zero_residue_model)
 
@@ -115,6 +117,81 @@ def test_isotropy_checks_pass():
                   symplectic_zero_residue_model().model):
         rep = check_isotropy(model, n_samples=200, seed=3)
         assert rep.ok, model.name
+
+
+@pytest.mark.parametrize("name", ["caseIV", "case2", "sympl-zero", "action-groupoid",
+                                  "fibre:case1,case1"])
+def test_isotropy_law_travels_with_a_renamed_model(name):
+    # the law is a field of the model, not read off its name
+    model = replace(build_model(name).chart, name="renamed")
+    rep = check_isotropy(model, n_samples=200, seed=3)
+    assert rep.ok and rep.samples == 200
+
+
+def test_isotropy_of_a_perturbed_model_is_a_report():
+    model = caseIV_model(4, 2)
+    # component 0 offsets a_1, which the law also compares: a report, not a crash
+    assert check_isotropy(perturbed_model(model), n_samples=100, seed=3).model \
+        == "caseIV(4,2)+eps"
+    # component 4 is Re b_1, the torus coordinate itself
+    rep = check_isotropy(perturbed_model(model, component=4), n_samples=100, seed=3)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert rep.max_residual == pytest.approx(1e-3)
+    assert rep.witnesses and rep.witnesses[0]["residual"] == pytest.approx(1e-3)
+
+
+def test_a_non_finite_frame_fails_the_algebroid_check_with_a_witness():
+    # NumPy's SVD raises on NaN; the check must fail closed instead
+    model = replace(case1_model(4), expected_frame=lambda p: np.full((4, 4), np.nan))
+    rep = check_algebroid(model, n_points=30, seed=3)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert rep.max_residual == math.inf
+    assert rep.witnesses[0]["map"] == "expected_frame"
+    assert set(rep.witnesses[0]) == {"residual", "p", "map"}
+
+
+def test_a_non_finite_frame_leaves_the_rest_of_its_block_alone():
+    base = case1_model(4)
+
+    def frame(p):
+        rows = base.expected_frame(p)
+        return rows + np.inf if p[0] > 0 else rows
+
+    model = replace(base, expected_frame=frame)
+    rng = rng_for(3, "algebroid:case1(4)")
+    points = [base.random_base(rng) for _ in range(60)]
+    bad = np.array([p[0] > 0 for p in points])
+    assert bad.any() and not bad.all()
+    recovered = lie_algebroid_of(base, points)
+    angles = subspace_angle(recovered, [frame(p) for p in points])
+    assert np.isnan(angles[bad]).all()
+    clean = subspace_angle([r for r, b in zip(recovered, bad) if not b],
+                           [base.expected_frame(p) for p, b in zip(points, bad) if not b])
+    assert angles[~bad].tobytes() == clean.tobytes()
+    rep = check_algebroid(model, n_points=60, seed=3)
+    assert rep.passed == int((~bad).sum())
+    assert [w["p"] for w in rep.witnesses] == [[round(x, 6) for x in p]
+                                               for p, b in zip(points, bad) if b][:20]
+    assert all(w["map"] == "expected_frame" and w["residual"] == math.inf
+               for w in rep.witnesses)
+
+
+def test_a_non_finite_factor_frame_fails_the_fibre_algebroid_check():
+    fibre = build_model("fibre:case1,case1").chart
+    m1, m2 = fibre.factors
+    bad = replace(m1, expected_frame=lambda p: np.full((4, 4), np.nan))
+    model = replace(fibre, expected_frame=fibre_product(bad, m2).expected_frame)
+    rep = check_algebroid(model, n_points=20, seed=3)
+    assert rep.verdict == "fail" and rep.max_residual == math.inf
+    assert rep.witnesses[0]["map"] == "expected_frame"
+
+
+def test_a_renamed_fibre_product_keeps_its_factors():
+    # the gluing rows come from the factors: a copy without them would
+    # recover the wrong algebroid
+    model = replace(build_model("fibre:case1,case1").chart, name="renamed")
+    assert model.factors is not None
+    assert check_algebroid(model, n_points=20, seed=3).ok
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,98 @@ def test_blowup_maps_match_their_closed_forms(n, k):
             assert _float_bits(model.unit_at(p)) == _float_bits(unit(p))
 
 
+def _h_zero_closed_forms():
+    """H(zero)'s docstring maps on (A, B, w1, w2) over (u, v), in complex arithmetic."""
+    def parts(g):
+        return tuple(complex(g[i], g[i + 1]) for i in range(0, 8, 2))
+
+    def flat(*zs):
+        return tuple(v for z in zs for v in (z.real, z.imag))
+
+    def source(g):
+        A, B, _, w2 = parts(g)
+        return flat(A * B, w2)
+
+    def target(g):
+        A, _, w1, _ = parts(g)
+        return flat(A, w1)
+
+    def compose(g, h):
+        A, B, w1, _ = parts(g)
+        _, B2, _, w22 = parts(h)
+        return flat(A, B * B2, w1, w22)
+
+    def invert(g):
+        A, B, w1, w2 = parts(g)
+        return flat(A * B, 1.0 / B, w2, w1)
+
+    def unit(p):
+        return tuple(p[:2]) + (1.0, 0.0) + tuple(p[2:]) + tuple(p[2:])
+
+    return source, target, compose, invert, unit
+
+
+def test_h_zero_maps_match_their_closed_forms():
+    # the same fixed arrows as the blow-up test: generic, A = 0, signed
+    # zeros and a purely imaginary B
+    generic = (0.3, -0.7, 1.1, 0.2, 0.5, -0.4, 0.6, -0.25)
+    on_divisor = (0.0, 0.0) + generic[2:]
+    signed_zeros = (-0.0, 0.0, 0.7, -0.0, -0.0, -0.4, 0.6, -0.0)
+    imaginary_b = generic[:2] + (0.0, 1.5) + generic[4:]
+    arrows = [generic, on_divisor, signed_zeros, imaginary_b]
+    bases = [generic[:4], (0.0, -0.0, 0.6, -0.25), signed_zeros[4:]]
+    model = zero_residue_target_model()
+    source, target, compose, invert, unit = _h_zero_closed_forms()
+    for g in arrows:
+        assert _float_bits(model.source_of(g)) == _float_bits(source(g))
+        assert _float_bits(model.target_of(g)) == _float_bits(target(g))
+        assert _float_bits(model.invert(g)) == _float_bits(invert(g))
+        for h in arrows:
+            assert _float_bits(model.compose_raw(g, h)) == _float_bits(compose(g, h))
+    for p in bases:
+        assert _float_bits(model.unit_at(p)) == _float_bits(unit(p))
+        u1, u2 = p[:2]
+        frame = np.array([[u1, u2, 0, 0], [-u2, u1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                         dtype=float)
+        assert model.expected_frame(p).tobytes() == frame.tobytes()
+    assert model.divisor_slots == (0, 1)
+    assert not model.arrow_valid(generic + (0.0,))
+
+
+# smooth-factor(6, 2, j) reads its base (x, z_1, z_2) as case1(6)'s (x', z)
+# with z = z_{j+1}: swapping the pairs for j = 0, as is for j = 1
+_TO_CASE1 = {0: lambda p: tuple(p[:2]) + tuple(p[4:]) + tuple(p[2:4]),
+             1: lambda p: tuple(p)}
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_smooth_factor_maps_match_their_closed_forms(j):
+    shuffle = _TO_CASE1[j]      # its own inverse
+    vals = (0.3, -0.7, 1.1, 0.2, 0.5, -0.4, 0.6, -0.25, 1.3, 0.45, -0.8, 0.9)
+    generic = vals
+    on_divisor = vals[:8] + (0.0, 0.0) + vals[10:]
+    signed_zeros = tuple(-0.0 if i % 3 == 0 else x for i, x in enumerate(on_divisor))
+    signed_zeros = signed_zeros[:10] + (0.7, -0.0)
+    imaginary_b = vals[:10] + (0.0, 1.5)
+    arrows = [generic, on_divisor, signed_zeros, imaginary_b]
+    bases = [vals[:6], shuffle(vals[:4] + (0.0, -0.0)), signed_zeros[:6]]
+    model = smooth_factor_model(6, 2, j)
+    source, target, compose, invert, unit = _blowup_closed_forms(4, 1)
+    for g in arrows:
+        assert _float_bits(model.source_of(g)) == _float_bits(shuffle(source(g)))
+        assert _float_bits(model.target_of(g)) == _float_bits(shuffle(target(g)))
+        assert _float_bits(model.invert(g)) == _float_bits(invert(g))
+        for h in arrows:
+            assert _float_bits(model.compose_raw(g, h)) == _float_bits(compose(g, h))
+    pj = 2 + 2 * j
+    for p in bases:
+        assert _float_bits(model.unit_at(p)) == _float_bits(unit(shuffle(p)))
+        frame = np.eye(6)
+        frame[pj:pj + 2, pj:pj + 2] = [[p[pj], p[pj + 1]], [-p[pj + 1], p[pj]]]
+        assert model.expected_frame(p).tobytes() == frame.tobytes()
+    assert model.divisor_slots == (pj, pj + 1)
+
+
 def test_caseIV_reduces_to_case1_pointwise(rng):
     # the fixed-point closed forms above are the independent oracle; this
     # checks that both constructors reach them with the same arguments
@@ -421,6 +513,26 @@ def test_arrow_between_refuses_endpoints_on_different_strata(name):
         with pytest.raises(NotComposable):
             model.arrow_between(p, q, rng)
     assert model.arrow_valid(model.arrow_between(on, on, rng))
+
+
+_FACTORS = {f"smooth-factor(6,2,{j})": j for j in (0, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(_STRATA_CASES) + sorted(_FACTORS))
+def test_divisor_slots_name_the_deepest_stratum(name):
+    # a point zeroed on the slots is on the deepest stratum: no arrow
+    # joins it to a point where any one slot pair is nonzero
+    model = (smooth_factor_model(6, 2, _FACTORS[name]) if name in _FACTORS
+             else _strata_model(name))
+    slots = model.divisor_slots
+    assert slots and len(slots) % 2 == 0
+    on = tuple(0.0 if i in slots else 0.3 - 0.1 * i for i in range(model.base_dim))
+    rng = rng_for(7, f"slots:{name}")
+    assert model.arrow_valid(model.arrow_between(on, on, rng))
+    for i in slots[::2]:
+        off = on[:i] + (0.5, 0.2) + on[i + 2:]
+        with pytest.raises(NotComposable):
+            model.arrow_between(on, off, rng)
 
 
 _LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v1.json")

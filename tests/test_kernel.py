@@ -346,7 +346,7 @@ def _stack_maps(model, rng):
     ts, unit = model.maps_for_algebroid()
     fd_units = unit(np.asarray(bases, dtype=float))
     cases = [(model.unit, bases), (model.ts, units + arrows), (unit, bases), (ts, fd_units)]
-    if hasattr(model, "factors"):
+    if model.factors is not None:
         d1 = model.factors[0].arrow_dim
         cases.append((model.factors[1].ts, fd_units[:, d1:]))
     plain = model.ts
