@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartInvalid, NotComposable, SamplerExhausted
-from .groupoids import GroupoidChartModel, ideal_values, pair_groupoid
+from .groupoids import COMPOSABLE_TOL, GroupoidChartModel, ideal_values, pair_groupoid
 from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
                      exterior_derivative, jacobian, nullspace, pullback,
@@ -160,8 +160,8 @@ class _Accumulator:
                            witnesses=self.witnesses, details=details or {})
 
 
-def _round_tuple(g, digits=6):
-    return [round(float(x), digits) for x in g]
+def _round_tuple(g):
+    return [round(float(x), 6) for x in g]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def _composed(model: GroupoidChartModel, g, h, g_from: str, h_from: str, n: int,
     """``model.compose(g, h)`` on a block of n pairs, failing closed.
 
     Returns (product, gap, composable, exits).  ``composable`` holds
-    where the endpoint gap is within ``composable_tol`` (never where it
+    where the endpoint gap is within ``COMPOSABLE_TOL`` (never where it
     is NaN); there ``compose`` returns the product, elsewhere it raises
     NotComposable carrying the gap.  ``exits`` lists (rows, map) for the
     rows where ``compose`` raises ChartInvalid instead: g or h (made by
@@ -211,7 +211,7 @@ def _composed(model: GroupoidChartModel, g, h, g_from: str, h_from: str, n: int,
     """
     gap = _gap(model.source_of(g), model.target_of(h))
     out = model.compose_raw(g, h)
-    ok = np.broadcast_to(gap <= model.composable_tol, (n,))
+    ok = np.broadcast_to(gap <= COMPOSABLE_TOL, (n,))
     exits = [(_outside(model, g, n), g_from), (_outside(model, h, n), h_from),
              (ok & _outside(model, out, n), prefix + "compose_raw")]
     return out, gap, ok, exits
@@ -302,14 +302,13 @@ def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
 # Lie algebroid recovery
 # ---------------------------------------------------------------------------
 
-def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFAULT_PROFILE,
-                     null_tol: float = 1e-6):
+def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFAULT_PROFILE):
     """dt(ker ds) at the unit over p, as rows of a frame matrix.
 
-    The kernel of the source differential at the unit is computed
-    numerically and pushed through the target differential; for
-    constrained models (fibre products) the constraint Jacobian rows are
-    appended before the nullspace.  A stack of base points (N, base_dim)
+    The kernel of the source differential at the unit (singular values
+    below 1e-6) is computed numerically and pushed through the target
+    differential; for constrained models (fibre products) the constraint
+    Jacobian rows are appended before the nullspace.  A stack of base points (N, base_dim)
     gives the list of their frames, from one block of units, one stacked
     Jacobian and one stacked nullspace; a point is the one-row stack.
     """
@@ -323,7 +322,7 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     if extra is not None:
         Js = np.concatenate([Js, extra], axis=1)
     frames = [kernel @ Jt.T if kernel.shape[0] else np.zeros((0, b))
-              for kernel, Jt in zip(nullspace(Js, null_tol), J[:, :b])]
+              for kernel, Jt in zip(nullspace(Js, 1e-6), J[:, :b])]
     return frames if p.ndim == 2 else frames[0]
 
 
@@ -336,7 +335,11 @@ def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 
     and compared by one stacked ``subspace_angle``.  The stated frames
     are evaluated per point; a point whose stated frame is not finite
     fails with an inf residual and a witness naming ``expected_frame``.
+    A model without a stated frame raises SamplerExhausted, as
+    ``check_isotropy`` does for a model without its law.
     """
+    if model.expected_frame is None:
+        raise SamplerExhausted(f"{model.name}: no stated algebroid frame")
     rng = rng_for(seed, f"algebroid:{model.name}")
     acc = _Accumulator(prof.subspace_tol)
     for n in _block_sizes(n_points):
@@ -355,8 +358,8 @@ def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 
 # symplectic structure checks
 # ---------------------------------------------------------------------------
 
-def _dense_arrows(sym: SymplecticModel, rng, count: int, need_forms=()):
-    """Arrows where Omega, omega at both endpoints, and extras are defined."""
+def _dense_arrows(sym: SymplecticModel, rng, count: int):
+    """Arrows where Omega and omega at both endpoints are defined."""
     model = sym.model
     out = []
     attempts = 0
@@ -370,18 +373,14 @@ def _dense_arrows(sym: SymplecticModel, rng, count: int, need_forms=()):
         sp, tp = model.source_of(g), model.target_of(g)
         if not (sym.omega_base.defined_at(sp) and sym.omega_base.defined_at(tp)):
             continue
-        if _near_form_singular(sym, g, sp, tp):
-            continue
-        if any(not form.defined_at(g) for form in need_forms):
+        if _near_form_singular(sp) or _near_form_singular(tp):
             continue
         out.append(g)
     return out
 
 
-def _near_form_singular(sym: SymplecticModel, g, sp, tp, margin=0.15) -> bool:
-    def small(p):
-        return (p[0] * p[0] + p[1] * p[1]) < margin * margin
-    return small(sp) or small(tp)
+def _near_form_singular(p) -> bool:
+    return (p[0] * p[0] + p[1] * p[1]) < 0.15 * 0.15
 
 
 def _unit_vectors(rng, dim, count):

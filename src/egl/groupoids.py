@@ -52,6 +52,7 @@ from .kernel import DEFAULT_PROFILE, SmoothMap, jacobian
 from .signedperm import SignedPermutation, semidirect_mul
 
 __all__ = [
+    "COMPOSABLE_TOL",
     "GroupoidChartModel",
     "pair_groupoid",
     "case1_model",
@@ -170,6 +171,11 @@ def _box(rng, half=1.0) -> float:
     return float(rng.uniform(-half, half))
 
 
+# how far apart s(g) and t(h) may be for ``compose`` and the ``m`` view to
+# accept the pair (g, h); the samplers build exactly composable pairs
+COMPOSABLE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class GroupoidChartModel:
     """A groupoid local model on a single coordinate chart.
@@ -183,12 +189,12 @@ class GroupoidChartModel:
     the numerical kernel, passing the formulas tuples of Python floats.
     ``ts`` is target ++ source on ``arrow_valid``, so one Jacobian gives
     dt (its first ``base_dim`` rows) and ds (the rest).
-    ``composable_tol`` is how exactly ``source(g) == target(h)`` must
-    hold before ``compose`` accepts a pair (a NaN gap never does);
-    samplers construct exactly composable data rather than relying on
-    slack.  ``algebroid_maps``, when set, supplies the (ts, unit)
-    SmoothMaps on a smooth sector suitable for finite differencing (used
-    where the full chart carries a discrete coordinate or a gluing
+    ``COMPOSABLE_TOL`` is how exactly ``source(g) == target(h)`` must
+    hold before ``compose`` and ``m`` accept a pair (a NaN gap never
+    does); samplers construct exactly composable data rather than
+    relying on slack.  ``algebroid_maps``, when set, supplies the (ts,
+    unit) SmoothMaps on a smooth sector suitable for finite differencing
+    (used where the full chart carries a discrete coordinate or a gluing
     constraint).  ``factors`` holds a fibre product's two factor models,
     ``divisor_slots`` the base coordinates that vanish on the deepest
     divisor stratum, and ``isotropy`` the exact isotropy law as a
@@ -206,8 +212,6 @@ class GroupoidChartModel:
     invert: Callable
     unit_at: Callable
     arrow_valid: Callable
-    base_valid: Callable = _finite
-    composable_tol: float = 1e-9
     is_hausdorff: bool = True
     expected_frame: Optional[Callable] = None   # base point -> frame rows
     beta_map: Optional[Callable] = None         # arrow -> (target ++ source) blow-down
@@ -232,7 +236,7 @@ class GroupoidChartModel:
         self.require_valid(g)
         self.require_valid(h)
         gap = _maxdiff(self.source_of(g), self.target_of(h))
-        if not gap <= self.composable_tol:
+        if not gap <= COMPOSABLE_TOL:
             err = NotComposable(f"{self.name}: endpoint gap {gap:.3e}")
             err.gap = gap
             raise err
@@ -309,26 +313,21 @@ class GroupoidChartModel:
 
     @property
     def unit(self) -> SmoothMap:
-        return self._view("unit", self.base_dim, self.arrow_dim, self.unit_at,
-                          self.base_valid)
+        return self._view("unit", self.base_dim, self.arrow_dim, self.unit_at, _finite)
 
     @property
     def m(self) -> SmoothMap:
         d = self.arrow_dim
 
-        def split(gh):
-            gh = gh.tolist()
-            return tuple(gh[:d]), tuple(gh[d:])
+        def composable(gh):
+            g, h = gh[:d], gh[d:]
+            ok = self.arrow_valid(g) & self.arrow_valid(h)
+            if not np.any(ok):      # a point off the chart need not evaluate
+                return ok
+            return ok & (_maxdiff(self.source_of(g), self.target_of(h)) <= COMPOSABLE_TOL)
 
-        def pred(gh):
-            g, h = split(gh)
-            if not (self.arrow_valid(g) and self.arrow_valid(h)):
-                return False
-            return _maxdiff(self.source_of(g), self.target_of(h)) <= self.composable_tol
-
-        return SmoothMap(
-            2 * d, d, lambda gh: np.asarray(self.compose_raw(*split(gh)), dtype=float),
-            pred, f"{self.name}.m")
+        return self._view("m", 2 * d, d, lambda gh: self.compose_raw(gh[:d], gh[d:]),
+                          composable)
 
     @property
     def beta(self) -> Optional[SmoothMap]:
@@ -388,12 +387,15 @@ def _torus_draw(model, rng):
 
 
 def _torus_residual(model, g1, g2, out, want):
+    # |a_j| of g1 and g2 is 0 only on an isotropy arrow: without it the
+    # product law holds for every composable pair
     res = 0.0
     for f1, f2, fo in zip(model.divisor_factors(g1), model.divisor_factors(g2),
                           model.divisor_factors(out)):
         b12 = _cmul(*f1[2:], *f2[2:])
-        res = np.maximum(res, np.maximum(_cabs(fo[2] - b12[0], fo[3] - b12[1]),
-                                         _cabs(fo[0] - f1[0], fo[1] - f1[1])))
+        for term in (_cabs(fo[2] - b12[0], fo[3] - b12[1]), _cabs(fo[0] - f1[0], fo[1] - f1[1]),
+                     _cabs(f1[0], f1[1]), _cabs(f2[0], f2[1])):
+            res = np.maximum(res, term)
     return res
 
 
@@ -456,8 +458,9 @@ CASE2_ISOTROPY = (_case2_draw, _case2_residual)
 # pair groupoid
 # ---------------------------------------------------------------------------
 
-def pair_groupoid(dim: int, half: float = 1.2) -> GroupoidChartModel:
+def pair_groupoid(dim: int) -> GroupoidChartModel:
     """The pair groupoid of R^dim: arrows (p, q), s = q, t = p."""
+    half = 1.2      # half-width of the sampled box
 
     def sample_base(rng):
         return tuple(_box(rng, half) for _ in range(dim))
@@ -483,8 +486,7 @@ def pair_groupoid(dim: int, half: float = 1.2) -> GroupoidChartModel:
 # blow-up family: smooth (k = 1) and untwisted coorientable normal-crossing
 # ---------------------------------------------------------------------------
 
-def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
-                  composable_tol: float) -> GroupoidChartModel:
+def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> GroupoidChartModel:
     """Iterated-blow-up chart around a multiplicity-k stratum in dimension n.
 
     Arrows (x, y, a_1..a_k, b_1..b_k) with x, y real (n-2k)-vectors and
@@ -579,7 +581,6 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
         name=name, arrow_dim=2 * n, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol,
         expected_frame=lambda p: divisor.algebroid_frame(np.asarray(p)).vectors,
         beta_map=lambda g: target_of(g) + source_of(g),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
@@ -590,25 +591,25 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
     )
 
 
-def case1_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
+def case1_model(n: int) -> GroupoidChartModel:
     """Blow-up local model for a smooth coorientable divisor: k = 1."""
     if n < 2:
         raise ValueError("case1_model requires n >= 2")
-    return _blowup_model(n, 1, f"case1({n})", 0.25, composable_tol)
+    return _blowup_model(n, 1, f"case1({n})", 0.25)
 
 
-def caseIV_model(n: int, k: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
+def caseIV_model(n: int, k: int) -> GroupoidChartModel:
     """Iterated-blow-up local model around a multiplicity-k stratum."""
     if not (n >= 2 * k >= 2):
         raise ValueError("caseIV_model requires n >= 2k >= 2")
-    return _blowup_model(n, k, f"caseIV({n},{k})", 0.3, composable_tol)
+    return _blowup_model(n, k, f"caseIV({n},{k})", 0.3)
 
 
 # ---------------------------------------------------------------------------
 # coorientation double cover quotient
 # ---------------------------------------------------------------------------
 
-def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartModel:
+def case2_quotient_model(n: int) -> GroupoidChartModel:
     """Quotient of the double-cover model by the deck involution.
 
     Arrows carry the smooth-model chart data plus a sheet-difference bit
@@ -620,7 +621,7 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
     The formulas read delta rounded to the nearest integer; a NaN or
     infinite delta passes through to the outputs instead of raising.
     """
-    base = case1_model(n, composable_tol)
+    base = case1_model(n)
     nx = n - 2
     ia, ib = 2 * nx, 2 * nx + 2
     d = base.arrow_dim
@@ -676,7 +677,7 @@ def case2_quotient_model(n: int, composable_tol: float = 1e-9) -> GroupoidChartM
         name=f"case2({n})", arrow_dim=d + 1, base_dim=n,
         source_of=source_of, target_of=base.target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol, is_hausdorff=True,
+        is_hausdorff=True,
         expected_frame=base.expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base.sample_base, sample_base_like=base.sample_base_like,
@@ -750,8 +751,7 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
         invert=_via(inner.invert, a_in, a_out),
         unit_at=_via(inner.unit_at, b_in, a_out),
         arrow_valid=inner.arrow_valid if same_arrows else arrow_valid,
-        base_valid=_via(inner.base_valid, b_in, _same),
-        composable_tol=inner.composable_tol, is_hausdorff=inner.is_hausdorff,
+        is_hausdorff=inner.is_hausdorff,
         expected_frame=_via(inner.expected_frame, b_in, _same if b_in is _same else frame),
         beta_map=_via(inner.beta_map, a_in, pair_out),
         arrow_between=lambda p, q, rng: a_out(inner.arrow_between(b_in(p), b_in(q), rng)),
@@ -764,8 +764,7 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
     )
 
 
-def smooth_factor_model(n: int, k: int, j: int,
-                        composable_tol: float = 1e-9) -> GroupoidChartModel:
+def smooth_factor_model(n: int, k: int, j: int) -> GroupoidChartModel:
     """Smooth-divisor model for the j-th factor of a k-factor base.
 
     The base keeps the normal-crossing layout (x real, z_1..z_k complex)
@@ -777,7 +776,7 @@ def smooth_factor_model(n: int, k: int, j: int,
         raise ValueError("factor index out of range")
     pj = n - 2 * k + 2 * j
     order = [i for i in range(n) if i not in (pj, pj + 1)] + [pj, pj + 1]
-    return _relabel(case1_model(n, composable_tol), f"smooth-factor({n},{k},{j})",
+    return _relabel(case1_model(n), f"smooth-factor({n},{k},{j})",
                     order, range(2 * n))
 
 
@@ -787,8 +786,7 @@ def smooth_factor_model(n: int, k: int, j: int,
 # ---------------------------------------------------------------------------
 
 def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
-               rmin: float, rmax: float,
-               composable_tol: float = 1e-9) -> GroupoidChartModel:
+               rmin: float, rmax: float) -> GroupoidChartModel:
     """Exponential groupoid on C^2 in one of four conventions.
 
     Arrows (Z, zeta) over the plane with divisor the origin; one endpoint
@@ -867,7 +865,6 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
         name=name, arrow_dim=4, base_dim=2,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=_finite,
-        composable_tol=composable_tol,
         expected_frame=(None if scaled
                         else (lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
@@ -876,7 +873,7 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
     )
 
 
-def ssc_surface_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
+def ssc_surface_model() -> GroupoidChartModel:
     """Exponential model over the plane with divisor the origin.
 
     The exp-on-target, unscaled member of the exponential family:
@@ -886,14 +883,14 @@ def ssc_surface_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
     punctured plane: arrows with equal endpoints have Z in 2 pi i Z and
     compose additively.
     """
-    return _exp_model("ssc-surface", False, False, 1.2, 0.2, 1.5, composable_tol)
+    return _exp_model("ssc-surface", False, False, 1.2, 0.2, 1.5)
 
 
 # ---------------------------------------------------------------------------
 # action groupoid of the affine group on the plane-pair
 # ---------------------------------------------------------------------------
 
-def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
+def action_groupoid_model() -> GroupoidChartModel:
     """Action groupoid of C* x| C acting on C^2.
 
     Arrows ((b, c), (z1, z2)) with b nonzero; the group element acts by
@@ -963,7 +960,6 @@ def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
         name="action-groupoid", arrow_dim=8, base_dim=4,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol,
         expected_frame=lambda p: frame(np.asarray(p)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
@@ -976,7 +972,7 @@ def action_groupoid_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
 # ---------------------------------------------------------------------------
 
 def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
-                  check_transverse: bool = True, seed: int = 11,
+                  seed: int = 11,
                   sample_base=None, sample_base_like=None) -> GroupoidChartModel:
     """Strong fibre product of two models over base x base.
 
@@ -994,7 +990,6 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         raise DimensionMismatch("fibre_product: factors over different bases")
     d1, d2 = m1.arrow_dim, m2.arrow_dim
     nd = m1.base_dim
-    tol = max(m1.composable_tol, m2.composable_tol)
     glue_tol = 1e-7
     base_sampler = sample_base or m1.sample_base
     base_like = sample_base_like or m1.sample_base_like
@@ -1025,8 +1020,6 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         raise SamplerExhausted("fibre product sampler: no compatible base pair")
 
     def expected_frame(p):
-        if m1.expected_frame is None or m2.expected_frame is None:
-            return None
         f1, f2 = np.atleast_2d(m1.expected_frame(p)), np.atleast_2d(m2.expected_frame(p))
         if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
             return np.full((nd, nd), np.nan)    # no intersection to take: fail closed
@@ -1068,8 +1061,8 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         invert=lambda g: m1.invert(split(g)[0]) + m2.invert(split(g)[1]),
         unit_at=unit_pair,
         arrow_valid=arrow_valid,
-        composable_tol=tol, is_hausdorff=m1.is_hausdorff and m2.is_hausdorff,
-        expected_frame=expected_frame,
+        is_hausdorff=m1.is_hausdorff and m2.is_hausdorff,
+        expected_frame=expected_frame if m1.expected_frame and m2.expected_frame else None,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base_sampler, sample_base_like=base_like,
         divisor_factors=divisor_factors if has_factors else None,
@@ -1077,30 +1070,29 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         divisor_slots=slots, isotropy=TORUS_ISOTROPY if slots else None,
     )
 
-    if check_transverse:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        # the origin unit sits on the deepest stratum of every chart
-        # model here, which is where blow-down ranks can drop
-        probes = [model.unit_at((0.0,) * nd)]
-        probes += [model.unit_at(base_sampler(rng)) for _ in range(6)]
-        probes += [model.random_arrow(rng) for _ in range(4)]
-        for g in probes:
-            rows = model.extra_kernel_rows(g)
-            rank = np.linalg.matrix_rank(rows, tol=1e-8)
-            if rank < 2 * nd:
-                raise NotTransverse(
-                    f"fibre_product: combined Jacobian rank {rank} < {2 * nd}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # the origin unit sits on the deepest stratum of every chart model
+    # here, which is where blow-down ranks can drop
+    probes = [model.unit_at((0.0,) * nd)]
+    probes += [model.unit_at(base_sampler(rng)) for _ in range(6)]
+    probes += [model.random_arrow(rng) for _ in range(4)]
+    for g in probes:
+        rows = model.extra_kernel_rows(g)
+        rank = np.linalg.matrix_rank(rows, tol=1e-8)
+        if rank < 2 * nd:
+            raise NotTransverse(
+                f"fibre_product: combined Jacobian rank {rank} < {2 * nd}")
     return model
 
 
-def _span_intersection(f1: np.ndarray, f2: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _span_intersection(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Rows spanning span(f1) (cap) span(f2)."""
     def onb(a):
         a = np.atleast_2d(a)
         if not a.any():
             return np.zeros((0, a.shape[1]))
         _, sv, vt = np.linalg.svd(a, full_matrices=False)
-        return vt[sv > tol * sv[0]]
+        return vt[sv > 1e-9 * sv[0]]
 
     q1, q2 = onb(f1), onb(f2)
     n = f1.shape[1]

@@ -344,7 +344,7 @@ def nullspace(M, tol: float):
     return bases if M.ndim == 3 else bases[0]
 
 
-def _orthonormal_rows(spans, rank_tol: float, abs_floor: float) -> list:
+def _orthonormal_rows(spans) -> list:
     """Orthonormal bases of the row spans, dropping near-zero directions.
 
     One SVD call per group of spanning sets of equal shape.  The
@@ -367,7 +367,7 @@ def _orthonormal_rows(spans, rank_tol: float, abs_floor: float) -> list:
                 out[i] = None
             idx, stack = [i for i, ok in zip(idx, finite) if ok], stack[finite]
         _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-        cutoff = np.maximum(rank_tol * svals[:, 0], abs_floor)
+        cutoff = np.maximum(1e-9 * svals[:, 0], 1e-7)
         ranks = np.count_nonzero(svals > cutoff[:, None], axis=1)
         for i, v, rank in zip(idx, vt, ranks):
             out[i] = v[:rank]
@@ -379,12 +379,14 @@ def _is_stack(A) -> bool:
     return len(A) > 0 and np.ndim(A[0]) == 2
 
 
-def subspace_angle(A, B, rank_tol: float = 1e-9, abs_floor: float = 1e-7):
+def subspace_angle(A, B):
     """Largest principal angle between span(A) and span(B), in radians.
 
     Returns ``pi/2`` on a rank mismatch (the spans cannot be equal),
     and NaN when either spanning set holds a NaN or an infinity.
-    Zero and near-noise vectors in either spanning set are ignored.
+    Zero and near-noise vectors in either spanning set are ignored: the
+    rank of a set counts the singular values above both 1e-9 times its
+    largest one and the absolute floor 1e-7.
     ``A`` and ``B`` may also be stacks, equal-length sequences of 2-D
     spanning sets; the result is then the array of their angles, with
     one SVD call per group of sets of equal shape and one per group of
@@ -398,8 +400,8 @@ def subspace_angle(A, B, rank_tol: float = 1e-9, abs_floor: float = 1e-7):
     for a, b in zip(As, Bs):
         if a.shape[0] and b.shape[0] and a.shape[1] != b.shape[1]:
             raise DimensionMismatch("subspace_angle: ambient dimensions differ")
-    Qa = _orthonormal_rows(As, rank_tol, abs_floor)
-    Qb = _orthonormal_rows(Bs, rank_tol, abs_floor)
+    Qa = _orthonormal_rows(As)
+    Qb = _orthonormal_rows(Bs)
     angles = np.zeros(len(As))
     by_rank = defaultdict(list)
     for i, (qa, qb) in enumerate(zip(Qa, Qb)):

@@ -29,7 +29,7 @@ from .errors import NotComposable, SamplerExhausted
 from .groupoids import (GroupoidChartModel, _affine_isotropy, _annulus, _box,
                         _branch, _cabs, _cdiv, _cexp, _cmul, _cx, _exp_model,
                         _finite, _nonzero, _pair, _relabel, case1_model)
-from .kernel import FormField, SmoothMap
+from .kernel import FormField, SmoothMap, two_form_from_matrix
 
 __all__ = [
     "SymplecticModel",
@@ -82,8 +82,7 @@ def _nonzero_Q(g) -> float:
     return (a * a + b * b) * r2 + 2 * a * x1 + 2 * b * x2 + 1.0
 
 
-def symplectic_nonzero_residue_model(f: Optional[Callable] = None,
-                                     composable_tol: float = 1e-9) -> SymplecticModel:
+def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> SymplecticModel:
     """Local symplectic integration of pi = (r^2/f) dx ^ dy on the plane.
 
     Arrows (x1, x2, a, b) in R^4 minus the surface where the source
@@ -168,8 +167,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None,
         name="sympl-nonzero", arrow_dim=4, base_dim=2,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol,
-        expected_frame=_nonzero_frame,
+        expected_frame=residue_model_frame("nonzero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_slots=(0, 1),
@@ -230,11 +228,6 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None,
     )
 
 
-def _nonzero_frame(p):
-    r2 = p[0] * p[0] + p[1] * p[1]
-    return np.array([[r2, 0.0], [0.0, r2]])
-
-
 def _nonzero_Omega_closed() -> FormField:
     """Closed form of t*omega - s*omega for f = 1, smooth on the whole chart."""
 
@@ -251,11 +244,8 @@ def _nonzero_Omega_closed() -> FormField:
         c[2, 3] = -r2 / Q
         return c - c.T
 
-    def func(p, vs):
-        return vs[0] @ coeff(p) @ vs[1]
-
-    return FormField(2, 4, func, "real",
-                     lambda p: _nonzero_Q(tuple(p)) > 0, "Omega(nonzero)")
+    return two_form_from_matrix(4, coeff, "real", lambda p: _nonzero_Q(tuple(p)) > 0,
+                                "Omega(nonzero)")
 
 
 def _nonzero_Omega_variant() -> FormField:
@@ -276,8 +266,8 @@ def _nonzero_Omega_variant() -> FormField:
         c[1, 3] = 2 * a * x2 / Q
         return c - c.T
 
-    return FormField(2, 4, lambda p, vs: vs[0] @ coeff(p) @ vs[1], "real",
-                     lambda p: _nonzero_Q(tuple(p)) > 0, "Omega(nonzero,variant)")
+    return two_form_from_matrix(4, coeff, "real", lambda p: _nonzero_Q(tuple(p)) > 0,
+                                "Omega(nonzero,variant)")
 
 
 def _nonzero_Omega_assembled(fval) -> FormField:
@@ -322,7 +312,7 @@ def _zero_base_like(p, rng):
     return _pair(u) + (_box(rng), _box(rng))
 
 
-def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticModel:
+def symplectic_zero_residue_model() -> SymplecticModel:
     """Local symplectic integration with vanishing elliptic residue.
 
     Arrows (z, a, b, c) in C^4 with b != 0 over base C^2 with divisor
@@ -394,7 +384,6 @@ def symplectic_zero_residue_model(composable_tol: float = 1e-9) -> SymplecticMod
         name="sympl-zero", arrow_dim=8, base_dim=4,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        composable_tol=composable_tol,
         expected_frame=lambda p: frame(np.asarray(p)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
@@ -480,7 +469,7 @@ def _zero_Omega(sign: float) -> FormField:
                      lambda p: _cx(tuple(p), 4) != 0, f"Omega(zero,{tag})")
 
 
-def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartModel:
+def zero_residue_target_model() -> GroupoidChartModel:
     """Blow-up model of (C^2, {u = 0}) receiving the zero-residue morphism.
 
     case1(4) with arrows (A, B, w1, w2), B != 0, over base points (u, v):
@@ -490,7 +479,7 @@ def zero_residue_target_model(composable_tol: float = 1e-9) -> GroupoidChartMode
     its base (x, z) = (v, u): the smooth-divisor picture with a complex
     transverse direction.
     """
-    return _relabel(case1_model(4, composable_tol), "H(zero)", (2, 3, 0, 1),
+    return _relabel(case1_model(4), "H(zero)", (2, 3, 0, 1),
                     (4, 5, 6, 7, 0, 1, 2, 3))
 
 
@@ -657,11 +646,11 @@ def _psi_coefficient(Zr, Zi, wr, wi, threshold: float):
     return _branch(_cabs(wr, wi) < threshold, series, closed)
 
 
-def morphism_psi(series_threshold: float = PSI_SERIES_THRESHOLD) -> SmoothMap:
+def morphism_psi() -> SmoothMap:
     """The covering morphism onto the nonzero-residue model."""
 
     def psi(g):
-        return (g[2], g[3]) + _psi_coefficient(g[0], g[1], g[2], -g[3], series_threshold)
+        return (g[2], g[3]) + _psi_coefficient(g[0], g[1], g[2], -g[3], PSI_SERIES_THRESHOLD)
 
     return SmoothMap.from_formula(4, 4, psi, name="psi")
 

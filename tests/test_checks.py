@@ -1,6 +1,7 @@
 """Check reports, negative controls, algebroid recovery, A-paths."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,12 @@ from egl.apaths import PolarCurve, apath_anchor_residual, apath_rescale
 from egl.checks import (_Accumulator, _gap, check_algebroid, check_groupoid_axioms,
                         check_isotropy, lie_algebroid_of, perturbed_model, rng_for)
 from egl.divisors import residue_model_frame
-from egl.errors import DegenerateRadius
-from egl.groupoids import (case1_model, caseIV_model, fibre_product, pair_groupoid,
-                           ssc_surface_model)
+from egl.errors import DegenerateRadius, SamplerExhausted
+from egl.groupoids import (TORUS_ISOTROPY, case1_model, caseIV_model, fibre_product,
+                           pair_groupoid, ssc_surface_model)
 from egl.kernel import DEFAULT_PROFILE, subspace_angle, subspace_equal
 from egl.registry import build_model
-from egl.symplectic import (symplectic_nonzero_residue_model,
+from egl.symplectic import (psi_domain_candidates, symplectic_nonzero_residue_model,
                             symplectic_zero_residue_model)
 
 PROF = DEFAULT_PROFILE
@@ -138,6 +139,32 @@ def test_isotropy_of_a_perturbed_model_is_a_report():
     assert rep.verdict == "fail" and rep.passed == 0
     assert rep.max_residual == pytest.approx(1e-3)
     assert rep.witnesses and rep.witnesses[0]["residual"] == pytest.approx(1e-3)
+
+
+def _torus_draw_off_the_slots(model, rng):
+    # TORUS_ISOTROPY's draw without zeroing the divisor slots
+    p = model.random_base(rng)
+    return model.arrow_between(p, p, rng), model.arrow_between(p, p, rng), ()
+
+
+@pytest.mark.parametrize("model", [
+    replace(caseIV_model(4, 2), divisor_slots=()),
+    replace(caseIV_model(4, 2), isotropy=(_torus_draw_off_the_slots, TORUS_ISOTROPY[1])),
+], ids=["no-divisor-slots", "draw-ignores-slots"])
+def test_the_torus_law_refuses_arrows_off_the_deepest_stratum(model):
+    # b_j b'_j and a_j hold for every composable pair; only a_j = 0 on
+    # both arrows makes them isotropy arrows
+    rep = check_isotropy(model, n_samples=200, seed=7)
+    assert rep.verdict == "fail" and rep.passed < rep.samples
+    assert rep.witnesses and rep.witnesses[0]["residual"] > PROF.abs_tol
+
+
+def test_the_algebroid_check_refuses_a_model_without_a_stated_frame():
+    model = psi_domain_candidates()["exp-on-target-conjugate-scaled"]
+    assert model.expected_frame is None
+    with pytest.raises(SamplerExhausted,
+                       match=f"^{re.escape(model.name)}: no stated algebroid frame$"):
+        check_algebroid(model, 10, 7)
 
 
 def test_a_non_finite_frame_fails_the_algebroid_check_with_a_witness():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from egl.checks import check_groupoid_axioms, lie_algebroid_of, rng_for
 from egl.errors import ChartInvalid, NotComposable, NotTransverse
-from egl.groupoids import (action_groupoid_model, case1_model,
+from egl.groupoids import (COMPOSABLE_TOL, _maxdiff, action_groupoid_model, case1_model,
                            case2_quotient_model, caseIV_model,
                            elliptic_ideal_pullback, fibre_product,
                            pair_groupoid, smooth_factor_model,
@@ -291,6 +291,30 @@ def test_multiplication_smooth_map_view(rng):
     assert tuple(model.m(gh)) == model.compose(g, h)
     bad = np.array(g + tuple(x + 0.1 for x in h))
     assert not model.m.defined_at(bad)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_m_view_is_compose_row_by_row(name):
+    # m is compose_raw read through _view: a stack gives compose's bits,
+    # and its domain refuses an endpoint gap or a NaN half, point by
+    # point and on a block alike
+    model = build_model(name).chart
+    d = model.arrow_dim
+    rng = rng_for(5, f"m-view:{name}")
+    pairs = [model.random_composable_pair(rng) for _ in range(40)]
+    stack = np.array([g + h for g, h in pairs])
+    want = np.array([model.compose(g, h) for g, h in pairs])
+    assert model.m(stack).view(np.int64).tolist() == want.view(np.int64).tolist()
+    mixed = [g + h for (g, _), (_, h) in zip(pairs, pairs[1:])]
+    gaps = [_maxdiff(model.source_of(gh[:d]), model.target_of(gh[d:])) for gh in mixed]
+    apart = [gh for gh, gap in zip(mixed, gaps) if gap > COMPOSABLE_TOL]
+    assert len(apart) >= len(mixed) // 2
+    nan = (math.nan,) * d
+    rows = [tuple(gh) for gh in stack] + apart + [pairs[0][0] + nan, nan + pairs[0][1]]
+    defined = [model.m.defined_at(gh) for gh in rows]
+    assert defined == [True] * len(stack) + [False] * (len(rows) - len(stack))
+    block = np.broadcast_to(model.m.valid(tuple(np.array(rows).T)), (len(rows),))
+    assert block.tolist() == defined
 
 
 def test_beta_intertwines_multiplication_off_divisor(rng):
