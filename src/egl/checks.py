@@ -8,11 +8,12 @@ controls (a perturbed multiplication, near-miss variant formulas and
 composition, a non-Jacobi bivector) ship alongside so the suite
 demonstrably fails on wrong formulas.
 
-The structure-map suites (axioms, ideal, isotropy, morphism) draw their
-samples one at a time and evaluate every identity once per block of up
-to ``BLOCK_ROWS`` samples, on coordinate columns (see
-``egl.groupoids``); residuals, witnesses and verdicts are those of the
-sample-by-sample evaluation.  They fail closed: where a structure map's
+The structure-map suites (axioms, ideal, isotropy, morphism, variants)
+draw each block of up to ``BLOCK_ROWS`` samples with one sampler call
+and evaluate every identity once per block, on coordinate columns (see
+``egl.groupoids``); samples, residuals, witnesses and verdicts are those
+of the sample-by-sample evaluation, whatever the block size.  They fail
+closed: where a structure map's
 output leaves the chart (``compose`` would raise ChartInvalid), the
 identity's residual is inf and its witness names the map.  The
 algebroid and symplectic checks likewise differentiate a block of
@@ -29,8 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartInvalid, NotComposable, SamplerExhausted
-from .groupoids import COMPOSABLE_TOL, GroupoidChartModel, ideal_values, pair_groupoid
+from .errors import ChartInvalid, SamplerExhausted
+from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, ideal_values, pair_groupoid,
+                        uniforms)
 from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
                      exterior_derivative, jacobian, nullspace, pullback,
@@ -104,8 +106,12 @@ class CheckReport:
 def rng_for(seed: int, label: str) -> np.random.Generator:
     """Philox (counter-based, 64-bit) stream keyed by seed and label.
 
-    The generator identity is part of the report contract
-    ("philox4x64-v1"); changing it is a breaking change.
+    The generator and the layout of the draws read from it are part of
+    the report contract, named by ``egl.report.ARTIFACT["rng"]``: under
+    "philox4x64-v2" every sampler reads a fixed number of uniforms per
+    sample, one ``random`` slab per block, so a block of n samples is
+    the n one-sample draws and no layout depends on ``BLOCK_ROWS``.
+    Changing either is a versioned break.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())],
                    dtype=np.uint64)
@@ -172,22 +178,6 @@ def _block_sizes(n_samples: int) -> list:
     return [min(BLOCK_ROWS, n_samples - start) for start in range(0, n_samples, BLOCK_ROWS)]
 
 
-def _draw_block(draw: Callable, n: int) -> tuple:
-    """n calls of ``draw()``, each a tuple of points, as a tuple of blocks.
-
-    A block holds one column per coordinate.  Each draw is copied in as
-    it is made, so the points themselves are not kept.
-    """
-    parts = draw()
-    blocks = [np.empty((len(p), n)) for p in parts]
-    for i in range(n):
-        if i:
-            parts = draw()
-        for block, p in zip(blocks, parts):
-            block[:, i] = p
-    return tuple(tuple(block) for block in blocks)
-
-
 def _row(block, i) -> list:
     return _round_tuple(column[i] for column in block)
 
@@ -251,14 +241,16 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int = 10_000,
     as a max coordinate residual.  A law whose pair is not composable
     records the endpoint gap.  Each sample's witness names its worst
     identity: the last one that went NaN, else the first largest.
+    ``sampler(rng, n)``, when given, draws the blocks of (g, h, k) in
+    place of ``model.random_composable_triple``.
     """
     rng = rng_for(seed, f"axioms:{model.name}")
     acc = _Accumulator(prof.abs_tol)
     per_axiom = {name: 0.0 for name in AXIOM_NAMES}
-    draw_triple = sampler or model.random_composable_triple
+    draw_triples = sampler or model.random_composable_triple
     last = len(AXIOM_NAMES) - 1
     for n in _block_sizes(n_samples):
-        g, h, k = _draw_block(lambda: draw_triple(rng), n)
+        g, h, k = draw_triples(rng, n)
         with np.errstate(all="ignore"):
             res, exits = _axiom_residuals(model, g, h, k, n)
         for name, column in zip(AXIOM_NAMES, res):
@@ -330,8 +322,8 @@ def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 
                     prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Recovered algebroid span vs the stated frame, by principal angle.
 
-    Base points are drawn one at a time; each block of up to
-    ``BLOCK_ROWS`` of them is recovered by one stacked ``lie_algebroid_of``
+    Each block of up to ``BLOCK_ROWS`` base points is drawn by one
+    ``random_base`` call, recovered by one stacked ``lie_algebroid_of``
     and compared by one stacked ``subspace_angle``.  The stated frames
     are evaluated per point; a point whose stated frame is not finite
     fails with an inf residual and a witness naming ``expected_frame``.
@@ -343,8 +335,9 @@ def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 
     rng = rng_for(seed, f"algebroid:{model.name}")
     acc = _Accumulator(prof.subspace_tol)
     for n in _block_sizes(n_points):
-        points = [model.random_base(rng) for _ in range(n)]
-        recovered = lie_algebroid_of(model, points, prof)
+        stack = np.column_stack(model.random_base(rng, n))
+        points = [tuple(p) for p in stack.tolist()]
+        recovered = lie_algebroid_of(model, stack, prof)
         angles = subspace_angle(recovered, [model.expected_frame(p) for p in points])
         # jacobian refuses non-finite maps, so the recovered frames are
         # finite and a NaN angle is a stated frame holding NaN or inf
@@ -570,42 +563,47 @@ def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
                    tol: float = 1e-7, form_samples: Optional[int] = None) -> CheckReport:
     """s/t compatibility, unit and multiplication intertwining, form pullback.
 
-    Pairs are drawn one at a time, together with the unit vectors of the
-    form comparison (done on the first ``form_samples`` pairs where both
-    forms are defined); the map identities are then evaluated per block.
+    Each block of pairs is drawn by one ``random_composable_pair`` call.
+    A pair that ``sample_filter`` refuses is drawn again, one pair at a
+    time in sample order, from the stream ``morphism-retry:<name>``; the
+    unit vectors of the form comparison (done on the first
+    ``form_samples`` pairs where both forms are defined) come from
+    ``morphism-forms:<name>``.  The map identities are evaluated per block.
     """
     dom, cod, f = bundle.dom, bundle.cod, bundle.f
     image = _block_image(f)
     rng = rng_for(seed, f"morphism:{bundle.name}")
+    retry_rng = rng_for(seed, f"morphism-retry:{bundle.name}")
+    forms_rng = rng_for(seed, f"morphism-forms:{bundle.name}")
+    keep = bundle.sample_filter
     acc = _Accumulator(tol)
     form_budget = form_samples if form_samples is not None else max(1, n_samples // 10)
     forms_done = 0
-    attempts = 0
-
-    def draw():
-        nonlocal attempts, forms_done
-        while True:
-            attempts += 1
-            if attempts > 50 * n_samples:
-                raise SamplerExhausted(f"{bundle.name}: morphism sampler")
-            try:
-                g, h = dom.random_composable_pair(rng)
-            except (SamplerExhausted, NotComposable):
-                continue
-            if not bundle.sample_filter or (bundle.sample_filter(g)
-                                            and bundle.sample_filter(h)):
-                break
-        form_res = 0.0
-        if bundle.dom_form is not None and forms_done < form_budget:
-            if bundle.dom_form.defined_at(g) and bundle.cod_form.defined_at(f(g)):
-                vs = _unit_vectors(rng, dom.arrow_dim, 2)
-                lhs = pullback(f, bundle.cod_form, g, vs, prof)
-                form_res = abs(lhs - bundle.dom_form(g, vs))
-                forms_done += 1
-        return g, h, (form_res,)
-
+    retries = 0
     for n in _block_sizes(n_samples):
-        g, h, (form_res,) = _draw_block(draw, n)
+        g, h = dom.random_composable_pair(rng, n)
+        refused = () if keep is None else np.flatnonzero(
+            ~np.broadcast_to(keep(g) & keep(h), (n,)))
+        for i in refused:
+            while True:
+                retries += 1
+                if retries > 50 * n_samples:
+                    raise SamplerExhausted(f"{bundle.name}: morphism sampler")
+                gi, hi = dom.random_composable_pair(retry_rng)
+                if keep(gi) and keep(hi):
+                    break
+            for column, x in zip(g + h, gi + hi):
+                column[i] = x
+        form_res = np.zeros(n)
+        for i in range(n if bundle.dom_form is not None else 0):
+            if forms_done >= form_budget:
+                break
+            gi = tuple(float(column[i]) for column in g)
+            if bundle.dom_form.defined_at(gi) and bundle.cod_form.defined_at(f(gi)):
+                vs = _unit_vectors(forms_rng, dom.arrow_dim, 2)
+                lhs = pullback(f, bundle.cod_form, gi, vs, prof)
+                form_res[i] = abs(lhs - bundle.dom_form(gi, vs))
+                forms_done += 1
         res, exits = _morphism_residuals(dom, cod, image, g, h, form_res, n)
         acc.add_block(res, lambda i: _with_exit({"g": _row(g, i)}, exits, i))
     return acc.report(f"morphism:{bundle.name}", f"{dom.name}->{cod.name}", seed)
@@ -699,20 +697,26 @@ def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300, seed:
 
     Both facts are asserted: max associativity residual of the derived
     formula stays under ``derived_tol`` while the transposed-slot variant
-    (c + b' c) exceeds ``variant_floor`` on generic samples.
+    (c + b' c) exceeds ``variant_floor`` on generic samples, where a NaN
+    variant residual counts as not exceeding it.  Triples are drawn and
+    both products evaluated per block.
     """
     model = sym.model
     rng = rng_for(seed, f"variants:{model.name}")
     acc = _Accumulator(derived_tol)
     variant_max = 0.0
-    for _ in range(n_samples):
-        g, h, k = model.random_composable_triple(rng)
-        lhs = model.compose_raw(model.compose_raw(g, h), k)
-        rhs = model.compose_raw(g, model.compose_raw(h, k))
-        acc.add(_gap(lhs, rhs), {"g": _round_tuple(g)})
-        lhs_p = sym.compose_variant(sym.compose_variant(g, h), k)
-        rhs_p = sym.compose_variant(g, sym.compose_variant(h, k))
-        variant_max = max(variant_max, _gap(lhs_p, rhs_p))
+    for n in _block_sizes(n_samples):
+        g, h, k = model.random_composable_triple(rng, n)
+        with np.errstate(all="ignore"):
+            lhs = model.compose_raw(model.compose_raw(g, h), k)
+            rhs = model.compose_raw(g, model.compose_raw(h, k))
+            lhs_p = sym.compose_variant(sym.compose_variant(g, h), k)
+            rhs_p = sym.compose_variant(g, sym.compose_variant(h, k))
+            res = np.broadcast_to(_gap(lhs, rhs), (n,))
+            variant = np.broadcast_to(_gap(lhs_p, rhs_p), (n,))
+        acc.add_block(res, lambda i: {"g": _row(g, i)})
+        variant_max = max(variant_max, float(np.max(variant, initial=0.0,
+                                                    where=~np.isnan(variant))))
     report = acc.report("variants", model.name, seed,
                         details={"variant_max_residual": variant_max,
                                  "variant_floor": variant_floor})
@@ -743,7 +747,7 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 
     rng = rng_for(seed, f"isotropy:{model.name}")
     acc = _Accumulator(prof.abs_tol)
     for n in _block_sizes(n_samples):
-        g1, g2, want = _draw_block(lambda: draw(model, rng), n)
+        g1, g2, want = draw(model, uniforms(rng, model.widths.isotropy, n))
         with np.errstate(all="ignore"):
             out, gap, ok, exits = _composed(model, g1, g2, "sample", "sample", n)
             res = _fail_closed(np.where(ok, residual(model, g1, g2, out, want), gap),
@@ -762,13 +766,16 @@ def check_ideal(model: GroupoidChartModel, n_samples: int = 1000, seed: int = 7,
 
     The quantities are those of ``elliptic_ideal_pullback`` on a sampled
     arrow and on the unit at a sampled base point, evaluated per block.
+    The base points come from their own stream, ``ideal-units:<name>``,
+    so that both draws of a block are one slab each.
     """
     if model.divisor_factors is None:
         raise ChartInvalid(f"{model.name}: no divisor factor data")
     rng = rng_for(seed, f"ideal:{model.name}")
+    units_rng = rng_for(seed, f"ideal-units:{model.name}")
     acc = _Accumulator(prof.abs_tol)
     for n in _block_sizes(n_samples):
-        g, p = _draw_block(lambda: (model.random_arrow(rng), model.random_base(rng)), n)
+        g, p = model.random_arrow(rng, n), model.random_base(units_rng, n)
         with np.errstate(all="ignore"):
             u = model.unit_at(p)
             s_val, t_val, ratio = ideal_values(model.divisor_factors(g))

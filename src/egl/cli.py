@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, EglError
-from .registry import CHECK_NAMES, DEFAULT_SAMPLES, MODEL_NAMES, SAMPLE_CAPS
+from .registry import CHECK_NAMES, DEFAULT_SAMPLES, MODEL_NAMES, SAMPLE_CAPS, build_model
 from .report import RunConfig, run_decide, run_verify
 
 __all__ = ["main", "entry", "resolve_fixture"]
@@ -108,8 +108,12 @@ def main(argv=None) -> int:
                 print(f"{name}  (default samples: {DEFAULT_SAMPLES[name]})")
             return 0
         if args.command == "verify":
-            checks = ([c.strip() for c in args.checks.split(",") if c.strip()]
-                      if args.checks else list(CHECK_NAMES))
+            if args.checks:
+                checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+            else:       # every check that applies to one of the models
+                applies = {c for name in args.model
+                           for c in build_model(name, args.dim, args.k).checks}
+                checks = [c for c in CHECK_NAMES if c in applies]
             config = RunConfig(models=args.model, checks=checks, seed=args.seed,
                                samples=args.samples, dim=args.dim, k=args.k,
                                tol=_parse_tol(args.tol))

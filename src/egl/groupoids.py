@@ -6,21 +6,27 @@ closed-form evaluators for source, target, multiplication, inverse and
 unit, plus a chart-validity predicate.  Each evaluator is one formula
 on a tuple of coordinates, and a coordinate is either a Python float
 (one point) or an (N,) float column (a block of N points): the sampled
-suites draw points one at a time and evaluate every identity once per
-block, the kernel's stacked Jacobians evaluate every stencil point of a
-stack at once through the SmoothMap views, and the samplers and
-``compose`` pass single points.  On a block,
-some output coordinates may be plain floats (constants such as the unit
-fibre); they broadcast against the columns.
+suites draw and evaluate every identity once per block, the kernel's
+stacked Jacobians evaluate every stencil point of a stack at once
+through the SmoothMap views, and ``compose`` passes single points.  On
+a block, some output coordinates may be plain floats (constants such
+as the unit fibre); they broadcast against the columns.
+
+The samplers are formulas too: each reads a fixed number of uniforms in
+[0, 1) per sample (the model's ``widths``), floats or columns, and
+branches instead of drawing again, so a block drawn as one
+``rng.random`` slab is, row for row, the one-sample draws.
 
 Complex arithmetic is written on real pairs (``_cmul``, ``_cdiv``,
-``_cexp``, ``_cabs``) with the operations CPython's complex type
-performs, so a point and the same point inside a block give the same
-bits.  Predicates return a bool for a point and a bool column for a
-block.  The ``ts`` view (target ++ source) lets one Jacobian serve both
-endpoint maps, and the algebroid computation differentiates the pair
-``(ts, unit)``.  All models are immutable value objects; samplers draw
-from an explicit seeded generator, so a fixed seed fixes every report.
+``_cexp``, ``_clog``, ``_cabs``) with the operations CPython's complex
+type performs, so a point and the same point inside a block give the
+same bits (NumPy's real ``cos``, ``sin`` and ``log`` may run SIMD
+kernels with other last bits).  Predicates return a bool for a point
+and a bool column for a block.  The ``ts`` view (target ++ source)
+lets one Jacobian serve both endpoint maps, and the algebroid
+computation differentiates the pair ``(ts, unit)``.  All models are
+immutable value objects; samplers draw from an explicit seeded
+generator, so a fixed seed fixes every report.
 
 Each family of formulas is written once.  case1 is the k = 1 member of
 the blow-up family behind caseIV; the smooth factors of a normal-crossing
@@ -39,7 +45,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Optional, Tuple
 
@@ -54,6 +60,8 @@ from .signedperm import SignedPermutation, semidirect_mul
 __all__ = [
     "COMPOSABLE_TOL",
     "GroupoidChartModel",
+    "Widths",
+    "uniforms",
     "pair_groupoid",
     "case1_model",
     "caseIV_model",
@@ -68,10 +76,6 @@ __all__ = [
 
 def _cx(g, i) -> complex:
     return complex(g[i], g[i + 1])
-
-
-def _pair(z: complex) -> Tuple[float, float]:
-    return (z.real, z.imag)
 
 
 def _is_block(*xs) -> bool:
@@ -140,14 +144,42 @@ def _cdiv(ar, ai, br, bi):
                    lambda: _branch(abs_i >= abs_r, by_imag, lambda: (math.nan, math.nan)))
 
 
+def _by_rows(fn, *xs):
+    """``fn(*xs)`` on a point; on a block, ``fn`` on each row's floats,
+    as a tuple of columns, so every row has the bits of the point."""
+    if not _is_block(*xs):
+        return fn(*xs)
+    rows = [fn(*row) for row in zip(*(c.tolist() for c in np.broadcast_arrays(*xs)))]
+    return tuple(np.array(rows, dtype=float).T)
+
+
 def _cexp(re, im):
-    """e^(re + i im): ``cmath.exp`` on a point, ``np.exp`` on a complex column."""
-    if _is_block(re, im):
-        z = np.empty(np.broadcast(re, im).shape, dtype=complex)
-        z.real, z.imag = re, im
+    """e^(re + i im): ``cmath.exp`` on a point, ``np.exp`` on a complex column.
+
+    Where ``cmath.exp`` raises (overflow, or an infinite imaginary
+    part), a point takes the value of its one-row block.
+    """
+    if not _is_block(re, im):
+        try:
+            w = cmath.exp(complex(re, im))
+            return (w.real, w.imag)
+        except (OverflowError, ValueError):
+            return tuple(float(x[0]) for x in _cexp(np.array([re]), np.array([im])))
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(z)
-    else:
-        w = cmath.exp(complex(re, im))
+    return (w.real, w.imag)
+
+
+def _clog(re, im):
+    """log(re + i im) by ``cmath.log``, row by row on a block (``np.log``
+    may run a SIMD kernel with other last bits); log 0 is (-inf, arg)."""
+    if _is_block(re, im):
+        return _by_rows(_clog, re, im)
+    if re == 0 and im == 0:     # where cmath.log raises
+        return (-math.inf, math.atan2(im, re))
+    w = cmath.log(complex(re, im))
     return (w.real, w.imag)
 
 
@@ -161,14 +193,80 @@ def _square(x):
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
-def _annulus(rng, rmin, rmax) -> complex:
-    mag = float(rng.uniform(rmin, rmax))
-    ph = float(rng.uniform(-math.pi, math.pi))
-    return complex(mag * math.cos(ph), mag * math.sin(ph))
+def _zero(re, im):
+    return (re == 0) & (im == 0)
 
 
-def _box(rng, half=1.0) -> float:
-    return float(rng.uniform(-half, half))
+def _refuse(refused, why: str, arrow: Callable):
+    """``arrow()`` unless ``refused``: a refused point raises
+    NotComposable(why), and the refused rows of a block are all NaN."""
+    if not isinstance(refused, np.ndarray):
+        if refused:
+            raise NotComposable(why)
+        return arrow()
+    return tuple(np.where(refused, math.nan, x) for x in arrow())
+
+
+def _join(p, q, i, on_divisor, off, apart=False):
+    """``arrow_between`` for the divisor pair at slots i, i + 1:
+    ``on_divisor()`` where p and q both lie on it (and are not
+    ``apart``), ``off()`` where neither does, refused elsewhere."""
+    on_p, on_q = _zero(p[i], p[i + 1]), _zero(q[i], q[i + 1])
+    return _refuse((on_p != on_q) | (on_p & on_q & apart), "no arrow between different strata",
+                   lambda: _branch(on_p & on_q, on_divisor, off))
+
+
+# -- samplers: formulas of uniforms ------------------------------------------
+
+def uniforms(rng, width: int, n=None) -> tuple:
+    """``width`` uniforms in [0, 1): floats for one sample, or (n,)
+    columns for a block of n.  Either way one ``rng.random`` call; row
+    i of a block holds the numbers of the i-th of n one-sample calls."""
+    if n is None:
+        return tuple(rng.random(width).tolist())
+    return tuple(rng.random((n, width)).T.copy())
+
+
+def _full(x, n):
+    """A drawn point, or a drawn block with every coordinate an (n,) column."""
+    return x if n is None else tuple(np.array(np.broadcast_to(c, (n,)), dtype=float)
+                                     for c in x)
+
+
+def _uniform(u, low, high):
+    """``rng.uniform(low, high)`` read off the uniform u."""
+    return low + (high - low) * u
+
+
+def _box(u, half=1.0):
+    return _uniform(u, -half, half)
+
+
+def _annulus(um, up, rmin, rmax):
+    """A point with rmin <= |z| < rmax, as a real pair, from two uniforms."""
+    mag = _uniform(um, rmin, rmax)
+    c, s = _cexp(0.0, _uniform(up, -math.pi, math.pi))
+    return (mag * c, mag * s)
+
+
+def _zero_or(coin, um, up, rmin, rmax):
+    """0 where ``coin`` holds (the divisor), else an annulus point."""
+    return _branch(coin, lambda: (0.0, 0.0), lambda: _annulus(um, up, rmin, rmax))
+
+
+@dataclass(frozen=True)
+class Widths:
+    """Uniforms per sample of ``sample_arrow``, ``sample_base``,
+    ``sample_base_like``, ``arrow_between`` and the isotropy law's draw."""
+    arrow: int = 0
+    base: int = 0
+    like: int = 0
+    between: int = 0
+    isotropy: int = 0
+
+    @property
+    def extend(self) -> int:
+        return self.like + self.between
 
 
 # how far apart s(g) and t(h) may be for ``compose`` and the ``m`` view to
@@ -182,11 +280,14 @@ class GroupoidChartModel:
 
     The structure-map fields (``source_of``, ``target_of``,
     ``compose_raw``, ``invert``, ``unit_at``, ``arrow_valid``,
-    ``beta_map``, ``divisor_factors``) take a point or a block of points
-    (see the module docstring); the samplers, ``compose`` and
+    ``beta_map``, ``divisor_factors``) and the samplers (``sample_*`` and
+    ``arrow_between``, reading u, ``widths`` uniforms per sample) take a
+    point or a block of points (see the module docstring);
+    ``arrow_between`` refuses endpoints on different strata (a point
+    raises NotComposable, a block row is all NaN).  ``compose`` and
     ``require_valid`` work on single points.  ``s``, ``t``, ``ts``,
     ``m``, ``inv``, ``unit`` expose the same formulas as SmoothMaps for
-    the numerical kernel, passing the formulas tuples of Python floats.
+    the numerical kernel.
     ``ts`` is target ++ source on ``arrow_valid``, so one Jacobian gives
     dt (its first ``base_dim`` rows) and ds (the rest).
     ``COMPOSABLE_TOL`` is how exactly ``source(g) == target(h)`` must
@@ -215,15 +316,16 @@ class GroupoidChartModel:
     is_hausdorff: bool = True
     expected_frame: Optional[Callable] = None   # base point -> frame rows
     beta_map: Optional[Callable] = None         # arrow -> (target ++ source) blow-down
-    arrow_between: Optional[Callable] = None    # (p, q, rng) -> arrow with t=p, s=q
-    sample_arrow: Optional[Callable] = None     # rng -> arrow
-    sample_base: Optional[Callable] = None      # rng -> base point
-    sample_base_like: Optional[Callable] = None  # (p, rng) -> point on p's stratum
+    arrow_between: Optional[Callable] = None    # (p, q, u) -> arrow with t=p, s=q
+    sample_arrow: Optional[Callable] = None     # u -> arrow
+    sample_base: Optional[Callable] = None      # u -> base point
+    sample_base_like: Optional[Callable] = None  # (p, u) -> point on p's stratum
     divisor_factors: Optional[Callable] = None  # arrow -> [(Re a_j, Im a_j, Re b_j, Im b_j)]
     algebroid_maps: Optional[tuple] = None      # (ts, unit) SmoothMaps for FD
     factors: Optional[tuple] = None             # fibre products: (m1, m2)
     divisor_slots: tuple = ()                   # base slots zero on the deepest stratum
     isotropy: Optional[tuple] = None            # (draw, residual): the isotropy law
+    widths: Widths = Widths()                   # uniforms per sample of each sampler
 
     # -- scalar layer ------------------------------------------------------
 
@@ -244,45 +346,48 @@ class GroupoidChartModel:
         self.require_valid(out)
         return out
 
-    def random_arrow(self, rng):
+    def random_arrow(self, rng, n=None):
         if self.sample_arrow is None:
             raise SamplerExhausted(f"{self.name}: no arrow sampler")
-        return self.sample_arrow(rng)
+        return _full(self.sample_arrow(uniforms(rng, self.widths.arrow, n)), n)
 
-    def random_base(self, rng):
+    def random_base(self, rng, n=None):
         if self.sample_base is None:
             raise SamplerExhausted(f"{self.name}: no base sampler")
-        return self.sample_base(rng)
+        return _full(self.sample_base(uniforms(rng, self.widths.base, n)), n)
 
-    def extend_from(self, p, rng):
-        """A random arrow whose target is exactly the base point p.
-
-        No arrow ends at a non-finite p (a structure map went NaN): when
-        ``arrow_between`` refuses one, the arrow returned is all NaN, so
-        the suites fail closed on the sample instead of drawing again.
-        """
+    def _extend(self, p, u):
         if self.arrow_between is None:
             raise SamplerExhausted(f"{self.name}: no endpoint-constrained sampler")
-        for _ in range(64):
-            q = (self.sample_base_like(p, rng) if self.sample_base_like
-                 else self.random_base(rng))
-            try:
-                return self.arrow_between(p, q, rng)
-            except NotComposable:
-                if not _finite(p):
-                    return (math.nan,) * self.arrow_dim
-        raise SamplerExhausted(f"{self.name}: could not extend from {p}")
+        q = self.sample_base_like(p, u[:self.widths.like])
+        try:
+            return self.arrow_between(p, q, u[self.widths.like:])
+        except NotComposable:
+            return (math.nan,) * self.arrow_dim
 
-    def random_composable_pair(self, rng):
+    def extend_from(self, p, rng, n=None):
+        """A random arrow whose target is exactly p (a point, or a block of n).
+
+        q is drawn on p's stratum, so ``arrow_between`` joins p to q when
+        p is finite; where it refuses a non-finite p, the arrow is all
+        NaN, so the suites fail closed on the sample.
+        """
+        return _full(self._extend(p, uniforms(rng, self.widths.extend, n)), n)
+
+    def random_composable_pair(self, rng, n=None):
         """An exactly composable pair, built by extending a random arrow."""
-        g = self.random_arrow(rng)
-        h = self.extend_from(self.source_of(g), rng)
-        return g, h
+        w = self.widths
+        u = uniforms(rng, w.arrow + w.extend, n)
+        g = self.sample_arrow(u[:w.arrow])
+        return _full(g, n), _full(self._extend(self.source_of(g), u[w.arrow:]), n)
 
-    def random_composable_triple(self, rng):
-        g, h = self.random_composable_pair(rng)
-        k = self.extend_from(self.source_of(h), rng)
-        return g, h, k
+    def random_composable_triple(self, rng, n=None):
+        w = self.widths
+        u = uniforms(rng, w.arrow + 2 * w.extend, n)
+        g = self.sample_arrow(u[:w.arrow])
+        h = self._extend(self.source_of(g), u[w.arrow:w.arrow + w.extend])
+        k = self._extend(self.source_of(h), u[w.arrow + w.extend:])
+        return _full(g, n), _full(h, n), _full(k, n)
 
     # -- SmoothMap layer ----------------------------------------------------
 
@@ -368,22 +473,19 @@ class GroupoidChartModel:
 # ---------------------------------------------------------------------------
 # isotropy laws
 # ---------------------------------------------------------------------------
-# An isotropy law is a pair (draw, residual): draw(model, rng) returns one
-# pair of isotropy arrows (g1, g2) and the exact product data it expects;
+# An isotropy law is a pair (draw, residual): draw(model, u) turns the
+# model's ``widths.isotropy`` uniforms into one pair of isotropy arrows
+# (g1, g2) and the exact product data it expects, for a point or a block;
 # residual(model, g1, g2, out, want) measures a block of products ``out``
 # against it.  Both read the model they are given, so a relabelled,
 # renamed or traced copy of a model runs its law unchanged.
 
-def _rand_cstar(rng) -> complex:
-    mag = float(rng.uniform(0.4, 1.7))
-    ph = float(rng.uniform(-np.pi, np.pi))
-    return complex(mag * np.cos(ph), mag * np.sin(ph))
-
-
-def _torus_draw(model, rng):
+def _torus_draw(model, u):
+    w = model.widths
     slots = model.divisor_slots
-    p = tuple(0.0 if i in slots else x for i, x in enumerate(model.random_base(rng)))
-    return model.arrow_between(p, p, rng), model.arrow_between(p, p, rng), ()
+    p = tuple(0.0 if i in slots else x for i, x in enumerate(model.sample_base(u[:w.base])))
+    mid = w.base + w.between
+    return model.arrow_between(p, p, u[w.base:mid]), model.arrow_between(p, p, u[mid:]), ()
 
 
 def _torus_residual(model, g1, g2, out, want):
@@ -408,22 +510,22 @@ def _affine_isotropy(ib: int, iw: int) -> tuple:
     """The affine law (b, c)(b', c') = (b b', c + b c') of the plane.
 
     Isotropy arrows are zero except for (b, c) at arrow slots ib..ib+3
-    and the divisor point's z2 at slots iw, iw+1.
+    and the divisor point's z2 at slots iw, iw+1.  The draw reads 10
+    uniforms.
     """
-    def draw(model, rng):
-        z2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
-        c1 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        c2 = complex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+    def draw(model, u):
+        z2 = (_box(u[0]), _box(u[1]))
+        b1, b2 = _annulus(u[2], u[3], 0.4, 1.7), _annulus(u[4], u[5], 0.4, 1.7)
+        c1, c2 = (_box(u[6]), _box(u[7])), (_box(u[8]), _box(u[9]))
 
         def mk(b, c):
             g = [0.0] * 8
-            g[ib:ib + 4] = (b.real, b.imag, c.real, c.imag)
-            g[iw:iw + 2] = (z2.real, z2.imag)
+            g[ib:ib + 4] = b + c
+            g[iw:iw + 2] = z2
             return tuple(g)
 
-        b, c = b1 * b2, c1 + b1 * c2
-        return mk(b1, c1), mk(b2, c2), (b.real, b.imag, c.real, c.imag)
+        bc2 = _cmul(*b1, *c2)
+        return mk(b1, c1), mk(b2, c2), _cmul(*b1, *b2) + (c1[0] + bc2[0], c1[1] + bc2[1])
 
     def residual(model, g1, g2, out, want):
         return (_cabs(out[ib] - want[0], out[ib + 1] - want[1])
@@ -432,17 +534,24 @@ def _affine_isotropy(ib: int, iw: int) -> tuple:
     return draw, residual
 
 
-def _case2_draw(model, rng):
+_FLIPS = (SignedPermutation((0,), (0,)), SignedPermutation((0,), (1,)))
+
+
+def _semidirect(b1r, b1i, d1, b2r, b2i, d2):
+    """The product (b1, flip^d1)(b2, flip^d2) by ``semidirect_mul``, as reals."""
+    (z,), sp = semidirect_mul(((complex(b1r, b1i),), _FLIPS[int(d1)]),
+                              ((complex(b2r, b2i),), _FLIPS[int(d2)]))
+    return (z.real, z.imag, float(sp.flips[0]))
+
+
+def _case2_draw(model, u):
     nx = model.base_dim - 2
-    x0 = tuple(float(rng.uniform(-1, 1)) for _ in range(nx))
-    b1, b2 = _rand_cstar(rng), _rand_cstar(rng)
-    d1, d2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-    g1 = x0 + x0 + (0.0, 0.0) + (b1.real, b1.imag) + (float(d1),)
-    g2 = x0 + x0 + (0.0, 0.0) + (b2.real, b2.imag) + (float(d2),)
-    flip1 = SignedPermutation((0,), (d1,))
-    flip2 = SignedPermutation((0,), (d2,))
-    (zexp,), spexp = semidirect_mul(((b1,), flip1), ((b2,), flip2))
-    return g1, g2, (zexp.real, zexp.imag, float(spexp.flips[0]))
+    x0 = tuple(_box(x) for x in u[:nx])
+    b1, b2 = _annulus(u[nx], u[nx + 1], 0.4, 1.7), _annulus(u[nx + 2], u[nx + 3], 0.4, 1.7)
+    d1, d2 = 1.0 * (u[nx + 4] < 0.5), 1.0 * (u[nx + 5] < 0.5)
+    g1 = x0 + x0 + (0.0, 0.0) + b1 + (d1,)
+    g2 = x0 + x0 + (0.0, 0.0) + b2 + (d2,)
+    return g1, g2, _by_rows(_semidirect, *b1, d1, *b2, d2)
 
 
 def _case2_residual(model, g1, g2, out, want):
@@ -462,8 +571,8 @@ def pair_groupoid(dim: int) -> GroupoidChartModel:
     """The pair groupoid of R^dim: arrows (p, q), s = q, t = p."""
     half = 1.2      # half-width of the sampled box
 
-    def sample_base(rng):
-        return tuple(_box(rng, half) for _ in range(dim))
+    def sample_base(u):
+        return tuple(_box(x, half) for x in u)
 
     return GroupoidChartModel(
         name=f"pair({dim})", arrow_dim=2 * dim, base_dim=dim,
@@ -475,10 +584,11 @@ def pair_groupoid(dim: int) -> GroupoidChartModel:
         arrow_valid=_finite,
         expected_frame=lambda p: np.eye(dim),
         beta_map=lambda g: tuple(g),
-        arrow_between=lambda p, q, rng: tuple(p) + tuple(q),
-        sample_arrow=lambda rng: tuple(_box(rng, half) for _ in range(2 * dim)),
+        arrow_between=lambda p, q, u: tuple(p) + tuple(q),
+        sample_arrow=sample_base,
         sample_base=sample_base,
-        sample_base_like=lambda p, rng: sample_base(rng),
+        sample_base_like=lambda p, u: sample_base(u),
+        widths=Widths(arrow=2 * dim, base=dim, like=dim),
     )
 
 
@@ -540,43 +650,45 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
 
     divisor = DivisorLocalModel(n=n, k=k)
 
-    def sample_base(rng):
-        out = tuple(_box(rng) for _ in range(nx))
-        for _ in range(k):
-            z = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.15, 1.2)
-            out += _pair(z)
+    def sample_base(u):
+        out = tuple(_box(x) for x in u[:nx])
+        for c in range(nx, nx + 3 * k, 3):
+            out += _zero_or(u[c] < on_divisor_prob, u[c + 1], u[c + 2], 0.15, 1.2)
         return out
 
-    def sample_base_like(p, rng):
-        out = tuple(_box(rng) for _ in range(nx))
-        for i in zs:
-            z = 0j if _cx(p, i) == 0 else _annulus(rng, 0.15, 1.2)
-            out += _pair(z)
+    def sample_base_like(p, u):
+        out = tuple(_box(x) for x in u[:nx])
+        for c, i in zip(range(nx, nx + 2 * k, 2), zs):
+            out += _zero_or(_zero(p[i], p[i + 1]), u[c], u[c + 1], 0.15, 1.2)
         return out
 
-    def arrow_between(p, q, rng):
-        avals, bvals = (), ()
-        for i in zs:
-            vp, vq = _cx(p, i), _cx(q, i)
-            if vp == 0 and vq == 0:
-                avals += (0.0, 0.0)
-                bvals += _pair(_annulus(rng, 0.3, 1.6))
-            elif vp == 0 or vq == 0:
-                raise NotComposable("no arrow between different strata")
-            else:
-                avals += _pair(vp)
-                bvals += _pair(vq / vp)
-        return tuple(p[:nx]) + tuple(q[:nx]) + avals + bvals
+    def arrow_between(p, q, u):
+        on_p = [_zero(p[i], p[i + 1]) for i in zs]
+        on_q = [_zero(q[i], q[i + 1]) for i in zs]
 
-    def sample_arrow(rng):
-        out = tuple(_box(rng) for _ in range(nx)) + tuple(_box(rng) for _ in range(nx))
-        for _ in range(k):
-            a = 0j if rng.uniform() < on_divisor_prob else _annulus(rng, 0.1, 1.2)
-            out += _pair(a)
-        for _ in range(k):
-            out += _pair(_annulus(rng, 0.3, 1.6))
+        def chart():
+            avals, bvals = (), ()
+            for j, i in enumerate(zs):
+                ab = _branch(on_p[j] & on_q[j],
+                             lambda: (0.0, 0.0) + _annulus(u[2 * j], u[2 * j + 1], 0.3, 1.6),
+                             lambda: (p[i], p[i + 1]) + _cdiv(q[i], q[i + 1], p[i], p[i + 1]))
+                avals, bvals = avals + ab[:2], bvals + ab[2:]
+            return tuple(p[:nx]) + tuple(q[:nx]) + avals + bvals
+
+        refused = functools.reduce(lambda a, b: a | b, [x != y for x, y in zip(on_p, on_q)])
+        return _refuse(refused, "no arrow between different strata", chart)
+
+    def sample_arrow(u):
+        out = tuple(_box(x) for x in u[:2 * nx])
+        c = 2 * nx
+        for j in range(k):
+            out += _zero_or(u[c + 3 * j] < on_divisor_prob, u[c + 3 * j + 1],
+                            u[c + 3 * j + 2], 0.1, 1.2)
+        for j in range(c + 3 * k, c + 5 * k, 2):
+            out += _annulus(u[j], u[j + 1], 0.3, 1.6)
         return out
 
+    widths = Widths(arrow=2 * nx + 5 * k, base=nx + 3 * k, like=nx + 2 * k, between=2 * k)
     return GroupoidChartModel(
         name=name, arrow_dim=2 * n, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
@@ -588,6 +700,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
         divisor_factors=lambda g: [(g[i], g[i + 1], g[j], g[j + 1]) for i, j in factors],
         divisor_slots=tuple(i + c for i in zs for c in (0, 1)),
         isotropy=TORUS_ISOTROPY,
+        widths=replace(widths, isotropy=widths.base + 2 * widths.between),
     )
 
 
@@ -660,18 +773,23 @@ def case2_quotient_model(n: int) -> GroupoidChartModel:
             return False
         return _finite(g) & _nonzero(g[ib], g[ib + 1]) & ((g[d] == 0.0) | (g[d] == 1.0))
 
-    def sample_arrow(rng):
-        return base.sample_arrow(rng) + (float(rng.integers(0, 2)),)
+    wa, wb = base.widths.arrow, base.widths.between
 
-    def arrow_between(p, q, rng):
-        chart = base.arrow_between(p, q, rng)
-        dd = float(rng.integers(0, 2))
-        if dd and _cx(chart, ia) != 0:
+    def sample_arrow(u):
+        return base.sample_arrow(u[:wa]) + (1.0 * (u[wa] < 0.5),)
+
+    def arrow_between(p, q, u):
+        def chart():
+            out = base.arrow_between(p, q, u[:wb])
+            dd = 1.0 * (u[wb] < 0.5)
             # re-solve b so the delta-twisted source still lands on q
-            vq = _cx(q, nx)
-            b = vq.conjugate() / _cx(chart, ia)
-            chart = chart[:ib] + _pair(b)
-        return chart + (dd,)
+            twisted = _branch((dd != 0) & _nonzero(out[ia], out[ia + 1]),
+                              lambda: out[:ib] + _cdiv(q[nx], -q[nx + 1], out[ia], out[ia + 1]),
+                              lambda: out)
+            return twisted + (dd,)
+
+        return _refuse(_zero(p[nx], p[nx + 1]) != _zero(q[nx], q[nx + 1]),
+                       "no arrow between different strata", chart)
 
     return GroupoidChartModel(
         name=f"case2({n})", arrow_dim=d + 1, base_dim=n,
@@ -685,6 +803,7 @@ def case2_quotient_model(n: int) -> GroupoidChartModel:
         algebroid_maps=(base.ts, base.unit),
         divisor_slots=base.divisor_slots,
         isotropy=CASE2_ISOTROPY,
+        widths=replace(base.widths, arrow=wa + 1, between=wb + 1, isotropy=nx + 6),
     )
 
 
@@ -754,13 +873,14 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
         is_hausdorff=inner.is_hausdorff,
         expected_frame=_via(inner.expected_frame, b_in, _same if b_in is _same else frame),
         beta_map=_via(inner.beta_map, a_in, pair_out),
-        arrow_between=lambda p, q, rng: a_out(inner.arrow_between(b_in(p), b_in(q), rng)),
+        arrow_between=lambda p, q, u: a_out(inner.arrow_between(b_in(p), b_in(q), u)),
         sample_arrow=_via(inner.sample_arrow, _same, a_out),
         sample_base=_via(inner.sample_base, _same, b_out),
-        sample_base_like=lambda p, rng: b_out(inner.sample_base_like(b_in(p), rng)),
+        sample_base_like=lambda p, u: b_out(inner.sample_base_like(b_in(p), u)),
         divisor_factors=_via(inner.divisor_factors, a_in, _same),
         divisor_slots=tuple(sorted(base_order[i] for i in inner.divisor_slots)),
         isotropy=inner.isotropy,
+        widths=inner.widths,
     )
 
 
@@ -830,34 +950,22 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
     def unit_at(p):
         return (0.0, 0.0, p[0], p[1])
 
-    def sample_base(rng):
-        if rng.uniform() < 0.15:
-            return (0.0, 0.0)
-        return _pair(_annulus(rng, rmin, rmax))
+    def sample_base(u):
+        return _zero_or(u[0] < 0.15, u[1], u[2], rmin, rmax)
 
-    def sample_base_like(p, rng):
-        if p[0] == 0 and p[1] == 0:
-            return (0.0, 0.0)
-        return _pair(_annulus(rng, rmin, rmax))
+    def sample_base_like(p, u):
+        return _zero_or(_zero(p[0], p[1]), u[0], u[1], rmin, rmax)
 
-    def arrow_between(p, q, rng):
-        zp, zq = _cx(p, 0), _cx(q, 0)
-        if zp == 0 and zq == 0:
-            return (_box(rng, z_half), _box(rng, z_half), 0.0, 0.0)
-        if zp == 0 or zq == 0:
-            raise NotComposable("no arrow between the puncture and its complement")
-        if exp_on_source:
-            zeta, ratio = zp, zq / zp
-        else:
-            zeta, ratio = zq, zp / zq
-        L = cmath.log(ratio)
-        Z = L / zeta.conjugate() if scaled else L
-        return _pair(Z) + _pair(zeta)
+    def arrow_between(p, q, u):
+        def off():
+            zeta, other = (p, q) if exp_on_source else (q, p)
+            L = _clog(*_cdiv(other[0], other[1], zeta[0], zeta[1]))
+            return (_cdiv(*L, zeta[0], -zeta[1]) if scaled else L) + (zeta[0], zeta[1])
 
-    def sample_arrow(rng):
-        Z = complex(_box(rng, z_half), _box(rng, z_half))
-        zeta = 0j if rng.uniform() < 0.15 else _annulus(rng, rmin, rmax)
-        return _pair(Z) + _pair(zeta)
+        return _join(p, q, 0, lambda: (_box(u[0], z_half), _box(u[1], z_half), 0.0, 0.0), off)
+
+    def sample_arrow(u):
+        return (_box(u[0], z_half), _box(u[1], z_half)) + sample_base(u[2:])
 
     frame_model = DivisorLocalModel(n=2, k=1)
 
@@ -869,7 +977,7 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
                         else (lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_slots=(0, 1),
+        divisor_slots=(0, 1), widths=Widths(arrow=5, base=3, like=2, between=2),
     )
 
 
@@ -923,36 +1031,28 @@ def action_groupoid_model() -> GroupoidChartModel:
     def arrow_valid(g):
         return _finite(g) & _nonzero(g[0], g[1])
 
-    def sample_base(rng):
-        z1 = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.15, 1.2)
-        return _pair(z1) + (_box(rng), _box(rng))
+    def sample_base(u):
+        return _zero_or(u[0] < 0.25, u[1], u[2], 0.15, 1.2) + (_box(u[3]), _box(u[4]))
 
-    def sample_base_like(p, rng):
-        if _cx(p, 0) == 0:
-            return tuple(p)  # divisor points are single-point orbits
-        return _pair(_annulus(rng, 0.15, 1.2)) + (_box(rng), _box(rng))
+    def sample_base_like(p, u):
+        # divisor points are single-point orbits
+        return _branch(_zero(p[0], p[1]), lambda: tuple(p),
+                       lambda: _annulus(u[0], u[1], 0.15, 1.2) + (_box(u[2]), _box(u[3])))
 
-    def arrow_between(p, q, rng):
-        z1, z2 = _cx(p, 0), _cx(p, 2)
-        w1, w2 = _cx(q, 0), _cx(q, 2)
-        if z1 == 0 and w1 == 0:
-            if w2 != z2:
-                raise NotComposable("points of the divisor plane are distinct orbits")
-            b = _annulus(rng, 0.3, 1.6)
-            c = complex(_box(rng), _box(rng))
-            return _pair(b) + _pair(c) + tuple(p)
-        if z1 == 0 or w1 == 0:
-            raise NotComposable("no arrow between different orbits")
-        # act takes the carried point (target) to the source
-        b = w1 / z1
-        c = (w2 - z2) / z1
-        return _pair(b) + _pair(c) + tuple(p)
+    def arrow_between(p, q, u):
+        def off():
+            # act takes the carried point (target) to the source
+            return (_cdiv(q[0], q[1], p[0], p[1])
+                    + _cdiv(q[2] - p[2], q[3] - p[3], p[0], p[1]) + tuple(p))
 
-    def sample_arrow(rng):
-        b = _annulus(rng, 0.3, 1.6)
-        c = complex(_box(rng), _box(rng))
-        z1 = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.15, 1.2)
-        return _pair(b) + _pair(c) + _pair(z1) + (_box(rng), _box(rng))
+        # points of the divisor plane are distinct orbits
+        return _join(p, q, 0, lambda: _annulus(u[0], u[1], 0.3, 1.6)
+                     + (_box(u[2]), _box(u[3])) + tuple(p), off,
+                     apart=(q[2] != p[2]) | (q[3] != p[3]))
+
+    def sample_arrow(u):
+        return (_annulus(u[0], u[1], 0.3, 1.6) + (_box(u[2]), _box(u[3]))
+                + sample_base(u[4:]))
 
     frame = residue_model_frame("zero")
 
@@ -964,6 +1064,7 @@ def action_groupoid_model() -> GroupoidChartModel:
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_slots=(0, 1), isotropy=_affine_isotropy(0, 6),
+        widths=Widths(arrow=9, base=5, like=4, between=4, isotropy=10),
     )
 
 
@@ -971,9 +1072,8 @@ def action_groupoid_model() -> GroupoidChartModel:
 # strong fibre product over base x base
 # ---------------------------------------------------------------------------
 
-def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
-                  seed: int = 11,
-                  sample_base=None, sample_base_like=None) -> GroupoidChartModel:
+def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11,
+                  base_from: Optional[GroupoidChartModel] = None) -> GroupoidChartModel:
     """Strong fibre product of two models over base x base.
 
     Arrows are pairs (g1, g2) with matching (target, source) base
@@ -982,17 +1082,22 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
     combined Jacobian at sampled arrows (NotTransverse reports it).
     The Hausdorff flag is the conjunction of the factors' flags, the
     divisor slots are the union of theirs, and the isotropy law is the
-    torus law over those slots.  Base samplers default to the first
-    factor's but can be overridden when the joint divisor has more
-    strata than either factor sees alone.
+    torus law over those slots.  Base points are drawn by the first
+    factor's base samplers, or by those of ``base_from`` (a model over
+    the same base) when the joint divisor has more strata than either
+    factor sees alone.  An arrow is drawn as a base point p, a point q
+    on p's stratum and the two factors' arrows from p to q; every
+    factor joins points of one stratum, so no draw is refused.
     """
     if m1.base_dim != m2.base_dim:
         raise DimensionMismatch("fibre_product: factors over different bases")
     d1, d2 = m1.arrow_dim, m2.arrow_dim
     nd = m1.base_dim
     glue_tol = 1e-7
-    base_sampler = sample_base or m1.sample_base
-    base_like = sample_base_like or m1.sample_base_like
+    base = base_from or m1
+    base_sampler, base_like = base.sample_base, base.sample_base_like
+    wb, wl, b1 = base.widths.base, base.widths.like, m1.widths.between
+    between = b1 + m2.widths.between
 
     def split(g):
         return tuple(g[:d1]), tuple(g[d1:])
@@ -1006,18 +1111,16 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         return (m1.arrow_valid(g1) & m2.arrow_valid(g2)
                 & (_maxdiff(pair1, pair2) <= glue_tol))
 
-    def arrow_between(p, q, rng):
-        return m1.arrow_between(p, q, rng) + m2.arrow_between(p, q, rng)
+    def all_nan(part):
+        return functools.reduce(lambda a, b: a & b, [x != x for x in part])
 
-    def sample_arrow(rng):
-        for _ in range(64):
-            p = base_sampler(rng)
-            q = base_like(p, rng) if base_like else base_sampler(rng)
-            try:
-                return arrow_between(p, q, rng)
-            except NotComposable:
-                continue
-        raise SamplerExhausted("fibre product sampler: no compatible base pair")
+    def arrow_between(p, q, u):
+        g = m1.arrow_between(p, q, u[:b1]) + m2.arrow_between(p, q, u[b1:])
+        # a block row a factor refused is all NaN in its part: refuse it whole
+        return _refuse(all_nan(g[:d1]) | all_nan(g[d1:]), "no fibre arrow", lambda: g)
+
+    def sample_arrow(u):    # a base point, extended to a point on its stratum
+        return model._extend(base_sampler(u[:wb]), u[wb:])
 
     def expected_frame(p):
         f1, f2 = np.atleast_2d(m1.expected_frame(p)), np.atleast_2d(m2.expected_frame(p))
@@ -1068,13 +1171,15 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel,
         divisor_factors=divisor_factors if has_factors else None,
         algebroid_maps=(fd_ts, fd_unit), factors=(m1, m2),
         divisor_slots=slots, isotropy=TORUS_ISOTROPY if slots else None,
+        widths=Widths(arrow=wb + wl + between, base=wb, like=wl, between=between,
+                      isotropy=wb + 2 * between),
     )
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     # the origin unit sits on the deepest stratum of every chart model
     # here, which is where blow-down ranks can drop
     probes = [model.unit_at((0.0,) * nd)]
-    probes += [model.unit_at(base_sampler(rng)) for _ in range(6)]
+    probes += [model.unit_at(model.random_base(rng)) for _ in range(6)]
     probes += [model.random_arrow(rng) for _ in range(4)]
     for g in probes:
         rows = model.extra_kernel_rows(g)

@@ -66,9 +66,8 @@ def _fibre_case1_case1(n: int) -> GroupoidChartModel:
         raise ConfigError("fibre:case1,case1 needs dim >= 4")
     m1 = smooth_factor_model(n, 2, 0)
     m2 = smooth_factor_model(n, 2, 1)
-    nc = caseIV_model(n, 2)  # borrow the joint-stratum base samplers
-    return fibre_product(m1, m2, sample_base=nc.sample_base,
-                         sample_base_like=nc.sample_base_like)
+    # borrow the joint-stratum base samplers
+    return fibre_product(m1, m2, base_from=caseIV_model(n, 2))
 
 
 def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -> ModelEntry:

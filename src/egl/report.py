@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .kernel import DEFAULT_PROFILE, ToleranceProfile
 from .registry import CHECK_NAMES, build_model, checks_for, run_check
 
-ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v1"}
+ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v2"}
 
 __all__ = ["RunConfig", "RunReport", "run_verify", "run_decide", "ARTIFACT"]
 

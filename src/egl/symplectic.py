@@ -25,10 +25,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divisors import residue_model_frame
-from .errors import NotComposable, SamplerExhausted
-from .groupoids import (GroupoidChartModel, _affine_isotropy, _annulus, _box,
-                        _branch, _cabs, _cdiv, _cexp, _cmul, _cx, _exp_model,
-                        _finite, _nonzero, _pair, _relabel, case1_model)
+from .errors import SamplerExhausted
+from .groupoids import (GroupoidChartModel, Widths, _affine_isotropy, _annulus,
+                        _box, _branch, _cabs, _cdiv, _cexp, _cmul, _cx, _exp_model,
+                        _finite, _join, _nonzero, _relabel, _zero, _zero_or,
+                        case1_model)
 from .kernel import FormField, SmoothMap, two_form_from_matrix
 
 __all__ = [
@@ -133,35 +134,31 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
     def unit_at(p):
         return (p[0], p[1], 0.0, 0.0)
 
-    def sample_base(rng):
-        if rng.uniform() < 0.2:
-            return (0.0, 0.0)
-        return _pair(_annulus(rng, 0.25, 1.0))
+    def sample_base(u):
+        return _zero_or(u[0] < 0.2, u[1], u[2], 0.25, 1.0)
 
-    def sample_base_like(p, rng):
-        if p[0] == 0 and p[1] == 0:
-            return (0.0, 0.0)
-        return _pair(_annulus(rng, 0.25, 1.0))
+    def sample_base_like(p, u):
+        return _zero_or(_zero(p[0], p[1]), u[0], u[1], 0.25, 1.0)
 
-    def arrow_between(p, q, rng):
-        p_origin, q_origin = p[0] == 0 and p[1] == 0, q[0] == 0 and q[1] == 0
-        if p_origin and q_origin:
-            return (0.0, 0.0, _box(rng, 0.8), _box(rng, 0.8))
-        if p_origin or q_origin:
-            raise NotComposable("no arrow between the origin and its complement")
-        r2 = p[0] * p[0] + p[1] * p[1]
-        return (p[0], p[1], (q[0] - p[0]) / r2, (q[1] - p[1]) / r2)
+    def arrow_between(p, q, u):
+        def off():
+            r2 = p[0] * p[0] + p[1] * p[1]
+            return (p[0], p[1], (q[0] - p[0]) / r2, (q[1] - p[1]) / r2)
 
-    def sample_arrow(rng):
-        for _ in range(256):
-            if rng.uniform() < 0.2:
-                return (0.0, 0.0, _box(rng, 0.8), _box(rng, 0.8))
-            v = _annulus(rng, 0.3, 0.9)
-            g = (v.real, v.imag, _box(rng, 0.35), _box(rng, 0.35))
-            s1, s2 = source_of(g)
-            if math.hypot(s1, s2) >= 0.12 and 0.25 <= _nonzero_Q(g) <= 4.0:
-                return g
-        raise SamplerExhausted("nonzero-residue arrow sampler")
+        return _join(p, q, 0, lambda: (0.0, 0.0, _box(u[0], 0.8), _box(u[1], 0.8)), off)
+
+    def sample_arrow(u):
+        """An arrow over the origin (chance 0.2) or one with x in the
+        annulus 0.3 <= r = |x| < 0.9 and |a|, |b| <= 0.35.
+
+        On that box no draw needs refusing: with c = a + i b,
+        Q = |1 + c conj(x)|^2 and |s| = r sqrt(Q), and |c| r <= 0.35 *
+        sqrt(2) * 0.9 < 0.446 gives Q in [0.307, 2.09], inside [0.25, 4],
+        and |s| >= r (1 - |c| r) >= 0.3 * 0.554 > 0.166, above 0.12.
+        """
+        return _branch(u[0] < 0.2, lambda: (0.0, 0.0, _box(u[3], 0.8), _box(u[4], 0.8)),
+                       lambda: _annulus(u[1], u[2], 0.3, 0.9)
+                       + (_box(u[3], 0.35), _box(u[4], 0.35)))
 
     model = GroupoidChartModel(
         name="sympl-nonzero", arrow_dim=4, base_dim=2,
@@ -170,7 +167,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         expected_frame=residue_model_frame("nonzero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_slots=(0, 1),
+        divisor_slots=(0, 1), widths=Widths(arrow=5, base=3, like=2, between=2),
     )
 
     fval = f if f is not None else (lambda p: 1.0)
@@ -203,9 +200,8 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
 
     def sample_params(rng):
         for _ in range(256):
-            v = _annulus(rng, 0.35, 0.9)
-            w = (v.real, v.imag, _box(rng, 0.3), _box(rng, 0.3),
-                 _box(rng, 0.3), _box(rng, 0.3))
+            u = rng.random(6).tolist()
+            w = _annulus(u[0], u[1], 0.35, 0.9) + tuple(_box(x, 0.3) for x in u[2:])
             g = (w[0], w[1], w[2], w[3])
             if not (0.3 <= _nonzero_Q(g) <= 4.0):
                 continue
@@ -301,15 +297,13 @@ def _nonzero_Omega_assembled(fval) -> FormField:
 # zero elliptic residue: holomorphic chart over C^2
 # ---------------------------------------------------------------------------
 
-def _zero_base(rng):
+def _zero_base(u):
     """A point (u, v) of C^2; u = 0 (the divisor) with probability 0.25."""
-    u = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.2, 1.1)
-    return _pair(u) + (_box(rng), _box(rng))
+    return _zero_or(u[0] < 0.25, u[1], u[2], 0.2, 1.1) + (_box(u[3]), _box(u[4]))
 
 
-def _zero_base_like(p, rng):
-    u = 0j if _cx(p, 0) == 0 else _annulus(rng, 0.2, 1.1)
-    return _pair(u) + (_box(rng), _box(rng))
+def _zero_base_like(p, u):
+    return _zero_or(_zero(p[0], p[1]), u[0], u[1], 0.2, 1.1) + (_box(u[2]), _box(u[3]))
 
 
 def symplectic_zero_residue_model() -> SymplecticModel:
@@ -357,26 +351,18 @@ def symplectic_zero_residue_model() -> SymplecticModel:
             return False
         return _finite(g) & _nonzero(g[4], g[5])
 
-    def arrow_between(p, q, rng):
-        u, v = _cx(p, 0), _cx(p, 2)
-        u2, v2 = _cx(q, 0), _cx(q, 2)
-        if u == 0 and u2 == 0:
-            b = _annulus(rng, 0.4, 1.8)
-            c = complex(_box(rng), _box(rng))
-            return _pair(v) + (0.0, 0.0) + _pair(b) + _pair(c)
-        if u == 0 or u2 == 0:
-            raise NotComposable("no arrow between different orbits")
-        # t = (u, v), s = (u2, v2): a = u, b = u2/u, ac + z = v2, z = v
-        b = u2 / u
-        c = (v2 - v) / u
-        return _pair(v) + _pair(u) + _pair(b) + _pair(c)
+    def arrow_between(p, q, u):
+        def off():
+            # t = (u, v), s = (u2, v2): a = u, b = u2/u, ac + z = v2, z = v
+            return ((p[2], p[3], p[0], p[1]) + _cdiv(q[0], q[1], p[0], p[1])
+                    + _cdiv(q[2] - p[2], q[3] - p[3], p[0], p[1]))
 
-    def sample_arrow(rng):
-        z = complex(_box(rng), _box(rng))
-        a = 0j if rng.uniform() < 0.25 else _annulus(rng, 0.2, 1.1)
-        b = _annulus(rng, 0.4, 1.8)
-        c = complex(_box(rng), _box(rng))
-        return _pair(z) + _pair(a) + _pair(b) + _pair(c)
+        return _join(p, q, 0, lambda: (p[2], p[3], 0.0, 0.0) + _annulus(u[0], u[1], 0.4, 1.8)
+                     + (_box(u[2]), _box(u[3])), off)
+
+    def sample_arrow(u):
+        return ((_box(u[0]), _box(u[1])) + _zero_or(u[2] < 0.25, u[3], u[4], 0.2, 1.1)
+                + _annulus(u[5], u[6], 0.4, 1.8) + (_box(u[7]), _box(u[8])))
 
     frame = residue_model_frame("zero")
 
@@ -388,6 +374,7 @@ def symplectic_zero_residue_model() -> SymplecticModel:
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
         divisor_slots=(0, 1), isotropy=_affine_isotropy(4, 0),
+        widths=Widths(arrow=9, base=5, like=4, between=4, isotropy=10),
     )
 
     omega = _dlog_wedge_form()
@@ -411,13 +398,11 @@ def symplectic_zero_residue_model() -> SymplecticModel:
     pair_map = SmoothMap(12, 16, pair_map_func, name="sympl-zero.pairs")
 
     def sample_params(rng):
-        z = complex(_box(rng), _box(rng))
-        a = _annulus(rng, 0.3, 1.0)
-        b = _annulus(rng, 0.4, 1.8)
-        c = complex(_box(rng), _box(rng))
-        b2 = _annulus(rng, 0.4, 1.8)
-        c2 = complex(_box(rng), _box(rng))
-        return _pair(z) + _pair(a) + _pair(b) + _pair(c) + _pair(b2) + _pair(c2)
+        u = rng.random(12).tolist()
+        # z, a, b, c, b2, c2
+        return ((_box(u[0]), _box(u[1])) + _annulus(u[2], u[3], 0.3, 1.0)
+                + _annulus(u[4], u[5], 0.4, 1.8) + (_box(u[6]), _box(u[7]))
+                + _annulus(u[8], u[9], 0.4, 1.8) + (_box(u[10]), _box(u[11])))
 
     grid = tuple((0.3, -0.2, re_a, 0.4, rb, ib, 0.5, cc)
                  for re_a in (0.0, 0.6) for rb in (0.5, 1.0, 2.0)
@@ -542,7 +527,7 @@ def pair_groupoid_symplectic() -> SymplecticModel:
     pair_map = SmoothMap(6, 8, pair_map_func, name="pair.pairs")
 
     def sample_params(rng):
-        return tuple(_box(rng) for _ in range(6))
+        return tuple(_box(x) for x in rng.random(6).tolist())
 
     grid = tuple((0.1 * i, -0.2 * i, 0.3, 0.4) for i in range(1, 5))
     return SymplecticModel(model=model, omega_base=omega, Omega=Omega,
@@ -569,7 +554,7 @@ class MorphismBundle:
     cod: GroupoidChartModel
     dom_form: Optional[FormField] = None
     cod_form: Optional[FormField] = None
-    sample_filter: Optional[Callable] = None   # arrow -> bool (extra margins)
+    sample_filter: Optional[Callable] = None   # arrow (point or block) -> bool (margins)
 
 
 def morphism_phi_nonzero() -> MorphismBundle:
@@ -585,9 +570,9 @@ def morphism_phi_nonzero() -> MorphismBundle:
     f = SmoothMap.from_formula(4, 4, phi, name="phi(nonzero)")
 
     def sample_filter(g):
-        x = complex(g[0], g[1])
-        w = complex(g[2], g[3]) * x.conjugate() + 1.0
-        return abs(x) > 0.1 and abs(w) > 0.1 and abs(x * w) > 0.05
+        w = phi(g)[2:]
+        return ((_cabs(g[0], g[1]) > 0.1) & (_cabs(*w) > 0.1)
+                & (_cabs(*_cmul(g[0], g[1], *w)) > 0.05))
 
     return MorphismBundle("phi-nonzero", f, sym.model, H,
                           dom_form=sym.Omega, cod_form=nonzero_target_Omega(),
@@ -606,7 +591,7 @@ def morphism_phi_zero() -> MorphismBundle:
     f = SmoothMap.from_formula(8, 8, phi, name="phi(zero)")
 
     def sample_filter(g):
-        return abs(_cx(g, 2)) > 0.15  # keep the receiving dense chart honest
+        return _cabs(g[2], g[3]) > 0.15  # keep the receiving dense chart honest
 
     return MorphismBundle("phi-zero", f, sym.model, H,
                           dom_form=sym.Omega, cod_form=zero_target_Omega(),

@@ -141,10 +141,12 @@ def test_isotropy_of_a_perturbed_model_is_a_report():
     assert rep.witnesses and rep.witnesses[0]["residual"] == pytest.approx(1e-3)
 
 
-def _torus_draw_off_the_slots(model, rng):
+def _torus_draw_off_the_slots(model, u):
     # TORUS_ISOTROPY's draw without zeroing the divisor slots
-    p = model.random_base(rng)
-    return model.arrow_between(p, p, rng), model.arrow_between(p, p, rng), ()
+    w = model.widths
+    p = model.sample_base(u[:w.base])
+    return (model.arrow_between(p, p, u[w.base:w.base + w.between]),
+            model.arrow_between(p, p, u[w.base + w.between:]), ())
 
 
 @pytest.mark.parametrize("model", [
@@ -319,7 +321,8 @@ def test_axioms_name_the_identity_that_went_nan():
         return (t0, np.where(at_gh, math.nan, t1))
 
     model = replace(pair, target_of=target_of)
-    rep = check_groupoid_axioms(model, n_samples=3, seed=1, sampler=lambda rng: (g, h, k))
+    rep = check_groupoid_axioms(model, n_samples=3, seed=1, sampler=lambda rng, n: tuple(
+        tuple(np.full(n, x) for x in point) for point in (g, h, k)))
     assert not rep.ok
     assert math.isnan(rep.max_residual)
     assert rep.witnesses[0]["identity"] == "t(m(g,h))=t(g)"

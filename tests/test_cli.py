@@ -37,7 +37,7 @@ def test_verify_pass_run(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["overall"] == "pass"
-    assert doc["artifact"]["rng"] == "philox4x64-v1"
+    assert doc["artifact"]["rng"] == "philox4x64-v2"
     assert {r["check"] for r in doc["results"]} == {"axioms", "algebroid"}
     # every record embeds the tolerance actually used
     assert all("tolerance" in r for r in doc["results"])
@@ -82,6 +82,17 @@ def test_inapplicable_check_is_exit_2(capsys):
                             "--checks", "variants"], capsys)
     assert code == 2
     assert "apply to none" in err
+
+
+def test_default_checks_are_the_applicable_ones(capsys, tmp_path):
+    # without --checks, verify runs every check that applies to a model
+    out_path = tmp_path / "r.json"
+    code, _, _ = run_cli(["verify", "--model", "pair", "--seed", "1",
+                          "--samples", "100", "--out", str(out_path)], capsys)
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["config"]["checks"] == ["axioms", "algebroid"]
+    assert [r["check"] for r in doc["results"]] == ["axioms", "algebroid"]
 
 
 def test_failing_check_is_exit_1(capsys, monkeypatch):

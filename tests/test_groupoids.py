@@ -17,7 +17,7 @@ from egl.groupoids import (COMPOSABLE_TOL, _maxdiff, action_groupoid_model, case
                            case2_quotient_model, caseIV_model,
                            elliptic_ideal_pullback, fibre_product,
                            pair_groupoid, smooth_factor_model,
-                           ssc_surface_model)
+                           ssc_surface_model, uniforms)
 from egl.kernel import jacobian, subspace_equal
 from egl.registry import MODEL_NAMES, build_model
 from egl.report import ARTIFACT
@@ -387,8 +387,7 @@ def test_fibre_of_transverse_factors_recovers_nc_algebroid(rng):
     m1 = smooth_factor_model(4, 2, 0)
     m2 = smooth_factor_model(4, 2, 1)
     nc = caseIV_model(4, 2)
-    model = fibre_product(m1, m2, sample_base=nc.sample_base,
-                          sample_base_like=nc.sample_base_like)
+    model = fibre_product(m1, m2, base_from=nc)
     for p in [(0.3, -0.2, 0.5, 0.1), (0.0, 0.0, 0.4, -0.3),
               (0.25, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]:
         recovered = lie_algebroid_of(model, p)
@@ -528,15 +527,15 @@ def test_strata_cases_cover_every_model_with_a_divisor():
 
 @pytest.mark.parametrize("name", sorted(_STRATA_CASES))
 def test_arrow_between_refuses_endpoints_on_different_strata(name):
-    # extend_from and check_morphism retry on NotComposable; any other
+    # extend_from turns NotComposable into an all-NaN arrow; any other
     # error, or an arrow, would be a crash or an invalid sample
     model = _strata_model(name)
     on, off = _STRATA_CASES[name]
-    rng = rng_for(7, f"strata:{name}")
+    u = uniforms(rng_for(7, f"strata:{name}"), model.widths.between)
     for p, q in ((on, off), (off, on)):
         with pytest.raises(NotComposable):
-            model.arrow_between(p, q, rng)
-    assert model.arrow_valid(model.arrow_between(on, on, rng))
+            model.arrow_between(p, q, u)
+    assert model.arrow_valid(model.arrow_between(on, on, u))
 
 
 _FACTORS = {f"smooth-factor(6,2,{j})": j for j in (0, 1)}
@@ -551,15 +550,15 @@ def test_divisor_slots_name_the_deepest_stratum(name):
     slots = model.divisor_slots
     assert slots and len(slots) % 2 == 0
     on = tuple(0.0 if i in slots else 0.3 - 0.1 * i for i in range(model.base_dim))
-    rng = rng_for(7, f"slots:{name}")
-    assert model.arrow_valid(model.arrow_between(on, on, rng))
+    u = uniforms(rng_for(7, f"slots:{name}"), model.widths.between)
+    assert model.arrow_valid(model.arrow_between(on, on, u))
     for i in slots[::2]:
         off = on[:i] + (0.5, 0.2) + on[i + 2:]
         with pytest.raises(NotComposable):
-            model.arrow_between(on, off, rng)
+            model.arrow_between(on, off, u)
 
 
-_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v1.json")
+_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v2.json")
                      .read_text(encoding="utf-8"))
 
 

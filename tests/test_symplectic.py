@@ -9,7 +9,7 @@ from egl.checks import (check_zero_residue_variant, check_morphism,
                         schouten_residual)
 from egl.errors import ChartInvalid
 from egl.kernel import DEFAULT_PROFILE, pullback
-from egl.symplectic import (morphism_phi_nonzero, morphism_phi_zero,
+from egl.symplectic import (_nonzero_Q, morphism_phi_nonzero, morphism_phi_zero,
                             morphism_psi, psi_domain_candidates,
                             real_form_conventions,
                             symplectic_nonzero_residue_model,
@@ -26,6 +26,32 @@ def test_nonzero_multiplication_at_origin():
     model = symplectic_nonzero_residue_model().model
     out = model.compose((0.0, 0.0, 0.3, -0.2), (0.0, 0.0, 0.5, 0.9))
     assert out == (0.0, 0.0, 0.8, 0.7)
+
+
+def _nonzero_margins(model, r, th, a, b):
+    """|s| and Q on a block of arrows (r cos th, r sin th, a, b)."""
+    g = (r * np.cos(th), r * np.sin(th), a, b)
+    return np.hypot(*model.source_of(g)), _nonzero_Q(g)
+
+
+def test_nonzero_arrow_box_needs_no_refusal():
+    # off the origin, sample_arrow draws r = |x| in [0.3, 0.9) and |a|, |b|
+    # <= 0.35; its docstring bounds |s| >= 0.166 and Q in [0.307, 2.09],
+    # inside the margins |s| >= 0.12 and 0.25 <= Q <= 4 it used to retry on
+    model = symplectic_nonzero_residue_model().model
+    th = np.linspace(-np.pi, np.pi, 2001)
+    corners = [np.broadcast_arrays(r, th, a, b) for r in (0.3, 0.9)
+               for a in (-0.35, 0.35) for b in (-0.35, 0.35)]
+    r, th2, a, b = np.meshgrid(np.linspace(0.3, 0.9, 13), np.linspace(-np.pi, np.pi, 97),
+                               np.linspace(-0.35, 0.35, 15), np.linspace(-0.35, 0.35, 15))
+    for r, th, a, b in corners + [(r.ravel(), th2.ravel(), a.ravel(), b.ravel())]:
+        s, Q = _nonzero_margins(model, r, th, a, b)
+        assert s.min() >= 0.166 and 0.307 <= Q.min() and Q.max() <= 2.09
+    g = model.random_arrow(rng_for(7, "nonzero-box"), 20_000)
+    off = (g[0] != 0) | (g[1] != 0)
+    s, Q = np.hypot(*model.source_of(g))[off], _nonzero_Q(g)[off]
+    assert 0.15 < off.mean() < 0.85
+    assert s.min() >= 0.166 and 0.307 <= Q.min() and Q.max() <= 2.09
 
 
 def test_nonzero_inverse_conjugates_the_swap(rng):
