@@ -17,11 +17,12 @@ The samplers are formulas too: each reads a fixed number of uniforms in
 branches instead of drawing again, so a block drawn as one
 ``rng.random`` slab is, row for row, the one-sample draws.
 
-Complex arithmetic is written on real pairs (``_cmul``, ``_cdiv``,
-``_cexp``, ``_clog``, ``_cabs``) with the operations CPython's complex
-type performs, so a point and the same point inside a block give the
-same bits (NumPy's real ``cos``, ``sin`` and ``log`` may run SIMD
-kernels with other last bits).  Predicates return a bool for a point
+Complex arithmetic is written on real pairs (``_cmul`` and ``_cdiv``,
+shared with the forms of ``egl.kernel``, and ``_cexp``, ``_clog``,
+``_cabs``) with the operations CPython's complex type performs, so a
+point and the same point inside a block give the same bits (NumPy's
+real ``cos``, ``sin`` and ``log`` may run SIMD kernels with other last
+bits).  Predicates return a bool for a point
 and a bool column for a block.  The ``ts`` view (target ++ source)
 lets one Jacobian serve both endpoint maps, and the algebroid
 computation differentiates the pair ``(ts, unit)``.  All models are
@@ -54,7 +55,7 @@ import numpy as np
 from .divisors import DivisorLocalModel, residue_model_frame
 from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
-from .kernel import DEFAULT_PROFILE, SmoothMap, jacobian
+from .kernel import DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul, jacobian
 from .signedperm import SignedPermutation, semidirect_mul
 
 __all__ = [
@@ -72,10 +73,6 @@ __all__ = [
     "fibre_product",
     "elliptic_ideal_pullback",
 ]
-
-
-def _cx(g, i) -> complex:
-    return complex(g[i], g[i + 1])
 
 
 def _is_block(*xs) -> bool:
@@ -103,45 +100,6 @@ def _finite(seq):
 
 def _nonzero(re, im):
     return (re != 0) | (im != 0)
-
-
-def _branch(cond, then, other):
-    """``then()`` where ``cond`` holds and ``other()`` elsewhere.
-
-    A point evaluates one branch; a block evaluates both and selects
-    per row, so the branch it drops may divide by zero silently.
-    """
-    if not isinstance(cond, np.ndarray):
-        return then() if cond else other()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        yes, no = then(), other()
-    return tuple(np.where(cond, a, b) for a, b in zip(yes, no))
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi), as CPython multiplies complex numbers."""
-    return (ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _cdiv(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) by CPython's division (Smith's method).
-
-    A point divided by 0 raises ZeroDivisionError, as complex division
-    does; a NaN denominator gives (NaN, NaN).
-    """
-    def by_real():
-        ratio = bi / br
-        denom = br + bi * ratio
-        return ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-
-    def by_imag():
-        ratio = br / bi
-        denom = br * ratio + bi
-        return ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-
-    abs_r, abs_i = abs(br), abs(bi)
-    return _branch(abs_r >= abs_i, by_real,
-                   lambda: _branch(abs_i >= abs_r, by_imag, lambda: (math.nan, math.nan)))
 
 
 def _by_rows(fn, *xs):

@@ -1,11 +1,11 @@
 """Dimension-generic numerical calculus.
 
 Central-difference Jacobians, SVD nullspaces, principal-angle subspace
-comparison, and pointwise differential forms with a numerical exterior
-derivative.  Everything downstream (algebroid recovery, multiplicativity
-of symplectic forms, morphism checks) is built on these primitives, so
-they are kept deliberately small and auditable: fixed step size, no
-adaptivity, no clamping of singular loci.
+comparison, and differential forms on a point or a block of points with
+a numerical exterior derivative.  Everything downstream (algebroid
+recovery, multiplicativity of symplectic forms, morphism checks) is
+built on these primitives, so they are kept deliberately small and
+auditable: fixed step size, no adaptivity, no clamping of singular loci.
 
 ``jacobian``, ``nullspace`` and ``subspace_angle`` take one point or
 matrix, or a stack of them.  A stack of Jacobians evaluates all its
@@ -14,11 +14,19 @@ which takes a block of coordinate columns), and the SVDs of a stack run
 in one LAPACK call per group of equal shape; the results are those of
 the one-at-a-time computation, bit for bit.  A single point or matrix
 is the one-row stack.
+
+A form's evaluator takes a point or a coordinate-major block (see
+``FormField``), so ``pullback_at``, ``exterior_derivative`` and calls of
+a form take stacks the same way, with the bits of the point-by-point
+computation.  Complex values are combined on real pairs (``_cmul``,
+``_cdiv``) by the operations CPython's complex type performs; NumPy's
+complex ``*`` and ``/`` differ in the last bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -67,6 +75,66 @@ class ToleranceProfile:
 
 
 DEFAULT_PROFILE = ToleranceProfile()
+
+
+# -- complex arithmetic on real pairs: floats (a point) or columns (a block) --
+
+def _branch(cond, then, other):
+    """``then()`` where ``cond`` holds and ``other()`` elsewhere.
+
+    A point evaluates one branch; a block evaluates both and selects
+    per row, so the branch it drops may divide by zero silently.
+    """
+    if not isinstance(cond, np.ndarray):
+        return then() if cond else other()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yes, no = then(), other()
+    return tuple(np.where(cond, a, b) for a, b in zip(yes, no))
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi), as CPython multiplies complex numbers."""
+    return (ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) by CPython's division (Smith's method).
+
+    A point divided by 0 raises ZeroDivisionError, as complex division
+    does; a NaN denominator gives (NaN, NaN).
+    """
+    def by_real():
+        ratio = bi / br
+        denom = br + bi * ratio
+        return ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+
+    def by_imag():
+        ratio = br / bi
+        denom = br * ratio + bi
+        return ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+
+    abs_r, abs_i = abs(br), abs(bi)
+    return _branch(abs_r >= abs_i, by_real,
+                   lambda: _branch(abs_i >= abs_r, by_imag, lambda: (math.nan, math.nan)))
+
+
+def _complex(re, im):
+    """re + i im: a Python complex for floats, a complex column for columns."""
+    if not isinstance(re, np.ndarray) and not isinstance(im, np.ndarray):
+        return complex(re, im)
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _matvec(M, v):
+    """M @ v for a matrix and a vector, or row by row for a stack of
+    matrices (N, m, n) and of vectors (N, n), giving (N, m).  A stacked
+    matmul of contiguous rows calls the BLAS kernel of each row's point,
+    so every row has the point's bits (non-contiguous rows may not)."""
+    if M.ndim == 2:
+        return M @ v
+    return (M @ np.ascontiguousarray(v)[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -143,11 +211,20 @@ def compose_maps(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMa
 
 @dataclass(frozen=True)
 class FormField:
-    """A differential k-form given by a pointwise coefficient evaluator.
+    """A differential k-form given by a coefficient evaluator.
 
     ``func(p, vectors)`` evaluates the form at ``p`` on ``degree``
-    tangent vectors and returns a real or complex scalar, multilinear
-    and alternating in the vectors (a sampled property, tested).
+    tangent vectors, multilinear and alternating in the vectors (a
+    sampled property, tested).  ``p`` and the vectors are one point and
+    its vectors, (n,) arrays, giving a real or complex scalar, or a
+    coordinate-major block of N points and their vectors, (n, N) arrays
+    whose entries ``p[i]`` and ``v[i]`` are columns, giving a column of
+    N values; a point and the same point inside a block give the same
+    bits.  ``domain_predicate`` takes what ``func`` takes and returns a
+    bool, or a bool column on a block.  Calling the form, ``defined_at``,
+    ``pullback_at`` and ``exterior_derivative`` take one point or a
+    stack of N points (N, n), as ``jacobian`` does, and hand a stack to
+    ``func`` as its block.
     """
 
     degree: int
@@ -157,40 +234,38 @@ class FormField:
     domain_predicate: Optional[Callable[[np.ndarray], bool]] = None
     name: str = ""
 
-    def defined_at(self, p) -> bool:
+    def defined_at(self, p):
+        """A bool for a point, a bool column for a stack (N, n)."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            return self.domain_predicate is None or bool(self.domain_predicate(p))
         if self.domain_predicate is None:
-            return True
-        return bool(self.domain_predicate(np.asarray(p, dtype=float)))
+            return np.ones(len(p), dtype=bool)
+        with np.errstate(all="ignore"):
+            inside = self.domain_predicate(p.T)
+        return np.broadcast_to(np.asarray(inside, dtype=bool), (len(p),))
 
-    def __call__(self, p, vectors) -> complex:
+    def __call__(self, p, vectors):
+        """The value at a point, or the column of values at a stack (N, n)
+        of points with stacks (N, n) of vectors."""
         p = np.asarray(p, dtype=float)
         vs = [np.asarray(v, dtype=float) for v in vectors]
         if len(vs) != self.degree:
             raise DimensionMismatch(
                 f"{self.name or 'form'}: degree {self.degree} form got {len(vs)} vectors")
-        val = self.func(p, vs)
-        if self.kind == "real":
-            return float(val)
-        return complex(val)
-
-    def __add__(self, other: "FormField") -> "FormField":
-        if (self.degree, self.ambient_dim) != (other.degree, other.ambient_dim):
-            raise DimensionMismatch("form addition: degree/dimension mismatch")
-        kind = "complex" if "complex" in (self.kind, other.kind) else "real"
-        return FormField(self.degree, self.ambient_dim,
-                         lambda p, vs: self.func(p, vs) + other.func(p, vs),
-                         kind, self.domain_predicate, f"({self.name}+{other.name})")
-
-    def __sub__(self, other: "FormField") -> "FormField":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "FormField":
-        return FormField(self.degree, self.ambient_dim,
-                         lambda p, vs: scalar * self.func(p, vs),
-                         self.kind, self.domain_predicate, self.name)
+        dtype = float if self.kind == "real" else complex
+        if p.ndim == 1:
+            return dtype(self.func(p, vs))
+        with np.errstate(all="ignore"):
+            val = self.func(p.T, [v.T for v in vs])
+        return np.array(np.broadcast_to(val, (len(p),)), dtype=dtype)
 
     def wedge(self, other: "FormField") -> "FormField":
-        """Wedge product via the shuffle sum (small degrees only)."""
+        """Wedge product via the shuffle sum (small degrees only).
+
+        Its products are NumPy's on a block, so a point and a block agree
+        bit for bit for real forms only.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("wedge: ambient dimension mismatch")
         k, l = self.degree, other.degree
@@ -221,10 +296,19 @@ def _shuffle_sign(left, right):
 
 def two_form_from_matrix(ambient_dim: int, coeff: Callable[[np.ndarray], np.ndarray],
                          kind: str = "real", domain_predicate=None, name: str = "") -> FormField:
-    """2-form ``w(u, v) = u^T C(p) v`` from an antisymmetric coefficient matrix."""
+    """2-form ``w(u, v) = u^T C(p) v`` from an antisymmetric coefficient matrix.
+
+    ``coeff`` gives the (n, n) matrix at a point and the C-contiguous
+    (N, n, n) stack at a block; one stacked ``u @ C @ v`` then evaluates
+    the block, with each row's bits (the matmuls reach the BLAS kernels
+    of the point's ``u @ C @ v``).
+    """
     def func(p, vs):
         c = coeff(p)
-        return vs[0] @ c @ vs[1]
+        if c.ndim == 2:
+            return vs[0] @ c @ vs[1]
+        u, v = (np.ascontiguousarray(np.transpose(x)) for x in vs)
+        return (u[:, None, :] @ c @ v[:, :, None])[:, 0, 0]
     return FormField(2, ambient_dim, func, kind, domain_predicate, name)
 
 
@@ -424,58 +508,77 @@ def subspace_equal(A, B, tol: float) -> bool:
 
 
 def exterior_derivative(form: FormField, p, vectors,
-                        prof: ToleranceProfile = DEFAULT_PROFILE) -> complex:
+                        prof: ToleranceProfile = DEFAULT_PROFILE):
     """Numerical exterior derivative d(form) at ``p`` on ``k+1`` vectors.
 
     Uses the coordinate-free alternating sum for the constant-coefficient
     extension of the argument vectors; bracket terms vanish for constant
     fields, leaving central differences of the form's coefficients along
-    each argument direction.
+    each argument direction.  ``p`` and the vectors are one point and
+    its vectors, giving a scalar, or stacks (N, n), giving the column of
+    N values from one ``form.func`` call per stencil point on the whole
+    block; complex values combine as CPython's complex arithmetic does,
+    so a point has the bits of its one-row stack.  A stencil point
+    outside the form's domain raises StencilOutsideDomain; NaN and Inf
+    are returned, for the caller to count as failures.
     """
-    p = np.asarray(p, dtype=float)
+    P = np.asarray(p, dtype=float)
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if len(vs) != form.degree + 1:
         raise DimensionMismatch("exterior_derivative: need k+1 vectors")
     h = prof.fd_step
-    total = 0.0
+    real = form.kind == "real"
+    total = 0.0 if real else (0.0, 0.0)
     for i, vi in enumerate(vs):
-        rest = vs[:i] + vs[i + 1:]
-        pp = p + h * vi
-        pm = p - h * vi
-        if not (form.defined_at(pp) and form.defined_at(pm)):
+        rest = [v.T for v in vs[:i] + vs[i + 1:]]
+        pp = P + h * vi
+        pm = P - h * vi
+        if not (np.all(form.defined_at(pp)) and np.all(form.defined_at(pm))):
             raise StencilOutsideDomain("exterior_derivative: stencil left form domain")
-        diff = (form.func(pp, rest) - form.func(pm, rest)) / (2.0 * h)
-        total = total + (-1.0) ** i * diff
-    if form.kind == "real":
-        out = float(total)
-        _check_finite(np.array([out]), "exterior derivative")
-        return out
-    out = complex(total)
-    _check_finite(np.array([out.real, out.imag]), "exterior derivative")
-    return out
+        with np.errstate(all="ignore"):
+            plus, minus = form.func(pp.T, rest), form.func(pm.T, rest)
+            if real:
+                total = total + (-1.0) ** i * ((plus - minus) / (2.0 * h))
+            else:
+                diff = _cdiv(plus.real - minus.real, plus.imag - minus.imag, 2.0 * h, 0.0)
+                term = _cmul((-1.0) ** i, 0.0, *diff)
+                total = (total[0] + term[0], total[1] + term[1])
+    if real:
+        return float(total) if P.ndim == 1 else np.array(np.broadcast_to(total, (len(P),)))
+    if P.ndim == 1:
+        return complex(*total)
+    return _complex(*(np.broadcast_to(x, (len(P),)) for x in total))
 
 
 def pullback(f: SmoothMap, form: FormField, p, vectors,
-             prof: ToleranceProfile = DEFAULT_PROFILE) -> complex:
-    """(f^* form)(p; v_1..v_k) = form(f(p); df v_1, .., df v_k)."""
+             prof: ToleranceProfile = DEFAULT_PROFILE):
+    """(f^* form)(p; v_1..v_k) = form(f(p); df v_1, .., df v_k), at a
+    point or at each point of a stack (N, n) with stacks of vectors."""
     J = jacobian(f, p, prof)
     return pullback_at(form, f(np.asarray(p, dtype=float)), J, vectors)
 
 
-def pullback_at(form: FormField, fp, J, vectors) -> complex:
+def pullback_at(form: FormField, fp, J, vectors):
     """form(fp; J v_1, .., J v_k): a pullback from an image point and Jacobian.
 
     Lets a caller that differentiated a map once evaluate the pullback
-    through row blocks of that Jacobian (components of the map).
+    through row blocks of that Jacobian (components of the map).  A
+    stack of image points (N, m), Jacobians (N, m, n) and vectors
+    (N, n) gives the column of N values, with each row's bits.
     """
-    return form(fp, [J @ np.asarray(v, dtype=float) for v in vectors])
+    J = np.asarray(J, dtype=float)
+    return form(fp, [_matvec(J, np.asarray(v, dtype=float)) for v in vectors])
 
 
 def pullback_form(f: SmoothMap, form: FormField,
                   prof: ToleranceProfile = DEFAULT_PROFILE, name: str = "") -> FormField:
-    """The pullback ``f^* form`` packaged as a FormField on f's domain."""
+    """The pullback ``f^* form`` packaged as a FormField on f's domain.
+
+    Its evaluator takes blocks; its domain predicate takes points.
+    """
     def pred(p):
         return f.defined_at(p) and form.defined_at(f(p))
     return FormField(form.degree, f.domain_dim,
-                     lambda p, vs: pullback(f, form, p, vs, prof),
+                     lambda p, vs: pullback(f, form, np.transpose(p),
+                                            [np.transpose(v) for v in vs], prof),
                      form.kind, pred, name or f"{f.name}*{form.name}")

@@ -14,6 +14,11 @@ case, and the b/b' slot swap in the zero-residue multiplication) are
 kept as negative controls.  The four candidate domains of the covering
 morphism psi are members of the exponential family of
 ``egl.groupoids``, whose exp-on-target, unscaled member is ssc-surface.
+
+Every form here evaluates a point or a coordinate-major block (see
+``egl.kernel.FormField``) with the same bits, its complex arithmetic
+written on real pairs; the composable-pair parametrizations are tuple
+formulas, like the structure maps.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ import numpy as np
 from .divisors import residue_model_frame
 from .errors import SamplerExhausted
 from .groupoids import (GroupoidChartModel, Widths, _affine_isotropy, _annulus,
-                        _box, _branch, _cabs, _cdiv, _cexp, _cmul, _cx, _exp_model,
-                        _finite, _join, _nonzero, _relabel, _zero, _zero_or,
-                        case1_model)
-from .kernel import FormField, SmoothMap, two_form_from_matrix
+                        _box, _cabs, _cexp, _exp_model, _finite, _join, _nonzero,
+                        _relabel, _square, _zero, _zero_or, case1_model)
+from .kernel import (FormField, SmoothMap, _branch, _cdiv, _cmul, _complex, _matvec,
+                     two_form_from_matrix)
 
 __all__ = [
     "SymplecticModel",
@@ -53,9 +58,10 @@ class SymplecticModel:
 
     ``Omega`` equals t*omega - s*omega on the dense chart and is
     nondegenerate off a measure-zero locus; ``pi_bivector`` evaluates
-    the Poisson bivector on the base.  ``pair_param`` parametrizes
-    exactly composable pairs for multiplicativity checks; its tangent
-    vectors stay in the composable locus by construction.
+    the Poisson bivector at one base point.  ``pair_param`` parametrizes
+    exactly composable pairs for multiplicativity checks, as a
+    (SmoothMap with a tuple formula, sampler) pair; its tangent vectors
+    stay in the composable locus by construction.
     """
 
     model: GroupoidChartModel
@@ -71,6 +77,36 @@ class SymplecticModel:
     @property
     def name(self):
         return self.model.name
+
+
+# -- form coefficients on points or blocks -----------------------------------
+
+def _pair(x, i):
+    """The complex coordinate at slots i, i + 1 of a point or block, as a real pair."""
+    return (x[i], x[i + 1])
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _csub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _wedge(u, v, i, j):
+    """u_i v_j - u_j v_i for the complex coordinates at slots i and j."""
+    return _csub(_cmul(*_pair(u, i), *_pair(v, j)), _cmul(*_pair(u, j), *_pair(v, i)))
+
+
+def _zero_matrix(x, n):
+    """Zero (n, n) coefficients at a point, or their (N, n, n) stack when x is a column."""
+    return np.zeros(np.shape(x) + (n, n))
+
+
+def _antisymmetric(c):
+    """c - c^T for a matrix or for each matrix of a stack."""
+    return c - np.swapaxes(c, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +214,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         return fval(p) * (u[0] * v[1] - u[1] * v[0]) / r2
 
     omega = FormField(2, 2, omega_func, "real",
-                      lambda p: p[0] != 0 or p[1] != 0, "omega=f dlogr^dtheta")
+                      lambda p: _nonzero(p[0], p[1]), "omega=f dlogr^dtheta")
 
     if f is None:
         Omega = _nonzero_Omega_closed()
@@ -191,21 +227,20 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         return np.array([[0.0, c], [-c, 0.0]])
 
     # exactly composable pairs parametrized by (x, a1, b1, a2, b2)
-    def pair_map_func(w):
-        g = (w[0], w[1], w[2], w[3])
-        s1, s2 = source_of(g)
-        return np.array([*g, s1, s2, w[4], w[5]])
+    def pairs(w):
+        g = w[:4]
+        return g + source_of(g) + w[4:6]
 
-    pair_map = SmoothMap(6, 8, pair_map_func, name="sympl-nonzero.pairs")
+    pair_map = SmoothMap.from_formula(6, 8, pairs, name="sympl-nonzero.pairs")
 
     def sample_params(rng):
         for _ in range(256):
             u = rng.random(6).tolist()
             w = _annulus(u[0], u[1], 0.35, 0.9) + tuple(_box(x, 0.3) for x in u[2:])
-            g = (w[0], w[1], w[2], w[3])
+            g = w[:4]
             if not (0.3 <= _nonzero_Q(g) <= 4.0):
                 continue
-            h = tuple(pair_map_func(w)[4:])
+            h = pairs(w)[4:]
             if math.hypot(*source_of(h)) < 0.1 or not (0.3 <= _nonzero_Q(h) <= 4.0):
                 continue
             return w
@@ -231,16 +266,16 @@ def _nonzero_Omega_closed() -> FormField:
         x1, x2, a, b = p
         r2 = x1 * x1 + x2 * x2
         Q = _nonzero_Q(p)
-        c = np.zeros((4, 4))
-        c[0, 1] = (a * a + b * b) / Q
-        c[0, 2] = 2 * b * x1 / Q
-        c[0, 3] = -(2 * a * x1 + 1) / Q
-        c[1, 2] = (2 * b * x2 + 1) / Q
-        c[1, 3] = -2 * a * x2 / Q
-        c[2, 3] = -r2 / Q
-        return c - c.T
+        c = _zero_matrix(x1, 4)
+        c[..., 0, 1] = (a * a + b * b) / Q
+        c[..., 0, 2] = 2 * b * x1 / Q
+        c[..., 0, 3] = -(2 * a * x1 + 1) / Q
+        c[..., 1, 2] = (2 * b * x2 + 1) / Q
+        c[..., 1, 3] = -2 * a * x2 / Q
+        c[..., 2, 3] = -r2 / Q
+        return _antisymmetric(c)
 
-    return two_form_from_matrix(4, coeff, "real", lambda p: _nonzero_Q(tuple(p)) > 0,
+    return two_form_from_matrix(4, coeff, "real", lambda p: _nonzero_Q(p) > 0,
                                 "Omega(nonzero)")
 
 
@@ -254,15 +289,15 @@ def _nonzero_Omega_variant() -> FormField:
         x1, x2, a, b = p
         r2 = x1 * x1 + x2 * x2
         Q = _nonzero_Q(p)
-        c = np.zeros((4, 4))
-        c[0, 1] = (a * a + b * b) * r2 / Q
-        c[0, 2] = -2 * b * x1 / Q
-        c[0, 3] = (2 * a * x1 + 1) / Q
-        c[1, 2] = -(2 * b * x2 + 1) / Q
-        c[1, 3] = 2 * a * x2 / Q
-        return c - c.T
+        c = _zero_matrix(x1, 4)
+        c[..., 0, 1] = (a * a + b * b) * r2 / Q
+        c[..., 0, 2] = -2 * b * x1 / Q
+        c[..., 0, 3] = (2 * a * x1 + 1) / Q
+        c[..., 1, 2] = -(2 * b * x2 + 1) / Q
+        c[..., 1, 3] = 2 * a * x2 / Q
+        return _antisymmetric(c)
 
-    return two_form_from_matrix(4, coeff, "real", lambda p: _nonzero_Q(tuple(p)) > 0,
+    return two_form_from_matrix(4, coeff, "real", lambda p: _nonzero_Q(p) > 0,
                                 "Omega(nonzero,variant)")
 
 
@@ -274,9 +309,10 @@ def _nonzero_Omega_assembled(fval) -> FormField:
         r2 = x1 * x1 + x2 * x2
         u, v = vs
         tu, tv = u[:2], v[:2]
-        ds = np.array([[2 * a * x1 + 1, 2 * a * x2, r2, 0.0],
-                       [2 * b * x1, 2 * b * x2 + 1, 0.0, r2]])
-        su, sv = ds @ u, ds @ v
+        entries = np.broadcast_arrays(2 * a * x1 + 1, 2 * a * x2, r2, 0.0,
+                                      2 * b * x1, 2 * b * x2 + 1, 0.0, r2)
+        ds = np.stack(entries, axis=-1).reshape(np.shape(x1) + (2, 4))
+        su, sv = (np.transpose(_matvec(ds, np.transpose(w))) for w in (u, v))
         s1, s2 = a * r2 + x1, b * r2 + x2
         rho2 = s1 * s1 + s2 * s2
         term_t = fval((x1, x2)) * (tu[0] * tv[1] - tu[1] * tv[0]) / r2
@@ -285,10 +321,8 @@ def _nonzero_Omega_assembled(fval) -> FormField:
 
     def pred(p):
         x1, x2, a, b = p
-        if x1 == 0 and x2 == 0:
-            return False
         s1, s2 = a * (x1 * x1 + x2 * x2) + x1, b * (x1 * x1 + x2 * x2) + x2
-        return not (s1 == 0 and s2 == 0)
+        return _nonzero(x1, x2) & _nonzero(s1, s2)
 
     return FormField(2, 4, func, "real", pred, "Omega(nonzero,f)")
 
@@ -388,14 +422,13 @@ def symplectic_zero_residue_model() -> SymplecticModel:
         c[1, 3], c[0, 3] = u1, -u2
         return c - c.T
 
-    def pair_map_func(w):
-        g = tuple(w[:8])
+    def pairs(w):
+        g = w[:8]
         s1a, s1b, s2a, s2b = source_of(g)
         # arrow layout is (z, a, b, c): the source's divisor slot feeds a
-        h = (s2a, s2b, s1a, s1b) + tuple(w[8:12])
-        return np.array([*g, *h])
+        return g + (s2a, s2b, s1a, s1b) + w[8:12]
 
-    pair_map = SmoothMap(12, 16, pair_map_func, name="sympl-zero.pairs")
+    pair_map = SmoothMap.from_formula(12, 16, pairs, name="sympl-zero.pairs")
 
     def sample_params(rng):
         u = rng.random(12).tolist()
@@ -421,14 +454,11 @@ def _dlog_wedge_form() -> FormField:
     """omega = dlog(u) ^ dv as a complex form on C^2, divisor {u = 0}."""
 
     def func(p, vs):
-        u = complex(p[0], p[1])
         a, b = vs
-        au, av = complex(a[0], a[1]), complex(a[2], a[3])
-        bu, bv = complex(b[0], b[1]), complex(b[2], b[3])
-        return (au * bv - bu * av) / u
+        return _complex(*_cdiv(*_wedge(a, b, 0, 2), *_pair(p, 0)))
 
     return FormField(2, 4, func, "complex",
-                     lambda p: p[0] != 0 or p[1] != 0, "omega=dlogu^dv")
+                     lambda p: _nonzero(p[0], p[1]), "omega=dlogu^dv")
 
 
 def _zero_Omega(sign: float) -> FormField:
@@ -439,19 +469,18 @@ def _zero_Omega(sign: float) -> FormField:
     """
 
     def func(p, vs):
-        z, a, b, c = _cx(p, 0), _cx(p, 2), _cx(p, 4), _cx(p, 6)
+        a, b, c = _pair(p, 2), _pair(p, 4), _pair(p, 6)
         u, v = vs
-        uz, ua, ub, uc = _cx(u, 0), _cx(u, 2), _cx(u, 4), _cx(u, 6)
-        vz, va, vb, vc = _cx(v, 0), _cx(v, 2), _cx(v, 4), _cx(v, 6)
-        out = (c / b) * (ua * vb - ub * va)
-        out -= (ua * vc - uc * va)
-        out -= (ub * vz - uz * vb) / b
-        out += sign * (a / b) * (ub * vc - uc * vb)
-        return out
+        out = _cmul(*_cdiv(*c, *b), *_wedge(u, v, 2, 4))
+        out = _csub(out, _wedge(u, v, 2, 6))
+        out = _csub(out, _cdiv(*_wedge(u, v, 4, 0), *b))
+        # sign * (a / b) multiplies as complex(sign, 0.0) does
+        out = _cadd(out, _cmul(*_cmul(sign, 0.0, *_cdiv(*a, *b)), *_wedge(u, v, 4, 6)))
+        return _complex(*out)
 
     tag = "derived" if sign < 0 else "variant"
     return FormField(2, 8, func, "complex",
-                     lambda p: _cx(tuple(p), 4) != 0, f"Omega(zero,{tag})")
+                     lambda p: _nonzero(p[4], p[5]), f"Omega(zero,{tag})")
 
 
 def zero_residue_target_model() -> GroupoidChartModel:
@@ -472,17 +501,17 @@ def zero_target_Omega() -> FormField:
     """t*omega - s*omega on the receiving model, via exact differentials."""
 
     def func(p, vs):
-        A, B = _cx(p, 0), _cx(p, 2)
+        A, B = _pair(p, 0), _pair(p, 2)
         u, v = vs
-        uA, uB, uw1, uw2 = _cx(u, 0), _cx(u, 2), _cx(u, 4), _cx(u, 6)
-        vA, vB, vw1, vw2 = _cx(v, 0), _cx(v, 2), _cx(v, 4), _cx(v, 6)
-        term_t = (uA * vw1 - vA * uw1) / A
-        su, sv = B * uA + A * uB, B * vA + A * vB
-        term_s = (su * vw2 - sv * uw2) / (A * B)
-        return term_t - term_s
+        term_t = _cdiv(*_wedge(u, v, 0, 4), *A)
+        su = _cadd(_cmul(*B, *_pair(u, 0)), _cmul(*A, *_pair(u, 2)))
+        sv = _cadd(_cmul(*B, *_pair(v, 0)), _cmul(*A, *_pair(v, 2)))
+        term_s = _cdiv(*_csub(_cmul(*su, *_pair(v, 6)), _cmul(*sv, *_pair(u, 6))),
+                       *_cmul(*A, *B))
+        return _complex(*_csub(term_t, term_s))
 
     return FormField(2, 8, func, "complex",
-                     lambda p: (p[0] != 0 or p[1] != 0) and _cx(tuple(p), 2) != 0,
+                     lambda p: _nonzero(p[0], p[1]) & _nonzero(p[2], p[3]),
                      "Omega(H zero)")
 
 
@@ -490,17 +519,18 @@ def nonzero_target_Omega() -> FormField:
     """t*omega - s*omega on the smooth-divisor plane model, exact."""
 
     def func(p, vs):
-        a, b = _cx(p, 0), _cx(p, 2)
+        a, b = _pair(p, 0), _pair(p, 2)
         u, v = vs
-        ua, ub = _cx(u, 0), _cx(u, 2)
-        va, vb = _cx(v, 0), _cx(v, 2)
-        term_t = ((ua.conjugate() * va).imag) / abs(a) ** 2
-        su, sv = b * ua + a * ub, b * va + a * vb
-        term_s = ((su.conjugate() * sv).imag) / abs(a * b) ** 2
+        ua, va = _pair(u, 0), _pair(v, 0)
+        # Im(conj(x) y) over |.|^2, with abs and ** 2 as Python computes them
+        term_t = _cmul(ua[0], -ua[1], *va)[1] / _square(_cabs(*a))
+        su = _cadd(_cmul(*b, *ua), _cmul(*a, *_pair(u, 2)))
+        sv = _cadd(_cmul(*b, *va), _cmul(*a, *_pair(v, 2)))
+        term_s = _cmul(su[0], -su[1], *sv)[1] / _square(_cabs(*_cmul(*a, *b)))
         return term_t - term_s
 
     return FormField(2, 4, func, "real",
-                     lambda p: (p[0] != 0 or p[1] != 0) and _cx(tuple(p), 2) != 0,
+                     lambda p: _nonzero(p[0], p[1]) & _nonzero(p[2], p[3]),
                      "Omega(H nonzero)")
 
 
@@ -521,10 +551,10 @@ def pair_groupoid_symplectic() -> SymplecticModel:
 
     Omega = FormField(2, 4, func, "real", None, "Omega(pair)")
 
-    def pair_map_func(w):
-        return np.array([w[0], w[1], w[2], w[3], w[2], w[3], w[4], w[5]])
+    def pairs(w):
+        return (w[0], w[1], w[2], w[3], w[2], w[3], w[4], w[5])
 
-    pair_map = SmoothMap(6, 8, pair_map_func, name="pair.pairs")
+    pair_map = SmoothMap.from_formula(6, 8, pairs, name="pair.pairs")
 
     def sample_params(rng):
         return tuple(_box(x) for x in rng.random(6).tolist())
@@ -685,13 +715,13 @@ def real_form_conventions():
     base = _dlog_wedge_form()
 
     def plain(p, vs):
-        return complex(base.func(p, vs)).real
+        return base.func(p, vs).real
 
     def conjugated(p, vs):
         flip = [np.array([v[0], v[1], v[2], -v[3]]) for v in vs]
-        return complex(base.func(p, flip)).real
+        return base.func(p, flip).real
 
-    pred = lambda p: p[0] != 0 or p[1] != 0
+    pred = lambda p: _nonzero(p[0], p[1])
     return (FormField(2, 4, motivating, "real", pred, "dlogr^dx3+dtheta^dx4"),
             FormField(2, 4, plain, "real", pred, "Re(dlogu^dv)"),
             FormField(2, 4, conjugated, "real", pred, "Re(dlogu^dconj(v))"))

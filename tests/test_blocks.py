@@ -1,9 +1,10 @@
-"""Block evaluation of the structure maps and of the sampled suites.
+"""Block evaluation of the structure maps, forms and sampled suites.
 
 Every structure map takes a point (a tuple of floats) or a block (a
-tuple of (N,) columns); both must give the same bits.  The suites built
-on blocks must report exactly what sample-by-sample evaluation reported,
-and must fail with a witness where that evaluation crashed.
+tuple of (N,) columns), and every form a point or a coordinate-major
+block; both must give the same bits.  The suites built on blocks must
+report exactly what sample-by-sample evaluation reported, and must fail
+with a witness where that evaluation crashed.
 """
 
 import cmath
@@ -19,23 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import egl.checks as checks
-from egl.checks import (AXIOM_NAMES, _Accumulator, _gap, _round_tuple,
-                        check_algebroid, check_groupoid_axioms, check_ideal,
-                        check_isotropy, check_morphism, check_zero_residue_variant,
-                        morphism_beta, perturbed_model, rng_for)
-from egl.errors import ChartInvalid, NotComposable
+from egl.checks import (AXIOM_NAMES, _Accumulator, _dense_arrows, _gap, _round_tuple,
+                        _unit_vectors, check_algebroid, check_groupoid_axioms,
+                        check_ideal, check_isotropy, check_morphism,
+                        check_multiplicative, check_poisson, check_symplectic,
+                        check_zero_residue_variant, morphism_beta, perturbed_model,
+                        rng_for)
+from egl.errors import ChartInvalid, NonFiniteValue, NotComposable, SamplerExhausted
 from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _square, case1_model,
                            case2_quotient_model, caseIV_model, ideal_values,
                            smooth_factor_model, ssc_surface_model, uniforms)
-from egl.kernel import SmoothMap
+from egl.kernel import SmoothMap, exterior_derivative, jacobian, pullback_at
 from egl.registry import MODEL_NAMES, build_model
 from egl.report import RunConfig, run_verify
 from egl.symplectic import (PSI_SERIES_THRESHOLD, _psi_coefficient,
                             morphism_phi_nonzero, morphism_phi_zero,
-                            morphism_psi, psi_domain_candidates,
+                            morphism_psi, nonzero_target_Omega,
+                            pair_groupoid_symplectic, psi_domain_candidates,
+                            real_form_conventions,
                             symplectic_nonzero_residue_model,
-                            symplectic_zero_residue_model,
-                            zero_residue_target_model)
+                            symplectic_zero_residue_model, zero_residue_target_model,
+                            zero_target_Omega)
 
 ROWS = 256
 
@@ -262,6 +267,115 @@ def test_morphism_formulas_equal_their_evaluators(name):
     _assert_same(f.formula(_columns(gs)), [tuple(f(g)) for g in gs], name)
 
 
+SYMPLECTIC = {"sympl-nonzero": symplectic_nonzero_residue_model(),
+              "sympl-zero": symplectic_zero_residue_model(),
+              "pair": pair_groupoid_symplectic()}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPLECTIC))
+def test_pair_parametrizations_equal_their_blocks(name):
+    P, sample_params = SYMPLECTIC[name].pair_param
+    rng = rng_for(3, f"pairs:{name}")
+    ws = [sample_params(rng) for _ in range(ROWS)]
+    ws += [_negated_zeros(w) for w in ws[:8]] + [(0.0,) * P.domain_dim]
+    points = [P.formula(w) for w in ws]
+    _assert_same(P.formula(_columns(ws)), points, name)
+    _assert_same(P(np.array(ws)).T, points, name)
+
+
+def _symplectic_forms():
+    """Every FormField of egl.symplectic, with the conformal-factor model's."""
+    forms = {}
+    f_model = symplectic_nonzero_residue_model(f=lambda p: 2.0 + p[0])
+    for name, sym in [*SYMPLECTIC.items(), ("sympl-nonzero(f)", f_model)]:
+        for field in ("omega_base", "Omega", "Omega_variant"):
+            form = getattr(sym, field)
+            if form is not None:
+                forms[f"{name}.{field}"] = form
+    forms["H(zero).Omega"] = zero_target_Omega()
+    forms["H(nonzero).Omega"] = nonzero_target_Omega()
+    forms.update({f"real_form[{i}]": form for i, form in enumerate(real_form_conventions())})
+    return forms
+
+
+FORMS = _symplectic_forms()
+
+
+def _form_rows(form, seed=4):
+    """Points of the form's domain (generic, with zero and negated-zero
+    coordinates among them), and stacks of vectors, basis vectors included."""
+    rng = rng_for(seed, f"forms:{form.name}")
+    n = form.ambient_dim
+    points = rng.normal(size=(ROWS, n))
+    points[:40, 2:4] = 0.0
+    points[40:80, 2:4] = -0.0
+    points[80:90, 0] = -0.0
+    vectors = [rng.normal(size=(ROWS, n)) for _ in range(3)]
+    for i, v in enumerate(vectors):
+        v[:n] = np.roll(np.eye(n), i, axis=1)
+    inside = form.defined_at(points)
+    assert inside.tolist() == [form.defined_at(p) for p in points]
+    assert inside.mean() > 0.5
+    return points[inside], [v[inside] for v in vectors]
+
+
+def _same_values(block, points, what):
+    block, points = np.asarray(block), np.asarray(points)
+    for part in (np.real, np.imag):
+        assert np.array_equal(_bits(part(block)), _bits(part(points))), what
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_forms_give_a_point_the_bits_of_its_block(name):
+    form = FORMS[name]
+    points, vs = _form_rows(form)
+    rows = range(len(points))
+    _same_values(form(points, vs[:2]), [form(points[i], [v[i] for v in vs[:2]]) for i in rows],
+                 "value")
+    _same_values(exterior_derivative(form, points, vs),
+                 [exterior_derivative(form, points[i], [v[i] for v in vs]) for i in rows],
+                 "exterior derivative")
+    # a pullback through a stack of Jacobians, as the suites take it
+    J = rng_for(4, f"jacobians:{name}").normal(size=(len(points), form.ambient_dim, 5))
+    us = [rng_for(4, f"pullback:{name}:{k}").normal(size=(len(points), 5)) for k in (0, 1)]
+    _same_values(pullback_at(form, points, J, us),
+                 [pullback_at(form, points[i], J[i], [u[i] for u in us]) for i in rows],
+                 "pullback")
+
+
+def test_unit_vectors_are_the_one_vector_draws():
+    # one normal slab is the one-vector draws; the norms are np.linalg.norm's
+    block, single = rng_for(2, "unit-vectors"), rng_for(2, "unit-vectors")
+    for dim in (4, 8, 12):
+        got = _unit_vectors(block, dim, 3, 50)
+        want = [[v / np.linalg.norm(v) for v in (single.normal(size=dim) for _ in range(3))]
+                for _ in range(50)]
+        assert np.array_equal(_bits(got), _bits(want))
+    assert block.random() == single.random()
+
+
+def _reference_dense_arrows(sym, rng, count):
+    """The dense-chart draws one arrow at a time, as they ran before blocks."""
+    model, out = sym.model, []
+    while len(out) < count:
+        g = model.random_arrow(rng)
+        sp, tp = model.source_of(g), model.target_of(g)
+        if (sym.Omega.defined_at(g) and sym.omega_base.defined_at(sp)
+                and sym.omega_base.defined_at(tp)
+                and min(p[0] * p[0] + p[1] * p[1] for p in (sp, tp)) >= 0.15 * 0.15):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
+def test_dense_arrows_are_the_one_at_a_time_draws(name):
+    sym = SYMPLECTIC[name]
+    block, single = rng_for(6, f"dense:{name}"), rng_for(6, f"dense:{name}")
+    got = _dense_arrows(sym, block, 300)
+    assert np.array_equal(_bits(got), _bits(_reference_dense_arrows(sym, single, 300)))
+    assert block.random() == single.random()
+
+
 # ---------------------------------------------------------------------------
 # block samplers == one-sample samplers, row by row
 # ---------------------------------------------------------------------------
@@ -476,12 +590,17 @@ def _suite_reports():
             check_morphism(morphism_phi_zero(), 150, 3),
             check_morphism(morphism_phi_nonzero(), 150, 3),
             check_zero_residue_variant(sym_zero, 100, 3),
-            check_algebroid(caseIV_model(4, 2), 30, 3)]
+            check_algebroid(caseIV_model(4, 2), 30, 3)] \
+        + [check(SYMPLECTIC[name], n, 3)
+           for name in ("sympl-nonzero", "sympl-zero")
+           for check, n in ((check_multiplicative, 40), (check_symplectic, 50),
+                            (check_poisson, 30))]
 
 
 def test_reports_do_not_depend_on_the_block_size(monkeypatch):
-    # one slab per block, and the morphism retries and form vectors from
-    # their own streams in sample order: no layout depends on BLOCK_ROWS
+    # one slab per block, the morphism retries and form vectors from
+    # their own streams in sample order, and the calculus suites' draws
+    # made before their blocks: no layout depends on BLOCK_ROWS
     want = [_text(rep) for rep in _suite_reports()]
     monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
     assert [_text(rep) for rep in _suite_reports()] == want
@@ -572,6 +691,65 @@ def test_a_nan_endpoint_fails_the_axioms_instead_of_exhausting_the_sampler(compo
     assert math.isinf(rep.max_residual)
     assert rep.witnesses and all(w["map"] == "sample" and math.isinf(w["residual"])
                                  for w in rep.witnesses)
+
+
+def test_a_nan_bracket_fails_the_poisson_check():
+    sym = replace(SYMPLECTIC["sympl-zero"], pi_bivector=lambda p: np.full((4, 4), np.nan))
+    rep = check_poisson(sym, 20, 7)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert math.isnan(rep.max_residual)
+    assert len(rep.witnesses) == 20 and all(math.isnan(w["residual"]) for w in rep.witnesses)
+
+
+def test_a_poisson_sampler_stuck_on_the_divisor_is_exhausted():
+    sym = SYMPLECTIC["sympl-zero"]
+    on_divisor = replace(sym, model=replace(sym.model, sample_base=lambda u: (0.0,) * 4))
+    with pytest.raises(SamplerExhausted):
+        check_poisson(on_divisor, 5, 7)
+
+
+@pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
+def test_a_nan_form_fails_the_symplectic_check(name):
+    # NaN reaches the pullback comparison, the exterior derivative and
+    # the determinants; each fails instead of raising NonFiniteValue
+    sym = SYMPLECTIC[name]
+    func = sym.Omega.func
+    nan_omega = replace(sym.Omega, func=lambda p, vs: func(p, vs) * math.nan)
+    rep = check_symplectic(replace(sym, Omega=nan_omega), 30, 7)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert math.isnan(rep.details["d_omega_max"])
+    assert math.isnan(rep.details["nondeg_min_abs_det"])
+    assert rep.witnesses[0]["kind"] == "pullback"
+    assert rep.witnesses[-1]["kind"] == "closedness/nondegeneracy"
+
+
+@pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
+def test_a_nan_determinant_fails_nondegeneracy(name):
+    sym = SYMPLECTIC[name]
+    grid = sym.nondeg_grid + ((math.nan,) * sym.model.arrow_dim,)
+    rep = check_symplectic(replace(sym, nondeg_grid=grid), 30, 7)
+    assert rep.passed == rep.samples and rep.verdict == "fail"
+    assert math.isnan(rep.details["nondeg_min_abs_det"])
+    assert math.isnan(rep.witnesses[-1]["nondeg_min"])
+
+
+@pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
+def test_a_nan_product_fails_the_multiplicative_check(name):
+    # the Jacobian of m(pr1, pr2) holds NaN: the samples fail with a
+    # witness, and jacobian itself still raises NonFiniteValue
+    sym = SYMPLECTIC[name]
+    inner = sym.model.compose_raw
+    model = replace(sym.model, compose_raw=lambda g, h: inner(g, h)[:-1]
+                    + (inner(g, h)[-1] + math.nan,))
+    rep = check_multiplicative(replace(sym, model=model), 30, 7)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert math.isnan(rep.max_residual)
+    assert len(rep.witnesses) == 20 and all("params" in w for w in rep.witnesses)
+    P, sample_params = sym.pair_param
+    m_of_pair = SmoothMap.from_formula(P.domain_dim, model.arrow_dim,
+                                       lambda w: model.m.formula(P.formula(w)))
+    with pytest.raises(NonFiniteValue):
+        jacobian(m_of_pair, sample_params(rng_for(1, "nan-product")))
 
 
 # ---------------------------------------------------------------------------
