@@ -7,7 +7,9 @@ the product of squared moduli, and the generating frame of the elliptic
 tangent bundle consists of the coordinate fields on the real part plus a
 radial/angular pair per complex factor.  The frame ordering is fixed
 (real coordinates first, then per-factor pairs) so that downstream
-subspace comparisons are deterministic.
+subspace comparisons are deterministic.  The frames are formulas on a
+point or on a block of points given as coordinate columns, so one call
+states the frames of a whole block, each with its point's bits.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ class AlgebroidFrame:
     """Values at a point of the generating fields, in the fixed order."""
 
     point: np.ndarray
-    vectors: np.ndarray  # shape (n, n); rows are frame vectors
+    vectors: np.ndarray  # shape (n, n), or (N, n, n) for a block; rows are frame vectors
 
-    def rank(self, tol: float = 1e-9) -> int:
-        if not self.vectors.any():
-            return 0
+    def rank(self, tol: float = 1e-9):
+        """The rank of the frame, or the array of ranks of a block's frames."""
         svals = np.linalg.svd(self.vectors, compute_uv=False)
-        return int(np.sum(svals > tol * max(1.0, svals[0])))
+        ranks = np.count_nonzero(svals > tol * np.maximum(1.0, svals[..., :1]), axis=-1)
+        return int(ranks) if ranks.ndim == 0 else ranks
 
 
 @dataclass(frozen=True)
@@ -80,20 +82,29 @@ class DivisorLocalModel:
 
         Coordinate fields on the real part; per complex factor
         z_j = (v1, v2) the radial field (v1, v2) and angular field
-        (-v2, v1) on that factor's plane.
+        (-v2, v1) on that factor's plane.  ``p`` is a point, giving (n, n)
+        vectors, or a block of N points as coordinate columns, giving
+        (N, n, n); a point has the bits of its row of a block.
         """
-        p = np.asarray(p, dtype=float)
-        vectors = np.zeros((self.n, self.n))
-        for i in range(self.real_dim):
-            vectors[i, i] = 1.0
-        for j in range(self.k):
-            i = self.real_dim + 2 * j
+        p, vectors = _frame_of(p, self.n)
+        i = np.arange(self.real_dim)
+        vectors[..., i, i] = 1.0
+        for i in range(self.real_dim, self.n, 2):
             v1, v2 = p[i], p[i + 1]
-            vectors[self.real_dim + 2 * j, i] = v1
-            vectors[self.real_dim + 2 * j, i + 1] = v2
-            vectors[self.real_dim + 2 * j + 1, i] = -v2
-            vectors[self.real_dim + 2 * j + 1, i + 1] = v1
+            vectors[..., i, i] = v1
+            vectors[..., i, i + 1] = v2
+            vectors[..., i + 1, i] = -v2
+            vectors[..., i + 1, i + 1] = v1
         return AlgebroidFrame(point=p, vectors=vectors)
+
+
+def _frame_of(p, n: int):
+    """(p, zero frame): a point as a float array with an (n, n) frame, or a
+    block of coordinate columns as it is with an (N, n, n) stack."""
+    for x in p:
+        if isinstance(x, np.ndarray) and x.ndim:
+            return p, np.zeros(x.shape + (n, n))
+    return np.asarray(p, dtype=float), np.zeros((n, n))
 
 
 def residue_model_frame(variant: str):
@@ -101,23 +112,24 @@ def residue_model_frame(variant: str):
 
     ``nonzero``: {r^2 dx, r^2 dy} on the plane.  ``zero``: the
     realification of {u du, u dv} on C^2 (four real vectors), with u the
-    divisor coordinate stored in the first real pair.
+    divisor coordinate stored in the first real pair.  Each frame takes
+    a point or a block, as ``DivisorLocalModel.algebroid_frame`` does.
     """
     if variant == "nonzero":
         def frame(p):
-            p = np.asarray(p, dtype=float)
+            p, rows = _frame_of(p, 2)
             r2 = p[0] * p[0] + p[1] * p[1]
-            return np.array([[r2, 0.0], [0.0, r2]])
+            rows[..., 0, 0] = rows[..., 1, 1] = r2
+            return rows
         return frame
     if variant == "zero":
         def frame(p):
-            p = np.asarray(p, dtype=float)
+            p, rows = _frame_of(p, 4)
             u1, u2 = p[0], p[1]
-            return np.array([
-                [u1, u2, 0.0, 0.0],   # u d/du
-                [-u2, u1, 0.0, 0.0],  # iu d/du
-                [0.0, 0.0, u1, u2],   # u d/dv
-                [0.0, 0.0, -u2, u1],  # iu d/dv
-            ])
+            for i in (0, 2):    # rows u d/du, iu d/du, then u d/dv, iu d/dv
+                rows[..., i, i] = rows[..., i + 1, i + 1] = u1
+                rows[..., i, i + 1] = u2
+                rows[..., i + 1, i] = -u2
+            return rows
         return frame
     raise ValueError(f"unknown residue variant {variant!r}")

@@ -55,7 +55,8 @@ import numpy as np
 from .divisors import DivisorLocalModel, residue_model_frame
 from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
-from .kernel import DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul, jacobian
+from .kernel import (DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul,
+                     _span_intersection, jacobian)
 from .signedperm import SignedPermutation, semidirect_mul
 
 __all__ = [
@@ -241,6 +242,10 @@ class GroupoidChartModel:
     ``beta_map``, ``divisor_factors``) and the samplers (``sample_*`` and
     ``arrow_between``, reading u, ``widths`` uniforms per sample) take a
     point or a block of points (see the module docstring);
+    ``expected_frame``, the stated algebroid frame, takes a base point,
+    giving its (r, n) frame rows, or a block, giving the (N, r, n) stack
+    with each point's bits (a frame that does not depend on the point
+    may return one matrix for both);
     ``arrow_between`` refuses endpoints on different strata (a point
     raises NotComposable, a block row is all NaN).  ``compose`` and
     ``require_valid`` work on single points.  ``s``, ``t``, ``ts``,
@@ -272,7 +277,7 @@ class GroupoidChartModel:
     unit_at: Callable
     arrow_valid: Callable
     is_hausdorff: bool = True
-    expected_frame: Optional[Callable] = None   # base point -> frame rows
+    expected_frame: Optional[Callable] = None   # point -> (r, n) rows; block -> (N, r, n)
     beta_map: Optional[Callable] = None         # arrow -> (target ++ source) blow-down
     arrow_between: Optional[Callable] = None    # (p, q, u) -> arrow with t=p, s=q
     sample_arrow: Optional[Callable] = None     # u -> arrow
@@ -651,7 +656,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
         name=name, arrow_dim=2 * n, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        expected_frame=lambda p: divisor.algebroid_frame(np.asarray(p)).vectors,
+        expected_frame=lambda p: divisor.algebroid_frame(p).vectors,
         beta_map=lambda g: target_of(g) + source_of(g),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
@@ -818,7 +823,7 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
         return len(g) == inner.arrow_dim and inner.arrow_valid(a_in(g))
 
     def frame(rows):
-        return rows[cells]
+        return rows[(...,) + cells]     # a point's frame or a block's stack
 
     return GroupoidChartModel(
         name=name, arrow_dim=inner.arrow_dim, base_dim=n,
@@ -932,7 +937,7 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=_finite,
         expected_frame=(None if scaled
-                        else (lambda p: frame_model.algebroid_frame(np.asarray(p)).vectors)),
+                        else (lambda p: frame_model.algebroid_frame(p).vectors)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_slots=(0, 1), widths=Widths(arrow=5, base=3, like=2, between=2),
@@ -1012,13 +1017,11 @@ def action_groupoid_model() -> GroupoidChartModel:
         return (_annulus(u[0], u[1], 0.3, 1.6) + (_box(u[2]), _box(u[3]))
                 + sample_base(u[4:]))
 
-    frame = residue_model_frame("zero")
-
     return GroupoidChartModel(
         name="action-groupoid", arrow_dim=8, base_dim=4,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        expected_frame=lambda p: frame(np.asarray(p)),
+        expected_frame=residue_model_frame("zero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_slots=(0, 1), isotropy=_affine_isotropy(0, 6),
@@ -1037,7 +1040,9 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     Arrows are pairs (g1, g2) with matching (target, source) base
     pairs; structure maps act componentwise.  The two chart-to-base-pair
     maps must be transverse, verified numerically by the rank of the
-    combined Jacobian at sampled arrows (NotTransverse reports it).
+    combined Jacobian at the 11 arrows of ``_probes``, one stacked
+    Jacobian and one stacked rank (NotTransverse reports the first rank
+    that falls short).
     The Hausdorff flag is the conjunction of the factors' flags, the
     divisor slots are the union of theirs, and the isotropy law is the
     torus law over those slots.  Base points are drawn by the first
@@ -1081,10 +1086,7 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
         return model._extend(base_sampler(u[:wb]), u[wb:])
 
     def expected_frame(p):
-        f1, f2 = np.atleast_2d(m1.expected_frame(p)), np.atleast_2d(m2.expected_frame(p))
-        if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
-            return np.full((nd, nd), np.nan)    # no intersection to take: fail closed
-        return _span_intersection(f1, f2)
+        return _span_intersection(m1.expected_frame(p), m2.expected_frame(p))
 
     has_factors = m1.divisor_factors or m2.divisor_factors
 
@@ -1133,38 +1135,24 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
                       isotropy=wb + 2 * between),
     )
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    # the origin unit sits on the deepest stratum of every chart model
-    # here, which is where blow-down ranks can drop
-    probes = [model.unit_at((0.0,) * nd)]
-    probes += [model.unit_at(model.random_base(rng)) for _ in range(6)]
-    probes += [model.random_arrow(rng) for _ in range(4)]
-    for g in probes:
-        rows = model.extra_kernel_rows(g)
-        rank = np.linalg.matrix_rank(rows, tol=1e-8)
-        if rank < 2 * nd:
-            raise NotTransverse(
-                f"fibre_product: combined Jacobian rank {rank} < {2 * nd}")
+    ranks = np.linalg.matrix_rank(model.extra_kernel_rows(_probes(model, seed)), tol=1e-8)
+    low = ranks[ranks < 2 * nd]
+    if len(low):
+        raise NotTransverse(f"fibre_product: combined Jacobian rank {low[0]} < {2 * nd}")
     return model
 
 
-def _span_intersection(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Rows spanning span(f1) (cap) span(f2)."""
-    def onb(a):
-        a = np.atleast_2d(a)
-        if not a.any():
-            return np.zeros((0, a.shape[1]))
-        _, sv, vt = np.linalg.svd(a, full_matrices=False)
-        return vt[sv > 1e-9 * sv[0]]
-
-    q1, q2 = onb(f1), onb(f2)
-    n = f1.shape[1]
-    if q1.shape[0] == 0 or q2.shape[0] == 0:
-        return np.zeros((0, n))
-    p1 = q1.T @ q1
-    p2 = q2.T @ q2
-    w, v = np.linalg.eigh(p1 @ p2 @ p1)
-    return v[:, w > 1 - 1e-9].T
+def _probes(model: GroupoidChartModel, seed: int) -> np.ndarray:
+    """The (11, arrow_dim) arrows at which ``fibre_product`` tests
+    transversality: the unit at the origin, which sits on the deepest
+    stratum of every chart model here (where blow-down ranks can drop),
+    the units at 6 drawn base points and 4 drawn arrows.  The samplers
+    are fixed-width, so the two block draws are 10 one-sample draws."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bases = np.vstack([np.zeros((1, model.base_dim)),
+                       np.column_stack(model.random_base(rng, 6))])
+    return np.vstack([np.column_stack(_full(model.unit_at(tuple(bases.T)), 7)),
+                      np.column_stack(model.random_arrow(rng, 4))])
 
 
 # ---------------------------------------------------------------------------

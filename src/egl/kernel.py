@@ -1,11 +1,12 @@
 """Dimension-generic numerical calculus.
 
 Central-difference Jacobians, SVD nullspaces, principal-angle subspace
-comparison, and differential forms on a point or a block of points with
-a numerical exterior derivative.  Everything downstream (algebroid
-recovery, multiplicativity of symplectic forms, morphism checks) is
-built on these primitives, so they are kept deliberately small and
-auditable: fixed step size, no adaptivity, no clamping of singular loci.
+comparison, intersections of spans, and differential forms on a point
+or a block of points with a numerical exterior derivative.  Everything
+downstream (algebroid recovery, multiplicativity of symplectic forms,
+morphism checks) is built on these primitives, so they are kept
+deliberately small and auditable: fixed step size, no adaptivity, no
+clamping of singular loci.
 
 ``jacobian``, ``nullspace`` and ``subspace_angle`` take one point or
 matrix, or a stack of them.  A stack of Jacobians evaluates all its
@@ -13,7 +14,11 @@ stencil points in one call of the map's tuple formula (``SmoothMap.formula``,
 which takes a block of coordinate columns), and the SVDs of a stack run
 in one LAPACK call per group of equal shape; the results are those of
 the one-at-a-time computation, bit for bit.  A single point or matrix
-is the one-row stack.
+is the one-row stack.  ``subspace_angle`` takes a stack of spanning
+sets as an (N, r, n) array (the stated frames of a block) or as a
+sequence of 2-D sets (the recovered frames, whose ranks differ); ranks,
+cutoffs and angles are computed as arrays, with one SVD call per shape
+and one per rank of the principal-angle products.
 
 A form's evaluator takes a point or a coordinate-major block (see
 ``FormField``), so ``pullback_at``, ``exterior_derivative`` and calls of
@@ -422,44 +427,60 @@ def nullspace(M, tol: float):
         bases = [np.eye(n) if n else np.zeros((0, 0)) for _ in stack]
     else:
         _, svals, vt = np.linalg.svd(stack, full_matrices=True)
-        keep = np.ones((len(stack), n), dtype=bool)
-        keep[:, :svals.shape[1]] = svals < tol
-        bases = [v[rows] for v, rows in zip(vt, keep)]
+        # the singular values descend: the basis is the last rows of vt
+        start = np.count_nonzero(svals >= tol, axis=1).tolist()
+        bases = [v[i:] for v, i in zip(vt, start)]
     return bases if M.ndim == 3 else bases[0]
 
 
-def _orthonormal_rows(spans) -> list:
-    """Orthonormal bases of the row spans, dropping near-zero directions.
+def _orthonormal_rows(spans):
+    """Orthonormal bases of the row spans of a stack of spanning sets.
 
-    One SVD call per group of spanning sets of equal shape.  The
-    absolute floor keeps finite-difference noise from promoting a
-    direction the exact frame does not have (frames vanish identically
-    on divisor strata while their numerical images are ~1e-11).  A set
-    holding NaN or an infinity has no basis: its entry is None, and it
-    stays out of its group's SVD call.
+    ``spans`` is an (N, r, n) array, or a sequence of N 2-D sets whose
+    nonempty members share one ambient dimension n.  Returns (Q, ranks,
+    n): the first ``ranks[i]`` rows of Q[i] are an orthonormal basis of
+    set i, from one SVD call per group of sets of equal shape.  The rank
+    counts the singular values above both 1e-9 times the largest and
+    the absolute floor 1e-7, which keeps finite-difference noise from
+    promoting a direction the exact frame does not have (frames vanish
+    identically on divisor strata while their numerical images are
+    ~1e-11); an empty or all-zero set has rank 0.  A set holding NaN or
+    an infinity has no basis: its rank is -1, and it is zeroed before
+    its group's SVD call (each set's SVD has its own bits in any stack).
     """
-    out = [np.zeros((0, A.shape[1])) for A in spans]
-    groups = defaultdict(list)
-    for i, A in enumerate(spans):
-        if A.shape[0] and A.any():
-            groups[A.shape].append(i)
-    for idx in groups.values():
-        stack = np.stack([spans[i] for i in idx])
+    if isinstance(spans, np.ndarray):
+        groups = [(slice(None), spans)]
+    else:
+        spans = [np.asarray(a, dtype=float) for a in spans]
+        by_shape = defaultdict(list)
+        for i, a in enumerate(spans):
+            by_shape[a.shape].append(i)
+        groups = [(idx, np.stack([spans[i] for i in idx])) for idx in by_shape.values()]
+    dims = {stack.shape[2] for _, stack in groups if stack.shape[1]}
+    if len(dims) > 1:
+        raise DimensionMismatch("subspace_angle: ambient dimensions differ within a stack")
+    n = dims.pop() if dims else 0
+    count = len(spans)
+    ranks = np.zeros(count, dtype=int)
+    Q = np.zeros((count, min(max(stack.shape[1] for _, stack in groups), n), n))
+    for idx, stack in groups:
+        if stack.shape[1] == 0 or len(stack) == 0:
+            continue
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
-            for i in np.asarray(idx)[~finite]:
-                out[i] = None
-            idx, stack = [i for i, ok in zip(idx, finite) if ok], stack[finite]
+            stack = np.where(finite[:, None, None], stack, 0.0)
         _, svals, vt = np.linalg.svd(stack, full_matrices=False)
         cutoff = np.maximum(1e-9 * svals[:, 0], 1e-7)
-        ranks = np.count_nonzero(svals > cutoff[:, None], axis=1)
-        for i, v, rank in zip(idx, vt, ranks):
-            out[i] = v[:rank]
-    return out
+        ranks[idx] = np.where(finite, np.count_nonzero(svals > cutoff[:, None], axis=1), -1)
+        Q[idx, :vt.shape[1]] = vt
+    return Q, ranks, n
 
 
 def _is_stack(A) -> bool:
-    """A sequence of 2-D spanning sets, rather than one spanning set."""
+    """An (N, r, n) array or a sequence of 2-D spanning sets, rather
+    than one spanning set."""
+    if isinstance(A, np.ndarray):
+        return A.ndim == 3
     return len(A) > 0 and np.ndim(A[0]) == 2
 
 
@@ -471,35 +492,78 @@ def subspace_angle(A, B):
     Zero and near-noise vectors in either spanning set are ignored: the
     rank of a set counts the singular values above both 1e-9 times its
     largest one and the absolute floor 1e-7.
-    ``A`` and ``B`` may also be stacks, equal-length sequences of 2-D
-    spanning sets; the result is then the array of their angles, with
-    one SVD call per group of sets of equal shape and one per group of
-    equal-rank pairs.
+    ``A`` and ``B`` may also be stacks of N spanning sets, each an
+    (N, r, n) array or a sequence of 2-D sets; the result is then the
+    array of their angles, with one SVD call per group of sets of equal
+    shape and one per group of equal-rank pairs, each pair with the bits
+    of its own call.  The angle is arccos of the smallest singular value
+    of Qa Qb^T, clipped to [-1, 1] (Björck & Golub, Math. Comp. 27, 1973).
     """
     stacked = _is_stack(A)
-    As = [np.atleast_2d(np.asarray(a, dtype=float)) for a in (A if stacked else [A])]
-    Bs = [np.atleast_2d(np.asarray(b, dtype=float)) for b in (B if stacked else [B])]
-    if len(As) != len(Bs):
+    if not stacked:
+        A, B = (np.atleast_2d(np.asarray(x, dtype=float))[None] for x in (A, B))
+    if len(A) != len(B):
         raise DimensionMismatch("subspace_angle: stacks of different lengths")
-    for a, b in zip(As, Bs):
-        if a.shape[0] and b.shape[0] and a.shape[1] != b.shape[1]:
-            raise DimensionMismatch("subspace_angle: ambient dimensions differ")
-    Qa = _orthonormal_rows(As)
-    Qb = _orthonormal_rows(Bs)
-    angles = np.zeros(len(As))
-    by_rank = defaultdict(list)
-    for i, (qa, qb) in enumerate(zip(Qa, Qb)):
-        if qa is None or qb is None:
-            angles[i] = np.nan
-        elif qa.shape[0] != qb.shape[0]:
-            angles[i] = np.pi / 2
-        elif qa.shape[0]:
-            by_rank[qa.shape[0]].append(i)
-    for idx in by_rank.values():
-        svals = np.linalg.svd(np.stack([Qa[i] @ Qb[i].T for i in idx]), compute_uv=False)
-        for i, s in zip(idx, svals):
-            angles[i] = np.arccos(min(1.0, max(-1.0, float(s.min()))))
+    Qa, ra, na = _orthonormal_rows(A)
+    Qb, rb, nb = _orthonormal_rows(B)
+    if na and nb and na != nb:
+        raise DimensionMismatch("subspace_angle: ambient dimensions differ")
+    angles = np.where(ra == rb, 0.0, np.pi / 2)
+    angles[(ra < 0) | (rb < 0)] = np.nan
+    same = (ra == rb) & (ra > 0)
+    for rank in set(ra[same].tolist()):
+        idx = np.flatnonzero(same & (ra == rank))
+        products = Qa[idx, :rank] @ Qb[idx, :rank].transpose(0, 2, 1)
+        smallest = np.linalg.svd(products, compute_uv=False).min(axis=1)
+        angles[idx] = np.arccos(np.clip(smallest, -1.0, 1.0))
     return angles if stacked else float(angles[0])
+
+
+def _span_intersection(f1, f2) -> np.ndarray:
+    """Orthonormal rows spanning span(f1) (cap) span(f2), zero-padded to n rows.
+
+    ``f1`` and ``f2`` are frames (r, n) or stacks of them (N, r, n),
+    giving (n, n) or (N, n, n); a frame of one point may stand for the
+    whole stack.  The spanning rows are the eigenvectors with eigenvalue
+    above 1 - 1e-9 of p1 p2 p1, p_i the projector onto span(f_i), in
+    ascending order and preceded by zero rows.  A pair holding NaN or an
+    infinity has no intersection to take: its frame is all NaN.  One
+    stacked SVD per factor and one stacked eigh per pair of ranks give
+    each pair the bits of its own computation.
+    """
+    f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
+    stacks = [len(f) for f in (f1, f2) if f.ndim == 3]
+    count = stacks[0] if stacks else 1
+    f1, f2 = (np.broadcast_to(f, (count,) + f.shape[-2:]) for f in (f1, f2))
+    n = f1.shape[-1]
+    out = np.zeros((count, n, n))
+    finite = np.isfinite(f1).all(axis=(1, 2)) & np.isfinite(f2).all(axis=(1, 2))
+    out[~finite] = np.nan
+    (q1, r1), (q2, r2) = _onb(f1[finite]), _onb(f2[finite])
+    rows = np.flatnonzero(finite)
+    both = (r1 > 0) & (r2 > 0)
+    for a, b in set(zip(r1[both].tolist(), r2[both].tolist())):
+        pick = (r1 == a) & (r2 == b)
+        p1, p2 = (_projector(q[pick, :r]) for q, r in ((q1, a), (q2, b)))
+        w, v = np.linalg.eigh(p1 @ p2 @ p1)
+        out[rows[pick]] = np.where((w > 1 - 1e-9)[:, :, None], v.transpose(0, 2, 1), 0.0)
+    return out if stacks else out[0]
+
+
+def _onb(frames):
+    """Right-singular vectors of a stack (N, r, n) of frames and their
+    ranks: the singular values above 1e-9 times the largest."""
+    if frames.shape[1] == 0 or len(frames) == 0:
+        return frames, np.zeros(len(frames), dtype=int)
+    _, sv, vt = np.linalg.svd(frames, full_matrices=False)
+    return vt, np.count_nonzero(sv > 1e-9 * sv[:, :1], axis=1)
+
+
+def _projector(q):
+    """q^T q for each of a stack of row sets, as one point's ``q.T @ q``
+    (a contiguous q, so that each is the same BLAS product)."""
+    q = np.ascontiguousarray(q)
+    return q.transpose(0, 2, 1) @ q
 
 
 def subspace_equal(A, B, tol: float) -> bool:

@@ -398,13 +398,11 @@ def symplectic_zero_residue_model() -> SymplecticModel:
         return ((_box(u[0]), _box(u[1])) + _zero_or(u[2] < 0.25, u[3], u[4], 0.2, 1.1)
                 + _annulus(u[5], u[6], 0.4, 1.8) + (_box(u[7]), _box(u[8])))
 
-    frame = residue_model_frame("zero")
-
     model = GroupoidChartModel(
         name="sympl-zero", arrow_dim=8, base_dim=4,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        expected_frame=lambda p: frame(np.asarray(p)),
+        expected_frame=residue_model_frame("zero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
         divisor_slots=(0, 1), isotropy=_affine_isotropy(4, 0),

@@ -20,17 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import egl.checks as checks
+import egl.groupoids as groupoids
 from egl.checks import (AXIOM_NAMES, _Accumulator, _dense_arrows, _gap, _round_tuple,
                         _unit_vectors, check_algebroid, check_groupoid_axioms,
                         check_ideal, check_isotropy, check_morphism,
                         check_multiplicative, check_poisson, check_symplectic,
-                        check_zero_residue_variant, morphism_beta, perturbed_model,
-                        rng_for)
-from egl.errors import ChartInvalid, NonFiniteValue, NotComposable, SamplerExhausted
-from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _square, case1_model,
-                           case2_quotient_model, caseIV_model, ideal_values,
-                           smooth_factor_model, ssc_surface_model, uniforms)
-from egl.kernel import SmoothMap, exterior_derivative, jacobian, pullback_at
+                        check_zero_residue_variant, lie_algebroid_of, morphism_beta,
+                        perturbed_model, rng_for)
+from egl.errors import (ChartInvalid, NonFiniteValue, NotComposable, NotTransverse,
+                        SamplerExhausted)
+from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _probes, _square,
+                           case1_model, case2_quotient_model, caseIV_model,
+                           fibre_product, ideal_values, smooth_factor_model,
+                           ssc_surface_model, uniforms)
+from egl.kernel import (SmoothMap, exterior_derivative, jacobian, nullspace, pullback_at,
+                        subspace_angle)
 from egl.registry import MODEL_NAMES, build_model
 from egl.report import RunConfig, run_verify
 from egl.symplectic import (PSI_SERIES_THRESHOLD, _psi_coefficient,
@@ -265,6 +269,140 @@ def test_morphism_formulas_equal_their_evaluators(name):
     gs = [g for g, _ in _sample_rows(bundle.dom)[0]]
     f = bundle.f
     _assert_same(f.formula(_columns(gs)), [tuple(f(g)) for g in gs], name)
+
+
+# ---------------------------------------------------------------------------
+# stated frames, recovered frames and principal angles on blocks
+# ---------------------------------------------------------------------------
+
+FRAME_MODELS = sorted(name for name, model in BLOCK_MODELS.items()
+                      if model.expected_frame is not None)
+
+
+def _stack_bits(frames, count):
+    """A frame stack, or one frame standing for all ``count`` points, as int64 bits."""
+    frames = np.asarray(frames, dtype=float)
+    return np.broadcast_to(frames, (count,) + frames.shape[-2:]).view(np.int64)
+
+
+@pytest.mark.parametrize("name", FRAME_MODELS)
+def test_stated_frames_of_a_block_are_the_frames_of_its_points(name):
+    model = BLOCK_MODELS[name]
+    _, bases = _sample_rows(model)
+    block = model.expected_frame(_columns(bases))
+    points = np.array([model.expected_frame(p) for p in bases])
+    assert np.array_equal(_stack_bits(block, len(bases)), points.view(np.int64))
+
+
+def test_the_fibre_frames_cover_every_stratum():
+    # the intersections have rank 4 off the divisor, 2 on one factor's
+    # divisor and 0 on both, so every rank class of the stacked eigh runs
+    model = BLOCK_MODELS["fibre:case1,case1"]
+    _, bases = _sample_rows(model)
+    frames = model.expected_frame(_columns(bases))
+    assert set(np.count_nonzero(frames.any(axis=2), axis=1).tolist()) == {0, 2, 4}
+
+
+def test_a_non_finite_factor_frame_fails_only_its_rows():
+    fibre = build_model("fibre:case1,case1").chart
+    m1, m2 = fibre.factors
+
+    def frame(p):
+        rows = m1.expected_frame(p)
+        return np.where((np.asarray(p[0]) > 0)[..., None, None], np.nan, rows)
+
+    bad = fibre_product(replace(m1, expected_frame=frame), m2).expected_frame
+    _, bases = _sample_rows(fibre)
+    P = _columns(bases)
+    got, clean = bad(P), fibre.expected_frame(P)
+    nan_rows = P[0] > 0
+    assert nan_rows.any() and not nan_rows.all()
+    assert np.isnan(got[nan_rows]).all()
+    assert np.array_equal(got[~nan_rows].view(np.int64), clean[~nan_rows].view(np.int64))
+    rep = check_algebroid(replace(fibre, expected_frame=bad), n_points=40, seed=3)
+    assert rep.verdict == "fail" and 0 < rep.passed < rep.samples
+    assert rep.max_residual == math.inf
+    assert all(w["map"] == "expected_frame" and w["residual"] == math.inf
+               and w["p"][0] > 0 for w in rep.witnesses)
+
+
+def test_stacked_principal_angles_are_the_per_pair_angles():
+    rng = np.random.Generator(np.random.Philox(key=12))
+
+    def of_rank(rank):
+        return rng.normal(size=(4, rank)) @ rng.normal(size=(rank, 4))
+
+    A = np.array([of_rank(i % 5) for i in range(40)])
+    B = np.array([of_rank(i % 5) for i in range(40)])
+    B[::5] = 0.0                    # all-zero against all-zero: angle 0
+    B[3] = of_rank(1)               # rank 3 against rank 1: pi/2
+    B[7, 1, 2] = np.nan             # no basis: NaN
+    B[9] = A[9] @ of_rank(4)        # one span, other rows
+    angles = subspace_angle(A, B)
+    each = np.array([subspace_angle(a, b) for a, b in zip(A, B)])
+    assert np.array_equal(angles.view(np.int64), each.view(np.int64))
+    assert angles[0] == 0.0 and angles[3] == np.pi / 2 and np.isnan(angles[7])
+    assert np.isnan(angles).sum() == 1 and angles[9] < 1e-7
+    # a sequence of sets of other shapes gives the same bits
+    ragged = [a[:max(1, i % 5)] if i % 5 else a for i, a in enumerate(A)]
+    mixed = subspace_angle(ragged, list(B))
+    each = np.array([subspace_angle(a, b) for a, b in zip(ragged, B)])
+    assert np.array_equal(mixed.view(np.int64), each.view(np.int64))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_recovered_frames_are_the_point_products(name):
+    # lie_algebroid_of multiplies one stack per nullspace rank; each
+    # frame must be its point's kernel @ Jt.T
+    model = build_model(name).chart
+    ts, unit = model.maps_for_algebroid()
+    b = model.base_dim
+    rng = rng_for(5, f"recovered:{name}")
+    points = np.column_stack(model.random_base(rng, 60))
+    for frame, p in zip(lie_algebroid_of(model, points), points):
+        u = unit(p)
+        J = jacobian(ts, u)
+        extra = model.extra_kernel_rows(u, J)
+        Js = J[b:] if extra is None else np.concatenate([J[b:], extra])
+        kernel = nullspace(Js, 1e-6)
+        want = kernel @ J[:b].T if len(kernel) else np.zeros((0, b))
+        assert frame.shape == want.shape
+        assert np.array_equal(frame.view(np.int64), want.view(np.int64))
+
+
+def _reference_ranks(model, seed):
+    """The transversality probes drawn and tested one at a time, and their ranks."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    probes = [model.unit_at((0.0,) * model.base_dim)]
+    probes += [model.unit_at(model.random_base(rng)) for _ in range(6)]
+    probes += [model.random_arrow(rng) for _ in range(4)]
+    ranks = [int(np.linalg.matrix_rank(model.extra_kernel_rows(g), tol=1e-8)) for g in probes]
+    return np.array(probes, dtype=float), ranks
+
+
+@pytest.mark.parametrize("name", ["fibre:case1,case1", "fibre:case1,pair"])
+def test_the_transversality_probes_are_the_one_at_a_time_draws(name):
+    model = build_model(name).chart
+    probes, ranks = _reference_ranks(model, 11)
+    stack = _probes(model, 11)
+    assert np.array_equal(stack.view(np.int64), probes.view(np.int64))
+    assert np.linalg.matrix_rank(model.extra_kernel_rows(stack), tol=1e-8).tolist() == ranks
+    assert ranks == [2 * model.base_dim] * 11
+
+
+def test_the_transversality_gate_names_the_first_short_rank(monkeypatch):
+    built = []
+
+    def probes(model, seed):
+        built.append(model)
+        return _probes(model, seed)
+
+    monkeypatch.setattr(groupoids, "_probes", probes)
+    m = smooth_factor_model(4, 2, 0)
+    with pytest.raises(NotTransverse) as err:
+        fibre_product(m, smooth_factor_model(4, 2, 0), seed=5)
+    short = [r for r in _reference_ranks(built[0], 5)[1] if r < 8]
+    assert short and str(err.value) == f"fibre_product: combined Jacobian rank {short[0]} < 8"
 
 
 SYMPLECTIC = {"sympl-nonzero": symplectic_nonzero_residue_model(),
@@ -720,7 +858,9 @@ def test_a_nan_form_fails_the_symplectic_check(name):
     assert math.isnan(rep.details["d_omega_max"])
     assert math.isnan(rep.details["nondeg_min_abs_det"])
     assert rep.witnesses[0]["kind"] == "pullback"
-    assert rep.witnesses[-1]["kind"] == "closedness/nondegeneracy"
+    # each failed condition has its own witness, carrying its own residual
+    assert [w["kind"] for w in rep.witnesses[-2:]] == ["closedness", "nondegeneracy"]
+    assert all(math.isnan(w["residual"]) for w in rep.witnesses[-2:])
 
 
 @pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
@@ -730,7 +870,10 @@ def test_a_nan_determinant_fails_nondegeneracy(name):
     rep = check_symplectic(replace(sym, nondeg_grid=grid), 30, 7)
     assert rep.passed == rep.samples and rep.verdict == "fail"
     assert math.isnan(rep.details["nondeg_min_abs_det"])
-    assert math.isnan(rep.witnesses[-1]["nondeg_min"])
+    # closedness holds: the one witness is the determinant floor's, and
+    # its residual is the NaN determinant, not the passing d(Omega)
+    assert [w["kind"] for w in rep.witnesses] == ["nondegeneracy"]
+    assert math.isnan(rep.witnesses[-1]["residual"])
 
 
 @pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])

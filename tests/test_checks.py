@@ -171,7 +171,8 @@ def test_the_algebroid_check_refuses_a_model_without_a_stated_frame():
 
 def test_a_non_finite_frame_fails_the_algebroid_check_with_a_witness():
     # NumPy's SVD raises on NaN; the check must fail closed instead
-    model = replace(case1_model(4), expected_frame=lambda p: np.full((4, 4), np.nan))
+    model = replace(case1_model(4),
+                    expected_frame=lambda p: np.full(np.shape(p[0]) + (4, 4), np.nan))
     rep = check_algebroid(model, n_points=30, seed=3)
     assert rep.verdict == "fail" and rep.passed == 0
     assert rep.max_residual == math.inf
@@ -183,8 +184,9 @@ def test_a_non_finite_frame_leaves_the_rest_of_its_block_alone():
     base = case1_model(4)
 
     def frame(p):
+        # a point or a block, as stated frames take them
         rows = base.expected_frame(p)
-        return rows + np.inf if p[0] > 0 else rows
+        return np.where((np.asarray(p[0]) > 0)[..., None, None], rows + np.inf, rows)
 
     model = replace(base, expected_frame=frame)
     rng = rng_for(3, "algebroid:case1(4)")

@@ -32,6 +32,7 @@ def test_frame_values_on_and_off_divisor():
 
 def test_frame_rank_drops_by_two_per_vanishing_factor(rng):
     model = DivisorLocalModel(n=6, k=2)
+    points = []
     for _ in range(50):
         p = rng.uniform(-1, 1, size=6)
         for j in range(2):
@@ -40,6 +41,11 @@ def test_frame_rank_drops_by_two_per_vanishing_factor(rng):
         frame = model.algebroid_frame(p)
         assert frame.rank() == 6 - 2 * model.multiplicity(p)
         assert (model.ideal_generator(p) == 0) == (model.multiplicity(p) >= 1)
+        points.append(p)
+    # a block of points: one frame per point, and one rank per frame
+    block = model.algebroid_frame(tuple(np.array(points).T))
+    assert block.vectors.shape == (50, 6, 6)
+    assert block.rank().tolist() == [6 - 2 * model.multiplicity(p) for p in points]
 
 
 def test_frame_rank_mixed_example():
