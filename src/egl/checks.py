@@ -39,8 +39,8 @@ from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, _cabs, _full, ideal_
                         pair_groupoid, uniforms)
 from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
-                     exterior_derivative, jacobian, nullspace, pullback,
-                     pullback_at, subspace_angle)
+                     exterior_derivative, jacobian, nullspace, pullback_at, subspace_angle)
+from .kernel import pullback  # noqa: F401  (a module attribute the benchmark tracer wraps)
 from .symplectic import (MorphismBundle, SymplecticModel, morphism_psi,
                          psi_domain_candidates)
 
@@ -569,7 +569,7 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int =
     rng = rng_for(seed, f"multiplicative:{model.name}")
     d, k = model.arrow_dim, P.domain_dim
     m = model.m.formula
-    Gm = SmoothMap.from_formula(k, d, lambda w: m(P.formula(w)), name="m(pr1,pr2)")
+    Gm = SmoothMap(k, d, lambda w: m(P.formula(w)), name="m(pr1,pr2)")
 
     acc = _Accumulator(tol)
     for n in _block_sizes(n_samples):
@@ -674,14 +674,19 @@ def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
     """s/t compatibility, unit and multiplication intertwining, form pullback.
 
     Each block of pairs is drawn by one ``random_composable_pair`` call.
-    A pair that ``sample_filter`` refuses is drawn again, one pair at a
-    time in sample order, from the stream ``morphism-retry:<name>``; the
-    unit vectors of the form comparison (done on the first
-    ``form_samples`` pairs where both forms are defined) come from
-    ``morphism-forms:<name>``.  The map identities are evaluated per block.
+    The pairs that ``sample_filter`` refuses are drawn again from the
+    stream ``morphism-retry:<name>``, in rounds: each round draws the
+    pairs still missing in one call, and its accepted pairs fill the
+    refused rows in sample order, so every row gets the pair a
+    one-at-a-time loop would give it; more than 50 * n_samples retry
+    draws raise SamplerExhausted.  The form comparison runs on the first
+    ``form_samples`` pairs where both forms are defined, a block at a
+    time: one stacked Jacobian of f, one pullback and one evaluation of
+    the domain form, with unit vectors from ``morphism-forms:<name>``.
+    A pair whose Jacobian is not finite fails with a witness.  The map
+    identities are evaluated per block.
     """
     dom, cod, f = bundle.dom, bundle.cod, bundle.f
-    image = _block_image(f)
     rng = rng_for(seed, f"morphism:{bundle.name}")
     retry_rng = rng_for(seed, f"morphism-retry:{bundle.name}")
     forms_rng = rng_for(seed, f"morphism-forms:{bundle.name}")
@@ -692,42 +697,33 @@ def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
     retries = 0
     for n in _block_sizes(n_samples):
         g, h = dom.random_composable_pair(rng, n)
-        refused = () if keep is None else np.flatnonzero(
+        missing = () if keep is None else np.flatnonzero(
             ~np.broadcast_to(keep(g) & keep(h), (n,)))
-        for i in refused:
-            while True:
-                retries += 1
-                if retries > 50 * n_samples:
-                    raise SamplerExhausted(f"{bundle.name}: morphism sampler")
-                gi, hi = dom.random_composable_pair(retry_rng)
-                if keep(gi) and keep(hi):
-                    break
-            for column, x in zip(g + h, gi + hi):
-                column[i] = x
+        while len(missing):
+            k = min(len(missing), 50 * n_samples - retries)
+            if k == 0:
+                raise SamplerExhausted(f"{bundle.name}: morphism sampler")
+            retries += k
+            gk, hk = dom.random_composable_pair(retry_rng, k)
+            accepted = np.flatnonzero(np.broadcast_to(keep(gk) & keep(hk), (k,)))
+            filled, missing = missing[:len(accepted)], missing[len(accepted):]
+            for column, x in zip(g + h, gk + hk):
+                column[filled] = x[accepted]
         form_res = np.zeros(n)
-        for i in range(n if bundle.dom_form is not None else 0):
-            if forms_done >= form_budget:
-                break
-            gi = tuple(float(column[i]) for column in g)
-            if bundle.dom_form.defined_at(gi) and bundle.cod_form.defined_at(f(gi)):
-                vs = _unit_vectors(forms_rng, dom.arrow_dim, 2, 1)[0]
-                lhs = pullback(f, bundle.cod_form, gi, vs, prof)
-                form_res[i] = abs(lhs - bundle.dom_form(gi, vs))
-                forms_done += 1
-        res, exits = _morphism_residuals(dom, cod, image, g, h, form_res, n)
+        if bundle.dom_form is not None and forms_done < form_budget:
+            X = np.column_stack(g)
+            both = bundle.dom_form.defined_at(X) & bundle.cod_form.defined_at(f(X))
+            rows = np.flatnonzero(both)[:form_budget - forms_done]
+            if len(rows):
+                x = X[rows]
+                vs = list(_unit_vectors(forms_rng, dom.arrow_dim, 2, len(rows)).transpose(1, 0, 2))
+                with np.errstate(all="ignore"):
+                    lhs = pullback_at(bundle.cod_form, f(x), _jacobians(f, x, prof), vs)
+                    form_res[rows] = _modulus(lhs - bundle.dom_form(x, vs))
+                forms_done += len(rows)
+        res, exits = _morphism_residuals(dom, cod, f.formula, g, h, form_res, n)
         acc.add_block(res, lambda i: _with_exit({"g": _row(g, i)}, exits, i))
     return acc.report(f"morphism:{bundle.name}", f"{dom.name}->{cod.name}", seed)
-
-
-def _block_image(f: SmoothMap) -> Callable:
-    """f on a block: its tuple formula, or else its evaluator point by point."""
-    if f.formula is not None:
-        return f.formula
-
-    def pointwise(block):
-        points = np.stack(np.broadcast_arrays(*block), axis=-1)
-        return tuple(np.array([f(p) for p in points]).T)
-    return pointwise
 
 
 def _morphism_residuals(dom, cod, image, g, h, form_res, n: int):

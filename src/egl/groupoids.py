@@ -355,8 +355,7 @@ class GroupoidChartModel:
     # -- SmoothMap layer ----------------------------------------------------
 
     def _view(self, label, domain_dim, codomain_dim, formula, valid) -> SmoothMap:
-        return SmoothMap.from_formula(domain_dim, codomain_dim, formula, valid,
-                                      f"{self.name}.{label}")
+        return SmoothMap(domain_dim, codomain_dim, formula, valid, f"{self.name}.{label}")
 
     @property
     def s(self) -> SmoothMap:
@@ -1110,9 +1109,8 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     def unit_pair(p):
         return m1.unit_at(p) + m2.unit_at(p)
 
-    fd_ts = SmoothMap.from_formula(d1 + d2, 2 * nd, ambient_ts, ambient_valid,
-                                   "fibre.ts(ambient)")
-    fd_unit = SmoothMap.from_formula(nd, d1 + d2, unit_pair, None, "fibre.unit")
+    fd_ts = SmoothMap(d1 + d2, 2 * nd, ambient_ts, ambient_valid, "fibre.ts(ambient)")
+    fd_unit = SmoothMap(nd, d1 + d2, unit_pair, None, "fibre.unit")
 
     slots = tuple(sorted(set(m1.divisor_slots) | set(m2.divisor_slots)))
     model = GroupoidChartModel(

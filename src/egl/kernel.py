@@ -20,10 +20,12 @@ sequence of 2-D sets (the recovered frames, whose ranks differ); ranks,
 cutoffs and angles are computed as arrays, with one SVD call per shape
 and one per rank of the principal-angle products.
 
-A form's evaluator takes a point or a coordinate-major block (see
-``FormField``), so ``pullback_at``, ``exterior_derivative`` and calls of
-a form take stacks the same way, with the bits of the point-by-point
-computation.  Complex values are combined on real pairs (``_cmul``,
+A map is its tuple formula (``SmoothMap``): one point reaches it as a
+tuple of Python floats, a stack as one block of coordinate columns, and
+there is no other evaluator.  A form's evaluator takes a coordinate-major
+block (see ``FormField``); calling a form, ``pullback_at`` and
+``exterior_derivative`` take a point or a stack, a point being the
+one-row stack.  Complex values are combined on real pairs (``_cmul``,
 ``_cdiv``) by the operations CPython's complex type performs; NumPy's
 complex ``*`` and ``/`` differ in the last bit.
 """
@@ -144,45 +146,29 @@ def _matvec(M, v):
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A map between chart domains given by a pointwise evaluator.
+    """A map between chart domains given by a formula on coordinate tuples.
 
-    ``func`` maps a coordinate vector of length ``domain_dim`` to one of
-    length ``codomain_dim``.  ``domain_predicate`` bounds where the
-    evaluator may be called; ``None`` means everywhere.  ``formula``,
-    when set, is the map on coordinate tuples that ``func`` was derived
-    from (see ``from_formula``); it also takes a block of points, one
-    (N,) column per coordinate, and returns the block of images.
-    ``valid`` is the domain predicate on coordinate tuples that
-    ``domain_predicate`` was derived from; on a block it returns a bool
-    column (or one bool for every row).
+    ``formula`` takes a tuple of ``domain_dim`` coordinates and returns a
+    sequence of ``codomain_dim``: Python floats for one point, or, for a
+    block of N points, (N,) columns (a coordinate that does not depend on
+    the point may be one scalar for every row).  ``valid`` is the domain
+    predicate on the same tuples, a bool for a point and a bool column (or
+    one bool for every row) on a block; ``None`` means everywhere.
+    Calling the map and ``defined_at`` on a point hand ``formula`` and
+    ``valid`` a tuple of Python floats; a stack (N, domain_dim) reaches
+    ``formula`` as one block.
     """
 
     domain_dim: int
     codomain_dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    domain_predicate: Optional[Callable[[np.ndarray], bool]] = None
-    name: str = ""
-    formula: Optional[Callable] = None
+    formula: Callable
     valid: Optional[Callable] = None
-
-    @classmethod
-    def from_formula(cls, domain_dim: int, codomain_dim: int, formula: Callable,
-                     valid: Optional[Callable] = None, name: str = "") -> "SmoothMap":
-        """The SmoothMap of a formula on coordinate tuples.
-
-        ``func`` and the predicate hand ``formula`` and ``valid`` tuples
-        of Python floats; stacks of points reach both as blocks.
-        """
-        return cls(domain_dim, codomain_dim,
-                   lambda x: np.asarray(formula(tuple(x.tolist())), dtype=float),
-                   None if valid is None else (lambda x: valid(tuple(x.tolist()))),
-                   name, formula, valid)
+    name: str = ""
 
     def defined_at(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        if self.domain_predicate is None:
+        if self.valid is None:
             return True
-        return bool(self.domain_predicate(p))
+        return bool(self.valid(tuple(np.asarray(p, dtype=float).tolist())))
 
     def __call__(self, p) -> np.ndarray:
         """The image of a point, or the (N, codomain_dim) images of a stack."""
@@ -192,25 +178,31 @@ class SmoothMap:
         if p.shape != (self.domain_dim,):
             raise DimensionMismatch(
                 f"{self.name or 'map'}: expected point of dim {self.domain_dim}, got {p.shape}")
-        out = np.asarray(self.func(p), dtype=float)
+        out = np.asarray(self.formula(tuple(p.tolist())), dtype=float)
         if out.shape != (self.codomain_dim,):
             raise DimensionMismatch(
-                f"{self.name or 'map'}: evaluator returned shape {out.shape}")
+                f"{self.name or 'map'}: formula returned shape {out.shape}")
         return out
 
 
 def compose_maps(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMap:
-    """The composite ``outer o inner`` as a SmoothMap."""
+    """The composite ``outer o inner``: the formulas composed, defined
+    where inner is and outer is at inner's image.  On a point, inner is
+    not evaluated outside its domain."""
     if inner.codomain_dim != outer.domain_dim:
         raise DimensionMismatch("compose_maps: inner codomain != outer domain")
 
-    def pred(p):
-        if not inner.defined_at(p):
-            return False
-        return outer.defined_at(inner(p))
+    def formula(x):
+        return outer.formula(tuple(inner.formula(x)))
 
-    return SmoothMap(inner.domain_dim, outer.codomain_dim,
-                     lambda p: outer(inner(p)), pred,
+    def valid(x):
+        inside = inner.valid is None or inner.valid(x)
+        if outer.valid is None or not np.any(inside):
+            return inside
+        return inside & outer.valid(tuple(inner.formula(x)))
+
+    return SmoothMap(inner.domain_dim, outer.codomain_dim, formula,
+                     None if inner.valid is None and outer.valid is None else valid,
                      name or f"{outer.name}o{inner.name}")
 
 
@@ -218,18 +210,17 @@ def compose_maps(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMa
 class FormField:
     """A differential k-form given by a coefficient evaluator.
 
-    ``func(p, vectors)`` evaluates the form at ``p`` on ``degree``
-    tangent vectors, multilinear and alternating in the vectors (a
-    sampled property, tested).  ``p`` and the vectors are one point and
-    its vectors, (n,) arrays, giving a real or complex scalar, or a
-    coordinate-major block of N points and their vectors, (n, N) arrays
-    whose entries ``p[i]`` and ``v[i]`` are columns, giving a column of
-    N values; a point and the same point inside a block give the same
-    bits.  ``domain_predicate`` takes what ``func`` takes and returns a
-    bool, or a bool column on a block.  Calling the form, ``defined_at``,
-    ``pullback_at`` and ``exterior_derivative`` take one point or a
-    stack of N points (N, n), as ``jacobian`` does, and hand a stack to
-    ``func`` as its block.
+    ``func(p, vectors)`` evaluates the form on ``degree`` tangent
+    vectors, multilinear and alternating in the vectors (a sampled
+    property, tested), at a coordinate-major block of N points: ``p``
+    and the vectors are (n, N) arrays whose entries ``p[i]`` and
+    ``v[i]`` are columns, and the value is a column of N real or complex
+    values (or one value for every row).  ``domain_predicate`` takes
+    ``p`` as ``func`` does and returns a bool column (or one bool).
+    Calling the form, ``defined_at``, ``pullback_at`` and
+    ``exterior_derivative`` take one point or a stack of N points
+    (N, n), as ``jacobian`` does, and hand ``func`` the stack as its
+    block; a point is the one-row stack.
     """
 
     degree: int
@@ -241,35 +232,36 @@ class FormField:
 
     def defined_at(self, p):
         """A bool for a point, a bool column for a stack (N, n)."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return self.domain_predicate is None or bool(self.domain_predicate(p))
+        P = np.asarray(p, dtype=float)
+        X = np.atleast_2d(P)
         if self.domain_predicate is None:
-            return np.ones(len(p), dtype=bool)
-        with np.errstate(all="ignore"):
-            inside = self.domain_predicate(p.T)
-        return np.broadcast_to(np.asarray(inside, dtype=bool), (len(p),))
+            inside = np.ones(len(X), dtype=bool)
+        else:
+            with np.errstate(all="ignore"):
+                inside = np.broadcast_to(np.asarray(self.domain_predicate(X.T), dtype=bool),
+                                         (len(X),))
+        return inside if P.ndim == 2 else bool(inside[0])
 
     def __call__(self, p, vectors):
         """The value at a point, or the column of values at a stack (N, n)
         of points with stacks (N, n) of vectors."""
-        p = np.asarray(p, dtype=float)
-        vs = [np.asarray(v, dtype=float) for v in vectors]
+        P = np.asarray(p, dtype=float)
+        X = np.atleast_2d(P)
+        vs = [np.atleast_2d(np.asarray(v, dtype=float)) for v in vectors]
         if len(vs) != self.degree:
             raise DimensionMismatch(
                 f"{self.name or 'form'}: degree {self.degree} form got {len(vs)} vectors")
-        dtype = float if self.kind == "real" else complex
-        if p.ndim == 1:
-            return dtype(self.func(p, vs))
         with np.errstate(all="ignore"):
-            val = self.func(p.T, [v.T for v in vs])
-        return np.array(np.broadcast_to(val, (len(p),)), dtype=dtype)
+            val = self.func(X.T, [v.T for v in vs])
+        out = np.array(np.broadcast_to(val, (len(X),)),
+                       dtype=float if self.kind == "real" else complex)
+        return out if P.ndim == 2 else out[0].item()
 
     def wedge(self, other: "FormField") -> "FormField":
         """Wedge product via the shuffle sum (small degrees only).
 
-        Its products are NumPy's on a block, so a point and a block agree
-        bit for bit for real forms only.
+        Its products are NumPy's, so complex values do not combine as
+        CPython's complex type would.
         """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("wedge: ambient dimension mismatch")
@@ -303,15 +295,14 @@ def two_form_from_matrix(ambient_dim: int, coeff: Callable[[np.ndarray], np.ndar
                          kind: str = "real", domain_predicate=None, name: str = "") -> FormField:
     """2-form ``w(u, v) = u^T C(p) v`` from an antisymmetric coefficient matrix.
 
-    ``coeff`` gives the (n, n) matrix at a point and the C-contiguous
-    (N, n, n) stack at a block; one stacked ``u @ C @ v`` then evaluates
-    the block, with each row's bits (the matmuls reach the BLAS kernels
-    of the point's ``u @ C @ v``).
+    ``coeff`` gives the C-contiguous (N, n, n) stack of matrices at a
+    coordinate-major block (or one (n, n) matrix for every row); one
+    stacked ``u @ C @ v`` then evaluates the block, each row with the
+    bits of its own ``u @ C @ v`` (the matmuls of contiguous rows reach
+    the BLAS kernels of one point's).
     """
     def func(p, vs):
         c = coeff(p)
-        if c.ndim == 2:
-            return vs[0] @ c @ vs[1]
         u, v = (np.ascontiguousarray(np.transpose(x)) for x in vs)
         return (u[:, None, :] @ c @ v[:, :, None])[:, 0, 0]
     return FormField(2, ambient_dim, func, kind, domain_predicate, name)
@@ -324,39 +315,38 @@ def _check_finite(arr, what: str):
 
 def _inside(f: SmoothMap, X) -> np.ndarray:
     """Whether each row of X lies in the domain of f, as a bool array."""
-    if f.valid is not None:
-        with np.errstate(all="ignore"):
-            inside = f.valid(tuple(X.T))
-        return np.broadcast_to(np.asarray(inside, dtype=bool), (len(X),))
-    if f.domain_predicate is None:
+    if f.valid is None:
         return np.ones(len(X), dtype=bool)
-    return np.fromiter((bool(f.domain_predicate(x)) for x in X), bool, len(X))
+    with np.errstate(all="ignore"):
+        inside = f.valid(tuple(X.T))
+    return np.broadcast_to(np.asarray(inside, dtype=bool), (len(X),))
 
 
 def _images(f: SmoothMap, X) -> np.ndarray:
-    """f at each row of X, as a (codomain_dim, rows) array.
+    """f at each row of X, as a (codomain_dim, rows) array, from one call
+    of ``f.formula`` on the columns of X.
 
-    One call of ``f.formula`` on the columns of X, or ``f.func`` row by
-    row for a map without a formula.
+    The formula must return ``codomain_dim`` coordinates, each a scalar
+    (the same for every row) or a (rows,) column; anything else raises
+    DimensionMismatch.
     """
     m, rows = f.codomain_dim, len(X)
     if rows == 0:
         return np.empty((m, 0))
-    if f.formula is None:
-        try:
-            values = np.asarray([f.func(x) for x in X], dtype=float)
-        except ValueError as err:  # outputs of different lengths
-            raise DimensionMismatch(f"{f.name or 'map'}: evaluator returned mixed shapes") from err
-        if values.shape != (rows, m):
-            raise DimensionMismatch(
-                f"{f.name or 'map'}: evaluator returned shape {values.shape[1:]}")
-        return values.T
     with np.errstate(all="ignore"):
         out = f.formula(tuple(X.T))
-    if len(out) != m:
-        raise DimensionMismatch(f"{f.name or 'map'}: evaluator returned shape ({len(out)},)")
+    try:
+        count = len(out)
+    except TypeError:                   # not a sequence
+        count = None
+    if count != m:
+        raise DimensionMismatch(f"{f.name or 'map'}: formula returned {count} coordinates, not {m}")
     values = np.empty((m, rows))
     for row, column in zip(values, out):
+        shape = column.shape if isinstance(column, np.ndarray) else np.shape(column)
+        if shape not in ((), (rows,)):
+            raise DimensionMismatch(
+                f"{f.name or 'map'}: formula returned a coordinate of shape {shape} for {rows} rows")
         row[...] = column
     return values
 
@@ -373,9 +363,8 @@ def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.nd
     at every point and stencil point before any evaluation (one call of
     ``f.valid`` when the map has it); then the stencils of the points
     before the first one outside the domain are evaluated together, by
-    one call of ``f.formula`` on their coordinate columns, or ``f.func``
-    per stencil point for a map without a formula.  The error raised is
-    that of the first point, in stack order, that has one:
+    one call of ``f.formula`` on their coordinate columns.  The error
+    raised is that of the first point, in stack order, that has one:
     StencilOutsideDomain (the base point, else the first axis whose
     stencil leaves the domain) or NonFiniteValue on NaN/Inf.  The result
     is C-ordered.
@@ -581,13 +570,14 @@ def exterior_derivative(form: FormField, p, vectors,
     each argument direction.  ``p`` and the vectors are one point and
     its vectors, giving a scalar, or stacks (N, n), giving the column of
     N values from one ``form.func`` call per stencil point on the whole
-    block; complex values combine as CPython's complex arithmetic does,
-    so a point has the bits of its one-row stack.  A stencil point
+    block (a point is the one-row stack); complex values combine as
+    CPython's complex arithmetic does.  A stencil point
     outside the form's domain raises StencilOutsideDomain; NaN and Inf
     are returned, for the caller to count as failures.
     """
     P = np.asarray(p, dtype=float)
-    vs = [np.asarray(v, dtype=float) for v in vectors]
+    X = np.atleast_2d(P)
+    vs = [np.atleast_2d(np.asarray(v, dtype=float)) for v in vectors]
     if len(vs) != form.degree + 1:
         raise DimensionMismatch("exterior_derivative: need k+1 vectors")
     h = prof.fd_step
@@ -595,9 +585,9 @@ def exterior_derivative(form: FormField, p, vectors,
     total = 0.0 if real else (0.0, 0.0)
     for i, vi in enumerate(vs):
         rest = [v.T for v in vs[:i] + vs[i + 1:]]
-        pp = P + h * vi
-        pm = P - h * vi
-        if not (np.all(form.defined_at(pp)) and np.all(form.defined_at(pm))):
+        pp = X + h * vi
+        pm = X - h * vi
+        if not (form.defined_at(pp).all() and form.defined_at(pm).all()):
             raise StencilOutsideDomain("exterior_derivative: stencil left form domain")
         with np.errstate(all="ignore"):
             plus, minus = form.func(pp.T, rest), form.func(pm.T, rest)
@@ -608,10 +598,10 @@ def exterior_derivative(form: FormField, p, vectors,
                 term = _cmul((-1.0) ** i, 0.0, *diff)
                 total = (total[0] + term[0], total[1] + term[1])
     if real:
-        return float(total) if P.ndim == 1 else np.array(np.broadcast_to(total, (len(P),)))
-    if P.ndim == 1:
-        return complex(*total)
-    return _complex(*(np.broadcast_to(x, (len(P),)) for x in total))
+        out = np.array(np.broadcast_to(total, (len(X),)))
+    else:
+        out = _complex(*(np.broadcast_to(x, (len(X),)) for x in total))
+    return out if P.ndim == 2 else out[0].item()
 
 
 def pullback(f: SmoothMap, form: FormField, p, vectors,
@@ -636,12 +626,11 @@ def pullback_at(form: FormField, fp, J, vectors):
 
 def pullback_form(f: SmoothMap, form: FormField,
                   prof: ToleranceProfile = DEFAULT_PROFILE, name: str = "") -> FormField:
-    """The pullback ``f^* form`` packaged as a FormField on f's domain.
-
-    Its evaluator takes blocks; its domain predicate takes points.
-    """
+    """The pullback ``f^* form`` packaged as a FormField on f's domain:
+    defined where f is and the form is at f's image."""
     def pred(p):
-        return f.defined_at(p) and form.defined_at(f(p))
+        X = np.transpose(p)
+        return _inside(f, X) & form.defined_at(f(X))
     return FormField(form.degree, f.domain_dim,
                      lambda p, vs: pullback(f, form, np.transpose(p),
                                             [np.transpose(v) for v in vs], prof),

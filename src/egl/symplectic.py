@@ -15,10 +15,10 @@ kept as negative controls.  The four candidate domains of the covering
 morphism psi are members of the exponential family of
 ``egl.groupoids``, whose exp-on-target, unscaled member is ssc-surface.
 
-Every form here evaluates a point or a coordinate-major block (see
-``egl.kernel.FormField``) with the same bits, its complex arithmetic
-written on real pairs; the composable-pair parametrizations are tuple
-formulas, like the structure maps.
+Every form here evaluates a coordinate-major block (see
+``egl.kernel.FormField``), its complex arithmetic written on real pairs
+as CPython's complex type computes it; the composable-pair
+parametrizations are tuple formulas, like the structure maps.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         g = w[:4]
         return g + source_of(g) + w[4:6]
 
-    pair_map = SmoothMap.from_formula(6, 8, pairs, name="sympl-nonzero.pairs")
+    pair_map = SmoothMap(6, 8, pairs, name="sympl-nonzero.pairs")
 
     def sample_params(rng):
         for _ in range(256):
@@ -426,7 +426,7 @@ def symplectic_zero_residue_model() -> SymplecticModel:
         # arrow layout is (z, a, b, c): the source's divisor slot feeds a
         return g + (s2a, s2b, s1a, s1b) + w[8:12]
 
-    pair_map = SmoothMap.from_formula(12, 16, pairs, name="sympl-zero.pairs")
+    pair_map = SmoothMap(12, 16, pairs, name="sympl-zero.pairs")
 
     def sample_params(rng):
         u = rng.random(12).tolist()
@@ -552,7 +552,7 @@ def pair_groupoid_symplectic() -> SymplecticModel:
     def pairs(w):
         return (w[0], w[1], w[2], w[3], w[2], w[3], w[4], w[5])
 
-    pair_map = SmoothMap.from_formula(6, 8, pairs, name="pair.pairs")
+    pair_map = SmoothMap(6, 8, pairs, name="pair.pairs")
 
     def sample_params(rng):
         return tuple(_box(x) for x in rng.random(6).tolist())
@@ -595,7 +595,7 @@ def morphism_phi_nonzero() -> MorphismBundle:
         w = _cmul(g[2], g[3], g[0], -g[1])
         return (g[0], g[1], w[0] + 1.0, w[1] + 0.0)
 
-    f = SmoothMap.from_formula(4, 4, phi, name="phi(nonzero)")
+    f = SmoothMap(4, 4, phi, name="phi(nonzero)")
 
     def sample_filter(g):
         w = phi(g)[2:]
@@ -616,7 +616,7 @@ def morphism_phi_zero() -> MorphismBundle:
         ac = _cmul(g[2], g[3], g[6], g[7])
         return (g[2], g[3], g[4], g[5], g[0], g[1], ac[0] + g[0], ac[1] + g[1])
 
-    f = SmoothMap.from_formula(8, 8, phi, name="phi(zero)")
+    f = SmoothMap(8, 8, phi, name="phi(zero)")
 
     def sample_filter(g):
         return _cabs(g[2], g[3]) > 0.15  # keep the receiving dense chart honest
@@ -665,7 +665,7 @@ def morphism_psi() -> SmoothMap:
     def psi(g):
         return (g[2], g[3]) + _psi_coefficient(g[0], g[1], g[2], -g[3], PSI_SERIES_THRESHOLD)
 
-    return SmoothMap.from_formula(4, 4, psi, name="psi")
+    return SmoothMap(4, 4, psi, name="psi")
 
 
 def psi_domain_candidates() -> dict:

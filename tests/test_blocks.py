@@ -33,8 +33,8 @@ from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _probes, _square,
                            case1_model, case2_quotient_model, caseIV_model,
                            fibre_product, ideal_values, smooth_factor_model,
                            ssc_surface_model, uniforms)
-from egl.kernel import (SmoothMap, exterior_derivative, jacobian, nullspace, pullback_at,
-                        subspace_angle)
+from egl.kernel import (SmoothMap, exterior_derivative, jacobian, nullspace, pullback,
+                        pullback_at, subspace_angle)
 from egl.registry import MODEL_NAMES, build_model
 from egl.report import RunConfig, run_verify
 from egl.symplectic import (PSI_SERIES_THRESHOLD, _psi_coefficient,
@@ -673,12 +673,82 @@ def test_perturbed_models_report_as_sample_by_sample():
             == _reference_axioms(bad, 600, 9).to_dict()
 
 
-def test_pointwise_morphism_evaluator_gives_the_same_report():
-    bundle = morphism_phi_zero()
-    f = bundle.f
-    plain = SmoothMap(f.domain_dim, f.codomain_dim, f.func, f.domain_predicate, f.name)
-    want = check_morphism(bundle, n_samples=300, seed=4).to_dict()
-    assert check_morphism(replace(bundle, f=plain), n_samples=300, seed=4).to_dict() == want
+def _reference_morphism(bundle, n_samples, seed, form_samples=None, tol=1e-7):
+    """The morphism check with its redraws and form comparison one pair at
+    a time, as they ran before blocks: each refused pair is drawn again
+    until a pair is accepted, and each form residual is one ``pullback``
+    at one point."""
+    dom, cod, f = bundle.dom, bundle.cod, bundle.f
+    rng = rng_for(seed, f"morphism:{bundle.name}")
+    retry_rng = rng_for(seed, f"morphism-retry:{bundle.name}")
+    forms_rng = rng_for(seed, f"morphism-forms:{bundle.name}")
+    keep = bundle.sample_filter
+    acc = _Accumulator(tol)
+    form_budget = form_samples if form_samples is not None else max(1, n_samples // 10)
+    forms_done = retries = 0
+    for n in checks._block_sizes(n_samples):
+        g, h = dom.random_composable_pair(rng, n)
+        refused = () if keep is None else np.flatnonzero(
+            ~np.broadcast_to(keep(g) & keep(h), (n,)))
+        for i in refused:
+            while True:
+                retries += 1
+                if retries > 50 * n_samples:
+                    raise SamplerExhausted(f"{bundle.name}: morphism sampler")
+                gi, hi = dom.random_composable_pair(retry_rng)
+                if keep(gi) and keep(hi):
+                    break
+            for column, x in zip(g + h, gi + hi):
+                column[i] = x
+        form_res = np.zeros(n)
+        for i in range(n if bundle.dom_form is not None else 0):
+            if forms_done >= form_budget:
+                break
+            gi = tuple(float(column[i]) for column in g)
+            if bundle.dom_form.defined_at(gi) and bundle.cod_form.defined_at(f(gi)):
+                vs = _unit_vectors(forms_rng, dom.arrow_dim, 2, 1)[0]
+                lhs = pullback(f, bundle.cod_form, gi, vs)
+                form_res[i] = abs(lhs - bundle.dom_form(gi, vs))
+                forms_done += 1
+        res, exits = checks._morphism_residuals(dom, cod, f.formula, g, h, form_res, n)
+        acc.add_block(res, lambda i: checks._with_exit({"g": checks._row(g, i)}, exits, i))
+    return acc.report(f"morphism:{bundle.name}", f"{dom.name}->{cod.name}", seed)
+
+
+def test_morphism_reports_are_the_one_pair_at_a_time_reports():
+    # phi-nonzero and phi-zero refuse pairs and compare forms; a budget of
+    # 10,000 compares every pair, the default stops inside the first block.
+    # With the near-miss domain forms every compared pair fails, so the
+    # reports also name the pairs compared.
+    phis = [morphism_phi_nonzero(), morphism_phi_zero()]
+    near_misses = [replace(b, dom_form=SYMPLECTIC[name].Omega_variant)
+                   for b, name in zip(phis, ("sympl-nonzero", "sympl-zero"))]
+    bundles = phis + near_misses + [morphism_beta(build_model("case1").chart)]
+    for bundle in bundles:
+        for seed in (4, 9):
+            for n, form_samples in ((600, None), (300, 10_000)):
+                rep = check_morphism(bundle, n, seed, form_samples=form_samples)
+                assert _text(rep) == _text(_reference_morphism(bundle, n, seed, form_samples))
+
+
+@pytest.mark.parametrize("make", [morphism_phi_nonzero, morphism_phi_zero],
+                         ids=["phi-nonzero", "phi-zero"])
+def test_a_nan_morphism_coordinate_fails_the_check(make):
+    # the form comparison differentiates f: its NaN Jacobians fail their
+    # pairs with a witness, where jacobian itself raises NonFiniteValue
+    bundle = make()
+    formula = bundle.f.formula
+
+    def nan_last(g):
+        out = formula(g)
+        return out[:-1] + (out[-1] + math.nan,)
+
+    bad = replace(bundle, f=replace(bundle.f, formula=nan_last))
+    rep = check_morphism(bad, seed=7)
+    assert rep.verdict == "fail" and rep.passed == 0
+    assert len(rep.witnesses) == 20 and all("g" in w for w in rep.witnesses)
+    with pytest.raises(NonFiniteValue):
+        jacobian(bad.f, (0.3, 0.4) + (0.2,) * (bad.f.domain_dim - 2))
 
 
 def _reference_variants(sym, n_samples, seed, derived_tol=1e-9, variant_floor=1e-2):
@@ -889,8 +959,8 @@ def test_a_nan_product_fails_the_multiplicative_check(name):
     assert math.isnan(rep.max_residual)
     assert len(rep.witnesses) == 20 and all("params" in w for w in rep.witnesses)
     P, sample_params = sym.pair_param
-    m_of_pair = SmoothMap.from_formula(P.domain_dim, model.arrow_dim,
-                                       lambda w: model.m.formula(P.formula(w)))
+    m_of_pair = SmoothMap(P.domain_dim, model.arrow_dim,
+                          lambda w: model.m.formula(P.formula(w)))
     with pytest.raises(NonFiniteValue):
         jacobian(m_of_pair, sample_params(rng_for(1, "nan-product")))
 

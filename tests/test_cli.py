@@ -380,8 +380,7 @@ def test_verify_prints_the_first_failing_points_jacobian_error(capsys, monkeypat
     from egl.kernel import SmoothMap, jacobian
 
     # point 1 overflows to inf, point 2 leaves the stencil domain
-    f = SmoothMap.from_formula(2, 1, lambda x: (x[0] * x[1] * x[1],),
-                               lambda x: x[0] > -0.5, "overflow")
+    f = SmoothMap(2, 1, lambda x: (x[0] * x[1] * x[1],), lambda x: x[0] > -0.5, "overflow")
 
     def stacked(entry, check, seed=7, samples=None, prof=None):
         jacobian(f, [(0.1, 0.2), (1.0, 1e200), (-0.5 + 1e-7, 0.3)])

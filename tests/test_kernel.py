@@ -90,8 +90,11 @@ def test_jacobian_checks_every_stencil_point_before_evaluating(prof):
     last_minus = p.copy()
     last_minus[n - 1] -= prof.fd_step
     calls = []
-    f = SmoothMap(n, 1, lambda x: calls.append(x) or np.array([x.sum()]),
-                  domain_predicate=lambda x: not np.array_equal(x, last_minus))
+
+    def valid(x):
+        return ~np.logical_and.reduce([xi == li for xi, li in zip(x, last_minus)])
+
+    f = SmoothMap(n, 1, lambda x: calls.append(x) or (x[0] + x[1] + x[2],), valid)
     with pytest.raises(StencilOutsideDomain, match=f"along axis {n - 1}$"):
         jacobian(f, p, prof)
     assert not calls
@@ -101,22 +104,27 @@ def test_jacobian_steps_one_coordinate_and_keeps_the_others_bits(prof):
     # -0.0 must stay -0.0 off the stepped axis (p + h*I would make it +0.0)
     p = np.array([-0.0, 0.5, -0.0])
     seen = []
-    f = SmoothMap(3, 1, lambda x: seen.append(x.copy()) or np.array([x[1]]))
+    f = SmoothMap(3, 1, lambda x: seen.append(np.column_stack(x)) or (x[1],))
     jacobian(f, p, prof)
-    assert len(seen) == 6
-    for q in seen:
+    assert len(seen) == 1 and len(seen[0]) == 6     # the stencil, in one call
+    for q in seen[0]:
         changed = np.flatnonzero(q.view(np.int64) != p.view(np.int64))
         assert changed.size == 1
 
 
 def test_jacobian_rejects_wrong_output_shape(prof):
+    # too few coordinates, not a sequence, and columns of the wrong length
     with pytest.raises(DimensionMismatch):
-        jacobian(SmoothMap(2, 3, lambda x: np.zeros(2)), [0.1, 0.2], prof)
+        jacobian(SmoothMap(2, 3, lambda x: (0.0, 0.0)), [0.1, 0.2], prof)
     with pytest.raises(DimensionMismatch):
         jacobian(SmoothMap(2, 1, lambda x: 1.0), [0.1, 0.2], prof)
     with pytest.raises(DimensionMismatch):
-        jacobian(SmoothMap(2, 2, lambda x: np.zeros(2 if x[0] > 0.1 else 3)),
-                 [0.1, 0.2], prof)
+        jacobian(SmoothMap(2, 2, lambda x: (x[0], np.zeros(3))), [0.1, 0.2], prof)
+    # a length-1 column is not broadcast over a longer block
+    f = SmoothMap(2, 1, lambda x: (x[0][:1],))
+    assert f(np.array([[0.1, 0.2]])).shape == (1, 1)
+    with pytest.raises(DimensionMismatch):
+        f(np.array([[0.1, 0.2], [0.3, 0.4]]))
 
 
 def test_tolerance_profile_validates():
@@ -128,26 +136,25 @@ def test_tolerance_profile_validates():
 
 def test_jacobian_linear_map_is_exact(prof):
     A = np.array([[1.0, 2.0, -3.0], [0.5, 0.0, 4.0]])
-    f = SmoothMap(3, 2, lambda p: A @ p)
+    f = SmoothMap(3, 2, lambda x: tuple(A @ np.array(x)))
     J = jacobian(f, [0.3, -1.2, 0.7], prof)
     assert np.allclose(J, A, atol=1e-10)
 
 
 def test_jacobian_square_function(prof):
-    f = SmoothMap(1, 1, lambda p: np.array([p[0] ** 2]))
+    f = SmoothMap(1, 1, lambda x: (x[0] ** 2,))
     J = jacobian(f, [1.0], prof)
     assert abs(J[0, 0] - 2.0) < 1e-8
 
 
 def test_jacobian_respects_domain_predicate(prof):
-    f = SmoothMap(1, 1, lambda p: np.array([1.0 / p[0]]),
-                  domain_predicate=lambda p: p[0] > 1.0)
+    f = SmoothMap(1, 1, lambda x: (1.0 / x[0],), lambda x: x[0] > 1.0)
     with pytest.raises(StencilOutsideDomain):
         jacobian(f, [1.0 + 1e-7], prof)  # stencil crosses the boundary
 
 
 def test_jacobian_rejects_non_finite_values(prof):
-    f = SmoothMap(1, 1, lambda p: np.array([np.inf]))
+    f = SmoothMap(1, 1, lambda x: (np.inf,))
     with pytest.raises(NonFiniteValue):
         jacobian(f, [0.0], prof)
 
@@ -215,7 +222,7 @@ def test_exterior_derivative_log_form_closed(prof):
         r2 = p[0] ** 2 + p[1] ** 2
         return (vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]) / r2
 
-    form = FormField(2, 2, func, domain_predicate=lambda p: p @ p > 1e-12)
+    form = FormField(2, 2, func, domain_predicate=lambda p: p[0] ** 2 + p[1] ** 2 > 1e-12)
     val = exterior_derivative(form, [0.5, 0.0], [np.eye(2)[0], np.eye(2)[1],
                                                  np.array([1.0, 1.0])], prof)
     assert abs(val) < 1e-6
@@ -225,7 +232,8 @@ def test_exterior_derivative_twice_vanishes(prof, rng):
     form = FormField(1, 3, lambda p, vs: np.sin(p[0]) * vs[0][1] + p[2] ** 2 * vs[0][0])
 
     def dform(p, vs):
-        return exterior_derivative(form, p, vs, prof)
+        # a coordinate-major block, as forms take it; a stack, as d takes it
+        return exterior_derivative(form, np.transpose(p), [np.transpose(v) for v in vs], prof)
 
     ddform = FormField(2, 3, dform)
     for _ in range(5):
@@ -234,12 +242,22 @@ def test_exterior_derivative_twice_vanishes(prof, rng):
         assert abs(exterior_derivative(ddform, p, vs, prof)) < 1e-5
 
 
+def _antisymmetric_stack(p, entries):
+    """The (N, n, n) antisymmetric coefficients at a block p with the
+    given upper entries {(i, j): value or column}."""
+    n = len(p)
+    c = np.zeros((len(p[0]), n, n))
+    for (i, j), value in entries.items():
+        c[:, i, j] = value
+        c[:, j, i] = -c[:, i, j]
+    return c
+
+
 def test_pullback_identity_and_constant(prof, rng):
-    form = two_form_from_matrix(3, lambda p: np.array([[0, p[0], 0],
-                                                       [-p[0], 0, 1],
-                                                       [0, -1, 0]], dtype=float))
-    ident = SmoothMap(3, 3, lambda p: p)
-    const = SmoothMap(3, 3, lambda p: np.array([1.0, 2.0, 3.0]))
+    form = two_form_from_matrix(3, lambda p: _antisymmetric_stack(p, {(0, 1): p[0],
+                                                                      (1, 2): 1.0}))
+    ident = SmoothMap(3, 3, lambda x: x)
+    const = SmoothMap(3, 3, lambda x: (1.0, 2.0, 3.0))
     p = rng.uniform(-1, 1, size=3)
     vs = list(rng.normal(size=(2, 3)))
     assert abs(pullback(ident, form, p, vs, prof) - form(p, vs)) < 1e-8
@@ -248,8 +266,8 @@ def test_pullback_identity_and_constant(prof, rng):
 
 def test_pullback_functorial(prof, rng):
     # (g o f)* w = f*(g* w) on samples
-    f = SmoothMap(2, 2, lambda p: np.array([p[0] + 0.3 * p[1] ** 2, p[1]]))
-    g = SmoothMap(2, 2, lambda p: np.array([np.sin(p[0]), p[0] * p[1]]))
+    f = SmoothMap(2, 2, lambda x: (x[0] + 0.3 * x[1] ** 2, x[1]))
+    g = SmoothMap(2, 2, lambda x: (np.sin(x[0]), x[0] * x[1]))
     form = FormField(2, 2, lambda p, vs: (1 + p[0] ** 2) *
                      (vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]))
     gf = compose_maps(g, f)
@@ -262,8 +280,8 @@ def test_pullback_functorial(prof, rng):
 
 
 def test_chain_rule_for_jacobians(prof, rng):
-    f = SmoothMap(2, 3, lambda p: np.array([p[0] ** 2, p[0] * p[1], np.cos(p[1])]))
-    g = SmoothMap(3, 2, lambda p: np.array([p[0] + p[2], np.exp(0.3 * p[1])]))
+    f = SmoothMap(2, 3, lambda x: (x[0] ** 2, x[0] * x[1], np.cos(x[1])))
+    g = SmoothMap(3, 2, lambda x: (x[0] + x[2], np.exp(0.3 * x[1])))
     gf = compose_maps(g, f)
     for _ in range(5):
         p = rng.uniform(-1, 1, size=2)
@@ -276,10 +294,8 @@ def test_chain_rule_for_jacobians(prof, rng):
 @given(st.lists(st.floats(-2, 2), min_size=4, max_size=4),
        st.lists(st.floats(-2, 2), min_size=4, max_size=4))
 def test_form_alternating_in_arguments(u, v):
-    form = two_form_from_matrix(4, lambda p: np.array([[0, 1, 0, p[0]],
-                                                       [-1, 0, 2, 0],
-                                                       [0, -2, 0, 1],
-                                                       [-p[0], 0, -1, 0]], dtype=float))
+    form = two_form_from_matrix(4, lambda p: _antisymmetric_stack(
+        p, {(0, 1): 1.0, (0, 3): p[0], (1, 2): 2.0, (2, 3): 1.0}))
     p = np.array([0.3, -0.1, 0.4, 0.9])
     u, v = np.array(u), np.array(v)
     assert form(p, [u, v]) == pytest.approx(-form(p, [v, u]), abs=1e-12)
@@ -312,11 +328,12 @@ def _error_or_jacobian(jac, f, x, prof):
         return type(err), str(err)
 
 
-def _assert_stack_matches_points(f, points, prof):
-    """The stacked Jacobian against the column loop at each point: equal
-    bits where every point succeeds, else the first failing point's error."""
+def _assert_stack_matches_points(f, points, prof, reference=None):
+    """The stacked Jacobian against the column loop at each point (of
+    ``reference``, by default f itself): equal bits where every point
+    succeeds, else the first failing point's error."""
     points = np.asarray(points, dtype=float)
-    want = [_error_or_jacobian(_reference_jacobian, f, x, prof) for x in points]
+    want = [_error_or_jacobian(_reference_jacobian, reference or f, x, prof) for x in points]
     ok = [i for i, w in enumerate(want) if isinstance(w, np.ndarray)]
     stacked = jacobian(f, points[ok], prof)
     assert stacked.flags.c_contiguous
@@ -337,8 +354,9 @@ def _with_negated_zeros(points):
 
 def _stack_maps(model, rng):
     """(map, points) pairs: the ts and unit views at units and arrows, the
-    algebroid maps, a fibre product's second-factor ts, and the ts view
-    with its formula taken away (the per-point evaluator loop)."""
+    algebroid maps, a fibre product's second-factor ts, and the composite
+    ts o unit at base points (its formula and domain built by
+    ``compose_maps``)."""
     bases = [model.random_base(rng) for _ in range(10)]
     bases += _with_negated_zeros(bases[:4])
     arrows = [model.random_arrow(rng) for _ in range(6)]
@@ -349,9 +367,7 @@ def _stack_maps(model, rng):
     if model.factors is not None:
         d1 = model.factors[0].arrow_dim
         cases.append((model.factors[1].ts, fd_units[:, d1:]))
-    plain = model.ts
-    cases.append((SmoothMap(plain.domain_dim, plain.codomain_dim, plain.func,
-                            plain.domain_predicate, "plain"), units + arrows))
+    cases.append((compose_maps(model.ts, model.unit), bases))
     return cases
 
 
@@ -379,15 +395,16 @@ def test_stacked_jacobian_of_pair_params_equals_pointwise(sym, prof):
 def _overflowing_map():
     # x0 x1^2 overflows to inf at x1 = 1e200 (Python floats do not raise);
     # the domain is x0 > -0.5
-    return SmoothMap.from_formula(2, 1, lambda x: (x[0] * x[1] * x[1],),
-                                  lambda x: x[0] > -0.5, "overflow")
+    return SmoothMap(2, 1, lambda x: (x[0] * x[1] * x[1],), lambda x: x[0] > -0.5, "overflow")
 
 
-@pytest.mark.parametrize("with_formula", [True, False])
-def test_stacked_jacobian_raises_the_error_of_the_first_failing_point(prof, with_formula):
+@pytest.mark.parametrize("composed", [True, False])
+def test_stacked_jacobian_raises_the_error_of_the_first_failing_point(prof, composed):
     f = _overflowing_map()
-    if not with_formula:
-        f = SmoothMap(2, 1, f.func, f.domain_predicate, f.name)
+    if composed:
+        # the identity after f: the composite's domain is f's, and it
+        # overflows where f does
+        f = compose_maps(SmoothMap(1, 1, lambda y: y, name="id"), f)
     fine, non_finite = (0.1, 0.2), (1.0, 1e200)
     stencil_out, base_out = (-0.5 + 1e-7, 0.3), (-0.6, 0.1)
     for order in ([fine, non_finite, fine, stencil_out],
@@ -399,6 +416,59 @@ def test_stacked_jacobian_raises_the_error_of_the_first_failing_point(prof, with
         with pytest.raises(kind) as err:
             jacobian(f, order, prof)
         assert str(err.value) == message
+
+
+class _Pointwise:
+    """outer o inner evaluated point by point through the two maps, under
+    the composite's name: what ``compose_maps`` must reproduce."""
+
+    def __init__(self, outer, inner, name):
+        self.outer, self.inner, self.name = outer, inner, name
+        self.domain_dim, self.codomain_dim = inner.domain_dim, outer.codomain_dim
+
+    def defined_at(self, p):
+        return self.inner.defined_at(p) and self.outer.defined_at(self.inner(p))
+
+    def __call__(self, p):
+        return self.outer(self.inner(p))
+
+
+def _reciprocal_pair():
+    # inner x -> (1/x, x) off 0, where a point would raise ZeroDivisionError;
+    # outer (y0, y1) -> y0 y1 where y0 < 5
+    inner = SmoothMap(1, 2, lambda x: (1.0 / x[0], x[0]), lambda x: x[0] != 0.0, "recip")
+    outer = SmoothMap(2, 1, lambda y: (y[0] * y[1],), lambda y: y[0] < 5.0, "prod")
+    return outer, inner, [(0.0,), (0.1,), (0.5,), (-2.0,), (0.25,)]
+
+
+def _composites():
+    cases = {"reciprocal": _reciprocal_pair()}
+    for name in ("case1", "case2", "sympl-zero", "ssc-surface", "fibre:case1,pair"):
+        model = build_model(name).chart
+        rng = rng_for(9, f"compose:{name}")
+        arrows = [model.random_arrow(rng) for _ in range(10)]
+        cases[name] = (model.ts, model.inv, arrows + [(np.nan,) * model.arrow_dim] + arrows[:2])
+    return cases
+
+
+COMPOSITES = _composites()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+def test_composite_of_a_block_is_the_pointwise_composite(name, prof):
+    outer, inner, points = COMPOSITES[name]
+    gf = compose_maps(outer, inner)
+    ref = _Pointwise(outer, inner, gf.name)
+    X = np.asarray(points, dtype=float)
+    inside = [ref.defined_at(p) for p in X]
+    assert [gf.defined_at(p) for p in X] == inside
+    with np.errstate(all="ignore"):         # a block evaluates inner everywhere
+        assert np.broadcast_to(gf.valid(tuple(X.T)), (len(X),)).tolist() == inside
+    assert not all(inside) and any(inside)
+    ok = X[inside]
+    assert _bits_equal(gf(ok), [ref(p) for p in ok])
+    assert _bits_equal([gf(p) for p in ok], [ref(p) for p in ok])
+    _assert_stack_matches_points(gf, X, prof, reference=ref)
 
 
 def _reference_nullspace(M, tol):
