@@ -710,7 +710,8 @@ def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
             for column, x in zip(g + h, gk + hk):
                 column[filled] = x[accepted]
         form_res = np.zeros(n)
-        if bundle.dom_form is not None and forms_done < form_budget:
+        if (bundle.dom_form is not None and bundle.cod_form is not None
+                and forms_done < form_budget):
             X = np.column_stack(g)
             both = bundle.dom_form.defined_at(X) & bundle.cod_form.defined_at(f(X))
             rows = np.flatnonzero(both)[:form_budget - forms_done]
@@ -842,8 +843,8 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 
     """Divisor isotropy composition against the model's exact law.
 
     The law is the model's ``isotropy`` field: for the double-cover
-    quotient C* x| Z/2 acting by conjugation (checked against
-    semidirect_mul); for the zero-residue and action-groupoid models the
+    quotient C* x| Z/2 acting by conjugation (the law of
+    ``egl.signedperm``); for the zero-residue and action-groupoid models the
     affine group law (b, c)(b', c') = (b b', c + b c'); for the blow-up
     models, their relabellings and fibre products (C*)^k componentwise.
     """

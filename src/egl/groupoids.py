@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Optional, Tuple
@@ -57,7 +58,7 @@ from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
 from .kernel import (DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul,
                      _span_intersection, jacobian)
-from .signedperm import SignedPermutation, semidirect_mul
+from .signedperm import SignedPermutation
 
 __all__ = [
     "COMPOSABLE_TOL",
@@ -103,15 +104,6 @@ def _nonzero(re, im):
     return (re != 0) | (im != 0)
 
 
-def _by_rows(fn, *xs):
-    """``fn(*xs)`` on a point; on a block, ``fn`` on each row's floats,
-    as a tuple of columns, so every row has the bits of the point."""
-    if not _is_block(*xs):
-        return fn(*xs)
-    rows = [fn(*row) for row in zip(*(c.tolist() for c in np.broadcast_arrays(*xs)))]
-    return tuple(np.array(rows, dtype=float).T)
-
-
 def _cexp(re, im):
     """e^(re + i im): ``cmath.exp`` on a point, ``np.exp`` on a complex column.
 
@@ -131,15 +123,51 @@ def _cexp(re, im):
     return (w.real, w.imag)
 
 
+# the constants of CPython's c_log (Modules/cmathmodule.c)
+_CM_LARGE_DOUBLE = sys.float_info.max / 4.0
+_DBL_MIN = sys.float_info.min
+_DBL_MANT_DIG = sys.float_info.mant_dig
+_LN2 = math.log(2.0)
+
+
 def _clog(re, im):
-    """log(re + i im) by ``cmath.log``, row by row on a block (``np.log``
-    may run a SIMD kernel with other last bits); log 0 is (-inf, arg)."""
+    """log(re + i im) by ``cmath.log``; log 0 is (-inf, arg).
+
+    A block replays CPython's ``c_log`` on columns: h by ``np.hypot``
+    (the C library's hypot, as ``abs(complex)`` uses), the same rescaled
+    branches for huge and subnormal moduli, and log1p(...)/2 for
+    0.71 <= h <= 1.73.  The log1p, log and atan2 values are ``math.*``
+    per element, because NumPy may run SIMD kernels with other last
+    bits; a non-finite row goes through ``cmath`` as a point.
+    """
     if _is_block(re, im):
-        return _by_rows(_clog, re, im)
+        return _clog_block(*np.broadcast_arrays(re, im))
     if re == 0 and im == 0:     # where cmath.log raises
         return (-math.inf, math.atan2(im, re))
     w = cmath.log(complex(re, im))
     return (w.real, w.imag)
+
+
+def _clog_block(re, im):
+    ax, ay = np.abs(re), np.abs(im)
+    with np.errstate(all="ignore"):
+        big = (ax > _CM_LARGE_DOUBLE) | (ay > _CM_LARGE_DOUBLE)
+        tiny = ~big & (ax < _DBL_MIN) & (ay < _DBL_MIN)
+        scale = np.where(big, 0.5, np.where(tiny, 2.0 ** _DBL_MANT_DIG, 1.0))
+        h = np.hypot(ax * scale, ay * scale)
+        near = ~big & ~tiny & (0.71 <= h) & (h <= 1.73)
+        am, an = np.maximum(ax, ay), np.minimum(ax, ay)
+        real = np.full(re.shape, -math.inf)         # log 0, where h is 0
+        by_log = ~near & (h > 0)
+        real[by_log] = list(map(math.log, h[by_log].tolist()))
+        real[near] = list(map(math.log1p, ((am - 1) * (am + 1) + an * an)[near].tolist()))
+        real[near] /= 2.0
+        real[big] += _LN2
+        real[tiny] -= _DBL_MANT_DIG * _LN2
+    imag = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
+    for i in np.flatnonzero(~(np.isfinite(re) & np.isfinite(im))).tolist():
+        real[i], imag[i] = _clog(float(re[i]), float(im[i]))
+    return (real, imag)
 
 
 def _cabs(re, im):
@@ -497,23 +525,24 @@ def _affine_isotropy(ib: int, iw: int) -> tuple:
 
 
 _FLIPS = (SignedPermutation((0,), (0,)), SignedPermutation((0,), (1,)))
-
-
-def _semidirect(b1r, b1i, d1, b2r, b2i, d2):
-    """The product (b1, flip^d1)(b2, flip^d2) by ``semidirect_mul``, as reals."""
-    (z,), sp = semidirect_mul(((complex(b1r, b1i),), _FLIPS[int(d1)]),
-                              ((complex(b2r, b2i),), _FLIPS[int(d2)]))
-    return (z.real, z.imag, float(sp.flips[0]))
+# by class (d1, d2) of (b1, flip^d1)(b2, flip^d2) = (b1 flip^d1(b2), flip^d1 flip^d2):
+# whether flip^d1 conjugates, and the discrete product, by ``signedperm``'s law
+_CASE2_CONJ = np.array([f.act((1j,)) != (1j,) for f in _FLIPS])
+_CASE2_FLIP = np.array([[float((f1 * f2).flips[0]) for f2 in _FLIPS] for f1 in _FLIPS])
 
 
 def _case2_draw(model, u):
     nx = model.base_dim - 2
     x0 = tuple(_box(x) for x in u[:nx])
     b1, b2 = _annulus(u[nx], u[nx + 1], 0.4, 1.7), _annulus(u[nx + 2], u[nx + 3], 0.4, 1.7)
-    d1, d2 = 1.0 * (u[nx + 4] < 0.5), 1.0 * (u[nx + 5] < 0.5)
+    c1, c2 = u[nx + 4] < 0.5, u[nx + 5] < 0.5
+    d1, d2 = 1.0 * c1, 1.0 * c2
     g1 = x0 + x0 + (0.0, 0.0) + b1 + (d1,)
     g2 = x0 + x0 + (0.0, 0.0) + b2 + (d2,)
-    return g1, g2, _by_rows(_semidirect, *b1, d1, *b2, d2)
+    i1, i2 = np.asarray(c1, dtype=int), np.asarray(c2, dtype=int)     # 0-d for a point
+    acted = _branch(_CASE2_CONJ[i1], lambda: (b2[0], -b2[1]), lambda: b2)
+    flip = _CASE2_FLIP[i1, i2]
+    return g1, g2, _cmul(*b1, *acted) + (flip if _is_block(flip) else float(flip),)
 
 
 def _case2_residual(model, g1, g2, out, want):
@@ -521,7 +550,7 @@ def _case2_residual(model, g1, g2, out, want):
             + abs(out[-1] - want[2]))
 
 
-# C* x| Z/2 acting by conjugation, against ``semidirect_mul``
+# C* x| Z/2 acting by conjugation, against the law of ``signedperm``
 CASE2_ISOTROPY = (_case2_draw, _case2_residual)
 
 

@@ -28,9 +28,12 @@ from .symplectic import (SymplecticModel, morphism_phi_nonzero,
 __all__ = ["ModelEntry", "MODEL_NAMES", "CHECK_NAMES", "build_model",
            "checks_for", "run_check", "DEFAULT_SAMPLES", "SAMPLE_CAPS"]
 
-MODEL_NAMES = ("case1", "caseIV", "case2", "sympl-nonzero", "sympl-zero",
-               "ssc-surface", "action-groupoid", "fibre:case1,case1",
-               "fibre:case1,pair", "pair")
+# each model's CLI name and default --dim (None: a model of fixed dimension)
+_DEFAULT_DIM = {"case1": 4, "caseIV": 4, "case2": 4, "sympl-nonzero": None,
+                "sympl-zero": None, "ssc-surface": None, "action-groupoid": None,
+                "fibre:case1,case1": 4, "fibre:case1,pair": 4, "pair": 2}
+
+MODEL_NAMES = tuple(_DEFAULT_DIM)
 
 CHECK_NAMES = ("axioms", "algebroid", "symplectic", "multiplicative",
                "poisson", "morphism", "variants", "isotropy", "ideal")
@@ -70,8 +73,20 @@ def _fibre_case1_case1(n: int) -> GroupoidChartModel:
     return fibre_product(m1, m2, base_from=caseIV_model(n, 2))
 
 
+# one entry per normalised (name, dim, k): entries are immutable, so every
+# caller in the process shares them (a traced or renamed copy is a replace)
+_BUILT: dict = {}
+
+
 def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -> ModelEntry:
-    """Construct a model by CLI name; unknown names raise ConfigError."""
+    """The model a CLI name denotes; unknown names raise ConfigError.
+
+    ``caseIV:k`` sets k.  The arguments are normalised first (the
+    model's default dim where ``dim`` is None or 0, k = 2 for caseIV and
+    None elsewhere), and each normalised (name, dim, k) is built once per
+    process: equal arguments return the same immutable ``ModelEntry``.
+    A fibre product's transversality gate thus runs once per process.
+    """
     name = name.strip()
     if name.startswith("caseIV:"):
         name, tail = "caseIV", name.split(":", 1)[1]
@@ -79,18 +94,27 @@ def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -
             k = int(tail)
         except ValueError:
             raise ConfigError(f"bad caseIV factor count {tail!r}") from None
+    if name not in _DEFAULT_DIM:
+        if name.startswith("fibre:"):
+            raise ConfigError(f"unsupported fibre combination {name!r}")
+        raise ConfigError(f"unknown model {name!r}")
+    default = _DEFAULT_DIM[name]
+    key = (name, None if default is None else dim or default,
+           (k or 2) if name == "caseIV" else None)
+    entry = _BUILT.get(key)
+    if entry is None:
+        entry = _BUILT[key] = _build(*key)
+    return entry
 
+
+def _build(name: str, n: Optional[int], k: Optional[int]) -> ModelEntry:
     if name == "case1":
-        n = dim or 4
         return ModelEntry(name, case1_model(n), None,
                           ("axioms", "algebroid", "isotropy", "ideal", "morphism"))
     if name == "caseIV":
-        n = dim or 4
-        kk = k or 2
-        return ModelEntry(name, caseIV_model(n, kk), None,
+        return ModelEntry(name, caseIV_model(n, k), None,
                           ("axioms", "algebroid", "isotropy", "ideal", "morphism"))
     if name == "case2":
-        n = dim or 4
         return ModelEntry(name, case2_quotient_model(n), None,
                           ("axioms", "algebroid", "isotropy", "ideal"))
     if name == "sympl-nonzero":
@@ -109,17 +133,12 @@ def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -
         return ModelEntry(name, action_groupoid_model(), None,
                           ("axioms", "algebroid", "isotropy"))
     if name == "pair":
-        return ModelEntry(name, pair_groupoid(dim or 2), None, ("axioms", "algebroid"))
+        return ModelEntry(name, pair_groupoid(n), None, ("axioms", "algebroid"))
     if name == "fibre:case1,case1":
-        return ModelEntry(name, _fibre_case1_case1(dim or 4), None,
+        return ModelEntry(name, _fibre_case1_case1(n), None,
                           ("axioms", "algebroid", "isotropy", "ideal"))
-    if name == "fibre:case1,pair":
-        n = dim or 4
-        model = fibre_product(case1_model(n), pair_groupoid(n))
-        return ModelEntry(name, model, None, ("axioms", "algebroid", "ideal"))
-    if name.startswith("fibre:"):
-        raise ConfigError(f"unsupported fibre combination {name!r}")
-    raise ConfigError(f"unknown model {name!r}")
+    model = fibre_product(case1_model(n), pair_groupoid(n))     # fibre:case1,pair
+    return ModelEntry(name, model, None, ("axioms", "algebroid", "ideal"))
 
 
 def checks_for(entry: ModelEntry, requested) -> tuple:

@@ -372,36 +372,29 @@ class MonodromyRep:
     def generators(self) -> Tuple[str, ...]:
         return tuple(self.images)
 
-    def _step(self, token: str):
-        """(perm, flips, inverse of perm) of a token's image, as tuples."""
+    def _points_of(self, token: str) -> Tuple[int, ...]:
+        """The image of a token as a permutation of the 2k points."""
         name, inverse = parse_token(token)
         if name not in self.images:
             raise UnknownGenerator(f"unknown generator {name!r}")
-        g = self.images[name]
-        if not inverse:
-            return g.perm, g.flips, g._inv_perm()
-        return g._inv_perm(), tuple(g.flips[v] for v in g.perm), g.perm
+        p = _points(self.images[name])
+        return _invert(p) if inverse else p
 
     def evaluate(self, word: Sequence[str]) -> SignedPermutation:
         """Left-to-right product of the images of ``word``'s tokens.
 
-        Works on (perm, flips) tuples with the formula of
-        ``SignedPermutation.__mul__``, resolving each distinct token
-        once, and validates only the result.
+        Composes the tokens' permutations of the 2k points (``g * h``
+        acts as g after h), resolving each distinct token once, and
+        reads the result back as a signed permutation.
         """
-        k = self.k
-        perm, flips, inv = tuple(range(k)), (0,) * k, tuple(range(k))
+        p = tuple(range(2 * self.k))
         steps = {}
         for token in word:
             step = steps.get(token)
             if step is None:
-                step = steps[token] = self._step(token)
-            p, f, pinv = step
-            # (perm, flips) * (p, f): flips read through the inverse of perm
-            flips = tuple([a ^ f[j] for a, j in zip(flips, inv)])
-            perm = tuple([perm[j] for j in p])
-            inv = tuple([pinv[j] for j in inv])
-        return SignedPermutation(perm, flips)
+                step = steps[token] = self._points_of(token)
+            p = _compose(p, step)
+        return _signed(p)
 
     def image_group(self) -> TwistGroup:
         return twist_group(self.images.values(), k=self.k)

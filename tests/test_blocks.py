@@ -27,8 +27,8 @@ from egl.checks import (AXIOM_NAMES, _Accumulator, _dense_arrows, _gap, _round_t
                         check_multiplicative, check_poisson, check_symplectic,
                         check_zero_residue_variant, lie_algebroid_of, morphism_beta,
                         perturbed_model, rng_for)
-from egl.errors import (ChartInvalid, NonFiniteValue, NotComposable, NotTransverse,
-                        SamplerExhausted)
+from egl.errors import (ChartInvalid, ConfigError, NonFiniteValue, NotComposable,
+                        NotTransverse, SamplerExhausted)
 from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _probes, _square,
                            case1_model, case2_quotient_model, caseIV_model,
                            fibre_product, ideal_values, smooth_factor_model,
@@ -37,6 +37,7 @@ from egl.kernel import (SmoothMap, exterior_derivative, jacobian, nullspace, pul
                         pullback_at, subspace_angle)
 from egl.registry import MODEL_NAMES, build_model
 from egl.report import RunConfig, run_verify
+from egl.signedperm import SignedPermutation, semidirect_mul
 from egl.symplectic import (PSI_SERIES_THRESHOLD, _psi_coefficient,
                             morphism_phi_nonzero, morphism_phi_zero,
                             morphism_psi, nonzero_target_Omega,
@@ -126,6 +127,29 @@ def test_real_pair_log_is_cmaths(re, im):
         w = cmath.log(complex(re, im))
         want = [w.real, w.imag]
     assert _bits(point) == _bits(block) == _bits(want)
+
+
+def _around(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# the branches of CPython's c_log: zeros, subnormal moduli, moduli over
+# DBL_MAX / 4, non-finite parts, and h at the ends of log1p's 0.71..1.73
+LOG_EDGES = ([0.0, -0.0, 5e-324, -1e-310, 0.5, -1.0, 3.0, math.inf, -math.inf, math.nan]
+             + _around(2.2250738585072014e-308) + _around(1.7976931348623157e308 / 4)
+             + _around(0.71) + _around(1.73) + [0.51, 1.2, 1.25, -1.22])
+
+
+def test_log_of_a_block_is_cmaths_row_by_row():
+    re, im = (c.ravel() for c in np.meshgrid(LOG_EDGES, LOG_EDGES))
+    rows = []
+    for x, y in zip(re.tolist(), im.tolist()):
+        if x == 0 and y == 0:
+            rows.append((-math.inf, math.atan2(y, x)))
+        else:
+            w = cmath.log(complex(x, y))
+            rows.append((w.real, w.imag))
+    _assert_same(_clog(re, im), rows, "log")
 
 
 def test_a_large_exponent_leaves_the_chart_instead_of_crashing():
@@ -566,6 +590,36 @@ def test_block_samplers_are_the_one_sample_samplers(name):
                              for _ in range(DRAWS)], "isotropy draw")
 
 
+def test_case2_isotropy_draw_is_semidirect_mul_row_by_row():
+    model = case2_quotient_model(4)
+    draw, width = model.isotropy[0], model.widths.isotropy
+    u = uniforms(rng_for(5, "case2-law"), width, DRAWS)
+    g1, g2, want = draw(model, u)
+    rows = []
+    for i in range(DRAWS):
+        a, b = (complex(g[6][i], g[7][i]) for g in (g1, g2))
+        (z,), sp = semidirect_mul(((a,), SignedPermutation((0,), (int(g1[-1][i]),))),
+                                  ((b,), SignedPermutation((0,), (int(g2[-1][i]),))))
+        rows.append((z.real, z.imag, float(sp.flips[0])))
+    _assert_same(want, rows, "case2 law")
+    _assert_same(want, [draw(model, tuple(float(c[i]) for c in u))[2] for i in range(DRAWS)],
+                 "case2 law, one row")
+
+
+def test_case2_isotropy_fails_a_compose_without_the_conjugation():
+    # the law comes from signedperm, not from the model's own compose
+    model = case2_quotient_model(4)
+    inner = model.compose_raw
+
+    def no_conj(g, h):
+        out = inner(g[:-1] + (0.0 * g[-1],), h)
+        return out[:-1] + ((g[-1] + h[-1]) % 2.0,)
+
+    rep = check_isotropy(replace(model, compose_raw=no_conj), 200, 7)
+    assert rep.verdict == "fail" and rep.witnesses
+    assert check_isotropy(model, 200, 7).verdict == "pass"
+
+
 # ---------------------------------------------------------------------------
 # the block suites against sample-by-sample evaluation
 # ---------------------------------------------------------------------------
@@ -993,3 +1047,17 @@ def test_calculus_reports_keep_their_bytes(entry):
     # default sample counts: the stacked Jacobians and SVDs of the
     # algebroid and symplectic checks must not move a bit
     assert _report_digest(entry, None) == entry["sha256"]
+
+
+def test_equal_model_arguments_share_one_entry():
+    assert build_model("caseIV:3", 6) is build_model(" caseIV", 6, 3)
+    assert build_model("caseIV") is build_model("caseIV", None, 2)
+    assert build_model("pair") is build_model("pair", 2, 5)
+    assert build_model("ssc-surface", 6) is build_model("ssc-surface")
+    assert build_model("fibre:case1,pair", 4) is build_model("fibre:case1,pair")
+    assert build_model("case1", 6) is not build_model("case1")
+    with pytest.raises(ConfigError):
+        build_model("fibre:pair,pair")
+    cfg = RunConfig(models=["fibre:case1,case1", "case2"], checks=["axioms", "isotropy"],
+                    seed=3, samples=200)
+    assert run_verify(cfg).to_json() == run_verify(cfg).to_json()

@@ -1,5 +1,7 @@
 """Symplectic local models: forms, morphisms, errata regressions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,16 @@ def test_phi_nonzero_is_a_groupoid_morphism():
     rep = check_morphism(morphism_phi_nonzero(), n_samples=2000, seed=5,
                          prof=PROF, tol=1e-7)
     assert rep.ok, rep.witnesses[:1]
+
+
+@pytest.mark.parametrize("make", [morphism_phi_nonzero, morphism_phi_zero],
+                         ids=["phi-nonzero", "phi-zero"])
+def test_a_morphism_with_one_form_compares_no_forms(make):
+    # the forms are compared only when both are set; one alone used to crash
+    bundle = make()
+    want = check_morphism(replace(bundle, dom_form=None, cod_form=None), 200, 7).to_dict()
+    for half in (replace(bundle, cod_form=None), replace(bundle, dom_form=None)):
+        assert check_morphism(half, 200, 7).to_dict() == want
 
 
 # ---------------------------------------------------------------------------
