@@ -44,9 +44,8 @@ def show(name, dim=None, k=None):
 
 if __name__ == "__main__":
     print("Groupoid local models and their structure maps")
-    for name in MODEL_NAMES:
-        dim = 4 if name not in ("pair",) else 2
-        show(name, dim=dim)
+    for name in MODEL_NAMES:        # each at its default dimension
+        show(name)
     print("\nOver the divisor, composition multiplies the invertible")
     print("blow-up coordinates: (x,y,0,b).(y,z,0,b') = (x,z,0,bb').")
     m = build_model("case1", dim=4).chart

@@ -1,24 +1,44 @@
 """Exact integer linear algebra for homology-level decisions.
 
-Smith normal form over Z with unimodular transforms, finitely generated
-abelian groups presented by relation vectors, integer homomorphisms with
-kernel computation, and the two obstruction-theoretic decision
-procedures: existence of a Hausdorff integration for a smooth divisor
-(a mod-2 functional factoring through the pushforward image) and
-existence of a coorientation double cover (membership in a mod-2 column
-space).  Everything here is exact; no floating point.
+Hermite and Smith normal forms over Z with unimodular transforms,
+finitely generated abelian groups presented by relation vectors,
+integer homomorphisms with kernel computation, and the two
+obstruction-theoretic decision procedures: existence of a Hausdorff
+integration for a smooth divisor (a mod-2 functional factoring through
+the pushforward image) and existence of a coorientation double cover
+(membership in a mod-2 column space).  Everything here is exact; no
+floating point.
 
-Smith normal form.  Row and column Hermite normal forms alternate until
-the matrix is diagonal (a column form is the row form of the
-transpose); then diagonal pairs that break the divisibility chain are
-replaced by their gcd and lcm.  Each Hermite form inserts the rows one
-at a time, combines a row with the pivot row that owns its leading
-column by an extended-gcd step, and after every insertion reduces the
-entries above each pivot modulo that pivot, leftmost pivot first
-(Kannan and Bachem, SIAM J. Comput. 8, 1979).  Rows that vanish on the
-matrix (kernel rows) are kept in Hermite form on their transform part,
-and the other rows' transform parts are reduced modulo them, so the
-transforms stay bounded on rectangular and rank-deficient inputs too.
+Hermite form.  ``_hermite_pass`` inserts the rows one at a time,
+combines a row with the pivot row that owns its leading column by an
+extended-gcd step, and after every insertion reduces the entries above
+each pivot modulo that pivot, leftmost pivot first, from the first
+pivot column the insertion changed (the columns left of it are still
+reduced) (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Rows that
+vanish on the matrix (kernel rows) are kept in Hermite form on their
+carried tail.  ``_hermite_rows`` then reduces the other rows' tails
+modulo the kernel rows, so the tails stay bounded on rectangular and
+rank-deficient inputs too; its result is the row Hermite normal form
+of the lattice the rows span, over all columns including the tail.
+That form is unique, so any route to it gives the same bits.
+
+Kernels and lattices, one Hermite pass each.  ``integer_kernel_basis``
+runs one pass over the rows of [M^T | I]; the tails of the rows that
+vanish on M^T are the Hermite basis of the kernel lattice (the columns
+of the Smith transform V past the rank, by uniqueness); the other
+rows' tails are not read, so they are not reduced.  A lattice
+test (``lattice_member``, ``IntHom``, ``kernel_generators``) runs one
+tail-less pass over the lattice's generators and reduces v at each
+pivot column: a remainder means v is not a member, and v is one iff it
+ends at zero.  So ``IntHom`` factors its codomain lattice once, and
+``kernel_generators`` its block's kernel once and its domain lattice
+once; neither runs a Smith form.
+
+Smith normal form.  Row and column Hermite forms alternate until the
+matrix is diagonal (a column form is the row form of the transpose);
+then diagonal pairs that break the divisibility chain are replaced by
+their gcd and lcm.  U and V are not unique, so this alternation fixes
+their bits.
 
 Digit bound.  Let h be the number of decimal digits of the Hadamard
 bound prod ||row||_2 of M.  Every entry of U and V has at most 2h + 10
@@ -26,8 +46,7 @@ digits on the inputs the tests check (seeded n x n matrices with
 entries in [-9, 9] for n = 24, 32, 40, and rank-deficient and
 rectangular products); at n = 40 the entries reach 53 digits against
 h = 62.  The bound is measured, not proven: Kannan and Bachem prove
-polynomial size for the square nonsingular case only.  A
-``lattice_member`` test or kernel computation factors its lattice once.
+polynomial size for the square nonsingular case only.
 """
 
 from __future__ import annotations
@@ -89,9 +108,10 @@ def _insert(pivots, row, lo: int, hi: int):
     carried along.  While the row leads in a column that a pivot row
     owns, the two are combined by the unimodular extended-gcd step
     [[x, y], [-b/g, a/g]].  Returns (the row, if it became zero on
-    lo..hi-1, else None; whether ``pivots`` changed).
+    lo..hi-1, else None; the leftmost pivot column whose row changed or
+    was added, or None when ``pivots`` is unchanged).
     """
-    changed = False
+    first = None
     c = _lead(row, lo, hi)
     while c is not None and c in pivots:
         p = pivots[c]
@@ -104,24 +124,27 @@ def _insert(pivots, row, lo: int, hi: int):
             a, b = a // g, b // g
             pivots[c] = [x * u + y * v for u, v in zip(p, row)]
             row = [a * v - b * u for u, v in zip(p, row)]
-            changed = True
+            if first is None:
+                first = c
         c = _lead(row, c + 1, hi)
     if c is None:
-        return row, changed
+        return row, first
     pivots[c] = row if row[c] > 0 else [-v for v in row]
-    return None, True
+    return None, c if first is None else first
 
 
-def _reduce(targets, pivots):
-    """Reduce each target row's entry at every pivot column into [0, pivot).
+def _reduce(targets, pivots, start: int = 0):
+    """Reduce each target row's entry at every pivot column >= ``start`` into [0, pivot).
 
     Leftmost pivot first: a reduction changes only columns at or right
     of its pivot, so later ones never undo earlier ones.  With the pivot
     rows themselves as targets this reduces above each pivot (a row is
-    zero left of its own pivot, so nothing below one changes).
+    zero left of its own pivot, so nothing below one changes).  After an
+    insertion that changed pivot rows from column ``start`` on, every
+    entry at a pivot column left of ``start`` is still in [0, pivot), so
+    those columns are skipped.
     """
-    cols = sorted(pivots)
-    for cj in cols:
+    for cj in sorted(c for c in pivots if c >= start):
         pj = pivots[cj]
         d = pj[cj]
         for ri in targets:
@@ -132,28 +155,39 @@ def _reduce(targets, pivots):
                 ri[cj:] = [u - q * v for u, v in zip(ri[cj:], pj[cj:])]
 
 
-def _hermite_rows(rows, width: int):
-    """Row Hermite normal form by insertion, with size reduction.
+def _hermite_pass(rows, width: int):
+    """Row Hermite form by insertion, with size reduction.
 
     Each row is a list whose first ``width`` entries are the matrix and
     whose tail is carried along (the transform).  Rows are inserted one
     at a time (``_insert``), and after each insertion every entry above
     a pivot is reduced into [0, pivot), so no entry outgrows the pivots
     (Kannan and Bachem 1979).  Rows that become zero on the matrix are
-    kernel rows: their tails are kept in Hermite form of their own, and
-    the pivot rows' tails are reduced modulo them at the end, which
-    keeps the transform bounded when the matrix is not square or not
-    of full rank.  Returns the pivot rows by leading column, then the
-    kernel rows.
+    kernel rows: their tails are kept in Hermite form of their own.
+    Returns (pivot rows, kernel rows), each a dict by leading column;
+    the pivot rows' tails are not yet reduced modulo the kernel rows.
     """
     pivots, kernel = {}, {}
     for row in rows:
-        zero, changed = _insert(pivots, row, 0, width)
+        zero, start = _insert(pivots, row, 0, width)
         if zero is not None:
-            _insert(kernel, zero, width, len(zero))
-            _reduce(kernel.values(), kernel)
-        if changed:
-            _reduce(pivots.values(), pivots)
+            _, tail_start = _insert(kernel, zero, width, len(zero))
+            if tail_start is not None:
+                _reduce(kernel.values(), kernel, tail_start)
+        if start is not None:
+            _reduce(pivots.values(), pivots, start)
+    return pivots, kernel
+
+
+def _hermite_rows(rows, width: int):
+    """The row Hermite normal form of ``rows`` over all their columns.
+
+    The pivot rows of ``_hermite_pass`` by leading column, with their
+    tails reduced modulo the kernel rows (which keeps the transform
+    bounded when the matrix is not square or not of full rank), then
+    the kernel rows.
+    """
+    pivots, kernel = _hermite_pass(rows, width)
     out = [pivots[c] for c in sorted(pivots)]
     _reduce(out, kernel)
     return out + [kernel[c] for c in sorted(kernel)]
@@ -239,7 +273,14 @@ def integer_determinant(M) -> int:
 
 
 def integer_kernel_basis(M) -> List[List[int]]:
-    """Basis of the integer kernel lattice {x : M x = 0}."""
+    """Hermite basis of the integer kernel lattice {x : M x = 0}.
+
+    One Hermite pass over the rows of [M^T | I]: the rows that vanish on
+    M^T carry, in their tails, the Hermite form of the kernel lattice
+    (the other rows' tails are not read, so they are not reduced).  That
+    form is unique, so it equals the columns of the Smith transform V
+    past the rank.
+    """
     M = _as_int_matrix(M)
     m = len(M)
     n = len(M[0]) if m else 0
@@ -247,35 +288,34 @@ def integer_kernel_basis(M) -> List[List[int]]:
         return []
     if m == 0:
         return _identity(n)
-    _, S, V = smith_normal_form(M)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
-    # kernel is spanned by the columns of V beyond the rank
-    return [[V[i][j] for i in range(n)] for j in range(rank, n)]
+    _, kernel = _hermite_pass([list(col) + e for col, e in zip(zip(*M), _identity(n))], m)
+    return [kernel[c][m:] for c in sorted(kernel)]
 
 
 def _lattice_test(columns: Sequence[Sequence[int]], dim: int):
     """Membership test ``v -> bool`` for the Z-span of ``columns`` in Z^dim.
 
-    The lattice is factored once (U R V = S for the matrix R whose
-    columns are ``columns``); v is a member iff every coordinate of U v
-    is divisible by the matching diagonal entry of S (zero past the
-    rank).  Each test then costs one product with U.
+    The lattice is factored once, into the Hermite basis of its
+    generators (one tail-less Hermite pass).  v is reduced at each pivot
+    column, leftmost first; a remainder there means v is not a member,
+    and v is one iff it ends at zero.
     """
     if not columns:
         return lambda v: not any(int(x) for x in v)
     if any(len(col) != dim for col in columns):
         raise DimensionMismatch("lattice_member: column length mismatch")
-    R = [[int(col[i]) for col in columns] for i in range(dim)]
-    U, S, _ = smith_normal_form(R)
-    diag = [S[i][i] if i < len(columns) else 0 for i in range(dim)]
+    pivots, _ = _hermite_pass([[int(x) for x in col] for col in columns], dim)
+    basis = sorted(pivots.items())
 
     def member(v) -> bool:
         v = [int(x) for x in v]
-        for row, d in zip(U, diag):
-            w = sum(a * b for a, b in zip(row, v) if a)
-            if (w % d if d else w):
+        for c, p in basis:
+            q, r = divmod(v[c], p[c])
+            if r:
                 return False
-        return True
+            if q:
+                v[c:] = [a - q * b for a, b in zip(v[c:], p[c:])]
+        return not any(v)
     return member
 
 
@@ -327,10 +367,8 @@ class IntHom:
             raise MalformedPresentation("hom matrix shape does not match presentations")
         if self.domain.relations and self.codomain.ngens and self.domain.ngens:
             member = _lattice_test(self.codomain.relation_columns, self.codomain.ngens)
-            for rel in self.domain.relations:
-                img = [sum(M[i][j] * int(rel[j]) for j in range(self.domain.ngens))
-                       for i in range(self.codomain.ngens)]
-                if not member(img):
+            for rel in self.domain.relation_columns:
+                if not member([sum(a * b for a, b in zip(row, rel)) for row in M]):
                     raise MalformedPresentation(
                         "hom does not map a domain relation into the codomain lattice")
 

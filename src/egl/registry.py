@@ -4,7 +4,7 @@ Model names, as exposed on the command line: ``case1``, ``caseIV:k``,
 ``case2``, ``sympl-nonzero``, ``sympl-zero``, ``ssc-surface``,
 ``action-groupoid``, ``fibre:A,B`` and ``pair``.  Dimensions come from
 ``--dim`` (and ``--k``), with sensible defaults per model.  Unknown
-names are rejected before any computation.
+names and impossible dimensions are rejected before any computation.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from .symplectic import (SymplecticModel, morphism_phi_nonzero,
 __all__ = ["ModelEntry", "MODEL_NAMES", "CHECK_NAMES", "build_model",
            "checks_for", "run_check", "DEFAULT_SAMPLES", "SAMPLE_CAPS"]
 
-# each model's CLI name and default --dim (None: a model of fixed dimension)
-_DEFAULT_DIM = {"case1": 4, "caseIV": 4, "case2": 4, "sympl-nonzero": None,
-                "sympl-zero": None, "ssc-surface": None, "action-groupoid": None,
-                "fibre:case1,case1": 4, "fibre:case1,pair": 4, "pair": 2}
+# each model's CLI name, default --dim and least --dim (None: a model of
+# fixed dimension, which takes its default dim only)
+_DIMS = {"case1": (4, 2), "caseIV": (4, 2), "case2": (4, 2), "sympl-nonzero": (2, None),
+         "sympl-zero": (4, None), "ssc-surface": (2, None), "action-groupoid": (4, None),
+         "fibre:case1,case1": (4, 4), "fibre:case1,pair": (4, 2), "pair": (2, 1)}
 
-MODEL_NAMES = tuple(_DEFAULT_DIM)
+MODEL_NAMES = tuple(_DIMS)
 
 CHECK_NAMES = ("axioms", "algebroid", "symplectic", "multiplicative",
                "poisson", "morphism", "variants", "isotropy", "ideal")
@@ -65,16 +66,15 @@ class ModelEntry:
 
 
 def _fibre_case1_case1(n: int) -> GroupoidChartModel:
-    if n < 4:
-        raise ConfigError("fibre:case1,case1 needs dim >= 4")
     m1 = smooth_factor_model(n, 2, 0)
     m2 = smooth_factor_model(n, 2, 1)
     # borrow the joint-stratum base samplers
     return fibre_product(m1, m2, base_from=caseIV_model(n, 2))
 
 
-# one entry per normalised (name, dim, k): entries are immutable, so every
-# caller in the process shares them (a traced or renamed copy is a replace)
+# one entry per normalised (name, dim, k), also filed under the arguments
+# that named it: entries are immutable, so every caller in the process
+# shares them (a traced or renamed copy is a replace)
 _BUILT: dict = {}
 
 
@@ -82,11 +82,24 @@ def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -
     """The model a CLI name denotes; unknown names raise ConfigError.
 
     ``caseIV:k`` sets k.  The arguments are normalised first (the
-    model's default dim where ``dim`` is None or 0, k = 2 for caseIV and
-    None elsewhere), and each normalised (name, dim, k) is built once per
-    process: equal arguments return the same immutable ``ModelEntry``.
-    A fibre product's transversality gate thus runs once per process.
+    model's default dim where ``dim`` is None, k = 2 for caseIV where
+    ``k`` is None, and None elsewhere) and checked: a dim below the
+    model's least, a dim other than its own for a model of fixed
+    dimension, or a caseIV k outside 1 <= k <= dim/2 raises ConfigError.
+    Each normalised (name, dim, k) is built once per process: equal
+    arguments return the same immutable ``ModelEntry``.  A fibre
+    product's transversality gate thus runs once per process.
     """
+    entry = _BUILT.get((name, dim, k))      # arguments seen before were checked then
+    if entry is None:
+        key = _normalise(name, dim, k)
+        entry = _BUILT.get(key) or _build(*key)
+        _BUILT[key] = _BUILT[name, dim, k] = entry
+    return entry
+
+
+def _normalise(name: str, dim: Optional[int], k: Optional[int]) -> tuple:
+    """(name, dim, k) as ``build_model`` keys them; impossible ones raise ConfigError."""
     name = name.strip()
     if name.startswith("caseIV:"):
         name, tail = "caseIV", name.split(":", 1)[1]
@@ -94,17 +107,26 @@ def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -
             k = int(tail)
         except ValueError:
             raise ConfigError(f"bad caseIV factor count {tail!r}") from None
-    if name not in _DEFAULT_DIM:
+    if name not in _DIMS:
         if name.startswith("fibre:"):
             raise ConfigError(f"unsupported fibre combination {name!r}")
         raise ConfigError(f"unknown model {name!r}")
-    default = _DEFAULT_DIM[name]
-    key = (name, None if default is None else dim or default,
-           (k or 2) if name == "caseIV" else None)
-    entry = _BUILT.get(key)
-    if entry is None:
-        entry = _BUILT[key] = _build(*key)
-    return entry
+    default, least = _DIMS[name]
+    if least is None:
+        if dim is not None and dim != default:
+            raise ConfigError(f"{name} has fixed dimension {default}, not {dim}")
+        n = None
+    else:
+        n = default if dim is None else dim
+        if n < least:
+            raise ConfigError(f"{name} needs dim >= {least}, not {n}")
+    if name == "caseIV":
+        k = 2 if k is None else k
+        if not 1 <= k <= n // 2:
+            raise ConfigError(f"caseIV needs 1 <= k <= dim/2, not k = {k} at dim {n}")
+    else:
+        k = None
+    return name, n, k
 
 
 def _build(name: str, n: Optional[int], k: Optional[int]) -> ModelEntry:

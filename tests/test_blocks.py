@@ -1053,7 +1053,7 @@ def test_equal_model_arguments_share_one_entry():
     assert build_model("caseIV:3", 6) is build_model(" caseIV", 6, 3)
     assert build_model("caseIV") is build_model("caseIV", None, 2)
     assert build_model("pair") is build_model("pair", 2, 5)
-    assert build_model("ssc-surface", 6) is build_model("ssc-surface")
+    assert build_model("ssc-surface", 2) is build_model("ssc-surface")
     assert build_model("fibre:case1,pair", 4) is build_model("fibre:case1,pair")
     assert build_model("case1", 6) is not build_model("case1")
     with pytest.raises(ConfigError):

@@ -156,6 +156,29 @@ def test_model_name_with_factor_count(capsys, tmp_path):
     assert json.loads(report.to_json()) == report.canonical()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "case1", "--dim", "-3"], "case1 needs dim >= 2, not -3"),
+    (["--model", "caseIV:9"], "caseIV needs 1 <= k <= dim/2, not k = 9 at dim 4"),
+    (["--model", "caseIV", "--dim", "5", "--k", "3"],
+     "caseIV needs 1 <= k <= dim/2, not k = 3 at dim 5"),
+    (["--model", "caseIV", "--k", "0"], "caseIV needs 1 <= k <= dim/2, not k = 0 at dim 4"),
+    (["--model", "case1", "--dim", "0"], "case1 needs dim >= 2, not 0"),
+    (["--model", "ssc-surface", "--dim", "6"], "ssc-surface has fixed dimension 2, not 6"),
+], ids=["negative-dim", "k-above-dim", "k-above-half-dim", "zero-k", "zero-dim",
+        "fixed-dim-model"])
+@pytest.mark.parametrize("checks", [[], ["--checks", "axioms"]], ids=["all-checks", "axioms"])
+def test_impossible_dimensions_are_configuration_errors(capsys, argv, message, checks):
+    code, out, err = run_cli(["verify", *argv, *checks, "--samples", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_a_fixed_dimension_model_accepts_its_own_dim(capsys):
+    code, out, _ = run_cli(["verify", "--model", "ssc-surface", "--dim", "2",
+                            "--checks", "axioms", "--samples", "10"], capsys)
+    assert code == 0 and json.loads(out)["config"]["dim"] == 2
+
+
 def test_text_shows_each_check_time_once():
     # morphism on sympl-nonzero returns two records (phi-nonzero and psi)
     # from one timed call: its time is shown once, on the first of them

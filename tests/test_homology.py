@@ -287,21 +287,21 @@ def test_snf_transform_digits_stay_within_twice_the_hadamard_bound(M):
     assert worst <= bound, f"transform entries reach {worst} digits, bound {bound}"
 
 
-def _count_snf_calls(monkeypatch):
+def _count_hermite_passes(monkeypatch):
     calls = []
-    real = homology.smith_normal_form
+    real = homology._hermite_pass
 
-    def counted(M):
-        calls.append(len(M))
-        return real(M)
-    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    def counted(rows, width):
+        calls.append(width)
+        return real(rows, width)
+    monkeypatch.setattr(homology, "_hermite_pass", counted)
     return calls
 
 
 def test_each_lattice_is_factored_once(monkeypatch):
     cod = HomologyPresentation(3, relations=((2, 0, 0), (0, 3, 0), (0, 0, 4)))
     dom = HomologyPresentation(3, relations=((2, 0, 0), (0, 6, 0), (0, 0, 8), (4, 6, 8)))
-    calls = _count_snf_calls(monkeypatch)
+    calls = _count_hermite_passes(monkeypatch)
     f = IntHom(((1, 0, 0), (0, 1, 0), (0, 0, 1)), dom, cod)
     assert len(calls) == 1      # four relations, one codomain factorisation
     calls.clear()
@@ -348,3 +348,107 @@ def test_bit_packed_cover_matches_list_elimination(system):
     b = b[:len(A)]
     assert double_cover_exists(A, b) == _reference_double_cover(A, b)
 
+
+
+# ---------------------------------------------------------------------------
+# kernel bases and lattice tests by one Hermite pass, against Smith-form oracles
+# ---------------------------------------------------------------------------
+
+def _seeded_matrices(seed: int, count: int = 60):
+    """Small integer matrices: rectangular, rank-deficient, with zero rows, empty."""
+    rng = random.Random(seed)
+    yield from ([], [[]], [[], []], [[0, 0, 0]], [[0], [0]])
+    for i in range(count):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        if i % 3 == 0:          # rank at most r: a product of thin factors
+            r = rng.randint(1, min(m, n))
+            A = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)]
+            B = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+            yield [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+        elif i % 3 == 1:        # some rows zero
+            yield [[0] * n if rng.random() < 0.4 else [rng.randint(-9, 9) for _ in range(n)]
+                   for _ in range(m)]
+        else:
+            yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+
+def _reference_hermite(rows):
+    """Row Hermite form of the whole rows, reduced at every pivot after every insertion."""
+    pivots = {}
+    for row in rows:
+        row = list(row)
+        c = next((j for j, x in enumerate(row) if x), None)
+        while c is not None and c in pivots:
+            p = pivots[c]
+            g, x, y = homology._xgcd(p[c], row[c])
+            a, b = p[c] // g, row[c] // g
+            pivots[c], row = ([x * u + y * v for u, v in zip(p, row)],
+                              [a * v - b * u for u, v in zip(p, row)])
+            c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            pivots[c] = row if row[c] > 0 else [-v for v in row]
+        for cj in sorted(pivots):
+            for ci, ri in pivots.items():
+                if ci != cj:
+                    q = ri[cj] // pivots[cj][cj]
+                    pivots[ci] = [u - q * v for u, v in zip(ri, pivots[cj])]
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def _smith_member(columns, v):
+    """The Smith-form membership rule: U R V = S, v in the lattice iff each
+    coordinate of U v is divisible by its diagonal entry of S (zero past the rank)."""
+    if not columns:
+        return not any(v)
+    R = [list(r) for r in zip(*columns)]
+    U, S, _ = smith_normal_form(R)
+    for i, row in enumerate(U):
+        d = S[i][i] if i < len(columns) else 0
+        w = sum(a * b for a, b in zip(row, v))
+        if (w % d if d else w):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_basis_is_the_smith_transform_past_the_rank(seed):
+    for M in _seeded_matrices(seed):
+        m, n = len(M), len(M[0]) if M else 0
+        basis = integer_kernel_basis(M)
+        if not (m and n):
+            assert basis == ([] if n == 0 else [[int(i == j) for j in range(n)] for i in range(n)])
+            continue
+        _, S, V = smith_normal_form(M)
+        rank = sum(1 for i in range(min(m, n)) if S[i][i])
+        assert basis == [[V[i][j] for i in range(n)] for j in range(rank, n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lattice_member_agrees_with_the_smith_rule(seed):
+    rng = random.Random(100 + seed)
+    for M in _seeded_matrices(seed):
+        if not M:
+            continue
+        columns = [list(c) for c in zip(*M)]
+        for _ in range(8):
+            if columns and rng.random() < 0.5:      # a member, sometimes plus a nudge
+                v = [sum(rng.randint(-3, 3) * c[i] for c in columns) for i in range(len(M))]
+                v[rng.randrange(len(v))] += rng.choice((0, 0, 1, 2))
+            else:
+                v = [rng.randint(-6, 6) for _ in range(len(M))]
+            assert lattice_member(columns, v) == _smith_member(columns, v), (columns, v)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hermite_rows_equal_a_full_reduce_reference(seed):
+    rng = random.Random(200 + seed)
+    for M in _seeded_matrices(seed):
+        m, n = len(M), len(M[0]) if M else 0
+        if seed == 1:       # an identity tail, as the Smith form carries
+            tails = [[int(i == j) for j in range(m)] for i in range(m)]
+        else:
+            width = rng.randint(0, 3)
+            tails = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(m)]
+        rows = [list(r) + t for r, t in zip(M, tails)]
+        out = homology._hermite_rows([list(r) for r in rows], n)
+        assert out == _reference_hermite(rows), rows
