@@ -41,8 +41,8 @@ from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
                      exterior_derivative, jacobian, nullspace, pullback_at, subspace_angle)
 from .kernel import pullback  # noqa: F401  (a module attribute the benchmark tracer wraps)
-from .symplectic import (MorphismBundle, SymplecticModel, morphism_psi,
-                         psi_domain_candidates)
+from .symplectic import (MorphismBundle, SymplecticModel, _antisymmetric, _zero_matrix,
+                         morphism_psi, psi_domain_candidates)
 
 __all__ = [
     "CheckReport",
@@ -430,17 +430,20 @@ def _unit_vectors(rng, dim: int, per: int, count: int) -> np.ndarray:
 def _jacobians(f: SmoothMap, points, prof: ToleranceProfile) -> np.ndarray:
     """The stacked Jacobian of f at the points, where a point whose
     Jacobian is not finite gets an all-NaN one, so that its sample fails
-    instead of ``jacobian``'s NonFiniteValue ending the check."""
+    instead of ``jacobian``'s NonFiniteValue ending the check.
+
+    The stack that NonFiniteValue carries is used as it is; when it stops
+    short of the last point, the next point is outside f's domain, and
+    ``jacobian`` on the remaining points raises its StencilOutsideDomain.
+    """
     try:
         return jacobian(f, points, prof)
-    except NonFiniteValue:
-        out = np.full((len(points), f.codomain_dim, f.domain_dim), np.nan)
-        for i, p in enumerate(points):
-            try:
-                out[i] = jacobian(f, p, prof)
-            except NonFiniteValue:
-                pass
-        return out
+    except NonFiniteValue as err:
+        J = err.values
+    J[~np.isfinite(J).all(axis=(1, 2))] = np.nan
+    if len(J) < len(points):
+        jacobian(f, points[len(J):], prof)
+    return J
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -598,35 +601,36 @@ def schouten_residual(pi: Callable, dim: int, p, prof: ToleranceProfile = DEFAUL
     """Max component of [pi, pi] at p by central differences.
 
     [pi,pi]^{ijk} = 2 sum_l (pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki}
-    + pi^{lk} d_l pi^{ij}); zero for a Poisson bivector.  ``pi`` takes
-    one point.  A stack of points (N, dim) gives the column of their
-    residuals: pi is evaluated at every point and stencil point, then
+    + pi^{lk} d_l pi^{ij}); zero for a Poisson bivector.  ``pi`` takes a
+    coordinate-major block and returns its (N, dim, dim) stack (or one
+    matrix for every row), as the bivectors of ``egl.symplectic`` do.
+    ``p`` is one point, giving a float, or a stack (N, dim), giving the
+    column of residuals: pi is evaluated once at the points and
+    differentiated by one ``jacobian`` of its ``SmoothMap`` view, then
     all points and all i < j < k are contracted at once, summing over l
     in order, so a point has the bits of its one-row stack.  A point
-    where pi is not finite (at it or at a stencil point) has residual NaN.
+    where pi or its Jacobian is not finite has residual NaN.
     """
     P = np.asarray(p, dtype=float)
     points = P.reshape(-1, dim)
-    count, h = len(points), prof.fd_step
-    stencil = np.repeat(points[:, None, :], 2 * dim, axis=1)
-    axes = np.arange(dim)
-    stencil[:, axes, axes] += h
-    stencil[:, dim + axes, axes] -= h
-    values = np.array([np.asarray(pi(x), dtype=float)
-                       for x in np.concatenate([points, stencil.reshape(-1, dim)])])
-    pi_p = values[:count]
-    steps = values[count:].reshape(count, 2 * dim, dim, dim)
+
+    def entries(x):
+        c = np.broadcast_to(pi(x), np.shape(x[0]) + (dim, dim))
+        return tuple(c.reshape(-1, dim * dim).T)
+
+    view = SmoothMap(dim, dim * dim, entries, name="pi")
+    pi_p = view(points).reshape(-1, dim, dim)
+    # grads[:, j, k, l] = d_l pi^{jk}
+    grads = _jacobians(view, points, prof).reshape(-1, dim, dim, dim)
     i, j, k = np.array(list(itertools.combinations(range(dim), 3)), dtype=int).reshape(-1, 3).T
     with np.errstate(all="ignore"):
-        grads = (steps[:, :dim] - steps[:, dim:]) / (2 * h)
         total = 0.0
         for l in range(dim):
-            total = total + (pi_p[:, l, i] * grads[:, l, j, k]
-                             + pi_p[:, l, j] * grads[:, l, k, i]
-                             + pi_p[:, l, k] * grads[:, l, i, j])
+            total = total + (pi_p[:, l, i] * grads[:, j, k, l]
+                             + pi_p[:, l, j] * grads[:, k, i, l]
+                             + pi_p[:, l, k] * grads[:, i, j, l])
         worst = np.max(np.abs(2 * total), axis=1, initial=0.0)
-    worst[~np.isfinite(values[:count]).all(axis=(1, 2))
-          | ~np.isfinite(steps).all(axis=(1, 2, 3))] = np.nan
+    worst[~np.isfinite(pi_p).all(axis=(1, 2)) | ~np.isfinite(grads).all(axis=(1, 2, 3))] = np.nan
     return worst if P.ndim == 2 else float(worst[0])
 
 
@@ -638,8 +642,9 @@ def check_poisson(sym: SymplecticModel, n_points: int = 40, seed: int = 7,
     Base points with x1^2 + x2^2 < 0.04 are skipped; the points are drawn
     as ``_dense_arrows`` draws its arrows, and more than 200 * n_points
     drawn raise SamplerExhausted.  Each block of up to ``BLOCK_ROWS``
-    points takes one ``schouten_residual`` call; a non-finite bracket
-    fails its point with a witness.
+    points takes one ``schouten_residual`` call, which evaluates the
+    bivector on the block and differentiates it with one stacked
+    Jacobian; a non-finite bracket fails its point with a witness.
     """
     model = sym.model
     rng = rng_for(seed, f"poisson:{model.name}")
@@ -655,12 +660,15 @@ def check_poisson(sym: SymplecticModel, n_points: int = 40, seed: int = 7,
 
 
 def non_jacobi_bivector():
-    """Negative control: pi = d1^d2 + x1 d3^d4 on R^4, [pi,pi] != 0."""
+    """Negative control: pi = d1^d2 + x1 d3^d4 on R^4, [pi,pi] != 0.
+
+    Like the model bivectors it takes a point, giving a (4, 4) matrix,
+    or a coordinate-major block, giving the (N, 4, 4) stack."""
     def pi(p):
-        c = np.zeros((4, 4))
-        c[0, 1] = 1.0
-        c[2, 3] = p[0]
-        return c - c.T
+        c = _zero_matrix(p[0], 4)
+        c[..., 0, 1] = 1.0
+        c[..., 2, 3] = p[0]
+        return _antisymmetric(c)
     return pi
 
 

@@ -309,8 +309,11 @@ def two_form_from_matrix(ambient_dim: int, coeff: Callable[[np.ndarray], np.ndar
 
 
 def _check_finite(arr, what: str):
+    """Raise NonFiniteValue, carrying ``arr`` as ``values``, unless arr is finite."""
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"non-finite value in {what}")
+        err = NonFiniteValue(f"non-finite value in {what}")
+        err.values = arr
+        raise err
 
 
 def _inside(f: SmoothMap, X) -> np.ndarray:
@@ -366,8 +369,10 @@ def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.nd
     one call of ``f.formula`` on their coordinate columns.  The error
     raised is that of the first point, in stack order, that has one:
     StencilOutsideDomain (the base point, else the first axis whose
-    stencil leaves the domain) or NonFiniteValue on NaN/Inf.  The result
-    is C-ordered.
+    stencil leaves the domain) or NonFiniteValue on NaN/Inf, which carries
+    as ``values`` the (k, m, n) stack of the k points before the first one
+    outside the domain (as NotComposable carries ``gap``).  The result is
+    C-ordered.
     """
     P = np.asarray(p, dtype=float)
     h = prof.fd_step
@@ -607,9 +612,14 @@ def exterior_derivative(form: FormField, p, vectors,
 def pullback(f: SmoothMap, form: FormField, p, vectors,
              prof: ToleranceProfile = DEFAULT_PROFILE):
     """(f^* form)(p; v_1..v_k) = form(f(p); df v_1, .., df v_k), at a
-    point or at each point of a stack (N, n) with stacks of vectors."""
-    J = jacobian(f, p, prof)
-    return pullback_at(form, f(np.asarray(p, dtype=float)), J, vectors)
+    point or at each point of a stack (N, n) with stacks of vectors.
+
+    A point whose image lies outside the form's domain raises
+    StencilOutsideDomain, as a stencil outside f's domain does."""
+    J, fp = jacobian(f, p, prof), f(np.asarray(p, dtype=float))
+    if not np.all(form.defined_at(fp)):
+        raise StencilOutsideDomain(f"pullback: image of {f.name} outside domain of {form.name}")
+    return pullback_at(form, fp, J, vectors)
 
 
 def pullback_at(form: FormField, fp, J, vectors):

@@ -15,9 +15,9 @@ kept as negative controls.  The four candidate domains of the covering
 morphism psi are members of the exponential family of
 ``egl.groupoids``, whose exp-on-target, unscaled member is ssc-surface.
 
-Every form here evaluates a coordinate-major block (see
-``egl.kernel.FormField``), its complex arithmetic written on real pairs
-as CPython's complex type computes it; the composable-pair
+Every form and every Poisson bivector here evaluates a coordinate-major
+block (see ``egl.kernel.FormField``), its complex arithmetic written on
+real pairs as CPython's complex type computes it; the composable-pair
 parametrizations are tuple formulas, like the structure maps.
 """
 
@@ -57,8 +57,13 @@ class SymplecticModel:
     """A groupoid chart model with multiplicative symplectic data.
 
     ``Omega`` equals t*omega - s*omega on the dense chart and is
-    nondegenerate off a measure-zero locus; ``pi_bivector`` evaluates
-    the Poisson bivector at one base point.  ``pair_param`` parametrizes
+    nondegenerate off a measure-zero locus.  ``pi_bivector`` is the
+    Poisson bivector's coefficient matrix: like a form's evaluator it
+    takes a coordinate-major block of base points (``p[i]`` a column)
+    and returns the (N, n, n) stack, and a point (``p[i]`` a float) is
+    the one-row block, giving one (n, n) matrix with the same bits.
+    Its entries are written with ``_zero_matrix`` and ``_antisymmetric``,
+    as the coefficients of Omega are.  ``pair_param`` parametrizes
     exactly composable pairs for multiplicativity checks, as a
     (SmoothMap with a tuple formula, sampler) pair; its tangent vectors
     stay in the composable locus by construction.
@@ -107,6 +112,13 @@ def _zero_matrix(x, n):
 def _antisymmetric(c):
     """c - c^T for a matrix or for each matrix of a stack."""
     return c - np.swapaxes(c, -1, -2)
+
+
+def _plane_bivector(p, c):
+    """c d/dx1 ^ d/dx2 at a point or a block of points of the plane."""
+    m = _zero_matrix(p[0], 2)
+    m[..., 0, 1] = c
+    return _antisymmetric(m)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +234,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         Omega = _nonzero_Omega_assembled(fval)
 
     def pi_bivector(p):
-        r2 = p[0] * p[0] + p[1] * p[1]
-        c = r2 / fval(p)
-        return np.array([[0.0, c], [-c, 0.0]])
+        return _plane_bivector(p, (p[0] * p[0] + p[1] * p[1]) / fval(p))
 
     # exactly composable pairs parametrized by (x, a1, b1, a2, b2)
     def pairs(w):
@@ -414,11 +424,13 @@ def symplectic_zero_residue_model() -> SymplecticModel:
     Omega_variant = _zero_Omega(sign=+1.0)
 
     def pi_bivector(p):
-        u1, u2 = p[0], p[1]
-        c = np.zeros((4, 4))
-        c[0, 2], c[1, 2] = u1, u2
-        c[1, 3], c[0, 3] = u1, -u2
-        return c - c.T
+        """pi = u d/du ^ d/dv on C^2, in the real chart (Re u, Im u, Re v,
+        Im v): Re u and Im u are its (0, 2) and (1, 2) entries, and Re u
+        and -Im u its (1, 3) and (0, 3) entries."""
+        c = _zero_matrix(p[0], 4)
+        c[..., 0, 2], c[..., 1, 2] = p[0], p[1]
+        c[..., 1, 3], c[..., 0, 3] = p[0], -p[1]
+        return _antisymmetric(c)
 
     def pairs(w):
         g = w[:8]
@@ -559,7 +571,7 @@ def pair_groupoid_symplectic() -> SymplecticModel:
 
     grid = tuple((0.1 * i, -0.2 * i, 0.3, 0.4) for i in range(1, 5))
     return SymplecticModel(model=model, omega_base=omega, Omega=Omega,
-                           pi_bivector=lambda p: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                           pi_bivector=lambda p: _plane_bivector(p, 1.0),
                            pair_param=(pair_map, sample_params), nondeg_grid=grid)
 
 

@@ -9,6 +9,7 @@ with a witness where that evaluation crashed.
 
 import cmath
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -21,14 +22,14 @@ from hypothesis import strategies as st
 
 import egl.checks as checks
 import egl.groupoids as groupoids
-from egl.checks import (AXIOM_NAMES, _Accumulator, _dense_arrows, _gap, _round_tuple,
-                        _unit_vectors, check_algebroid, check_groupoid_axioms,
+from egl.checks import (AXIOM_NAMES, _Accumulator, _dense_arrows, _gap, _jacobians,
+                        _round_tuple, _unit_vectors, check_algebroid, check_groupoid_axioms,
                         check_ideal, check_isotropy, check_morphism,
                         check_multiplicative, check_poisson, check_symplectic,
                         check_zero_residue_variant, lie_algebroid_of, morphism_beta,
-                        perturbed_model, rng_for)
+                        non_jacobi_bivector, perturbed_model, rng_for, schouten_residual)
 from egl.errors import (ChartInvalid, ConfigError, NonFiniteValue, NotComposable,
-                        NotTransverse, SamplerExhausted)
+                        NotTransverse, SamplerExhausted, StencilOutsideDomain)
 from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _probes, _square,
                            case1_model, case2_quotient_model, caseIV_model,
                            fibre_product, ideal_values, smooth_factor_model,
@@ -503,6 +504,161 @@ def test_forms_give_a_point_the_bits_of_its_block(name):
     _same_values(pullback_at(form, points, J, us),
                  [pullback_at(form, points[i], J[i], [u[i] for u in us]) for i in rows],
                  "pullback")
+
+
+# ---------------------------------------------------------------------------
+# Poisson bivectors on blocks
+# ---------------------------------------------------------------------------
+
+BIVECTORS = {
+    **{name: (sym.pi_bivector, sym.model.base_dim) for name, sym in SYMPLECTIC.items()},
+    "sympl-nonzero(f)": (symplectic_nonzero_residue_model(f=lambda p: 2.0 + p[0]).pi_bivector,
+                         2),
+    "non-Jacobi": (non_jacobi_bivector(), 4),
+}
+
+
+def _bivector_points(name, dim, count=ROWS):
+    """Base points with zero and negated-zero coordinates among them."""
+    points = rng_for(5, f"bivector:{name}").normal(size=(count, dim))
+    points[:20, 0] = 0.0
+    points[20:40, :2] = -0.0
+    points[40:50, 1:] = 0.0
+    return points
+
+
+def _reference_schouten(pi, dim, p, h):
+    """[pi, pi] at one point from pi at the point and at each of its 2 dim
+    stencil points, one call each, as the suite evaluated it per point."""
+    p = np.asarray(p, dtype=float)
+    steps = [p + h * e for e in np.eye(dim)] + [p - h * e for e in np.eye(dim)]
+    at_p = np.asarray(pi(p), dtype=float)
+    values = np.array([np.asarray(pi(x), dtype=float) for x in steps])
+    grads = (values[:dim] - values[dim:]) / (2 * h)
+    worst = 0.0
+    for i, j, k in itertools.combinations(range(dim), 3):
+        total = 0.0
+        for l in range(dim):
+            total = total + (at_p[l, i] * grads[l, j, k] + at_p[l, j] * grads[l, k, i]
+                             + at_p[l, k] * grads[l, i, j])
+        worst = max(worst, abs(2 * total))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(BIVECTORS))
+def test_bivectors_give_a_point_the_bits_of_its_block(name):
+    pi, dim = BIVECTORS[name]
+    points = _bivector_points(name, dim)
+    block = pi(points.T)
+    assert block.shape == (len(points), dim, dim)
+    for p, row in zip(points, block):
+        for point in (tuple(p.tolist()), p):
+            matrix = pi(point)
+            assert matrix.shape == (dim, dim)
+            assert _bits(matrix) == _bits(row)
+
+
+@pytest.mark.parametrize("name", sorted(BIVECTORS))
+def test_schouten_residual_is_the_per_point_bracket(name):
+    pi, dim = BIVECTORS[name]
+    points = _bivector_points(name, dim, 60)
+    block = schouten_residual(pi, dim, points)
+    rows = [schouten_residual(pi, dim, p) for p in points]
+    assert _bits(block) == _bits(rows)
+    want = [_reference_schouten(pi, dim, p, checks.DEFAULT_PROFILE.fd_step) for p in points]
+    assert _bits(block) == _bits(want)
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_schouten_residual_calls_pi_twice_per_block(count):
+    # once at the points and once on all their stencil points, whatever
+    # the block size: not once per point and stencil point
+    pi, dim = BIVECTORS["sympl-zero"]
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p[0]))
+        return pi(p)
+
+    schouten_residual(counted, dim, _bivector_points("count", dim, count))
+    assert calls == [(count,), (2 * dim * count,)]
+
+
+def test_a_nan_bivector_point_fails_only_that_point():
+    sym = SYMPLECTIC["sympl-zero"]
+    drawn = []
+
+    def recording(p):
+        drawn.append(np.array(p))
+        return sym.pi_bivector(p)
+
+    check_poisson(replace(sym, pi_bivector=recording), 30, 7)
+    points = drawn[0].T
+    bad = points[11]
+
+    def nan_at_bad(p):
+        c = sym.pi_bivector(p)
+        return np.where((np.asarray(p[0]) == bad[0])[..., None, None], np.nan, c)
+
+    residuals = schouten_residual(nan_at_bad, 4, points)
+    assert math.isnan(residuals[11])
+    for i, p in enumerate(points):
+        if i != 11:
+            assert _bits(residuals[i]) == _bits(schouten_residual(sym.pi_bivector, 4, p))
+    rep = check_poisson(replace(sym, pi_bivector=nan_at_bad), 30, 7)
+    assert rep.verdict == "fail" and rep.passed == rep.samples - 1
+    assert len(rep.witnesses) == 1 and math.isnan(rep.witnesses[0]["residual"])
+    assert rep.witnesses[0]["p"] == _round_tuple(bad)
+
+
+def _reference_jacobians(f, points, prof):
+    """``_jacobians`` as it ran before NonFiniteValue carried the stack:
+    the stack again, point by point, after a non-finite one."""
+    try:
+        return jacobian(f, points, prof)
+    except NonFiniteValue:
+        out = np.full((len(points), f.codomain_dim, f.domain_dim), np.nan)
+        for i, p in enumerate(points):
+            try:
+                out[i] = jacobian(f, p, prof)
+            except NonFiniteValue:
+                pass
+        return out
+
+
+def _outcome(fn):
+    try:
+        return _bits(fn())
+    except StencilOutsideDomain as err:
+        return type(err), str(err)
+
+
+def test_jacobians_are_the_per_point_loop_and_differentiate_each_point_once():
+    rows = []
+
+    def formula(x):
+        rows.append(len(x[0]))
+        # NaN where x2 > 1, an infinity where x2 < -1.2, finite elsewhere
+        bad = np.where(x[2] > 1.0, np.nan, np.where(x[2] < -1.2, np.inf, 0.0))
+        return (x[0] * x[1], x[2] * x[2] + bad, x[0] - x[2])
+
+    f = SmoothMap(3, 3, formula, lambda x: x[0] > -1.5, name="mixed")
+    prof = checks.DEFAULT_PROFILE
+    refused = 0
+    for seed in range(200):
+        rng = rng_for(seed, "jacobians")
+        points = rng.normal(size=(int(rng.integers(1, 12)), 3))
+        # base points and stencils just outside the domain
+        edge = rng.random(len(points))
+        points[edge < 0.1, 0] = -1.6
+        points[(edge >= 0.1) & (edge < 0.15), 0] = -1.5 + 0.5 * prof.fd_step
+        want = _outcome(lambda: _reference_jacobians(f, points, prof))
+        rows.clear()
+        got = _outcome(lambda: _jacobians(f, points, prof))
+        assert got == want, seed
+        assert sum(rows) <= 2 * 3 * len(points), seed
+        refused += isinstance(got, tuple)
+    assert 20 < refused < 180
 
 
 def test_unit_vectors_are_the_one_vector_draws():

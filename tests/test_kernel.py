@@ -279,6 +279,26 @@ def test_pullback_functorial(prof, rng):
         assert abs(lhs - fstar_gstar(p, vs)) < 5e-6
 
 
+def test_pullback_refuses_an_image_outside_the_forms_domain(prof):
+    # the form is defined where p[0] != 0, and f moves (1, y) onto p[0] = 0:
+    # the pullback raises there instead of returning the form's inf
+    form = FormField(2, 2, lambda p, vs: (vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]) / p[0],
+                     "real", lambda p: p[0] != 0, "dx^dy/x")
+    f = SmoothMap(2, 2, lambda x: (x[0] - 1.0, x[1]), name="shift")
+    vs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    pulled = pullback_form(f, form, prof)
+    assert not pulled.defined_at([1.0, 0.3])
+    with pytest.raises(StencilOutsideDomain, match="image of shift outside domain of dx\\^dy/x"):
+        pullback(f, form, [1.0, 0.3], vs, prof)
+    with pytest.raises(StencilOutsideDomain):
+        pulled([1.0, 0.3], vs)
+    # one such row refuses its stack; a point inside keeps its value
+    with pytest.raises(StencilOutsideDomain):
+        pullback(f, form, [[2.0, 0.3], [1.0, 0.3]], [np.tile(v, (2, 1)) for v in vs], prof)
+    assert pulled.defined_at([2.0, 0.3])
+    assert pulled([2.0, 0.3], vs) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_chain_rule_for_jacobians(prof, rng):
     f = SmoothMap(2, 3, lambda x: (x[0] ** 2, x[0] * x[1], np.cos(x[1])))
     g = SmoothMap(3, 2, lambda x: (x[0] + x[2], np.exp(0.3 * x[1])))
