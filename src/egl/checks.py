@@ -112,9 +112,10 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
 
     The generator and the layout of the draws read from it are part of
     the report contract, named by ``egl.report.ARTIFACT["rng"]``: under
-    "philox4x64-v2" every sampler reads a fixed number of uniforms per
-    sample, one ``random`` slab per block, so a block of n samples is
-    the n one-sample draws and no layout depends on ``BLOCK_ROWS``.
+    "philox4x64-v3" every sampler, the composable-pair samplers of
+    ``check_multiplicative`` included, reads a fixed number of uniforms
+    per sample, one ``random`` slab per block, so a block of n samples
+    is the n one-sample draws and no layout depends on ``BLOCK_ROWS``.
     Changing either is a versioned break.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())],
@@ -412,19 +413,14 @@ def _near_form_singular(p):
     return (p[0] * p[0] + p[1] * p[1]) < 0.15 * 0.15
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    """Each vector v[..., :] over its norm, with the bits of ``np.linalg.norm``:
-    a stacked matmul of contiguous rows takes the same BLAS dot product."""
-    flat = np.ascontiguousarray(v).reshape(-1, v.shape[-1])
-    squares = (flat[:, None, :] @ flat[:, :, None]).reshape(v.shape[:-1] + (1,))
-    return v / np.sqrt(squares)
-
-
 def _unit_vectors(rng, dim: int, per: int, count: int) -> np.ndarray:
     """(count, per, dim) unit vectors from one ``rng.normal`` call: the
     draws and bits of count * per calls ``v = rng.normal(size=dim)``,
-    each divided by ``np.linalg.norm(v)``."""
-    return _normalized(rng.normal(size=(count, per, dim)))
+    each divided by ``np.linalg.norm(v)`` (a stacked matmul of the
+    contiguous rows takes the same BLAS dot product)."""
+    v = rng.normal(size=(count, per, dim))
+    flat = v.reshape(-1, dim)
+    return v / np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(count, per, 1))
 
 
 def _jacobians(f: SmoothMap, points, prof: ToleranceProfile) -> np.ndarray:
@@ -559,11 +555,13 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int =
 
     Tangent vectors to the locus come from differentiating the model's
     exactly composable pair parametrization P, so both sides are
-    evaluated on honest composable-pair tangents.  Each sample draws its
-    parameters, then its two unit vectors; each block of up to
-    ``BLOCK_ROWS`` samples then takes one stacked Jacobian of P and one
-    of m o P (the tuple formulas composed) and evaluates Omega on the
-    block.  A NaN or infinite value fails its sample with a witness.
+    evaluated on honest composable-pair tangents.  The check draws all
+    its pair parameters as one slab of ``pair_width`` uniforms per
+    sample, then all its unit vectors in one call, as
+    ``check_symplectic`` does; each block of up to ``BLOCK_ROWS``
+    samples then takes one stacked Jacobian of P and one of m o P (the
+    tuple formulas composed) and evaluates Omega on the block.  A NaN or
+    infinite value fails its sample with a witness.
     """
     model = sym.model
     if sym.pair_param is None:
@@ -575,13 +573,11 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int =
     Gm = SmoothMap(k, d, lambda w: m(P.formula(w)), name="m(pr1,pr2)")
 
     acc = _Accumulator(tol)
-    for n in _block_sizes(n_samples):
-        params, normals = [], []
-        for _ in range(n):
-            params.append(sample_params(rng))
-            normals.append(rng.normal(size=(2, k)))
-        w = np.array(params)
-        vs = list(_normalized(np.array(normals)).transpose(1, 0, 2))
+    params = np.column_stack(
+        _full(sample_params(uniforms(rng, sym.pair_width, n_samples)), n_samples))
+    vectors = _unit_vectors(rng, k, 2, n_samples)
+    for rows in _blocks(params):
+        w, vs = params[rows], list(vectors[rows].transpose(1, 0, 2))
         # pr1 and pr2 are row blocks of P: one Jacobian serves both
         J, gh = _jacobians(P, w, prof), P(w)
         Jm, gm = _jacobians(Gm, w, prof), Gm(w)

@@ -69,12 +69,11 @@ class ToleranceProfile:
 
     fd_step: float = 1e-5
     abs_tol: float = 1e-8
-    rel_tol: float = 1e-9
     subspace_tol: float = 1e-6
     curvature_budget: float = 1.0
 
     def __post_init__(self):
-        for name in ("fd_step", "abs_tol", "rel_tol", "subspace_tol", "curvature_budget"):
+        for name in ("fd_step", "abs_tol", "subspace_tol", "curvature_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.abs_tol <= self.fd_step**2 * self.curvature_budget:

@@ -25,7 +25,7 @@ from .symplectic import (SymplecticModel, morphism_phi_nonzero,
                          morphism_phi_zero, symplectic_nonzero_residue_model,
                          symplectic_zero_residue_model)
 
-__all__ = ["ModelEntry", "MODEL_NAMES", "CHECK_NAMES", "build_model",
+__all__ = ["ModelEntry", "MODEL_NAMES", "CHECK_NAMES", "build_model", "normalise",
            "checks_for", "run_check", "DEFAULT_SAMPLES", "SAMPLE_CAPS"]
 
 # each model's CLI name, default --dim and least --dim (None: a model of
@@ -82,8 +82,9 @@ def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -
     """The model a CLI name denotes; unknown names raise ConfigError.
 
     ``caseIV:k`` sets k.  The arguments are normalised first (the
-    model's default dim where ``dim`` is None, k = 2 for caseIV where
-    ``k`` is None, and None elsewhere) and checked: a dim below the
+    model's default dim where ``dim`` is None, the only dim of a model of
+    fixed dimension, k = 2 for caseIV where ``k`` is None, and k None
+    elsewhere; see ``normalise``) and checked: a dim below the
     model's least, a dim other than its own for a model of fixed
     dimension, or a caseIV k outside 1 <= k <= dim/2 raises ConfigError.
     Each normalised (name, dim, k) is built once per process: equal
@@ -92,14 +93,15 @@ def build_model(name: str, dim: Optional[int] = None, k: Optional[int] = None) -
     """
     entry = _BUILT.get((name, dim, k))      # arguments seen before were checked then
     if entry is None:
-        key = _normalise(name, dim, k)
+        key = normalise(name, dim, k)
         entry = _BUILT.get(key) or _build(*key)
         _BUILT[key] = _BUILT[name, dim, k] = entry
     return entry
 
 
-def _normalise(name: str, dim: Optional[int], k: Optional[int]) -> tuple:
-    """(name, dim, k) as ``build_model`` keys them; impossible ones raise ConfigError."""
+def normalise(name: str, dim: Optional[int], k: Optional[int]) -> tuple:
+    """(name, dim, k) as ``build_model`` keys them, which a report's
+    ``config`` echoes; impossible ones raise ConfigError."""
     name = name.strip()
     if name.startswith("caseIV:"):
         name, tail = "caseIV", name.split(":", 1)[1]
@@ -112,14 +114,11 @@ def _normalise(name: str, dim: Optional[int], k: Optional[int]) -> tuple:
             raise ConfigError(f"unsupported fibre combination {name!r}")
         raise ConfigError(f"unknown model {name!r}")
     default, least = _DIMS[name]
-    if least is None:
-        if dim is not None and dim != default:
-            raise ConfigError(f"{name} has fixed dimension {default}, not {dim}")
-        n = None
-    else:
-        n = default if dim is None else dim
-        if n < least:
-            raise ConfigError(f"{name} needs dim >= {least}, not {n}")
+    n = default if dim is None else dim
+    if least is None and n != default:
+        raise ConfigError(f"{name} has fixed dimension {default}, not {n}")
+    if least is not None and n < least:
+        raise ConfigError(f"{name} needs dim >= {least}, not {n}")
     if name == "caseIV":
         k = 2 if k is None else k
         if not 1 <= k <= n // 2:

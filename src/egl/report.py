@@ -16,9 +16,9 @@ from typing import Optional
 from . import __version__
 from .errors import ConfigError
 from .kernel import DEFAULT_PROFILE, ToleranceProfile
-from .registry import CHECK_NAMES, build_model, checks_for, run_check
+from .registry import CHECK_NAMES, build_model, checks_for, normalise, run_check
 
-ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v2"}
+ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v3"}
 
 __all__ = ["RunConfig", "RunReport", "run_verify", "run_decide", "ARTIFACT"]
 
@@ -55,12 +55,12 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
-            "models": list(self.models),
+            # what ran: each model's (name, dim, k) as build_model normalised it
+            "models": [dict(zip(("name", "dim", "k"), normalise(name, self.dim, self.k)))
+                       for name in self.models],
             "checks": list(self.checks),
             "seed": self.seed,
             "samples": self.samples,
-            "dim": self.dim,
-            "k": self.k,
             "tolerance_overrides": dict(sorted(self.tol.items())),
             "profile": dict(sorted(self.profile().__dict__.items())),
         }

@@ -18,7 +18,9 @@ morphism psi are members of the exponential family of
 Every form and every Poisson bivector here evaluates a coordinate-major
 block (see ``egl.kernel.FormField``), its complex arithmetic written on
 real pairs as CPython's complex type computes it; the composable-pair
-parametrizations are tuple formulas, like the structure maps.
+parametrizations are tuple formulas, like the structure maps, and their
+samplers formulas of a fixed number of uniforms, like the chart
+samplers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divisors import residue_model_frame
-from .errors import SamplerExhausted
 from .groupoids import (GroupoidChartModel, Widths, _affine_isotropy, _annulus,
                         _box, _cabs, _cexp, _exp_model, _finite, _join, _nonzero,
                         _relabel, _square, _zero, _zero_or, case1_model)
@@ -66,7 +67,10 @@ class SymplecticModel:
     as the coefficients of Omega are.  ``pair_param`` parametrizes
     exactly composable pairs for multiplicativity checks, as a
     (SmoothMap with a tuple formula, sampler) pair; its tangent vectors
-    stay in the composable locus by construction.
+    stay in the composable locus by construction.  The sampler is a
+    formula of ``pair_width`` uniforms, like the chart model's samplers:
+    it takes floats (one sample) or (N,) columns (a block) and gives the
+    same bits either way, and it refuses no draw.
     """
 
     model: GroupoidChartModel
@@ -75,6 +79,7 @@ class SymplecticModel:
     pi_bivector: Callable
     Omega_variant: Optional[FormField] = None
     pair_param: Optional[tuple] = None          # (SmoothMap, sampler)
+    pair_width: int = 0                         # uniforms per sample of the pair sampler
     nondeg_grid: Optional[tuple] = None         # fixed compact arrow set
     compose_variant: Optional[Callable] = None  # transposed-slot multiplication (negative control)
     invert_variant: Optional[Callable] = None   # unscaled inverse (negative control)
@@ -243,18 +248,18 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
 
     pair_map = SmoothMap(6, 8, pairs, name="sympl-nonzero.pairs")
 
-    def sample_params(rng):
-        for _ in range(256):
-            u = rng.random(6).tolist()
-            w = _annulus(u[0], u[1], 0.35, 0.9) + tuple(_box(x, 0.3) for x in u[2:])
-            g = w[:4]
-            if not (0.3 <= _nonzero_Q(g) <= 4.0):
-                continue
-            h = pairs(w)[4:]
-            if math.hypot(*source_of(h)) < 0.1 or not (0.3 <= _nonzero_Q(h) <= 4.0):
-                continue
-            return w
-        raise SamplerExhausted("nonzero-residue pair parameter sampler")
+    def sample_params(u):
+        """x in the annulus 0.35 <= r = |x| < 0.9, |a1|, |b1| <= 0.3 and
+        |a2|, |b2| <= 0.25, from 6 uniforms.
+
+        On that box no draw needs refusing: with c = a + i b,
+        Q(g) = |1 + c1 conj(x)|^2 and |s(g)| = r sqrt(Q(g)), and
+        |c1| r <= 0.3 sqrt(2) 0.9 < 0.382 gives Q(g) in [0.38, 1.91] and
+        |s(g)| in [0.216, 1.244]; then |c2| |s(g)| <= 0.25 sqrt(2) 1.244
+        < 0.44 gives Q(h) in [0.31, 2.08] and |s(h)| >= 0.216 * 0.56 > 0.12.
+        """
+        return _annulus(u[0], u[1], 0.35, 0.9) + (_box(u[2], 0.3), _box(u[3], 0.3),
+                                                  _box(u[4], 0.25), _box(u[5], 0.25))
 
     grid = tuple((0.8 * math.cos(th), 0.8 * math.sin(th), a, b)
                  for th in (0.0, 1.1, 2.3, 4.0)
@@ -263,7 +268,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
     return SymplecticModel(
         model=model, omega_base=omega, Omega=Omega, pi_bivector=pi_bivector,
         Omega_variant=_nonzero_Omega_variant(),
-        pair_param=(pair_map, sample_params),
+        pair_param=(pair_map, sample_params), pair_width=6,
         nondeg_grid=grid,
         invert_variant=invert_variant,
     )
@@ -440,8 +445,7 @@ def symplectic_zero_residue_model() -> SymplecticModel:
 
     pair_map = SmoothMap(12, 16, pairs, name="sympl-zero.pairs")
 
-    def sample_params(rng):
-        u = rng.random(12).tolist()
+    def sample_params(u):
         # z, a, b, c, b2, c2
         return ((_box(u[0]), _box(u[1])) + _annulus(u[2], u[3], 0.3, 1.0)
                 + _annulus(u[4], u[5], 0.4, 1.8) + (_box(u[6]), _box(u[7]))
@@ -454,7 +458,7 @@ def symplectic_zero_residue_model() -> SymplecticModel:
     return SymplecticModel(
         model=model, omega_base=omega, Omega=Omega, pi_bivector=pi_bivector,
         Omega_variant=Omega_variant,
-        pair_param=(pair_map, sample_params),
+        pair_param=(pair_map, sample_params), pair_width=12,
         nondeg_grid=grid,
         compose_variant=compose_variant,
     )
@@ -566,13 +570,14 @@ def pair_groupoid_symplectic() -> SymplecticModel:
 
     pair_map = SmoothMap(6, 8, pairs, name="pair.pairs")
 
-    def sample_params(rng):
-        return tuple(_box(x) for x in rng.random(6).tolist())
+    def sample_params(u):
+        return tuple(_box(x) for x in u)
 
     grid = tuple((0.1 * i, -0.2 * i, 0.3, 0.4) for i in range(1, 5))
     return SymplecticModel(model=model, omega_base=omega, Omega=Omega,
                            pi_bivector=lambda p: _plane_bivector(p, 1.0),
-                           pair_param=(pair_map, sample_params), nondeg_grid=grid)
+                           pair_param=(pair_map, sample_params), pair_width=6,
+                           nondeg_grid=grid)
 
 
 # ---------------------------------------------------------------------------

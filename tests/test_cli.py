@@ -37,7 +37,7 @@ def test_verify_pass_run(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["overall"] == "pass"
-    assert doc["artifact"]["rng"] == "philox4x64-v2"
+    assert doc["artifact"]["rng"] == "philox4x64-v3"
     assert {r["check"] for r in doc["results"]} == {"axioms", "algebroid"}
     # every record embeds the tolerance actually used
     assert all("tolerance" in r for r in doc["results"])
@@ -124,6 +124,16 @@ def test_tolerance_override_round_trips(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["config"]["profile"]["abs_tol"] == 1e-7
     assert doc["results"][0]["tolerance"] == 1e-7
+    assert sorted(doc["config"]["profile"]) == ["abs_tol", "curvature_budget", "fd_step",
+                                                "subspace_tol"]
+
+
+def test_rel_tol_is_an_unknown_tolerance_field(capsys):
+    # no computation read rel_tol, so the profile has no such field
+    code, out, err = run_cli(["verify", "--model", "case1", "--checks", "axioms",
+                              "--samples", "10", "--tol", "rel_tol=1e-8"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown tolerance field 'rel_tol'\n"
 
 
 def test_decide_klein_fixture(capsys):
@@ -173,10 +183,30 @@ def test_impossible_dimensions_are_configuration_errors(capsys, argv, message, c
     assert err == f"error: {message}\n"
 
 
+def _echoed_models(capsys, argv):
+    code, out, _ = run_cli(["verify", *argv, "--checks", "axioms", "--samples", "10"], capsys)
+    config = json.loads(out)["config"]
+    assert code == 0 and "dim" not in config and "k" not in config
+    return config["models"]
+
+
 def test_a_fixed_dimension_model_accepts_its_own_dim(capsys):
-    code, out, _ = run_cli(["verify", "--model", "ssc-surface", "--dim", "2",
-                            "--checks", "axioms", "--samples", "10"], capsys)
-    assert code == 0 and json.loads(out)["config"]["dim"] == 2
+    # echoed with its dimension whether or not --dim names it
+    want = [{"name": "ssc-surface", "dim": 2, "k": None}]
+    assert _echoed_models(capsys, ["--model", "ssc-surface", "--dim", "2"]) == want
+    assert _echoed_models(capsys, ["--model", "ssc-surface"]) == want
+
+
+def test_the_config_echoes_the_models_that_ran(capsys):
+    # each model's normalised (name, dim, k), not the raw --dim and --k
+    assert _echoed_models(capsys, ["--model", "case1", "--k", "3"]) == [
+        {"name": "case1", "dim": 4, "k": None}]
+    assert _echoed_models(capsys, ["--model", "caseIV:3", "--dim", "6"]) == [
+        {"name": "caseIV", "dim": 6, "k": 3}]
+    assert _echoed_models(capsys, ["--model", "caseIV", "--model", "sympl-zero",
+                                   "--model", "case2", "--dim", "4"]) == [
+        {"name": "caseIV", "dim": 4, "k": 2}, {"name": "sympl-zero", "dim": 4, "k": None},
+        {"name": "case2", "dim": 4, "k": None}]
 
 
 def test_text_shows_each_check_time_once():

@@ -558,7 +558,7 @@ def test_divisor_slots_name_the_deepest_stratum(name):
             model.arrow_between(on, off, u)
 
 
-_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v2.json")
+_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v3.json")
                      .read_text(encoding="utf-8"))
 
 
@@ -567,6 +567,7 @@ def test_draw_layout_file_names_the_current_generator():
     # record a new layout file rather than editing this one
     assert _LAYOUT["generator"] == ARTIFACT["rng"]
     assert set(_LAYOUT["models"]) == set(MODEL_NAMES)
+    assert set(_LAYOUT["pairs"]) == {"sympl-nonzero", "sympl-zero"}
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -582,3 +583,14 @@ def test_draw_layout_is_pinned(name):
     assert len(drawn) == len(expected)
     for got, want in zip(drawn, expected):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
+def test_pair_draw_layout_is_pinned(name):
+    """The first pair parameters of the multiplicative check's stream."""
+    sym = build_model(name).symplectic
+    rng = rng_for(_LAYOUT["seed"], f"multiplicative:{name}")
+    pinned = _LAYOUT["pairs"][name]
+    drawn = [sym.pair_param[1](uniforms(rng, sym.pair_width)) for _ in pinned]
+    for got, want in zip(drawn, pinned):
+        assert list(got) == pytest.approx(want, rel=1e-12, abs=1e-15)

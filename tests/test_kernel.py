@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from egl.checks import rng_for
 from egl.errors import DimensionMismatch, NonFiniteValue, StencilOutsideDomain
-from egl.groupoids import case1_model, caseIV_model
+from egl.groupoids import case1_model, caseIV_model, uniforms
 from egl.kernel import (FormField, SmoothMap, ToleranceProfile, compose_maps,
                         exterior_derivative, jacobian, nullspace, pullback,
                         pullback_form, subspace_angle, subspace_equal,
@@ -81,7 +81,8 @@ def test_blocked_jacobian_equals_column_loop_on_pair_params(sym, prof):
     P, sample_params = sym.pair_param
     rng = rng_for(5, f"jacobian-reference:{sym.name}.pairs")
     for _ in range(6):
-        assert _assert_matches_reference(P, sample_params(rng), prof) is not None
+        w = sample_params(uniforms(rng, sym.pair_width))
+        assert _assert_matches_reference(P, w, prof) is not None
 
 
 def test_jacobian_checks_every_stencil_point_before_evaluating(prof):
@@ -409,7 +410,8 @@ def test_stacked_jacobian_equals_pointwise_jacobian(name, prof):
 def test_stacked_jacobian_of_pair_params_equals_pointwise(sym, prof):
     P, sample_params = sym.pair_param
     rng = rng_for(8, f"jacobian-stack:{sym.name}.pairs")
-    _assert_stack_matches_points(P, [sample_params(rng) for _ in range(8)], prof)
+    points = [sample_params(uniforms(rng, sym.pair_width)) for _ in range(8)]
+    _assert_stack_matches_points(P, points, prof)
 
 
 def _overflowing_map():

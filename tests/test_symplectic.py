@@ -1,5 +1,6 @@
 """Symplectic local models: forms, morphisms, errata regressions."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from egl.checks import (check_zero_residue_variant, check_morphism,
                         non_jacobi_bivector, resolve_psi_convention, rng_for,
                         schouten_residual)
 from egl.errors import ChartInvalid
+from egl.groupoids import uniforms
 from egl.kernel import DEFAULT_PROFILE, pullback
 from egl.symplectic import (_nonzero_Q, morphism_phi_nonzero, morphism_phi_zero,
                             morphism_psi, psi_domain_candidates,
@@ -54,6 +56,32 @@ def test_nonzero_arrow_box_needs_no_refusal():
     s, Q = np.hypot(*model.source_of(g))[off], _nonzero_Q(g)[off]
     assert 0.15 < off.mean() < 0.85
     assert s.min() >= 0.166 and 0.307 <= Q.min() and Q.max() <= 2.09
+
+
+def _assert_pair_bounds(sym, w):
+    """The pair sampler's stated bounds on the pairs with parameters w (a block)."""
+    gh = sym.pair_param[0].formula(w)
+    (Qg, sg), (Qh, sh) = ((_nonzero_Q(g), np.hypot(*sym.model.source_of(g)))
+                          for g in (gh[:4], gh[4:]))
+    assert 0.38 <= Qg.min() and Qg.max() <= 1.91
+    assert 0.216 <= sg.min() and sg.max() <= 1.244
+    assert 0.31 <= Qh.min() and Qh.max() <= 2.08
+    assert sh.min() >= 0.12
+
+
+def test_nonzero_pair_box_needs_no_refusal():
+    # the pair sampler draws x with 0.35 <= r = |x| < 0.9, |a1|, |b1| <= 0.3
+    # and |a2|, |b2| <= 0.25; its docstring bounds Q and |s| at both arrows
+    # of the pair, at the box corners with x turning through every direction
+    # and on drawn rows
+    sym = symplectic_nonzero_residue_model()
+    th = np.linspace(-np.pi, np.pi, 2001)
+    for r in (0.35, 0.9):
+        for c in itertools.product((-0.3, 0.3), (-0.3, 0.3), (-0.25, 0.25), (-0.25, 0.25)):
+            _assert_pair_bounds(sym, tuple(np.broadcast_arrays(r * np.cos(th), r * np.sin(th),
+                                                               *c)))
+    u = uniforms(rng_for(7, "nonzero-pair-box"), sym.pair_width, 100_000)
+    _assert_pair_bounds(sym, sym.pair_param[1](u))
 
 
 def test_nonzero_inverse_conjugates_the_swap(rng):
