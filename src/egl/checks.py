@@ -68,6 +68,16 @@ __all__ = [
 WITNESS_CAP = 20
 BLOCK_ROWS = 512      # samples drawn, then evaluated together
 
+# Thresholds of the calculus, convention and variant checks
+PULLBACK_TOL = 1e-7       # symplectic: |Omega - (t*omega - s*omega)|
+CLOSED_TOL = 1e-6         # symplectic: |d Omega|
+NONDEG_FLOOR = 1e-6       # symplectic: |det| of Omega on the grid must exceed it
+MULTIPLICATIVE_TOL = 1e-6
+POISSON_TOL = 1e-6        # |[pi, pi]|
+PSI_TOL = 1e-7            # a covering-map convention passes below it
+DERIVED_TOL = 1e-9        # variants: associativity of the derived product
+VARIANT_FLOOR = 1e-2      # variants: the near miss must exceed it
+
 
 @dataclass
 class CheckReport:
@@ -456,15 +466,14 @@ def _blocks(rows: np.ndarray):
 
 
 def check_symplectic(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
-                     prof: ToleranceProfile = DEFAULT_PROFILE,
-                     pullback_tol: float = 1e-7, closed_tol: float = 1e-6,
-                     nondeg_floor: float = 1e-6) -> CheckReport:
+                     prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Omega = t*omega - s*omega, d(Omega) = 0, and nondegeneracy.
 
     The pullback comparison runs on the dense chart against central
-    differences of the structure maps; closedness is the numerical
-    exterior derivative of the closed form; nondegeneracy is a
-    determinant floor on the model's fixed compact sample set.  Each of
+    differences of the structure maps, within ``PULLBACK_TOL``;
+    closedness is the numerical exterior derivative of the closed form,
+    within ``CLOSED_TOL``; nondegeneracy is the determinant floor
+    ``NONDEG_FLOOR`` on the model's fixed compact sample set.  Each of
     the first two phases draws its arrows, then its unit vectors in one
     call, and evaluates blocks of up to ``BLOCK_ROWS`` arrows with
     stacked Jacobians, forms and exterior derivatives.  A NaN or an
@@ -475,7 +484,7 @@ def check_symplectic(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
     """
     model = sym.model
     rng = rng_for(seed, f"symplectic:{model.name}")
-    acc = _Accumulator(pullback_tol)
+    acc = _Accumulator(PULLBACK_TOL)
     d, b = model.arrow_dim, model.base_dim
     ts = model.ts
     details = {}
@@ -511,10 +520,10 @@ def check_symplectic(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
     details["nondeg_min_abs_det"] = nondeg_min
 
     report = acc.report("symplectic", model.name, seed, details=details)
-    if not closed_max <= closed_tol:
+    if not closed_max <= CLOSED_TOL:
         report.verdict = "fail"
         report.witnesses.append({"residual": float(closed_max), "kind": "closedness"})
-    if nondeg_min is not None and not nondeg_min > nondeg_floor:
+    if nondeg_min is not None and not nondeg_min > NONDEG_FLOOR:
         report.verdict = "fail"
         report.witnesses.append({"residual": nondeg_min, "kind": "nondegeneracy"})
     return report
@@ -549,9 +558,9 @@ def _form_matrix(form: FormField, g) -> np.ndarray:
 
 
 def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
-                         prof: ToleranceProfile = DEFAULT_PROFILE,
-                         tol: float = 1e-6) -> CheckReport:
-    """m*Omega = pr1*Omega + pr2*Omega on the composable locus.
+                         prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
+    """m*Omega = pr1*Omega + pr2*Omega on the composable locus, within
+    ``MULTIPLICATIVE_TOL``.
 
     Tangent vectors to the locus come from differentiating the model's
     exactly composable pair parametrization P, so both sides are
@@ -572,7 +581,7 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int =
     m = model.m.formula
     Gm = SmoothMap(k, d, lambda w: m(P.formula(w)), name="m(pr1,pr2)")
 
-    acc = _Accumulator(tol)
+    acc = _Accumulator(MULTIPLICATIVE_TOL)
     params = np.column_stack(
         _full(sample_params(uniforms(rng, sym.pair_width, n_samples)), n_samples))
     vectors = _unit_vectors(rng, k, 2, n_samples)
@@ -631,9 +640,9 @@ def schouten_residual(pi: Callable, dim: int, p, prof: ToleranceProfile = DEFAUL
 
 
 def check_poisson(sym: SymplecticModel, n_points: int = 40, seed: int = 7,
-                  prof: ToleranceProfile = DEFAULT_PROFILE,
-                  tol: float = 1e-6) -> CheckReport:
-    """Jacobi identity of the model's bivector at sampled off-divisor points.
+                  prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
+    """Jacobi identity of the model's bivector at sampled off-divisor
+    points, within ``POISSON_TOL``.
 
     Base points with x1^2 + x2^2 < 0.04 are skipped; the points are drawn
     as ``_dense_arrows`` draws its arrows, and more than 200 * n_points
@@ -647,7 +656,7 @@ def check_poisson(sym: SymplecticModel, n_points: int = 40, seed: int = 7,
     points = _draw_kept(lambda n: model.random_base(rng, n),
                         lambda p: ~(p[0] * p[0] + p[1] * p[1] < 0.04), n_points,
                         model.base_dim, f"{model.name}: off-divisor base sampler")
-    acc = _Accumulator(tol)
+    acc = _Accumulator(POISSON_TOL)
     for rows in _blocks(points):
         p = points[rows]
         acc.add_block(schouten_residual(sym.pi_bivector, model.base_dim, p, prof),
@@ -762,13 +771,13 @@ def morphism_beta(model: GroupoidChartModel) -> MorphismBundle:
 
 
 def resolve_psi_convention(n_samples: int = 400, seed: int = 7,
-                           prof: ToleranceProfile = DEFAULT_PROFILE,
-                           tol: float = 1e-7):
+                           prof: ToleranceProfile = DEFAULT_PROFILE):
     """Test the covering morphism against the four convention assignments.
 
     Returns (winners, residual table): for each candidate domain
-    structure, the max morphism residual of the covering map.
-    Exactly one assignment is expected to pass; callers report its name.
+    structure, the max morphism residual of the covering map, checked
+    at ``PSI_TOL``; the winners are the assignments below it.  Exactly
+    one assignment is expected to pass; callers report its name.
     """
     from .symplectic import symplectic_nonzero_residue_model
 
@@ -777,20 +786,21 @@ def resolve_psi_convention(n_samples: int = 400, seed: int = 7,
     table = {}
     for name, cand in psi_domain_candidates().items():
         bundle = MorphismBundle(f"psi[{name}]", psi, cand, G)
-        rep = check_morphism(bundle, n_samples=n_samples, seed=seed, prof=prof, tol=tol)
+        rep = check_morphism(bundle, n_samples=n_samples, seed=seed, prof=prof, tol=PSI_TOL)
         table[name] = rep.max_residual
-    winners = [name for name, r in table.items() if r < tol]
+    winners = [name for name, r in table.items() if r < PSI_TOL]
     return winners, table
 
 
 def check_psi_convention(n_samples: int = 400, seed: int = 7,
-                         prof: ToleranceProfile = DEFAULT_PROFILE,
-                         tol: float = 1e-7) -> CheckReport:
-    winners, table = resolve_psi_convention(n_samples, seed, prof, tol)
+                         prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
+    """``resolve_psi_convention`` as a report: pass iff exactly one
+    assignment is below ``PSI_TOL``."""
+    winners, table = resolve_psi_convention(n_samples, seed, prof)
     ok = len(winners) == 1
     return CheckReport(check="morphism:psi", model="ssc->sympl-nonzero",
                        samples=len(table), passed=len(table) if ok else 0,
-                       max_residual=min(table.values()), tolerance=tol, seed=seed,
+                       max_residual=min(table.values()), tolerance=PSI_TOL, seed=seed,
                        verdict="pass" if ok else "fail",
                        witnesses=[] if ok else [{"residual": 1.0, "table": table}],
                        details={"winner": winners[0] if ok else None,
@@ -801,20 +811,19 @@ def check_psi_convention(n_samples: int = 400, seed: int = 7,
 # variant regression: zero-residue multiplication
 # ---------------------------------------------------------------------------
 
-def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300, seed: int = 7,
-                               derived_tol: float = 1e-9,
-                               variant_floor: float = 1e-2) -> CheckReport:
+def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300,
+                               seed: int = 7) -> CheckReport:
     """The derived product (c + b c') is associative; the near miss is not.
 
     Both facts are asserted: max associativity residual of the derived
-    formula stays under ``derived_tol`` while the transposed-slot variant
-    (c + b' c) exceeds ``variant_floor`` on generic samples, where a NaN
+    formula stays under ``DERIVED_TOL`` while the transposed-slot variant
+    (c + b' c) exceeds ``VARIANT_FLOOR`` on generic samples, where a NaN
     variant residual counts as not exceeding it.  Triples are drawn and
     both products evaluated per block.
     """
     model = sym.model
     rng = rng_for(seed, f"variants:{model.name}")
-    acc = _Accumulator(derived_tol)
+    acc = _Accumulator(DERIVED_TOL)
     variant_max = 0.0
     for n in _block_sizes(n_samples):
         g, h, k = model.random_composable_triple(rng, n)
@@ -830,8 +839,8 @@ def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300, seed:
                                                     where=~np.isnan(variant))))
     report = acc.report("variants", model.name, seed,
                         details={"variant_max_residual": variant_max,
-                                 "variant_floor": variant_floor})
-    if variant_max <= variant_floor:
+                                 "variant_floor": VARIANT_FLOOR})
+    if variant_max <= VARIANT_FLOOR:
         report.verdict = "fail"
         report.witnesses.append({"residual": variant_max,
                                  "kind": "variant multiplication unexpectedly associative"})

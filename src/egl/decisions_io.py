@@ -67,12 +67,25 @@ def _expect_int_matrix(value, path, rows=None, cols=None, max_rows=None, max_col
     return value
 
 
+def _expect_object(value, path, fields, what):
+    """``value`` is an object whose keys are all among ``fields``."""
+    if not isinstance(value, dict):
+        _fail(path, f"expected {what}")
+    for key in value:
+        if key not in fields:
+            _fail(f"{path}.{key}", "unknown field")
+    return value
+
+
+def _expect_name(obj, path):
+    if "name" in obj and not isinstance(obj["name"], str):
+        _fail(f"{path}.name", "expected a string")
+
+
 def _expect_bits(value, path, length=None):
-    try:
-        bits = isinstance(value, list) and {0, 1}.issuperset(value)
-    except TypeError:       # unhashable entries
-        bits = False
-    if not bits:
+    # bool and float are not int here, so true and 1.0 are no bits
+    if not (isinstance(value, list) and {int}.issuperset(map(type, value))
+            and {0, 1}.issuperset(value)):
         _fail(path, "expected a list of 0/1 entries")
     if length is not None and len(value) != length:
         _fail(path, f"expected length {length}, got {len(value)}")
@@ -89,8 +102,8 @@ def _expect_names(value, path):
 
 
 def _parse_presentation(obj, path) -> HomologyPresentation:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object with generators/relations")
+    _expect_object(obj, path, ("generators", "relations"),
+                   "an object with generators/relations")
     names = _expect_names(obj.get("generators"), f"{path}.generators")
     relations = obj.get("relations", [])
     _expect_int_matrix(relations, f"{path}.relations", cols=len(names) if relations else None,
@@ -101,18 +114,16 @@ def _parse_presentation(obj, path) -> HomologyPresentation:
 
 def validate_document(doc: dict, path: str = "$") -> dict:
     """Structural validation with field-path diagnostics (ConfigError)."""
-    if not isinstance(doc, dict):
-        _fail(path, "expected a JSON object")
+    _expect_object(doc, path, ("schema", "name", "smooth", "double_cover", "normal_crossing"),
+                   "a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         _fail(f"{path}.schema", f"expected {SCHEMA_VERSION!r}")
-    known = {"schema", "name", "smooth", "double_cover", "normal_crossing"}
-    for key in doc:
-        if key not in known:
-            _fail(f"{path}.{key}", "unknown field")
+    _expect_name(doc, path)
 
     if "smooth" in doc:
-        sm = doc["smooth"]
         spath = f"{path}.smooth"
+        sm = _expect_object(doc["smooth"], spath, ("domain", "codomain", "i_star", "eta"),
+                            "an object with domain/codomain/i_star/eta")
         dom = _parse_presentation(sm.get("domain"), f"{spath}.domain")
         cod = _parse_presentation(sm.get("codomain"), f"{spath}.codomain")
         _expect_int_matrix(sm.get("i_star"), f"{spath}.i_star",
@@ -120,8 +131,9 @@ def validate_document(doc: dict, path: str = "$") -> dict:
         _expect_bits(sm.get("eta"), f"{spath}.eta", length=dom.ngens)
 
     if "double_cover" in doc:
-        dc = doc["double_cover"]
         dpath = f"{path}.double_cover"
+        dc = _expect_object(doc["double_cover"], dpath, ("i_pullback", "eta_class"),
+                            "an object with i_pullback/eta_class")
         mat = dc.get("i_pullback")
         _expect_int_matrix(mat, f"{dpath}.i_pullback",
                            max_rows=MAX_COVER_DIM, max_cols=MAX_COVER_DIM)
@@ -131,8 +143,9 @@ def validate_document(doc: dict, path: str = "$") -> dict:
                      length=len(mat) if mat else None)
 
     if "normal_crossing" in doc:
-        nc = doc["normal_crossing"]
         npath = f"{path}.normal_crossing"
+        nc = _expect_object(doc["normal_crossing"], npath, ("strata",),
+                            "an object with strata")
         strata = nc.get("strata")
         if not isinstance(strata, list):
             _fail(f"{npath}.strata", "expected a list of strata")
@@ -148,10 +161,11 @@ def validate_document(doc: dict, path: str = "$") -> dict:
 
 
 def _parse_stratum(obj, path):
-    if not isinstance(obj, dict):
-        _fail(path, "expected a stratum object")
+    _expect_object(obj, path, ("name", "k", "generators", "monodromy", "kernel_words"),
+                   "a stratum object")
+    _expect_name(obj, path)
     k = obj.get("k")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         _fail(f"{path}.k", "expected a positive integer")
     if k > MAX_K:
         _fail(f"{path}.k", f"at most {MAX_K} allowed, got {k}")
@@ -162,11 +176,11 @@ def _parse_stratum(obj, path):
     images = {}
     for gen, image in mono.items():
         gpath = f"{path}.monodromy.{gen}"
-        if not isinstance(image, dict):
-            _fail(gpath, "expected an object with perm/flips")
+        _expect_object(image, gpath, ("perm", "flips"), "an object with perm/flips")
         perm = image.get("perm", list(range(1, k + 1)))
         flips = _expect_bits(image.get("flips", [0] * k), f"{gpath}.flips", length=k)
-        if (not isinstance(perm, list) or sorted(perm) != list(range(1, k + 1))):
+        if (not isinstance(perm, list) or not {int}.issuperset(map(type, perm))
+                or sorted(perm) != list(range(1, k + 1))):
             _fail(f"{gpath}.perm", f"expected a permutation of 1..{k} (1-based)")
         images[gen] = SignedPermutation(tuple(x - 1 for x in perm), tuple(flips))
     words = obj.get("kernel_words", [])

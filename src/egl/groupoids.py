@@ -304,7 +304,6 @@ class GroupoidChartModel:
     invert: Callable
     unit_at: Callable
     arrow_valid: Callable
-    is_hausdorff: bool = True
     expected_frame: Optional[Callable] = None   # point -> (r, n) rows; block -> (N, r, n)
     beta_map: Optional[Callable] = None         # arrow -> (target ++ source) blow-down
     arrow_between: Optional[Callable] = None    # (p, q, u) -> arrow with t=p, s=q
@@ -467,8 +466,9 @@ class GroupoidChartModel:
 # model's ``widths.isotropy`` uniforms into one pair of isotropy arrows
 # (g1, g2) and the exact product data it expects, for a point or a block;
 # residual(model, g1, g2, out, want) measures a block of products ``out``
-# against it.  Both read the model they are given, so a relabelled,
-# renamed or traced copy of a model runs its law unchanged.
+# against it.  Both read the model they are given, so a renamed or traced
+# copy of a model runs its law unchanged; so does a relabelled copy, unless
+# the law is bound to arrow slots (``_affine_isotropy``).
 
 def _torus_draw(model, u):
     w = model.widths
@@ -501,7 +501,8 @@ def _affine_isotropy(ib: int, iw: int) -> tuple:
 
     Isotropy arrows are zero except for (b, c) at arrow slots ib..ib+3
     and the divisor point's z2 at slots iw, iw+1.  The draw reads 10
-    uniforms.
+    uniforms.  The law is bound to these slots, so a relabelling that
+    moves them needs its own law.
     """
     def draw(model, u):
         z2 = (_box(u[0]), _box(u[1]))
@@ -786,7 +787,6 @@ def case2_quotient_model(n: int) -> GroupoidChartModel:
         name=f"case2({n})", arrow_dim=d + 1, base_dim=n,
         source_of=source_of, target_of=base.target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        is_hausdorff=True,
         expected_frame=base.expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base.sample_base, sample_base_like=base.sample_base_like,
@@ -831,9 +831,13 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
     read through these permutations: structure maps, ``arrow_valid``,
     samplers, ``arrow_between``, ``divisor_factors``, ``divisor_slots``,
     and ``expected_frame`` with its rows and columns permuted by the
-    base order; the isotropy law reads the new model's fields itself.
-    An identity order costs nothing: inner's maps are used as they are.
-    ``inner`` must not be a fibre product or carry ``algebroid_maps``.
+    base order.  The isotropy law is inner's as it is: a law that reads
+    the model's fields (``TORUS_ISOTROPY``) holds on the new model too,
+    but one bound to arrow slots (``_affine_isotropy``) reads inner's
+    slots, and the caller must replace it when the arrow order moves
+    them.  An identity order costs nothing: inner's maps are used as
+    they are.  ``inner`` must not be a fibre product or carry
+    ``algebroid_maps``.
     """
     n = inner.base_dim
     base_back = sorted(range(n), key=base_order.__getitem__)
@@ -861,7 +865,6 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
         invert=_via(inner.invert, a_in, a_out),
         unit_at=_via(inner.unit_at, b_in, a_out),
         arrow_valid=inner.arrow_valid if same_arrows else arrow_valid,
-        is_hausdorff=inner.is_hausdorff,
         expected_frame=_via(inner.expected_frame, b_in, _same if b_in is _same else frame),
         beta_map=_via(inner.beta_map, a_in, pair_out),
         arrow_between=lambda p, q, u: a_out(inner.arrow_between(b_in(p), b_in(q), u)),
@@ -995,8 +998,7 @@ def action_groupoid_model() -> GroupoidChartModel:
     Arrows ((b, c), (z1, z2)) with b nonzero; the group element acts by
     (z1, z2) -> (b z1, z2 + c z1), target is the carried point and
     source its image.  Group elements multiply in the affine convention
-    (b, c)(b', c') = (b b', c + b c'), matching the divisor isotropy of
-    the zero-residue symplectic model.
+    (b, c)(b', c') = (b b', c + b c').
     """
 
     def source_of(g):
@@ -1071,14 +1073,13 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     combined Jacobian at the 11 arrows of ``_probes``, one stacked
     Jacobian and one stacked rank (NotTransverse reports the first rank
     that falls short).
-    The Hausdorff flag is the conjunction of the factors' flags, the
-    divisor slots are the union of theirs, and the isotropy law is the
-    torus law over those slots.  Base points are drawn by the first
-    factor's base samplers, or by those of ``base_from`` (a model over
-    the same base) when the joint divisor has more strata than either
-    factor sees alone.  An arrow is drawn as a base point p, a point q
-    on p's stratum and the two factors' arrows from p to q; every
-    factor joins points of one stratum, so no draw is refused.
+    The divisor slots are the union of the factors', and the isotropy
+    law is the torus law over those slots.  Base points are drawn by the
+    first factor's base samplers, or by those of ``base_from`` (a model
+    over the same base) when the joint divisor has more strata than
+    either factor sees alone.  An arrow is drawn as a base point p, a
+    point q on p's stratum and the two factors' arrows from p to q;
+    every factor joins points of one stratum, so no draw is refused.
     """
     if m1.base_dim != m2.base_dim:
         raise DimensionMismatch("fibre_product: factors over different bases")
@@ -1151,7 +1152,6 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
         invert=lambda g: m1.invert(split(g)[0]) + m2.invert(split(g)[1]),
         unit_at=unit_pair,
         arrow_valid=arrow_valid,
-        is_hausdorff=m1.is_hausdorff and m2.is_hausdorff,
         expected_frame=expected_frame if m1.expected_frame and m2.expected_frame else None,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base_sampler, sample_base_like=base_like,

@@ -403,21 +403,18 @@ class MonodromyRep:
 def hausdorff_nc_decision(strata: Sequence) -> bool:
     """Hausdorff integrability of a normal-crossing divisor.
 
-    ``strata`` is a sequence of ``(rep, kernel_words)`` pairs (or of
-    MonodromyRep objects carrying their own kernel words); true iff on
-    every stratum every declared kernel word has trivial monodromy.
+    ``strata`` is a sequence of MonodromyRep objects, one per stratum,
+    each carrying its kernel words; true iff on every stratum every
+    declared kernel word has trivial monodromy.
     """
     return nc_decision_witness(strata) is None
 
 
 def nc_decision_witness(strata: Sequence):
-    """The first (stratum index, word, image) violating the criterion."""
-    for idx, entry in enumerate(strata):
-        if isinstance(entry, MonodromyRep):
-            rep, words = entry, entry.kernel_words
-        else:
-            rep, words = entry
-        for word in words:
+    """The first (stratum index, word, image) violating the criterion,
+    over the MonodromyReps of ``hausdorff_nc_decision``."""
+    for idx, rep in enumerate(strata):
+        for word in rep.kernel_words:
             img = rep.evaluate(word)
             if not img.is_identity():
                 return (idx, tuple(word), img)
@@ -477,18 +474,11 @@ def _descriptor_name(j: int, group: TwistGroup) -> str:
     return f"{_fiber_name(j)}⋊{_discrete_name(group)}"
 
 
-def covering_isotropy(orbit_rep: MonodromyRep, fiber_isotropy) -> GroupDescriptor:
+def covering_isotropy(orbit_rep: MonodromyRep, fiber_isotropy: int) -> GroupDescriptor:
     """Isotropy of a quotient orbit: fiber isotropy extended by monodromy.
 
-    ``fiber_isotropy`` is a GroupDescriptor or a (C*)-rank; the result
-    is the semidirect product of the fiber with the finite image of the
-    representation, acting as in ``semidirect_mul``.
+    ``fiber_isotropy`` is the (C*)-rank of the connected fiber isotropy;
+    the result is the semidirect product of the fiber with the finite
+    image of the representation, acting as in ``semidirect_mul``.
     """
-    if isinstance(fiber_isotropy, GroupDescriptor):
-        j = fiber_isotropy.cstar_rank
-        if fiber_isotropy.discrete.order != 1:
-            raise MalformedPresentation("fiber isotropy must be connected")
-    else:
-        j = int(fiber_isotropy)
-    image = orbit_rep.image_group()
-    return GroupDescriptor(cstar_rank=j, discrete=image)
+    return GroupDescriptor(cstar_rank=int(fiber_isotropy), discrete=orbit_rep.image_group())

@@ -26,7 +26,7 @@ samplers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +34,8 @@ import numpy as np
 from .divisors import residue_model_frame
 from .groupoids import (GroupoidChartModel, Widths, _affine_isotropy, _annulus,
                         _box, _cabs, _cexp, _exp_model, _finite, _join, _nonzero,
-                        _relabel, _square, _zero, _zero_or, case1_model)
+                        _relabel, _square, _zero, _zero_or, action_groupoid_model,
+                        case1_model)
 from .kernel import (FormField, SmoothMap, _branch, _cdiv, _cmul, _complex, _matvec,
                      two_form_from_matrix)
 
@@ -358,47 +359,24 @@ def _zero_base_like(p, u):
 def symplectic_zero_residue_model() -> SymplecticModel:
     """Local symplectic integration with vanishing elliptic residue.
 
-    Arrows (z, a, b, c) in C^4 with b != 0 over base C^2 with divisor
-    the first coordinate: s = (ab, ac + z), t = (a, z), unit
-    (u, v) -> (v, u, 1, 0), inverse (ac + z, ab, 1/b, -c/b).  The last
-    component of the product is c + b c' (the transposed-slot variant
-    c + b' c breaks the unit/inverse laws and associativity and ships
-    as a negative control).  The divisor isotropy composes as
-    (b, c)(b', c') = (b b', c + b c'), the affine group of the plane.
+    At zero residue pi = u d/du ^ d/dv is linear, and its symplectic
+    groupoid is the action groupoid of the affine group C* x| C on C^2
+    (``groupoids.action_groupoid_model``) read in the arrow layout
+    (z, a, b, c) in C^4, with a = z1 and z = z2: b != 0, s = (ab,
+    ac + z), t = (a, z), unit (u, v) -> (v, u, 1, 0), inverse (ac + z,
+    ab, 1/b, -c/b), and the last component of the product c + b c'.
+    The transposed-slot variant c + b' c breaks the unit/inverse laws
+    and associativity and ships as a negative control.  Only the
+    samplers, ``arrow_between`` and the isotropy law are this model's
+    own; the divisor isotropy composes as (b, c)(b', c') = (b b',
+    c + b c'), the affine group of the plane.
     """
-
-    def _ac_plus_z(g):
-        ac = _cmul(g[2], g[3], g[6], g[7])
-        return (ac[0] + g[0], ac[1] + g[1])
-
-    def source_of(g):
-        return _cmul(g[2], g[3], g[4], g[5]) + _ac_plus_z(g)
-
-    def target_of(g):
-        return (g[2], g[3], g[0], g[1])
-
-    def compose_raw(g, h):
-        bc2 = _cmul(g[4], g[5], h[6], h[7])
-        return ((g[0], g[1], g[2], g[3]) + _cmul(g[4], g[5], h[4], h[5])
-                + (g[6] + bc2[0], g[7] + bc2[1]))
 
     def compose_variant(g, h):
         # transposed-slot near miss: last slot c + b' c
         b2c = _cmul(h[4], h[5], g[6], g[7])
         return ((g[0], g[1], g[2], g[3]) + _cmul(g[4], g[5], h[4], h[5])
                 + (g[6] + b2c[0], g[7] + b2c[1]))
-
-    def invert(g):
-        return (_ac_plus_z(g) + _cmul(g[2], g[3], g[4], g[5])
-                + _cdiv(1.0, 0.0, g[4], g[5]) + _cdiv(-g[6], -g[7], g[4], g[5]))
-
-    def unit_at(p):
-        return (p[2], p[3], p[0], p[1], 1.0, 0.0, 0.0, 0.0)
-
-    def arrow_valid(g):
-        if len(g) != 8:
-            return False
-        return _finite(g) & _nonzero(g[4], g[5])
 
     def arrow_between(p, q, u):
         def off():
@@ -413,16 +391,11 @@ def symplectic_zero_residue_model() -> SymplecticModel:
         return ((_box(u[0]), _box(u[1])) + _zero_or(u[2] < 0.25, u[3], u[4], 0.2, 1.1)
                 + _annulus(u[5], u[6], 0.4, 1.8) + (_box(u[7]), _box(u[8])))
 
-    model = GroupoidChartModel(
-        name="sympl-zero", arrow_dim=8, base_dim=4,
-        source_of=source_of, target_of=target_of, compose_raw=compose_raw,
-        invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        expected_frame=residue_model_frame("zero"),
+    model = replace(
+        _relabel(action_groupoid_model(), "sympl-zero", range(4), (4, 5, 6, 7, 2, 3, 0, 1)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
-        divisor_slots=(0, 1), isotropy=_affine_isotropy(4, 0),
-        widths=Widths(arrow=9, base=5, like=4, between=4, isotropy=10),
-    )
+        isotropy=_affine_isotropy(4, 0))
 
     omega = _dlog_wedge_form()
     Omega = _zero_Omega(sign=-1.0)
@@ -439,7 +412,7 @@ def symplectic_zero_residue_model() -> SymplecticModel:
 
     def pairs(w):
         g = w[:8]
-        s1a, s1b, s2a, s2b = source_of(g)
+        s1a, s1b, s2a, s2b = model.source_of(g)
         # arrow layout is (z, a, b, c): the source's divisor slot feeds a
         return g + (s2a, s2b, s1a, s1b) + w[8:12]
 

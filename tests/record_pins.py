@@ -108,6 +108,7 @@ def digests_text() -> str:
 def main(argv) -> None:
     out = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent
     tag = ARTIFACT["rng"].replace("-", "_")
+    out.mkdir(parents=True, exist_ok=True)
     for stem, text in (("draw_layout", layout_text()), ("report_digests", digests_text())):
         path = out / f"{stem}_{tag}.json"
         path.write_text(text, encoding="utf-8")

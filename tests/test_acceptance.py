@@ -88,15 +88,13 @@ def test_criterion_3_symplectic_structures():
     multiplicativity (<1e-6), for both local models."""
     details = []
     for sym in (symplectic_nonzero_residue_model(), symplectic_zero_residue_model()):
-        rep = check_symplectic(sym, n_samples=250, seed=SEED, prof=PROF,
-                               pullback_tol=1e-7, closed_tol=1e-6,
-                               nondeg_floor=1e-6)
+        rep = check_symplectic(sym, n_samples=250, seed=SEED, prof=PROF)
+        assert rep.tolerance == 1e-7
         assert rep.ok and rep.max_residual < 1e-7, (sym.name, rep.witnesses[:1])
         assert rep.details["d_omega_max"] < 1e-6
         assert rep.details["nondeg_min_abs_det"] > 1e-6
-        mrep = check_multiplicative(sym, n_samples=200, seed=SEED, prof=PROF,
-                                    tol=1e-6)
-        assert mrep.ok, (sym.name, mrep.witnesses[:1])
+        mrep = check_multiplicative(sym, n_samples=200, seed=SEED, prof=PROF)
+        assert mrep.ok and mrep.max_residual < 1e-6, (sym.name, mrep.witnesses[:1])
         details.append(f"{sym.name}: pullback {rep.max_residual:.1e}, "
                        f"dW {rep.details['d_omega_max']:.1e}, "
                        f"mult {mrep.max_residual:.1e}")
@@ -110,9 +108,9 @@ def test_criterion_4_morphism_identities():
         rep = check_morphism(bundle, n_samples=10_000, seed=SEED, prof=PROF,
                              tol=1e-7, form_samples=10_000)
         assert rep.ok and rep.max_residual < 1e-7, (bundle.name, rep.witnesses[:1])
-    winners, table = resolve_psi_convention(n_samples=400, seed=SEED, prof=PROF,
-                                            tol=1e-7)
+    winners, table = resolve_psi_convention(n_samples=400, seed=SEED, prof=PROF)
     assert len(winners) == 1, table
+    assert table[winners[0]] < 1e-7
     _line(4, True, f"covering-map convention: {winners[0]} "
           f"(residual {table[winners[0]]:.1e})")
 
@@ -120,8 +118,7 @@ def test_criterion_4_morphism_identities():
 def test_criterion_5_variant_regression():
     """Derived multiplication associative; transposed variant fails > 1e-2."""
     sym = symplectic_zero_residue_model()
-    rep = check_zero_residue_variant(sym, n_samples=500, seed=SEED,
-                                     derived_tol=1e-9, variant_floor=1e-2)
+    rep = check_zero_residue_variant(sym, n_samples=500, seed=SEED)
     assert rep.ok
     assert rep.max_residual < 1e-9
     assert rep.details["variant_max_residual"] > 1e-2

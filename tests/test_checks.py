@@ -44,8 +44,8 @@ def test_pair_groupoid_multiplicativity_is_exact():
     from egl.checks import check_multiplicative
     from egl.symplectic import pair_groupoid_symplectic
 
-    rep = check_multiplicative(pair_groupoid_symplectic(), n_samples=60, seed=3,
-                               tol=1e-9)
+    # below 1e-10, far inside MULTIPLICATIVE_TOL
+    rep = check_multiplicative(pair_groupoid_symplectic(), n_samples=60, seed=3)
     assert rep.ok
     assert rep.max_residual < 1e-10
 

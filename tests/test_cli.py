@@ -278,6 +278,34 @@ def test_decide_schema_violation_is_exit_2(capsys, tmp_path):
     assert code == 2
     assert "line" in err
 
+    # what the schema refuses is refused with its field path, never a crash:
+    # sections that are not objects, and bool or float where it wants an int
+    image = "$.normal_crossing.strata[0].monodromy.g0"
+    ill_typed = (
+        ("$.smooth", {"schema": "decision.v1", "smooth": 5}, "smooth"),
+        ("$.double_cover", {"schema": "decision.v1", "double_cover": []}, "double-cover"),
+        ("$.normal_crossing", {"schema": "decision.v1", "normal_crossing": "x"},
+         "normal-crossing"),
+        (f"{image}.perm", _nc_image_doc(perm=[1.0]), "normal-crossing"),
+        (f"{image}.flips", _nc_image_doc(flips=[1.0]), "normal-crossing"),
+        (f"{image}.perm", _nc_image_doc(perm=[True]), "normal-crossing"),
+        (f"{image}.flips", _nc_image_doc(flips=[True]), "normal-crossing"),
+        ("$.normal_crossing.strata[0].k", _nc_doc(dict(_stratum(), k=True)), "normal-crossing"),
+        ("$.normal_crossing.strata[0].name", _nc_doc(dict(_stratum(), name=["s"])),
+         "normal-crossing"),
+        ("$.name", dict(_nc_doc(_stratum()), name=3), "normal-crossing"),
+        ("$.smooth.eta", _smooth_doc_with(eta=[True, 0]), "smooth"),
+        ("$.smooth.eta", _smooth_doc_with(eta=[1.0, 0]), "smooth"),
+        ("$.double_cover.eta_class", {"schema": "decision.v1", "double_cover": {
+            "i_pullback": [[1, 0], [0, 1]], "eta_class": [False, True]}}, "double-cover"),
+    )
+    for field, doc, kind in ill_typed:
+        path = tmp_path / "ill_typed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["decide", "--kind", kind, str(path)], capsys)
+        assert code == 2 and not out, field
+        assert f"{field}:" in err, (field, err)
+
 
 def test_env_fixture_dir_override(capsys, tmp_path, monkeypatch):
     fixture = tmp_path / "klein_t4.json"
@@ -311,6 +339,23 @@ def test_validate_document_rejects_unknown_fields():
         validate_document({"schema": "decision.v1", "surprise": 1})
     with pytest.raises(ConfigError):
         validate_document({"schema": "decision.v0"})
+    # inside sections, presentations, strata and monodromy images too
+    smooth, cover, nc = _smooth_doc(), _cover_doc(), _nc_doc(_stratum())
+    smooth["smooth"]["surprise"] = 1
+    cover["double_cover"]["surprise"] = 1
+    nc["normal_crossing"]["surprise"] = 1
+    presentation = _smooth_doc()
+    presentation["smooth"]["codomain"]["surprise"] = 1
+    stratum = _nc_doc(dict(_stratum(), surprise=1))
+    image = _nc_doc(_stratum())
+    image["normal_crossing"]["strata"][0]["monodromy"]["g0"]["surprise"] = 1
+    for doc, field in ((smooth, "$.smooth.surprise"), (cover, "$.double_cover.surprise"),
+                       (nc, "$.normal_crossing.surprise"),
+                       (presentation, "$.smooth.codomain.surprise"),
+                       (stratum, "$.normal_crossing.strata[0].surprise"),
+                       (image, "$.normal_crossing.strata[0].monodromy.g0.surprise")):
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: unknown field")):
+            validate_document(doc)
 
 
 def _smooth_doc(n_dom=2, n_cod=1, dom_rels=0, entry=1):
@@ -338,6 +383,17 @@ def _stratum(k=1, gens=1, words=()):
 
 def _nc_doc(*strata):
     return {"schema": "decision.v1", "normal_crossing": {"strata": list(strata)}}
+
+
+def _nc_image_doc(**image):
+    """One k = 1 stratum whose generator's monodromy image is ``image``."""
+    return _nc_doc(dict(_stratum(), monodromy={"g0": image}))
+
+
+def _smooth_doc_with(**section):
+    doc = _smooth_doc()
+    doc["smooth"].update(section)
+    return doc
 
 
 def _relation_entry_doc(x):

@@ -413,15 +413,6 @@ def test_fibre_kernel_rows_reuse_the_ambient_ts_jacobian(name, prof):
         assert np.array_equal(model.extra_kernel_rows(u), want)
 
 
-def test_fibre_hausdorff_flag_is_conjunction():
-    m1 = case1_model(4)
-    m2 = pair_groupoid(4)
-    assert fibre_product(m1, m2).is_hausdorff
-    m3 = case1_model(4)
-    object.__setattr__(m3, "is_hausdorff", False)
-    assert not fibre_product(m3, m2).is_hausdorff
-
-
 def test_fibre_requires_transversality():
     # pairing a model with itself duplicates the blow-down directions:
     # the combined Jacobian drops rank over the divisor

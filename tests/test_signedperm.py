@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from egl.errors import DimensionMismatch, KTooLarge, UnknownGenerator
 from egl.homology import (HomologyPresentation, IntHom,
                           hausdorff_smooth_decision, kernel_generators)
-from egl.signedperm import (GroupDescriptor, MonodromyRep, SignedPermutation,
+from egl.signedperm import (MonodromyRep, SignedPermutation,
                             covering_isotropy, full_hyperoctahedral,
                             hausdorff_nc_decision, nc_decision_witness,
                             semidirect_inverse, semidirect_mul, twist_group)
@@ -333,6 +333,3 @@ def test_covering_isotropy_descriptors():
 
     swap = MonodromyRep(images={"g": SignedPermutation((1, 0), (0, 0))})
     assert covering_isotropy(swap, 2).name == "(ℂ*)²⋊Σ₂"
-
-    desc = covering_isotropy(conj, GroupDescriptor(1, twist_group([], k=1)))
-    assert desc.discrete.order == 2
