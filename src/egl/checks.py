@@ -246,8 +246,8 @@ AXIOM_NAMES = ("s(m(g,h))=s(h)", "t(m(g,h))=t(g)", "associativity",
                "left unit", "right unit", "right inverse", "left inverse")
 
 
-def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int = 10_000,
-                          seed: int = 7, prof: ToleranceProfile = DEFAULT_PROFILE,
+def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int, seed: int,
+                          prof: ToleranceProfile = DEFAULT_PROFILE,
                           sampler=None) -> CheckReport:
     """The seven structure-map identities on sampled arrows and tuples.
 
@@ -343,7 +343,7 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     return frames if p.ndim == 2 else frames[0]
 
 
-def check_algebroid(model: GroupoidChartModel, n_points: int = 100, seed: int = 7,
+def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
                     prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Recovered algebroid span vs the stated frame, by principal angle.
 
@@ -465,7 +465,7 @@ def _blocks(rows: np.ndarray):
         yield slice(start, start + BLOCK_ROWS)
 
 
-def check_symplectic(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
+def check_symplectic(sym: SymplecticModel, n_samples: int, seed: int,
                      prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Omega = t*omega - s*omega, d(Omega) = 0, and nondegeneracy.
 
@@ -557,7 +557,7 @@ def _form_matrix(form: FormField, g) -> np.ndarray:
     return M if G.ndim == 2 else M[0]
 
 
-def check_multiplicative(sym: SymplecticModel, n_samples: int = 200, seed: int = 7,
+def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
                          prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """m*Omega = pr1*Omega + pr2*Omega on the composable locus, within
     ``MULTIPLICATIVE_TOL``.
@@ -639,7 +639,7 @@ def schouten_residual(pi: Callable, dim: int, p, prof: ToleranceProfile = DEFAUL
     return worst if P.ndim == 2 else float(worst[0])
 
 
-def check_poisson(sym: SymplecticModel, n_points: int = 40, seed: int = 7,
+def check_poisson(sym: SymplecticModel, n_points: int, seed: int,
                   prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Jacobi identity of the model's bivector at sampled off-divisor
     points, within ``POISSON_TOL``.
@@ -681,7 +681,7 @@ def non_jacobi_bivector():
 # morphisms
 # ---------------------------------------------------------------------------
 
-def check_morphism(bundle: MorphismBundle, n_samples: int = 1000, seed: int = 7,
+def check_morphism(bundle: MorphismBundle, n_samples: int, seed: int,
                    prof: ToleranceProfile = DEFAULT_PROFILE,
                    tol: float = 1e-7, form_samples: Optional[int] = None) -> CheckReport:
     """s/t compatibility, unit and multiplication intertwining, form pullback.
@@ -770,7 +770,7 @@ def morphism_beta(model: GroupoidChartModel) -> MorphismBundle:
                           pair_groupoid(model.base_dim))
 
 
-def resolve_psi_convention(n_samples: int = 400, seed: int = 7,
+def resolve_psi_convention(n_samples: int, seed: int,
                            prof: ToleranceProfile = DEFAULT_PROFILE):
     """Test the covering morphism against the four convention assignments.
 
@@ -792,7 +792,7 @@ def resolve_psi_convention(n_samples: int = 400, seed: int = 7,
     return winners, table
 
 
-def check_psi_convention(n_samples: int = 400, seed: int = 7,
+def check_psi_convention(n_samples: int, seed: int,
                          prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """``resolve_psi_convention`` as a report: pass iff exactly one
     assignment is below ``PSI_TOL``."""
@@ -811,8 +811,7 @@ def check_psi_convention(n_samples: int = 400, seed: int = 7,
 # variant regression: zero-residue multiplication
 # ---------------------------------------------------------------------------
 
-def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300,
-                               seed: int = 7) -> CheckReport:
+def check_zero_residue_variant(sym: SymplecticModel, n_samples: int, seed: int) -> CheckReport:
     """The derived product (c + b c') is associative; the near miss is not.
 
     Both facts are asserted: max associativity residual of the derived
@@ -851,7 +850,7 @@ def check_zero_residue_variant(sym: SymplecticModel, n_samples: int = 300,
 # divisor isotropy
 # ---------------------------------------------------------------------------
 
-def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 7,
+def check_isotropy(model: GroupoidChartModel, n_samples: int, seed: int,
                    prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Divisor isotropy composition against the model's exact law.
 
@@ -880,7 +879,7 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int = 500, seed: int = 
 # elliptic ideal on arrows
 # ---------------------------------------------------------------------------
 
-def check_ideal(model: GroupoidChartModel, n_samples: int = 1000, seed: int = 7,
+def check_ideal(model: GroupoidChartModel, n_samples: int, seed: int,
                 prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """s*I = (ratio) t*I with invertible ratio, and ratio 1 on units.
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, EglError
 from .registry import CHECK_NAMES, DEFAULT_SAMPLES, MODEL_NAMES, SAMPLE_CAPS, build_model
-from .report import RunConfig, run_decide, run_verify
+from .report import DECISION_KINDS, RunConfig, run_decide, run_verify
 
 __all__ = ["main", "entry", "resolve_fixture"]
 
@@ -46,8 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     decide = sub.add_parser("decide", help="run a Hausdorff/cover decision on a JSON input")
     decide.add_argument("input", help="decision document (path or fixture name)")
-    decide.add_argument("--kind", required=True,
-                        choices=("smooth", "double-cover", "normal-crossing"))
+    decide.add_argument("--kind", required=True, choices=tuple(DECISION_KINDS))
     decide.add_argument("--out", default=None)
     decide.add_argument("--format", choices=("json", "text"), default="json")
 

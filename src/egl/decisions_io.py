@@ -4,7 +4,8 @@ A decision document (versioned ``decision.v1``) carries named
 generators, integer matrices as row-major arrays, mod-2 vectors,
 per-stratum monodromy tables and kernel word lists.  Validation is
 structural with field-path diagnostics; the JSON Schema shipped under
-``schemas/decision.v1.json`` documents the same contract.
+``schemas/decision.v1.json`` documents the same contract, and its
+description lists the cross-field rules that only validation enforces.
 """
 
 from __future__ import annotations

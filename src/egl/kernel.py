@@ -63,8 +63,9 @@ __all__ = [
 class ToleranceProfile:
     """Numerical contract for finite differences and comparisons.
 
-    ``abs_tol`` must dominate the second-order truncation error of the
-    central-difference stencil, ``fd_step**2 * curvature_budget``.
+    Every field is finite and strictly positive, and ``abs_tol`` must
+    dominate the second-order truncation error of the central-difference
+    stencil, ``fd_step**2 * curvature_budget``.
     """
 
     fd_step: float = 1e-5
@@ -74,8 +75,8 @@ class ToleranceProfile:
 
     def __post_init__(self):
         for name in ("fd_step", "abs_tol", "subspace_tol", "curvature_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.abs_tol <= self.fd_step**2 * self.curvature_budget:
             raise ValueError("abs_tol must exceed fd_step**2 * curvature_budget")
 

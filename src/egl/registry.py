@@ -5,12 +5,15 @@ Model names, as exposed on the command line: ``case1``, ``caseIV:k``,
 ``action-groupoid``, ``fibre:A,B`` and ``pair``.  Dimensions come from
 ``--dim`` (and ``--k``), with sensible defaults per model.  Unknown
 names and impossible dimensions are rejected before any computation.
+
+Each model is one row of ``_MODELS`` and each check one row of
+``_CHECKS``; the public names below are derived from the two tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .checks import (check_algebroid, check_zero_residue_variant,
                      check_groupoid_axioms, check_ideal, check_isotropy,
@@ -26,33 +29,7 @@ from .symplectic import (SymplecticModel, morphism_phi_nonzero,
                          symplectic_zero_residue_model)
 
 __all__ = ["ModelEntry", "MODEL_NAMES", "CHECK_NAMES", "build_model", "normalise",
-           "checks_for", "run_check", "DEFAULT_SAMPLES", "SAMPLE_CAPS"]
-
-# each model's CLI name, default --dim and least --dim (None: a model of
-# fixed dimension, which takes its default dim only)
-_DIMS = {"case1": (4, 2), "caseIV": (4, 2), "case2": (4, 2), "sympl-nonzero": (2, None),
-         "sympl-zero": (4, None), "ssc-surface": (2, None), "action-groupoid": (4, None),
-         "fibre:case1,case1": (4, 4), "fibre:case1,pair": (4, 2), "pair": (2, 1)}
-
-MODEL_NAMES = tuple(_DIMS)
-
-CHECK_NAMES = ("axioms", "algebroid", "symplectic", "multiplicative",
-               "poisson", "morphism", "variants", "isotropy", "ideal")
-
-DEFAULT_SAMPLES = {
-    "axioms": 10_000,
-    "algebroid": 100,
-    "symplectic": 200,
-    "multiplicative": 150,
-    "poisson": 40,
-    "morphism": 2_000,
-    "variants": 300,
-    "isotropy": 500,
-    "ideal": 1_000,
-}
-
-# the most samples run_check runs, whatever count it is asked for
-SAMPLE_CAPS = {"algebroid": 200, "poisson": 100}
+           "run_check", "DEFAULT_SAMPLES", "SAMPLE_CAPS"]
 
 
 @dataclass(frozen=True)
@@ -65,11 +42,100 @@ class ModelEntry:
     checks: tuple
 
 
-def _fibre_case1_case1(n: int) -> GroupoidChartModel:
+@dataclass(frozen=True)
+class _Model:
+    """A registered model: its default ``--dim``, its least ``--dim``
+    (None: a model of fixed dimension, which takes its default dim only),
+    its constructor ``(dim, k) -> chart or SymplecticModel``, its checks,
+    and the runner of its morphism check ``(entry, n, seed, prof)``."""
+
+    dim: int
+    least: Optional[int]
+    build: Callable
+    checks: tuple
+    morphism: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A registered check: its default sample count, the most samples it
+    runs whatever count it is asked for (None: no cap), and its runner
+    ``(entry, n, seed, prof) -> [CheckReport, ...]``."""
+
+    samples: int
+    cap: Optional[int]
+    run: Callable
+
+
+def _on(part: str, check: Callable) -> Callable:
+    """The runner of a check of the entry's ``chart`` or ``symplectic`` model."""
+    return lambda entry, n, seed, prof: [check(getattr(entry, part), n, seed, prof)]
+
+
+# the morphism runners look morphism_phi_* up when they run, so a wrapper
+# set on this module's names (a tracer's, say) takes effect
+def _beta(entry, n, seed, prof):
+    # a blow-down is compared at a tighter tolerance than a covering
+    return [check_morphism(morphism_beta(entry.chart), n, seed, prof, tol=1e-9)]
+
+
+def _phi_nonzero(entry, n, seed, prof):
+    return [check_morphism(morphism_phi_nonzero(), n, seed, prof),
+            check_psi_convention(max(100, n // 5), seed, prof)]
+
+
+def _phi_zero(entry, n, seed, prof):
+    return [check_morphism(morphism_phi_zero(), n, seed, prof)]
+
+
+def _fibre_case1_case1(n: int, k: Optional[int]) -> GroupoidChartModel:
     m1 = smooth_factor_model(n, 2, 0)
     m2 = smooth_factor_model(n, 2, 1)
     # borrow the joint-stratum base samplers
     return fibre_product(m1, m2, base_from=caseIV_model(n, 2))
+
+
+_BLOWUP = ("axioms", "algebroid", "isotropy", "ideal", "morphism")
+_SYMPLECTIC = ("axioms", "algebroid", "symplectic", "multiplicative", "poisson", "morphism")
+
+_MODELS = {
+    "case1": _Model(4, 2, lambda n, k: case1_model(n), _BLOWUP, _beta),
+    "caseIV": _Model(4, 2, caseIV_model, _BLOWUP, _beta),
+    "case2": _Model(4, 2, lambda n, k: case2_quotient_model(n),
+                    ("axioms", "algebroid", "isotropy", "ideal")),
+    "sympl-nonzero": _Model(2, None, lambda n, k: symplectic_nonzero_residue_model(),
+                            _SYMPLECTIC, _phi_nonzero),
+    "sympl-zero": _Model(4, None, lambda n, k: symplectic_zero_residue_model(),
+                         _SYMPLECTIC + ("variants", "isotropy"), _phi_zero),
+    "ssc-surface": _Model(2, None, lambda n, k: ssc_surface_model(), ("axioms", "algebroid")),
+    "action-groupoid": _Model(4, None, lambda n, k: action_groupoid_model(),
+                              ("axioms", "algebroid", "isotropy")),
+    "fibre:case1,case1": _Model(4, 4, _fibre_case1_case1,
+                                ("axioms", "algebroid", "isotropy", "ideal")),
+    "fibre:case1,pair": _Model(4, 2, lambda n, k: fibre_product(case1_model(n), pair_groupoid(n)),
+                               ("axioms", "algebroid", "ideal")),
+    "pair": _Model(2, 1, lambda n, k: pair_groupoid(n), ("axioms", "algebroid")),
+}
+
+_CHECKS = {
+    "axioms": _Check(10_000, None, _on("chart", check_groupoid_axioms)),
+    "algebroid": _Check(100, 200, _on("chart", check_algebroid)),
+    "symplectic": _Check(200, None, _on("symplectic", check_symplectic)),
+    "multiplicative": _Check(150, None, _on("symplectic", check_multiplicative)),
+    "poisson": _Check(40, 100, _on("symplectic", check_poisson)),
+    "morphism": _Check(2_000, None, lambda entry, n, seed, prof:
+                       _MODELS[entry.name].morphism(entry, n, seed, prof)),
+    "variants": _Check(300, None, lambda entry, n, seed, prof:
+                       [check_zero_residue_variant(entry.symplectic, n, seed)]),
+    "isotropy": _Check(500, None, _on("chart", check_isotropy)),
+    "ideal": _Check(1_000, None, _on("chart", check_ideal)),
+}
+
+MODEL_NAMES = tuple(_MODELS)
+CHECK_NAMES = tuple(_CHECKS)
+DEFAULT_SAMPLES = {name: row.samples for name, row in _CHECKS.items()}
+# the most samples run_check runs, whatever count it is asked for
+SAMPLE_CAPS = {name: row.cap for name, row in _CHECKS.items() if row.cap is not None}
 
 
 # one entry per normalised (name, dim, k), also filed under the arguments
@@ -109,11 +175,11 @@ def normalise(name: str, dim: Optional[int], k: Optional[int]) -> tuple:
             k = int(tail)
         except ValueError:
             raise ConfigError(f"bad caseIV factor count {tail!r}") from None
-    if name not in _DIMS:
+    if name not in _MODELS:
         if name.startswith("fibre:"):
             raise ConfigError(f"unsupported fibre combination {name!r}")
         raise ConfigError(f"unknown model {name!r}")
-    default, least = _DIMS[name]
+    default, least = _MODELS[name].dim, _MODELS[name].least
     n = default if dim is None else dim
     if least is None and n != default:
         raise ConfigError(f"{name} has fixed dimension {default}, not {n}")
@@ -128,73 +194,22 @@ def normalise(name: str, dim: Optional[int], k: Optional[int]) -> tuple:
     return name, n, k
 
 
-def _build(name: str, n: Optional[int], k: Optional[int]) -> ModelEntry:
-    if name == "case1":
-        return ModelEntry(name, case1_model(n), None,
-                          ("axioms", "algebroid", "isotropy", "ideal", "morphism"))
-    if name == "caseIV":
-        return ModelEntry(name, caseIV_model(n, k), None,
-                          ("axioms", "algebroid", "isotropy", "ideal", "morphism"))
-    if name == "case2":
-        return ModelEntry(name, case2_quotient_model(n), None,
-                          ("axioms", "algebroid", "isotropy", "ideal"))
-    if name == "sympl-nonzero":
-        sym = symplectic_nonzero_residue_model()
-        return ModelEntry(name, sym.model, sym,
-                          ("axioms", "algebroid", "symplectic", "multiplicative",
-                           "poisson", "morphism"))
-    if name == "sympl-zero":
-        sym = symplectic_zero_residue_model()
-        return ModelEntry(name, sym.model, sym,
-                          ("axioms", "algebroid", "symplectic", "multiplicative",
-                           "poisson", "morphism", "variants", "isotropy"))
-    if name == "ssc-surface":
-        return ModelEntry(name, ssc_surface_model(), None, ("axioms", "algebroid"))
-    if name == "action-groupoid":
-        return ModelEntry(name, action_groupoid_model(), None,
-                          ("axioms", "algebroid", "isotropy"))
-    if name == "pair":
-        return ModelEntry(name, pair_groupoid(n), None, ("axioms", "algebroid"))
-    if name == "fibre:case1,case1":
-        return ModelEntry(name, _fibre_case1_case1(n), None,
-                          ("axioms", "algebroid", "isotropy", "ideal"))
-    model = fibre_product(case1_model(n), pair_groupoid(n))     # fibre:case1,pair
-    return ModelEntry(name, model, None, ("axioms", "algebroid", "ideal"))
-
-
-def checks_for(entry: ModelEntry, requested) -> tuple:
-    return tuple(c for c in requested if c in entry.checks)
+def _build(name: str, n: int, k: Optional[int]) -> ModelEntry:
+    row = _MODELS[name]
+    built = row.build(n, k)
+    sym = built if isinstance(built, SymplecticModel) else None
+    return ModelEntry(name, sym.model if sym else built, sym, row.checks)
 
 
 def run_check(entry: ModelEntry, check: str, seed: int = 7,
               samples: Optional[int] = None, prof=DEFAULT_PROFILE) -> list:
-    """Run one named check on one model entry; returns CheckReports."""
-    n = samples or DEFAULT_SAMPLES[check]
-    if check == "axioms":
-        return [check_groupoid_axioms(entry.chart, n, seed, prof)]
-    if check == "algebroid":
-        return [check_algebroid(entry.chart, min(n, SAMPLE_CAPS[check]), seed, prof)]
-    if check == "symplectic":
-        return [check_symplectic(entry.symplectic, n, seed, prof)]
-    if check == "multiplicative":
-        return [check_multiplicative(entry.symplectic, n, seed, prof)]
-    if check == "poisson":
-        return [check_poisson(entry.symplectic, min(n, SAMPLE_CAPS[check]), seed, prof)]
-    if check == "variants":
-        return [check_zero_residue_variant(entry.symplectic, n, seed)]
-    if check == "isotropy":
-        return [check_isotropy(entry.chart, n, seed, prof)]
-    if check == "ideal":
-        return [check_ideal(entry.chart, n, seed, prof)]
-    if check == "morphism":
-        out = []
-        if entry.name == "sympl-nonzero":
-            out.append(check_morphism(morphism_phi_nonzero(), n, seed, prof))
-            out.append(check_psi_convention(max(100, n // 5), seed, prof))
-        elif entry.name == "sympl-zero":
-            out.append(check_morphism(morphism_phi_zero(), n, seed, prof))
-        else:
-            out.append(check_morphism(morphism_beta(entry.chart), n, seed, prof,
-                                      tol=1e-9))
-        return out
-    raise ConfigError(f"unknown check {check!r}")
+    """Run one named check on one model entry; returns CheckReports.  A
+    check that is unknown, or that the entry does not list, raises
+    ConfigError."""
+    row = _CHECKS.get(check)
+    if row is None:
+        raise ConfigError(f"unknown check {check!r}")
+    if check not in entry.checks:
+        raise ConfigError(f"check {check} does not apply to {entry.name}")
+    n = samples or row.samples
+    return row.run(entry, min(n, row.cap or n), seed, prof)

@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
+from .decisions_io import decide_double_cover, decide_normal_crossing, decide_smooth
 from .errors import ConfigError
 from .kernel import DEFAULT_PROFILE, ToleranceProfile
-from .registry import CHECK_NAMES, build_model, checks_for, normalise, run_check
+from .registry import CHECK_NAMES, build_model, normalise, run_check
 
 ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v3"}
 
-__all__ = ["RunConfig", "RunReport", "run_verify", "run_decide", "ARTIFACT"]
+__all__ = ["RunConfig", "RunReport", "run_verify", "run_decide", "ARTIFACT",
+           "DECISION_KINDS"]
+
+# each decision kind: the label of its answer and its procedure
+DECISION_KINDS = {"smooth": ("hausdorff", decide_smooth),
+                  "double-cover": ("double_cover_exists", decide_double_cover),
+                  "normal-crossing": ("hausdorff", decide_normal_crossing)}
 
 
 @dataclass
@@ -40,6 +47,8 @@ class RunConfig:
             raise ConfigError("seed must be a positive integer")
         if self.samples is not None and self.samples <= 0:
             raise ConfigError("sample count must be positive")
+        if not self.checks:
+            raise ConfigError("no checks requested")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
@@ -47,11 +56,13 @@ class RunConfig:
         for key in self.tol:
             if key not in allowed:
                 raise ConfigError(f"unknown tolerance field {key!r}")
+        try:
+            self._profile = replace(DEFAULT_PROFILE, **self.tol) if self.tol else DEFAULT_PROFILE
+        except ValueError as err:
+            raise ConfigError(f"bad tolerance profile: {err}") from None
 
     def profile(self) -> ToleranceProfile:
-        if not self.tol:
-            return DEFAULT_PROFILE
-        return ToleranceProfile(**{**DEFAULT_PROFILE.__dict__, **self.tol})
+        return self._profile
 
     def echo(self) -> dict:
         return {
@@ -112,8 +123,7 @@ def run_verify(config: RunConfig) -> RunReport:
     timings = {}
     any_applicable = {c: False for c in config.checks}
     for entry in entries:
-        todo = checks_for(entry, config.checks)
-        for check in todo:
+        for check in (c for c in config.checks if c in entry.checks):
             any_applicable[check] = True
             start = time.perf_counter()
             reports = run_check(entry, check, seed=config.seed,
@@ -131,16 +141,10 @@ def run_verify(config: RunConfig) -> RunReport:
 
 
 def run_decide(document: dict, kind: str, source_name: str = "") -> RunReport:
-    """Run one of the three decision procedures on a validated document."""
-    from .decisions_io import (decide_double_cover, decide_normal_crossing,
-                               decide_smooth)
-
-    kinds = {"smooth": ("hausdorff", decide_smooth),
-             "double-cover": ("double_cover_exists", decide_double_cover),
-             "normal-crossing": ("hausdorff", decide_normal_crossing)}
-    if kind not in kinds:
+    """Run one of the ``DECISION_KINDS`` procedures on a validated document."""
+    if kind not in DECISION_KINDS:
         raise ConfigError(f"unknown decision kind {kind!r}")
-    label, fn = kinds[kind]
+    label, fn = DECISION_KINDS[kind]
     answer, witness = fn(document)
     record = {"kind": kind, "decision": bool(answer), "label": label,
               "input": source_name or document.get("name", ""), "witness": witness}

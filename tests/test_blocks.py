@@ -966,7 +966,7 @@ def test_a_nan_morphism_coordinate_fails_the_check(make):
         return out[:-1] + (out[-1] + math.nan,)
 
     bad = replace(bundle, f=replace(bundle.f, formula=nan_last))
-    rep = check_morphism(bad, seed=7)
+    rep = check_morphism(bad, 1000, seed=7)
     assert rep.verdict == "fail" and rep.passed == 0
     assert len(rep.witnesses) == 20 and all("g" in w for w in rep.witnesses)
     with pytest.raises(NonFiniteValue):

@@ -3,9 +3,12 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,26 @@ def test_list_models_and_checks(capsys):
     code, out, _ = run_cli(["list-checks"], capsys)
     assert code == 0
     assert "axioms" in out and "algebroid" in out
+
+
+def test_benchmark_tables_match_the_registry():
+    # perfbench keeps its own copy of the registry's model facts
+    from egl.registry import MODEL_NAMES, build_model
+
+    configs = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "configs.py"))
+    assert MODEL_NAMES == configs["REGISTERED"]
+    for name in MODEL_NAMES:
+        entry = build_model(name)
+        assert set(entry.checks) == configs["APPLICABLE"][name], name
+        assert entry.chart.arrow_dim == configs["ARROW_DIM"][name], name
+
+
+def test_run_check_refuses_a_check_the_model_does_not_list():
+    from egl.registry import build_model, run_check
+
+    for name, check in (("case2", "morphism"), ("case1", "symplectic"), ("pair", "bogus")):
+        with pytest.raises(ConfigError):
+            run_check(build_model(name), check, samples=10)
 
 
 def test_verify_pass_run(capsys, tmp_path):
@@ -134,6 +157,18 @@ def test_rel_tol_is_an_unknown_tolerance_field(capsys):
                               "--samples", "10", "--tol", "rel_tol=1e-8"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: unknown tolerance field 'rel_tol'\n"
+
+
+@pytest.mark.parametrize("checks, tol", [
+    ("axioms", "abs_tol=-1"), ("axioms", "fd_step=0.1"), ("axioms", "abs_tol=inf"),
+    ("axioms", "abs_tol=nan"), ("axioms", "subspace_tol=inf"), ("axioms", "fd_step=nan"),
+    (",", None), (" ", None)])
+def test_bad_tolerance_or_no_check_is_exit_2(capsys, checks, tol):
+    # an impossible profile, or a run that would check nothing and pass
+    code, out, err = run_cli(["verify", "--model", "case1", "--checks", checks,
+                              "--samples", "10"] + (["--tol", tol] if tol else []), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_decide_klein_fixture(capsys):
@@ -262,49 +297,45 @@ def test_decide_trivial_eta_fixture(capsys, tmp_path):
 
 
 def test_decide_schema_violation_is_exit_2(capsys, tmp_path):
-    bad = {"schema": "decision.v1",
-           "smooth": {"domain": {"generators": ["a"]},
-                      "codomain": {"generators": ["b"]},
-                      "i_star": [[0.5]], "eta": [0]}}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    code, _, err = run_cli(["decide", "--kind", "smooth", str(path)], capsys)
-    assert code == 2
-    assert "$.smooth.i_star[0][0]" in err
-
     path2 = tmp_path / "mangled.json"
     path2.write_text("{not json")
     code, _, err = run_cli(["decide", "--kind", "smooth", str(path2)], capsys)
     assert code == 2
     assert "line" in err
 
-    # what the schema refuses is refused with its field path, never a crash:
-    # sections that are not objects, and bool or float where it wants an int
-    image = "$.normal_crossing.strata[0].monodromy.g0"
-    ill_typed = (
-        ("$.smooth", {"schema": "decision.v1", "smooth": 5}, "smooth"),
-        ("$.double_cover", {"schema": "decision.v1", "double_cover": []}, "double-cover"),
-        ("$.normal_crossing", {"schema": "decision.v1", "normal_crossing": "x"},
-         "normal-crossing"),
-        (f"{image}.perm", _nc_image_doc(perm=[1.0]), "normal-crossing"),
-        (f"{image}.flips", _nc_image_doc(flips=[1.0]), "normal-crossing"),
-        (f"{image}.perm", _nc_image_doc(perm=[True]), "normal-crossing"),
-        (f"{image}.flips", _nc_image_doc(flips=[True]), "normal-crossing"),
-        ("$.normal_crossing.strata[0].k", _nc_doc(dict(_stratum(), k=True)), "normal-crossing"),
-        ("$.normal_crossing.strata[0].name", _nc_doc(dict(_stratum(), name=["s"])),
-         "normal-crossing"),
-        ("$.name", dict(_nc_doc(_stratum()), name=3), "normal-crossing"),
-        ("$.smooth.eta", _smooth_doc_with(eta=[True, 0]), "smooth"),
-        ("$.smooth.eta", _smooth_doc_with(eta=[1.0, 0]), "smooth"),
-        ("$.double_cover.eta_class", {"schema": "decision.v1", "double_cover": {
-            "i_pullback": [[1, 0], [0, 1]], "eta_class": [False, True]}}, "double-cover"),
-    )
-    for field, doc, kind in ill_typed:
+    # what the schema refuses is refused with its field path, never a crash
+    for field, doc, kind in ILL_TYPED + ZERO_FRACTION:
         path = tmp_path / "ill_typed.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(["decide", "--kind", kind, str(path)], capsys)
         assert code == 2 and not out, field
         assert f"{field}:" in err, (field, err)
+
+
+def test_schema_accepts_and_refuses_what_validation_does():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(resources.files("egl").joinpath("schemas", "decision.v1.json")
+                        .read_text(encoding="utf-8"))
+    schema_accepts = jsonschema.Draft7Validator(schema).is_valid
+    # the packaged fixtures and the benchmark's generated documents
+    oracles = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "oracles.py"))
+    rng = oracles["rng_for"]
+    accepted = [json.loads(resolve_fixture(name).read_text(encoding="utf-8"))
+                for name in ("klein_t4.json", "nc_twisted_line.json")]
+    for want in (True, False):
+        accepted += [oracles["smooth_document"](rng(7, f"smooth:{n}:{want}"), n, want, "s")
+                     for n in (8, 16, 24, 32)]
+        accepted += [oracles["cover_document"](rng(7, f"cover:{n}:{want}"), n, want, "c")
+                     for n in (16, 32, 48, 64)]
+        accepted += [oracles["nc_document"](rng(7, f"nc:{k}:{want}"), k, want, "nc")[0]
+                     for k in (3, 4, 5, 6)]
+    for doc in accepted:
+        assert schema_accepts(doc), doc.get("name")
+        validate_document(doc)
+    for field, doc, _ in ILL_TYPED:
+        assert not schema_accepts(doc), field
+        with pytest.raises(ConfigError):
+            validate_document(doc)
 
 
 def test_env_fixture_dir_override(capsys, tmp_path, monkeypatch):
@@ -332,6 +363,8 @@ def test_run_config_validation():
         RunConfig(models=["case1"], checks=["axioms"], samples=-5)
     with pytest.raises(ConfigError):
         RunConfig(models=["case1"], checks=["axioms"], tol={"bogus": 1.0})
+    with pytest.raises(ConfigError):
+        RunConfig(models=["case1"], checks=[])
 
 
 def test_validate_document_rejects_unknown_fields():
@@ -400,6 +433,44 @@ def _relation_entry_doc(x):
     doc = _smooth_doc(dom_rels=1)
     doc["smooth"]["domain"]["relations"][0][1] = x
     return doc
+
+
+_IMAGE = "$.normal_crossing.strata[0].monodromy.g0"
+
+# documents that validation and the schema both refuse: sections that are
+# not objects, a bool or a fraction where an int is wanted, names that are
+# not strings, and generator names that are empty or repeated
+ILL_TYPED = (
+    ("$.smooth.i_star[0][0]", _smooth_doc_with(i_star=[[0.5, 0]]), "smooth"),
+    ("$.smooth", {"schema": "decision.v1", "smooth": 5}, "smooth"),
+    ("$.double_cover", {"schema": "decision.v1", "double_cover": []}, "double-cover"),
+    ("$.normal_crossing", {"schema": "decision.v1", "normal_crossing": "x"},
+     "normal-crossing"),
+    (f"{_IMAGE}.perm", _nc_image_doc(perm=[True]), "normal-crossing"),
+    (f"{_IMAGE}.flips", _nc_image_doc(flips=[True]), "normal-crossing"),
+    ("$.normal_crossing.strata[0].k", _nc_doc(dict(_stratum(), k=True)), "normal-crossing"),
+    ("$.normal_crossing.strata[0].name", _nc_doc(dict(_stratum(), name=["s"])),
+     "normal-crossing"),
+    ("$.name", dict(_nc_doc(_stratum()), name=3), "normal-crossing"),
+    ("$.smooth.eta", _smooth_doc_with(eta=[True, 0]), "smooth"),
+    ("$.double_cover.eta_class", {"schema": "decision.v1", "double_cover": {
+        "i_pullback": [[1, 0], [0, 1]], "eta_class": [False, True]}}, "double-cover"),
+    ("$.smooth.domain.generators", _smooth_doc_with(domain={"generators": ["a0", ""]}),
+     "smooth"),
+    ("$.smooth.codomain.generators", _smooth_doc_with(codomain={"generators": ["x", "x"]}),
+     "smooth"),
+    ("$.normal_crossing.strata[0].generators", _nc_doc(dict(_stratum(), generators=[""])),
+     "normal-crossing"),
+    ("$.normal_crossing.strata[0].generators",
+     _nc_doc(dict(_stratum(), generators=["g0", "g0"])), "normal-crossing"),
+)
+
+# refused by validation only: draft-07 counts 1.0 as an integer
+ZERO_FRACTION = (
+    (f"{_IMAGE}.perm", _nc_image_doc(perm=[1.0]), "normal-crossing"),
+    (f"{_IMAGE}.flips", _nc_image_doc(flips=[1.0]), "normal-crossing"),
+    ("$.smooth.eta", _smooth_doc_with(eta=[1.0, 0]), "smooth"),
+)
 
 
 OVER_THE_LIMITS = {

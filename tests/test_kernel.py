@@ -133,6 +133,12 @@ def test_tolerance_profile_validates():
         ToleranceProfile(fd_step=-1.0)
     with pytest.raises(ValueError):
         ToleranceProfile(fd_step=1e-3, abs_tol=1e-8)  # truncation dominates
+    # a non-finite field would pass every residual (inf) or fail every one (nan)
+    for field in ({"abs_tol": -1.0}, {"fd_step": 0.1}, {"abs_tol": float("inf")},
+                  {"abs_tol": float("nan")}, {"subspace_tol": float("inf")},
+                  {"fd_step": float("nan")}):
+        with pytest.raises(ValueError):
+            ToleranceProfile(**field)
 
 
 def test_jacobian_linear_map_is_exact(prof):
