@@ -202,31 +202,28 @@ def _outside(model: GroupoidChartModel, x, n: int) -> np.ndarray:
     return np.broadcast_to(np.logical_not(model.arrow_valid(x)), (n,))
 
 
-def _composed(model: GroupoidChartModel, g, h, g_from: str, h_from: str, n: int,
-              prefix: str = ""):
+def _composed(model: GroupoidChartModel, g, h, gap, exits, n: int,
+              name: str = "compose_raw"):
     """``model.compose(g, h)`` on a block of n pairs, failing closed.
 
-    Returns (product, gap, composable, exits).  ``composable`` holds
-    where the endpoint gap is within ``COMPOSABLE_TOL`` (never where it
-    is NaN); there ``compose`` returns the product, elsewhere it raises
-    NotComposable carrying the gap.  ``exits`` lists (rows, map) for the
-    rows where ``compose`` raises ChartInvalid instead: g or h (made by
-    ``g_from`` or ``h_from``) leaves the chart, or, on composable rows,
-    the product does.
+    ``gap`` is the endpoint gap of the pairs and ``exits`` lists (rows,
+    map) for the rows where g or h leaves the chart.  Returns (product,
+    composable, exits).  ``composable`` holds where the gap is within
+    ``COMPOSABLE_TOL`` (never where it is NaN); there ``compose``
+    returns the product, elsewhere it raises NotComposable carrying the
+    gap.  The returned exits add, on composable rows, those where the
+    product leaves the chart: everywhere an exit holds, ``compose``
+    raises ChartInvalid instead.
     """
-    gap = _gap(model.source_of(g), model.target_of(h))
     out = model.compose_raw(g, h)
     ok = np.broadcast_to(gap <= COMPOSABLE_TOL, (n,))
-    exits = [(_outside(model, g, n), g_from), (_outside(model, h, n), h_from),
-             (ok & _outside(model, out, n), prefix + "compose_raw")]
-    return out, gap, ok, exits
+    return out, ok, exits + [(ok & _outside(model, out, n), name)]
 
 
 def _fail_closed(residual, exits, n: int) -> np.ndarray:
     """The residual as an n-vector, inf on the rows of every chart exit."""
     out = np.array(np.broadcast_to(residual, (n,)), dtype=float)
-    for rows, _ in exits:
-        out[rows] = np.inf
+    out[np.logical_or.reduce([rows for rows, _ in exits])] = np.inf
     return out
 
 
@@ -281,25 +278,30 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int, seed: int,
 def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
     """The (7, n) residuals of the axioms on a block and each one's chart exits.
 
-    A sample whose drawn g, h or k leaves the chart (a sampler extending
+    Each structure map runs once on each of its distinct inputs.  A
+    sample whose drawn g, h or k leaves the chart (a sampler extending
     from a non-finite endpoint returns a NaN arrow) fails every identity.
     """
+    s, t = model.source_of, model.target_of
+    sg, tg = s(g), t(g)
     gh, hk = model.compose_raw(g, h), model.compose_raw(h, k)
-    ut = model.unit_at(model.target_of(g))
-    us = model.unit_at(model.source_of(g))
-    ginv = model.invert(g)
-    drawn = [(_outside(model, g, n) | _outside(model, h, n) | _outside(model, k, n),
-              "sample")]
+    ut, us, ginv = model.unit_at(tg), model.unit_at(sg), model.invert(g)
+    out_g = _outside(model, g, n)
+    drawn = [(out_g | _outside(model, h, n) | _outside(model, k, n), "sample")]
+    exit_g = (out_g, "sample")
+    exit_ut = (_outside(model, ut, n), "unit_at")
+    exit_us = (_outside(model, us, n), "unit_at")
+    exit_ginv = (_outside(model, ginv, n), "invert")
 
-    def law(a, b, a_from, b_from, want):
-        out, gap, ok, exits = _composed(model, a, b, a_from, b_from, n)
-        exits = drawn + exits
+    def law(a, b, gap, a_exit, b_exit, want):
+        out, ok, exits = _composed(model, a, b, gap, drawn + [a_exit, b_exit], n)
         return _fail_closed(np.where(ok, _gap(out, want), gap), exits, n), exits
 
-    laws = [law(ut, g, "unit_at", "sample", g), law(g, us, "sample", "unit_at", g),
-            law(g, ginv, "sample", "invert", ut), law(ginv, g, "invert", "sample", us)]
-    plain = [_gap(model.source_of(gh), model.source_of(h)),
-             _gap(model.target_of(gh), model.target_of(g)),
+    laws = [law(ut, g, _gap(s(ut), tg), exit_ut, exit_g, g),
+            law(g, us, _gap(sg, t(us)), exit_g, exit_us, g),
+            law(g, ginv, _gap(sg, t(ginv)), exit_g, exit_ginv, ut),
+            law(ginv, g, _gap(s(ginv), tg), exit_ginv, exit_g, us)]
+    plain = [_gap(s(gh), s(h)), _gap(t(gh), tg),
              _gap(model.compose_raw(gh, k), model.compose_raw(g, hk))]
     res = np.array([_fail_closed(r, drawn, n) for r in plain] + [r for r, _ in laws])
     return res, [drawn] * len(plain) + [exits for _, exits in laws]
@@ -750,13 +752,17 @@ def _morphism_residuals(dom, cod, image, g, h, form_res, n: int):
     """
     with np.errstate(all="ignore"):
         fg, fh = image(g), image(h)
-        res = np.maximum(_gap(cod.source_of(fg), dom.source_of(g)),
-                         _gap(cod.target_of(fg), dom.target_of(g)))
-        out, gap, ok, exits = _composed(dom, g, h, "sample", "sample", n, "dom.")
-        f_out, f_gap, f_ok, f_exits = _composed(cod, fg, fh, "f", "f", n, "cod.")
+        sg, p, s_fg = dom.source_of(g), dom.target_of(g), cod.source_of(fg)
+        res = np.maximum(_gap(s_fg, sg), _gap(cod.target_of(fg), p))
+        gap, f_gap = _gap(sg, dom.target_of(h)), _gap(s_fg, cod.target_of(fh))
+        out, ok, exits = _composed(dom, g, h, gap, [(_outside(dom, g, n), "sample"),
+                                                    (_outside(dom, h, n), "sample")],
+                                   n, "dom.compose_raw")
+        f_out, f_ok, f_exits = _composed(cod, fg, fh, f_gap, [(_outside(cod, fg, n), "f"),
+                                                              (_outside(cod, fh, n), "f")],
+                                         n, "cod.compose_raw")
         res = np.maximum(res, np.where(ok, np.where(f_ok, _gap(image(out), f_out), f_gap),
                                        gap))
-        p = dom.target_of(g)
         res = np.maximum(res, _gap(image(dom.unit_at(p)), cod.unit_at(p)))
         exits += [(ok & cod_rows, name) for cod_rows, name in f_exits]
         return _fail_closed(np.maximum(res, form_res), exits, n), exits
@@ -868,7 +874,9 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int, seed: int,
     for n in _block_sizes(n_samples):
         g1, g2, want = draw(model, uniforms(rng, model.widths.isotropy, n))
         with np.errstate(all="ignore"):
-            out, gap, ok, exits = _composed(model, g1, g2, "sample", "sample", n)
+            gap = _gap(model.source_of(g1), model.target_of(g2))
+            out, ok, exits = _composed(model, g1, g2, gap, [(_outside(model, g1, n), "sample"),
+                                                            (_outside(model, g2, n), "sample")], n)
             res = _fail_closed(np.where(ok, residual(model, g1, g2, out, want), gap),
                                exits, n)
         acc.add_block(res, lambda i: _with_exit({}, exits, i))

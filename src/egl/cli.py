@@ -1,7 +1,7 @@
 """Command-line front end: verify, decide, list-models, list-checks.
 
 Exit codes: 0 on success (including a negative decision answer), 1 when
-a verification check fails, 2 on configuration or input errors.  The
+a verification check fails, 2 on configuration, input or I/O errors.  The
 JSON report is canonical and byte-reproducible for a fixed (config,
 seed, version); the text format is a lossy rendering that adds wall
 clock times.  The EGL_FIXTURES environment variable overrides the
@@ -88,10 +88,14 @@ def resolve_fixture(name: str) -> Path:
 
 def _emit(report, fmt: str, out):
     text = report.to_json() if fmt == "json" else report.to_text()
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as err:
+        raise ConfigError(f"cannot write {out or 'the report'}: {err.strerror}") from None
 
 
 def main(argv=None) -> int:

@@ -210,6 +210,14 @@ def load_document(source) -> dict:
         except json.JSONDecodeError as err:
             raise ConfigError(f"{source}: invalid JSON at line {err.lineno}, "
                               f"column {err.colno}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"{source}: not UTF-8 text") from None
+        except ValueError as err:   # e.g. an integer past int's digit limit
+            raise ConfigError(f"{source}: unreadable JSON: {err}") from None
+        except RecursionError:
+            raise ConfigError(f"{source}: JSON nested too deeply to read") from None
+        except OSError as err:
+            raise ConfigError(f"cannot read {source}: {err.strerror}") from None
     else:
         doc = source
     return validate_document(doc)

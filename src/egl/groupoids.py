@@ -81,22 +81,40 @@ def _is_block(*xs) -> bool:
     return any(isinstance(x, np.ndarray) for x in xs)
 
 
+def _stack(x, n: int) -> np.ndarray:
+    """The coordinates of a block of n points as one (d, n) float array;
+    a scalar coordinate fills its row."""
+    out = np.empty((len(x), n))
+    for row, c in zip(out, x):
+        row[...] = c
+    return out
+
+
+def _block_len(x) -> int:
+    return next(len(c) for c in x if isinstance(c, np.ndarray))
+
+
 def _maxdiff(a, b):
     """Max coordinate difference; NaN if any coordinate difference is NaN.
 
     The builtin ``max`` drops NaN unless it comes first, so the sum of
     the (nonnegative) differences decides whether one is NaN.  On a
-    block the result is a column, and ``np.maximum`` keeps NaN itself.
+    block the result is a column: the differences are nonnegative or
+    NaN, and ``max`` along the coordinates keeps NaN itself.
     """
+    if _is_block(*a, *b):
+        n = _block_len((*a, *b))
+        return np.abs(_stack(a, n) - _stack(b, n)).max(axis=0)
     diffs = [abs(x - y) for x, y in zip(a, b)]
     total = sum(diffs)
-    if isinstance(total, np.ndarray):
-        return functools.reduce(np.maximum, diffs)
     return max(diffs, default=0.0) if total == total else total
 
 
 def _finite(seq):
-    """Every coordinate finite: 0 * x is 0 for finite x and NaN otherwise."""
+    """Every coordinate finite: 0 * x is 0 for finite x and NaN otherwise;
+    on a block, a column."""
+    if _is_block(*seq):
+        return np.isfinite(_stack(seq, _block_len(seq))).all(axis=0)
     return sum(0.0 * x for x in seq) == 0.0
 
 
@@ -215,9 +233,9 @@ def uniforms(rng, width: int, n=None) -> tuple:
 
 
 def _full(x, n):
-    """A drawn point, or a drawn block with every coordinate an (n,) column."""
-    return x if n is None else tuple(np.array(np.broadcast_to(c, (n,)), dtype=float)
-                                     for c in x)
+    """A drawn point, or a drawn block with every coordinate an (n,) column:
+    the rows of one fresh array, so each can be written on its own."""
+    return x if n is None else tuple(_stack(x, n))
 
 
 def _uniform(u, low, high):

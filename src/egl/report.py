@@ -8,9 +8,9 @@ rendering, a lossy view of the same data, shows them).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -93,7 +93,9 @@ class RunReport:
                 "results": self.results, "overall": self.overall}
 
     def to_json(self) -> str:
-        return json.dumps(self.canonical(), sort_keys=True, indent=2) + "\n"
+        """The canonical JSON: ``json.dumps(canonical(), sort_keys=True,
+        indent=2)`` and a newline, byte for byte."""
+        return _encode(self.canonical(), "\n") + "\n"
 
     def to_text(self) -> str:
         lines = [f"egl {ARTIFACT['version']} ({ARTIFACT['rng']})"]
@@ -113,6 +115,61 @@ class RunReport:
                     f"tol={rec['tolerance']:.1e} samples={rec['samples']}{suffix}")
         lines.append(f"overall: {self.overall}")
         return "\n".join(lines) + "\n"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it
+    at the depth whose line break and indent is ``newline``.
+
+    The dispatch is ``json``'s, in its order, so subclasses of int and
+    float encode as ``json`` encodes them, and what ``json`` refuses
+    raises TypeError.  ``json.dumps`` runs its pure-Python encoder
+    whenever it indents; this one makes fewer calls per value.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:        # a list of floats in one pass
+            items = list(map(float.__repr__, obj))
+        except TypeError:
+            items = [_encode(x, inner) for x in obj]
+        else:
+            if not _NON_FINITE.keys().isdisjoint(items):
+                items = [_NON_FINITE.get(text, text) for text in items]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_key(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a str, or a bool, None, int or
+    float as the string of its JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def run_verify(config: RunConfig) -> RunReport:

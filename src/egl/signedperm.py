@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, KTooLarge, MalformedPresentation, UnknownGenerator
@@ -384,16 +385,17 @@ class MonodromyRep:
         """Left-to-right product of the images of ``word``'s tokens.
 
         Composes the tokens' permutations of the 2k points (``g * h``
-        acts as g after h), resolving each distinct token once, and
-        reads the result back as a signed permutation.
+        acts as g after h), and reads the result back as a signed
+        permutation.  Each distinct token is resolved once, to an
+        ``itemgetter`` that applies ``_compose(p, step)`` in C.
         """
         p = tuple(range(2 * self.k))
         steps = {}
         for token in word:
             step = steps.get(token)
             if step is None:
-                step = steps[token] = self._points_of(token)
-            p = _compose(p, step)
+                step = steps[token] = itemgetter(*self._points_of(token))
+            p = step(p)
         return _signed(p)
 
     def image_group(self) -> TwistGroup:

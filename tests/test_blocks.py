@@ -296,6 +296,68 @@ def test_morphism_formulas_equal_their_evaluators(name):
     _assert_same(f.formula(_columns(gs)), [tuple(f(g)) for g in gs], name)
 
 
+def _mixed_block(rng, d, n):
+    """d coordinates of a block of n: columns mixing NaN, inf and signed
+    zeros with normal draws, and scalar coordinates; the first is a column."""
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0]
+
+    def column():
+        return np.where(rng.random(n) < 0.4, rng.choice(specials, n), rng.normal(size=n))
+
+    return (column(),) + tuple(column() if rng.random() < 0.6 else float(rng.choice(specials))
+                               for _ in range(d - 1))
+
+
+def _point_of(block, i):
+    return tuple(float(c[i]) if isinstance(c, np.ndarray) else c for c in block)
+
+
+def test_block_helpers_give_each_row_the_point_bits():
+    rng = np.random.default_rng(20)
+    n = 64
+    for d in (1, 2, 5, 8):
+        for _ in range(10):
+            a, b = _mixed_block(rng, d, n), _mixed_block(rng, d, n)
+            for x, y in ((a, b), (b, a), (a[1:] + (1.0,), b)):
+                with np.errstate(invalid="ignore"):     # inf - inf, as the suites run it
+                    block = groupoids._maxdiff(x, y)
+                _assert_same([block], [[groupoids._maxdiff(_point_of(x, i), _point_of(y, i))]
+                                       for i in range(n)], (d, "maxdiff"))
+            finite = groupoids._finite(a)
+            assert finite.tolist() == [groupoids._finite(_point_of(a, i)) for i in range(n)]
+
+
+def test_full_rows_are_independent_writable_float_columns():
+    column = np.arange(4.0)
+    rows = groupoids._full((1.5, column, -0.0, 2), 4)
+    _assert_same(rows, [(1.5, x, -0.0, 2.0) for x in column], "full")
+    for row in rows:
+        assert row.shape == (4,) and row.dtype == float and row.flags.writeable
+    rows[1][:] = 7.0
+    rows[2][0] = 1.0
+    _assert_same(rows, [(1.5, 7.0, 1.0 if i == 0 else -0.0, 2.0) for i in range(4)], "writes")
+    assert column.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_the_axioms_suite_calls_each_map_once_per_input():
+    model = case1_model(4)
+    calls = {}
+
+    def counted(name):
+        real = getattr(model, name)
+
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return call
+
+    maps = ("arrow_valid", "source_of", "target_of", "compose_raw", "unit_at", "invert")
+    check_groupoid_axioms(replace(model, **{name: counted(name) for name in maps}), 500, 7)
+    # source_of: five inputs of the suite, two of the sampler (s(g), s(h))
+    assert calls == {"arrow_valid": 10, "source_of": 7, "target_of": 4, "compose_raw": 8,
+                     "unit_at": 2, "invert": 1}
+
+
 # ---------------------------------------------------------------------------
 # stated frames, recovered frames and principal angles on blocks
 # ---------------------------------------------------------------------------

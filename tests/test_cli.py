@@ -312,6 +312,54 @@ def test_decide_schema_violation_is_exit_2(capsys, tmp_path):
         assert f"{field}:" in err, (field, err)
 
 
+def _assert_config_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_directory_as_decision_input_is_exit_2(capsys, tmp_path):
+    _assert_config_error(*run_cli(["decide", "--kind", "smooth", str(tmp_path)], capsys))
+
+
+def test_a_decision_input_that_is_not_utf8_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _assert_config_error(*run_cli(["decide", "--kind", "smooth", str(path)], capsys))
+
+
+def test_a_decision_input_nested_too_deeply_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    _assert_config_error(*run_cli(["decide", "--kind", "smooth", str(path)], capsys))
+
+
+def test_a_decision_input_with_an_integer_past_the_digit_limit_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"schema": "decision.v1", "k": ' + "9" * 5000 + "}")
+    _assert_config_error(*run_cli(["decide", "--kind", "smooth", str(path)], capsys))
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_an_unwritable_out_path_is_exit_2(capsys, tmp_path, where):
+    # a directory that does not exist, and a path that is a directory
+    _assert_config_error(*run_cli(["verify", "--model", "case1", "--checks", "axioms",
+                                   "--samples", "10", "--out", str(tmp_path / where)], capsys))
+
+
+def test_a_report_that_cannot_reach_stdout_is_exit_2(capsys, monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["decide", "--kind", "smooth", "klein_t4.json"])
+    monkeypatch.undo()
+    _assert_config_error(code, *capsys.readouterr())
+
+
 def test_schema_accepts_and_refuses_what_validation_does():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(resources.files("egl").joinpath("schemas", "decision.v1.json")

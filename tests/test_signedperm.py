@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from egl.errors import DimensionMismatch, KTooLarge, UnknownGenerator
 from egl.homology import (HomologyPresentation, IntHom,
                           hausdorff_smooth_decision, kernel_generators)
-from egl.signedperm import (MonodromyRep, SignedPermutation,
+from egl.signedperm import (MonodromyRep, SignedPermutation, _compose, _signed,
                             covering_isotropy, full_hyperoctahedral,
                             hausdorff_nc_decision, nc_decision_witness,
                             semidirect_inverse, semidirect_mul, twist_group)
@@ -284,6 +284,24 @@ def test_evaluate_is_a_left_fold_of_mul(case):
         g = rep.images[name]
         want = want * (g.inverse() if token != name else g)
     assert rep.evaluate(word) == want
+
+
+def test_evaluate_equals_the_step_by_step_point_product():
+    rng = np.random.default_rng(20)
+    for k in range(1, 7):
+        images = {f"g{i}": SignedPermutation(tuple(rng.permutation(k).tolist()),
+                                             tuple(rng.integers(0, 2, k).tolist()))
+                  for i in range(3)}
+        rep = MonodromyRep(images=images)
+        for _ in range(20):
+            marks = rng.integers(0, 3, int(rng.integers(0, 30)))
+            names = rng.integers(0, 3, len(marks))
+            word = [("", "~", "")[m] + f"g{i}" + ("", "", "^-1")[m]
+                    for i, m in zip(names, marks)]
+            p = tuple(range(2 * k))
+            for token in word:
+                p = _compose(p, rep._points_of(token))
+            assert rep.evaluate(word) == _signed(p), (k, word)
 
 
 def test_nc_decision_trivial_and_flip():
