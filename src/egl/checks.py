@@ -122,11 +122,13 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
 
     The generator and the layout of the draws read from it are part of
     the report contract, named by ``egl.report.ARTIFACT["rng"]``: under
-    "philox4x64-v3" every sampler, the composable-pair samplers of
-    ``check_multiplicative`` included, reads a fixed number of uniforms
-    per sample, one ``random`` slab per block, so a block of n samples
-    is the n one-sample draws and no layout depends on ``BLOCK_ROWS``.
-    Changing either is a versioned break.
+    "philox4x64-v4" every sampler, the composable-pair samplers of
+    ``check_multiplicative`` and the isotropy pairs included, reads a
+    fixed number of uniforms per sample, one ``random`` slab per block,
+    so a block of n samples is the n one-sample draws, a filtered draw
+    keeps the first accepted samples of its stream (``_draw_kept``), and
+    no layout depends on ``BLOCK_ROWS``.  Changing either is a versioned
+    break.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())],
                    dtype=np.uint64)
@@ -688,13 +690,11 @@ def check_morphism(bundle: MorphismBundle, n_samples: int, seed: int,
                    tol: float = 1e-7, form_samples: Optional[int] = None) -> CheckReport:
     """s/t compatibility, unit and multiplication intertwining, form pullback.
 
-    Each block of pairs is drawn by one ``random_composable_pair`` call.
-    The pairs that ``sample_filter`` refuses are drawn again from the
-    stream ``morphism-retry:<name>``, in rounds: each round draws the
-    pairs still missing in one call, and its accepted pairs fill the
-    refused rows in sample order, so every row gets the pair a
-    one-at-a-time loop would give it; more than 50 * n_samples retry
-    draws raise SamplerExhausted.  The form comparison runs on the first
+    Each block of pairs is drawn by one ``random_composable_pair`` call,
+    or, for a bundle with a ``sample_filter``, by ``_draw_kept``: the
+    block holds the next pairs of the stream whose two arrows the filter
+    accepts, and more than 200 draws per pair kept raise
+    SamplerExhausted.  The form comparison runs on the first
     ``form_samples`` pairs where both forms are defined, a block at a
     time: one stacked Jacobian of f, one pullback and one evaluation of
     the domain form, with unit vectors from ``morphism-forms:<name>``.
@@ -703,27 +703,24 @@ def check_morphism(bundle: MorphismBundle, n_samples: int, seed: int,
     """
     dom, cod, f = bundle.dom, bundle.cod, bundle.f
     rng = rng_for(seed, f"morphism:{bundle.name}")
-    retry_rng = rng_for(seed, f"morphism-retry:{bundle.name}")
     forms_rng = rng_for(seed, f"morphism-forms:{bundle.name}")
     keep = bundle.sample_filter
     acc = _Accumulator(tol)
     form_budget = form_samples if form_samples is not None else max(1, n_samples // 10)
     forms_done = 0
-    retries = 0
+    d = dom.arrow_dim
+
+    def draw(k):
+        g, h = dom.random_composable_pair(rng, k)
+        return g + h
+
     for n in _block_sizes(n_samples):
-        g, h = dom.random_composable_pair(rng, n)
-        missing = () if keep is None else np.flatnonzero(
-            ~np.broadcast_to(keep(g) & keep(h), (n,)))
-        while len(missing):
-            k = min(len(missing), 50 * n_samples - retries)
-            if k == 0:
-                raise SamplerExhausted(f"{bundle.name}: morphism sampler")
-            retries += k
-            gk, hk = dom.random_composable_pair(retry_rng, k)
-            accepted = np.flatnonzero(np.broadcast_to(keep(gk) & keep(hk), (k,)))
-            filled, missing = missing[:len(accepted)], missing[len(accepted):]
-            for column, x in zip(g + h, gk + hk):
-                column[filled] = x[accepted]
+        if keep is None:
+            g, h = dom.random_composable_pair(rng, n)
+        else:
+            pairs = tuple(_draw_kept(draw, lambda gh: keep(gh[:d]) & keep(gh[d:]), n, 2 * d,
+                                     f"{bundle.name}: morphism sampler").T.copy())
+            g, h = pairs[:d], pairs[d:]
         form_res = np.zeros(n)
         if (bundle.dom_form is not None and bundle.cod_form is not None
                 and forms_done < form_budget):
@@ -860,24 +857,26 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int, seed: int,
                    prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Divisor isotropy composition against the model's exact law.
 
-    The law is the model's ``isotropy`` field: for the double-cover
-    quotient C* x| Z/2 acting by conjugation (the law of
-    ``egl.signedperm``); for the zero-residue and action-groupoid models the
-    affine group law (b, c)(b', c') = (b b', c + b c'); for the blow-up
-    models, their relabellings and fibre products (C*)^k componentwise.
+    Each block of isotropy pairs is drawn by one ``random_isotropy_pair``
+    call, through the model's own samplers, and its products are measured
+    by the model's ``isotropy`` law, the residual that states the group:
+    for the double-cover quotient C* x| Z/2 acting by conjugation (the
+    law of ``egl.signedperm``); for the zero-residue and action-groupoid
+    models the affine group law (b, c)(b', c') = (b b', c + b c'); for
+    the blow-up models, their relabellings and fibre products (C*)^k
+    componentwise.
     """
     if model.isotropy is None:
         raise SamplerExhausted(f"{model.name}: no isotropy oracle")
-    draw, residual = model.isotropy
     rng = rng_for(seed, f"isotropy:{model.name}")
     acc = _Accumulator(prof.abs_tol)
     for n in _block_sizes(n_samples):
-        g1, g2, want = draw(model, uniforms(rng, model.widths.isotropy, n))
+        g1, g2 = model.random_isotropy_pair(rng, n)
         with np.errstate(all="ignore"):
             gap = _gap(model.source_of(g1), model.target_of(g2))
             out, ok, exits = _composed(model, g1, g2, gap, [(_outside(model, g1, n), "sample"),
                                                             (_outside(model, g2, n), "sample")], n)
-            res = _fail_closed(np.where(ok, residual(model, g1, g2, out, want), gap),
+            res = _fail_closed(np.where(ok, model.isotropy(model, g1, g2, out), gap),
                                exits, n)
         acc.add_block(res, lambda i: _with_exit({}, exits, i))
     return acc.report("isotropy", model.name, seed)

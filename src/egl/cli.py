@@ -86,8 +86,7 @@ def resolve_fixture(name: str) -> Path:
     raise ConfigError(f"decision input not found: {name}")
 
 
-def _emit(report, fmt: str, out):
-    text = report.to_json() if fmt == "json" else report.to_text()
+def _emit(text: str, out=None):
     try:
         if out:
             Path(out).write_text(text, encoding="utf-8")
@@ -95,7 +94,7 @@ def _emit(report, fmt: str, out):
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as err:
-        raise ConfigError(f"cannot write {out or 'the report'}: {err.strerror}") from None
+        raise ConfigError(f"cannot write {out or 'to stdout'}: {err.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -103,12 +102,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list-models":
-            for name in MODEL_NAMES:
-                print(name)
+            _emit("".join(f"{name}\n" for name in MODEL_NAMES))
             return 0
         if args.command == "list-checks":
-            for name in CHECK_NAMES:
-                print(f"{name}  (default samples: {DEFAULT_SAMPLES[name]})")
+            _emit("".join(f"{name}  (default samples: {DEFAULT_SAMPLES[name]})\n"
+                          for name in CHECK_NAMES))
             return 0
         if args.command == "verify":
             if args.checks:
@@ -125,23 +123,22 @@ def main(argv=None) -> int:
                 if (args.samples or 0) > SAMPLE_CAPS[check]:
                     print(f"warning: {check} runs at most {SAMPLE_CAPS[check]} samples, "
                           f"not the {args.samples} requested", file=sys.stderr)
-            _emit(report, args.format, args.out)
-            return 0 if report.overall == "pass" else 1
-        if args.command == "decide":
+            code = 0 if report.overall == "pass" else 1
+        else:
             from .decisions_io import load_document
 
             path = resolve_fixture(args.input)
             document = load_document(path)
             report = run_decide(document, args.kind, source_name=str(args.input))
-            _emit(report, args.format, args.out)
-            return 0
+            code = 0
+        _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
+        return code
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except EglError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 def entry():

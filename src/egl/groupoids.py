@@ -46,7 +46,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Optional, Tuple
@@ -141,51 +140,20 @@ def _cexp(re, im):
     return (w.real, w.imag)
 
 
-# the constants of CPython's c_log (Modules/cmathmodule.c)
-_CM_LARGE_DOUBLE = sys.float_info.max / 4.0
-_DBL_MIN = sys.float_info.min
-_DBL_MANT_DIG = sys.float_info.mant_dig
-_LN2 = math.log(2.0)
+def _log(z: complex) -> complex:
+    """``cmath.log``, and log 0 = -inf + i arg, where ``cmath.log`` raises."""
+    return cmath.log(z) if z else complex(-math.inf, math.atan2(z.imag, z.real))
 
 
 def _clog(re, im):
-    """log(re + i im) by ``cmath.log``; log 0 is (-inf, arg).
-
-    A block replays CPython's ``c_log`` on columns: h by ``np.hypot``
-    (the C library's hypot, as ``abs(complex)`` uses), the same rescaled
-    branches for huge and subnormal moduli, and log1p(...)/2 for
-    0.71 <= h <= 1.73.  The log1p, log and atan2 values are ``math.*``
-    per element, because NumPy may run SIMD kernels with other last
-    bits; a non-finite row goes through ``cmath`` as a point.
-    """
-    if _is_block(re, im):
-        return _clog_block(*np.broadcast_arrays(re, im))
-    if re == 0 and im == 0:     # where cmath.log raises
-        return (-math.inf, math.atan2(im, re))
-    w = cmath.log(complex(re, im))
+    """log(re + i im) by ``_log``; a block row by row."""
+    if not _is_block(re, im):
+        w = _log(complex(re, im))
+        return (w.real, w.imag)
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    w = np.array(list(map(_log, z.ravel().tolist())), dtype=complex).reshape(z.shape)
     return (w.real, w.imag)
-
-
-def _clog_block(re, im):
-    ax, ay = np.abs(re), np.abs(im)
-    with np.errstate(all="ignore"):
-        big = (ax > _CM_LARGE_DOUBLE) | (ay > _CM_LARGE_DOUBLE)
-        tiny = ~big & (ax < _DBL_MIN) & (ay < _DBL_MIN)
-        scale = np.where(big, 0.5, np.where(tiny, 2.0 ** _DBL_MANT_DIG, 1.0))
-        h = np.hypot(ax * scale, ay * scale)
-        near = ~big & ~tiny & (0.71 <= h) & (h <= 1.73)
-        am, an = np.maximum(ax, ay), np.minimum(ax, ay)
-        real = np.full(re.shape, -math.inf)         # log 0, where h is 0
-        by_log = ~near & (h > 0)
-        real[by_log] = list(map(math.log, h[by_log].tolist()))
-        real[near] = list(map(math.log1p, ((am - 1) * (am + 1) + an * an)[near].tolist()))
-        real[near] /= 2.0
-        real[big] += _LN2
-        real[tiny] -= _DBL_MANT_DIG * _LN2
-    imag = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
-    for i in np.flatnonzero(~(np.isfinite(re) & np.isfinite(im))).tolist():
-        real[i], imag[i] = _clog(float(re[i]), float(im[i]))
-    return (real, imag)
 
 
 def _cabs(re, im):
@@ -262,16 +230,20 @@ def _zero_or(coin, um, up, rmin, rmax):
 @dataclass(frozen=True)
 class Widths:
     """Uniforms per sample of ``sample_arrow``, ``sample_base``,
-    ``sample_base_like``, ``arrow_between`` and the isotropy law's draw."""
+    ``sample_base_like`` and ``arrow_between``; ``extend`` and
+    ``isotropy`` are those of the draws built from them."""
     arrow: int = 0
     base: int = 0
     like: int = 0
     between: int = 0
-    isotropy: int = 0
 
     @property
     def extend(self) -> int:
         return self.like + self.between
+
+    @property
+    def isotropy(self) -> int:
+        return self.base + 2 * self.between
 
 
 # how far apart s(g) and t(h) may be for ``compose`` and the ``m`` view to
@@ -307,10 +279,11 @@ class GroupoidChartModel:
     (used where the full chart carries a discrete coordinate or a gluing
     constraint).  ``factors`` holds a fibre product's two factor models,
     ``divisor_slots`` the base coordinates that vanish on the deepest
-    divisor stratum, and ``isotropy`` the exact isotropy law as a
-    (draw, residual) pair (see ``TORUS_ISOTROPY``).  All of them are
-    fields, so ``dataclasses.replace`` copies (renamed, perturbed or
-    traced models) keep them.
+    divisor stratum, and ``isotropy`` the exact isotropy law, as the
+    residual of a product of two isotropy arrows (see
+    ``_torus_residual``).  All of them are fields, so
+    ``dataclasses.replace`` copies (renamed, perturbed or traced models)
+    keep them.
     """
 
     name: str
@@ -332,7 +305,7 @@ class GroupoidChartModel:
     algebroid_maps: Optional[tuple] = None      # (ts, unit) SmoothMaps for FD
     factors: Optional[tuple] = None             # fibre products: (m1, m2)
     divisor_slots: tuple = ()                   # base slots zero on the deepest stratum
-    isotropy: Optional[tuple] = None            # (draw, residual): the isotropy law
+    isotropy: Optional[Callable] = None         # (model, g1, g2, out) -> residual
     widths: Widths = Widths()                   # uniforms per sample of each sampler
 
     # -- scalar layer ------------------------------------------------------
@@ -388,6 +361,18 @@ class GroupoidChartModel:
         u = uniforms(rng, w.arrow + w.extend, n)
         g = self.sample_arrow(u[:w.arrow])
         return _full(g, n), _full(self._extend(self.source_of(g), u[w.arrow:]), n)
+
+    def random_isotropy_pair(self, rng, n=None):
+        """Two isotropy arrows over one base point: a drawn base point with
+        its ``divisor_slots`` set to zero, joined to itself twice by
+        ``arrow_between``."""
+        w = self.widths
+        u = uniforms(rng, w.isotropy, n)
+        p = _full(tuple(0.0 if i in self.divisor_slots else x
+                        for i, x in enumerate(self.sample_base(u[:w.base]))), n)
+        mid = w.base + w.between
+        return (_full(self.arrow_between(p, p, u[w.base:mid]), n),
+                _full(self.arrow_between(p, p, u[mid:]), n))
 
     def random_composable_triple(self, rng, n=None):
         w = self.widths
@@ -480,23 +465,17 @@ class GroupoidChartModel:
 # ---------------------------------------------------------------------------
 # isotropy laws
 # ---------------------------------------------------------------------------
-# An isotropy law is a pair (draw, residual): draw(model, u) turns the
-# model's ``widths.isotropy`` uniforms into one pair of isotropy arrows
-# (g1, g2) and the exact product data it expects, for a point or a block;
-# residual(model, g1, g2, out, want) measures a block of products ``out``
-# against it.  Both read the model they are given, so a renamed or traced
-# copy of a model runs its law unchanged; so does a relabelled copy, unless
-# the law is bound to arrow slots (``_affine_isotropy``).
+# An isotropy law is its oracle: residual(model, g1, g2, out) measures the
+# products ``out`` of isotropy arrows g1 and g2 (drawn by the model's
+# ``random_isotropy_pair``) against the group law, which it evaluates on
+# g1 and g2, for a point or a block.  A law reads the model it is given,
+# so a renamed or traced copy of a model runs it unchanged; so does a
+# relabelled copy, unless the law is bound to arrow slots
+# (``_affine_isotropy``).
 
-def _torus_draw(model, u):
-    w = model.widths
-    slots = model.divisor_slots
-    p = tuple(0.0 if i in slots else x for i, x in enumerate(model.sample_base(u[:w.base])))
-    mid = w.base + w.between
-    return model.arrow_between(p, p, u[w.base:mid]), model.arrow_between(p, p, u[mid:]), ()
-
-
-def _torus_residual(model, g1, g2, out, want):
+def _torus_residual(model, g1, g2, out):
+    """(C*)^k componentwise over the deepest stratum, read through
+    ``divisor_factors``."""
     # |a_j| of g1 and g2 is 0 only on an isotropy arrow: without it the
     # product law holds for every composable pair
     res = 0.0
@@ -509,38 +488,17 @@ def _torus_residual(model, g1, g2, out, want):
     return res
 
 
-# (C*)^k componentwise over the deepest stratum: isotropy arrows over a
-# base point zeroed on ``divisor_slots``, read through ``divisor_factors``
-TORUS_ISOTROPY = (_torus_draw, _torus_residual)
+def _affine_isotropy(ib: int) -> Callable:
+    """The affine law (b, c)(b', c') = (b b', c + b c') of the plane, on
+    the (b, c) at arrow slots ib..ib+3.  The law is bound to these slots,
+    so a relabelling that moves them needs its own law."""
+    def residual(model, g1, g2, out):
+        b = _cmul(g1[ib], g1[ib + 1], g2[ib], g2[ib + 1])
+        bc = _cmul(g1[ib], g1[ib + 1], g2[ib + 2], g2[ib + 3])
+        return (_cabs(out[ib] - b[0], out[ib + 1] - b[1])
+                + _cabs(out[ib + 2] - (g1[ib + 2] + bc[0]), out[ib + 3] - (g1[ib + 3] + bc[1])))
 
-
-def _affine_isotropy(ib: int, iw: int) -> tuple:
-    """The affine law (b, c)(b', c') = (b b', c + b c') of the plane.
-
-    Isotropy arrows are zero except for (b, c) at arrow slots ib..ib+3
-    and the divisor point's z2 at slots iw, iw+1.  The draw reads 10
-    uniforms.  The law is bound to these slots, so a relabelling that
-    moves them needs its own law.
-    """
-    def draw(model, u):
-        z2 = (_box(u[0]), _box(u[1]))
-        b1, b2 = _annulus(u[2], u[3], 0.4, 1.7), _annulus(u[4], u[5], 0.4, 1.7)
-        c1, c2 = (_box(u[6]), _box(u[7])), (_box(u[8]), _box(u[9]))
-
-        def mk(b, c):
-            g = [0.0] * 8
-            g[ib:ib + 4] = b + c
-            g[iw:iw + 2] = z2
-            return tuple(g)
-
-        bc2 = _cmul(*b1, *c2)
-        return mk(b1, c1), mk(b2, c2), _cmul(*b1, *b2) + (c1[0] + bc2[0], c1[1] + bc2[1])
-
-    def residual(model, g1, g2, out, want):
-        return (_cabs(out[ib] - want[0], out[ib + 1] - want[1])
-                + _cabs(out[ib + 2] - want[2], out[ib + 3] - want[3]))
-
-    return draw, residual
+    return residual
 
 
 _FLIPS = (SignedPermutation((0,), (0,)), SignedPermutation((0,), (1,)))
@@ -550,27 +508,13 @@ _CASE2_CONJ = np.array([f.act((1j,)) != (1j,) for f in _FLIPS])
 _CASE2_FLIP = np.array([[float((f1 * f2).flips[0]) for f2 in _FLIPS] for f1 in _FLIPS])
 
 
-def _case2_draw(model, u):
-    nx = model.base_dim - 2
-    x0 = tuple(_box(x) for x in u[:nx])
-    b1, b2 = _annulus(u[nx], u[nx + 1], 0.4, 1.7), _annulus(u[nx + 2], u[nx + 3], 0.4, 1.7)
-    c1, c2 = u[nx + 4] < 0.5, u[nx + 5] < 0.5
-    d1, d2 = 1.0 * c1, 1.0 * c2
-    g1 = x0 + x0 + (0.0, 0.0) + b1 + (d1,)
-    g2 = x0 + x0 + (0.0, 0.0) + b2 + (d2,)
-    i1, i2 = np.asarray(c1, dtype=int), np.asarray(c2, dtype=int)     # 0-d for a point
-    acted = _branch(_CASE2_CONJ[i1], lambda: (b2[0], -b2[1]), lambda: b2)
-    flip = _CASE2_FLIP[i1, i2]
-    return g1, g2, _cmul(*b1, *acted) + (flip if _is_block(flip) else float(flip),)
-
-
-def _case2_residual(model, g1, g2, out, want):
-    return (_cabs(out[-3] - want[0], out[-2] - want[1])
-            + abs(out[-1] - want[2]))
-
-
-# C* x| Z/2 acting by conjugation, against the law of ``signedperm``
-CASE2_ISOTROPY = (_case2_draw, _case2_residual)
+def _case2_residual(model, g1, g2, out):
+    """C* x| Z/2 acting by conjugation, against the law of ``signedperm``:
+    (b, delta) sits at the last three arrow slots."""
+    d1, d2 = 1 * (g1[-1] != 0), 1 * (g2[-1] != 0)     # not int(): delta may be NaN
+    b2 = _branch(_CASE2_CONJ[d1], lambda: (g2[-3], -g2[-2]), lambda: (g2[-3], g2[-2]))
+    b = _cmul(g1[-3], g1[-2], *b2)
+    return _cabs(out[-3] - b[0], out[-2] - b[1]) + abs(out[-1] - _CASE2_FLIP[d1, d2])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +642,6 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
             out += _annulus(u[j], u[j + 1], 0.3, 1.6)
         return out
 
-    widths = Widths(arrow=2 * nx + 5 * k, base=nx + 3 * k, like=nx + 2 * k, between=2 * k)
     return GroupoidChartModel(
         name=name, arrow_dim=2 * n, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
@@ -709,8 +652,9 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_factors=lambda g: [(g[i], g[i + 1], g[j], g[j + 1]) for i, j in factors],
         divisor_slots=tuple(i + c for i in zs for c in (0, 1)),
-        isotropy=TORUS_ISOTROPY,
-        widths=replace(widths, isotropy=widths.base + 2 * widths.between),
+        isotropy=_torus_residual,
+        widths=Widths(arrow=2 * nx + 5 * k, base=nx + 3 * k, like=nx + 2 * k,
+                      between=2 * k),
     )
 
 
@@ -811,8 +755,8 @@ def case2_quotient_model(n: int) -> GroupoidChartModel:
         divisor_factors=base.divisor_factors,
         algebroid_maps=(base.ts, base.unit),
         divisor_slots=base.divisor_slots,
-        isotropy=CASE2_ISOTROPY,
-        widths=replace(base.widths, arrow=wa + 1, between=wb + 1, isotropy=nx + 6),
+        isotropy=_case2_residual,
+        widths=replace(base.widths, arrow=wa + 1, between=wb + 1),
     )
 
 
@@ -850,7 +794,7 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
     samplers, ``arrow_between``, ``divisor_factors``, ``divisor_slots``,
     and ``expected_frame`` with its rows and columns permuted by the
     base order.  The isotropy law is inner's as it is: a law that reads
-    the model's fields (``TORUS_ISOTROPY``) holds on the new model too,
+    the model's fields (``_torus_residual``) holds on the new model too,
     but one bound to arrow slots (``_affine_isotropy``) reads inner's
     slots, and the caller must replace it when the arrow order moves
     them.  An identity order costs nothing: inner's maps are used as
@@ -1072,8 +1016,8 @@ def action_groupoid_model() -> GroupoidChartModel:
         expected_frame=residue_model_frame("zero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_slots=(0, 1), isotropy=_affine_isotropy(0, 6),
-        widths=Widths(arrow=9, base=5, like=4, between=4, isotropy=10),
+        divisor_slots=(0, 1), isotropy=_affine_isotropy(0),
+        widths=Widths(arrow=9, base=5, like=4, between=4),
     )
 
 
@@ -1175,9 +1119,8 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
         sample_base=base_sampler, sample_base_like=base_like,
         divisor_factors=divisor_factors if has_factors else None,
         algebroid_maps=(fd_ts, fd_unit), factors=(m1, m2),
-        divisor_slots=slots, isotropy=TORUS_ISOTROPY if slots else None,
-        widths=Widths(arrow=wb + wl + between, base=wb, like=wl, between=between,
-                      isotropy=wb + 2 * between),
+        divisor_slots=slots, isotropy=_torus_residual if slots else None,
+        widths=Widths(arrow=wb + wl + between, base=wb, like=wl, between=between),
     )
 
     ranks = np.linalg.matrix_rank(model.extra_kernel_rows(_probes(model, seed)), tol=1e-8)

@@ -395,7 +395,7 @@ def symplectic_zero_residue_model() -> SymplecticModel:
         _relabel(action_groupoid_model(), "sympl-zero", range(4), (4, 5, 6, 7, 2, 3, 0, 1)),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=_zero_base, sample_base_like=_zero_base_like,
-        isotropy=_affine_isotropy(4, 0))
+        isotropy=_affine_isotropy(4))
 
     omega = _dlog_wedge_form()
     Omega = _zero_Omega(sign=-1.0)

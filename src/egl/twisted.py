@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import EndpointMismatch, MalformedPresentation, StratumMismatch
-from .signedperm import MonodromyRep, SignedPermutation
+from .signedperm import MonodromyRep, SignedPermutation, semidirect_mul
 
 __all__ = ["TwistedArrow", "twisted_compose", "kappa_restrict"]
 
@@ -52,9 +52,7 @@ def twisted_compose(a1: TwistedArrow, a2: TwistedArrow, rep: MonodromyRep) -> Tw
         raise StratumMismatch("arrows live over strata of different multiplicity")
     if a1.source != a2.target:
         raise EndpointMismatch(f"source {a1.source} != target {a2.target}")
-    twist = rep.evaluate(a1.word)
-    acted = twist.act(a2.z)
-    z = tuple(a * b for a, b in zip(a1.z, acted))
+    z, _ = semidirect_mul((a1.z, rep.evaluate(a1.word)), (a2.z, a2.element))
     return TwistedArrow(target=a1.target, source=a2.source, z=z,
                         word=a1.word + a2.word, element=a1.element * a2.element)
 

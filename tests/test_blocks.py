@@ -814,26 +814,32 @@ def test_block_samplers_are_the_one_sample_samplers(name):
     check("random_composable_pair", model.random_composable_pair, _flat)
     check("random_composable_triple", model.random_composable_triple, _flat)
     if model.isotropy is not None:
-        draw, width = model.isotropy[0], model.widths.isotropy
-        block = _flat(draw(model, uniforms(blocks, width, DRAWS)))
-        _assert_same(block, [_flat(draw(model, uniforms(points, width)))
-                             for _ in range(DRAWS)], "isotropy draw")
+        check("random_isotropy_pair", model.random_isotropy_pair, _flat)
 
 
-def test_case2_isotropy_draw_is_semidirect_mul_row_by_row():
+def test_case2_isotropy_residual_is_semidirect_mul_row_by_row():
+    # the law measures signedperm's product of each drawn pair as exactly
+    # 0, on the block and on each row alone, and the product without the
+    # conjugation, or with the other sheet bit, as nonzero
     model = case2_quotient_model(4)
-    draw, width = model.isotropy[0], model.widths.isotropy
-    u = uniforms(rng_for(5, "case2-law"), width, DRAWS)
-    g1, g2, want = draw(model, u)
-    rows = []
+    law = model.isotropy
+    g1, g2 = model.random_isotropy_pair(rng_for(5, "case2-law"), DRAWS)
+    assert set(g1[-1].tolist()) == set(g2[-1].tolist()) == {0.0, 1.0}
+    product = [c.copy() for c in g1]
+    no_conj = [c.copy() for c in g1]
     for i in range(DRAWS):
-        a, b = (complex(g[6][i], g[7][i]) for g in (g1, g2))
+        a, b = (complex(g[-3][i], g[-2][i]) for g in (g1, g2))
         (z,), sp = semidirect_mul(((a,), SignedPermutation((0,), (int(g1[-1][i]),))),
                                   ((b,), SignedPermutation((0,), (int(g2[-1][i]),))))
-        rows.append((z.real, z.imag, float(sp.flips[0])))
-    _assert_same(want, rows, "case2 law")
-    _assert_same(want, [draw(model, tuple(float(c[i]) for c in u))[2] for i in range(DRAWS)],
-                 "case2 law, one row")
+        product[-3][i], product[-2][i], product[-1][i] = z.real, z.imag, sp.flips[0]
+        no_conj[-3][i], no_conj[-2][i], no_conj[-1][i] = (a * b).real, (a * b).imag, sp.flips[0]
+    assert np.array_equal(law(model, g1, g2, tuple(product)), np.zeros(DRAWS))
+    for i in range(DRAWS):
+        row = [tuple(float(c[i]) for c in g) for g in (g1, g2, product)]
+        assert law(model, *row) == 0.0
+    assert np.array_equal(law(model, g1, g2, tuple(no_conj)) > 0, g1[-1] == 1.0)
+    other_sheet = tuple(product[:-1]) + (1.0 - product[-1],)
+    assert (law(model, g1, g2, other_sheet) >= 1.0).all()
 
 
 def test_case2_isotropy_fails_a_compose_without_the_conjugation():
@@ -958,32 +964,26 @@ def test_perturbed_models_report_as_sample_by_sample():
 
 
 def _reference_morphism(bundle, n_samples, seed, form_samples=None, tol=1e-7):
-    """The morphism check with its redraws and form comparison one pair at
-    a time, as they ran before blocks: each refused pair is drawn again
-    until a pair is accepted, and each form residual is one ``pullback``
-    at one point."""
+    """The morphism check one pair at a time: each pair is drawn from the
+    stream ``morphism:<name>`` until the filter accepts one, and each form
+    residual is one ``pullback`` at one point."""
     dom, cod, f = bundle.dom, bundle.cod, bundle.f
     rng = rng_for(seed, f"morphism:{bundle.name}")
-    retry_rng = rng_for(seed, f"morphism-retry:{bundle.name}")
     forms_rng = rng_for(seed, f"morphism-forms:{bundle.name}")
     keep = bundle.sample_filter
     acc = _Accumulator(tol)
     form_budget = form_samples if form_samples is not None else max(1, n_samples // 10)
-    forms_done = retries = 0
+    forms_done = 0
+    d = dom.arrow_dim
     for n in checks._block_sizes(n_samples):
-        g, h = dom.random_composable_pair(rng, n)
-        refused = () if keep is None else np.flatnonzero(
-            ~np.broadcast_to(keep(g) & keep(h), (n,)))
-        for i in refused:
-            while True:
-                retries += 1
-                if retries > 50 * n_samples:
-                    raise SamplerExhausted(f"{bundle.name}: morphism sampler")
-                gi, hi = dom.random_composable_pair(retry_rng)
-                if keep(gi) and keep(hi):
-                    break
-            for column, x in zip(g + h, gi + hi):
-                column[i] = x
+        pairs = []
+        for _ in range(n):
+            gi, hi = dom.random_composable_pair(rng)
+            while keep is not None and not (keep(gi) and keep(hi)):
+                gi, hi = dom.random_composable_pair(rng)
+            pairs.append(gi + hi)
+        columns = tuple(np.array(pairs, dtype=float).T.copy())
+        g, h = columns[:d], columns[d:]
         form_res = np.zeros(n)
         for i in range(n if bundle.dom_form is not None else 0):
             if forms_done >= form_budget:
@@ -1013,6 +1013,12 @@ def test_morphism_reports_are_the_one_pair_at_a_time_reports():
             for n, form_samples in ((600, None), (300, 10_000)):
                 rep = check_morphism(bundle, n, seed, form_samples=form_samples)
                 assert _text(rep) == _text(_reference_morphism(bundle, n, seed, form_samples))
+
+
+def test_a_morphism_filter_that_refuses_every_pair_exhausts_the_sampler():
+    bundle = replace(morphism_phi_zero(), sample_filter=lambda g: g[0] != g[0])
+    with pytest.raises(SamplerExhausted, match="^phi-zero: morphism sampler$"):
+        check_morphism(bundle, 10, seed=7)
 
 
 @pytest.mark.parametrize("make", [morphism_phi_nonzero, morphism_phi_zero],
@@ -1079,6 +1085,7 @@ def _suite_reports():
             check_ideal(case1_model(4), 100, 3),
             check_isotropy(case2_quotient_model(4), 100, 3),
             check_isotropy(build_model("action-groupoid").chart, 100, 3),
+            check_isotropy(sym_zero.model, 100, 3),
             check_morphism(morphism_phi_zero(), 150, 3),
             check_morphism(morphism_phi_nonzero(), 150, 3),
             check_zero_residue_variant(sym_zero, 100, 3),
@@ -1090,9 +1097,10 @@ def _suite_reports():
 
 
 def test_reports_do_not_depend_on_the_block_size(monkeypatch):
-    # one slab per block, the morphism retries and form vectors from
-    # their own streams in sample order, and the calculus suites' draws
-    # made before their blocks: no layout depends on BLOCK_ROWS
+    # one slab per block, the morphism check's first accepted pairs of its
+    # stream and form vectors from their own stream in sample order, and
+    # the calculus suites' draws made before their blocks: no layout
+    # depends on BLOCK_ROWS
     want = [_text(rep) for rep in _suite_reports()]
     monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
     assert [_text(rep) for rep in _suite_reports()] == want
@@ -1253,7 +1261,7 @@ def test_a_nan_product_fails_the_multiplicative_check(name):
 # pinned report bytes
 # ---------------------------------------------------------------------------
 
-_DIGESTS = json.loads((Path(__file__).parent / "report_digests_philox4x64_v3.json")
+_DIGESTS = json.loads((Path(__file__).parent / "report_digests_philox4x64_v4.json")
                       .read_text(encoding="utf-8"))
 
 

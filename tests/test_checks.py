@@ -14,8 +14,8 @@ from egl.checks import (_Accumulator, _gap, check_algebroid, check_groupoid_axio
                         check_isotropy, lie_algebroid_of, perturbed_model, rng_for)
 from egl.divisors import residue_model_frame
 from egl.errors import DegenerateRadius, SamplerExhausted
-from egl.groupoids import (TORUS_ISOTROPY, case1_model, caseIV_model, fibre_product,
-                           pair_groupoid, ssc_surface_model)
+from egl.groupoids import (case1_model, caseIV_model, fibre_product, pair_groupoid,
+                           ssc_surface_model)
 from egl.kernel import DEFAULT_PROFILE, subspace_angle, subspace_equal
 from egl.registry import build_model
 from egl.symplectic import (psi_domain_candidates, symplectic_nonzero_residue_model,
@@ -141,18 +141,11 @@ def test_isotropy_of_a_perturbed_model_is_a_report():
     assert rep.witnesses and rep.witnesses[0]["residual"] == pytest.approx(1e-3)
 
 
-def _torus_draw_off_the_slots(model, u):
-    # TORUS_ISOTROPY's draw without zeroing the divisor slots
-    w = model.widths
-    p = model.sample_base(u[:w.base])
-    return (model.arrow_between(p, p, u[w.base:w.base + w.between]),
-            model.arrow_between(p, p, u[w.base + w.between:]), ())
-
-
 @pytest.mark.parametrize("model", [
     replace(caseIV_model(4, 2), divisor_slots=()),
-    replace(caseIV_model(4, 2), isotropy=(_torus_draw_off_the_slots, TORUS_ISOTROPY[1])),
-], ids=["no-divisor-slots", "draw-ignores-slots"])
+    # case1(4)'s base is (x, z): slots (0, 1) zero x and miss the divisor z = 0
+    replace(case1_model(4), divisor_slots=(0, 1)),
+], ids=["no-divisor-slots", "slots-miss-the-divisor"])
 def test_the_torus_law_refuses_arrows_off_the_deepest_stratum(model):
     # b_j b'_j and a_j hold for every composable pair; only a_j = 0 on
     # both arrows makes them isotropy arrows

@@ -60,7 +60,7 @@ def test_verify_pass_run(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["overall"] == "pass"
-    assert doc["artifact"]["rng"] == "philox4x64-v3"
+    assert doc["artifact"]["rng"] == "philox4x64-v4"
     assert {r["check"] for r in doc["results"]} == {"axioms", "algebroid"}
     # every record embeds the tolerance actually used
     assert all("tolerance" in r for r in doc["results"])
@@ -346,18 +346,31 @@ def test_an_unwritable_out_path_is_exit_2(capsys, tmp_path, where):
                                    "--samples", "10", "--out", str(tmp_path / where)], capsys))
 
 
-def test_a_report_that_cannot_reach_stdout_is_exit_2(capsys, monkeypatch):
-    class Full:
-        def write(self, text):
-            raise OSError(28, "No space left on device")
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
 
-        def flush(self):
-            pass
+    def flush(self):
+        pass
 
-    monkeypatch.setattr(sys, "stdout", Full())
-    code = main(["decide", "--kind", "smooth", "klein_t4.json"])
+
+def _main_into_a_full_stdout(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
     monkeypatch.undo()
     _assert_config_error(code, *capsys.readouterr())
+
+
+def test_a_report_that_cannot_reach_stdout_is_exit_2(capsys, monkeypatch):
+    _main_into_a_full_stdout(["decide", "--kind", "smooth", "klein_t4.json"], capsys, monkeypatch)
+
+
+def test_list_models_into_a_full_stdout_is_exit_2(capsys, monkeypatch):
+    _main_into_a_full_stdout(["list-models"], capsys, monkeypatch)
+
+
+def test_list_checks_into_a_full_stdout_is_exit_2(capsys, monkeypatch):
+    _main_into_a_full_stdout(["list-checks"], capsys, monkeypatch)
 
 
 def test_schema_accepts_and_refuses_what_validation_does():

@@ -242,15 +242,15 @@ def test_zero_isotropy_is_the_affine_group():
 
 def test_the_action_groupoids_isotropy_law_fails_on_sympl_zero():
     # sympl-zero's chart is the action groupoid relabelled, but the affine
-    # law is bound to arrow slots: the (0, 6) law that the relabelling
-    # copies draws b = 0 in sympl-zero's layout, so every sample leaves the
-    # chart and fails with a witness, neither passing nor crashing
+    # law is bound to arrow slots: the slot-0 law that the relabelling
+    # copies reads sympl-zero's (z, a) as (b, c), and z z' is not z, so
+    # every sample fails with a finite witness, neither passing nor crashing
     model = symplectic_zero_residue_model().model
     copied = replace(model, isotropy=action_groupoid_model().isotropy)
     rep = check_isotropy(copied, n_samples=200, seed=7)
     assert rep.verdict == "fail" and rep.passed == 0
-    assert rep.max_residual == math.inf
-    assert rep.witnesses[0] == {"residual": math.inf, "map": "sample"}
+    assert rep.tolerance < rep.max_residual < math.inf
+    assert rep.witnesses and all("map" not in w for w in rep.witnesses)
     assert check_isotropy(model, n_samples=200, seed=7).verdict == "pass"
 
 
