@@ -878,7 +878,8 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int, seed: int,
                                                             (_outside(model, g2, n), "sample")], n)
             res = _fail_closed(np.where(ok, model.isotropy(model, g1, g2, out), gap),
                                exits, n)
-        acc.add_block(res, lambda i: _with_exit({}, exits, i))
+        acc.add_block(res, lambda i: _with_exit({"g": _row(g1, i), "h": _row(g2, i)},
+                                                exits, i))
     return acc.report("isotropy", model.name, seed)
 
 

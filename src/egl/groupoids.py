@@ -30,9 +30,10 @@ immutable value objects; samplers draw from an explicit seeded
 generator, so a fixed seed fixes every report.
 
 Each family of formulas is written once.  case1 is the k = 1 member of
-the blow-up family behind caseIV; the smooth factors of a normal-crossing
-fibre product and the receiving model H(zero) of the zero-residue
-morphism are case1 read in other coordinates (``_relabel``);
+the blow-up family behind caseIV, and case2 is its k = 1 member twisted
+by conjugation, with a 0/1 sheet bit; the smooth factors of a
+normal-crossing fibre product and the receiving model H(zero) of the
+zero-residue morphism are case1 read in other coordinates (``_relabel``);
 ssc-surface is the exp-on-target, unscaled member of the exponential
 family whose four conventions are the covering-morphism domain
 candidates of ``egl.symplectic``.  A model also carries the data its
@@ -547,10 +548,26 @@ def pair_groupoid(dim: int) -> GroupoidChartModel:
 
 
 # ---------------------------------------------------------------------------
-# blow-up family: smooth (k = 1) and untwisted coorientable normal-crossing
+# blow-up family: smooth (k = 1), coorientable normal-crossing, and the
+# coorientation double-cover quotient (k = 1, twisted by conjugation)
 # ---------------------------------------------------------------------------
 
-def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> GroupoidChartModel:
+def _delta(x):
+    """A sheet bit rounded to the nearest integer, as a float; a NaN or
+    infinite bit passes through instead of raising."""
+    if isinstance(x, np.ndarray):
+        return np.rint(x) + 0.0     # round() gives an int: its zero has no sign
+    return float(round(x)) if x - x == 0 else x
+
+
+def _conj(re, im, flag):
+    """re + i im, conjugated where ``flag`` is nonzero; multiplying by
+    1.0 or -1.0 is exact, so flag 0 leaves the bits as they are."""
+    return (re, im * (1.0 - 2.0 * (flag != 0)))
+
+
+def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
+                  twisted: bool = False) -> GroupoidChartModel:
     """Iterated-blow-up chart around a multiplicity-k stratum in dimension n.
 
     Arrows (x, y, a_1..a_k, b_1..b_k) with x, y real (n-2k)-vectors and
@@ -562,44 +579,65 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
     multiplication is (x,y,0,b1).(y,z,0,b2) = (x,z,0,b1*b2) in each
     factor, with unit u(x, z) = (x, x, z, 1, .., 1).  ``on_divisor_prob``
     is the chance that a sampled a_j (or base z_j) lies on the divisor.
+
+    A ``twisted`` arrow also carries a sheet bit delta_j in {0, 1} per
+    factor, after the b_j: the deck involution conjugates z_j, so the
+    source reads a_j b_j through conj^delta_j, the product conjugates the
+    second arrow's b_j by the first arrow's delta_j and adds the bits
+    mod 2, and the inverse is (y, x, conj^delta(a b), 1/conj^delta(b),
+    delta).  The formulas read each bit rounded (``_delta``); an untwisted
+    arrow has every factor on sheet 0.  The samplers read one more
+    uniform per bit, a coin at the end of their slab.
     """
     nx = n - 2 * k
     ia, ib = 2 * nx, 2 * nx + 2 * k
     factors = tuple((ia + 2 * j, ib + 2 * j) for j in range(k))  # (a_j, b_j) slots
     zs = tuple(nx + 2 * j for j in range(k))                      # z_j slots in the base
+    bits = k if twisted else 0      # sheet bits, at arrow slots 2n .. 2n + bits - 1
+    dim = 2 * n + bits
+    flat = (0.0,) * (k - bits)      # the factors without a bit are on sheet 0
+
+    def deltas(g):
+        return tuple(map(_delta, g[2 * n:dim])) + flat
+
+    def products(g, dg):        # conj^delta_j(a_j b_j) of each factor
+        out = ()
+        for (i, j), d in zip(factors, dg):
+            out += _conj(*_cmul(g[i], g[i + 1], g[j], g[j + 1]), d)
+        return out
 
     def source_of(g):
-        out = tuple(g[nx:2 * nx])
-        for i, j in factors:
-            out += _cmul(g[i], g[i + 1], g[j], g[j + 1])
-        return out
+        return tuple(g[nx:2 * nx]) + products(g, deltas(g))
 
     def target_of(g):
         return tuple(g[:nx]) + tuple(g[ia:ib])
 
     def compose_raw(g, h):
+        dg, dh = deltas(g), deltas(h)
         out = tuple(g[:nx]) + tuple(h[nx:2 * nx]) + tuple(g[ia:ib])
-        for _, j in factors:
-            out += _cmul(g[j], g[j + 1], h[j], h[j + 1])
-        return out
+        for (_, j), d in zip(factors, dg):
+            out += _cmul(g[j], g[j + 1], *_conj(h[j], h[j + 1], d))
+        return out + tuple((x + y) % 2.0 for x, y in zip(dg[:bits], dh))
 
     def invert(g):
-        out = tuple(g[nx:2 * nx]) + tuple(g[:nx])
-        for i, j in factors:
-            out += _cmul(g[i], g[i + 1], g[j], g[j + 1])
-        for _, j in factors:
-            out += _cdiv(1.0, 0.0, g[j], g[j + 1])
-        return out
+        dg = deltas(g)
+        out = tuple(g[nx:2 * nx]) + tuple(g[:nx]) + products(g, dg)
+        for (_, j), d in zip(factors, dg):
+            out += _cdiv(1.0, 0.0, *_conj(g[j], g[j + 1], d))
+        return out + dg[:bits]
 
     def unit_at(p):
-        return tuple(p[:nx]) + tuple(p[:nx]) + tuple(p[nx:nx + 2 * k]) + (1.0, 0.0) * k
+        return (tuple(p[:nx]) + tuple(p[:nx]) + tuple(p[nx:nx + 2 * k]) + (1.0, 0.0) * k
+                + (0.0,) * bits)
 
     def arrow_valid(g):
-        if len(g) != 2 * n:
+        if len(g) != dim:
             return False
         ok = _finite(g)
         for _, j in factors:
             ok = ok & _nonzero(g[j], g[j + 1])
+        for s in range(2 * n, dim):
+            ok = ok & ((g[s] == 0.0) | (g[s] == 1.0))
         return ok
 
     divisor = DivisorLocalModel(n=n, k=k)
@@ -616,18 +654,25 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
             out += _zero_or(_zero(p[i], p[i + 1]), u[c], u[c + 1], 0.15, 1.2)
         return out
 
+    def coins(u):
+        return tuple(1.0 * (x < 0.5) for x in u)
+
     def arrow_between(p, q, u):
         on_p = [_zero(p[i], p[i + 1]) for i in zs]
         on_q = [_zero(q[i], q[i + 1]) for i in zs]
+        sheet = coins(u[2 * k:2 * k + bits])
+        dq = sheet + flat
 
         def chart():
             avals, bvals = (), ()
             for j, i in enumerate(zs):
+                # off the divisor, b solves conj^delta(a b) = z_j(q)
                 ab = _branch(on_p[j] & on_q[j],
                              lambda: (0.0, 0.0) + _annulus(u[2 * j], u[2 * j + 1], 0.3, 1.6),
-                             lambda: (p[i], p[i + 1]) + _cdiv(q[i], q[i + 1], p[i], p[i + 1]))
+                             lambda: (p[i], p[i + 1])
+                             + _cdiv(*_conj(q[i], q[i + 1], dq[j]), p[i], p[i + 1]))
                 avals, bvals = avals + ab[:2], bvals + ab[2:]
-            return tuple(p[:nx]) + tuple(q[:nx]) + avals + bvals
+            return tuple(p[:nx]) + tuple(q[:nx]) + avals + bvals + sheet
 
         refused = functools.reduce(lambda a, b: a | b, [x != y for x, y in zip(on_p, on_q)])
         return _refuse(refused, "no arrow between different strata", chart)
@@ -640,10 +685,10 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
                             u[c + 3 * j + 2], 0.1, 1.2)
         for j in range(c + 3 * k, c + 5 * k, 2):
             out += _annulus(u[j], u[j + 1], 0.3, 1.6)
-        return out
+        return out + coins(u[c + 5 * k:])
 
     return GroupoidChartModel(
-        name=name, arrow_dim=2 * n, base_dim=n,
+        name=name, arrow_dim=dim, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
         expected_frame=lambda p: divisor.algebroid_frame(p).vectors,
@@ -653,8 +698,8 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float) -> Groupoid
         divisor_factors=lambda g: [(g[i], g[i + 1], g[j], g[j + 1]) for i, j in factors],
         divisor_slots=tuple(i + c for i in zs for c in (0, 1)),
         isotropy=_torus_residual,
-        widths=Widths(arrow=2 * nx + 5 * k, base=nx + 3 * k, like=nx + 2 * k,
-                      between=2 * k),
+        widths=Widths(arrow=2 * nx + 5 * k + bits, base=nx + 3 * k, like=nx + 2 * k,
+                      between=2 * k + bits),
     )
 
 
@@ -672,92 +717,19 @@ def caseIV_model(n: int, k: int) -> GroupoidChartModel:
     return _blowup_model(n, k, f"caseIV({n},{k})", 0.3)
 
 
-# ---------------------------------------------------------------------------
-# coorientation double cover quotient
-# ---------------------------------------------------------------------------
-
 def case2_quotient_model(n: int) -> GroupoidChartModel:
     """Quotient of the double-cover model by the deck involution.
 
-    Arrows carry the smooth-model chart data plus a sheet-difference bit
-    delta, stored as a final 0/1 coordinate.  The deck involution
-    conjugates the normal complex coordinate, so the source of a
-    sheet-crossing arrow reads through conjugation and composition
-    conjugates the second factor's data before the chart-level product.
-    The isotropy over the divisor is C* x| Z/2 acting by conjugation.
-    The formulas read delta rounded to the nearest integer; a NaN or
-    infinite delta passes through to the outputs instead of raising.
+    The twisted k = 1 member of the blow-up family: case1's arrows plus
+    the sheet-difference bit delta as a final 0/1 coordinate.  The
+    isotropy over the divisor is C* x| Z/2 acting by conjugation.  The
+    model has no ``beta_map``, and its algebroid is computed on the
+    delta = 0 sector, through case1's (ts, unit) views.
     """
-    base = case1_model(n)
-    nx = n - 2
-    ia, ib = 2 * nx, 2 * nx + 2
-    d = base.arrow_dim
-
-    def _delta(g):
-        x = g[d]
-        if isinstance(x, np.ndarray):
-            return np.rint(x) + 0.0     # round() gives an int: its zero has no sign
-        return float(round(x)) if x - x == 0 else x
-
-    def _conj(re, im, flag):
-        # multiplying by -1.0 is exact, so this is z.conjugate() where flag != 0
-        return (re, im * (1.0 - 2.0 * (flag != 0)))
-
-    def source_of(g):
-        ab = _conj(*_cmul(g[ia], g[ia + 1], g[ib], g[ib + 1]), _delta(g))
-        return tuple(g[nx:2 * nx]) + ab
-
-    def compose_raw(g, h):
-        d1, d2 = _delta(g), _delta(h)
-        b = _cmul(g[ib], g[ib + 1], *_conj(h[ib], h[ib + 1], d1))
-        return (tuple(g[:nx]) + tuple(h[nx:2 * nx]) + (g[ia], g[ia + 1]) + b
-                + ((d1 + d2) % 2.0,))
-
-    def invert(g):
-        dd = _delta(g)
-        ab = _conj(*_cmul(g[ia], g[ia + 1], g[ib], g[ib + 1]), dd)
-        bstar = _cdiv(1.0, 0.0, *_conj(g[ib], g[ib + 1], dd))
-        return tuple(g[nx:2 * nx]) + tuple(g[:nx]) + ab + bstar + (dd,)
-
-    def unit_at(p):
-        return base.unit_at(p) + (0.0,)
-
-    def arrow_valid(g):
-        if len(g) != d + 1:
-            return False
-        return _finite(g) & _nonzero(g[ib], g[ib + 1]) & ((g[d] == 0.0) | (g[d] == 1.0))
-
-    wa, wb = base.widths.arrow, base.widths.between
-
-    def sample_arrow(u):
-        return base.sample_arrow(u[:wa]) + (1.0 * (u[wa] < 0.5),)
-
-    def arrow_between(p, q, u):
-        def chart():
-            out = base.arrow_between(p, q, u[:wb])
-            dd = 1.0 * (u[wb] < 0.5)
-            # re-solve b so the delta-twisted source still lands on q
-            twisted = _branch((dd != 0) & _nonzero(out[ia], out[ia + 1]),
-                              lambda: out[:ib] + _cdiv(q[nx], -q[nx + 1], out[ia], out[ia + 1]),
-                              lambda: out)
-            return twisted + (dd,)
-
-        return _refuse(_zero(p[nx], p[nx + 1]) != _zero(q[nx], q[nx + 1]),
-                       "no arrow between different strata", chart)
-
-    return GroupoidChartModel(
-        name=f"case2({n})", arrow_dim=d + 1, base_dim=n,
-        source_of=source_of, target_of=base.target_of, compose_raw=compose_raw,
-        invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        expected_frame=base.expected_frame,
-        arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=base.sample_base, sample_base_like=base.sample_base_like,
-        divisor_factors=base.divisor_factors,
-        algebroid_maps=(base.ts, base.unit),
-        divisor_slots=base.divisor_slots,
-        isotropy=_case2_residual,
-        widths=replace(base.widths, arrow=wa + 1, between=wb + 1),
-    )
+    plain = case1_model(n)
+    return replace(_blowup_model(n, 1, f"case2({n})", 0.25, twisted=True),
+                   beta_map=None, algebroid_maps=(plain.ts, plain.unit),
+                   isotropy=_case2_residual)
 
 
 # ---------------------------------------------------------------------------

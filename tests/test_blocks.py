@@ -1155,6 +1155,8 @@ def test_every_structure_map_suite_fails_closed():
     case2 = case2_quotient_model(4)
     rep = check_isotropy(perturbed_model(case2, component=8), 200, 7)
     assert rep.verdict == "fail" and rep.witnesses[0]["map"] == "compose_raw"
+    # each witness names the two isotropy arrows whose product failed
+    assert all(len(w["g"]) == len(w["h"]) == case2.arrow_dim for w in rep.witnesses)
 
     case1 = case1_model(4)
     unit_at = case1.unit_at

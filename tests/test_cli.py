@@ -171,6 +171,14 @@ def test_bad_tolerance_or_no_check_is_exit_2(capsys, checks, tol):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_seed_beyond_64_bits_is_exit_2(capsys):
+    # Philox is keyed with 64 bits of the seed: 2**64 would rerun seed 0's streams
+    code, out, err = run_cli(["verify", "--model", "case1", "--checks", "axioms",
+                              "--samples", "10", "--seed", str(2 ** 64)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_decide_klein_fixture(capsys):
     code, out, _ = run_cli(["decide", "--kind", "smooth",
                             "fixtures/klein_t4.json"], capsys)
@@ -420,6 +428,9 @@ def test_run_config_validation():
 
     with pytest.raises(ConfigError):
         RunConfig(models=["case1"], checks=["axioms"], seed=0)
+    with pytest.raises(ConfigError):
+        RunConfig(models=["case1"], checks=["axioms"], seed=2 ** 64)
+    RunConfig(models=["case1"], checks=["axioms"], seed=2 ** 64 - 1)
     with pytest.raises(ConfigError):
         RunConfig(models=["case1"], checks=["axioms"], samples=-5)
     with pytest.raises(ConfigError):

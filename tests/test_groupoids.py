@@ -339,6 +339,15 @@ def test_case2_delta_zero_sector_is_case1(rng):
         assert model.compose(g, h)[-1] == 0.0
         assert model.invert(g)[:-1] == base.invert(g0)
         assert model.source_of(g) == base.source_of(g0)
+    # and on a block: the untwisted formulas are the delta = 0 sector bit for bit
+    g0 = base.random_arrow(rng, 512)
+    h0 = base.extend_from(base.source_of(g0), rng, 512)
+    g, h = g0 + (np.zeros(512),), h0 + (np.zeros(512),)
+    gh = model.compose_raw(g, h)
+    assert np.array_equal(np.array(gh[:-1]), np.array(base.compose_raw(g0, h0)))
+    assert np.array_equal(gh[-1], np.zeros(512))
+    assert np.array_equal(np.array(model.invert(g)[:-1]), np.array(base.invert(g0)))
+    assert np.array_equal(np.array(model.source_of(g)), np.array(base.source_of(g0)))
 
 
 def test_case2_isotropy_is_cstar_semidirect_z2():
