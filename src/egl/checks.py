@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartInvalid, NonFiniteValue, SamplerExhausted
-from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, _cabs, _full, ideal_values,
+from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, _cabs, _full, _stack, ideal_values,
                         pair_groupoid, uniforms)
 from .groupoids import _maxdiff as _gap
 from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 WITNESS_CAP = 20
-BLOCK_ROWS = 512      # samples drawn, then evaluated together
+BLOCK_ROWS = 4096     # samples drawn, then evaluated together; caps a block's memory
 
 # Thresholds of the calculus, convention and variant checks
 PULLBACK_TOL = 1e-7       # symplectic: |Omega - (t*omega - s*omega)|
@@ -128,10 +128,12 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     so a block of n samples is the n one-sample draws, a filtered draw
     keeps the first accepted samples of its stream (``_draw_kept``), and
     no layout depends on ``BLOCK_ROWS``.  Changing either is a versioned
-    break.
+    break.  A seed outside 0 .. 2**64 - 1 is a ValueError: it would
+    alias a seed inside that range.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())],
-                   dtype=np.uint64)
+    if not 0 <= seed <= 0xFFFFFFFFFFFFFFFF:
+        raise ValueError(f"seed {seed} is outside 0 .. 2**64 - 1")
+    key = np.array([seed, zlib.crc32(label.encode())], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -139,10 +141,8 @@ def _running_max(current: float, column) -> float:
     """The larger of ``current`` and the column's max; NaN, once seen, stays."""
     if current != current or len(column) == 0:
         return current
-    if np.isnan(column).any():
-        return math.nan
-    top = float(column.max())
-    return top if top > current else current
+    top = float(np.maximum.reduce(column))    # NaN if any entry is NaN
+    return top if top > current or top != top else current
 
 
 class _Accumulator:
@@ -199,9 +199,16 @@ def _row(block, i) -> list:
     return _round_tuple(column[i] for column in block)
 
 
+def _column(x, n: int) -> np.ndarray:
+    """x as an (n,) column: x itself when it is one, else broadcast."""
+    if isinstance(x, np.ndarray) and x.shape == (n,):
+        return x
+    return np.broadcast_to(x, (n,))
+
+
 def _outside(model: GroupoidChartModel, x, n: int) -> np.ndarray:
     """The rows of the n-point block x that leave the model's chart."""
-    return np.broadcast_to(np.logical_not(model.arrow_valid(x)), (n,))
+    return _column(np.logical_not(model.arrow_valid(x)), n)
 
 
 def _composed(model: GroupoidChartModel, g, h, gap, exits, n: int,
@@ -218,13 +225,13 @@ def _composed(model: GroupoidChartModel, g, h, gap, exits, n: int,
     raises ChartInvalid instead.
     """
     out = model.compose_raw(g, h)
-    ok = np.broadcast_to(gap <= COMPOSABLE_TOL, (n,))
+    ok = _column(gap <= COMPOSABLE_TOL, n)
     return out, ok, exits + [(ok & _outside(model, out, n), name)]
 
 
 def _fail_closed(residual, exits, n: int) -> np.ndarray:
     """The residual as an n-vector, inf on the rows of every chart exit."""
-    out = np.array(np.broadcast_to(residual, (n,)), dtype=float)
+    out = _column(residual, n).astype(float)
     out[np.logical_or.reduce([rows for rows, _ in exits])] = np.inf
     return out
 
@@ -270,7 +277,7 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int, seed: int,
         for name, column in zip(AXIOM_NAMES, res):
             per_axiom[name] = _running_max(per_axiom[name], column)
         nan = np.isnan(res)
-        worst = np.where(nan.any(axis=0), last - np.argmax(nan[::-1], axis=0),
+        worst = np.where(np.logical_or.reduce(nan, axis=0), last - np.argmax(nan[::-1], axis=0),
                          np.argmax(np.where(nan, -np.inf, res), axis=0))
         acc.add_block(res[worst, np.arange(n)], lambda i: _with_exit(
             {"identity": AXIOM_NAMES[worst[i]], "g": _row(g, i)}, exits[worst[i]], i))
@@ -400,8 +407,8 @@ def _draw_kept(draw, keep, count: int, dim: int, what: str) -> np.ndarray:
         block = draw(n)
         drawn += n
         with np.errstate(all="ignore"):
-            ok = np.broadcast_to(keep(block), (n,))
-        kept.append(np.column_stack(block)[ok])
+            ok = _column(keep(block), n)
+        kept.append(_stack(block, n).T[ok])
         have += len(kept[-1])
     return np.concatenate(kept) if kept else np.empty((0, dim))
 
@@ -834,11 +841,11 @@ def check_zero_residue_variant(sym: SymplecticModel, n_samples: int, seed: int) 
             rhs = model.compose_raw(g, model.compose_raw(h, k))
             lhs_p = sym.compose_variant(sym.compose_variant(g, h), k)
             rhs_p = sym.compose_variant(g, sym.compose_variant(h, k))
-            res = np.broadcast_to(_gap(lhs, rhs), (n,))
-            variant = np.broadcast_to(_gap(lhs_p, rhs_p), (n,))
+            res = _column(_gap(lhs, rhs), n)
+            variant = _column(_gap(lhs_p, rhs_p), n)
         acc.add_block(res, lambda i: {"g": _row(g, i)})
-        variant_max = max(variant_max, float(np.max(variant, initial=0.0,
-                                                    where=~np.isnan(variant))))
+        variant_max = max(variant_max, float(np.maximum.reduce(variant, initial=0.0,
+                                                               where=~np.isnan(variant))))
     report = acc.report("variants", model.name, seed,
                         details={"variant_max_residual": variant_max,
                                  "variant_floor": VARIANT_FLOOR})

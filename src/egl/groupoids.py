@@ -22,7 +22,12 @@ shared with the forms of ``egl.kernel``, and ``_cexp``, ``_clog``,
 ``_cabs``) with the operations CPython's complex type performs, so a
 point and the same point inside a block give the same bits (NumPy's
 real ``cos``, ``sin`` and ``log`` may run SIMD kernels with other last
-bits).  Predicates return a bool for a point
+bits).  The block helpers here and in ``egl.kernel`` and ``egl.checks``
+stack, broadcast, select and reduce a block with one NumPy C call each
+(``_stack`` is one ``np.array`` call; a reduction is the ufunc's own,
+``np.maximum.reduce`` and not ``ndarray.max``) and use no generators:
+a Python-level wrapper is paid once per block, and on small checks such
+fixed costs are most of the time.  Predicates return a bool for a point
 and a bool column for a block.  The ``ts`` view (target ++ source)
 lets one Jacobian serve both endpoint maps, and the algebroid
 computation differentiates the pair ``(ts, unit)``.  All models are
@@ -78,12 +83,21 @@ __all__ = [
 
 
 def _is_block(*xs) -> bool:
-    return any(isinstance(x, np.ndarray) for x in xs)
+    for x in xs:
+        if isinstance(x, np.ndarray):
+            return True
+    return False
 
 
 def _stack(x, n: int) -> np.ndarray:
-    """The coordinates of a block of n points as one (d, n) float array;
-    a scalar coordinate fills its row."""
+    """The coordinates of a block of n points as one fresh (d, n) float
+    array; a scalar coordinate fills its row."""
+    for c in x:
+        if not (isinstance(c, np.ndarray) and c.shape == (n,)):
+            break
+    else:
+        if x:
+            return np.array(x, dtype=float)
     out = np.empty((len(x), n))
     for row, c in zip(out, x):
         row[...] = c
@@ -91,7 +105,9 @@ def _stack(x, n: int) -> np.ndarray:
 
 
 def _block_len(x) -> int:
-    return next(len(c) for c in x if isinstance(c, np.ndarray))
+    for c in x:
+        if isinstance(c, np.ndarray):
+            return len(c)
 
 
 def _maxdiff(a, b):
@@ -104,7 +120,7 @@ def _maxdiff(a, b):
     """
     if _is_block(*a, *b):
         n = _block_len((*a, *b))
-        return np.abs(_stack(a, n) - _stack(b, n)).max(axis=0)
+        return np.maximum.reduce(np.abs(_stack(a, n) - _stack(b, n)), axis=0)
     diffs = [abs(x - y) for x, y in zip(a, b)]
     total = sum(diffs)
     return max(diffs, default=0.0) if total == total else total
@@ -114,7 +130,7 @@ def _finite(seq):
     """Every coordinate finite: 0 * x is 0 for finite x and NaN otherwise;
     on a block, a column."""
     if _is_block(*seq):
-        return np.isfinite(_stack(seq, _block_len(seq))).all(axis=0)
+        return np.logical_and.reduce(np.isfinite(_stack(seq, _block_len(seq))), axis=0)
     return sum(0.0 * x for x in seq) == 0.0
 
 
@@ -178,7 +194,7 @@ def _refuse(refused, why: str, arrow: Callable):
         if refused:
             raise NotComposable(why)
         return arrow()
-    return tuple(np.where(refused, math.nan, x) for x in arrow())
+    return tuple([np.where(refused, math.nan, x) for x in arrow()])
 
 
 def _join(p, q, i, on_divisor, off, apart=False):
@@ -369,8 +385,8 @@ class GroupoidChartModel:
         ``arrow_between``."""
         w = self.widths
         u = uniforms(rng, w.isotropy, n)
-        p = _full(tuple(0.0 if i in self.divisor_slots else x
-                        for i, x in enumerate(self.sample_base(u[:w.base]))), n)
+        p = _full(tuple([0.0 if i in self.divisor_slots else x
+                         for i, x in enumerate(self.sample_base(u[:w.base]))]), n)
         mid = w.base + w.between
         return (_full(self.arrow_between(p, p, u[w.base:mid]), n),
                 _full(self.arrow_between(p, p, u[mid:]), n))
@@ -527,7 +543,7 @@ def pair_groupoid(dim: int) -> GroupoidChartModel:
     half = 1.2      # half-width of the sampled box
 
     def sample_base(u):
-        return tuple(_box(x, half) for x in u)
+        return tuple([_box(x, half) for x in u])
 
     return GroupoidChartModel(
         name=f"pair({dim})", arrow_dim=2 * dim, base_dim=dim,
@@ -586,7 +602,8 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
     second arrow's b_j by the first arrow's delta_j and adds the bits
     mod 2, and the inverse is (y, x, conj^delta(a b), 1/conj^delta(b),
     delta).  The formulas read each bit rounded (``_delta``); an untwisted
-    arrow has every factor on sheet 0.  The samplers read one more
+    arrow has every factor on sheet 0, so its formulas read no bit and
+    conjugate nothing (conj^0 is the identity).  The samplers read one more
     uniform per bit, a coin at the end of their slab.
     """
     nx = n - 2 * k
@@ -596,14 +613,21 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
     bits = k if twisted else 0      # sheet bits, at arrow slots 2n .. 2n + bits - 1
     dim = 2 * n + bits
     flat = (0.0,) * (k - bits)      # the factors without a bit are on sheet 0
+    if twisted:
+        def deltas(g):
+            return tuple(map(_delta, g[2 * n:dim]))
+        conj = _conj
+    else:
+        def deltas(g):
+            return flat
 
-    def deltas(g):
-        return tuple(map(_delta, g[2 * n:dim])) + flat
+        def conj(re, im, flag):     # conj^0: _conj's multiply by 1.0 is exact
+            return (re, im)
 
     def products(g, dg):        # conj^delta_j(a_j b_j) of each factor
         out = ()
         for (i, j), d in zip(factors, dg):
-            out += _conj(*_cmul(g[i], g[i + 1], g[j], g[j + 1]), d)
+            out += conj(*_cmul(g[i], g[i + 1], g[j], g[j + 1]), d)
         return out
 
     def source_of(g):
@@ -616,14 +640,14 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
         dg, dh = deltas(g), deltas(h)
         out = tuple(g[:nx]) + tuple(h[nx:2 * nx]) + tuple(g[ia:ib])
         for (_, j), d in zip(factors, dg):
-            out += _cmul(g[j], g[j + 1], *_conj(h[j], h[j + 1], d))
-        return out + tuple((x + y) % 2.0 for x, y in zip(dg[:bits], dh))
+            out += _cmul(g[j], g[j + 1], *conj(h[j], h[j + 1], d))
+        return out + tuple([(x + y) % 2.0 for x, y in zip(dg[:bits], dh)])
 
     def invert(g):
         dg = deltas(g)
         out = tuple(g[nx:2 * nx]) + tuple(g[:nx]) + products(g, dg)
         for (_, j), d in zip(factors, dg):
-            out += _cdiv(1.0, 0.0, *_conj(g[j], g[j + 1], d))
+            out += _cdiv(1.0, 0.0, *conj(g[j], g[j + 1], d))
         return out + dg[:bits]
 
     def unit_at(p):
@@ -643,19 +667,19 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
     divisor = DivisorLocalModel(n=n, k=k)
 
     def sample_base(u):
-        out = tuple(_box(x) for x in u[:nx])
+        out = tuple([_box(x) for x in u[:nx]])
         for c in range(nx, nx + 3 * k, 3):
             out += _zero_or(u[c] < on_divisor_prob, u[c + 1], u[c + 2], 0.15, 1.2)
         return out
 
     def sample_base_like(p, u):
-        out = tuple(_box(x) for x in u[:nx])
+        out = tuple([_box(x) for x in u[:nx]])
         for c, i in zip(range(nx, nx + 2 * k, 2), zs):
             out += _zero_or(_zero(p[i], p[i + 1]), u[c], u[c + 1], 0.15, 1.2)
         return out
 
     def coins(u):
-        return tuple(1.0 * (x < 0.5) for x in u)
+        return tuple([1.0 * (x < 0.5) for x in u])
 
     def arrow_between(p, q, u):
         on_p = [_zero(p[i], p[i + 1]) for i in zs]
@@ -670,7 +694,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
                 ab = _branch(on_p[j] & on_q[j],
                              lambda: (0.0, 0.0) + _annulus(u[2 * j], u[2 * j + 1], 0.3, 1.6),
                              lambda: (p[i], p[i + 1])
-                             + _cdiv(*_conj(q[i], q[i + 1], dq[j]), p[i], p[i + 1]))
+                             + _cdiv(*conj(q[i], q[i + 1], dq[j]), p[i], p[i + 1]))
                 avals, bvals = avals + ab[:2], bvals + ab[2:]
             return tuple(p[:nx]) + tuple(q[:nx]) + avals + bvals + sheet
 
@@ -678,7 +702,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
         return _refuse(refused, "no arrow between different strata", chart)
 
     def sample_arrow(u):
-        out = tuple(_box(x) for x in u[:2 * nx])
+        out = tuple([_box(x) for x in u[:2 * nx]])
         c = 2 * nx
         for j in range(k):
             out += _zero_or(u[c + 3 * j] < on_divisor_prob, u[c + 3 * j + 1],

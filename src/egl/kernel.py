@@ -96,7 +96,7 @@ def _branch(cond, then, other):
         return then() if cond else other()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         yes, no = then(), other()
-    return tuple(np.where(cond, a, b) for a, b in zip(yes, no))
+    return tuple([np.where(cond, a, b) for a, b in zip(yes, no)])
 
 
 def _cmul(ar, ai, br, bi):
@@ -108,7 +108,8 @@ def _cdiv(ar, ai, br, bi):
     """(ar + i ai) / (br + i bi) by CPython's division (Smith's method).
 
     A point divided by 0 raises ZeroDivisionError, as complex division
-    does; a NaN denominator gives (NaN, NaN).
+    does; a NaN denominator gives (NaN, NaN).  A block evaluates both
+    branches once and selects per row, as ``_branch`` would.
     """
     def by_real():
         ratio = bi / br
@@ -121,8 +122,15 @@ def _cdiv(ar, ai, br, bi):
         return ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
 
     abs_r, abs_i = abs(br), abs(bi)
-    return _branch(abs_r >= abs_i, by_real,
-                   lambda: _branch(abs_i >= abs_r, by_imag, lambda: (math.nan, math.nan)))
+    real = abs_r >= abs_i
+    if not isinstance(real, np.ndarray):
+        return _branch(real, by_real,
+                       lambda: _branch(abs_i >= abs_r, by_imag, lambda: (math.nan, math.nan)))
+    imag = abs_i >= abs_r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (rr, ri), (ir, ii) = by_real(), by_imag()
+    return (np.where(real, rr, np.where(imag, ir, math.nan)),
+            np.where(real, ri, np.where(imag, ii, math.nan)))
 
 
 def _complex(re, im):

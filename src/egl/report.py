@@ -43,8 +43,8 @@ class RunConfig:
     tol: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # rng_for keys Philox with 64 bits of the seed: a larger seed
-        # would silently reuse a smaller one's streams
+        # rng_for keys Philox with 64 bits of the seed and refuses a larger
+        # one; here that is a configuration error (exit 2)
         if not 0 < self.seed < 2 ** 64:
             raise ConfigError("seed must be a positive integer below 2**64")
         if self.samples is not None and self.samples <= 0:

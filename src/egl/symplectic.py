@@ -544,7 +544,7 @@ def pair_groupoid_symplectic() -> SymplecticModel:
     pair_map = SmoothMap(6, 8, pairs, name="pair.pairs")
 
     def sample_params(u):
-        return tuple(_box(x) for x in u)
+        return tuple([_box(x) for x in u])
 
     grid = tuple((0.1 * i, -0.2 * i, 0.3, 0.4) for i in range(1, 5))
     return SymplecticModel(model=model, omega_base=omega, Omega=Omega,

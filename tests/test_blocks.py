@@ -85,6 +85,48 @@ def test_real_pair_product_and_quotient_are_cpythons(ar, ai, br, bi):
     assert _bits(point) == _bits(block) == _bits([q.real, q.imag])
 
 
+# numerator and denominator of one quotient per row: |br| > |bi|, |br| < |bi|,
+# |br| = |bi|, NaN and infinite denominators, signed zeros in the numerator,
+# and zero denominators (a point raises, a block row is NaN)
+MIXED_QUOTIENTS = [(1.5, -2.0, 3.0, 0.5), (-0.0, 2.0, 0.25, -4.0), (0.0, -0.0, 2.0, -2.0),
+                   (-0.0, -0.0, -3.0, 3.0), (1.0, 2.0, math.nan, 1.0), (1.0, 2.0, 1.0, math.nan),
+                   (-0.0, 0.0, math.inf, 1.0), (0.0, -1.0, 2.0, -math.inf),
+                   (1.0, 1.0, math.inf, -math.inf), (1.0, 0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, 0.0),
+                   (2.0, -7.0, -1e-300, 5e-301)]
+
+
+def test_a_block_mixing_smiths_branches_has_each_rows_bits():
+    block = _cdiv(*(np.array(column) for column in zip(*MIXED_QUOTIENTS)))
+    for i, row in enumerate(MIXED_QUOTIENTS):
+        got = [float(block[0][i]), float(block[1][i])]
+        try:
+            point = _cdiv(*row)
+        except ZeroDivisionError:
+            assert row[2] == row[3] == 0 and math.isnan(got[0]) and math.isnan(got[1])
+            continue
+        assert _bits(got) == _bits(point), row
+
+
+def _row_loop(x, n):
+    out = np.empty((len(x), n))
+    for row, c in zip(out, x):
+        row[...] = c
+    return out
+
+
+def test_stacked_columns_have_the_bits_of_the_row_loop():
+    n = 4
+    floats = np.array([[-0.0, math.nan, math.inf, 1e-310], [2.5, -math.inf, 0.0, -1.0]])
+    bools = np.array([True, False, False, True])
+    for x in [(0.5, floats[0], -0.0, floats[1]), tuple(floats), (bools, ~bools),
+              (np.arange(n), np.arange(n) - 7), (floats[0], bools, np.arange(n))]:
+        out = groupoids._stack(x, n)
+        assert out.dtype == float and _bits(out) == _bits(_row_loop(x, n))
+    out = groupoids._stack(tuple(floats), n)
+    out[0, 1] = 3.0                     # a fresh array: the columns stay as they were
+    assert math.isnan(floats[0, 1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(small, st.floats(-20.0, 20.0), finite, finite)
 def test_real_pair_exp_modulus_and_square_are_cpythons(re, im, x, y):

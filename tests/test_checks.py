@@ -141,6 +141,20 @@ def test_isotropy_of_a_perturbed_model_is_a_report():
     assert rep.witnesses and rep.witnesses[0]["residual"] == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize("seed", [2 ** 64 + 7, -1])
+def test_a_seed_outside_64_bits_is_refused_not_aliased(seed):
+    # keyed with seed mod 2**64, 2**64 + 7 would replay seed 7's witnesses
+    # and -1 would read as 2**64 - 1
+    from egl.groupoids import case2_quotient_model
+
+    model = perturbed_model(case2_quotient_model(4), component=8)
+    with pytest.raises(ValueError, match=str(seed)):
+        check_isotropy(model, 50, seed)
+    with pytest.raises(ValueError, match=str(seed)):
+        rng_for(seed, "isotropy")
+    assert check_isotropy(model, 50, 2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("model", [
     replace(caseIV_model(4, 2), divisor_slots=()),
     # case1(4)'s base is (x, z): slots (0, 1) zero x and miss the divisor z = 0
