@@ -38,7 +38,9 @@ Each family of formulas is written once.  case1 is the k = 1 member of
 the blow-up family behind caseIV, and case2 is its k = 1 member twisted
 by conjugation, with a 0/1 sheet bit; the smooth factors of a
 normal-crossing fibre product and the receiving model H(zero) of the
-zero-residue morphism are case1 read in other coordinates (``_relabel``);
+zero-residue morphism are case1 read in other coordinates (``_relabel``),
+and the chart of the zero-residue symplectic model is the action
+groupoid read in other coordinates, with other sampling radii;
 ssc-surface is the exp-on-target, unscaled member of the exponential
 family whose four conventions are the covering-morphism domain
 candidates of ``egl.symplectic``.  A model also carries the data its
@@ -61,7 +63,7 @@ import numpy as np
 from .divisors import DivisorLocalModel, residue_model_frame
 from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
-from .kernel import (DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul,
+from .kernel import (DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul, _complex,
                      _span_intersection, jacobian)
 from .signedperm import SignedPermutation
 
@@ -150,10 +152,8 @@ def _cexp(re, im):
             return (w.real, w.imag)
         except (OverflowError, ValueError):
             return tuple(float(x[0]) for x in _cexp(np.array([re]), np.array([im])))
-    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    z.real, z.imag = re, im
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(z)
+        w = np.exp(_complex(re, im))
     return (w.real, w.imag)
 
 
@@ -167,8 +167,7 @@ def _clog(re, im):
     if not _is_block(re, im):
         w = _log(complex(re, im))
         return (w.real, w.imag)
-    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    z.real, z.imag = re, im
+    z = _complex(re, im)
     w = np.array(list(map(_log, z.ravel().tolist())), dtype=complex).reshape(z.shape)
     return (w.real, w.imag)
 
@@ -486,9 +485,8 @@ class GroupoidChartModel:
 # products ``out`` of isotropy arrows g1 and g2 (drawn by the model's
 # ``random_isotropy_pair``) against the group law, which it evaluates on
 # g1 and g2, for a point or a block.  A law reads the model it is given,
-# so a renamed or traced copy of a model runs it unchanged; so does a
-# relabelled copy, unless the law is bound to arrow slots
-# (``_affine_isotropy``).
+# so a renamed or traced copy of a model runs it unchanged, and a
+# relabelled copy reads its arrows through the arrow order (``_relabel``).
 
 def _torus_residual(model, g1, g2, out):
     """(C*)^k componentwise over the deepest stratum, read through
@@ -505,17 +503,13 @@ def _torus_residual(model, g1, g2, out):
     return res
 
 
-def _affine_isotropy(ib: int) -> Callable:
+def _affine_residual(model, g1, g2, out):
     """The affine law (b, c)(b', c') = (b b', c + b c') of the plane, on
-    the (b, c) at arrow slots ib..ib+3.  The law is bound to these slots,
-    so a relabelling that moves them needs its own law."""
-    def residual(model, g1, g2, out):
-        b = _cmul(g1[ib], g1[ib + 1], g2[ib], g2[ib + 1])
-        bc = _cmul(g1[ib], g1[ib + 1], g2[ib + 2], g2[ib + 3])
-        return (_cabs(out[ib] - b[0], out[ib + 1] - b[1])
-                + _cabs(out[ib + 2] - (g1[ib + 2] + bc[0]), out[ib + 3] - (g1[ib + 3] + bc[1])))
-
-    return residual
+    the (b, c) at arrow slots 0..3."""
+    b = _cmul(g1[0], g1[1], g2[0], g2[1])
+    bc = _cmul(g1[0], g1[1], g2[2], g2[3])
+    return (_cabs(out[0] - b[0], out[1] - b[1])
+            + _cabs(out[2] - (g1[2] + bc[0]), out[3] - (g1[3] + bc[1])))
 
 
 _FLIPS = (SignedPermutation((0,), (0,)), SignedPermutation((0,), (1,)))
@@ -788,14 +782,10 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
     (``arrow_order[r]``) of the new model's.  Every field is inner's,
     read through these permutations: structure maps, ``arrow_valid``,
     samplers, ``arrow_between``, ``divisor_factors``, ``divisor_slots``,
-    and ``expected_frame`` with its rows and columns permuted by the
-    base order.  The isotropy law is inner's as it is: a law that reads
-    the model's fields (``_torus_residual``) holds on the new model too,
-    but one bound to arrow slots (``_affine_isotropy``) reads inner's
-    slots, and the caller must replace it when the arrow order moves
-    them.  An identity order costs nothing: inner's maps are used as
-    they are.  ``inner`` must not be a fibre product or carry
-    ``algebroid_maps``.
+    the isotropy law, and ``expected_frame`` with its rows and columns
+    permuted by the base order.  An identity order costs nothing:
+    inner's maps and law are used as they are.  ``inner`` must not be a
+    fibre product or carry ``algebroid_maps``.
     """
     n = inner.base_dim
     base_back = sorted(range(n), key=base_order.__getitem__)
@@ -831,7 +821,8 @@ def _relabel(inner: GroupoidChartModel, name: str, base_order,
         sample_base_like=lambda p, u: b_out(inner.sample_base_like(b_in(p), u)),
         divisor_factors=_via(inner.divisor_factors, a_in, _same),
         divisor_slots=tuple(sorted(base_order[i] for i in inner.divisor_slots)),
-        isotropy=inner.isotropy,
+        isotropy=inner.isotropy if same_arrows or inner.isotropy is None else (
+            lambda model, g1, g2, out: inner.isotropy(inner, a_in(g1), a_in(g2), a_in(out))),
         widths=inner.widths,
     )
 
@@ -958,6 +949,13 @@ def action_groupoid_model() -> GroupoidChartModel:
     source its image.  Group elements multiply in the affine convention
     (b, c)(b', c') = (b b', c + b c').
     """
+    return _affine_action((0.15, 1.2), (0.3, 1.6))
+
+
+def _affine_action(base_r, b_r) -> GroupoidChartModel:
+    """``action_groupoid_model``'s formulas, its samplers drawing a base
+    point off the divisor with base_r[0] <= |z1| < base_r[1] and an
+    arrow's b with b_r[0] <= |b| < b_r[1]."""
 
     def source_of(g):
         # (b, c) acts by (z1, z2) -> (b z1, z2 + c z1)
@@ -983,12 +981,12 @@ def action_groupoid_model() -> GroupoidChartModel:
         return _finite(g) & _nonzero(g[0], g[1])
 
     def sample_base(u):
-        return _zero_or(u[0] < 0.25, u[1], u[2], 0.15, 1.2) + (_box(u[3]), _box(u[4]))
+        return _zero_or(u[0] < 0.25, u[1], u[2], *base_r) + (_box(u[3]), _box(u[4]))
 
     def sample_base_like(p, u):
         # divisor points are single-point orbits
         return _branch(_zero(p[0], p[1]), lambda: tuple(p),
-                       lambda: _annulus(u[0], u[1], 0.15, 1.2) + (_box(u[2]), _box(u[3])))
+                       lambda: _annulus(u[0], u[1], *base_r) + (_box(u[2]), _box(u[3])))
 
     def arrow_between(p, q, u):
         def off():
@@ -997,12 +995,12 @@ def action_groupoid_model() -> GroupoidChartModel:
                     + _cdiv(q[2] - p[2], q[3] - p[3], p[0], p[1]) + tuple(p))
 
         # points of the divisor plane are distinct orbits
-        return _join(p, q, 0, lambda: _annulus(u[0], u[1], 0.3, 1.6)
+        return _join(p, q, 0, lambda: _annulus(u[0], u[1], *b_r)
                      + (_box(u[2]), _box(u[3])) + tuple(p), off,
                      apart=(q[2] != p[2]) | (q[3] != p[3]))
 
     def sample_arrow(u):
-        return (_annulus(u[0], u[1], 0.3, 1.6) + (_box(u[2]), _box(u[3]))
+        return (_annulus(u[0], u[1], *b_r) + (_box(u[2]), _box(u[3]))
                 + sample_base(u[4:]))
 
     return GroupoidChartModel(
@@ -1012,7 +1010,7 @@ def action_groupoid_model() -> GroupoidChartModel:
         expected_frame=residue_model_frame("zero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
-        divisor_slots=(0, 1), isotropy=_affine_isotropy(0),
+        divisor_slots=(0, 1), isotropy=_affine_residual,
         widths=Widths(arrow=9, base=5, like=4, between=4),
     )
 
@@ -1052,14 +1050,22 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     def split(g):
         return tuple(g[:d1]), tuple(g[d1:])
 
+    # finite differencing must see the ambient product chart; the gluing
+    # constraint enters the algebroid computation as extra Jacobian rows
+    def ambient_valid(g):
+        g1, g2 = split(g)
+        return m1.arrow_valid(g1) & m2.arrow_valid(g2)
+
+    def ambient_ts(g):
+        g1 = split(g)[0]
+        return m1.target_of(g1) + m1.source_of(g1)
+
     def arrow_valid(g):
         if len(g) != d1 + d2:
             return False
-        g1, g2 = split(g)
-        pair1 = m1.target_of(g1) + m1.source_of(g1)
-        pair2 = m2.target_of(g2) + m2.source_of(g2)
-        return (m1.arrow_valid(g1) & m2.arrow_valid(g2)
-                & (_maxdiff(pair1, pair2) <= glue_tol))
+        g2 = split(g)[1]
+        return (ambient_valid(g)
+                & (_maxdiff(ambient_ts(g), m2.target_of(g2) + m2.source_of(g2)) <= glue_tol))
 
     def all_nan(part):
         return functools.reduce(lambda a, b: a & b, [x != x for x in part])
@@ -1083,16 +1089,6 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
             if mm.divisor_factors is not None:
                 out.extend(mm.divisor_factors(part))
         return out
-
-    # finite differencing must see the ambient product chart; the gluing
-    # constraint enters the algebroid computation as extra Jacobian rows
-    def ambient_valid(g):
-        g1, g2 = split(g)
-        return m1.arrow_valid(g1) & m2.arrow_valid(g2)
-
-    def ambient_ts(g):
-        g1 = split(g)[0]
-        return m1.target_of(g1) + m1.source_of(g1)
 
     def unit_pair(p):
         return m1.unit_at(p) + m2.unit_at(p)

@@ -242,12 +242,7 @@ class FormField:
         """A bool for a point, a bool column for a stack (N, n)."""
         P = np.asarray(p, dtype=float)
         X = np.atleast_2d(P)
-        if self.domain_predicate is None:
-            inside = np.ones(len(X), dtype=bool)
-        else:
-            with np.errstate(all="ignore"):
-                inside = np.broadcast_to(np.asarray(self.domain_predicate(X.T), dtype=bool),
-                                         (len(X),))
+        inside = _holds(self.domain_predicate, X.T, len(X))
         return inside if P.ndim == 2 else bool(inside[0])
 
     def __call__(self, p, vectors):
@@ -324,13 +319,13 @@ def _check_finite(arr, what: str):
         raise err
 
 
-def _inside(f: SmoothMap, X) -> np.ndarray:
-    """Whether each row of X lies in the domain of f, as a bool array."""
-    if f.valid is None:
-        return np.ones(len(X), dtype=bool)
+def _holds(pred: Optional[Callable], block, rows: int) -> np.ndarray:
+    """``pred`` at a block of ``rows`` points, as a bool array of ``rows``
+    (every row when ``pred`` is None)."""
+    if pred is None:
+        return np.ones(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        inside = f.valid(tuple(X.T))
-    return np.broadcast_to(np.asarray(inside, dtype=bool), (len(X),))
+        return np.broadcast_to(np.asarray(pred(block), dtype=bool), (rows,))
 
 
 def _images(f: SmoothMap, X) -> np.ndarray:
@@ -394,7 +389,8 @@ def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.nd
     axes = np.arange(n)
     stencil[:, axes, axes] += h
     stencil[:, n + axes, axes] -= h
-    inside = _inside(f, np.concatenate([points, stencil.reshape(-1, n)]))
+    X = np.concatenate([points, stencil.reshape(-1, n)])
+    inside = _holds(f.valid, tuple(X.T), len(X))
     base_ok = inside[:count]
     axis_ok = inside[count:].reshape(count, 2, n).all(axis=1)
     outside = np.flatnonzero(~(base_ok & axis_ok.all(axis=1)))
@@ -648,7 +644,7 @@ def pullback_form(f: SmoothMap, form: FormField,
     defined where f is and the form is at f's image."""
     def pred(p):
         X = np.transpose(p)
-        return _inside(f, X) & form.defined_at(f(X))
+        return _holds(f.valid, tuple(X.T), len(X)) & form.defined_at(f(X))
     return FormField(form.degree, f.domain_dim,
                      lambda p, vs: pullback(f, form, np.transpose(p),
                                             [np.transpose(v) for v in vs], prof),

@@ -73,22 +73,16 @@ class SignedPermutation:
     def is_identity(self) -> bool:
         return self.perm == tuple(range(self.degree)) and not any(self.flips)
 
-    def _inv_perm(self) -> Tuple[int, ...]:
-        inv = [0] * self.degree
-        for i, v in enumerate(self.perm):
-            inv[v] = i
-        return tuple(inv)
-
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         if self.degree != other.degree:
             raise DimensionMismatch("signed permutation degrees differ")
-        inv = self._inv_perm()
+        inv = _invert(self.perm)
         perm = tuple(self.perm[other.perm[i]] for i in range(self.degree))
         flips = tuple((self.flips[i] + other.flips[inv[i]]) % 2 for i in range(self.degree))
         return SignedPermutation(perm, flips)
 
     def inverse(self) -> "SignedPermutation":
-        inv = self._inv_perm()
+        inv = _invert(self.perm)
         flips = tuple(self.flips[self.perm[j]] for j in range(self.degree))
         return SignedPermutation(inv, flips)
 
@@ -96,7 +90,7 @@ class SignedPermutation:
         """Permute, then conjugate flagged coordinates."""
         if len(z) != self.degree:
             raise DimensionMismatch("vector length != degree")
-        inv = self._inv_perm()
+        inv = _invert(self.perm)
         out = []
         for i in range(self.degree):
             w = complex(z[inv[i]])
@@ -107,7 +101,7 @@ class SignedPermutation:
         """Faithful 2k x 2k real matrix (permutation blocks, conjugation = diag(1,-1))."""
         k = self.degree
         M = [[0] * (2 * k) for _ in range(2 * k)]
-        inv = self._inv_perm()
+        inv = _invert(self.perm)
         for i in range(k):
             j = inv[i]
             M[2 * i][2 * j] = 1
@@ -369,9 +363,6 @@ class MonodromyRep:
         if not self.images:
             raise MalformedPresentation("empty representation has no degree")
         return next(iter(self.images.values())).degree
-
-    def generators(self) -> Tuple[str, ...]:
-        return tuple(self.images)
 
     def _points_of(self, token: str) -> Tuple[int, ...]:
         """The image of a token as a permutation of the 2k points."""

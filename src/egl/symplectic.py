@@ -32,10 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divisors import residue_model_frame
-from .groupoids import (GroupoidChartModel, Widths, _affine_isotropy, _annulus,
-                        _box, _cabs, _cexp, _exp_model, _finite, _join, _nonzero,
-                        _relabel, _square, _zero, _zero_or, action_groupoid_model,
-                        case1_model)
+from .groupoids import (GroupoidChartModel, Widths, _affine_action, _annulus, _box,
+                        _cabs, _cexp, _exp_model, _finite, _join, _nonzero, _relabel,
+                        _square, _zero, _zero_or, case1_model)
 from .kernel import (FormField, SmoothMap, _branch, _cdiv, _cmul, _complex, _matvec,
                      two_form_from_matrix)
 
@@ -137,6 +136,13 @@ def _nonzero_Q(g) -> float:
     return (a * a + b * b) * r2 + 2 * a * x1 + 2 * b * x2 + 1.0
 
 
+def _nonzero_source(g):
+    """s(x1, x2, a, b) = (a r^2 + x1, b r^2 + x2), r^2 = x1^2 + x2^2."""
+    x1, x2, a, b = g
+    r2 = x1 * x1 + x2 * x2
+    return (a * r2 + x1, b * r2 + x2)
+
+
 def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> SymplecticModel:
     """Local symplectic integration of pi = (r^2/f) dx ^ dy on the plane.
 
@@ -151,11 +157,6 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
     conformal factor of the base form (default 1).
     """
 
-    def source_of(g):
-        x1, x2, a, b = g
-        r2 = x1 * x1 + x2 * x2
-        return (a * r2 + x1, b * r2 + x2)
-
     def target_of(g):
         return (g[0], g[1])
 
@@ -164,7 +165,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         if len(g) != 4:
             return False
         x1, x2, _, _ = g
-        s1, s2 = source_of(g)
+        s1, s2 = _nonzero_source(g)
         return _finite(g) & (((x1 == 0) & (x2 == 0)) | _nonzero(s1, s2))
 
     def compose_raw(g, h):
@@ -175,14 +176,14 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
         # conjugating the pair-groupoid swap through the blow-down scales
         # the coefficients by 1/Q; at the origin Q = 1 and this is
         # (0, 0, -a, -b), matching the origin extension
-        s1, s2 = source_of(g)
+        s1, s2 = _nonzero_source(g)
         lam = _nonzero_Q(g)
         return (s1, s2, -g[2] / lam, -g[3] / lam)
 
     def invert_variant(g):
         # unscaled near miss; fails s(iota(g)) = t(g)
         # away from the origin (negative control)
-        s1, s2 = source_of(g)
+        s1, s2 = _nonzero_source(g)
         return (s1, s2, -g[2], -g[3])
 
     def unit_at(p):
@@ -216,7 +217,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
 
     model = GroupoidChartModel(
         name="sympl-nonzero", arrow_dim=4, base_dim=2,
-        source_of=source_of, target_of=target_of, compose_raw=compose_raw,
+        source_of=_nonzero_source, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
         expected_frame=residue_model_frame("nonzero"),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
@@ -245,7 +246,7 @@ def symplectic_nonzero_residue_model(f: Optional[Callable] = None) -> Symplectic
     # exactly composable pairs parametrized by (x, a1, b1, a2, b2)
     def pairs(w):
         g = w[:4]
-        return g + source_of(g) + w[4:6]
+        return g + _nonzero_source(g) + w[4:6]
 
     pair_map = SmoothMap(6, 8, pairs, name="sympl-nonzero.pairs")
 
@@ -329,16 +330,14 @@ def _nonzero_Omega_assembled(fval) -> FormField:
                                       2 * b * x1, 2 * b * x2 + 1, 0.0, r2)
         ds = np.stack(entries, axis=-1).reshape(np.shape(x1) + (2, 4))
         su, sv = (np.transpose(_matvec(ds, np.transpose(w))) for w in (u, v))
-        s1, s2 = a * r2 + x1, b * r2 + x2
+        s1, s2 = _nonzero_source(p)
         rho2 = s1 * s1 + s2 * s2
         term_t = fval((x1, x2)) * (tu[0] * tv[1] - tu[1] * tv[0]) / r2
         term_s = fval((s1, s2)) * (su[0] * sv[1] - su[1] * sv[0]) / rho2
         return term_t - term_s
 
     def pred(p):
-        x1, x2, a, b = p
-        s1, s2 = a * (x1 * x1 + x2 * x2) + x1, b * (x1 * x1 + x2 * x2) + x2
-        return _nonzero(x1, x2) & _nonzero(s1, s2)
+        return _nonzero(p[0], p[1]) & _nonzero(*_nonzero_source(p))
 
     return FormField(2, 4, func, "real", pred, "Omega(nonzero,f)")
 
@@ -346,15 +345,6 @@ def _nonzero_Omega_assembled(fval) -> FormField:
 # ---------------------------------------------------------------------------
 # zero elliptic residue: holomorphic chart over C^2
 # ---------------------------------------------------------------------------
-
-def _zero_base(u):
-    """A point (u, v) of C^2; u = 0 (the divisor) with probability 0.25."""
-    return _zero_or(u[0] < 0.25, u[1], u[2], 0.2, 1.1) + (_box(u[3]), _box(u[4]))
-
-
-def _zero_base_like(p, u):
-    return _zero_or(_zero(p[0], p[1]), u[0], u[1], 0.2, 1.1) + (_box(u[2]), _box(u[3]))
-
 
 def symplectic_zero_residue_model() -> SymplecticModel:
     """Local symplectic integration with vanishing elliptic residue.
@@ -366,11 +356,14 @@ def symplectic_zero_residue_model() -> SymplecticModel:
     ac + z), t = (a, z), unit (u, v) -> (v, u, 1, 0), inverse (ac + z,
     ab, 1/b, -c/b), and the last component of the product c + b c'.
     The transposed-slot variant c + b' c breaks the unit/inverse laws
-    and associativity and ships as a negative control.  Only the
-    samplers, ``arrow_between`` and the isotropy law are this model's
-    own; the divisor isotropy composes as (b, c)(b', c') = (b b',
-    c + b c'), the affine group of the plane.
+    and associativity and ships as a negative control.  Only the arrow
+    sampler, the arrows over the divisor and the sampling radii are this
+    model's own; the base samplers and the isotropy law are the action
+    groupoid's, read through the relabelling, and the divisor isotropy
+    composes as (b, c)(b', c') = (b b', c + b c'), the affine group of
+    the plane.
     """
+    base_r, b_r = (0.2, 1.1), (0.4, 1.8)     # |a| off the divisor, |b|
 
     def compose_variant(g, h):
         # transposed-slot near miss: last slot c + b' c
@@ -384,18 +377,18 @@ def symplectic_zero_residue_model() -> SymplecticModel:
             return ((p[2], p[3], p[0], p[1]) + _cdiv(q[0], q[1], p[0], p[1])
                     + _cdiv(q[2] - p[2], q[3] - p[3], p[0], p[1]))
 
-        return _join(p, q, 0, lambda: (p[2], p[3], 0.0, 0.0) + _annulus(u[0], u[1], 0.4, 1.8)
-                     + (_box(u[2]), _box(u[3])), off)
+        # points of the divisor plane are distinct orbits
+        return _join(p, q, 0, lambda: (p[2], p[3], 0.0, 0.0) + _annulus(u[0], u[1], *b_r)
+                     + (_box(u[2]), _box(u[3])), off,
+                     apart=(q[2] != p[2]) | (q[3] != p[3]))
 
     def sample_arrow(u):
-        return ((_box(u[0]), _box(u[1])) + _zero_or(u[2] < 0.25, u[3], u[4], 0.2, 1.1)
-                + _annulus(u[5], u[6], 0.4, 1.8) + (_box(u[7]), _box(u[8])))
+        return ((_box(u[0]), _box(u[1])) + _zero_or(u[2] < 0.25, u[3], u[4], *base_r)
+                + _annulus(u[5], u[6], *b_r) + (_box(u[7]), _box(u[8])))
 
-    model = replace(
-        _relabel(action_groupoid_model(), "sympl-zero", range(4), (4, 5, 6, 7, 2, 3, 0, 1)),
-        arrow_between=arrow_between, sample_arrow=sample_arrow,
-        sample_base=_zero_base, sample_base_like=_zero_base_like,
-        isotropy=_affine_isotropy(4))
+    model = replace(_relabel(_affine_action(base_r, b_r), "sympl-zero", range(4),
+                             (4, 5, 6, 7, 2, 3, 0, 1)),
+                    arrow_between=arrow_between, sample_arrow=sample_arrow)
 
     omega = _dlog_wedge_form()
     Omega = _zero_Omega(sign=-1.0)
@@ -687,8 +680,8 @@ def real_form_conventions():
     Returns (motivating, plain_real_part, conjugated_real_part): the
     motivating real form dlogr ^ dx3 + dtheta ^ dx4 and the real parts
     of dlog(u) ^ dv and dlog(u) ^ d(conj v).  Sampling shows the
-    conjugated pairing reproduces the motivating form; the suite records
-    that sign empirically.
+    conjugated pairing reproduces the motivating form;
+    ``tests/test_symplectic.py`` pins that sign.
     """
 
     def motivating(p, vs):

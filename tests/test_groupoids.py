@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from egl.checks import check_groupoid_axioms, lie_algebroid_of, rng_for
+from egl.checks import (check_groupoid_axioms, check_isotropy, lie_algebroid_of,
+                        perturbed_model, rng_for)
 from egl.errors import ChartInvalid, NotComposable, NotTransverse
-from egl.groupoids import (COMPOSABLE_TOL, _maxdiff, action_groupoid_model, case1_model,
-                           case2_quotient_model, caseIV_model,
+from egl.groupoids import (COMPOSABLE_TOL, _full, _maxdiff, _relabel, action_groupoid_model,
+                           case1_model, case2_quotient_model, caseIV_model,
                            elliptic_ideal_pullback, fibre_product,
                            pair_groupoid, smooth_factor_model,
                            ssc_surface_model, uniforms)
@@ -536,6 +537,64 @@ def test_arrow_between_refuses_endpoints_on_different_strata(name):
         with pytest.raises(NotComposable):
             model.arrow_between(p, q, u)
     assert model.arrow_valid(model.arrow_between(on, on, u))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_arrow_between_joins_p_to_the_point_its_like_sampler_draws(name):
+    # extend_from's contract, on a block of 400 base points (some on the
+    # divisor) and on one point zeroed on the divisor slots: no row is
+    # refused, and the arrow runs from q = sample_base_like(p) to p
+    model = build_model(name).chart
+    w, n = model.widths, 400
+    rng = rng_for(7, f"join:{name}")
+    p = model.random_base(rng, n)
+    u = uniforms(rng, w.extend, n)
+    q = _full(model.sample_base_like(p, u[:w.like]), n)
+    g = _full(model.arrow_between(p, q, u[w.like:]), n)
+    assert not np.isnan(np.array(g)).all(axis=0).any()
+    assert (_maxdiff(model.target_of(g), p) <= COMPOSABLE_TOL).all()
+    assert (_maxdiff(model.source_of(g), q) <= COMPOSABLE_TOL).all()
+    p = tuple(0.0 if i in model.divisor_slots else float(x[0]) for i, x in enumerate(p))
+    u = uniforms(rng, w.extend)
+    q = model.sample_base_like(p, u[:w.like])
+    g = model.arrow_between(p, q, u[w.like:])
+    assert _maxdiff(model.target_of(g), p) <= COMPOSABLE_TOL
+    assert _maxdiff(model.source_of(g), q) <= COMPOSABLE_TOL
+
+
+@pytest.mark.parametrize("name", ["sympl-zero", "action-groupoid"])
+def test_arrow_between_refuses_two_points_of_the_divisor_plane(name):
+    # each point of {u = 0} is an orbit of its own: no arrow joins two of
+    # them, on a point or in a block row, while a row joining p to itself
+    # is an arrow
+    model = build_model(name).chart
+    p, q, u = (0.0, 0.0, 0.3, -0.2), (0.0, 0.0, 0.7, 0.5), (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(NotComposable):
+        model.arrow_between(p, q, u)
+
+    def block(*rows):
+        return tuple(np.array(c) for c in zip(*rows))
+
+    g = np.array(_full(model.arrow_between(block(p, p), block(q, p), block(u, u)), 2))
+    assert np.isnan(g[:, 0]).all()
+    assert model.arrow_valid(tuple(g[:, 1].tolist()))
+
+
+def test_relabel_reads_the_isotropy_law_through_the_arrow_order():
+    # the affine law reads (b, c) at arrow slots 0..3; moved to slots
+    # 6, 7, 0, 1 it still holds, and a product bent at one of those slots
+    # fails with witnesses.  The law reads only (b, c), so a product bent
+    # at a point slot passes, as it does on the action groupoid itself
+    inner = action_groupoid_model()
+    order = (6, 7, 0, 1, 4, 5, 2, 3)
+    moved = _relabel(inner, "moved", range(4), order)
+    rep = check_isotropy(moved, n_samples=300, seed=7)
+    assert rep.verdict == "pass" and rep.passed == 300
+    for r, slot in enumerate(order):
+        bent = check_isotropy(perturbed_model(moved, component=slot), 300, 7)
+        want = check_isotropy(perturbed_model(inner, component=r), 300, 7).verdict
+        assert bent.verdict == want == ("fail" if r < 4 else "pass")
+        assert bool(bent.witnesses) == (r < 4)
 
 
 _FACTORS = {f"smooth-factor(6,2,{j})": j for j in (0, 1)}

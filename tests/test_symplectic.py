@@ -241,10 +241,10 @@ def test_zero_isotropy_is_the_affine_group():
 
 
 def test_the_action_groupoids_isotropy_law_fails_on_sympl_zero():
-    # sympl-zero's chart is the action groupoid relabelled, but the affine
-    # law is bound to arrow slots: the slot-0 law that the relabelling
-    # copies reads sympl-zero's (z, a) as (b, c), and z z' is not z, so
-    # every sample fails with a finite witness, neither passing nor crashing
+    # sympl-zero's chart is the action groupoid relabelled, and _relabel
+    # reads the affine law through the arrow order; the raw slot-0 law
+    # reads sympl-zero's (z, a) as (b, c), and z z' is not z, so every
+    # sample fails with a finite witness, neither passing nor crashing
     model = symplectic_zero_residue_model().model
     copied = replace(model, isotropy=action_groupoid_model().isotropy)
     rep = check_isotropy(copied, n_samples=200, seed=7)
