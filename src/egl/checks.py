@@ -25,6 +25,7 @@ computation; a NaN or infinite value fails its sample with a witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zlib
@@ -117,6 +118,28 @@ class CheckReport:
         }
 
 
+@functools.cache
+def _philox_key():
+    """The seed-sequence type that hands Philox its key as its state.
+
+    ``np.random.Philox(key=...)`` first builds a ``SeedSequence`` from
+    fresh OS entropy and then overwrites its state with the key; given
+    an instance of this type instead, Philox reads the key as its
+    two-word state and starts from the same counter, key and buffer.
+    Built on first use, as ``numpy.random`` is imported on first use and
+    the exact layer never draws.
+    """
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is two uint64 words")
+            return self.key
+    return PhiloxKey
+
+
 def rng_for(seed: int, label: str) -> np.random.Generator:
     """Philox (counter-based, 64-bit) stream keyed by seed and label.
 
@@ -134,7 +157,7 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     if not 0 <= seed <= 0xFFFFFFFFFFFFFFFF:
         raise ValueError(f"seed {seed} is outside 0 .. 2**64 - 1")
     key = np.array([seed, zlib.crc32(label.encode())], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
 def _running_max(current: float, column) -> float:

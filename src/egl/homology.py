@@ -38,7 +38,19 @@ Smith normal form.  Row and column Hermite forms alternate until the
 matrix is diagonal (a column form is the row form of the transpose);
 then diagonal pairs that break the divisibility chain are replaced by
 their gcd and lcm.  U and V are not unique, so this alternation fixes
-their bits.
+their bits.  The first row form of a square M of full rank does not
+carry its transform: a tail-less pass gives the Hermite form H of M
+(unique, so the same rows), and the transform W is the only integer
+matrix with W M = H, found by p-adic lifting modulo one prime below
+2**25 (Dixon, Numer. Math. 40, 1982) and certified by an exact zero
+residual, so U and V keep the bits of the carried pass.  The lift runs
+in int64 NumPy arrays, bounded so that no product overflows, and in
+object arrays of Python ints: integer arithmetic, like the rest.  Any
+other first pass (a rectangular or singular M, a determinant divisible
+by every lift prime, entries too large for the int64 bounds) carries
+its transform.  Entries are read as integers only (``_as_int``): a
+fractional or non-finite float, a string or None is a
+MalformedPresentation.
 
 Digit bound.  Let h be the number of decimal digits of the Hadamard
 bound prod ||row||_2 of M.  Every entry of U and V has at most 2h + 10
@@ -51,8 +63,12 @@ polynomial size for the square nonsingular case only.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, MalformedPresentation
 
@@ -69,8 +85,27 @@ __all__ = [
 ]
 
 
+def _as_int(x) -> int:
+    """x as an int: ints, bools, NumPy integers, and floats with a finite integral value.
+
+    Anything else (a fractional or non-finite float, a string, None) is
+    a MalformedPresentation rather than a silently truncated entry.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, (float, np.floating)):
+        if math.isfinite(x) and float(x).is_integer():
+            return int(x)
+    else:
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise MalformedPresentation(f"entry {x!r} is not an integer")
+
+
 def _as_int_matrix(M) -> List[List[int]]:
-    rows = [[int(x) for x in row] for row in M]
+    rows = [[_as_int(x) for x in row] for row in M]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise MalformedPresentation("ragged integer matrix")
     return rows
@@ -193,6 +228,94 @@ def _hermite_rows(rows, width: int):
     return out + [kernel[c] for c in sorted(kernel)]
 
 
+# Primes below 2**25 for the p-adic lift of the first transform, tried in
+# order, largest first.
+_LIFT_PRIMES = (33554393, 33554383, 33554371)
+
+
+def _inverse_mod(A, p: int):
+    """A^-1 mod p for a square int64 array A, or None when p divides det A.
+
+    Gauss-Jordan on [A | I] mod p, one vectorised update per pivot; every
+    product is below p**2.
+    """
+    n = len(A)
+    aug = np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1)
+    for c in range(n):
+        nonzero = np.flatnonzero(aug[c:, c])
+        if not nonzero.size:
+            return None
+        r = c + int(nonzero[0])
+        if r != c:
+            aug[[c, r]] = aug[[r, c]]
+        aug[c] = aug[c] * pow(int(aug[c, c]), -1, p) % p
+        factors = aug[:, c].copy()
+        factors[c] = 0
+        aug = (aug - np.outer(factors, aug[c])) % p
+    return aug[:, n:]
+
+
+def _lift(H, A, C, p: int, limit: int):
+    """The integer matrix X with X A = H, by p-adic lifting (Dixon, Numer. Math. 40, 1982).
+
+    C is A^-1 mod p.  From R = H, each digit x = (R mod p) C mod p, taken
+    in (-p/2, p/2], solves x A = R mod p, so R <- (R - x A) / p is exact.
+    R = 0 certifies X A = H for X the digits read by Horner's rule; an R
+    still nonzero after ``limit`` digits is an ArithmeticError, never a
+    guess.
+    """
+    R = np.array(H, dtype=object)
+    digits = []
+    while np.count_nonzero(R):
+        if len(digits) == limit:
+            raise ArithmeticError(f"p-adic lift did not end within {limit} digits")
+        x = (R % p).astype(np.int64) @ C % p
+        x[x > p // 2] -= p
+        R = (R - (x @ A).astype(object)) // p
+        digits.append(x.astype(object))
+    X = np.zeros(R.shape, dtype=object)
+    for x in reversed(digits):
+        X = X * p + x
+    return X.tolist()
+
+
+def _lifted_rows(M):
+    """``_hermite_rows([M | I], n)`` for a square M of full rank, solving for the tail.
+
+    M is invertible modulo a lift prime, so it has full rank, and the
+    tail-less pass over its rows gives its row Hermite form H, the same
+    pivot rows as the pass over [M | I] (the row operations read only
+    the first n columns); the tail W is then the only integer matrix
+    with W M = H, found by ``_lift``.  Returns None, for the caller to
+    carry the tail instead, when M is not square, is singular modulo
+    every lift prime (a singular M is), or is large enough that an int64
+    product of the lift could overflow (n (p - 1)**2 or n (p/2) max|M|
+    reaching 2**63).
+    """
+    n = len(M)
+    p = _LIFT_PRIMES[0]     # the largest: its bounds cover the others
+    if any(len(r) != n for r in M):
+        return None
+    top = max(abs(x) for r in M for x in r)
+    if n * (p - 1) ** 2 >= 1 << 63 or n * (p // 2) * top >= 1 << 63:
+        return None
+    A = np.array(M, dtype=np.int64)
+    for p in _LIFT_PRIMES:
+        C = _inverse_mod(A, p)
+        if C is not None:
+            break
+    else:
+        return None
+    pivots, _ = _hermite_pass([list(r) for r in M], n)
+    H = [pivots[c] for c in range(n)]
+    # |W| <= n * prod ||row||_2 (Cramer's rule and Hadamard's bound, with
+    # every entry of H at most |det M|), and p**limit > 2 |W| ends the lift
+    hadamard_sq = math.prod(sum(x * x for x in r) for r in M)
+    bits = 1 + n.bit_length() + (hadamard_sq.bit_length() + 1) // 2
+    W = _lift(H, A, C, p, -(-bits // (p.bit_length() - 1)))
+    return [h + w for h, w in zip(H, W)]
+
+
 def _is_diagonal(S) -> bool:
     return all(not x for i, row in enumerate(S) for j, x in enumerate(row) if i != j)
 
@@ -207,7 +330,8 @@ def smith_normal_form(M):
     Row and column Hermite forms alternate until S is diagonal (each
     column form is the row form of the transpose, carrying V^T); then
     the diagonal pairs that break the chain are replaced by their gcd
-    and lcm.
+    and lcm.  The first row form of a square M of full rank solves for
+    its transform (``_lifted_rows``) instead of carrying it.
     """
     S = _as_int_matrix(M)
     m = len(S)
@@ -216,8 +340,8 @@ def smith_normal_form(M):
     V = _identity(n)
     if not (m and n):
         return U, S, V
+    rows = _lifted_rows(S) or _hermite_rows([s + u for s, u in zip(S, U)], n)
     while True:
-        rows = _hermite_rows([s + u for s, u in zip(S, U)], n)
         S = [r[:n] for r in rows]
         U = [r[n:] for r in rows]
         if _is_diagonal(S):
@@ -227,6 +351,7 @@ def smith_normal_form(M):
         V = [list(r) for r in zip(*(c[m:] for c in cols))]
         if _is_diagonal(S):
             break
+        rows = _hermite_rows([s + u for s, u in zip(S, U)], n)
     r = min(m, n)
     for i in range(r):
         for j in range(i + 1, r):
@@ -301,14 +426,14 @@ def _lattice_test(columns: Sequence[Sequence[int]], dim: int):
     and v is one iff it ends at zero.
     """
     if not columns:
-        return lambda v: not any(int(x) for x in v)
+        return lambda v: not any(_as_int(x) for x in v)
     if any(len(col) != dim for col in columns):
         raise DimensionMismatch("lattice_member: column length mismatch")
-    pivots, _ = _hermite_pass([[int(x) for x in col] for col in columns], dim)
+    pivots, _ = _hermite_pass([[_as_int(x) for x in col] for col in columns], dim)
     basis = sorted(pivots.items())
 
     def member(v) -> bool:
-        v = [int(x) for x in v]
+        v = [_as_int(x) for x in v]
         for c, p in basis:
             q, r = divmod(v[c], p[c])
             if r:
@@ -345,7 +470,7 @@ class HomologyPresentation:
 
     @property
     def relation_columns(self):
-        return [list(map(int, r)) for r in self.relations]
+        return [list(map(_as_int, r)) for r in self.relations]
 
 
 @dataclass(frozen=True)
@@ -374,7 +499,7 @@ class IntHom:
 
     def apply(self, v: Sequence[int]) -> List[int]:
         M = _as_int_matrix(self.matrix)
-        return [sum(M[i][j] * int(v[j]) for j in range(self.domain.ngens))
+        return [sum(M[i][j] * _as_int(v[j]) for j in range(self.domain.ngens))
                 for i in range(self.codomain.ngens)]
 
 
@@ -417,11 +542,11 @@ def smooth_decision_witness(i_star: IntHom, eta: Sequence[int]):
     Raises MalformedPresentation when eta has the wrong length or is
     not well defined on the domain group (odd on a relation).
     """
-    eta = [int(x) % 2 for x in eta]
+    eta = [_as_int(x) % 2 for x in eta]
     if len(eta) != i_star.domain.ngens:
         raise MalformedPresentation("eta length != domain generator count")
     for rel in i_star.domain.relations:
-        if sum(e * int(r) for e, r in zip(eta, rel)) % 2 != 0:
+        if sum(e * _as_int(r) for e, r in zip(eta, rel)) % 2 != 0:
             raise MalformedPresentation("eta is not well-defined on the domain group")
     for gen in kernel_generators(i_star):
         if sum(e * g for e, g in zip(eta, gen)) % 2 != 0:
@@ -437,8 +562,8 @@ def double_cover_exists(i_pullback, eta_class: Sequence[int]) -> bool:
     space over GF(2).  Exact Gaussian elimination on rows packed into
     Python ints, eliminating with XOR.
     """
-    A = [[int(x) % 2 for x in row] for row in i_pullback]
-    b = [int(x) % 2 for x in eta_class]
+    A = [[_as_int(x) % 2 for x in row] for row in i_pullback]
+    b = [_as_int(x) % 2 for x in eta_class]
     if A and len(A) != len(b):
         raise DimensionMismatch("double_cover_exists: row count != class length")
     if not A:

@@ -155,6 +155,33 @@ def test_a_seed_outside_64_bits_is_refused_not_aliased(seed):
     assert check_isotropy(model, 50, 2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345678901234, 2 ** 64 - 1])
+def test_rng_for_is_philox_keyed_by_seed_and_label(seed):
+    # the stream is Philox(key=[seed, crc32(label)]), built without the OS
+    # entropy that Philox(key=...) draws and throws away
+    import zlib
+
+    key = np.array([seed, zlib.crc32(b"isotropy")], dtype=np.uint64)
+    ours, theirs = rng_for(seed, "isotropy"), np.random.Generator(np.random.Philox(key=key))
+    a, b = ours.bit_generator.state, theirs.bit_generator.state
+    for field in ("counter", "key"):
+        assert np.array_equal(a["state"][field], b["state"][field])
+    assert np.array_equal(a["buffer"], b["buffer"]) and a["buffer_pos"] == b["buffer_pos"]
+    assert a["has_uint32"] == b["has_uint32"] and a["uinteger"] == b["uinteger"]
+    assert np.array_equal(ours.random(9), theirs.random(9))
+    assert np.array_equal(ours.integers(0, 2 ** 63, 5), theirs.integers(0, 2 ** 63, 5))
+
+
+def test_the_philox_key_answers_only_the_two_word_request():
+    from egl.checks import _philox_key
+
+    key = np.array([7, 8], dtype=np.uint64)
+    assert _philox_key()(key).generate_state(2, np.uint64) is key
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (3, np.uint64)):
+        with pytest.raises(ValueError):
+            _philox_key()(key).generate_state(n_words, dtype)
+
+
 @pytest.mark.parametrize("model", [
     replace(caseIV_model(4, 2), divisor_slots=()),
     # case1(4)'s base is (x, z): slots (0, 1) zero x and miss the divisor z = 0

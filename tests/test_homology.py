@@ -2,6 +2,8 @@
 
 import math
 import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,3 +454,129 @@ def test_hermite_rows_equal_a_full_reduce_reference(seed):
         rows = [list(r) + t for r, t in zip(M, tails)]
         out = homology._hermite_rows([list(r) for r in rows], n)
         assert out == _reference_hermite(rows), rows
+
+
+# --- the first row pass: a tail-less Hermite pass and a certified lift ----
+
+def _carried(M):
+    """The first row pass of the Smith form with its transform carried."""
+    n = len(M)
+    return homology._hermite_rows([list(r) + e for r, e in zip(M, homology._identity(n))], n)
+
+
+def _carried_snf(M, monkeypatch):
+    """``smith_normal_form`` with its first transform carried, not lifted."""
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_lifted_rows", lambda M: None)
+        return smith_normal_form(M)
+
+
+def _count_lifts(monkeypatch):
+    primes = []
+    real = homology._lift
+
+    def counted(H, A, C, p, limit):
+        primes.append(p)
+        return real(H, A, C, p, limit)
+    monkeypatch.setattr(homology, "_lift", counted)
+    return primes
+
+
+@pytest.mark.parametrize("bound", [9, 10 ** 6])
+def test_the_lifted_first_pass_equals_the_carried_pass(bound):
+    rng = random.Random(bound)
+    for n in range(1, 41):
+        while True:
+            M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if integer_determinant(M):
+                break
+        assert homology._lifted_rows(M) == _carried(M), n
+
+
+def test_the_benchmarks_smith_forms_take_the_lift(monkeypatch):
+    oracles = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "oracles.py"))
+    primes = _count_lifts(monkeypatch)
+    for n in (16, 24, 32, 40):
+        M = oracles["snf_matrix"](oracles["rng_for"](7, f"snf:{n}"), n)
+        assert smith_normal_form(M) == _carried_snf(M, monkeypatch), n
+    assert primes == [homology._LIFT_PRIMES[0]] * 4
+
+
+def _fallbacks():
+    p = homology._LIFT_PRIMES
+    rng = random.Random(9)
+    yield pytest.param([[1, 2, 3], [2, 4, 6], [0, 1, 5]], id="singular")
+    yield pytest.param([[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)], id="wide")
+    yield pytest.param([[rng.randint(-9, 9) for _ in range(3)] for _ in range(5)], id="tall")
+    yield pytest.param([[2 ** 40, 3, 1], [5, 7, 2], [1, 2 ** 39, 9]], id="past-int64-guard")
+    d = [*p, 1, 1]      # det = the product of the lift primes
+    yield pytest.param([[d[i] if i == j else int(j == i + 1) for j in range(len(d))]
+                        for i in range(len(d))], id="singular-mod-every-lift-prime")
+
+
+@pytest.mark.parametrize("M", _fallbacks())
+def test_each_fallback_carries_the_transform_with_the_same_result(M, monkeypatch):
+    assert homology._lifted_rows(M) is None
+    primes = _count_lifts(monkeypatch)
+    hermite = []
+    real = homology._hermite_rows
+    monkeypatch.setattr(homology, "_hermite_rows",
+                        lambda rows, width: hermite.append(width) or real(rows, width))
+    U, S, V = smith_normal_form(M)
+    assert not primes and hermite[0] == len(M[0])
+    assert (U, S, V) == _carried_snf(M, monkeypatch)
+    assert S == _reference_snf(M)
+
+
+def test_a_determinant_divisible_by_the_first_prime_lifts_modulo_the_next(monkeypatch):
+    p = homology._LIFT_PRIMES
+    M = [[p[0] if i == j == 0 else int(i == j) + int(j == i + 1) for j in range(4)]
+         for i in range(4)]
+    primes = _count_lifts(monkeypatch)
+    assert smith_normal_form(M) == _carried_snf(M, monkeypatch)
+    assert primes == [p[1]]
+
+
+def test_a_lift_that_does_not_end_within_its_bound_raises():
+    # x * 2 = 1 has no integer solution: the digits of 1/2 never end
+    p = homology._LIFT_PRIMES[0]
+    A = np.array([[2]], dtype=np.int64)
+    C = homology._inverse_mod(A, p)
+    assert C.tolist() == [[pow(2, -1, p)]]
+    with pytest.raises(ArithmeticError, match="12 digits"):
+        homology._lift([[1]], A, C, p, 12)
+    assert homology._lift([[6]], A, C, p, 1) == [[3]]
+
+
+# --- the exact layer reads integers only ---------------------------------
+
+@pytest.mark.parametrize("entry", [1.5, float("nan"), float("inf"), None, "3", 2 + 0j])
+def test_a_non_integer_entry_is_a_malformed_presentation(entry):
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        smith_normal_form([[entry, 2], [3, 4]])
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        integer_determinant([[entry]])
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        lattice_member([[entry, 1]], [1, 1])
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        lattice_member([[2, 1]], [entry, 1])
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        HomologyPresentation(2, relations=((entry, 2),)).relation_columns
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        double_cover_exists([[1, entry]], [1])
+
+
+def test_the_message_names_the_entry():
+    with pytest.raises(MalformedPresentation, match=r"entry 1\.5 "):
+        smith_normal_form([[1.5, 2], [3, 4]])
+    with pytest.raises(MalformedPresentation, match="entry '3' "):
+        integer_determinant([["3"]])
+
+
+def test_integers_and_integral_floats_still_read():
+    M = [[2.0, np.int64(4), True], [np.float32(3.0), -1, np.uint8(7)], [0, False, 5]]
+    ints = [[2, 4, 1], [3, -1, 7], [0, 0, 5]]
+    assert smith_normal_form(M) == smith_normal_form(ints)
+    assert integer_determinant(M) == integer_determinant(ints)
+    assert lattice_member([[2.0, 0], [0, np.int32(3)]], [np.int64(4), 6.0])
+    assert not lattice_member([[2, 0], [0, 3]], [True, 0])
