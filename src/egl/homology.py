@@ -39,17 +39,30 @@ matrix is diagonal (a column form is the row form of the transpose);
 then diagonal pairs that break the divisibility chain are replaced by
 their gcd and lcm.  U and V are not unique, so this alternation fixes
 their bits.  The first row form of a square M of full rank does not
-carry its transform: a tail-less pass gives the Hermite form H of M
-(unique, so the same rows), and the transform W is the only integer
-matrix with W M = H, found by p-adic lifting modulo one prime below
-2**25 (Dixon, Numer. Math. 40, 1982) and certified by an exact zero
-residual, so U and V keep the bits of the carried pass.  The lift runs
-in int64 NumPy arrays, bounded so that no product overflows, and in
-object arrays of Python ints: integer arithmetic, like the rest.  Any
-other first pass (a rectangular or singular M, a determinant divisible
-by every lift prime, entries too large for the int64 bounds) carries
-its transform.  Entries are read as integers only (``_as_int``): a
-fractional or non-finite float, a string or None is a
+carry its transform; it takes the first of three routes that applies:
+
+- the cyclic solve: when Z^n / (rows of M) is cyclic, one block p-adic
+  solve M X = B (Dixon, Numer. Math. 40, 1982), rational reconstruction
+  and an lcm of the columns' orders give y / D with the row lattice
+  {v : v . y = 0 mod D}, whose Hermite form H is written down column by
+  column (Pernet and Stein, J. Number Theory 130, 2010);
+- the lift: a tail-less pass gives the Hermite form H of M;
+- the carried pass over [M | I]: a rectangular or singular M, a
+  determinant divisible by every lift prime, or entries too large for
+  the int64 bounds.
+
+After the first two, the transform W is the only integer matrix with
+W M = H, found by p-adic lifting modulo one prime below 2**25 and
+certified by an exact zero residual.  The cyclic H is certified from
+both sides: M y = 0 mod D, checked exactly, puts the rows of M in the
+lattice of H, and the lift puts the rows of H in the lattice of M; so
+H is the Hermite form (it is unique), and a miss (a non-cyclic
+cokernel, a D that is not +-det M mod p, a lift that does not end)
+falls back to the tail-less pass.  U and V keep the bits of the carried
+pass.  The solve and the lift run in int64 NumPy arrays, bounded so
+that no product overflows, and in object arrays of Python ints: integer
+arithmetic, like the rest.  Entries are read as integers only
+(``_as_int``): a fractional or non-finite float, a string or None is a
 MalformedPresentation.
 
 Digit bound.  Let h be the number of decimal digits of the Hadamard
@@ -63,9 +76,12 @@ polynomial size for the square nonsingular case only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -228,19 +244,21 @@ def _hermite_rows(rows, width: int):
     return out + [kernel[c] for c in sorted(kernel)]
 
 
-# Primes below 2**25 for the p-adic lift of the first transform, tried in
-# order, largest first.
+# Primes below 2**25 for the p-adic solve and lift of the first row pass,
+# tried in order, largest first.
 _LIFT_PRIMES = (33554393, 33554383, 33554371)
 
 
 def _inverse_mod(A, p: int):
-    """A^-1 mod p for a square int64 array A, or None when p divides det A.
+    """(A^-1 mod p, det A mod p) for a square int64 array A, or None when p divides det A.
 
     Gauss-Jordan on [A | I] mod p, one vectorised update per pivot; every
-    product is below p**2.
+    product is below p**2.  The determinant is the product of the pivots,
+    negated once per row swap.
     """
     n = len(A)
     aug = np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1)
+    det = 1
     for c in range(n):
         nonzero = np.flatnonzero(aug[c:, c])
         if not nonzero.size:
@@ -248,71 +266,266 @@ def _inverse_mod(A, p: int):
         r = c + int(nonzero[0])
         if r != c:
             aug[[c, r]] = aug[[r, c]]
-        aug[c] = aug[c] * pow(int(aug[c, c]), -1, p) % p
+            det = -det
+        pivot = int(aug[c, c])
+        det = det * pivot % p
+        aug[c] = aug[c] * pow(pivot, -1, p) % p
         factors = aug[:, c].copy()
         factors[c] = 0
         aug = (aug - np.outer(factors, aug[c])) % p
-    return aug[:, n:]
+    return aug[:, n:], det
 
 
-def _lift(H, A, C, p: int, limit: int):
-    """The integer matrix X with X A = H, by p-adic lifting (Dixon, Numer. Math. 40, 1982).
+def _digit_planes(H, p: int):
+    """int64 arrays H_0, H_1, ... with H = sum_k H_k p**k, entries in [-p/2, p/2].
 
-    C is A^-1 mod p.  From R = H, each digit x = (R mod p) C mod p, taken
-    in (-p/2, p/2], solves x A = R mod p, so R <- (R - x A) / p is exact.
-    R = 0 certifies X A = H for X the digits read by Horner's rule; an R
-    still nonzero after ``limit`` digits is an ArithmeticError, never a
-    guess.
+    Only the entries outside that range are split digit by digit.
     """
-    R = np.array(H, dtype=object)
-    digits = []
-    while np.count_nonzero(R):
-        if len(digits) == limit:
-            raise ArithmeticError(f"p-adic lift did not end within {limit} digits")
-        x = (R % p).astype(np.int64) @ C % p
+    half = p // 2
+    flat = [h for row in H for h in row]
+    big = [(i, h) for i, h in enumerate(flat) if not -half <= h <= half]
+    for i, _ in big:
+        flat[i] = 0
+    planes = [np.array(flat, dtype=np.int64)]
+    for i, h in big:
+        k = 0
+        while h:
+            if k == len(planes):
+                planes.append(np.zeros(len(flat), dtype=np.int64))
+            d = (h + half) % p - half
+            planes[k][i] = d
+            h = (h - d) // p
+            k += 1
+    return [plane.reshape(len(H), -1) for plane in planes]
+
+
+def _digits(planes, A, C, p: int):
+    """Dixon's p-adic digits of X with X A = sum_k planes[k] p**k (Numer. Math. 40, 1982).
+
+    C is A^-1 mod p.  The residual is R = S + sum_(j>=k) planes[j] p**(j-k)
+    for a carry S, so every step runs in int64: the digit x = (T mod p) C
+    mod p of T = S + planes[k], taken in (-p/2, p/2], solves x A = T mod p,
+    and S <- (T - x A) / p is exact, with |S| at most n max|A| / 2 + 1.
+    Yields (x, whether R is now zero), without end.
+    """
+    S = np.zeros_like(planes[0])
+    k = 0
+    while True:
+        T = S + planes[k] if k < len(planes) else S
+        x = (T % p) @ C % p
         x[x > p // 2] -= p
-        R = (R - (x @ A).astype(object)) // p
-        digits.append(x.astype(object))
-    X = np.zeros(R.shape, dtype=object)
-    for x in reversed(digits):
-        X = X * p + x
-    return X.tolist()
+        S = (T - x @ A) // p
+        k += 1
+        yield x, k >= len(planes) and not S.any()
+
+
+def _horner(xs, p: int):
+    """sum_k xs[k] p**k as an object array of Python ints, two digits an int64 step."""
+    X = np.zeros(xs[0].shape, dtype=object)
+    if len(xs) % 2:
+        xs = xs + [np.zeros_like(xs[0])]
+    for lo, hi in zip(xs[-2::-2], xs[::-2]):
+        X = X * (p * p) + (lo + hi * p).astype(object)
+    return X
+
+
+def _lift(H, A, C, p: int, limit: int, strict: bool = True):
+    """The integer matrix X with X A = H, by p-adic lifting (``_digits``).
+
+    A zero residual certifies X A = H for X the digits read by Horner's
+    rule; a residual still nonzero after ``limit`` digits is an
+    ArithmeticError, never a guess, or None when ``strict`` is false.
+    """
+    xs = []
+    for x, done in _digits(_digit_planes(H, p), A, C, p):
+        xs.append(x)
+        if done:
+            return _horner(xs, p).tolist()
+        if len(xs) == limit:
+            if not strict:
+                return None
+            raise ArithmeticError(f"p-adic lift did not end within {limit} digits")
+
+
+# The cyclic route solves A X = B for a fixed block B of _RHS_COLUMNS
+# columns with entries in [-7, 7], drawn row by row from a stream with a
+# constant seed: row i is the same for every n, and no run seed enters.
+_RHS_COLUMNS = 6
+_RHS_SEED = 1982
+
+
+@functools.lru_cache(maxsize=32)
+def _rhs_block(n: int):
+    """The first n rows of B, read-only."""
+    draw = random.Random(_RHS_SEED)
+    B = np.array([[draw.randint(-7, 7) for _ in range(_RHS_COLUMNS)] for _ in range(n)],
+                 dtype=np.int64)
+    B.setflags(write=False)
+    return B
+
+
+def _reconstruct(u: int, P: int, N: int):
+    """(a, b) with a = b u mod P, |a| <= N and b > 0, from the extended
+    Euclidean remainders of (P, u) (rational reconstruction)."""
+    r0, r1, t0, t1 = P, u % P, 0, 1
+    while r1 > N:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _column_functional(x, P: int, N: int, bound: int):
+    """(y, D) with x = y / D mod P, gcd(D, y) = 1, |y_i| <= N and D <= bound, or None.
+
+    The denominator grows one entry at a time: D x_i mod P is
+    reconstructed only when it is not already a small integer.
+    """
+    D, half = 1, P // 2
+    y = []
+    for u in x:
+        a = D * u % P
+        if a > half:
+            a -= P
+        if abs(a) > N:
+            a, b = _reconstruct(a, P, N)
+            D *= b
+            if D > bound:
+                return None
+            y = [v * b for v in y]
+        y.append(a)
+    g = math.gcd(D, *y)
+    return [v // g for v in y], D // g
+
+
+def _combine(first, second):
+    """A functional of order lcm(D1, D2) from two of orders D1 and D2.
+
+    Split lcm(D1, D2) = a b with a | D1, b | D2 and gcd(a, b) = 1; then
+    (D1/a) y1/D1 + (D2/b) y2/D2 = (b y1 + a y2) / (a b) has order a b.
+    """
+    (y1, d1), (y2, d2) = first, second
+    a, b = d1, d2 // math.gcd(d1, d2)
+    h = math.gcd(a, b)
+    while h > 1:
+        a, b = a // h, b * h
+        h = math.gcd(a, b)
+    D = a * b
+    return [(b * u + a * v) % D for u, v in zip(y1, y2)], D
+
+
+def _functional_hermite(y, D: int):
+    """The row Hermite form of {v in Z^n : v . y = 0 mod D}.
+
+    Column i (from the last) has pivot g_i / gcd(g_i, y_i) with
+    g_i = gcd(D, y_i+1, ..., y_n); lam keeps g_i = sum lam_j y_j mod D,
+    so t lam, for t = -pivot y_i / g_i, completes the row, which is then
+    reduced at each later pivot column as ``_reduce`` does.  Only columns
+    whose pivot exceeds 1 carry entries right of a pivot, so every row is
+    kept as a dict over those columns.
+    """
+    n = len(y)
+    rows = [None] * n
+    wide = []                   # columns with a pivot above 1, increasing
+    lam, g = {}, D
+    for i in range(n - 1, -1, -1):
+        c = g // math.gcd(g, y[i])
+        t = -c * y[i] // g
+        row = {j: t * l % D for j, l in lam.items()}
+        for j in wide:
+            q = row[j] // rows[j][j]
+            if q:
+                for k, h in rows[j].items():
+                    row[k] -= q * h
+        row[i] = c
+        rows[i] = row
+        if c > 1:
+            g, s, t = _xgcd(g, y[i])
+            lam = {j: s * l % D for j, l in lam.items()}
+            lam[i] = t % D
+            wide.insert(0, i)
+    return [[row.get(k, 0) for k in range(n)] for row in rows]
+
+
+def _cyclic_hermite(M, A, C, det: int, p: int, norms):
+    """The row Hermite form of M from one block solve when Z^n / (rows of M) is cyclic, or None.
+
+    Then the row lattice is {v : v . y = 0 mod d} for d = |det M| and
+    some y, and x = y / d = M^-1 b for most b.  The first digits of the
+    solve of M X = B (the lift of X^T M^T = B^T), rational reconstruction
+    of each column within the Cramer and Hadamard bounds, and the
+    combination of the columns' functionals give y / D; a D that is not
+    +-det M mod p (a non-cyclic cokernel, or a block that falls short)
+    is None.  M y = 0 mod D, checked exactly, puts the rows of M in the
+    lattice of the result; the caller's lift certifies the converse.
+    """
+    hadamard_sq = math.prod(norms)
+    numerator_sq = math.prod(s + 49 for s in norms)     # Cramer, |b| <= 7
+    N = math.isqrt(numerator_sq) + 1
+    bound = math.isqrt(hadamard_sq) + 1
+    digits = -(-(2 + N.bit_length() + bound.bit_length()) // (p.bit_length() - 1))
+    P = p ** digits
+    xs = itertools.islice(_digits([_rhs_block(len(M)).T], A.T, C.T, p), digits)
+    combined = ([0] * len(M), 1)
+    for x in _horner([x for x, _ in xs], p).tolist():
+        column = _column_functional(x, P, N, bound)
+        if column is None:
+            return None
+        combined = _combine(combined, column)
+    y, D = combined
+    if D % p not in (det, p - det):
+        return None
+    # M y = sum_k (M y_k) p**k over the digit planes y_k of y: int64 products
+    My = sum((A @ plane[0]).astype(object) * p ** k
+             for k, plane in enumerate(_digit_planes([y], p)))
+    if (My % D).any():
+        return None
+    return _functional_hermite(y, D)
 
 
 def _lifted_rows(M):
     """``_hermite_rows([M | I], n)`` for a square M of full rank, solving for the tail.
 
-    M is invertible modulo a lift prime, so it has full rank, and the
-    tail-less pass over its rows gives its row Hermite form H, the same
-    pivot rows as the pass over [M | I] (the row operations read only
-    the first n columns); the tail W is then the only integer matrix
-    with W M = H, found by ``_lift``.  Returns None, for the caller to
-    carry the tail instead, when M is not square, is singular modulo
-    every lift prime (a singular M is), or is large enough that an int64
-    product of the lift could overflow (n (p - 1)**2 or n (p/2) max|M|
-    reaching 2**63).
+    M is invertible modulo a lift prime, so it has full rank.  Its row
+    Hermite form H comes first from ``_cyclic_hermite`` (one block solve,
+    when Z^n / (rows of M) is cyclic), else from the tail-less pass over
+    its rows (the same pivot rows as the pass over [M | I], whose row
+    operations read only the first n columns).  The tail W is the only
+    integer matrix with W M = H, found by ``_lift``; for the cyclic
+    candidate the lift is also its certificate (W integral puts H's rows
+    in the lattice of M, which lies in H's by the exact check of
+    ``_cyclic_hermite``), and a lift that does not end sends it to the
+    pass.  Returns None, for the caller to carry the tail instead, when
+    M is not square, is singular modulo every lift prime (a singular M
+    is), or is large enough that an int64 product of the lift or the
+    solve could overflow (n (p - 1)**2 or n (p/2 + 1) max|M| reaching
+    2**63).
     """
     n = len(M)
     p = _LIFT_PRIMES[0]     # the largest: its bounds cover the others
     if any(len(r) != n for r in M):
         return None
-    top = max(abs(x) for r in M for x in r)
-    if n * (p - 1) ** 2 >= 1 << 63 or n * (p // 2) * top >= 1 << 63:
+    top = max(map(abs, itertools.chain.from_iterable(M)))
+    if n * (p - 1) ** 2 >= 1 << 63 or n * (p // 2 + 1) * top >= 1 << 63:
         return None
     A = np.array(M, dtype=np.int64)
     for p in _LIFT_PRIMES:
-        C = _inverse_mod(A, p)
-        if C is not None:
+        inverse = _inverse_mod(A, p)
+        if inverse is not None:
             break
     else:
         return None
-    pivots, _ = _hermite_pass([list(r) for r in M], n)
-    H = [pivots[c] for c in range(n)]
+    C, det = inverse
+    norms = [sum(map(operator.mul, r, r)) for r in M]
     # |W| <= n * prod ||row||_2 (Cramer's rule and Hadamard's bound, with
     # every entry of H at most |det M|), and p**limit > 2 |W| ends the lift
-    hadamard_sq = math.prod(sum(x * x for x in r) for r in M)
-    bits = 1 + n.bit_length() + (hadamard_sq.bit_length() + 1) // 2
-    W = _lift(H, A, C, p, -(-bits // (p.bit_length() - 1)))
+    bits = 1 + n.bit_length() + (math.prod(norms).bit_length() + 1) // 2
+    limit = -(-bits // (p.bit_length() - 1))
+    H = _cyclic_hermite(M, A, C, det, p, norms)
+    W = None if H is None else _lift(H, A, C, p, limit, strict=False)
+    if W is None:
+        pivots, _ = _hermite_pass([list(r) for r in M], n)
+        H = [pivots[c] for c in range(n)]
+        W = _lift(H, A, C, p, limit)
     return [h + w for h, w in zip(H, W)]
 
 
@@ -331,7 +544,11 @@ def smith_normal_form(M):
     column form is the row form of the transpose, carrying V^T); then
     the diagonal pairs that break the chain are replaced by their gcd
     and lcm.  The first row form of a square M of full rank solves for
-    its transform (``_lifted_rows``) instead of carrying it.
+    its transform instead of carrying it (``_lifted_rows``): its Hermite
+    form comes from one block solve when the cokernel is cyclic, else
+    from a tail-less pass, and a certified p-adic lift gives the
+    transform; any other first pass carries it.  Every route gives the
+    same U, S and V.
     """
     S = _as_int_matrix(M)
     m = len(S)
@@ -406,7 +623,11 @@ def integer_kernel_basis(M) -> List[List[int]]:
     form is unique, so it equals the columns of the Smith transform V
     past the rank.
     """
-    M = _as_int_matrix(M)
+    return _kernel_basis(_as_int_matrix(M))
+
+
+def _kernel_basis(M: List[List[int]]) -> List[List[int]]:
+    """``integer_kernel_basis`` of a matrix whose entries are already ints."""
     m = len(M)
     n = len(M[0]) if m else 0
     if n == 0:
@@ -479,15 +700,18 @@ class IntHom:
 
     ``matrix`` has one row per codomain generator and one column per
     domain generator.  Construction checks that domain relations land in
-    the codomain relation lattice.
+    the codomain relation lattice.  The matrix is read as ints once, here,
+    into ``_rows``, which ``apply`` and ``kernel_generators`` trust.
     """
 
     matrix: tuple
     domain: HomologyPresentation
     codomain: HomologyPresentation
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = _as_int_matrix(self.matrix)
+        object.__setattr__(self, "_rows", tuple(map(tuple, M)))
         if len(M) != self.codomain.ngens or (M and len(M[0]) != self.domain.ngens):
             raise MalformedPresentation("hom matrix shape does not match presentations")
         if self.domain.relations and self.codomain.ngens and self.domain.ngens:
@@ -498,7 +722,7 @@ class IntHom:
                         "hom does not map a domain relation into the codomain lattice")
 
     def apply(self, v: Sequence[int]) -> List[int]:
-        M = _as_int_matrix(self.matrix)
+        M = self._rows
         return [sum(M[i][j] * _as_int(v[j]) for j in range(self.domain.ngens))
                 for i in range(self.codomain.ngens)]
 
@@ -511,12 +735,10 @@ def kernel_generators(f: IntHom) -> List[List[int]]:
     generators already zero in the domain (members of the domain
     relation lattice) are dropped.
     """
-    M = _as_int_matrix(f.matrix)
     nd = f.domain.ngens
     rel_cols = f.codomain.relation_columns
-    block = [[M[i][j] for j in range(nd)] + [-col[i] for col in rel_cols]
-             for i in range(f.codomain.ngens)]
-    basis = integer_kernel_basis(block) if block else _identity(nd)
+    block = [list(row) + [-col[i] for col in rel_cols] for i, row in enumerate(f._rows)]
+    basis = _kernel_basis(block) if block else _identity(nd)
     vectors = [vec[:nd] for vec in basis if any(vec[:nd])]
     if not (vectors and f.domain.relations):
         return vectors

@@ -1,5 +1,6 @@
 """Exact integer algebra: Smith forms, kernels, decision procedures."""
 
+import importlib
 import math
 import random
 import runpy
@@ -475,9 +476,9 @@ def _count_lifts(monkeypatch):
     primes = []
     real = homology._lift
 
-    def counted(H, A, C, p, limit):
+    def counted(H, A, C, p, limit, **kw):
         primes.append(p)
-        return real(H, A, C, p, limit)
+        return real(H, A, C, p, limit, **kw)
     monkeypatch.setattr(homology, "_lift", counted)
     return primes
 
@@ -541,11 +542,198 @@ def test_a_lift_that_does_not_end_within_its_bound_raises():
     # x * 2 = 1 has no integer solution: the digits of 1/2 never end
     p = homology._LIFT_PRIMES[0]
     A = np.array([[2]], dtype=np.int64)
-    C = homology._inverse_mod(A, p)
-    assert C.tolist() == [[pow(2, -1, p)]]
+    C, det = homology._inverse_mod(A, p)
+    assert C.tolist() == [[pow(2, -1, p)]] and det == 2
     with pytest.raises(ArithmeticError, match="12 digits"):
         homology._lift([[1]], A, C, p, 12)
     assert homology._lift([[6]], A, C, p, 1) == [[3]]
+
+
+def test_a_lift_that_does_not_end_is_none_when_not_strict():
+    p = homology._LIFT_PRIMES[0]
+    A = np.array([[2]], dtype=np.int64)
+    C, _ = homology._inverse_mod(A, p)
+    assert homology._lift([[1]], A, C, p, 12, strict=False) is None
+    assert homology._lift([[6]], A, C, p, 1, strict=False) == [[3]]
+
+
+def test_the_inverse_mod_p_carries_the_determinant_mod_p():
+    rng = random.Random(5)
+    swapped = 0
+    for k in range(200):
+        n = rng.randint(1, 8)
+        M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if k % 2:       # a zero pivot: the elimination must swap rows
+            M[0][0] = 0
+            swapped += any(M[i][0] for i in range(1, n))
+        p = homology._LIFT_PRIMES[k % 3]
+        out = homology._inverse_mod(np.array(M, dtype=np.int64), p)
+        det = integer_determinant(M)
+        if det % p == 0:
+            assert out is None
+            continue
+        C, det_mod_p = out
+        assert det_mod_p == det % p
+        assert ((np.array(M, dtype=object) @ C.astype(object)) % p == np.eye(n, dtype=int)).all()
+    assert swapped >= 80
+
+
+# --- the cyclic route: the Hermite form from one block solve -------------
+
+def _decide_exact_matrices():
+    oracles = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "oracles.py"))
+    for seed in range(1, 21):
+        for n in (16, 24, 32, 40):
+            yield seed, n, oracles["snf_matrix"](oracles["rng_for"](seed, f"snf:{n}"), n)
+
+
+def _count_cyclic(monkeypatch):
+    """For each first pass the cyclic route proposes a Hermite form for,
+    whether its lift ended (the route settled the pass)."""
+    settled = []
+    real = homology._lift
+
+    def counted(H, A, C, p, limit, strict=True):
+        W = real(H, A, C, p, limit, strict)
+        if not strict:      # only the cyclic route asks for a lift that may not end
+            settled.append(W is not None)
+        return W
+    monkeypatch.setattr(homology, "_lift", counted)
+    return settled
+
+
+def test_the_cyclic_route_keeps_every_smith_byte_of_the_benchmarks_matrices(monkeypatch):
+    settled = _count_cyclic(monkeypatch)
+    for seed, n, M in _decide_exact_matrices():
+        assert smith_normal_form(M) == _carried_snf(M, monkeypatch), (seed, n)
+    # the other 8 have a non-cyclic cokernel, so no candidate was proposed
+    assert settled == [True] * 72
+
+
+def _unimodular(rng, n, steps=60):
+    U = homology._identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def _with_cokernel(diagonal, seed):
+    """U diag(diagonal) V for seeded unimodular U and V: cokernel of that diagonal."""
+    rng = random.Random(seed)
+    n = len(diagonal)
+    U, V = _unimodular(rng, n), _unimodular(rng, n)
+    D = [[diagonal[i] * V[i][j] for j in range(n)] for i in range(n)]
+    return [[sum(U[i][k] * D[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _assert_the_pass_settles(M, monkeypatch):
+    """The first pass falls back to the tail-less pass with the same bytes."""
+    carried = _carried(M)
+    passes = _count_hermite_passes(monkeypatch)
+    assert homology._lifted_rows(M) == carried
+    assert passes == [len(M)]
+    assert smith_normal_form(M) == _carried_snf(M, monkeypatch)
+
+
+def test_a_non_cyclic_cokernel_falls_back_to_the_pass(monkeypatch):
+    M = _with_cokernel([1, 2, 2], 3)
+    assert abs(integer_determinant(M)) == 4 and _reference_snf(M)[1][1] == 2
+    settled = _count_cyclic(monkeypatch)
+    _assert_the_pass_settles(M, monkeypatch)
+    assert settled == []
+
+
+def test_a_block_that_falls_short_of_the_determinant_falls_back(monkeypatch):
+    M = _with_cokernel([1, 1, 1, 12], 4)
+    settled = _count_cyclic(monkeypatch)
+    real = homology._rhs_block
+    monkeypatch.setattr(homology, "_rhs_block", lambda n: 2 * real(n))
+    _assert_the_pass_settles(M, monkeypatch)    # order 6 against det 12
+    assert settled == []
+
+
+def test_a_determinant_mismatch_falls_back(monkeypatch):
+    M = _with_cokernel([1, 1, 1, 12], 5)
+    settled = _count_cyclic(monkeypatch)
+    real = homology._inverse_mod
+
+    def wrong(A, p):
+        C, det = real(A, p)
+        return C, det * 5 % p
+    monkeypatch.setattr(homology, "_inverse_mod", wrong)
+    _assert_the_pass_settles(M, monkeypatch)
+    assert settled == []
+
+
+def test_a_candidate_whose_lift_does_not_end_falls_back(monkeypatch):
+    # the doubled block reaches order 6 only; a determinant of 6 mod p lets
+    # that candidate (a lattice of index 6 over the rows of M) reach the
+    # lift, which cannot end
+    M = _with_cokernel([1, 1, 1, 12], 6)
+    settled = _count_cyclic(monkeypatch)
+    real_block, real_inverse = homology._rhs_block, homology._inverse_mod
+    monkeypatch.setattr(homology, "_rhs_block", lambda n: 2 * real_block(n))
+    monkeypatch.setattr(homology, "_inverse_mod", lambda A, p: (real_inverse(A, p)[0], 6))
+    _assert_the_pass_settles(M, monkeypatch)
+    assert settled == [False, False]    # the first pass, then the Smith form's
+
+
+def test_a_functional_that_misses_a_row_of_m_is_refused(monkeypatch):
+    # y / D = (12 e_1 + k e_4) / 12 k with k = 1 mod p and gcd(k, 12) = 1
+    # passes the determinant test, and its lattice lies inside the row
+    # lattice of M (so the lift would end), but it is not that lattice:
+    # only M y = 0 mod D, which fails on the first row, refuses it
+    p = homology._LIFT_PRIMES[0]
+    k = 2 * p + 1
+    assert math.gcd(k, 12) == 1
+    M = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 12]]
+    settled = _count_cyclic(monkeypatch)
+    monkeypatch.setattr(homology, "_column_functional", lambda *a: ([12, 0, 0, k], 12 * k))
+    _assert_the_pass_settles(M, monkeypatch)
+    assert settled == []
+
+
+@pytest.mark.parametrize("M", _fallbacks())
+def test_no_cyclic_candidate_on_a_carried_first_pass(M, monkeypatch):
+    calls = []
+    monkeypatch.setattr(homology, "_cyclic_hermite", lambda *a: calls.append(a))
+    assert smith_normal_form(M) == _carried_snf(M, monkeypatch)
+    assert not calls
+
+
+def test_the_functional_hermite_form_is_the_hermite_form_of_its_lattice():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        D = rng.choice([1, 2, 4, 6, 12, 30, 64, 210, 360])
+        y = [rng.randrange(D) * rng.choice([1, 1, 2, 3]) for _ in range(n)]
+        H = homology._functional_hermite(y, D)
+        # the lattice is spanned by D e_i and every v with v . y = 0 mod D
+        # over a box of small vectors; its Hermite form is unique
+        gens = [[D * int(i == j) for j in range(n)] for i in range(n)] + [
+            v for v in ([rng.randint(-D, D) for _ in range(n)] for _ in range(40))
+            if sum(a * b for a, b in zip(v, y)) % D == 0]
+        gens += [list(r) for r in H]
+        assert H == homology._hermite_rows(gens, n)[:n]
+        assert all(sum(a * b for a, b in zip(r, y)) % D == 0 for r in H)
+        assert math.prod(H[i][i] for i in range(n)) == D // math.gcd(D, *y)
+
+
+def test_kernel_generators_read_the_matrix_as_ints_once(monkeypatch):
+    # a seed-7 decide-exact cycle read 35,536 entries while IntHom,
+    # kernel_generators and integer_kernel_basis each read i_star
+    # (4,112 entries a site); now IntHom alone does
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.decide_ops(7)
+    calls = []
+    real = homology._as_int
+    monkeypatch.setattr(homology, "_as_int", lambda x: calls.append(1) or real(x))
+    for op in ops:
+        assert op.check(op.run()), op.name
+    assert len(calls) <= 35_536 - 2 * 4_112
 
 
 # --- the exact layer reads integers only ---------------------------------
