@@ -8,19 +8,21 @@ controls (a perturbed multiplication, near-miss variant formulas and
 composition, a non-Jacobi bivector) ship alongside so the suite
 demonstrably fails on wrong formulas.
 
-The structure-map suites (axioms, ideal, isotropy, morphism, variants)
-draw each block of up to ``BLOCK_ROWS`` samples with one sampler call
-and evaluate every identity once per block, on coordinate columns (see
-``egl.groupoids``); samples, residuals, witnesses and verdicts are those
-of the sample-by-sample evaluation, whatever the block size.  They fail
-closed: where a structure map's
-output leaves the chart (``compose`` would raise ChartInvalid), the
-identity's residual is inf and its witness names the map.  The
-calculus suites (algebroid, symplectic, multiplicative, poisson)
-likewise differentiate a block of points with one stacked Jacobian,
-evaluate forms and brackets on the whole block and run their SVDs
-stacked (see ``egl.kernel``), with the bits of the point-by-point
-computation; a NaN or infinite value fails its sample with a witness.
+Every sampled suite is a draw and a ``measure(block, n)``, run by one
+driver, ``_suite``, on blocks of up to ``BLOCK_ROWS`` samples, each
+drawn by one sampler call (``_drawn``) or sliced from arrays drawn
+before any block (``_sliced``); ``measure`` runs with NumPy's
+floating-point warnings off and returns the block's residual column and
+``witness(i)``.  Samples, residuals, witnesses and verdicts are those
+of the sample-by-sample evaluation, whatever the block size.  The
+structure-map suites evaluate every identity once per block, on
+coordinate columns (see ``egl.groupoids``), and fail closed: where a
+structure map's output leaves the chart (``compose`` would raise
+ChartInvalid), the identity's residual is inf and its witness names the
+map.  The calculus suites differentiate a block with one stacked
+Jacobian and run their SVDs stacked (see ``egl.kernel``), with the bits
+of the point-by-point computation; a NaN or infinite value fails its
+sample with a witness.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartInvalid, NonFiniteValue, SamplerExhausted
+from .errors import ChartInvalid, NonFiniteValue, SamplerExhausted, StencilOutsideDomain
 from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, _cabs, _full, _stack, ideal_values,
                         pair_groupoid, uniforms)
 from .groupoids import _maxdiff as _gap
@@ -211,11 +213,32 @@ def _round_tuple(g):
 
 
 # ---------------------------------------------------------------------------
-# blocks of samples
+# the block driver
 # ---------------------------------------------------------------------------
+
+def _suite(check, model, seed, tol, blocks, measure, details=None) -> CheckReport:
+    """The report of ``check`` on ``model``, at ``tol``, of ``measure`` on ``blocks``."""
+    acc = _Accumulator(tol)
+    for block, n in blocks:
+        with np.errstate(all="ignore"):
+            acc.add_block(*measure(block, n))
+    return acc.report(check, model, seed, details)
+
 
 def _block_sizes(n_samples: int) -> list:
     return [min(BLOCK_ROWS, n_samples - start) for start in range(0, n_samples, BLOCK_ROWS)]
+
+
+def _drawn(draw, rng, n_samples: int):
+    """The blocks ``draw(rng, n)``, one per entry n of ``_block_sizes``."""
+    for n in _block_sizes(n_samples):
+        yield draw(rng, n), n
+
+
+def _sliced(*arrays):
+    """The blocks of ``BLOCK_ROWS`` consecutive rows of arrays drawn together."""
+    for start, n in zip(range(0, len(arrays[0]), BLOCK_ROWS), _block_sizes(len(arrays[0]))):
+        yield tuple(a[start:start + n] for a in arrays), n
 
 
 def _row(block, i) -> list:
@@ -276,8 +299,7 @@ AXIOM_NAMES = ("s(m(g,h))=s(h)", "t(m(g,h))=t(g)", "associativity",
 
 
 def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int, seed: int,
-                          prof: ToleranceProfile = DEFAULT_PROFILE,
-                          sampler=None) -> CheckReport:
+                          prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """The seven structure-map identities on sampled arrows and tuples.
 
     Source/target of products, associativity on exactly composable
@@ -285,26 +307,24 @@ def check_groupoid_axioms(model: GroupoidChartModel, n_samples: int, seed: int,
     as a max coordinate residual.  A law whose pair is not composable
     records the endpoint gap.  Each sample's witness names its worst
     identity: the last one that went NaN, else the first largest.
-    ``sampler(rng, n)``, when given, draws the blocks of (g, h, k) in
-    place of ``model.random_composable_triple``.
     """
-    rng = rng_for(seed, f"axioms:{model.name}")
-    acc = _Accumulator(prof.abs_tol)
     per_axiom = {name: 0.0 for name in AXIOM_NAMES}
-    draw_triples = sampler or model.random_composable_triple
     last = len(AXIOM_NAMES) - 1
-    for n in _block_sizes(n_samples):
-        g, h, k = draw_triples(rng, n)
-        with np.errstate(all="ignore"):
-            res, exits = _axiom_residuals(model, g, h, k, n)
+
+    def measure(triple, n):
+        g, h, k = triple
+        res, exits = _axiom_residuals(model, g, h, k, n)
         for name, column in zip(AXIOM_NAMES, res):
             per_axiom[name] = _running_max(per_axiom[name], column)
         nan = np.isnan(res)
         worst = np.where(np.logical_or.reduce(nan, axis=0), last - np.argmax(nan[::-1], axis=0),
                          np.argmax(np.where(nan, -np.inf, res), axis=0))
-        acc.add_block(res[worst, np.arange(n)], lambda i: _with_exit(
-            {"identity": AXIOM_NAMES[worst[i]], "g": _row(g, i)}, exits[worst[i]], i))
-    return acc.report("axioms", model.name, seed, details={"per_identity": per_axiom})
+        return res[worst, np.arange(n)], lambda i: _with_exit(
+            {"identity": AXIOM_NAMES[worst[i]], "g": _row(g, i)}, exits[worst[i]], i)
+
+    rng = rng_for(seed, f"axioms:{model.name}")
+    return _suite("axioms", model.name, seed, prof.abs_tol, _drawn(
+        model.random_composable_triple, rng, n_samples), measure, {"per_identity": per_axiom})
 
 
 def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
@@ -377,36 +397,63 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     return frames if p.ndim == 2 else frames[0]
 
 
+def _recovered(model: GroupoidChartModel, stack: np.ndarray, prof: ToleranceProfile):
+    """``lie_algebroid_of`` at a stack of base points, failing closed.
+
+    Returns the frames and the chart exits of the points whose recovery
+    raises NonFiniteValue or StencilOutsideDomain: such a point's frame
+    is NaN, and its exit names ``unit_at`` where the unit is not finite
+    or outside the domain of ts, else ``ts``.  The stack is recovered in
+    one call, and point by point only when that raises; a frame has the
+    bits of its one-row stack either way.
+    """
+    try:
+        return lie_algebroid_of(model, stack, prof), []
+    except (NonFiniteValue, StencilOutsideDomain):
+        pass
+    ts_map, unit_map = model.maps_for_algebroid()
+    frames, failed = [], np.zeros((2, len(stack)), dtype=bool)
+    for i, p in enumerate(stack):
+        try:
+            frames.append(lie_algebroid_of(model, p[None], prof)[0])
+        except (NonFiniteValue, StencilOutsideDomain):
+            u = unit_map(p)
+            failed[int(np.isfinite(u).all() and ts_map.defined_at(u)), i] = True
+            frames.append(np.full((1, len(p)), np.nan))
+    return frames, [(failed[0], "unit_at"), (failed[1], "ts")]
+
+
 def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
                     prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Recovered algebroid span vs the stated frame, by principal angle.
 
-    Each block of up to ``BLOCK_ROWS`` base points is drawn by one
-    ``random_base`` call, recovered by one stacked ``lie_algebroid_of``,
-    stated by one ``expected_frame`` call on the block's coordinate
-    columns (a frame that does not depend on the point may be one
-    matrix, broadcast over the block) and compared by one stacked
-    ``subspace_angle``.  A point whose stated frame is not finite fails
-    with an inf residual and a witness naming ``expected_frame``.  A
-    model without a stated frame raises SamplerExhausted, as
-    ``check_isotropy`` does for a model without its law.
+    A block of base points is recovered by one stacked
+    ``lie_algebroid_of``, stated by one ``expected_frame`` call on its
+    coordinate columns (a frame that does not depend on the point may be
+    one matrix, broadcast over the block) and compared by one stacked
+    ``subspace_angle``.  A point whose recovery raises on the model's
+    own maps fails with an inf residual and a witness naming ``ts`` or
+    ``unit_at`` (see ``_recovered``); a point whose stated frame is not
+    finite, naming ``expected_frame``.  A model without a stated frame
+    raises SamplerExhausted, as ``check_isotropy`` does for a model
+    without its law.
     """
     if model.expected_frame is None:
         raise SamplerExhausted(f"{model.name}: no stated algebroid frame")
-    rng = rng_for(seed, f"algebroid:{model.name}")
-    acc = _Accumulator(prof.subspace_tol)
-    for n in _block_sizes(n_points):
-        base = model.random_base(rng, n)
+
+    def measure(base, n):
         stack = np.column_stack(base)
-        recovered = lie_algebroid_of(model, stack, prof)
+        recovered, exits = _recovered(model, stack, prof)
         stated = np.asarray(model.expected_frame(base), dtype=float)
         angles = subspace_angle(recovered, np.broadcast_to(stated, (n,) + stated.shape[-2:]))
-        # jacobian refuses non-finite maps, so the recovered frames are
-        # finite and a NaN angle is a stated frame holding NaN or inf
-        exits = [(np.isnan(angles), "expected_frame")]
-        acc.add_block(_fail_closed(angles, exits, n),
-                      lambda i: _with_exit({"p": _round_tuple(stack[i])}, exits, i))
-    return acc.report("algebroid", model.name, seed)
+        # a NaN angle not named by a recovery exit is a stated frame
+        # holding NaN or inf
+        exits.append((np.isnan(angles), "expected_frame"))
+        return _fail_closed(angles, exits, n), lambda i: _with_exit(
+            {"p": _round_tuple(stack[i])}, exits, i)
+
+    return _suite("algebroid", model.name, seed, prof.subspace_tol, _drawn(
+        model.random_base, rng_for(seed, f"algebroid:{model.name}"), n_points), measure)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +540,6 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     return np.abs(values)
 
 
-def _blocks(rows: np.ndarray):
-    """Slices of up to ``BLOCK_ROWS`` consecutive rows."""
-    for start in range(0, len(rows), BLOCK_ROWS):
-        yield slice(start, start + BLOCK_ROWS)
-
-
 def check_symplectic(sym: SymplecticModel, n_samples: int, seed: int,
                      prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Omega = t*omega - s*omega, d(Omega) = 0, and nondegeneracy.
@@ -509,38 +550,37 @@ def check_symplectic(sym: SymplecticModel, n_samples: int, seed: int,
     within ``CLOSED_TOL``; nondegeneracy is the determinant floor
     ``NONDEG_FLOOR`` on the model's fixed compact sample set.  Each of
     the first two phases draws its arrows, then its unit vectors in one
-    call, and evaluates blocks of up to ``BLOCK_ROWS`` arrows with
-    stacked Jacobians, forms and exterior derivatives.  A NaN or an
-    infinity in any phase fails the check with a witness.  A failed
-    closedness bound adds a ``closedness`` witness with residual
-    ``d_omega_max``, and a failed determinant floor a ``nondegeneracy``
-    witness with residual ``nondeg_min_abs_det``.
+    call.  A NaN or an infinity in any phase fails the check with a
+    witness: a failed closedness bound adds a ``closedness`` witness with
+    residual ``d_omega_max``, and a failed determinant floor a
+    ``nondegeneracy`` witness with residual ``nondeg_min_abs_det``.
     """
     model = sym.model
     rng = rng_for(seed, f"symplectic:{model.name}")
-    acc = _Accumulator(PULLBACK_TOL)
     d, b = model.arrow_dim, model.base_dim
     ts = model.ts
-    details = {}
+
+    def measure(block, n):
+        g, vectors = block
+        vs = list(vectors.transpose(1, 0, 2))
+        J, tsg = _jacobians(ts, g, prof), ts(g)
+        rhs = pullback_at(sym.omega_base, tsg[:, :b], J[:, :b], vs) \
+            - pullback_at(sym.omega_base, tsg[:, b:], J[:, b:], vs)
+        return _modulus(sym.Omega(g, vs) - rhs), \
+            lambda i: {"g": _round_tuple(g[i]), "kind": "pullback"}
+
     arrows = _dense_arrows(sym, rng, n_samples)
     vectors = _unit_vectors(rng, d, 2, len(arrows))
-    for rows in _blocks(arrows):
-        g, vs = arrows[rows], list(vectors[rows].transpose(1, 0, 2))
-        J, tsg = _jacobians(ts, g, prof), ts(g)
-        with np.errstate(all="ignore"):
-            rhs = pullback_at(sym.omega_base, tsg[:, :b], J[:, :b], vs) \
-                - pullback_at(sym.omega_base, tsg[:, b:], J[:, b:], vs)
-            res = _modulus(sym.Omega(g, vs) - rhs)
-        acc.add_block(res, lambda i: {"g": _round_tuple(g[i]), "kind": "pullback"})
+    report = _suite("symplectic", model.name, seed, PULLBACK_TOL, _sliced(arrows, vectors),
+                    measure)
 
     closed_max = 0.0
     arrows = _dense_arrows(sym, rng, max(20, n_samples // 10))
     vectors = _unit_vectors(rng, d, 3, len(arrows))
-    for rows in _blocks(arrows):
-        vs = list(vectors[rows].transpose(1, 0, 2))
-        closed_max = _running_max(
-            closed_max, _modulus(exterior_derivative(sym.Omega, arrows[rows], vs, prof)))
-    details["d_omega_max"] = closed_max
+    for (g, vs), _ in _sliced(arrows, vectors):
+        closed_max = _running_max(closed_max, _modulus(
+            exterior_derivative(sym.Omega, g, list(vs.transpose(1, 0, 2)), prof)))
+    report.details["d_omega_max"] = closed_max
 
     nondeg_min = None
     if sym.nondeg_grid:
@@ -551,9 +591,8 @@ def check_symplectic(sym: SymplecticModel, n_samples: int, seed: int,
             dets = np.where(np.isfinite(M).all(axis=(1, 2)), np.linalg.det(M), np.nan)
         magnitudes = [abs(x) for x in dets]   # numpy's scalar abs, as one det gives
         nondeg_min = math.nan if any(x != x for x in magnitudes) else float(min(magnitudes))
-    details["nondeg_min_abs_det"] = nondeg_min
+    report.details["nondeg_min_abs_det"] = nondeg_min
 
-    report = acc.report("symplectic", model.name, seed, details=details)
     if not closed_max <= CLOSED_TOL:
         report.verdict = "fail"
         report.witnesses.append({"residual": float(closed_max), "kind": "closedness"})
@@ -601,10 +640,7 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
     evaluated on honest composable-pair tangents.  The check draws all
     its pair parameters as one slab of ``pair_width`` uniforms per
     sample, then all its unit vectors in one call, as
-    ``check_symplectic`` does; each block of up to ``BLOCK_ROWS``
-    samples then takes one stacked Jacobian of P and one of m o P (the
-    tuple formulas composed) and evaluates Omega on the block.  A NaN or
-    infinite value fails its sample with a witness.
+    ``check_symplectic`` does.
     """
     model = sym.model
     if sym.pair_param is None:
@@ -615,21 +651,22 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
     m = model.m.formula
     Gm = SmoothMap(k, d, lambda w: m(P.formula(w)), name="m(pr1,pr2)")
 
-    acc = _Accumulator(MULTIPLICATIVE_TOL)
-    params = np.column_stack(
-        _full(sample_params(uniforms(rng, sym.pair_width, n_samples)), n_samples))
-    vectors = _unit_vectors(rng, k, 2, n_samples)
-    for rows in _blocks(params):
-        w, vs = params[rows], list(vectors[rows].transpose(1, 0, 2))
+    def measure(block, n):
+        w, vectors = block
+        vs = list(vectors.transpose(1, 0, 2))
         # pr1 and pr2 are row blocks of P: one Jacobian serves both
         J, gh = _jacobians(P, w, prof), P(w)
         Jm, gm = _jacobians(Gm, w, prof), Gm(w)
-        with np.errstate(all="ignore"):
-            rhs = pullback_at(sym.Omega, gh[:, :d], J[:, :d], vs) \
-                + pullback_at(sym.Omega, gh[:, d:], J[:, d:], vs)
-            res = _modulus(pullback_at(sym.Omega, gm, Jm, vs) - rhs)
-        acc.add_block(res, lambda i: {"params": _round_tuple(w[i])})
-    return acc.report("multiplicative", model.name, seed)
+        rhs = pullback_at(sym.Omega, gh[:, :d], J[:, :d], vs) \
+            + pullback_at(sym.Omega, gh[:, d:], J[:, d:], vs)
+        return _modulus(pullback_at(sym.Omega, gm, Jm, vs) - rhs), \
+            lambda i: {"params": _round_tuple(w[i])}
+
+    params = np.column_stack(
+        _full(sample_params(uniforms(rng, sym.pair_width, n_samples)), n_samples))
+    vectors = _unit_vectors(rng, k, 2, n_samples)
+    return _suite("multiplicative", model.name, seed, MULTIPLICATIVE_TOL,
+                  _sliced(params, vectors), measure)
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +717,21 @@ def check_poisson(sym: SymplecticModel, n_points: int, seed: int,
 
     Base points with x1^2 + x2^2 < 0.04 are skipped; the points are drawn
     as ``_dense_arrows`` draws its arrows, and more than 200 * n_points
-    drawn raise SamplerExhausted.  Each block of up to ``BLOCK_ROWS``
-    points takes one ``schouten_residual`` call, which evaluates the
-    bivector on the block and differentiates it with one stacked
-    Jacobian; a non-finite bracket fails its point with a witness.
+    drawn raise SamplerExhausted.  A block takes one
+    ``schouten_residual`` call.
     """
     model = sym.model
+
+    def measure(block, n):
+        p, = block
+        return schouten_residual(sym.pi_bivector, model.base_dim, p, prof), \
+            lambda i: {"p": _round_tuple(p[i])}
+
     rng = rng_for(seed, f"poisson:{model.name}")
     points = _draw_kept(lambda n: model.random_base(rng, n),
                         lambda p: ~(p[0] * p[0] + p[1] * p[1] < 0.04), n_points,
                         model.base_dim, f"{model.name}: off-divisor base sampler")
-    acc = _Accumulator(POISSON_TOL)
-    for rows in _blocks(points):
-        p = points[rows]
-        acc.add_block(schouten_residual(sym.pi_bivector, model.base_dim, p, prof),
-                      lambda i: {"p": _round_tuple(p[i])})
-    return acc.report("poisson", model.name, seed)
+    return _suite("poisson", model.name, seed, POISSON_TOL, _sliced(points), measure)
 
 
 def non_jacobi_bivector():
@@ -720,37 +756,32 @@ def check_morphism(bundle: MorphismBundle, n_samples: int, seed: int,
                    tol: float = 1e-7, form_samples: Optional[int] = None) -> CheckReport:
     """s/t compatibility, unit and multiplication intertwining, form pullback.
 
-    Each block of pairs is drawn by one ``random_composable_pair`` call,
+    A block of pairs is drawn by one ``random_composable_pair`` call,
     or, for a bundle with a ``sample_filter``, by ``_draw_kept``: the
     block holds the next pairs of the stream whose two arrows the filter
     accepts, and more than 200 draws per pair kept raise
     SamplerExhausted.  The form comparison runs on the first
-    ``form_samples`` pairs where both forms are defined, a block at a
-    time: one stacked Jacobian of f, one pullback and one evaluation of
-    the domain form, with unit vectors from ``morphism-forms:<name>``.
-    A pair whose Jacobian is not finite fails with a witness.  The map
-    identities are evaluated per block.
+    ``form_samples`` pairs where both forms are defined, with unit
+    vectors from ``morphism-forms:<name>``.
     """
     dom, cod, f = bundle.dom, bundle.cod, bundle.f
-    rng = rng_for(seed, f"morphism:{bundle.name}")
     forms_rng = rng_for(seed, f"morphism-forms:{bundle.name}")
     keep = bundle.sample_filter
-    acc = _Accumulator(tol)
     form_budget = form_samples if form_samples is not None else max(1, n_samples // 10)
     forms_done = 0
     d = dom.arrow_dim
 
-    def draw(k):
-        g, h = dom.random_composable_pair(rng, k)
-        return g + h
-
-    for n in _block_sizes(n_samples):
+    def draw(rng, n):
         if keep is None:
-            g, h = dom.random_composable_pair(rng, n)
-        else:
-            pairs = tuple(_draw_kept(draw, lambda gh: keep(gh[:d]) & keep(gh[d:]), n, 2 * d,
-                                     f"{bundle.name}: morphism sampler").T.copy())
-            g, h = pairs[:d], pairs[d:]
+            return dom.random_composable_pair(rng, n)
+        pairs = tuple(_draw_kept(lambda k: sum(dom.random_composable_pair(rng, k), ()),
+                                 lambda gh: keep(gh[:d]) & keep(gh[d:]), n, 2 * d,
+                                 f"{bundle.name}: morphism sampler").T.copy())
+        return pairs[:d], pairs[d:]
+
+    def measure(pair, n):
+        nonlocal forms_done
+        g, h = pair
         form_res = np.zeros(n)
         if (bundle.dom_form is not None and bundle.cod_form is not None
                 and forms_done < form_budget):
@@ -759,14 +790,15 @@ def check_morphism(bundle: MorphismBundle, n_samples: int, seed: int,
             rows = np.flatnonzero(both)[:form_budget - forms_done]
             if len(rows):
                 x = X[rows]
-                vs = list(_unit_vectors(forms_rng, dom.arrow_dim, 2, len(rows)).transpose(1, 0, 2))
-                with np.errstate(all="ignore"):
-                    lhs = pullback_at(bundle.cod_form, f(x), _jacobians(f, x, prof), vs)
-                    form_res[rows] = _modulus(lhs - bundle.dom_form(x, vs))
+                vs = list(_unit_vectors(forms_rng, d, 2, len(rows)).transpose(1, 0, 2))
+                lhs = pullback_at(bundle.cod_form, f(x), _jacobians(f, x, prof), vs)
+                form_res[rows] = _modulus(lhs - bundle.dom_form(x, vs))
                 forms_done += len(rows)
         res, exits = _morphism_residuals(dom, cod, f.formula, g, h, form_res, n)
-        acc.add_block(res, lambda i: _with_exit({"g": _row(g, i)}, exits, i))
-    return acc.report(f"morphism:{bundle.name}", f"{dom.name}->{cod.name}", seed)
+        return res, lambda i: _with_exit({"g": _row(g, i)}, exits, i)
+
+    return _suite(f"morphism:{bundle.name}", f"{dom.name}->{cod.name}", seed, tol,
+                  _drawn(draw, rng_for(seed, f"morphism:{bundle.name}"), n_samples), measure)
 
 
 def _morphism_residuals(dom, cod, image, g, h, form_res, n: int):
@@ -777,22 +809,20 @@ def _morphism_residuals(dom, cod, image, g, h, form_res, n: int):
     the gap of the first ``compose`` that refuses its pair), the unit at
     t(g) and the form residual.
     """
-    with np.errstate(all="ignore"):
-        fg, fh = image(g), image(h)
-        sg, p, s_fg = dom.source_of(g), dom.target_of(g), cod.source_of(fg)
-        res = np.maximum(_gap(s_fg, sg), _gap(cod.target_of(fg), p))
-        gap, f_gap = _gap(sg, dom.target_of(h)), _gap(s_fg, cod.target_of(fh))
-        out, ok, exits = _composed(dom, g, h, gap, [(_outside(dom, g, n), "sample"),
-                                                    (_outside(dom, h, n), "sample")],
-                                   n, "dom.compose_raw")
-        f_out, f_ok, f_exits = _composed(cod, fg, fh, f_gap, [(_outside(cod, fg, n), "f"),
-                                                              (_outside(cod, fh, n), "f")],
-                                         n, "cod.compose_raw")
-        res = np.maximum(res, np.where(ok, np.where(f_ok, _gap(image(out), f_out), f_gap),
-                                       gap))
-        res = np.maximum(res, _gap(image(dom.unit_at(p)), cod.unit_at(p)))
-        exits += [(ok & cod_rows, name) for cod_rows, name in f_exits]
-        return _fail_closed(np.maximum(res, form_res), exits, n), exits
+    fg, fh = image(g), image(h)
+    sg, p, s_fg = dom.source_of(g), dom.target_of(g), cod.source_of(fg)
+    res = np.maximum(_gap(s_fg, sg), _gap(cod.target_of(fg), p))
+    gap, f_gap = _gap(sg, dom.target_of(h)), _gap(s_fg, cod.target_of(fh))
+    out, ok, exits = _composed(dom, g, h, gap, [(_outside(dom, g, n), "sample"),
+                                                (_outside(dom, h, n), "sample")],
+                               n, "dom.compose_raw")
+    f_out, f_ok, f_exits = _composed(cod, fg, fh, f_gap, [(_outside(cod, fg, n), "f"),
+                                                          (_outside(cod, fh, n), "f")],
+                                     n, "cod.compose_raw")
+    res = np.maximum(res, np.where(ok, np.where(f_ok, _gap(image(out), f_out), f_gap), gap))
+    res = np.maximum(res, _gap(image(dom.unit_at(p)), cod.unit_at(p)))
+    exits += [(ok & cod_rows, name) for cod_rows, name in f_exits]
+    return _fail_closed(np.maximum(res, form_res), exits, n), exits
 
 
 def morphism_beta(model: GroupoidChartModel) -> MorphismBundle:
@@ -850,28 +880,27 @@ def check_zero_residue_variant(sym: SymplecticModel, n_samples: int, seed: int) 
     Both facts are asserted: max associativity residual of the derived
     formula stays under ``DERIVED_TOL`` while the transposed-slot variant
     (c + b' c) exceeds ``VARIANT_FLOOR`` on generic samples, where a NaN
-    variant residual counts as not exceeding it.  Triples are drawn and
-    both products evaluated per block.
+    variant residual counts as not exceeding it.
     """
     model = sym.model
-    rng = rng_for(seed, f"variants:{model.name}")
-    acc = _Accumulator(DERIVED_TOL)
     variant_max = 0.0
-    for n in _block_sizes(n_samples):
-        g, h, k = model.random_composable_triple(rng, n)
-        with np.errstate(all="ignore"):
-            lhs = model.compose_raw(model.compose_raw(g, h), k)
-            rhs = model.compose_raw(g, model.compose_raw(h, k))
-            lhs_p = sym.compose_variant(sym.compose_variant(g, h), k)
-            rhs_p = sym.compose_variant(g, sym.compose_variant(h, k))
-            res = _column(_gap(lhs, rhs), n)
-            variant = _column(_gap(lhs_p, rhs_p), n)
-        acc.add_block(res, lambda i: {"g": _row(g, i)})
+
+    def measure(triple, n):
+        nonlocal variant_max
+        g, h, k = triple
+        lhs = model.compose_raw(model.compose_raw(g, h), k)
+        rhs = model.compose_raw(g, model.compose_raw(h, k))
+        lhs_p = sym.compose_variant(sym.compose_variant(g, h), k)
+        rhs_p = sym.compose_variant(g, sym.compose_variant(h, k))
+        variant = _column(_gap(lhs_p, rhs_p), n)
         variant_max = max(variant_max, float(np.maximum.reduce(variant, initial=0.0,
                                                                where=~np.isnan(variant))))
-    report = acc.report("variants", model.name, seed,
-                        details={"variant_max_residual": variant_max,
-                                 "variant_floor": VARIANT_FLOOR})
+        return _column(_gap(lhs, rhs), n), lambda i: {"g": _row(g, i)}
+
+    rng = rng_for(seed, f"variants:{model.name}")
+    report = _suite("variants", model.name, seed, DERIVED_TOL, _drawn(
+        model.random_composable_triple, rng, n_samples), measure)
+    report.details.update(variant_max_residual=variant_max, variant_floor=VARIANT_FLOOR)
     if variant_max <= VARIANT_FLOOR:
         report.verdict = "fail"
         report.witnesses.append({"residual": variant_max,
@@ -887,7 +916,7 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int, seed: int,
                    prof: ToleranceProfile = DEFAULT_PROFILE) -> CheckReport:
     """Divisor isotropy composition against the model's exact law.
 
-    Each block of isotropy pairs is drawn by one ``random_isotropy_pair``
+    A block of isotropy pairs is drawn by one ``random_isotropy_pair``
     call, through the model's own samplers, and its products are measured
     by the model's ``isotropy`` law, the residual that states the group:
     for the double-cover quotient C* x| Z/2 acting by conjugation (the
@@ -898,19 +927,17 @@ def check_isotropy(model: GroupoidChartModel, n_samples: int, seed: int,
     """
     if model.isotropy is None:
         raise SamplerExhausted(f"{model.name}: no isotropy oracle")
-    rng = rng_for(seed, f"isotropy:{model.name}")
-    acc = _Accumulator(prof.abs_tol)
-    for n in _block_sizes(n_samples):
-        g1, g2 = model.random_isotropy_pair(rng, n)
-        with np.errstate(all="ignore"):
-            gap = _gap(model.source_of(g1), model.target_of(g2))
-            out, ok, exits = _composed(model, g1, g2, gap, [(_outside(model, g1, n), "sample"),
-                                                            (_outside(model, g2, n), "sample")], n)
-            res = _fail_closed(np.where(ok, model.isotropy(model, g1, g2, out), gap),
-                               exits, n)
-        acc.add_block(res, lambda i: _with_exit({"g": _row(g1, i), "h": _row(g2, i)},
-                                                exits, i))
-    return acc.report("isotropy", model.name, seed)
+
+    def measure(pair, n):
+        g1, g2 = pair
+        gap = _gap(model.source_of(g1), model.target_of(g2))
+        out, ok, exits = _composed(model, g1, g2, gap, [(_outside(model, g1, n), "sample"),
+                                                        (_outside(model, g2, n), "sample")], n)
+        res = _fail_closed(np.where(ok, model.isotropy(model, g1, g2, out), gap), exits, n)
+        return res, lambda i: _with_exit({"g": _row(g1, i), "h": _row(g2, i)}, exits, i)
+
+    return _suite("isotropy", model.name, seed, prof.abs_tol, _drawn(
+        model.random_isotropy_pair, rng_for(seed, f"isotropy:{model.name}"), n_samples), measure)
 
 
 # ---------------------------------------------------------------------------
@@ -922,28 +949,28 @@ def check_ideal(model: GroupoidChartModel, n_samples: int, seed: int,
     """s*I = (ratio) t*I with invertible ratio, and ratio 1 on units.
 
     The quantities are those of ``elliptic_ideal_pullback`` on a sampled
-    arrow and on the unit at a sampled base point, evaluated per block.
-    The base points come from their own stream, ``ideal-units:<name>``,
-    so that both draws of a block are one slab each.
+    arrow and on the unit at a sampled base point.  The base points come
+    from their own stream, ``ideal-units:<name>``, so that both draws of
+    a block are one slab each.
     """
     if model.divisor_factors is None:
         raise ChartInvalid(f"{model.name}: no divisor factor data")
-    rng = rng_for(seed, f"ideal:{model.name}")
     units_rng = rng_for(seed, f"ideal-units:{model.name}")
-    acc = _Accumulator(prof.abs_tol)
-    for n in _block_sizes(n_samples):
-        g, p = model.random_arrow(rng, n), model.random_base(units_rng, n)
-        with np.errstate(all="ignore"):
-            u = model.unit_at(p)
-            s_val, t_val, ratio = ideal_values(model.divisor_factors(g))
-            res = abs(s_val - t_val * ratio)
-            res = np.where(ratio <= 0, np.maximum(res, 1.0), res)
-            unit_ratio = ideal_values(model.divisor_factors(u))[2]
-            res = np.maximum(res, abs(unit_ratio - 1.0))
-            exits = [(_outside(model, g, n), "sample"), (_outside(model, u, n), "unit_at")]
-            res = _fail_closed(res, exits, n)
-        acc.add_block(res, lambda i: _with_exit({"g": _row(g, i)}, exits, i))
-    return acc.report("ideal", model.name, seed)
+
+    def measure(block, n):
+        g, p = block
+        u = model.unit_at(p)
+        s_val, t_val, ratio = ideal_values(model.divisor_factors(g))
+        res = abs(s_val - t_val * ratio)
+        res = np.where(ratio <= 0, np.maximum(res, 1.0), res)
+        unit_ratio = ideal_values(model.divisor_factors(u))[2]
+        res = np.maximum(res, abs(unit_ratio - 1.0))
+        exits = [(_outside(model, g, n), "sample"), (_outside(model, u, n), "unit_at")]
+        return _fail_closed(res, exits, n), lambda i: _with_exit({"g": _row(g, i)}, exits, i)
+
+    return _suite("ideal", model.name, seed, prof.abs_tol, _drawn(
+        lambda rng, n: (model.random_arrow(rng, n), model.random_base(units_rng, n)),
+        rng_for(seed, f"ideal:{model.name}"), n_samples), measure)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,8 @@ from egl.checks import (AXIOM_NAMES, _Accumulator, _dense_arrows, _gap, _jacobia
                         non_jacobi_bivector, perturbed_model, rng_for, schouten_residual)
 from egl.errors import (ChartInvalid, ConfigError, NonFiniteValue, NotComposable,
                         NotTransverse, SamplerExhausted, StencilOutsideDomain)
-from egl.groupoids import (_cabs, _cdiv, _cexp, _clog, _cmul, _probes, _square,
-                           case1_model, case2_quotient_model, caseIV_model,
+from egl.groupoids import (GroupoidChartModel, _cabs, _cdiv, _cexp, _clog, _cmul, _probes,
+                           _square, case1_model, case2_quotient_model, caseIV_model,
                            fibre_product, ideal_values, smooth_factor_model,
                            ssc_surface_model, uniforms)
 from egl.kernel import (SmoothMap, exterior_derivative, jacobian, nullspace, pullback,
@@ -902,7 +902,7 @@ def test_case2_isotropy_fails_a_compose_without_the_conjugation():
 # the block suites against sample-by-sample evaluation
 # ---------------------------------------------------------------------------
 
-def _reference_axioms(model, n_samples, seed, tol=1e-8, sampler=None):
+def _reference_axioms(model, n_samples, seed, tol=1e-8):
     """The axioms suite one sample at a time, as it ran before blocks."""
     rng = rng_for(seed, f"axioms:{model.name}")
     acc = _Accumulator(tol)
@@ -915,7 +915,7 @@ def _reference_axioms(model, n_samples, seed, tol=1e-8, sampler=None):
             return err.gap
 
     for _ in range(n_samples):
-        g, h, k = (sampler or model.random_composable_triple)(rng)
+        g, h, k = model.random_composable_triple(rng)
         gh, hk = model.compose_raw(g, h), model.compose_raw(h, k)
         ut = model.unit_at(model.target_of(g))
         us = model.unit_at(model.source_of(g))
@@ -980,20 +980,23 @@ def test_the_last_identity_that_went_nan_is_named():
             return tuple(c + np.where(at_gh, math.nan, 0.0) for c in fn(x))
         return mutant
 
-    def sampler(rng, n=None):
-        # the special triple where the drawn g[0] lies in the lowest 30% of
-        # its box: a function of the draw, so blocks and single draws agree
-        drawn = pair.random_composable_triple(rng, n)
-        pick = drawn[0][0] < -0.48
-        if n is None:
-            return special if pick else drawn
-        return tuple(tuple(np.where(pick, x, column) for x, column in zip(s, d))
-                     for s, d in zip(special, drawn))
+    class SometimesSpecial(GroupoidChartModel):
+        def random_composable_triple(self, rng, n=None):
+            # the special triple where the drawn g[0] lies in the lowest 30%
+            # of its box: a function of the draw, so blocks and single draws
+            # agree
+            drawn = pair.random_composable_triple(rng, n)
+            pick = drawn[0][0] < -0.48
+            if n is None:
+                return special if pick else drawn
+            return tuple(tuple(np.where(pick, x, column) for x, column in zip(s, d))
+                         for s, d in zip(special, drawn))
 
-    model = replace(pair, source_of=nan_at_gh(pair.source_of),
+    model = SometimesSpecial(**{f.name: getattr(pair, f.name) for f in fields(pair)})
+    model = replace(model, source_of=nan_at_gh(pair.source_of),
                     target_of=nan_at_gh(pair.target_of))
-    rep = check_groupoid_axioms(model, n_samples=700, seed=2, sampler=sampler)
-    assert _text(rep) == _text(_reference_axioms(model, 700, 2, sampler=sampler))
+    rep = check_groupoid_axioms(model, n_samples=700, seed=2)
+    assert _text(rep) == _text(_reference_axioms(model, 700, 2))
     assert {w["identity"] for w in rep.witnesses} == {"t(m(g,h))=t(g)"}
 
 
@@ -1146,6 +1149,26 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
     want = [_text(rep) for rep in _suite_reports()]
     monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
     assert [_text(rep) for rep in _suite_reports()] == want
+
+
+def test_every_sampled_suite_runs_through_the_one_driver(monkeypatch):
+    # one _suite call per check, whose report is the check's report: the
+    # single place every block of every sampled suite passes through
+    want = [_text(rep) for rep in _suite_reports()]
+    calls = []
+    suite = checks._suite
+
+    def counted(check, *args, **kwargs):
+        calls.append(check)
+        return suite(check, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "_suite", counted)
+    reports = _suite_reports()
+    assert calls == [rep.check for rep in reports]
+    assert {name.split(":")[0] for name in calls} == {
+        "axioms", "algebroid", "ideal", "isotropy", "morphism", "variants",
+        "symplectic", "multiplicative", "poisson"}
+    assert [_text(rep) for rep in reports] == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,21 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egl.checks as checks
 from egl.apaths import PolarCurve, apath_anchor_residual, apath_rescale
 from egl.checks import (_Accumulator, _gap, check_algebroid, check_groupoid_axioms,
                         check_isotropy, lie_algebroid_of, perturbed_model, rng_for)
 from egl.divisors import residue_model_frame
-from egl.errors import DegenerateRadius, SamplerExhausted
-from egl.groupoids import (case1_model, caseIV_model, fibre_product, pair_groupoid,
-                           ssc_surface_model)
+from egl.errors import DegenerateRadius, NonFiniteValue, SamplerExhausted, StencilOutsideDomain
+from egl.groupoids import (GroupoidChartModel, case1_model, caseIV_model, fibre_product,
+                           pair_groupoid, ssc_surface_model)
 from egl.kernel import DEFAULT_PROFILE, subspace_angle, subspace_equal
 from egl.registry import build_model
 from egl.symplectic import (psi_domain_candidates, symplectic_nonzero_residue_model,
@@ -203,6 +204,51 @@ def test_the_algebroid_check_refuses_a_model_without_a_stated_frame():
         check_algebroid(model, 10, 7)
 
 
+def _case1_source_inf():
+    base = case1_model(4)
+    return base, replace(base, source_of=lambda g: tuple(
+        np.where(np.asarray(g[0]) > 0.5, np.inf, c) for c in base.source_of(g)))
+
+
+def _case1_unit_b_zero():
+    # case1(4)'s unit is (x, x, z, b = 1 + 0i); b = 0 leaves the domain of ts
+    base = case1_model(4)
+    return base, replace(base, unit_at=lambda p: tuple(
+        np.where(np.asarray(p[0]) > 0.5, 0.0, c) if i == 6 else c
+        for i, c in enumerate(base.unit_at(p))))
+
+
+def _fibre_second_source_nan():
+    base = build_model("fibre:case1,case1").chart
+    m1, m2 = base.factors
+    bad = replace(m2, source_of=lambda g: tuple(
+        np.where(np.asarray(g[0]) > 0.3, np.nan, c) for c in m2.source_of(g)))
+    return base, replace(base, factors=(m1, bad))
+
+
+@pytest.mark.parametrize("mutant,map_name", [(_case1_source_inf, "ts"),
+                                             (_case1_unit_b_zero, "unit_at"),
+                                             (_fibre_second_source_nan, "ts")],
+                         ids=["source-inf", "unit-off-domain", "fibre-factor-source-nan"])
+def test_model_maps_failing_at_a_point_fail_the_algebroid_check_there(mutant, map_name):
+    # lie_algebroid_of raises on such a block; the check recovers its
+    # points one at a time and fails only those that raise
+    base, model = mutant()
+    rep = check_algebroid(model, n_points=60, seed=3)
+    assert rep.verdict == "fail" and 0 < rep.passed < rep.samples == 60
+    assert len(rep.witnesses) == rep.samples - rep.passed
+    assert all(w["map"] == map_name and w["residual"] == math.inf for w in rep.witnesses)
+    stack = np.column_stack(model.random_base(rng_for(3, f"algebroid:{model.name}"), 60))
+    with pytest.raises((NonFiniteValue, StencilOutsideDomain)):
+        lie_algebroid_of(model, stack)
+    frames, exits = checks._recovered(model, stack, PROF)
+    failed = np.logical_or.reduce([rows for rows, _ in exits])
+    assert [w["p"] for w in rep.witnesses] == [[round(x, 6) for x in p] for p in stack[failed]]
+    # the other points keep the bits of the unbroken model's block
+    want = lie_algebroid_of(base, stack)
+    assert all(frames[i].tobytes() == want[i].tobytes() for i in np.flatnonzero(~failed))
+
+
 def test_a_non_finite_frame_fails_the_algebroid_check_with_a_witness():
     # NumPy's SVD raises on NaN; the check must fail closed instead
     model = replace(case1_model(4),
@@ -356,9 +402,13 @@ def test_axioms_name_the_identity_that_went_nan():
         t0, t1 = pair.target_of(x)
         return (t0, np.where(at_gh, math.nan, t1))
 
-    model = replace(pair, target_of=target_of)
-    rep = check_groupoid_axioms(model, n_samples=3, seed=1, sampler=lambda rng, n: tuple(
-        tuple(np.full(n, x) for x in point) for point in (g, h, k)))
+    class FixedTriple(GroupoidChartModel):
+        def random_composable_triple(self, rng, n=None):
+            return tuple(tuple(np.full(n, x) for x in point) for point in (g, h, k))
+
+    model = FixedTriple(**{f.name: getattr(pair, f.name) for f in fields(pair)})
+    model = replace(model, target_of=target_of)
+    rep = check_groupoid_axioms(model, n_samples=3, seed=1)
     assert not rep.ok
     assert math.isnan(rep.max_residual)
     assert rep.witnesses[0]["identity"] == "t(m(g,h))=t(g)"
