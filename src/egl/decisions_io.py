@@ -93,6 +93,23 @@ def _expect_bits(value, path, length=None):
     return value
 
 
+def _expect_bit_matrix(value, path, max_dim: int):
+    """A matrix of at most ``max_dim`` rows and columns of 0/1 entries.
+
+    One type check and one value check per row; the two-pass path below
+    only runs on a matrix that fails them, to name the first bad entry.
+    """
+    if isinstance(value, list) and len(value) <= max_dim and all(
+            isinstance(row, list) and len(row) <= max_dim
+            and {int}.issuperset(map(type, row)) and {0, 1}.issuperset(row)
+            for row in value) and len(set(map(len, value))) <= 1:
+        return value
+    _expect_int_matrix(value, path, max_rows=max_dim, max_cols=max_dim)
+    for i, row in enumerate(value):
+        _expect_bits(row, f"{path}[{i}]")
+    return value
+
+
 def _expect_names(value, path):
     if not isinstance(value, list) or any(not isinstance(x, str) or not x for x in value):
         _fail(path, "expected a list of nonempty generator names")
@@ -135,13 +152,8 @@ def validate_document(doc: dict, path: str = "$") -> dict:
         dpath = f"{path}.double_cover"
         dc = _expect_object(doc["double_cover"], dpath, ("i_pullback", "eta_class"),
                             "an object with i_pullback/eta_class")
-        mat = dc.get("i_pullback")
-        _expect_int_matrix(mat, f"{dpath}.i_pullback",
-                           max_rows=MAX_COVER_DIM, max_cols=MAX_COVER_DIM)
-        for i, row in enumerate(mat):
-            _expect_bits(row, f"{dpath}.i_pullback[{i}]")
-        _expect_bits(dc.get("eta_class"), f"{dpath}.eta_class",
-                     length=len(mat) if mat else None)
+        mat = _expect_bit_matrix(dc.get("i_pullback"), f"{dpath}.i_pullback", MAX_COVER_DIM)
+        _expect_bits(dc.get("eta_class"), f"{dpath}.eta_class", length=len(mat))
 
     if "normal_crossing" in doc:
         npath = f"{path}.normal_crossing"
@@ -188,15 +200,16 @@ def _parse_stratum(obj, path):
     if not isinstance(words, list):
         _fail(f"{path}.kernel_words", "expected a list of words")
     for i, word in enumerate(words):
-        if not isinstance(word, list) or any(not isinstance(tk, str) for tk in word):
-            _fail(f"{path}.kernel_words[{i}]", "expected a list of generator tokens")
+        if not (isinstance(word, list) and {str}.issuperset(map(type, word))):
+            # one type check per word; a str subclass is a token too
+            if not isinstance(word, list) or any(not isinstance(tk, str) for tk in word):
+                _fail(f"{path}.kernel_words[{i}]", "expected a list of generator tokens")
     unknown = {tk for tk in set().union(*words) if parse_token(tk)[0] not in images}
     if unknown:
         i, j, tk = next((i, j, tk) for i, word in enumerate(words)
                         for j, tk in enumerate(word) if tk in unknown)
         _fail(f"{path}.kernel_words[{i}][{j}]", f"unknown generator {parse_token(tk)[0]!r}")
-    return MonodromyRep(images=images,
-                        kernel_words=tuple(tuple(w) for w in words))
+    return MonodromyRep(images=images, kernel_words=tuple(map(tuple, words)), degree=k)
 
 
 def load_document(source) -> dict:

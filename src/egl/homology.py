@@ -120,8 +120,14 @@ def _as_int(x) -> int:
     raise MalformedPresentation(f"entry {x!r} is not an integer")
 
 
+def _as_int_row(row) -> List[int]:
+    """row as a new list of ints: one type check when every entry is an int already."""
+    row = list(row)
+    return row if {int}.issuperset(map(type, row)) else [_as_int(x) for x in row]
+
+
 def _as_int_matrix(M) -> List[List[int]]:
-    rows = [[_as_int(x) for x in row] for row in M]
+    rows = list(map(_as_int_row, M))
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise MalformedPresentation("ragged integer matrix")
     return rows
@@ -650,11 +656,11 @@ def _lattice_test(columns: Sequence[Sequence[int]], dim: int):
         return lambda v: not any(_as_int(x) for x in v)
     if any(len(col) != dim for col in columns):
         raise DimensionMismatch("lattice_member: column length mismatch")
-    pivots, _ = _hermite_pass([[_as_int(x) for x in col] for col in columns], dim)
+    pivots, _ = _hermite_pass(_as_int_matrix(columns), dim)
     basis = sorted(pivots.items())
 
     def member(v) -> bool:
-        v = [_as_int(x) for x in v]
+        v = _as_int_row(v)
         for c, p in basis:
             q, r = divmod(v[c], p[c])
             if r:
@@ -689,9 +695,10 @@ class HomologyPresentation:
         if self.names and len(self.names) != self.ngens:
             raise MalformedPresentation("name count != generator count")
 
-    @property
+    @functools.cached_property
     def relation_columns(self):
-        return [list(map(_as_int, r)) for r in self.relations]
+        """The relations as tuples of ints, read once."""
+        return tuple(map(tuple, _as_int_matrix(self.relations)))
 
 
 @dataclass(frozen=True)
@@ -717,7 +724,7 @@ class IntHom:
         if self.domain.relations and self.codomain.ngens and self.domain.ngens:
             member = _lattice_test(self.codomain.relation_columns, self.codomain.ngens)
             for rel in self.domain.relation_columns:
-                if not member([sum(a * b for a, b in zip(row, rel)) for row in M]):
+                if not member([sum(map(operator.mul, row, rel)) for row in M]):
                     raise MalformedPresentation(
                         "hom does not map a domain relation into the codomain lattice")
 
@@ -767,40 +774,62 @@ def smooth_decision_witness(i_star: IntHom, eta: Sequence[int]):
     eta = [_as_int(x) % 2 for x in eta]
     if len(eta) != i_star.domain.ngens:
         raise MalformedPresentation("eta length != domain generator count")
-    for rel in i_star.domain.relations:
-        if sum(e * _as_int(r) for e, r in zip(eta, rel)) % 2 != 0:
+    for rel in i_star.domain.relation_columns:
+        if sum(map(operator.mul, eta, rel)) % 2 != 0:
             raise MalformedPresentation("eta is not well-defined on the domain group")
     for gen in kernel_generators(i_star):
-        if sum(e * g for e, g in zip(eta, gen)) % 2 != 0:
+        if sum(map(operator.mul, eta, gen)) % 2 != 0:
             return gen
     return None
+
+
+# ``bytes.translate`` table: each byte to its parity
+_PARITY = bytes(i & 1 for i in range(256))
+
+
+def _parity_bytes(row) -> bytes:
+    """The entries of ``row`` mod 2, one byte each.
+
+    A list or tuple of integers in [0, 256) converts in one ``bytes``
+    call (through ``__index__``, as ``_as_int`` reads them); any other
+    row reads each entry through ``_as_int``.
+    """
+    if isinstance(row, (list, tuple)):
+        try:
+            return bytes(row).translate(_PARITY)
+        except (TypeError, ValueError):
+            pass
+    return bytes([_as_int(x) % 2 for x in row])
 
 
 def double_cover_exists(i_pullback, eta_class: Sequence[int]) -> bool:
     """Whether the coorientation class is hit by the mod-2 restriction map.
 
     ``i_pullback`` maps mod-2 classes of the ambient space to the
-    divisor; the cover exists iff ``eta_class`` lies in its column
-    space over GF(2).  Exact Gaussian elimination on rows packed into
-    Python ints, eliminating with XOR.
+    divisor; the cover exists iff ``eta_class`` (one entry per row) lies
+    in its column space over GF(2).  Exact Gaussian elimination on rows
+    packed into Python ints, eliminating with XOR.  A row packs in one
+    call, ``int.from_bytes`` of its entries' parities: column c sits at
+    bit 8c and the right-hand side at bit 8 * ncols.  XOR carries
+    nothing from one byte into the next, so every other bit stays zero,
+    and ``v & -v`` names the lowest column still set.  Entries are read
+    as integers (``_as_int``); a fractional entry is a
+    MalformedPresentation.
     """
-    A = [[_as_int(x) % 2 for x in row] for row in i_pullback]
-    b = [_as_int(x) % 2 for x in eta_class]
-    if A and len(A) != len(b):
+    A = list(map(_parity_bytes, i_pullback))
+    b = _parity_bytes(eta_class)
+    if len(A) != len(b):
         raise DimensionMismatch("double_cover_exists: row count != class length")
     if not A:
-        return not any(b)
+        return True
     ncols = len(A[0])
     if any(len(row) != ncols for row in A):
         raise DimensionMismatch("double_cover_exists: ragged matrix")
-    # row i as an int: bit c is column c, bit ncols the right-hand side
-    columns = (1 << ncols) - 1
+    shift = 8 * ncols           # the right-hand side's bit
+    columns = (1 << shift) - 1
     pivots = {}                 # lowest column bit -> reduced row
     for row, rhs in zip(A, b):
-        v = rhs << ncols
-        for c, x in enumerate(row):
-            if x:
-                v |= 1 << c
+        v = int.from_bytes(row, "little") | rhs << shift
         while v & columns:
             low = v & -v        # lowest set bit: a column bit, as v has one
             p = pivots.get(low)

@@ -16,7 +16,7 @@ elements is further bounded by the group's order (ENUMERATION_LIMIT).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -347,22 +347,31 @@ class MonodromyRep:
     Words are sequences of tokens; ``~name`` (or ``name^-1``) denotes the
     inverse of a generator.  ``kernel_words`` optionally lists words
     declared to die under the inclusion pushforward; the normal-crossing
-    decision quantifies over exactly these.
+    decision quantifies over exactly these.  ``degree`` is k: read from
+    the images when not given, and needed when there are none (a stratum
+    with no generators still has its k).
     """
 
     images: Dict[str, SignedPermutation]
     kernel_words: Tuple[Tuple[str, ...], ...] = ()
+    degree: Optional[int] = None
+    # token -> itemgetter applying its point permutation, filled by evaluate
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         degs = {g.degree for g in self.images.values()}
+        if self.degree is not None:
+            degs.add(self.degree)
         if len(degs) > 1:
             raise DimensionMismatch("generator images of mixed degree")
+        if degs:
+            object.__setattr__(self, "degree", degs.pop())
 
     @property
     def k(self) -> int:
-        if not self.images:
+        if self.degree is None:
             raise MalformedPresentation("empty representation has no degree")
-        return next(iter(self.images.values())).degree
+        return self.degree
 
     def _points_of(self, token: str) -> Tuple[int, ...]:
         """The image of a token as a permutation of the 2k points."""
@@ -377,15 +386,17 @@ class MonodromyRep:
 
         Composes the tokens' permutations of the 2k points (``g * h``
         acts as g after h), and reads the result back as a signed
-        permutation.  Each distinct token is resolved once, to an
+        permutation.  Each distinct token is resolved once per
+        representation, on the first word that holds it, to an
         ``itemgetter`` that applies ``_compose(p, step)`` in C.
         """
         p = tuple(range(2 * self.k))
-        steps = {}
-        for token in word:
-            step = steps.get(token)
-            if step is None:
-                step = steps[token] = itemgetter(*self._points_of(token))
+        steps = self._steps
+        if not steps.keys() >= set(word):
+            for token in dict.fromkeys(word):
+                if token not in steps:
+                    steps[token] = itemgetter(*self._points_of(token))
+        for step in map(steps.__getitem__, word):
             p = step(p)
         return _signed(p)
 

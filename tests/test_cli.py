@@ -586,6 +586,44 @@ def test_documents_at_each_limit_are_accepted():
         validate_document(doc)
 
 
+def test_a_stratum_with_no_generators_decides_its_trivial_words(capsys, tmp_path):
+    doc = _nc_doc({"k": 2, "generators": [], "monodromy": {}, "kernel_words": [[]]},
+                  _stratum(k=3, gens=2, words=[[], ["g0", "~g0"]]))
+    validate_document(doc)
+    path = tmp_path / "no_generators.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["decide", "--kind", "normal-crossing", str(path)], capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)["results"][0]
+    assert record["decision"] is True and record["witness"] is None
+
+
+def test_the_class_length_is_checked_on_an_empty_pullback(capsys, tmp_path):
+    doc = {"schema": "decision.v1", "double_cover": {"i_pullback": [], "eta_class": [1, 0, 1]}}
+    with pytest.raises(ConfigError, match=re.escape(
+            "$.double_cover.eta_class: expected length 0, got 3")):
+        validate_document(doc)
+    path = tmp_path / "no_rows.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["decide", "--kind", "double-cover", str(path)], capsys)
+    assert code == 2 and not out and "$.double_cover.eta_class:" in err
+    doc["double_cover"]["eta_class"] = []
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["decide", "--kind", "double-cover", str(path)], capsys)
+    assert code == 0 and json.loads(out)["results"][0]["decision"] is True
+
+
+@pytest.mark.parametrize("matrix, field", [
+    ([[1, 0], [0, 2]], "[1]"), ([[1, 0], [0, True]], "[1][1]"), ([[1, 0], [1.0, 0]], "[1][0]"),
+    ([[1, 0], [0, 1, 1]], ""), ([[0, 1], 5], ""), ([[1, 0], [0, 7], [0.5, 1]], "[2][0]"),
+    ([[1, 2], [1.5, 0]], "[1][0]"), ([[1] * 257], "[0]"), ([[1]] * 257, "")])
+def test_a_cover_matrix_that_is_not_bits_names_its_first_bad_entry(matrix, field):
+    doc = {"schema": "decision.v1",
+           "double_cover": {"i_pullback": matrix, "eta_class": [0] * len(matrix)}}
+    with pytest.raises(ConfigError, match=re.escape(f"$.double_cover.i_pullback{field}: ")):
+        validate_document(doc)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "egl.cli", "list-models"],
                           capture_output=True, text=True)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import egl.homology as homology
 from egl.decisions_io import decide_smooth
-from egl.errors import MalformedPresentation
+from egl.errors import DimensionMismatch, MalformedPresentation
 from egl.homology import (HomologyPresentation, IntHom, double_cover_exists,
                           hausdorff_smooth_decision, integer_determinant,
                           integer_kernel_basis, kernel_generators,
@@ -351,6 +351,38 @@ def test_bit_packed_cover_matches_list_elimination(system):
     b = b[:len(A)]
     assert double_cover_exists(A, b) == _reference_double_cover(A, b)
 
+
+def test_the_class_has_one_entry_per_row_even_with_no_rows():
+    assert double_cover_exists([], [])
+    for A, b in (([], [1, 0, 1]), ([], [0]), ([[1, 0]], []), ([[1, 0], [0, 1]], [1])):
+        with pytest.raises(DimensionMismatch, match="row count != class length"):
+            double_cover_exists(A, b)
+
+
+_NOT_BITS = (3, -1, 2, 1.0, 0.0, True, False, -4, 255, 256, 2 ** 70 + 1,
+             np.int64(3), np.int8(-1), np.float64(5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.one_of(st.integers(0, 1), st.sampled_from(_NOT_BITS)),
+                      min_size=m, max_size=m), min_size=1, max_size=8),
+    st.lists(st.one_of(st.integers(0, 1), st.sampled_from(_NOT_BITS)),
+             min_size=8, max_size=8),
+    st.booleans())))
+def test_rows_that_are_not_bits_pack_by_their_parity(system):
+    A, b, as_tuples = system
+    b = b[:len(A)]
+    if as_tuples:
+        A = tuple(map(tuple, A))
+    assert double_cover_exists(A, b) == _reference_double_cover(A, b)
+
+
+def test_array_rows_pack_by_their_values_not_their_buffer():
+    A = np.array([[1, 0, 3], [0, 2, 1]])
+    for b in ([1, 1], [0, 1], [1, 0]):
+        assert double_cover_exists(A, b) == _reference_double_cover(A.tolist(), b), b
+        assert double_cover_exists(A, np.array(b)) == _reference_double_cover(A.tolist(), b)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +784,10 @@ def test_a_non_integer_entry_is_a_malformed_presentation(entry):
         HomologyPresentation(2, relations=((entry, 2),)).relation_columns
     with pytest.raises(MalformedPresentation, match="is not an integer"):
         double_cover_exists([[1, entry]], [1])
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        double_cover_exists([[1, 0], (0, 1)], [1, entry])
+    with pytest.raises(MalformedPresentation, match="is not an integer"):
+        double_cover_exists([[1, 0], (0, entry)], [1, 1])
 
 
 def test_the_message_names_the_entry():

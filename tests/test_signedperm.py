@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egl.errors import DimensionMismatch, KTooLarge, UnknownGenerator
+from egl.errors import DimensionMismatch, KTooLarge, MalformedPresentation, UnknownGenerator
 from egl.homology import (HomologyPresentation, IntHom,
                           hausdorff_smooth_decision, kernel_generators)
 from egl.signedperm import (MonodromyRep, SignedPermutation, _compose, _signed,
                             covering_isotropy, full_hyperoctahedral,
-                            hausdorff_nc_decision, nc_decision_witness,
+                            hausdorff_nc_decision, nc_decision_witness, parse_token,
                             semidirect_inverse, semidirect_mul, twist_group)
 
 FLIP = SignedPermutation((0,), (1,))
@@ -256,8 +256,13 @@ def test_monodromy_words():
     assert rep.evaluate(["a", "a"]).is_identity()
     assert rep.evaluate(["a", "~a"]).is_identity()
     assert rep.evaluate(["a", "b^-1"]) == FLIP
-    with pytest.raises(UnknownGenerator):
-        rep.evaluate(["c"])
+    # the tokens resolved so far are cached; an unknown token still raises,
+    # naming the first one in the word, and is never cached
+    for word, name in ((["c"], "c"), (["b", "c^-1", "a"], "c"), (["a", "~b", "d", "c"], "d")):
+        with pytest.raises(UnknownGenerator, match=f"'{name}'"):
+            rep.evaluate(word)
+    assert rep.evaluate(["a", "~b"]) == FLIP
+    assert set(rep._steps) == {"a", "b", "~a", "~b", "b^-1"}
 
 
 @st.composite
@@ -274,16 +279,19 @@ def _rep_and_word(draw):
     return MonodromyRep(images=images), tokens
 
 
+def _left_fold(rep, word):
+    out = SignedPermutation.identity(rep.k)
+    for token in word:
+        name, inverse = parse_token(token)
+        out = out * (rep.images[name].inverse() if inverse else rep.images[name])
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rep_and_word())
 def test_evaluate_is_a_left_fold_of_mul(case):
     rep, word = case
-    want = SignedPermutation.identity(rep.k)
-    for token in word:
-        name = token.lstrip("~").removesuffix("^-1")
-        g = rep.images[name]
-        want = want * (g.inverse() if token != name else g)
-    assert rep.evaluate(word) == want
+    assert rep.evaluate(word) == _left_fold(rep, word)
 
 
 def test_evaluate_equals_the_step_by_step_point_product():
@@ -301,7 +309,36 @@ def test_evaluate_equals_the_step_by_step_point_product():
             p = tuple(range(2 * k))
             for token in word:
                 p = _compose(p, rep._points_of(token))
-            assert rep.evaluate(word) == _signed(p), (k, word)
+            # the words of one representation share its resolved tokens
+            assert rep.evaluate(word) == _signed(p) == _left_fold(rep, word), (k, word)
+
+
+def test_generators_named_like_inverses_keep_parse_tokens_reading():
+    swap = SignedPermutation((1, 0), (1, 0))
+    flip = SignedPermutation((0, 1), (0, 1))
+    rep = MonodromyRep(images={"a": swap, "a^-1": flip, "~a": SignedPermutation.identity(2)})
+    # "a^-1" and "~a" are the inverse of a; "~a^-1" inverts the generator named
+    # "a^-1", and "~~a" the one named "~a"
+    for word in (["a^-1"], ["~a"], ["~a^-1"], ["a^-1", "~a^-1", "a"], ["~~a", "a^-1", "~a"],
+                 ["a", "a^-1", "~a^-1", "~a", "~~a"]):
+        assert rep.evaluate(word) == _left_fold(rep, word), word
+    assert rep.evaluate(["a^-1"]) == swap.inverse()
+    assert rep.evaluate(["~a^-1"]) == flip.inverse()
+
+
+def test_a_representation_with_no_generators_has_the_degree_it_is_given():
+    rep = MonodromyRep(images={}, kernel_words=((),), degree=2)
+    assert rep.k == 2
+    assert rep.evaluate(()) == SignedPermutation.identity(2)
+    assert hausdorff_nc_decision([rep])
+    assert covering_isotropy(rep, 1).name == "ℂ*"
+    with pytest.raises(UnknownGenerator):
+        rep.evaluate(["g"])
+    with pytest.raises(MalformedPresentation, match="no degree"):
+        MonodromyRep(images={}).k
+    assert MonodromyRep(images={"g": FLIP}, degree=1) == MonodromyRep(images={"g": FLIP})
+    with pytest.raises(DimensionMismatch):
+        MonodromyRep(images={"g": FLIP}, degree=2)
 
 
 def test_nc_decision_trivial_and_flip():
