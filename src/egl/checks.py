@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 import zlib
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -370,10 +369,13 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     below 1e-6) is computed numerically and pushed through the target
     differential; for constrained models (fibre products) the constraint
     Jacobian rows are appended before the nullspace.  A stack of base
-    points (N, base_dim) gives the list of their frames, from one block
-    of units, one stacked Jacobian, one stacked nullspace and one
-    stacked product ``kernel @ Jt.T`` per nullspace rank, each frame
-    with the bits of its point's product; a point is the one-row stack.
+    points (N, base_dim) gives its frames from one block of units, one
+    stacked Jacobian and one stacked nullspace: as one (N, k, base_dim)
+    array, from one stacked product ``kernel @ Jt.T`` of C-contiguous
+    operands, when every kernel has dimension k (always, on a registered
+    model), and as the list of the N frames, one product each, when the
+    dimensions differ.  Each frame has the bits of its point's product;
+    a point is the one-row stack.
     """
     ts_map, unit_map = model.maps_for_algebroid()
     p = np.asarray(p, dtype=float)
@@ -385,15 +387,11 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     if extra is not None:
         Js = np.concatenate([Js, extra], axis=1)
     kernels = nullspace(Js, 1e-6)
-    frames = [np.zeros((0, b))] * len(kernels)
-    by_rank = defaultdict(list)
-    for i, kernel in enumerate(kernels):
-        if len(kernel):
-            by_rank[len(kernel)].append(i)
-    for idx in by_rank.values():
-        products = np.stack([kernels[i] for i in idx]) @ J[idx, :b].transpose(0, 2, 1)
-        for i, frame in zip(idx, products):
-            frames[i] = frame
+    Jt = np.ascontiguousarray(J[:, :b]).transpose(0, 2, 1)
+    if isinstance(kernels, list):
+        frames = [kernel @ jt for kernel, jt in zip(kernels, Jt)]
+    else:
+        frames = np.ascontiguousarray(kernels) @ Jt
     return frames if p.ndim == 2 else frames[0]
 
 

@@ -12,13 +12,14 @@ clamping of singular loci.
 matrix, or a stack of them.  A stack of Jacobians evaluates all its
 stencil points in one call of the map's tuple formula (``SmoothMap.formula``,
 which takes a block of coordinate columns), and the SVDs of a stack run
-in one LAPACK call per group of equal shape; the results are those of
-the one-at-a-time computation, bit for bit.  A single point or matrix
-is the one-row stack.  ``subspace_angle`` takes a stack of spanning
-sets as an (N, r, n) array (the stated frames of a block) or as a
-sequence of 2-D sets (the recovered frames, whose ranks differ); ranks,
-cutoffs and angles are computed as arrays, with one SVD call per shape
-and one per rank of the principal-angle products.
+in one LAPACK call; the results are those of the one-at-a-time
+computation, bit for bit.  A single point or matrix is the one-row
+stack.  ``subspace_angle`` takes a stack of spanning sets as an
+(N, r, n) array (the recovered and the stated frames of a block; a
+frame shared by the block is broadcast, stride 0, and factored once) or
+as a sequence of 2-D sets of differing shapes; ranks, cutoffs and
+angles are computed as arrays, with one SVD call per shape and one per
+rank of the principal-angle products.
 
 A map is its tuple formula (``SmoothMap``): one point reaches it as a
 tuple of Python floats, a stack as one block of coordinate columns, and
@@ -413,7 +414,11 @@ def nullspace(M, tol: float):
     Right-singular vectors whose singular value is below ``tol``;
     directions outside the row space of a wide matrix count as singular
     value zero.  May be empty (shape ``(0, n)``).  A stack of matrices
-    (N, r, n) gives the list of their N bases, from one SVD call.
+    (N, r, n) is factored by one SVD call.  When its N bases have one
+    dimension k (always, on a registered model's algebroid stacks) they
+    come back as one (N, k, n) array, each row the basis of its matrix;
+    when the dimensions differ, as the list of the N bases (an empty
+    stack of nonempty matrices gives the empty list).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3):
@@ -422,12 +427,15 @@ def nullspace(M, tol: float):
     stack = M if M.ndim == 3 else M[None]
     n = M.shape[-1]
     if M.shape[-2] == 0 or n == 0:
-        bases = [np.eye(n) if n else np.zeros((0, 0)) for _ in stack]
+        bases = np.repeat(np.eye(n)[None], len(stack), axis=0)
     else:
         _, svals, vt = np.linalg.svd(stack, full_matrices=True)
         # the singular values descend: the basis is the last rows of vt
         start = np.count_nonzero(svals >= tol, axis=1).tolist()
-        bases = [v[i:] for v, i in zip(vt, start)]
+        if len(set(start)) == 1:
+            bases = vt[:, start[0]:]
+        else:
+            bases = [v[i:] for v, i in zip(vt, start)]
     return bases if M.ndim == 3 else bases[0]
 
 
@@ -437,16 +445,22 @@ def _orthonormal_rows(spans):
     ``spans`` is an (N, r, n) array, or a sequence of N 2-D sets whose
     nonempty members share one ambient dimension n.  Returns (Q, ranks,
     n): the first ``ranks[i]`` rows of Q[i] are an orthonormal basis of
-    set i, from one SVD call per group of sets of equal shape.  The rank
-    counts the singular values above both 1e-9 times the largest and
-    the absolute floor 1e-7, which keeps finite-difference noise from
-    promoting a direction the exact frame does not have (frames vanish
-    identically on divisor strata while their numerical images are
-    ~1e-11); an empty or all-zero set has rank 0.  A set holding NaN or
-    an infinity has no basis: its rank is -1, and it is zeroed before
-    its group's SVD call (each set's SVD has its own bits in any stack).
+    set i.  An array is factored by one SVD call, and a set broadcast
+    over it (stride 0, one frame stated for a whole block) by one call
+    on that set, its Q and rank broadcast back; a sequence by one call
+    per group of sets of equal shape.  The rank counts the singular
+    values above both 1e-9 times the largest and the absolute floor
+    1e-7, which keeps finite-difference noise from promoting a direction
+    the exact frame does not have (frames vanish identically on divisor
+    strata while their numerical images are ~1e-11); an empty or
+    all-zero set has rank 0.  A set holding NaN or an infinity has no
+    basis: its rank is -1, and it is zeroed before its group's SVD call
+    (each set's SVD has its own bits in any stack).
     """
     if isinstance(spans, np.ndarray):
+        if len(spans) > 1 and spans.strides[0] == 0:
+            Q, ranks, n = _orthonormal_rows(spans[:1])
+            return _broadcast_rows(Q, len(spans)), _broadcast_rows(ranks, len(spans)), n
         groups = [(slice(None), spans)]
     else:
         spans = [np.asarray(a, dtype=float) for a in spans]
@@ -474,6 +488,11 @@ def _orthonormal_rows(spans):
     return Q, ranks, n
 
 
+def _broadcast_rows(a, count: int):
+    """The one-row stack ``a`` as a read-only stack of ``count`` rows."""
+    return np.broadcast_to(a, (count,) + a.shape[1:])
+
+
 def _is_stack(A) -> bool:
     """An (N, r, n) array or a sequence of 2-D spanning sets, rather
     than one spanning set."""
@@ -492,10 +511,12 @@ def subspace_angle(A, B):
     largest one and the absolute floor 1e-7.
     ``A`` and ``B`` may also be stacks of N spanning sets, each an
     (N, r, n) array or a sequence of 2-D sets; the result is then the
-    array of their angles, with one SVD call per group of sets of equal
-    shape and one per group of equal-rank pairs, each pair with the bits
-    of its own call.  The angle is arccos of the smallest singular value
-    of Qa Qb^T, clipped to [-1, 1] (Björck & Golub, Math. Comp. 27, 1973).
+    array of their angles, with one SVD call per array (one on the set
+    of a stride-0 array, a frame shared by the stack), one per group of
+    sets of equal shape of a sequence, and one per group of equal-rank
+    pairs, each pair with the bits of its own call.  The angle is arccos
+    of the smallest singular value of Qa Qb^T, clipped to [-1, 1]
+    (Björck & Golub, Math. Comp. 27, 1973).
     """
     stacked = _is_stack(A)
     if not stacked:
@@ -526,8 +547,10 @@ def _span_intersection(f1, f2) -> np.ndarray:
     above 1 - 1e-9 of p1 p2 p1, p_i the projector onto span(f_i), in
     ascending order and preceded by zero rows.  A pair holding NaN or an
     infinity has no intersection to take: its frame is all NaN.  One
-    stacked SVD per factor and one stacked eigh per pair of ranks give
-    each pair the bits of its own computation.
+    stacked SVD per factor (unindexed when no pair holds NaN or an
+    infinity, so that a broadcast frame stays one SVD) and one stacked
+    eigh per pair of ranks give each pair the bits of its own
+    computation.
     """
     f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
     stacks = [len(f) for f in (f1, f2) if f.ndim == 3]
@@ -537,8 +560,10 @@ def _span_intersection(f1, f2) -> np.ndarray:
     out = np.zeros((count, n, n))
     finite = np.isfinite(f1).all(axis=(1, 2)) & np.isfinite(f2).all(axis=(1, 2))
     out[~finite] = np.nan
-    (q1, r1), (q2, r2) = _onb(f1[finite]), _onb(f2[finite])
     rows = np.flatnonzero(finite)
+    if len(rows) < count:
+        f1, f2 = f1[rows], f2[rows]
+    (q1, r1), (q2, r2) = _onb(f1), _onb(f2)
     both = (r1 > 0) & (r2 > 0)
     for a, b in set(zip(r1[both].tolist(), r2[both].tolist())):
         pick = (r1 == a) & (r2 == b)
@@ -550,9 +575,13 @@ def _span_intersection(f1, f2) -> np.ndarray:
 
 def _onb(frames):
     """Right-singular vectors of a stack (N, r, n) of frames and their
-    ranks: the singular values above 1e-9 times the largest."""
+    ranks: the singular values above 1e-9 times the largest.  A frame
+    broadcast over the stack (stride 0) is factored once."""
     if frames.shape[1] == 0 or len(frames) == 0:
         return frames, np.zeros(len(frames), dtype=int)
+    if len(frames) > 1 and frames.strides[0] == 0:
+        vt, ranks = _onb(frames[:1])
+        return _broadcast_rows(vt, len(frames)), _broadcast_rows(ranks, len(frames))
     _, sv, vt = np.linalg.svd(frames, full_matrices=False)
     return vt, np.count_nonzero(sv > 1e-9 * sv[:, :1], axis=1)
 

@@ -62,9 +62,17 @@ class SignedPermutation:
         if any(f not in (0, 1) for f in self.flips):
             raise MalformedPresentation("flips must be 0/1")
 
+    @classmethod
+    def _of(cls, perm: Tuple[int, ...], flips: Tuple[int, ...]) -> "SignedPermutation":
+        """The element (perm, flips) from data valid by construction,
+        without ``__post_init__``'s checks (those guard parsed data)."""
+        g = object.__new__(cls)
+        g.__dict__.update(perm=perm, flips=flips)
+        return g
+
     @staticmethod
     def identity(k: int) -> "SignedPermutation":
-        return SignedPermutation(tuple(range(k)), (0,) * k)
+        return SignedPermutation._of(tuple(range(k)), (0,) * k)
 
     @property
     def degree(self) -> int:
@@ -79,12 +87,12 @@ class SignedPermutation:
         inv = _invert(self.perm)
         perm = tuple(self.perm[other.perm[i]] for i in range(self.degree))
         flips = tuple((self.flips[i] + other.flips[inv[i]]) % 2 for i in range(self.degree))
-        return SignedPermutation(perm, flips)
+        return SignedPermutation._of(perm, flips)
 
     def inverse(self) -> "SignedPermutation":
         inv = _invert(self.perm)
         flips = tuple(self.flips[self.perm[j]] for j in range(self.degree))
-        return SignedPermutation(inv, flips)
+        return SignedPermutation._of(inv, flips)
 
     def act(self, z: Sequence[complex]) -> Tuple[complex, ...]:
         """Permute, then conjugate flagged coordinates."""
@@ -158,7 +166,7 @@ def _signed(p: Tuple[int, ...]) -> SignedPermutation:
     flips = [0] * len(images)
     for x in images:
         flips[x >> 1] = x & 1
-    return SignedPermutation(tuple(x >> 1 for x in images), tuple(flips))
+    return SignedPermutation._of(tuple(x >> 1 for x in images), tuple(flips))
 
 
 def _compose(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:

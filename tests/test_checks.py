@@ -17,7 +17,7 @@ from egl.divisors import residue_model_frame
 from egl.errors import DegenerateRadius, NonFiniteValue, SamplerExhausted, StencilOutsideDomain
 from egl.groupoids import (GroupoidChartModel, case1_model, caseIV_model, fibre_product,
                            pair_groupoid, ssc_surface_model)
-from egl.kernel import DEFAULT_PROFILE, subspace_angle, subspace_equal
+from egl.kernel import DEFAULT_PROFILE, nullspace, subspace_angle, subspace_equal
 from egl.registry import build_model
 from egl.symplectic import (psi_domain_candidates, symplectic_nonzero_residue_model,
                             symplectic_zero_residue_model)
@@ -247,6 +247,36 @@ def test_model_maps_failing_at_a_point_fail_the_algebroid_check_there(mutant, ma
     # the other points keep the bits of the unbroken model's block
     want = lie_algebroid_of(base, stack)
     assert all(frames[i].tobytes() == want[i].tobytes() for i in np.flatnonzero(~failed))
+
+
+def test_kernels_of_mixed_dimension_keep_the_bits_of_their_points(monkeypatch):
+    # ts bent so that ds vanishes where x0 > 0.5: there the kernel is the
+    # whole arrow space, elsewhere it has dimension arrow_dim - base_dim,
+    # so the block's nullspaces come back as a list
+    base = case1_model(4)
+    model = replace(base, source_of=lambda g: tuple(
+        np.where(np.asarray(g[0]) > 0.5, 0.0 * c, c) for c in base.source_of(g)))
+    returned = []
+
+    def spy(M, tol):
+        out = nullspace(M, tol)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(checks, "nullspace", spy)
+    rep = check_algebroid(model, n_points=60, seed=3)
+    assert len(returned) == 1 and isinstance(returned[0], list)
+    assert {len(k) for k in returned[0]} == {base.arrow_dim - base.base_dim, base.arrow_dim}
+    monkeypatch.undo()
+    # the report of per-point recoveries and angles, witnesses included
+    points = np.column_stack(model.random_base(rng_for(3, f"algebroid:{model.name}"), 60))
+    acc = _Accumulator(PROF.subspace_tol)
+    for p in points:
+        frame = lie_algebroid_of(model, p, PROF)
+        stated = model.expected_frame(tuple(p))
+        acc.add(subspace_angle(frame, stated), {"p": [round(x, 6) for x in p]})
+    assert rep.to_dict() == acc.report("algebroid", model.name, 3).to_dict()
+    assert 0 < rep.passed < rep.samples
 
 
 def test_a_non_finite_frame_fails_the_algebroid_check_with_a_witness():

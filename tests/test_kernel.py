@@ -544,6 +544,15 @@ def test_stacked_nullspace_equals_pointwise(rows, cols):
     for M, basis in zip(stack, bases):
         assert _bits_equal(basis, _reference_nullspace(M, 1e-8))
         assert _bits_equal(nullspace(M, 1e-8), basis)
+    # a stack of one rank has one kernel dimension: one (N, k, n) array
+    rank = min(rows, cols) // 2
+    same = np.array([_of_rank(rng, rank, rows, cols) for _ in range(7)]).reshape(7, rows, cols)
+    bases = nullspace(same, 1e-8)
+    assert isinstance(bases, np.ndarray) and bases.shape == (7, cols - rank, cols)
+    for M, basis in zip(same, bases):
+        assert _bits_equal(basis, _reference_nullspace(M, 1e-8))
+    # an empty stack still gives its empty result
+    assert len(nullspace(np.empty((0, rows, cols)), 1e-8)) == 0
 
 
 def test_stacked_subspace_angle_equals_pointwise(prof):
@@ -575,6 +584,35 @@ def test_stacked_subspace_angle_equals_pointwise(prof):
     assert [subspace_angle(a, b) for a, b in pairs] == want
     with pytest.raises(DimensionMismatch):
         subspace_angle(A, B[:-1])
+
+
+@pytest.mark.parametrize("frame", ["finite", "zero", "nan", "inf"])
+def test_a_frame_shared_by_a_stack_gives_the_bits_of_the_materialised_stack(frame):
+    # a frame broadcast over the stack (stride 0) is factored once; every
+    # result must equal, bit for bit, that of the same stack in memory
+    from egl.kernel import _orthonormal_rows, _span_intersection
+
+    rng = np.random.Generator(np.random.Philox(key=31))
+    one = {"finite": _of_rank(rng, 2, 3, 4), "zero": np.zeros((3, 4)),
+           "nan": np.where(np.eye(3, 4) > 0, np.nan, 1.0),
+           "inf": np.where(np.eye(3, 4) > 0, np.inf, 1.0)}[frame]
+    shared = np.broadcast_to(one, (12, 3, 4))
+    assert shared.strides[0] == 0
+    whole = np.ascontiguousarray(shared)
+    A = np.array([_of_rank(rng, i % 4, 3, 4) for i in range(12)])
+    A[5] = one if frame == "finite" else A[5]         # one pair spans the same rows
+
+    got, want = _orthonormal_rows(shared), _orthonormal_rows(whole)
+    assert _bits_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+    assert list(got[1]) == [{"finite": 2, "zero": 0}.get(frame, -1)] * 12
+    angles = subspace_angle(A, shared)
+    assert _bits_equal(angles, subspace_angle(A, whole))
+    assert np.isnan(angles).all() == (frame in ("nan", "inf"))
+    for f1, f2 in ((A, shared), (shared, A), (A, one)):
+        meet = _span_intersection(f1, f2)
+        assert _bits_equal(meet, _span_intersection(*(np.broadcast_to(f, A.shape).copy()
+                                                      for f in (f1, f2))))
+        assert np.isnan(meet).all() == (frame in ("nan", "inf"))
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from egl.errors import DimensionMismatch, KTooLarge, MalformedPresentation, UnknownGenerator
 from egl.homology import (HomologyPresentation, IntHom,
                           hausdorff_smooth_decision, kernel_generators)
-from egl.signedperm import (MonodromyRep, SignedPermutation, _compose, _signed,
+from egl.signedperm import (MonodromyRep, SignedPermutation, _compose, _points, _signed,
                             covering_isotropy, full_hyperoctahedral,
                             hausdorff_nc_decision, nc_decision_witness, parse_token,
                             semidirect_inverse, semidirect_mul, twist_group)
@@ -33,6 +33,30 @@ def test_group_axioms_exhaustive_k_le_3():
             assert a * e == a and e * a == a
         for a, b, c in itertools.product(elements, repeat=3):
             assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("perm,flips,message", [
+    ((0, 0), (0, 0), "invalid signed permutation data"),     # not a permutation
+    ((1, 2), (0, 0), "invalid signed permutation data"),     # not of 0..k-1
+    ((0, 1), (0,), "invalid signed permutation data"),       # flips of another length
+    ((1, 0), (0, 2), "flips must be 0/1"),
+])
+def test_malformed_signed_permutation_data_is_refused(perm, flips, message):
+    with pytest.raises(MalformedPresentation, match=f"^{message}$"):
+        SignedPermutation(perm, flips)
+
+
+def test_products_inverses_and_point_images_equal_their_checked_constructions():
+    # these skip __post_init__; each must equal the element built through it
+    def checked(g):
+        return SignedPermutation(tuple(g.perm), tuple(g.flips))
+
+    for a in full_hyperoctahedral(3).elements[::5]:
+        for b in full_hyperoctahedral(3).elements[::7]:
+            for g in (a * b, a.inverse(), _signed(_compose(_points(a), _points(b)))):
+                assert g == checked(g) and hash(g) == hash(checked(g))
+                assert repr(g) == repr(checked(g))
+    assert SignedPermutation.identity(4) == SignedPermutation((0, 1, 2, 3), (0, 0, 0, 0))
 
 
 def test_action_is_a_left_action(rng):
