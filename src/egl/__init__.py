@@ -11,7 +11,7 @@ all of it.
 __version__ = "1.1.0"
 
 from .apaths import APath, PolarCurve, apath_anchor_residual, apath_rescale
-from .divisors import AlgebroidFrame, DivisorLocalModel, residue_model_frame
+from .divisors import DivisorLocalModel, residue_model_frame
 from .groupoids import (GroupoidChartModel, action_groupoid_model, case1_model,
                         case2_quotient_model, caseIV_model,
                         elliptic_ideal_pullback, fibre_product, pair_groupoid,

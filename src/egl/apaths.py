@@ -86,7 +86,7 @@ def apath_anchor_residual(path: APath, taus,
     h = prof.fd_step
     worst = 0.0
     for tau in taus:
-        frame = model.algebroid_frame(path.base(tau)).vectors
+        frame = model.algebroid_frame(path.base(tau))
         anchored = path.coeffs(tau) @ frame
         velocity = (path.base(tau + h) - path.base(tau - h)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(anchored - velocity))))

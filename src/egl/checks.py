@@ -429,7 +429,10 @@ def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
     ``lie_algebroid_of``, stated by one ``expected_frame`` call on its
     coordinate columns (a frame that does not depend on the point may be
     one matrix, broadcast over the block) and compared by one stacked
-    ``subspace_angle``.  A point whose recovery raises on the model's
+    ``subspace_angle``; a block whose frames ``_recovered`` returns as a
+    list (kernels of differing dimensions, or a point-by-point recovery,
+    on a broken model) is compared pair by pair, each pair with the bits
+    of its own call.  A point whose recovery raises on the model's
     own maps fails with an inf residual and a witness naming ``ts`` or
     ``unit_at`` (see ``_recovered``); a point whose stated frame is not
     finite, naming ``expected_frame``.  A model without a stated frame
@@ -443,7 +446,11 @@ def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
         stack = np.column_stack(base)
         recovered, exits = _recovered(model, stack, prof)
         stated = np.asarray(model.expected_frame(base), dtype=float)
-        angles = subspace_angle(recovered, np.broadcast_to(stated, (n,) + stated.shape[-2:]))
+        stated = np.broadcast_to(stated, (n,) + stated.shape[-2:])
+        if isinstance(recovered, list):
+            angles = np.array([subspace_angle(r, s) for r, s in zip(recovered, stated)])
+        else:
+            angles = subspace_angle(recovered, stated)
         # a NaN angle not named by a recovery exit is a stated frame
         # holding NaN or inf
         exits.append((np.isnan(angles), "expected_frame"))

@@ -18,21 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DivisorLocalModel", "AlgebroidFrame", "residue_model_frame"]
-
-
-@dataclass(frozen=True)
-class AlgebroidFrame:
-    """Values at a point of the generating fields, in the fixed order."""
-
-    point: np.ndarray
-    vectors: np.ndarray  # shape (n, n), or (N, n, n) for a block; rows are frame vectors
-
-    def rank(self, tol: float = 1e-9):
-        """The rank of the frame, or the array of ranks of a block's frames."""
-        svals = np.linalg.svd(self.vectors, compute_uv=False)
-        ranks = np.count_nonzero(svals > tol * np.maximum(1.0, svals[..., :1]), axis=-1)
-        return int(ranks) if ranks.ndim == 0 else ranks
+__all__ = ["DivisorLocalModel", "residue_model_frame"]
 
 
 @dataclass(frozen=True)
@@ -77,13 +63,13 @@ class DivisorLocalModel:
         p = np.asarray(p, dtype=float)
         return sum(1 for j in range(self.k) if self.factor(p, j) == 0)
 
-    def algebroid_frame(self, p) -> AlgebroidFrame:
-        """Generating frame of the elliptic tangent bundle at p.
+    def algebroid_frame(self, p) -> np.ndarray:
+        """Generating frame of the elliptic tangent bundle at p, as rows.
 
         Coordinate fields on the real part; per complex factor
         z_j = (v1, v2) the radial field (v1, v2) and angular field
         (-v2, v1) on that factor's plane.  ``p`` is a point, giving (n, n)
-        vectors, or a block of N points as coordinate columns, giving
+        rows, or a block of N points as coordinate columns, giving
         (N, n, n); a point has the bits of its row of a block.
         """
         p, vectors = _frame_of(p, self.n)
@@ -95,7 +81,7 @@ class DivisorLocalModel:
             vectors[..., i, i + 1] = v2
             vectors[..., i + 1, i] = -v2
             vectors[..., i + 1, i + 1] = v1
-        return AlgebroidFrame(point=p, vectors=vectors)
+        return vectors
 
 
 def _frame_of(p, n: int):

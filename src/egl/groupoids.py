@@ -709,7 +709,7 @@ def _blowup_model(n: int, k: int, name: str, on_divisor_prob: float,
         name=name, arrow_dim=dim, base_dim=n,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=arrow_valid,
-        expected_frame=lambda p: divisor.algebroid_frame(p).vectors,
+        expected_frame=divisor.algebroid_frame,
         beta_map=lambda g: target_of(g) + source_of(g),
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
@@ -910,14 +910,11 @@ def _exp_model(name: str, exp_on_source: bool, scaled: bool, z_half: float,
     def sample_arrow(u):
         return (_box(u[0], z_half), _box(u[1], z_half)) + sample_base(u[2:])
 
-    frame_model = DivisorLocalModel(n=2, k=1)
-
     return GroupoidChartModel(
         name=name, arrow_dim=4, base_dim=2,
         source_of=source_of, target_of=target_of, compose_raw=compose_raw,
         invert=invert, unit_at=unit_at, arrow_valid=_finite,
-        expected_frame=(None if scaled
-                        else (lambda p: frame_model.algebroid_frame(p).vectors)),
+        expected_frame=None if scaled else DivisorLocalModel(n=2, k=1).algebroid_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=sample_base, sample_base_like=sample_base_like,
         divisor_slots=(0, 1), widths=Widths(arrow=5, base=3, like=2, between=2),

@@ -636,10 +636,8 @@ def _kernel_basis(M: List[List[int]]) -> List[List[int]]:
     """``integer_kernel_basis`` of a matrix whose entries are already ints."""
     m = len(M)
     n = len(M[0]) if m else 0
-    if n == 0:
+    if n == 0:          # no rows: no columns either
         return []
-    if m == 0:
-        return _identity(n)
     _, kernel = _hermite_pass([list(col) + e for col, e in zip(zip(*M), _identity(n))], m)
     return [kernel[c][m:] for c in sorted(kernel)]
 

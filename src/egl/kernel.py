@@ -14,12 +14,13 @@ stencil points in one call of the map's tuple formula (``SmoothMap.formula``,
 which takes a block of coordinate columns), and the SVDs of a stack run
 in one LAPACK call; the results are those of the one-at-a-time
 computation, bit for bit.  A single point or matrix is the one-row
-stack.  ``subspace_angle`` takes a stack of spanning sets as an
-(N, r, n) array (the recovered and the stated frames of a block; a
-frame shared by the block is broadcast, stride 0, and factored once) or
-as a sequence of 2-D sets of differing shapes; ranks, cutoffs and
-angles are computed as arrays, with one SVD call per shape and one per
-rank of the principal-angle products.
+stack.  A stack of spanning sets is an (N, r, n) array (the recovered
+and the stated frames of a block; a frame shared by the block is
+broadcast, stride 0, and factored once), and ``subspace_angle`` and
+``_span_intersection`` factor it through one function,
+``_orthonormal_rows``: ranks, cutoffs and angles are computed as
+arrays, with one SVD call per stack and one per rank of the
+principal-angle products.
 
 A map is its tuple formula (``SmoothMap``): one point reaches it as a
 tuple of Python floats, a stack as one block of coordinate columns, and
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -135,9 +135,7 @@ def _cdiv(ar, ai, br, bi):
 
 
 def _complex(re, im):
-    """re + i im: a Python complex for floats, a complex column for columns."""
-    if not isinstance(re, np.ndarray) and not isinstance(im, np.ndarray):
-        return complex(re, im)
+    """re + i im as a complex column, from real and imaginary columns."""
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
     out.real, out.imag = re, im
     return out
@@ -439,66 +437,41 @@ def nullspace(M, tol: float):
     return bases if M.ndim == 3 else bases[0]
 
 
-def _orthonormal_rows(spans):
-    """Orthonormal bases of the row spans of a stack of spanning sets.
+def _orthonormal_rows(spans, floor: float = 1e-7):
+    """Orthonormal bases of the row spans of a stack (N, r, n) of spanning sets.
 
-    ``spans`` is an (N, r, n) array, or a sequence of N 2-D sets whose
-    nonempty members share one ambient dimension n.  Returns (Q, ranks,
-    n): the first ``ranks[i]`` rows of Q[i] are an orthonormal basis of
-    set i.  An array is factored by one SVD call, and a set broadcast
-    over it (stride 0, one frame stated for a whole block) by one call
-    on that set, its Q and rank broadcast back; a sequence by one call
-    per group of sets of equal shape.  The rank counts the singular
-    values above both 1e-9 times the largest and the absolute floor
-    1e-7, which keeps finite-difference noise from promoting a direction
-    the exact frame does not have (frames vanish identically on divisor
-    strata while their numerical images are ~1e-11); an empty or
-    all-zero set has rank 0.  A set holding NaN or an infinity has no
-    basis: its rank is -1, and it is zeroed before its group's SVD call
-    (each set's SVD has its own bits in any stack).
+    Returns (Q, ranks): the first ``ranks[i]`` rows of Q[i], the
+    right-singular vectors of set i, are an orthonormal basis of it.
+    The stack is factored by one SVD call, and a set broadcast over it
+    (stride 0, one frame stated for a whole block) by one call on that
+    set, its Q and rank broadcast back.  The rank counts the singular
+    values above both 1e-9 times the largest and ``floor``; an empty or
+    all-zero set has rank 0.  ``subspace_angle`` compares
+    finite-difference images, and its floor 1e-7 keeps their noise from
+    promoting a direction the exact frame does not have (frames vanish
+    identically on divisor strata while their numerical images are
+    ~1e-11); ``_span_intersection`` takes exact frames and the floor 0.
+    A set holding NaN or an infinity has no basis: its rank is -1, and
+    it is zeroed before the SVD call (each set's SVD has its own bits in
+    any stack).
     """
-    if isinstance(spans, np.ndarray):
-        if len(spans) > 1 and spans.strides[0] == 0:
-            Q, ranks, n = _orthonormal_rows(spans[:1])
-            return _broadcast_rows(Q, len(spans)), _broadcast_rows(ranks, len(spans)), n
-        groups = [(slice(None), spans)]
-    else:
-        spans = [np.asarray(a, dtype=float) for a in spans]
-        by_shape = defaultdict(list)
-        for i, a in enumerate(spans):
-            by_shape[a.shape].append(i)
-        groups = [(idx, np.stack([spans[i] for i in idx])) for idx in by_shape.values()]
-    dims = {stack.shape[2] for _, stack in groups if stack.shape[1]}
-    if len(dims) > 1:
-        raise DimensionMismatch("subspace_angle: ambient dimensions differ within a stack")
-    n = dims.pop() if dims else 0
-    count = len(spans)
-    ranks = np.zeros(count, dtype=int)
-    Q = np.zeros((count, min(max(stack.shape[1] for _, stack in groups), n), n))
-    for idx, stack in groups:
-        if stack.shape[1] == 0 or len(stack) == 0:
-            continue
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            stack = np.where(finite[:, None, None], stack, 0.0)
-        _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-        cutoff = np.maximum(1e-9 * svals[:, 0], 1e-7)
-        ranks[idx] = np.where(finite, np.count_nonzero(svals > cutoff[:, None], axis=1), -1)
-        Q[idx, :vt.shape[1]] = vt
-    return Q, ranks, n
+    count, r, n = spans.shape
+    if count > 1 and spans.strides[0] == 0:
+        Q, ranks = _orthonormal_rows(spans[:1], floor)
+        return _broadcast_rows(Q, count), _broadcast_rows(ranks, count)
+    if min(r, n) == 0:
+        return np.zeros((count, 0, n)), np.zeros(count, dtype=int)
+    finite = np.isfinite(spans).all(axis=(1, 2))
+    if not finite.all():
+        spans = np.where(finite[:, None, None], spans, 0.0)
+    _, svals, vt = np.linalg.svd(spans, full_matrices=False)
+    cutoff = np.maximum(1e-9 * svals[:, 0], floor)
+    return vt, np.where(finite, np.count_nonzero(svals > cutoff[:, None], axis=1), -1)
 
 
 def _broadcast_rows(a, count: int):
     """The one-row stack ``a`` as a read-only stack of ``count`` rows."""
     return np.broadcast_to(a, (count,) + a.shape[1:])
-
-
-def _is_stack(A) -> bool:
-    """An (N, r, n) array or a sequence of 2-D spanning sets, rather
-    than one spanning set."""
-    if isinstance(A, np.ndarray):
-        return A.ndim == 3
-    return len(A) > 0 and np.ndim(A[0]) == 2
 
 
 def subspace_angle(A, B):
@@ -510,23 +483,23 @@ def subspace_angle(A, B):
     rank of a set counts the singular values above both 1e-9 times its
     largest one and the absolute floor 1e-7.
     ``A`` and ``B`` may also be stacks of N spanning sets, each an
-    (N, r, n) array or a sequence of 2-D sets; the result is then the
-    array of their angles, with one SVD call per array (one on the set
-    of a stride-0 array, a frame shared by the stack), one per group of
-    sets of equal shape of a sequence, and one per group of equal-rank
-    pairs, each pair with the bits of its own call.  The angle is arccos
-    of the smallest singular value of Qa Qb^T, clipped to [-1, 1]
-    (Björck & Golub, Math. Comp. 27, 1973).
+    (N, r, n) array or anything ``np.asarray`` makes one (a list of N
+    sets of one shape); the result is then the array of their angles,
+    with one SVD call per stack (one on the set of a stride-0 array, a
+    frame shared by the stack) and one per group of equal-rank pairs,
+    each pair with the bits of its own call.  The angle is arccos of the
+    smallest singular value of Qa Qb^T, clipped to [-1, 1] (Björck &
+    Golub, Math. Comp. 27, 1973).
     """
-    stacked = _is_stack(A)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    stacked = A.ndim == 3
     if not stacked:
-        A, B = (np.atleast_2d(np.asarray(x, dtype=float))[None] for x in (A, B))
-    if len(A) != len(B):
+        A, B = (np.atleast_2d(x)[None] for x in (A, B))
+    if A.shape[:-2] != B.shape[:-2]:
         raise DimensionMismatch("subspace_angle: stacks of different lengths")
-    Qa, ra, na = _orthonormal_rows(A)
-    Qb, rb, nb = _orthonormal_rows(B)
-    if na and nb and na != nb:
+    if A.shape[1] and B.shape[1] and A.shape[2] != B.shape[2]:
         raise DimensionMismatch("subspace_angle: ambient dimensions differ")
+    (Qa, ra), (Qb, rb) = _orthonormal_rows(A), _orthonormal_rows(B)
     angles = np.where(ra == rb, 0.0, np.pi / 2)
     angles[(ra < 0) | (rb < 0)] = np.nan
     same = (ra == rb) & (ra > 0)
@@ -545,45 +518,28 @@ def _span_intersection(f1, f2) -> np.ndarray:
     giving (n, n) or (N, n, n); a frame of one point may stand for the
     whole stack.  The spanning rows are the eigenvectors with eigenvalue
     above 1 - 1e-9 of p1 p2 p1, p_i the projector onto span(f_i), in
-    ascending order and preceded by zero rows.  A pair holding NaN or an
-    infinity has no intersection to take: its frame is all NaN.  One
-    stacked SVD per factor (unindexed when no pair holds NaN or an
-    infinity, so that a broadcast frame stays one SVD) and one stacked
-    eigh per pair of ranks give each pair the bits of its own
-    computation.
+    ascending order and preceded by zero rows.  The frames are exact, so
+    their ranks (``_orthonormal_rows``) take no absolute floor.  A pair
+    holding NaN or an infinity has no intersection to take: its frame is
+    all NaN.  One stacked SVD per factor (one on a broadcast frame) and
+    one stacked eigh per pair of ranks give each pair the bits of its
+    own computation.
     """
     f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
     stacks = [len(f) for f in (f1, f2) if f.ndim == 3]
     count = stacks[0] if stacks else 1
     f1, f2 = (np.broadcast_to(f, (count,) + f.shape[-2:]) for f in (f1, f2))
     n = f1.shape[-1]
+    (q1, r1), (q2, r2) = _orthonormal_rows(f1, 0.0), _orthonormal_rows(f2, 0.0)
     out = np.zeros((count, n, n))
-    finite = np.isfinite(f1).all(axis=(1, 2)) & np.isfinite(f2).all(axis=(1, 2))
-    out[~finite] = np.nan
-    rows = np.flatnonzero(finite)
-    if len(rows) < count:
-        f1, f2 = f1[rows], f2[rows]
-    (q1, r1), (q2, r2) = _onb(f1), _onb(f2)
+    out[(r1 < 0) | (r2 < 0)] = np.nan
     both = (r1 > 0) & (r2 > 0)
     for a, b in set(zip(r1[both].tolist(), r2[both].tolist())):
         pick = (r1 == a) & (r2 == b)
         p1, p2 = (_projector(q[pick, :r]) for q, r in ((q1, a), (q2, b)))
         w, v = np.linalg.eigh(p1 @ p2 @ p1)
-        out[rows[pick]] = np.where((w > 1 - 1e-9)[:, :, None], v.transpose(0, 2, 1), 0.0)
+        out[pick] = np.where((w > 1 - 1e-9)[:, :, None], v.transpose(0, 2, 1), 0.0)
     return out if stacks else out[0]
-
-
-def _onb(frames):
-    """Right-singular vectors of a stack (N, r, n) of frames and their
-    ranks: the singular values above 1e-9 times the largest.  A frame
-    broadcast over the stack (stride 0) is factored once."""
-    if frames.shape[1] == 0 or len(frames) == 0:
-        return frames, np.zeros(len(frames), dtype=int)
-    if len(frames) > 1 and frames.strides[0] == 0:
-        vt, ranks = _onb(frames[:1])
-        return _broadcast_rows(vt, len(frames)), _broadcast_rows(ranks, len(frames))
-    _, sv, vt = np.linalg.svd(frames, full_matrices=False)
-    return vt, np.count_nonzero(sv > 1e-9 * sv[:, :1], axis=1)
 
 
 def _projector(q):

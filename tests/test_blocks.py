@@ -472,11 +472,6 @@ def test_stacked_principal_angles_are_the_per_pair_angles():
     assert np.array_equal(angles.view(np.int64), each.view(np.int64))
     assert angles[0] == 0.0 and angles[3] == np.pi / 2 and np.isnan(angles[7])
     assert np.isnan(angles).sum() == 1 and angles[9] < 1e-7
-    # a sequence of sets of other shapes gives the same bits
-    ragged = [a[:max(1, i % 5)] if i % 5 else a for i, a in enumerate(A)]
-    mixed = subspace_angle(ragged, list(B))
-    each = np.array([subspace_angle(a, b) for a, b in zip(ragged, B)])
-    assert np.array_equal(mixed.view(np.int64), each.view(np.int64))
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -725,6 +720,40 @@ def test_a_nan_bivector_point_fails_only_that_point():
     assert rep.verdict == "fail" and rep.passed == rep.samples - 1
     assert len(rep.witnesses) == 1 and math.isnan(rep.witnesses[0]["residual"])
     assert rep.witnesses[0]["p"] == _round_tuple(bad)
+
+
+def test_nan_in_the_first_block_stays_the_maximum(monkeypatch):
+    # blocks of finite residuals after a NaN must not replace it: the
+    # report of many blocks is the report of one
+    sym = SYMPLECTIC["sympl-zero"]
+    drawn = []
+
+    def recording(p):
+        drawn.append(np.array(p))
+        return sym.pi_bivector(p)
+
+    check_poisson(replace(sym, pi_bivector=recording), 30, 7)
+    bad = drawn[0].T[1]
+
+    def nan_at_bad(p):
+        c = sym.pi_bivector(p)
+        return np.where((np.asarray(p[0]) == bad[0])[..., None, None], np.nan, c)
+
+    model = replace(sym, pi_bivector=nan_at_bad)
+    whole = check_poisson(model, 30, 7)
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 8)
+    maxima = []
+    running_max = checks._running_max
+
+    def spy(current, column):
+        maxima.append(current)
+        return running_max(current, column)
+
+    monkeypatch.setattr(checks, "_running_max", spy)
+    blocks = check_poisson(model, 30, 7)
+    assert len(maxima) == 4 and all(math.isnan(m) for m in maxima[1:])
+    assert math.isnan(blocks.max_residual) and blocks.verdict == "fail"
+    assert _text(blocks) == _text(whole)
 
 
 def _reference_jacobians(f, points, prof):

@@ -1,5 +1,6 @@
 """Command line: subcommands, exit codes, determinism, fixtures."""
 
+import ast
 import json
 import os
 import re
@@ -159,6 +160,15 @@ def test_rel_tol_is_an_unknown_tolerance_field(capsys):
     assert err == "error: unknown tolerance field 'rel_tol'\n"
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("abs_tol", "bad tolerance override 'abs_tol' (expected key=value)"),
+    ("abs_tol=x", "bad tolerance value 'x'")])
+def test_a_malformed_tolerance_override_is_exit_2(capsys, tol, message):
+    code, out, err = run_cli(["verify", "--model", "case1", "--checks", "axioms",
+                              "--samples", "10", "--tol", tol], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("checks, tol", [
     ("axioms", "abs_tol=-1"), ("axioms", "fd_step=0.1"), ("axioms", "abs_tol=inf"),
     ("axioms", "abs_tol=nan"), ("axioms", "subspace_tol=inf"), ("axioms", "fd_step=nan"),
@@ -192,6 +202,25 @@ def test_decide_klein_fixture(capsys):
     doc = json.loads(out)
     assert doc["results"][0]["decision"] is False
     assert doc["results"][0]["witness"] is not None
+
+
+@pytest.mark.parametrize("kind, fixture, answer", [
+    ("smooth", "klein_t4.json", "true"), ("double-cover", "klein_t4.json", "false"),
+    ("normal-crossing", "nc_twisted_line.json", "false")])
+def test_decisions_render_as_text(capsys, kind, fixture, answer):
+    # one answer line per decision, and a witness line for a "no" only
+    code, out, _ = run_cli(["decide", "--kind", kind, fixture], capsys)
+    record = json.loads(out)["results"][0]
+    code, out, err = run_cli(["decide", "--kind", kind, fixture, "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == f"{kind} {fixture}: {answer}" and lines[-1] == "overall: pass"
+    witness = lines[2:-1]
+    assert len(witness) == (answer == "false")
+    if witness:
+        # the witness as a Python literal, in the decision's own key order
+        assert witness[0].startswith("  witness: ")
+        assert ast.literal_eval(witness[0][len("  witness: "):]) == record["witness"]
 
 
 def test_model_name_with_factor_count(capsys, tmp_path):
@@ -584,6 +613,40 @@ def test_documents_at_each_limit_are_accepted():
                 _nc_doc(_stratum(words=[["g0"] * 60_000]),
                         _stratum(words=[["~g0", "g0^-1"] * 19_999, []]))):
         validate_document(doc)
+
+
+_STRATUM = "$.normal_crossing.strata[0]"
+
+# documents refused with a diagnostic that names the field path
+MISSHAPEN = {
+    "i_star-rows": (_smooth_doc_with(i_star=[[1, 0], [0, 1]]), "smooth",
+                    "$.smooth.i_star", "expected 1 rows, got 2"),
+    "i_star-columns": (_smooth_doc_with(i_star=[[1, 0, 0]]), "smooth",
+                       "$.smooth.i_star", "expected 2 columns, got 3"),
+    "strata": ({"schema": "decision.v1", "normal_crossing": {"strata": {"s": 1}}},
+               "normal-crossing", "$.normal_crossing.strata", "expected a list of strata"),
+    "monodromy": (_nc_doc(dict(_stratum(), monodromy={"h": {"perm": [1], "flips": [0]}})),
+                  "normal-crossing", f"{_STRATUM}.monodromy",
+                  "expected one image per generator"),
+    "kernel_words": (_nc_doc(dict(_stratum(), kernel_words="g0")), "normal-crossing",
+                     f"{_STRATUM}.kernel_words", "expected a list of words"),
+    "word": (_nc_doc(_stratum(words=[["g0"], "g0"])), "normal-crossing",
+             f"{_STRATUM}.kernel_words[1]", "expected a list of generator tokens"),
+    "token": (_nc_doc(_stratum(words=[["g0", 3]])), "normal-crossing",
+              f"{_STRATUM}.kernel_words[0]", "expected a list of generator tokens"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_a_misshapen_document_names_its_field(case, capsys, tmp_path):
+    doc, kind, field, message = MISSHAPEN[case]
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: {message}")):
+        validate_document(doc)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["decide", "--kind", kind, str(path)], capsys)
+    assert code == 2 and not out
+    assert f"{field}: {message}" in err
 
 
 def test_a_stratum_with_no_generators_decides_its_trivial_words(capsys, tmp_path):

@@ -152,6 +152,16 @@ def test_integer_kernel_basis():
     assert integer_kernel_basis([[1, 0], [0, 1]]) == []
 
 
+def test_determinant_and_kernel_edge_cases():
+    assert integer_determinant([]) == 1                  # the empty product
+    with pytest.raises(MalformedPresentation, match="non-square"):
+        integer_determinant([[1, 2, 3], [4, 5, 6]])
+    # no pivot below a zero in the first column: singular before elimination
+    assert integer_determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    # a matrix with no rows has no columns either: the kernel of Z^0 is 0
+    assert integer_kernel_basis([]) == []
+
+
 def test_lattice_member():
     cols = [[2, 0], [0, 3]]
     assert lattice_member(cols, [4, -3])
@@ -220,6 +230,8 @@ def test_double_cover_examples():
     assert double_cover_exists([[1, 0], [0, 1]], [1, 1])
     # Klein-in-torus: zero restriction, nonzero class
     assert not double_cover_exists([[0, 0, 0, 0], [0, 0, 0, 0]], [1, 0])
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        double_cover_exists([[1, 0, 1], [0, 1]], [0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,15 @@ def test_semidirect_mixed_parts_rejected():
         semidirect_mul((None, IDENT1), (((1 + 0j),), IDENT1))
 
 
+def test_purely_discrete_elements_multiply_and_invert_discretely():
+    swap_flip = SignedPermutation((1, 0), (1, 0))
+    flip = SignedPermutation((0, 1), (0, 1))
+    assert semidirect_mul((None, swap_flip), (None, flip)) == (None, swap_flip * flip)
+    assert semidirect_inverse((None, swap_flip)) == (None, swap_flip.inverse())
+    assert semidirect_mul((None, swap_flip), semidirect_inverse((None, swap_flip)))[1] \
+        .is_identity()
+
+
 def test_conjugation_orbit_is_not_discrete(rng):
     # conjugates of (v, flip) by 100 sampled (lambda, 1) are pairwise
     # distinct: a discrete normal subgroup cannot contain such elements

@@ -103,6 +103,13 @@ def test_endpoint_and_stratum_errors():
         TwistedArrow(X, Y, (0.0,), (), SignedPermutation.identity(1))
 
 
+def test_the_unit_is_a_two_sided_identity():
+    for word in ((), ("s",), ("f", "~s"), ("s", "f", "f")):
+        arrow = _arrow(X, Y, (2 + 1j, -0.5 + 3j), word, REP2)
+        assert twisted_compose(TwistedArrow.unit(X, 2), arrow, REP2) == arrow
+        assert twisted_compose(arrow, TwistedArrow.unit(Y, 2), REP2) == arrow
+
+
 def test_kappa_restriction_identity_and_two_step():
     fine = REP2
     mid = MonodromyRep(images={"s": SWAP, "f": SignedPermutation.identity(2)})
