@@ -46,7 +46,9 @@ family whose four conventions are the covering-morphism domain
 candidates of ``egl.symplectic``.  A model also carries the data its
 suites need: the base slots of its deepest divisor stratum, its exact
 isotropy law (the torus, affine and C* x| Z/2 laws below), and, for a
-fibre product, its two factors.
+fibre product, its two factors.  A fibre product states the algebroid
+frame of the model of its joint divisor (``base_from``, else its first
+factor), the one formula of that frame.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ import numpy as np
 from .divisors import DivisorLocalModel, residue_model_frame
 from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
-from .kernel import (DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul, _complex,
-                     _span_intersection, jacobian)
+from .kernel import DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul, _complex, jacobian
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -1027,10 +1028,13 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     Jacobian and one stacked rank (NotTransverse reports the first rank
     that falls short).
     The divisor slots are the union of the factors', and the isotropy
-    law is the torus law over those slots.  Base points are drawn by the
-    first factor's base samplers, or by those of ``base_from`` (a model
-    over the same base) when the joint divisor has more strata than
-    either factor sees alone.  An arrow is drawn as a base point p, a
+    law is the torus law over those slots.  ``base_from``, or else
+    ``m1``, is the model of the joint divisor, a model over the same
+    base: its base samplers draw the base points and its
+    ``expected_frame`` is the stated algebroid frame.  A joint divisor
+    with more strata than ``m1`` sees alone needs ``base_from``; one
+    that neither models has the wrong stated frame and fails its
+    algebroid check.  An arrow is drawn as a base point p, a
     point q on p's stratum and the two factors' arrows from p to q;
     every factor joins points of one stratum, so no draw is refused.
     """
@@ -1075,9 +1079,6 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     def sample_arrow(u):    # a base point, extended to a point on its stratum
         return model._extend(base_sampler(u[:wb]), u[wb:])
 
-    def expected_frame(p):
-        return _span_intersection(m1.expected_frame(p), m2.expected_frame(p))
-
     has_factors = m1.divisor_factors or m2.divisor_factors
 
     def divisor_factors(g):
@@ -1103,7 +1104,7 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
         invert=lambda g: m1.invert(split(g)[0]) + m2.invert(split(g)[1]),
         unit_at=unit_pair,
         arrow_valid=arrow_valid,
-        expected_frame=expected_frame if m1.expected_frame and m2.expected_frame else None,
+        expected_frame=base.expected_frame,
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base_sampler, sample_base_like=base_like,
         divisor_factors=divisor_factors if has_factors else None,

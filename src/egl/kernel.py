@@ -1,8 +1,8 @@
 """Dimension-generic numerical calculus.
 
 Central-difference Jacobians, SVD nullspaces, principal-angle subspace
-comparison, intersections of spans, and differential forms on a point
-or a block of points with a numerical exterior derivative.  Everything
+comparison, and differential forms on a point or a block of points
+with a numerical exterior derivative.  Everything
 downstream (algebroid recovery, multiplicativity of symplectic forms,
 morphism checks) is built on these primitives, so they are kept
 deliberately small and auditable: fixed step size, no adaptivity, no
@@ -16,11 +16,12 @@ in one LAPACK call; the results are those of the one-at-a-time
 computation, bit for bit.  A single point or matrix is the one-row
 stack.  A stack of spanning sets is an (N, r, n) array (the recovered
 and the stated frames of a block; a frame shared by the block is
-broadcast, stride 0, and factored once), and ``subspace_angle`` and
-``_span_intersection`` factor it through one function,
-``_orthonormal_rows``: ranks, cutoffs and angles are computed as
-arrays, with one SVD call per stack and one per rank of the
-principal-angle products.
+broadcast, stride 0, and factored once), and ``subspace_angle``
+factors it through ``_orthonormal_rows``, with one rank rule: ranks,
+cutoffs and angles are computed as arrays, with one SVD call per stack
+and one per rank of the principal-angle products.  Stated frames are
+exact formulas (a fibre product states its base model's), so no span
+is intersected numerically.
 
 A map is its tuple formula (``SmoothMap``): one point reaches it as a
 tuple of Python floats, a stack as one block of coordinate columns, and
@@ -437,7 +438,7 @@ def nullspace(M, tol: float):
     return bases if M.ndim == 3 else bases[0]
 
 
-def _orthonormal_rows(spans, floor: float = 1e-7):
+def _orthonormal_rows(spans):
     """Orthonormal bases of the row spans of a stack (N, r, n) of spanning sets.
 
     Returns (Q, ranks): the first ``ranks[i]`` rows of Q[i], the
@@ -445,19 +446,18 @@ def _orthonormal_rows(spans, floor: float = 1e-7):
     The stack is factored by one SVD call, and a set broadcast over it
     (stride 0, one frame stated for a whole block) by one call on that
     set, its Q and rank broadcast back.  The rank counts the singular
-    values above both 1e-9 times the largest and ``floor``; an empty or
-    all-zero set has rank 0.  ``subspace_angle`` compares
-    finite-difference images, and its floor 1e-7 keeps their noise from
-    promoting a direction the exact frame does not have (frames vanish
-    identically on divisor strata while their numerical images are
-    ~1e-11); ``_span_intersection`` takes exact frames and the floor 0.
-    A set holding NaN or an infinity has no basis: its rank is -1, and
-    it is zeroed before the SVD call (each set's SVD has its own bits in
-    any stack).
+    values above both 1e-9 times the largest and the absolute floor
+    1e-7, the one rank rule; an empty or all-zero set has rank 0.
+    ``subspace_angle`` compares finite-difference images, and the floor
+    keeps their noise from promoting a direction the exact frame does
+    not have (frames vanish identically on divisor strata while their
+    numerical images are ~1e-11).  A set holding NaN or an infinity has no basis: its rank is
+    -1, and it is zeroed before the SVD call (each set's SVD has its own
+    bits in any stack).
     """
     count, r, n = spans.shape
     if count > 1 and spans.strides[0] == 0:
-        Q, ranks = _orthonormal_rows(spans[:1], floor)
+        Q, ranks = _orthonormal_rows(spans[:1])
         return _broadcast_rows(Q, count), _broadcast_rows(ranks, count)
     if min(r, n) == 0:
         return np.zeros((count, 0, n)), np.zeros(count, dtype=int)
@@ -465,7 +465,7 @@ def _orthonormal_rows(spans, floor: float = 1e-7):
     if not finite.all():
         spans = np.where(finite[:, None, None], spans, 0.0)
     _, svals, vt = np.linalg.svd(spans, full_matrices=False)
-    cutoff = np.maximum(1e-9 * svals[:, 0], floor)
+    cutoff = np.maximum(1e-9 * svals[:, 0], 1e-7)
     return vt, np.where(finite, np.count_nonzero(svals > cutoff[:, None], axis=1), -1)
 
 
@@ -509,44 +509,6 @@ def subspace_angle(A, B):
         smallest = np.linalg.svd(products, compute_uv=False).min(axis=1)
         angles[idx] = np.arccos(np.clip(smallest, -1.0, 1.0))
     return angles if stacked else float(angles[0])
-
-
-def _span_intersection(f1, f2) -> np.ndarray:
-    """Orthonormal rows spanning span(f1) (cap) span(f2), zero-padded to n rows.
-
-    ``f1`` and ``f2`` are frames (r, n) or stacks of them (N, r, n),
-    giving (n, n) or (N, n, n); a frame of one point may stand for the
-    whole stack.  The spanning rows are the eigenvectors with eigenvalue
-    above 1 - 1e-9 of p1 p2 p1, p_i the projector onto span(f_i), in
-    ascending order and preceded by zero rows.  The frames are exact, so
-    their ranks (``_orthonormal_rows``) take no absolute floor.  A pair
-    holding NaN or an infinity has no intersection to take: its frame is
-    all NaN.  One stacked SVD per factor (one on a broadcast frame) and
-    one stacked eigh per pair of ranks give each pair the bits of its
-    own computation.
-    """
-    f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
-    stacks = [len(f) for f in (f1, f2) if f.ndim == 3]
-    count = stacks[0] if stacks else 1
-    f1, f2 = (np.broadcast_to(f, (count,) + f.shape[-2:]) for f in (f1, f2))
-    n = f1.shape[-1]
-    (q1, r1), (q2, r2) = _orthonormal_rows(f1, 0.0), _orthonormal_rows(f2, 0.0)
-    out = np.zeros((count, n, n))
-    out[(r1 < 0) | (r2 < 0)] = np.nan
-    both = (r1 > 0) & (r2 > 0)
-    for a, b in set(zip(r1[both].tolist(), r2[both].tolist())):
-        pick = (r1 == a) & (r2 == b)
-        p1, p2 = (_projector(q[pick, :r]) for q, r in ((q1, a), (q2, b)))
-        w, v = np.linalg.eigh(p1 @ p2 @ p1)
-        out[pick] = np.where((w > 1 - 1e-9)[:, :, None], v.transpose(0, 2, 1), 0.0)
-    return out if stacks else out[0]
-
-
-def _projector(q):
-    """q^T q for each of a stack of row sets, as one point's ``q.T @ q``
-    (a contiguous q, so that each is the same BLAS product)."""
-    q = np.ascontiguousarray(q)
-    return q.transpose(0, 2, 1) @ q
 
 
 def subspace_equal(A, B, tol: float) -> bool:

@@ -91,7 +91,7 @@ def _phi_zero(entry, n, seed, prof):
 def _fibre_case1_case1(n: int, k: Optional[int]) -> GroupoidChartModel:
     m1 = smooth_factor_model(n, 2, 0)
     m2 = smooth_factor_model(n, 2, 1)
-    # borrow the joint-stratum base samplers
+    # caseIV models the joint divisor: its base samplers and its frame
     return fibre_product(m1, m2, base_from=caseIV_model(n, 2))
 
 

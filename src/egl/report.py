@@ -8,6 +8,7 @@ rendering, a lossy view of the same data, shows them).
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
@@ -109,7 +110,7 @@ class RunReport:
             if "decision" in rec:
                 lines.append(f"{label} {model}: {str(rec['decision']).lower()}{suffix}")
                 if rec.get("witness"):
-                    lines.append(f"  witness: {rec['witness']}")
+                    lines.append(f"  witness: {json.dumps(rec['witness'], sort_keys=True)}")
             else:
                 lines.append(
                     f"{rec['verdict'].upper():4s} {label} {model} "

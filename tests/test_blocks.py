@@ -424,23 +424,42 @@ def test_stated_frames_of_a_block_are_the_frames_of_its_points(name):
 
 
 def test_the_fibre_frames_cover_every_stratum():
-    # the intersections have rank 4 off the divisor, 2 on one factor's
-    # divisor and 0 on both, so every rank class of the stacked eigh runs
+    # the stated frames have rank 4 off the divisor, 2 on one factor's
+    # divisor and 0 on both
     model = BLOCK_MODELS["fibre:case1,case1"]
     _, bases = _sample_rows(model)
     frames = model.expected_frame(_columns(bases))
     assert set(np.count_nonzero(frames.any(axis=2), axis=1).tolist()) == {0, 2, 4}
 
 
-def test_a_non_finite_factor_frame_fails_only_its_rows():
+@pytest.mark.parametrize("name, base", [("fibre:case1,case1", caseIV_model(4, 2)),
+                                        ("fibre:case1,pair", case1_model(4))])
+def test_a_fibre_product_states_its_base_models_frame(name, base):
+    model = BLOCK_MODELS[name]
+    _, bases = _sample_rows(model)
+    P = _columns(bases)
+    block = model.expected_frame(P)
+    assert np.array_equal(block.view(np.int64), base.expected_frame(P).view(np.int64))
+    for p in bases:
+        assert _bits(model.expected_frame(p).ravel()) == _bits(base.expected_frame(p).ravel())
+    # finite on every stratum the base samplers draw: each factor of the
+    # joint divisor zero or not, in every combination
+    slots = model.divisor_slots
+    zero = [(P[i] == 0) & (P[j] == 0) for i, j in zip(slots[::2], slots[1::2])]
+    assert len(set(zip(*(z.tolist() for z in zero)))) == 2 ** len(zero)
+    assert np.isfinite(block).all()
+
+
+def test_a_non_finite_base_frame_fails_only_its_rows():
     fibre = build_model("fibre:case1,case1").chart
-    m1, m2 = fibre.factors
+    base = caseIV_model(4, 2)
 
     def frame(p):
-        rows = m1.expected_frame(p)
+        rows = base.expected_frame(p)
         return np.where((np.asarray(p[0]) > 0)[..., None, None], np.nan, rows)
 
-    bad = fibre_product(replace(m1, expected_frame=frame), m2).expected_frame
+    bad = fibre_product(*fibre.factors,
+                        base_from=replace(base, expected_frame=frame)).expected_frame
     _, bases = _sample_rows(fibre)
     P = _columns(bases)
     got, clean = bad(P), fibre.expected_frame(P)

@@ -14,7 +14,8 @@ from egl.apaths import PolarCurve, apath_anchor_residual, apath_rescale
 from egl.checks import (_Accumulator, _gap, check_algebroid, check_groupoid_axioms,
                         check_isotropy, lie_algebroid_of, perturbed_model, rng_for)
 from egl.divisors import residue_model_frame
-from egl.errors import DegenerateRadius, NonFiniteValue, SamplerExhausted, StencilOutsideDomain
+from egl.errors import (ChartInvalid, DegenerateRadius, NonFiniteValue, SamplerExhausted,
+                        StencilOutsideDomain)
 from egl.groupoids import (GroupoidChartModel, case1_model, caseIV_model, fibre_product,
                            pair_groupoid, ssc_surface_model)
 from egl.kernel import DEFAULT_PROFILE, nullspace, subspace_angle, subspace_equal
@@ -445,3 +446,16 @@ def test_axioms_name_the_identity_that_went_nan():
     per_identity = rep.details["per_identity"]
     assert math.isnan(per_identity["t(m(g,h))=t(g)"])
     assert all(v == 0.0 for name, v in per_identity.items() if name != "t(m(g,h))=t(g)")
+
+
+def test_a_suite_without_its_model_data_refuses_by_name():
+    sym = symplectic_nonzero_residue_model()
+    with pytest.raises(SamplerExhausted,
+                       match=f"^{re.escape(sym.model.name)}: no composable-pair parametrization$"):
+        checks.check_multiplicative(replace(sym, pair_param=None), 10, 1)
+    with pytest.raises(ValueError, match=r"^case1\(4\) has no blow-down map$"):
+        checks.morphism_beta(replace(case1_model(4), beta_map=None))
+    with pytest.raises(SamplerExhausted, match=r"^pair\(2\): no isotropy oracle$"):
+        check_isotropy(pair_groupoid(2), 10, 1)
+    with pytest.raises(ChartInvalid, match=r"^pair\(2\): no divisor factor data$"):
+        checks.check_ideal(pair_groupoid(2), 10, 1)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from egl.checks import (check_groupoid_axioms, check_isotropy, lie_algebroid_of,
                         perturbed_model, rng_for)
-from egl.errors import ChartInvalid, NotComposable, NotTransverse
+from egl.errors import (ChartInvalid, DimensionMismatch, NotComposable, NotTransverse,
+                        SamplerExhausted)
 from egl.groupoids import (COMPOSABLE_TOL, _full, _maxdiff, _relabel, action_groupoid_model,
                            case1_model, case2_quotient_model, caseIV_model,
                            elliptic_ideal_pullback, fibre_product,
@@ -653,3 +654,20 @@ def test_pair_draw_layout_is_pinned(name):
     drawn = [sym.pair_param[1](uniforms(rng, sym.pair_width)) for _ in pinned]
     for got, want in zip(drawn, pinned):
         assert list(got) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_a_model_without_its_data_refuses_by_name():
+    model = pair_groupoid(2)
+    rng = np.random.Generator(np.random.Philox(key=1))
+    with pytest.raises(SamplerExhausted, match=r"^pair\(2\): no arrow sampler$"):
+        replace(model, sample_arrow=None).random_arrow(rng)
+    with pytest.raises(SamplerExhausted, match=r"^pair\(2\): no base sampler$"):
+        replace(model, sample_base=None).random_base(rng)
+    with pytest.raises(SamplerExhausted,
+                       match=r"^pair\(2\): no endpoint-constrained sampler$"):
+        replace(model, arrow_between=None)._extend((0.5, 0.5), (0.5,) * 8)
+    with pytest.raises(DimensionMismatch,
+                       match="^fibre_product: factors over different bases$"):
+        fibre_product(case1_model(4), model)
+    with pytest.raises(ChartInvalid, match=r"^pair\(2\): no divisor factor data$"):
+        elliptic_ideal_pullback(model, (0.5, 0.5, 0.5, 0.5))

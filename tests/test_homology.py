@@ -162,6 +162,12 @@ def test_determinant_and_kernel_edge_cases():
     assert integer_kernel_basis([]) == []
 
 
+def test_the_smith_form_of_a_matrix_without_rows_or_columns():
+    # nothing to reduce: S is the matrix itself, U and V identities
+    assert smith_normal_form([]) == ([], [], [])
+    assert smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [[], []], [])
+
+
 def test_lattice_member():
     cols = [[2, 0], [0, 3]]
     assert lattice_member(cols, [4, -3])
@@ -739,6 +745,23 @@ def test_a_functional_that_misses_a_row_of_m_is_refused(monkeypatch):
     assert settled == []
 
 
+def test_a_denominator_past_the_bound_falls_back(monkeypatch):
+    # a reconstruction whose denominator exceeds the Hadamard bound ends
+    # the column's functional, and with it the cyclic candidate
+    M = _with_cokernel([1, 1, 1, 12], 4)
+    settled = _count_cyclic(monkeypatch)
+    functionals = []
+    real = homology._column_functional
+
+    def spied(*args):
+        functionals.append(real(*args))
+        return functionals[-1]
+    monkeypatch.setattr(homology, "_reconstruct", lambda u, P, N: (1, P))
+    monkeypatch.setattr(homology, "_column_functional", spied)
+    _assert_the_pass_settles(M, monkeypatch)
+    assert settled == [] and functionals == [None, None]   # the pass, then the Smith form's
+
+
 @pytest.mark.parametrize("M", _fallbacks())
 def test_no_cyclic_candidate_on_a_carried_first_pass(M, monkeypatch):
     calls = []
@@ -816,3 +839,19 @@ def test_integers_and_integral_floats_still_read():
     assert integer_determinant(M) == integer_determinant(ints)
     assert lattice_member([[2.0, 0], [0, np.int32(3)]], [np.int64(4), 6.0])
     assert not lattice_member([[2, 0], [0, 3]], [True, 0])
+
+
+def test_malformed_presentations_and_inputs_are_refused_by_name():
+    with pytest.raises(MalformedPresentation, match="^relation length != generator count$"):
+        HomologyPresentation(2, relations=((1,),))
+    with pytest.raises(MalformedPresentation, match="^name count != generator count$"):
+        HomologyPresentation(2, names=("a",))
+    Z2 = HomologyPresentation(2)
+    with pytest.raises(MalformedPresentation,
+                       match="^hom matrix shape does not match presentations$"):
+        IntHom(((1, 0),), Z2, Z2)
+    with pytest.raises(MalformedPresentation,
+                       match="^eta length != domain generator count$"):
+        smooth_decision_witness(IntHom(((1, 0), (0, 1)), Z2, Z2), [1])
+    with pytest.raises(DimensionMismatch, match="^lattice_member: column length mismatch$"):
+        lattice_member([[1, 0, 0]], [1, 0])

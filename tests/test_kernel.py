@@ -595,7 +595,7 @@ def test_stacked_subspace_angle_equals_pointwise(prof):
 def test_a_frame_shared_by_a_stack_gives_the_bits_of_the_materialised_stack(frame):
     # a frame broadcast over the stack (stride 0) is factored once; every
     # result must equal, bit for bit, that of the same stack in memory
-    from egl.kernel import _orthonormal_rows, _span_intersection
+    from egl.kernel import _orthonormal_rows
 
     rng = np.random.Generator(np.random.Philox(key=31))
     one = {"finite": _of_rank(rng, 2, 3, 4), "zero": np.zeros((3, 4)),
@@ -613,11 +613,6 @@ def test_a_frame_shared_by_a_stack_gives_the_bits_of_the_materialised_stack(fram
     angles = subspace_angle(A, shared)
     assert _bits_equal(angles, subspace_angle(A, whole))
     assert np.isnan(angles).all() == (frame in ("nan", "inf"))
-    for f1, f2 in ((A, shared), (shared, A), (A, one)):
-        meet = _span_intersection(f1, f2)
-        assert _bits_equal(meet, _span_intersection(*(np.broadcast_to(f, A.shape).copy()
-                                                      for f in (f1, f2))))
-        assert np.isnan(meet).all() == (frame in ("nan", "inf"))
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -629,3 +624,15 @@ def test_algebroid_frames_of_a_stack_equal_the_frames_of_its_points(name, prof):
     points = [model.random_base(rng) for _ in range(10)]
     for frame, p in zip(lie_algebroid_of(model, points, prof), points):
         assert _bits_equal(frame, lie_algebroid_of(model, p, prof))
+
+
+def test_exterior_derivative_refuses_a_wrong_vector_count_and_a_stencil_off_the_domain():
+    form = FormField(1, 2, lambda p, vs: p[0] * vs[0][1],
+                     domain_predicate=lambda p: np.asarray(p[0]) > 0, name="x dy")
+    e1, e2 = np.eye(2)
+    with pytest.raises(DimensionMismatch, match="^exterior_derivative: need k\\+1 vectors$"):
+        exterior_derivative(form, (1.0, 0.0), [e1])
+    with pytest.raises(StencilOutsideDomain,
+                       match="^exterior_derivative: stencil left form domain$"):
+        exterior_derivative(form, (0.0, 0.0), [e1, e2])
+    assert exterior_derivative(form, (1.0, 0.0), [e1, e2]) == pytest.approx(1.0)

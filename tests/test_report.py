@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from egl.decisions_io import load_document
 from egl.errors import ConfigError
-from egl.registry import CHECK_NAMES, MODEL_NAMES
+from egl.registry import CHECK_NAMES, MODEL_NAMES, build_model
 from egl.report import DECISION_KINDS, RunConfig, RunReport, run_decide, run_verify
 
 
@@ -59,3 +60,13 @@ def test_what_json_refuses_raises_type_error(value):
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _rendered(value)
+
+
+def test_unknown_inputs_are_config_errors_by_name(tmp_path):
+    with pytest.raises(ConfigError, match="^unknown decision kind 'bogus'$"):
+        run_decide({}, "bogus")
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ConfigError, match=f"^decision input not found: {re.escape(str(missing))}$"):
+        load_document(missing)
+    with pytest.raises(ConfigError, match="^bad caseIV factor count 'x'$"):
+        build_model("caseIV:x")

@@ -421,3 +421,17 @@ def test_covering_isotropy_descriptors():
 
     swap = MonodromyRep(images={"g": SignedPermutation((1, 0), (0, 0))})
     assert covering_isotropy(swap, 2).name == "(ℂ*)²⋊Σ₂"
+
+
+def test_degree_mismatches_are_refused_by_name():
+    one, two = SignedPermutation.identity(1), SignedPermutation.identity(2)
+    with pytest.raises(ValueError, match="^k required when the generating set is empty$"):
+        twist_group([])
+    with pytest.raises(DimensionMismatch, match="^generators of mixed degree$"):
+        twist_group([two, SignedPermutation.identity(3)])
+    with pytest.raises(DimensionMismatch, match="^signed permutation degrees differ$"):
+        one * two
+    with pytest.raises(DimensionMismatch, match="^vector length != degree$"):
+        two.act((1j,))
+    with pytest.raises(DimensionMismatch, match="^continuous part length != degree$"):
+        semidirect_mul(((1 + 0j,), two), ((1 + 0j, 1 + 0j), two))

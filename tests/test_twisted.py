@@ -101,6 +101,8 @@ def test_endpoint_and_stratum_errors():
         twisted_compose(a1, b2, REP1)
     with pytest.raises(MalformedPresentation):
         TwistedArrow(X, Y, (0.0,), (), SignedPermutation.identity(1))
+    with pytest.raises(StratumMismatch, match="^element degree != number of continuous slots$"):
+        TwistedArrow(X, Y, (1.0, 1.0), (), SignedPermutation.identity(1))
 
 
 def test_the_unit_is_a_two_sided_identity():
