@@ -21,8 +21,12 @@ structure map's output leaves the chart (``compose`` would raise
 ChartInvalid), the identity's residual is inf and its witness names the
 map.  The calculus suites differentiate a block with one stacked
 Jacobian and run their SVDs stacked (see ``egl.kernel``), with the bits
-of the point-by-point computation; a NaN or infinite value fails its
-sample with a witness.
+of the point-by-point computation, and fail closed by the kernel's one
+rule: a point the Jacobian cannot difference (a stencil off the map's
+domain, a value not finite) gets all-NaN rows (``_jacobians``), so it
+fails its sample with a witness and no calculus suite raises on a
+model's own maps; a NaN or infinite value elsewhere fails its sample
+the same way.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from .errors import ChartInvalid, NonFiniteValue, SamplerExhausted, StencilOutsi
 from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, _cabs, _full, _stack, ideal_values,
                         pair_groupoid, uniforms)
 from .groupoids import _maxdiff as _gap
-from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile,
-                     exterior_derivative, jacobian, nullspace, pullback_at, subspace_angle)
+from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile, _differences,
+                     _holds, compose_maps, exterior_derivative, jacobian, nullspace,
+                     pullback_at, subspace_angle)
 from .kernel import pullback  # noqa: F401  (a module attribute the benchmark tracer wraps)
 from .symplectic import (MorphismBundle, SymplecticModel, _antisymmetric, _zero_matrix,
                          morphism_psi, psi_domain_candidates)
@@ -365,60 +370,40 @@ def _axiom_residuals(model: GroupoidChartModel, g, h, k, n: int):
 def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFAULT_PROFILE):
     """dt(ker ds) at the unit over p, as rows of a frame matrix.
 
-    The kernel of the source differential at the unit (singular values
-    below 1e-6) is computed numerically and pushed through the target
-    differential; for constrained models (fibre products) the constraint
-    Jacobian rows are appended before the nullspace.  A stack of base
-    points (N, base_dim) gives its frames from one block of units, one
-    stacked Jacobian and one stacked nullspace: as one (N, k, base_dim)
-    array, from one stacked product ``kernel @ Jt.T`` of C-contiguous
-    operands, when every kernel has dimension k (always, on a registered
-    model), and as the list of the N frames, one product each, when the
-    dimensions differ.  Each frame has the bits of its point's product;
-    a point is the one-row stack.
+    The algebroid map (``maps_for_algebroid``) is differentiated at the
+    unit, and the kernel of its rows after the target's (the source's,
+    then any constraint rows, such as a fibre product's gluing gap;
+    singular values below 1e-6) is pushed through the target
+    differential.  A stack of base points (N, base_dim) gives its frames
+    from one block of units, one stacked Jacobian and one stacked
+    nullspace: as one (N, k, base_dim) array, from one stacked product
+    ``kernel @ Jt.T`` of C-contiguous operands, when every kernel has
+    dimension k (always, on a registered model), else as the list of the
+    N frames.  Each frame has the bits of its point's product; a point is
+    the one-row stack.  A point whose Jacobian ``_jacobians`` leaves all
+    NaN gets an all-NaN frame: NaN rows of the array, or a (1, base_dim)
+    frame in the list (which also carries a loss among empty kernels).
     """
     ts_map, unit_map = model.maps_for_algebroid()
     p = np.asarray(p, dtype=float)
     b = model.base_dim
     units = unit_map(p.reshape(-1, b))
-    J = jacobian(ts_map, units, prof)
-    Js = J[:, b:]
-    extra = model.extra_kernel_rows(units, J, prof)
-    if extra is not None:
-        Js = np.concatenate([Js, extra], axis=1)
-    kernels = nullspace(Js, 1e-6)
-    Jt = np.ascontiguousarray(J[:, :b]).transpose(0, 2, 1)
-    if isinstance(kernels, list):
-        frames = [kernel @ jt for kernel, jt in zip(kernels, Jt)]
+    J = _jacobians(ts_map, units, prof)
+    ok = ~np.isnan(J[:, 0, 0])      # a point's Jacobian is finite or all NaN
+    every = ok.all()
+    rows = slice(None) if every else ok
+    kernels = nullspace(J[rows, b:], 1e-6)
+    Jt = np.ascontiguousarray(J[rows, :b]).transpose(0, 2, 1)
+    if isinstance(kernels, list) or not (every or kernels.shape[1]):
+        # empty kernels cannot hold a lost frame's NaN: the list can
+        found = iter([kernel @ jt for kernel, jt in zip(kernels, Jt)])
+        frames = [next(found) if good else np.full((1, b), np.nan) for good in ok]
     else:
         frames = np.ascontiguousarray(kernels) @ Jt
+        if not every:
+            found, frames = frames, np.full((len(J),) + frames.shape[1:], np.nan)
+            frames[ok] = found
     return frames if p.ndim == 2 else frames[0]
-
-
-def _recovered(model: GroupoidChartModel, stack: np.ndarray, prof: ToleranceProfile):
-    """``lie_algebroid_of`` at a stack of base points, failing closed.
-
-    Returns the frames and the chart exits of the points whose recovery
-    raises NonFiniteValue or StencilOutsideDomain: such a point's frame
-    is NaN, and its exit names ``unit_at`` where the unit is not finite
-    or outside the domain of ts, else ``ts``.  The stack is recovered in
-    one call, and point by point only when that raises; a frame has the
-    bits of its one-row stack either way.
-    """
-    try:
-        return lie_algebroid_of(model, stack, prof), []
-    except (NonFiniteValue, StencilOutsideDomain):
-        pass
-    ts_map, unit_map = model.maps_for_algebroid()
-    frames, failed = [], np.zeros((2, len(stack)), dtype=bool)
-    for i, p in enumerate(stack):
-        try:
-            frames.append(lie_algebroid_of(model, p[None], prof)[0])
-        except (NonFiniteValue, StencilOutsideDomain):
-            u = unit_map(p)
-            failed[int(np.isfinite(u).all() and ts_map.defined_at(u)), i] = True
-            frames.append(np.full((1, len(p)), np.nan))
-    return frames, [(failed[0], "unit_at"), (failed[1], "ts")]
 
 
 def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
@@ -426,34 +411,43 @@ def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
     """Recovered algebroid span vs the stated frame, by principal angle.
 
     A block of base points is recovered by one stacked
-    ``lie_algebroid_of``, stated by one ``expected_frame`` call on its
-    coordinate columns (a frame that does not depend on the point may be
-    one matrix, broadcast over the block) and compared by one stacked
-    ``subspace_angle``; a block whose frames ``_recovered`` returns as a
-    list (kernels of differing dimensions, or a point-by-point recovery,
-    on a broken model) is compared pair by pair, each pair with the bits
-    of its own call.  A point whose recovery raises on the model's
-    own maps fails with an inf residual and a witness naming ``ts`` or
-    ``unit_at`` (see ``_recovered``); a point whose stated frame is not
-    finite, naming ``expected_frame``.  A model without a stated frame
-    raises SamplerExhausted, as ``check_isotropy`` does for a model
-    without its law.
+    ``lie_algebroid_of`` (one stacked Jacobian), stated by one
+    ``expected_frame`` call on its coordinate columns (a frame that does
+    not depend on the point may be one matrix, broadcast over the block)
+    and compared by one stacked ``subspace_angle``; a block whose frames
+    come back as a list (kernels of differing dimensions, on a broken
+    model) is compared pair by pair, each pair with the bits of its own
+    call.  A point whose frame cannot be recovered on the model's own
+    maps fails with an inf residual and a witness naming ``unit_at``
+    where its unit is not finite or lies outside the domain of the
+    algebroid map, else ``ts``; a point whose stated frame is not finite,
+    naming ``expected_frame``.  A model without a stated frame raises
+    SamplerExhausted, as ``check_isotropy`` does for a model without its
+    law.
     """
     if model.expected_frame is None:
         raise SamplerExhausted(f"{model.name}: no stated algebroid frame")
+    ts_map, unit_map = model.maps_for_algebroid()
 
     def measure(base, n):
         stack = np.column_stack(base)
-        recovered, exits = _recovered(model, stack, prof)
+        recovered = lie_algebroid_of(model, stack, prof)
         stated = np.asarray(model.expected_frame(base), dtype=float)
         stated = np.broadcast_to(stated, (n,) + stated.shape[-2:])
+        # a frame lost by the recovery is all NaN: its first entry tells
         if isinstance(recovered, list):
             angles = np.array([subspace_angle(r, s) for r, s in zip(recovered, stated)])
+            lost = np.array([bool(np.isnan(r[:1, :1]).any()) for r in recovered])
         else:
             angles = subspace_angle(recovered, stated)
+            lost = np.isnan(recovered[:, :1, :1]).any(axis=(1, 2))
+        placed = np.zeros(n, dtype=bool)        # a lost point whose unit is on ts's domain
+        if lost.any():
+            u = unit_map(stack[lost])
+            placed[lost] = np.isfinite(u).all(axis=1) & _holds(ts_map.valid, tuple(u.T), len(u))
         # a NaN angle not named by a recovery exit is a stated frame
         # holding NaN or inf
-        exits.append((np.isnan(angles), "expected_frame"))
+        exits = [(lost & ~placed, "unit_at"), (placed, "ts"), (np.isnan(angles), "expected_frame")]
         return _fail_closed(angles, exits, n), lambda i: _with_exit(
             {"p": _round_tuple(stack[i])}, exits, i)
 
@@ -520,22 +514,14 @@ def _unit_vectors(rng, dim: int, per: int, count: int) -> np.ndarray:
 
 
 def _jacobians(f: SmoothMap, points, prof: ToleranceProfile) -> np.ndarray:
-    """The stacked Jacobian of f at the points, where a point whose
-    Jacobian is not finite gets an all-NaN one, so that its sample fails
-    instead of ``jacobian``'s NonFiniteValue ending the check.
-
-    The stack that NonFiniteValue carries is used as it is; when it stops
-    short of the last point, the next point is outside f's domain, and
-    ``jacobian`` on the remaining points raises its StencilOutsideDomain.
-    """
+    """The stacked Jacobian of f at the points, failing closed: where
+    ``jacobian`` raises, the stack is differenced again by
+    ``_differences``, whose all-NaN rows fail the samples it cannot
+    difference instead of the error ending the check."""
     try:
         return jacobian(f, points, prof)
-    except NonFiniteValue as err:
-        J = err.values
-    J[~np.isfinite(J).all(axis=(1, 2))] = np.nan
-    if len(J) < len(points):
-        jacobian(f, points[len(J):], prof)
-    return J
+    except (NonFiniteValue, StencilOutsideDomain):
+        return _differences(f, points, prof)[0]
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -642,9 +628,11 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
 
     Tangent vectors to the locus come from differentiating the model's
     exactly composable pair parametrization P, so both sides are
-    evaluated on honest composable-pair tangents.  The check draws all
-    its pair parameters as one slab of ``pair_width`` uniforms per
-    sample, then all its unit vectors in one call, as
+    evaluated on honest composable-pair tangents; P and m(P) are one map,
+    differentiated once, on the ``m`` view's domain read through P (a
+    pair off the chart or not composable fails its sample).  The check
+    draws all its pair parameters as one slab of ``pair_width`` uniforms
+    per sample, then all its unit vectors in one call, as
     ``check_symplectic`` does.
     """
     model = sym.model
@@ -654,17 +642,21 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
     rng = rng_for(seed, f"multiplicative:{model.name}")
     d, k = model.arrow_dim, P.domain_dim
     m = model.m.formula
-    Gm = SmoothMap(k, d, lambda w: m(P.formula(w)), name="m(pr1,pr2)")
+
+    def pair_and_product(w):
+        gh = tuple(P.formula(w))
+        return gh + tuple(m(gh))
+
+    # pr1, pr2 and m(pr1, pr2) are row blocks of G: one Jacobian serves all three
+    G = SmoothMap(k, 3 * d, pair_and_product, compose_maps(model.m, P).valid, "(pr1,pr2,m)")
 
     def measure(block, n):
         w, vectors = block
         vs = list(vectors.transpose(1, 0, 2))
-        # pr1 and pr2 are row blocks of P: one Jacobian serves both
-        J, gh = _jacobians(P, w, prof), P(w)
-        Jm, gm = _jacobians(Gm, w, prof), Gm(w)
-        rhs = pullback_at(sym.Omega, gh[:, :d], J[:, :d], vs) \
-            + pullback_at(sym.Omega, gh[:, d:], J[:, d:], vs)
-        return _modulus(pullback_at(sym.Omega, gm, Jm, vs) - rhs), \
+        J, x = _jacobians(G, w, prof), G(w)
+        rhs = pullback_at(sym.Omega, x[:, :d], J[:, :d], vs) \
+            + pullback_at(sym.Omega, x[:, d:2 * d], J[:, d:2 * d], vs)
+        return _modulus(pullback_at(sym.Omega, x[:, 2 * d:], J[:, 2 * d:], vs) - rhs), \
             lambda i: {"params": _round_tuple(w[i])}
 
     params = np.column_stack(

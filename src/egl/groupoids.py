@@ -45,10 +45,10 @@ ssc-surface is the exp-on-target, unscaled member of the exponential
 family whose four conventions are the covering-morphism domain
 candidates of ``egl.symplectic``.  A model also carries the data its
 suites need: the base slots of its deepest divisor stratum, its exact
-isotropy law (the torus, affine and C* x| Z/2 laws below), and, for a
-fibre product, its two factors.  A fibre product states the algebroid
-frame of the model of its joint divisor (``base_from``, else its first
-factor), the one formula of that frame.
+isotropy law (the torus, affine and C* x| Z/2 laws below), and the
+maps its algebroid is recovered from.  A fibre product states the
+algebroid frame of the model of its joint divisor (``base_from``, else
+its first factor), the one formula of that frame.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import numpy as np
 from .divisors import DivisorLocalModel, residue_model_frame
 from .errors import (ChartInvalid, DimensionMismatch, NotComposable,
                      NotTransverse, SamplerExhausted)
-from .kernel import DEFAULT_PROFILE, SmoothMap, _branch, _cdiv, _cmul, _complex, jacobian
+from .kernel import SmoothMap, _branch, _cdiv, _cmul, _complex, jacobian
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -294,10 +294,12 @@ class GroupoidChartModel:
     relying on slack.  ``algebroid_maps``, when set, supplies the (ts,
     unit) SmoothMaps on a smooth sector suitable for finite differencing
     (used where the full chart carries a discrete coordinate or a gluing
-    constraint).  ``factors`` holds a fibre product's two factor models,
-    ``divisor_slots`` the base coordinates that vanish on the deepest
-    divisor stratum, and ``isotropy`` the exact isotropy law, as the
-    residual of a product of two isotropy arrows (see
+    constraint).  Its ts gives the target's ``base_dim`` rows, then the
+    source's, then any constraint rows (a fibre product's gluing gap):
+    the algebroid recovery takes the kernel of every row after the
+    target's.  ``divisor_slots`` holds the base coordinates that vanish
+    on the deepest divisor stratum, and ``isotropy`` the exact isotropy
+    law, as the residual of a product of two isotropy arrows (see
     ``_torus_residual``).  All of them are fields, so
     ``dataclasses.replace`` copies (renamed, perturbed or traced models)
     keep them.
@@ -320,7 +322,6 @@ class GroupoidChartModel:
     sample_base_like: Optional[Callable] = None  # (p, u) -> point on p's stratum
     divisor_factors: Optional[Callable] = None  # arrow -> [(Re a_j, Im a_j, Re b_j, Im b_j)]
     algebroid_maps: Optional[tuple] = None      # (ts, unit) SmoothMaps for FD
-    factors: Optional[tuple] = None             # fibre products: (m1, m2)
     divisor_slots: tuple = ()                   # base slots zero on the deepest stratum
     isotropy: Optional[Callable] = None         # (model, g1, g2, out) -> residual
     widths: Widths = Widths()                   # uniforms per sample of each sampler
@@ -455,28 +456,6 @@ class GroupoidChartModel:
         if self.algebroid_maps is not None:
             return self.algebroid_maps
         return (self.ts, self.unit)
-
-    def extra_kernel_rows(self, arrow_point, ts_jacobian=None, prof=DEFAULT_PROFILE):
-        """A fibre product's gluing-constraint Jacobian rows; None otherwise.
-
-        ``arrow_point`` is a point or a stack of points, as for
-        ``jacobian``, and so are the rows: [J(m1.ts) | -J(m2.ts)].
-        ``ts_jacobian``, when given, is the Jacobian of
-        ``maps_for_algebroid()[0]`` at ``arrow_point`` under ``prof``;
-        the ambient ts reads only the first factor, so its first
-        ``m1.arrow_dim`` columns are exactly J(m1.ts) and are reused.
-        """
-        if self.factors is None:
-            return None
-        m1, m2 = self.factors
-        d1 = m1.arrow_dim
-        g = np.asarray(arrow_point, dtype=float)
-        if ts_jacobian is None:
-            j1 = jacobian(m1.ts, g[..., :d1], prof)
-        else:
-            j1 = ts_jacobian[..., :d1]
-        j2 = jacobian(m2.ts, g[..., d1:], prof)
-        return np.concatenate([j1, -j2], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,11 +1001,13 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     """Strong fibre product of two models over base x base.
 
     Arrows are pairs (g1, g2) with matching (target, source) base
-    pairs; structure maps act componentwise.  The two chart-to-base-pair
-    maps must be transverse, verified numerically by the rank of the
-    combined Jacobian at the 11 arrows of ``_probes``, one stacked
-    Jacobian and one stacked rank (NotTransverse reports the first rank
-    that falls short).
+    pairs; structure maps act componentwise.  The algebroid map is m1's
+    (target, source) at g1, then its gap to m2's at g2 (the gluing
+    constraint rows), on the ambient product chart.  The two
+    chart-to-base-pair maps must be transverse, verified numerically by
+    the rank of the gap's Jacobian at the 11 arrows of ``_probes``, one
+    stacked Jacobian and one stacked rank (NotTransverse reports the
+    first rank that falls short).
     The divisor slots are the union of the factors', and the isotropy
     law is the torus law over those slots.  ``base_from``, or else
     ``m1``, is the model of the joint divisor, a model over the same
@@ -1052,21 +1033,23 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
         return tuple(g[:d1]), tuple(g[d1:])
 
     # finite differencing must see the ambient product chart; the gluing
-    # constraint enters the algebroid computation as extra Jacobian rows
+    # constraint enters the algebroid computation as rows of its map
     def ambient_valid(g):
         g1, g2 = split(g)
         return m1.arrow_valid(g1) & m2.arrow_valid(g2)
 
-    def ambient_ts(g):
-        g1 = split(g)[0]
-        return m1.target_of(g1) + m1.source_of(g1)
+    def both_ts(g):
+        g1, g2 = split(g)
+        return m1.target_of(g1) + m1.source_of(g1), m2.target_of(g2) + m2.source_of(g2)
+
+    def glued(g):       # m1's (t, s), then its gap to m2's
+        ts1, ts2 = both_ts(g)
+        return ts1 + tuple([x - y for x, y in zip(ts1, ts2)])
 
     def arrow_valid(g):
         if len(g) != d1 + d2:
             return False
-        g2 = split(g)[1]
-        return (ambient_valid(g)
-                & (_maxdiff(ambient_ts(g), m2.target_of(g2) + m2.source_of(g2)) <= glue_tol))
+        return ambient_valid(g) & (_maxdiff(*both_ts(g)) <= glue_tol)
 
     def all_nan(part):
         return functools.reduce(lambda a, b: a & b, [x != x for x in part])
@@ -1091,7 +1074,7 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
     def unit_pair(p):
         return m1.unit_at(p) + m2.unit_at(p)
 
-    fd_ts = SmoothMap(d1 + d2, 2 * nd, ambient_ts, ambient_valid, "fibre.ts(ambient)")
+    fd_ts = SmoothMap(d1 + d2, 4 * nd, glued, ambient_valid, "fibre.glued")
     fd_unit = SmoothMap(nd, d1 + d2, unit_pair, None, "fibre.unit")
 
     slots = tuple(sorted(set(m1.divisor_slots) | set(m2.divisor_slots)))
@@ -1108,12 +1091,13 @@ def fibre_product(m1: GroupoidChartModel, m2: GroupoidChartModel, seed: int = 11
         arrow_between=arrow_between, sample_arrow=sample_arrow,
         sample_base=base_sampler, sample_base_like=base_like,
         divisor_factors=divisor_factors if has_factors else None,
-        algebroid_maps=(fd_ts, fd_unit), factors=(m1, m2),
+        algebroid_maps=(fd_ts, fd_unit),
         divisor_slots=slots, isotropy=_torus_residual if slots else None,
         widths=Widths(arrow=wb + wl + between, base=wb, like=wl, between=between),
     )
 
-    ranks = np.linalg.matrix_rank(model.extra_kernel_rows(_probes(model, seed)), tol=1e-8)
+    gap = SmoothMap(d1 + d2, 2 * nd, lambda g: glued(g)[2 * nd:], ambient_valid, "fibre.gap")
+    ranks = np.linalg.matrix_rank(jacobian(gap, _probes(model, seed)), tol=1e-8)
     low = ranks[ranks < 2 * nd]
     if len(low):
         raise NotTransverse(f"fibre_product: combined Jacobian rank {low[0]} < {2 * nd}")

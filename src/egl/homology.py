@@ -558,7 +558,8 @@ def smith_normal_form(M):
     """
     S = _as_int_matrix(M)
     m = len(S)
-    n = len(S[0]) if m else 0
+    shape = getattr(M, "shape", ())     # a 2-D array has its width without rows
+    n = len(S[0]) if m else (shape[1] if len(shape) == 2 else 0)
     U = _identity(m)
     V = _identity(n)
     if not (m and n):

@@ -14,7 +14,10 @@ stencil points in one call of the map's tuple formula (``SmoothMap.formula``,
 which takes a block of coordinate columns), and the SVDs of a stack run
 in one LAPACK call; the results are those of the one-at-a-time
 computation, bit for bit.  A single point or matrix is the one-row
-stack.  A stack of spanning sets is an (N, r, n) array (the recovered
+stack.  A point that cannot be differenced (its stencil leaves the
+map's domain, or a difference is not finite) has all-NaN rows in
+``_differences``, and ``jacobian`` raises the first such point's
+error.  A stack of spanning sets is an (N, r, n) array (the recovered
 and the stated frames of a block; a frame shared by the block is
 broadcast, stride 0, and factored once), and ``subspace_angle``
 factors it through ``_orthonormal_rows``, with one rank rule: ranks,
@@ -311,14 +314,6 @@ def two_form_from_matrix(ambient_dim: int, coeff: Callable[[np.ndarray], np.ndar
     return FormField(2, ambient_dim, func, kind, domain_predicate, name)
 
 
-def _check_finite(arr, what: str):
-    """Raise NonFiniteValue, carrying ``arr`` as ``values``, unless arr is finite."""
-    if not np.all(np.isfinite(arr)):
-        err = NonFiniteValue(f"non-finite value in {what}")
-        err.values = arr
-        raise err
-
-
 def _holds(pred: Optional[Callable], block, rows: int) -> np.ndarray:
     """``pred`` at a block of ``rows`` points, as a bool array of ``rows``
     (every row when ``pred`` is None)."""
@@ -357,53 +352,75 @@ def _images(f: SmoothMap, X) -> np.ndarray:
     return values
 
 
+def _differences(f: SmoothMap, points: np.ndarray, prof: ToleranceProfile):
+    """Central differences of f at a stack (N, n) of points, failing closed.
+
+    Returns (J, base_ok, axis_ok): the (N, m, n) differences, whether each
+    point lies in f's domain, and whether both stencil points of each
+    axis do (N, n), from one call of ``f.valid``.  A point's 2n stencil
+    points are copies of it with one coordinate stepped; one call of
+    ``f.formula`` evaluates the stencils of the points where the domain
+    holds throughout (without a row copy when it holds everywhere).  J
+    is C-ordered, and all NaN at the other points and wherever a row
+    is not finite.
+    """
+    h = prof.fd_step
+    count, n = points.shape
+    X = np.empty((count * (2 * n + 1), n))      # the points, then their stencils
+    X[:count] = points
+    stencil = X[count:].reshape(count, 2 * n, n)
+    stencil[...] = points[:, None, :]
+    axes = np.arange(n)
+    stencil[:, axes, axes] += h
+    stencil[:, n + axes, axes] -= h
+    inside = _holds(f.valid, tuple(X.T), len(X))
+    base_ok = inside[:count]
+    axis_ok = inside[count:].reshape(count, 2, n).all(axis=1)
+    qualified = base_ok & axis_ok.all(axis=1)
+    every = qualified.all()
+    evaluated = stencil if every else stencil[qualified]
+    m = f.codomain_dim
+    values = _images(f, evaluated.reshape(-1, n)).reshape(m, len(evaluated), 2 * n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        D = ((values[:, :, :n] - values[:, :, n:]) / (2.0 * h)).transpose(1, 0, 2)
+    if every:
+        J = D.copy()
+    else:
+        J = np.full((count, m, n), np.nan)
+        J[qualified] = D
+    J[~np.isfinite(J).all(axis=(1, 2))] = np.nan
+    return J, base_ok, axis_ok
+
+
 def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
     """Central-difference Jacobian of ``f`` at a point, or at each point of a stack.
 
     ``p`` is one point (n,), giving the (m, n) Jacobian, or a stack of N
     points (N, n), giving an (N, m, n) array; a point is the one-row
     stack.  Entry ``(i, j)`` is the central difference of component
-    ``i`` along coordinate axis ``j`` with step ``prof.fd_step``.  The
-    2n stencil points of a point are copies of it with one coordinate
-    stepped, so the others keep their exact bits.  The domain is checked
-    at every point and stencil point before any evaluation (one call of
-    ``f.valid`` when the map has it); then the stencils of the points
-    before the first one outside the domain are evaluated together, by
-    one call of ``f.formula`` on their coordinate columns.  The error
-    raised is that of the first point, in stack order, that has one:
-    StencilOutsideDomain (the base point, else the first axis whose
-    stencil leaves the domain) or NonFiniteValue on NaN/Inf, which carries
-    as ``values`` the (k, m, n) stack of the k points before the first one
-    outside the domain (as NotComposable carries ``gap``).  The result is
-    C-ordered.
+    ``i`` along coordinate axis ``j`` with step ``prof.fd_step``, from
+    ``_differences``.  Where that gives all-NaN rows, the first such
+    point in stack order raises StencilOutsideDomain (its base point,
+    else its first axis whose stencil leaves the domain) or
+    NonFiniteValue.  The result is C-ordered.
     """
     P = np.asarray(p, dtype=float)
-    h = prof.fd_step
     n = f.domain_dim
     if P.ndim not in (1, 2) or P.shape[-1] != n:
         raise DimensionMismatch(
             f"{f.name or 'map'}: expected point of dim {n}, got {P.shape}")
-    points = P.reshape(-1, n)
-    count = len(points)
-    stencil = np.repeat(points[:, None, :], 2 * n, axis=1)
-    axes = np.arange(n)
-    stencil[:, axes, axes] += h
-    stencil[:, n + axes, axes] -= h
-    X = np.concatenate([points, stencil.reshape(-1, n)])
-    inside = _holds(f.valid, tuple(X.T), len(X))
-    base_ok = inside[:count]
-    axis_ok = inside[count:].reshape(count, 2, n).all(axis=1)
-    outside = np.flatnonzero(~(base_ok & axis_ok.all(axis=1)))
-    good = outside[0] if len(outside) else count
-    values = _images(f, stencil[:good].reshape(-1, n)).reshape(f.codomain_dim, good, 2 * n)
-    with np.errstate(invalid="ignore", over="ignore"):
-        J = ((values[:, :, :n] - values[:, :, n:]) / (2.0 * h)).transpose(1, 0, 2).copy()
-    _check_finite(J, f"jacobian of {f.name}")
-    if good < count:
-        if not base_ok[good]:
+    J, base_ok, axis_ok = _differences(f, P.reshape(-1, n), prof)
+    # a point's differences are finite or all NaN: one entry tells which
+    failed = np.flatnonzero(np.isnan(J[:, :1, :1]).any(axis=(1, 2))
+                            | ~(base_ok & axis_ok.all(axis=1)))
+    if len(failed):
+        i = failed[0]
+        if not base_ok[i]:
             raise StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
-        raise StencilOutsideDomain(
-            f"jacobian: stencil left domain of {f.name} along axis {np.argmin(axis_ok[good])}")
+        if not axis_ok[i].all():
+            raise StencilOutsideDomain(
+                f"jacobian: stencil left domain of {f.name} along axis {np.argmin(axis_ok[i])}")
+        raise NonFiniteValue(f"non-finite value in jacobian of {f.name}")
     return J if P.ndim == 2 else J[0]
 
 
@@ -422,7 +439,8 @@ def nullspace(M, tol: float):
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3):
         raise DimensionMismatch(f"nullspace: expected a matrix or a stack, got {M.shape}")
-    _check_finite(M, "nullspace input")
+    if not np.isfinite(M).all():
+        raise NonFiniteValue("non-finite value in nullspace input")
     stack = M if M.ndim == 3 else M[None]
     n = M.shape[-1]
     if M.shape[-2] == 0 or n == 0:

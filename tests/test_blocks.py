@@ -458,7 +458,7 @@ def test_a_non_finite_base_frame_fails_only_its_rows():
         rows = base.expected_frame(p)
         return np.where((np.asarray(p[0]) > 0)[..., None, None], np.nan, rows)
 
-    bad = fibre_product(*fibre.factors,
+    bad = fibre_product(smooth_factor_model(4, 2, 0), smooth_factor_model(4, 2, 1),
                         base_from=replace(base, expected_frame=frame)).expected_frame
     _, bases = _sample_rows(fibre)
     P = _columns(bases)
@@ -493,6 +493,18 @@ def test_stacked_principal_angles_are_the_per_pair_angles():
     assert np.isnan(angles).sum() == 1 and angles[9] < 1e-7
 
 
+def _point_frame(ts, unit, b, p):
+    """dt(ker) at the unit over p, one point at a time: the kernel of every
+    row of the algebroid map after the target's, through dt; all NaN
+    where ``jacobian`` cannot difference the unit."""
+    try:
+        J = jacobian(ts, unit(p))
+    except (NonFiniteValue, StencilOutsideDomain):
+        return np.full((1, b), np.nan)
+    kernel = nullspace(J[b:], 1e-6)
+    return kernel @ J[:b].T if len(kernel) else np.zeros((0, b))
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_recovered_frames_are_the_point_products(name):
     # lie_algebroid_of multiplies one stack per nullspace rank; each
@@ -503,14 +515,53 @@ def test_recovered_frames_are_the_point_products(name):
     rng = rng_for(5, f"recovered:{name}")
     points = np.column_stack(model.random_base(rng, 60))
     for frame, p in zip(lie_algebroid_of(model, points), points):
-        u = unit(p)
-        J = jacobian(ts, u)
-        extra = model.extra_kernel_rows(u, J)
-        Js = J[b:] if extra is None else np.concatenate([J[b:], extra])
-        kernel = nullspace(Js, 1e-6)
-        want = kernel @ J[:b].T if len(kernel) else np.zeros((0, b))
+        want = _point_frame(ts, unit, b, p)
         assert frame.shape == want.shape
         assert np.array_equal(frame.view(np.int64), want.view(np.int64))
+
+
+def _lossy_models():
+    """Models whose algebroid maps fail at some units: case1(4) whose
+    source goes inf where x0 > 0.5 and whose chart ends at x1 = 0.6; and
+    the groupoid of units of the plane, whose source is injective (every
+    kernel empty), going NaN where x0 > 0.5."""
+    base = case1_model(4)
+    case1 = replace(base, source_of=lambda g: tuple(
+        np.where(np.asarray(g[0]) > 0.5, np.inf, c) for c in base.source_of(g)),
+        arrow_valid=lambda g: base.arrow_valid(g) & (np.asarray(g[1]) < 0.6))
+    units = GroupoidChartModel(
+        name="units(2)", arrow_dim=2, base_dim=2, target_of=tuple, invert=tuple,
+        source_of=lambda g: tuple(np.where(np.asarray(g[0]) > 0.5, np.nan, c) for c in g),
+        compose_raw=lambda g, h: tuple(g), unit_at=tuple, arrow_valid=lambda g: True)
+    return {"case1": case1, "units": units}
+
+
+@pytest.mark.parametrize("name", ["case1", "units"])
+def test_frames_the_recovery_loses_are_all_nan_and_the_rest_keep_their_bits(name):
+    # a unit whose stencil leaves the chart, or whose differences are not
+    # finite, gets an all-NaN frame; the other frames are the point
+    # products.  Empty kernels cannot hold NaN: a block that loses a
+    # frame among them comes back as the list
+    model = _lossy_models()[name]
+    ts, unit = model.maps_for_algebroid()
+    b = model.base_dim
+    points = rng_for(5, "lost-frames").uniform(-1.0, 1.0, (60, b))
+    frames = lie_algebroid_of(model, points)
+    assert isinstance(frames, np.ndarray) == (name == "case1")
+    lost = 0
+    for frame, p in zip(frames, points):
+        want = _point_frame(ts, unit, b, p)
+        if np.isnan(want).any():
+            # NaN rows of the array, or the list's (1, b) frame
+            assert frame.size and np.isnan(frame).all()
+            lost += 1
+        else:
+            assert frame.shape == want.shape
+            assert np.array_equal(frame.view(np.int64), want.view(np.int64))
+    assert 0 < lost < len(points)
+    # none recovered: every frame is lost
+    far = np.abs(points) + 0.6
+    assert all(f.shape == (1, b) and np.isnan(f).all() for f in lie_algebroid_of(model, far))
 
 
 def _reference_ranks(model, seed):
@@ -519,8 +570,16 @@ def _reference_ranks(model, seed):
     probes = [model.unit_at((0.0,) * model.base_dim)]
     probes += [model.unit_at(model.random_base(rng)) for _ in range(6)]
     probes += [model.random_arrow(rng) for _ in range(4)]
-    ranks = [int(np.linalg.matrix_rank(model.extra_kernel_rows(g), tol=1e-8)) for g in probes]
+    gap = _gap_rows(model)
+    ranks = [int(np.linalg.matrix_rank(jacobian(gap, g), tol=1e-8)) for g in probes]
     return np.array(probes, dtype=float), ranks
+
+
+def _gap_rows(model):
+    """The gluing rows of a fibre product's algebroid map, as a SmoothMap."""
+    ts = model.maps_for_algebroid()[0]
+    b = 2 * model.base_dim
+    return SmoothMap(ts.domain_dim, ts.codomain_dim - b, lambda g: ts.formula(g)[b:], ts.valid)
 
 
 @pytest.mark.parametrize("name", ["fibre:case1,case1", "fibre:case1,pair"])
@@ -529,7 +588,7 @@ def test_the_transversality_probes_are_the_one_at_a_time_draws(name):
     probes, ranks = _reference_ranks(model, 11)
     stack = _probes(model, 11)
     assert np.array_equal(stack.view(np.int64), probes.view(np.int64))
-    assert np.linalg.matrix_rank(model.extra_kernel_rows(stack), tol=1e-8).tolist() == ranks
+    assert np.linalg.matrix_rank(jacobian(_gap_rows(model), stack), tol=1e-8).tolist() == ranks
     assert ranks == [2 * model.base_dim] * 11
 
 
@@ -776,25 +835,15 @@ def test_nan_in_the_first_block_stays_the_maximum(monkeypatch):
 
 
 def _reference_jacobians(f, points, prof):
-    """``_jacobians`` as it ran before NonFiniteValue carried the stack:
-    the stack again, point by point, after a non-finite one."""
-    try:
-        return jacobian(f, points, prof)
-    except NonFiniteValue:
-        out = np.full((len(points), f.codomain_dim, f.domain_dim), np.nan)
-        for i, p in enumerate(points):
-            try:
-                out[i] = jacobian(f, p, prof)
-            except NonFiniteValue:
-                pass
-        return out
-
-
-def _outcome(fn):
-    try:
-        return _bits(fn())
-    except StencilOutsideDomain as err:
-        return type(err), str(err)
+    """``_jacobians`` point by point: each point's ``jacobian``, or all NaN
+    where it raises either error."""
+    out = np.full((len(points), f.codomain_dim, f.domain_dim), np.nan)
+    for i, p in enumerate(points):
+        try:
+            out[i] = jacobian(f, p, prof)
+        except (NonFiniteValue, StencilOutsideDomain):
+            pass
+    return out
 
 
 def test_jacobians_are_the_per_point_loop_and_differentiate_each_point_once():
@@ -808,7 +857,7 @@ def test_jacobians_are_the_per_point_loop_and_differentiate_each_point_once():
 
     f = SmoothMap(3, 3, formula, lambda x: x[0] > -1.5, name="mixed")
     prof = checks.DEFAULT_PROFILE
-    refused = 0
+    refused = non_finite = 0
     for seed in range(200):
         rng = rng_for(seed, "jacobians")
         points = rng.normal(size=(int(rng.integers(1, 12)), 3))
@@ -816,13 +865,21 @@ def test_jacobians_are_the_per_point_loop_and_differentiate_each_point_once():
         edge = rng.random(len(points))
         points[edge < 0.1, 0] = -1.6
         points[(edge >= 0.1) & (edge < 0.15), 0] = -1.5 + 0.5 * prof.fd_step
-        want = _outcome(lambda: _reference_jacobians(f, points, prof))
+        want = _bits(_reference_jacobians(f, points, prof))
         rows.clear()
-        got = _outcome(lambda: _jacobians(f, points, prof))
+        got = _bits(_jacobians(f, points, prof))
         assert got == want, seed
-        assert sum(rows) <= 2 * 3 * len(points), seed
-        refused += isinstance(got, tuple)
-    assert 20 < refused < 180
+        # a stack jacobian takes is differenced once; one it refuses, once
+        # more by _differences, never point by point
+        inside = points[:, 0] > -1.5 + prof.fd_step
+        assert sum(rows) <= 2 * 2 * 3 * int(inside.sum()) and len(rows) <= 2, seed
+        try:
+            jacobian(f, points, prof)
+        except StencilOutsideDomain:
+            refused += 1
+        except NonFiniteValue:
+            non_finite += 1
+    assert 20 < refused < 180 and 5 < non_finite < 180
 
 
 def test_unit_vectors_are_the_one_vector_draws():
@@ -1370,6 +1427,46 @@ def test_a_nan_product_fails_the_multiplicative_check(name):
                           lambda w: model.m.formula(P.formula(w)))
     with pytest.raises(NonFiniteValue):
         jacobian(m_of_pair, _pair_params(sym, rng_for(1, "nan-product")))
+
+
+def _chart_cut_at(sym, edge):
+    """The symplectic model with its chart cut at g[2] < edge; its
+    samplers still draw past the cut."""
+    valid = sym.model.arrow_valid
+    return replace(sym, model=replace(sym.model, arrow_valid=lambda g: valid(g) & (g[2] < edge)))
+
+
+def test_arrows_off_the_chart_fail_the_symplectic_check_with_a_witness():
+    # the pullback comparison differentiates ts on the chart: a stencil
+    # that leaves it fails its sample, where jacobian itself refuses it
+    sym = SYMPLECTIC["sympl-nonzero"]
+    cut = _chart_cut_at(sym, 0.2)
+    rep = check_symplectic(cut, 200, 7)
+    assert rep.verdict == "fail" and 0 < rep.passed < rep.samples == 200
+    assert math.isnan(rep.max_residual) and len(rep.witnesses) == 20
+    assert all(w["kind"] == "pullback" and math.isnan(w["residual"])
+               and w["g"][2] >= 0.2 - 1e-4 for w in rep.witnesses)
+    arrows = _dense_arrows(cut, rng_for(7, "symplectic:sympl-nonzero"), 200)
+    off = arrows[:, 2] >= 0.2 - checks.DEFAULT_PROFILE.fd_step
+    assert rep.passed == int((~off).sum())
+    with pytest.raises(StencilOutsideDomain):
+        jacobian(cut.model.ts, arrows)
+    assert check_symplectic(sym, 200, 7).ok
+
+
+def test_pairs_off_the_chart_fail_the_multiplicative_check():
+    # P and m(pr1, pr2) read the chart through P: a pair that leaves it
+    # fails its sample instead of passing on formulas off the chart
+    sym = SYMPLECTIC["sympl-nonzero"]
+    rep = check_multiplicative(_chart_cut_at(sym, 0.2), 200, 7)
+    assert rep.verdict == "fail" and 0 < rep.passed < rep.samples == 200
+    assert len(rep.witnesses) == 20 and all(math.isnan(w["residual"]) for w in rep.witnesses)
+    P = sym.pair_param[0]
+    d = sym.model.arrow_dim
+    for w in rep.witnesses:
+        gh = P(np.array(w["params"]))
+        assert max(gh[2], gh[d + 2]) >= 0.2 - 1e-4
+    assert check_multiplicative(sym, 200, 7).ok
 
 
 # ---------------------------------------------------------------------------

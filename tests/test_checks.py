@@ -17,8 +17,8 @@ from egl.divisors import residue_model_frame
 from egl.errors import (ChartInvalid, DegenerateRadius, NonFiniteValue, SamplerExhausted,
                         StencilOutsideDomain)
 from egl.groupoids import (GroupoidChartModel, case1_model, caseIV_model, fibre_product,
-                           pair_groupoid, ssc_surface_model)
-from egl.kernel import DEFAULT_PROFILE, nullspace, subspace_angle, subspace_equal
+                           pair_groupoid, smooth_factor_model, ssc_surface_model)
+from egl.kernel import DEFAULT_PROFILE, jacobian, nullspace, subspace_angle, subspace_equal
 from egl.registry import build_model
 from egl.symplectic import (psi_domain_candidates, symplectic_nonzero_residue_model,
                             symplectic_zero_residue_model)
@@ -219,35 +219,60 @@ def _case1_unit_b_zero():
         for i, c in enumerate(base.unit_at(p))))
 
 
-def _fibre_second_source_nan():
+def _fibre_gluing_nan():
+    # the gluing rows of the fibre product's algebroid map go NaN where x0 > 0.3
     base = build_model("fibre:case1,case1").chart
-    m1, m2 = base.factors
-    bad = replace(m2, source_of=lambda g: tuple(
-        np.where(np.asarray(g[0]) > 0.3, np.nan, c) for c in m2.source_of(g)))
-    return base, replace(base, factors=(m1, bad))
+    ts, unit = base.algebroid_maps
+    rows = 2 * base.base_dim
+
+    def glued(g):
+        out = ts.formula(g)
+        return out[:rows] + tuple(np.where(np.asarray(g[0]) > 0.3, np.nan, c) for c in out[rows:])
+
+    return base, replace(base, algebroid_maps=(replace(ts, formula=glued), unit))
 
 
 @pytest.mark.parametrize("mutant,map_name", [(_case1_source_inf, "ts"),
                                              (_case1_unit_b_zero, "unit_at"),
-                                             (_fibre_second_source_nan, "ts")],
-                         ids=["source-inf", "unit-off-domain", "fibre-factor-source-nan"])
+                                             (_fibre_gluing_nan, "ts")],
+                         ids=["source-inf", "unit-off-domain", "fibre-glue-nan"])
 def test_model_maps_failing_at_a_point_fail_the_algebroid_check_there(mutant, map_name):
-    # lie_algebroid_of raises on such a block; the check recovers its
-    # points one at a time and fails only those that raise
+    # jacobian raises on such a block; the check's one stacked Jacobian
+    # gives the points it cannot difference NaN frames, and fails only those
     base, model = mutant()
     rep = check_algebroid(model, n_points=60, seed=3)
     assert rep.verdict == "fail" and 0 < rep.passed < rep.samples == 60
     assert len(rep.witnesses) == rep.samples - rep.passed
     assert all(w["map"] == map_name and w["residual"] == math.inf for w in rep.witnesses)
     stack = np.column_stack(model.random_base(rng_for(3, f"algebroid:{model.name}"), 60))
+    ts, unit = model.maps_for_algebroid()
     with pytest.raises((NonFiniteValue, StencilOutsideDomain)):
-        lie_algebroid_of(model, stack)
-    frames, exits = checks._recovered(model, stack, PROF)
-    failed = np.logical_or.reduce([rows for rows, _ in exits])
+        jacobian(ts, unit(stack))
+    frames = lie_algebroid_of(model, stack)
+    failed = np.isnan(frames).all(axis=(1, 2))
     assert [w["p"] for w in rep.witnesses] == [[round(x, 6) for x in p] for p in stack[failed]]
+    assert np.isnan(frames[failed]).all()
     # the other points keep the bits of the unbroken model's block
     want = lie_algebroid_of(base, stack)
-    assert all(frames[i].tobytes() == want[i].tobytes() for i in np.flatnonzero(~failed))
+    assert frames[~failed].tobytes() == want[~failed].tobytes()
+
+
+def test_a_failing_block_is_differenced_as_a_block():
+    # the ts formula runs on whole blocks, never once per lost point:
+    # jacobian's call, and _differences' after jacobian refuses the block
+    base, model = _case1_source_inf()
+    calls = []
+
+    def source_of(g):
+        calls.append(np.shape(g[0]))
+        return model.source_of(g)
+
+    counted = replace(model, source_of=source_of)
+    rep = check_algebroid(counted, n_points=60, seed=3)
+    assert rep.to_dict() == check_algebroid(model, n_points=60, seed=3).to_dict()
+    assert 0 < rep.passed < rep.samples
+    stencil = (60 * 2 * base.arrow_dim,)
+    assert calls == [stencil, stencil]
 
 
 def test_kernels_of_mixed_dimension_keep_the_bits_of_their_points(monkeypatch):
@@ -320,7 +345,7 @@ def test_a_non_finite_frame_leaves_the_rest_of_its_block_alone():
 
 def test_a_non_finite_factor_frame_fails_the_fibre_algebroid_check():
     fibre = build_model("fibre:case1,case1").chart
-    m1, m2 = fibre.factors
+    m1, m2 = smooth_factor_model(4, 2, 0), smooth_factor_model(4, 2, 1)
     bad = replace(m1, expected_frame=lambda p: np.full((4, 4), np.nan))
     model = replace(fibre, expected_frame=fibre_product(bad, m2).expected_frame)
     rep = check_algebroid(model, n_points=20, seed=3)
@@ -328,12 +353,18 @@ def test_a_non_finite_factor_frame_fails_the_fibre_algebroid_check():
     assert rep.witnesses[0]["map"] == "expected_frame"
 
 
-def test_a_renamed_fibre_product_keeps_its_factors():
-    # the gluing rows come from the factors: a copy without them would
-    # recover the wrong algebroid
-    model = replace(build_model("fibre:case1,case1").chart, name="renamed")
-    assert model.factors is not None
+def test_a_renamed_fibre_product_keeps_its_gluing_rows():
+    # the gluing rows are rows of the algebroid map: a copy without them
+    # would recover the wrong algebroid
+    fibre = build_model("fibre:case1,case1").chart
+    model = replace(fibre, name="renamed")
+    assert model.maps_for_algebroid() == fibre.maps_for_algebroid()
+    assert model.maps_for_algebroid()[0].codomain_dim == 4 * model.base_dim
     assert check_algebroid(model, n_points=20, seed=3).ok
+    ts, unit = fibre.algebroid_maps
+    source_only = replace(fibre, algebroid_maps=(
+        replace(ts, codomain_dim=8, formula=lambda g: ts.formula(g)[:8]), unit))
+    assert not check_algebroid(source_only, n_points=20, seed=3).ok
 
 
 # ---------------------------------------------------------------------------

@@ -406,22 +406,40 @@ def test_fibre_of_transverse_factors_recovers_nc_algebroid(rng):
         assert subspace_equal(recovered, expected, 1e-5)
 
 
-@pytest.mark.parametrize("name", ["fibre:case1,case1", "fibre:case1,pair"])
+FIBRE_FACTORS = {"fibre:case1,case1": (smooth_factor_model(4, 2, 0), smooth_factor_model(4, 2, 1)),
+                 "fibre:case1,pair": (case1_model(4), pair_groupoid(4))}
+
+
+@pytest.mark.parametrize("name", sorted(FIBRE_FACTORS))
 def test_fibre_kernel_rows_reuse_the_ambient_ts_jacobian(name, prof):
-    # lie_algebroid_of hands over the ambient ts Jacobian at the unit;
-    # the rows built from it equal the ones built from both factors
+    # the algebroid map is m1's (t, s) at g1, then its gap to m2's at g2,
+    # from one evaluation of m1's (t, s): on a point and on a block, with
+    # the bits of the factors' own maps
     model = build_model(name).chart
-    m1, m2 = model.factors
-    d1 = m1.arrow_dim
+    m1, m2 = FIBRE_FACTORS[name]
+    d1, nd = m1.arrow_dim, model.base_dim
     ts, unit = model.maps_for_algebroid()
+    assert ts.codomain_dim == 4 * nd
     rng = rng_for(3, f"fibre-rows:{name}")
-    for _ in range(20):
-        u = unit(np.asarray(model.random_base(rng), dtype=float))
-        J = jacobian(ts, u, prof)
-        assert not J[:, d1:].any()
-        want = np.hstack([jacobian(m1.ts, u[:d1], prof), -jacobian(m2.ts, u[d1:], prof)])
-        assert np.array_equal(model.extra_kernel_rows(u, J, prof), want)
-        assert np.array_equal(model.extra_kernel_rows(u), want)
+    units = unit(np.column_stack(model.random_base(rng, 20)))
+    arrows = np.column_stack(model.random_arrow(rng, 20))
+    for G in (units, arrows):
+        block = ts(G)
+        own = m1.ts(G[:, :d1])
+        assert np.array_equal(block[:, :2 * nd].view(np.int64), own.view(np.int64))
+        gap = own - m2.ts(G[:, d1:])
+        assert np.array_equal(block[:, 2 * nd:].view(np.int64), gap.view(np.int64))
+        for g, row in zip(G, block):
+            assert np.array_equal(ts(g).view(np.int64), row.view(np.int64))
+        # the target and source rows do not read g2, and the gap rows
+        # differentiate as [J(m1.ts) | -J(m2.ts)]: their first d1 columns
+        # are the ambient ts Jacobian's
+        J = jacobian(ts, G, prof)
+        assert not J[:, :2 * nd, d1:].any()
+        assert np.array_equal(J[:, 2 * nd:, :d1], J[:, :2 * nd, :d1])
+        want = np.concatenate([jacobian(m1.ts, G[:, :d1], prof),
+                               -jacobian(m2.ts, G[:, d1:], prof)], axis=2)
+        assert np.array_equal(J[:, 2 * nd:], want)
 
 
 def test_fibre_requires_transversality():

@@ -166,6 +166,10 @@ def test_the_smith_form_of_a_matrix_without_rows_or_columns():
     # nothing to reduce: S is the matrix itself, U and V identities
     assert smith_normal_form([]) == ([], [], [])
     assert smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [[], []], [])
+    # a 2-D array keeps its width without rows: V is the identity on it
+    assert smith_normal_form(np.zeros((0, 3), dtype=int)) == (
+        [], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert smith_normal_form(np.zeros((2, 0), dtype=int)) == ([[1, 0], [0, 1]], [[], []], [])
 
 
 def test_lattice_member():

@@ -381,8 +381,8 @@ def _with_negated_zeros(points):
 
 def _stack_maps(model, rng):
     """(map, points) pairs: the ts and unit views at units and arrows, the
-    algebroid maps, a fibre product's second-factor ts, and the composite
-    ts o unit at base points (its formula and domain built by
+    algebroid maps (a fibre product's with its gluing rows), and the
+    composite ts o unit at base points (its formula and domain built by
     ``compose_maps``)."""
     bases = [model.random_base(rng) for _ in range(10)]
     bases += _with_negated_zeros(bases[:4])
@@ -390,11 +390,8 @@ def _stack_maps(model, rng):
     units = [model.unit_at(p) for p in bases]
     ts, unit = model.maps_for_algebroid()
     fd_units = unit(np.asarray(bases, dtype=float))
-    cases = [(model.unit, bases), (model.ts, units + arrows), (unit, bases), (ts, fd_units)]
-    if model.factors is not None:
-        d1 = model.factors[0].arrow_dim
-        cases.append((model.factors[1].ts, fd_units[:, d1:]))
-    cases.append((compose_maps(model.ts, model.unit), bases))
+    cases = [(model.unit, bases), (model.ts, units + arrows), (unit, bases), (ts, fd_units),
+             (compose_maps(model.ts, model.unit), bases)]
     return cases
 
 
