@@ -22,11 +22,16 @@ ChartInvalid), the identity's residual is inf and its witness names the
 map.  The calculus suites differentiate a block with one stacked
 Jacobian and run their SVDs stacked (see ``egl.kernel``), with the bits
 of the point-by-point computation, and fail closed by the kernel's one
-rule: a point the Jacobian cannot difference (a stencil off the map's
-domain, a value not finite) gets all-NaN rows (``_jacobians``), so it
-fails its sample with a witness and no calculus suite raises on a
-model's own maps; a NaN or infinite value elsewhere fails its sample
-the same way.
+rule: ``_jacobians`` returns the stack with all-NaN rows at the points
+it could not difference and the kernel's record of why, so no calculus
+suite raises on a model's own maps.  A sample whose stencil leaves the
+differenced map's domain fails through the same exits as a structure
+map leaving the chart: residual inf, and a witness naming ``sample``
+(or ``unit_at``, for the algebroid's units) where the point itself lies
+off the domain, else the differenced map; the algebroid check also
+names a unit whose differences are not finite.  A NaN or infinite
+value elsewhere fails its sample with its own residual, and a stencil
+of the closedness phase off Omega's domain with NaN.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ from .errors import ChartInvalid, NonFiniteValue, SamplerExhausted, StencilOutsi
 from .groupoids import (COMPOSABLE_TOL, GroupoidChartModel, _cabs, _full, _stack, ideal_values,
                         pair_groupoid, uniforms)
 from .groupoids import _maxdiff as _gap
-from .kernel import (DEFAULT_PROFILE, FormField, SmoothMap, ToleranceProfile, _differences,
-                     _holds, compose_maps, exterior_derivative, jacobian, nullspace,
-                     pullback_at, subspace_angle)
+from .kernel import (DEFAULT_PROFILE, DIFFERENCED, OFF_ALONG, OFF_DOMAIN, FormField,
+                     SmoothMap, ToleranceProfile, compose_maps, exterior_derivative, jacobian,
+                     nullspace, pullback_at, subspace_angle)
 from .kernel import pullback  # noqa: F401  (a module attribute the benchmark tracer wraps)
 from .symplectic import (MorphismBundle, SymplecticModel, _antisymmetric, _zero_matrix,
                          morphism_psi, psi_domain_candidates)
@@ -380,16 +385,25 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
     ``kernel @ Jt.T`` of C-contiguous operands, when every kernel has
     dimension k (always, on a registered model), else as the list of the
     N frames.  Each frame has the bits of its point's product; a point is
-    the one-row stack.  A point whose Jacobian ``_jacobians`` leaves all
-    NaN gets an all-NaN frame: NaN rows of the array, or a (1, base_dim)
-    frame in the list (which also carries a loss among empty kernels).
+    the one-row stack.  A point the stacked Jacobian refuses
+    (``_jacobians``) gets an all-NaN frame: NaN rows of the array, or a
+    (1, base_dim) frame in the list (which also carries a loss among
+    empty kernels).
     """
-    ts_map, unit_map = model.maps_for_algebroid()
     p = np.asarray(p, dtype=float)
+    frames, _ = _recovery(model, p.reshape(-1, model.base_dim), prof)
+    return frames if p.ndim == 2 else frames[0]
+
+
+def _recovery(model: GroupoidChartModel, stack, prof: ToleranceProfile):
+    """``lie_algebroid_of`` at a stack of base points, and the chart exits
+    of the points it loses: ``unit_at`` where the unit is not finite or
+    lies off the algebroid map's domain, else ``ts``."""
+    ts_map, unit_map = model.maps_for_algebroid()
     b = model.base_dim
-    units = unit_map(p.reshape(-1, b))
-    J = _jacobians(ts_map, units, prof)
-    ok = ~np.isnan(J[:, 0, 0])      # a point's Jacobian is finite or all NaN
+    units = unit_map(stack)
+    J, why = _jacobians(ts_map, units, prof)
+    ok = why == DIFFERENCED
     every = ok.all()
     rows = slice(None) if every else ok
     kernels = nullspace(J[rows, b:], 1e-6)
@@ -403,7 +417,9 @@ def lie_algebroid_of(model: GroupoidChartModel, p, prof: ToleranceProfile = DEFA
         if not every:
             found, frames = frames, np.full((len(J),) + frames.shape[1:], np.nan)
             frames[ok] = found
-    return frames if p.ndim == 2 else frames[0]
+    lost = ~ok
+    unit_off = (why == OFF_DOMAIN) | (lost & ~np.isfinite(units).all(axis=1))
+    return frames, [(unit_off, "unit_at"), (lost, "ts")]
 
 
 def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
@@ -427,27 +443,19 @@ def check_algebroid(model: GroupoidChartModel, n_points: int, seed: int,
     """
     if model.expected_frame is None:
         raise SamplerExhausted(f"{model.name}: no stated algebroid frame")
-    ts_map, unit_map = model.maps_for_algebroid()
 
     def measure(base, n):
         stack = np.column_stack(base)
-        recovered = lie_algebroid_of(model, stack, prof)
+        recovered, exits = _recovery(model, stack, prof)
         stated = np.asarray(model.expected_frame(base), dtype=float)
         stated = np.broadcast_to(stated, (n,) + stated.shape[-2:])
-        # a frame lost by the recovery is all NaN: its first entry tells
         if isinstance(recovered, list):
             angles = np.array([subspace_angle(r, s) for r, s in zip(recovered, stated)])
-            lost = np.array([bool(np.isnan(r[:1, :1]).any()) for r in recovered])
         else:
             angles = subspace_angle(recovered, stated)
-            lost = np.isnan(recovered[:, :1, :1]).any(axis=(1, 2))
-        placed = np.zeros(n, dtype=bool)        # a lost point whose unit is on ts's domain
-        if lost.any():
-            u = unit_map(stack[lost])
-            placed[lost] = np.isfinite(u).all(axis=1) & _holds(ts_map.valid, tuple(u.T), len(u))
         # a NaN angle not named by a recovery exit is a stated frame
         # holding NaN or inf
-        exits = [(lost & ~placed, "unit_at"), (placed, "ts"), (np.isnan(angles), "expected_frame")]
+        exits.append((np.isnan(angles), "expected_frame"))
         return _fail_closed(angles, exits, n), lambda i: _with_exit(
             {"p": _round_tuple(stack[i])}, exits, i)
 
@@ -513,15 +521,17 @@ def _unit_vectors(rng, dim: int, per: int, count: int) -> np.ndarray:
     return v / np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(count, per, 1))
 
 
-def _jacobians(f: SmoothMap, points, prof: ToleranceProfile) -> np.ndarray:
-    """The stacked Jacobian of f at the points, failing closed: where
-    ``jacobian`` raises, the stack is differenced again by
-    ``_differences``, whose all-NaN rows fail the samples it cannot
-    difference instead of the error ending the check."""
+def _jacobians(f: SmoothMap, points, prof: ToleranceProfile):
+    """The stacked Jacobian of f at the points and the kernel's record of
+    each point (``DIFFERENCED``, or why not), failing closed: where
+    ``jacobian`` refuses the stack, its error carries both, so the stack
+    is not differenced again, and the all-NaN rows of the points it did
+    not difference fail their samples instead of the error ending the
+    check."""
     try:
-        return jacobian(f, points, prof)
-    except (NonFiniteValue, StencilOutsideDomain):
-        return _differences(f, points, prof)[0]
+        return jacobian(f, points, prof), np.full(len(points), DIFFERENCED)
+    except (NonFiniteValue, StencilOutsideDomain) as error:
+        return error.differences
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -541,10 +551,14 @@ def check_symplectic(sym: SymplecticModel, n_samples: int, seed: int,
     within ``CLOSED_TOL``; nondegeneracy is the determinant floor
     ``NONDEG_FLOOR`` on the model's fixed compact sample set.  Each of
     the first two phases draws its arrows, then its unit vectors in one
-    call.  A NaN or an infinity in any phase fails the check with a
-    witness: a failed closedness bound adds a ``closedness`` witness with
-    residual ``d_omega_max``, and a failed determinant floor a
-    ``nondegeneracy`` witness with residual ``nondeg_min_abs_det``.
+    call.  An arrow whose ts stencil leaves the chart fails with residual
+    inf and a witness naming ``sample`` where the arrow itself is off
+    the chart, else ``ts``; one whose closedness stencil leaves Omega's
+    domain has d(Omega) NaN.  A NaN or an infinity in any phase fails
+    the check with a witness: a failed closedness bound adds a
+    ``closedness`` witness with residual ``d_omega_max``, and a failed
+    determinant floor a ``nondegeneracy`` witness with residual
+    ``nondeg_min_abs_det``.
     """
     model = sym.model
     rng = rng_for(seed, f"symplectic:{model.name}")
@@ -554,11 +568,12 @@ def check_symplectic(sym: SymplecticModel, n_samples: int, seed: int,
     def measure(block, n):
         g, vectors = block
         vs = list(vectors.transpose(1, 0, 2))
-        J, tsg = _jacobians(ts, g, prof), ts(g)
+        (J, why), tsg = _jacobians(ts, g, prof), ts(g)
         rhs = pullback_at(sym.omega_base, tsg[:, :b], J[:, :b], vs) \
             - pullback_at(sym.omega_base, tsg[:, b:], J[:, b:], vs)
-        return _modulus(sym.Omega(g, vs) - rhs), \
-            lambda i: {"g": _round_tuple(g[i]), "kind": "pullback"}
+        exits = [(why == OFF_DOMAIN, "sample"), (why >= OFF_ALONG, "ts")]
+        return _fail_closed(_modulus(sym.Omega(g, vs) - rhs), exits, n), lambda i: _with_exit(
+            {"g": _round_tuple(g[i]), "kind": "pullback"}, exits, i)
 
     arrows = _dense_arrows(sym, rng, n_samples)
     vectors = _unit_vectors(rng, d, 2, len(arrows))
@@ -629,8 +644,10 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
     Tangent vectors to the locus come from differentiating the model's
     exactly composable pair parametrization P, so both sides are
     evaluated on honest composable-pair tangents; P and m(P) are one map,
-    differentiated once, on the ``m`` view's domain read through P (a
-    pair off the chart or not composable fails its sample).  The check
+    differentiated once, on the ``m`` view's domain read through P.  A
+    sample whose stencil leaves that domain fails with residual inf and
+    a witness naming ``sample`` where its pair is itself off the chart
+    or not composable, else ``m``.  The check
     draws all its pair parameters as one slab of ``pair_width`` uniforms
     per sample, then all its unit vectors in one call, as
     ``check_symplectic`` does.
@@ -653,11 +670,13 @@ def check_multiplicative(sym: SymplecticModel, n_samples: int, seed: int,
     def measure(block, n):
         w, vectors = block
         vs = list(vectors.transpose(1, 0, 2))
-        J, x = _jacobians(G, w, prof), G(w)
+        (J, why), x = _jacobians(G, w, prof), G(w)
         rhs = pullback_at(sym.Omega, x[:, :d], J[:, :d], vs) \
             + pullback_at(sym.Omega, x[:, d:2 * d], J[:, d:2 * d], vs)
-        return _modulus(pullback_at(sym.Omega, x[:, 2 * d:], J[:, 2 * d:], vs) - rhs), \
-            lambda i: {"params": _round_tuple(w[i])}
+        res = _modulus(pullback_at(sym.Omega, x[:, 2 * d:], J[:, 2 * d:], vs) - rhs)
+        exits = [(why == OFF_DOMAIN, "sample"), (why >= OFF_ALONG, "m")]
+        return _fail_closed(res, exits, n), lambda i: _with_exit(
+            {"params": _round_tuple(w[i])}, exits, i)
 
     params = np.column_stack(
         _full(sample_params(uniforms(rng, sym.pair_width, n_samples)), n_samples))
@@ -694,7 +713,7 @@ def schouten_residual(pi: Callable, dim: int, p, prof: ToleranceProfile = DEFAUL
     view = SmoothMap(dim, dim * dim, entries, name="pi")
     pi_p = view(points).reshape(-1, dim, dim)
     # grads[:, j, k, l] = d_l pi^{jk}
-    grads = _jacobians(view, points, prof).reshape(-1, dim, dim, dim)
+    grads = _jacobians(view, points, prof)[0].reshape(-1, dim, dim, dim)
     i, j, k = np.array(list(itertools.combinations(range(dim), 3)), dtype=int).reshape(-1, 3).T
     with np.errstate(all="ignore"):
         total = 0.0
@@ -788,7 +807,7 @@ def check_morphism(bundle: MorphismBundle, n_samples: int, seed: int,
             if len(rows):
                 x = X[rows]
                 vs = list(_unit_vectors(forms_rng, d, 2, len(rows)).transpose(1, 0, 2))
-                lhs = pullback_at(bundle.cod_form, f(x), _jacobians(f, x, prof), vs)
+                lhs = pullback_at(bundle.cod_form, f(x), _jacobians(f, x, prof)[0], vs)
                 form_res[rows] = _modulus(lhs - bundle.dom_form(x, vs))
                 forms_done += len(rows)
         res, exits = _morphism_residuals(dom, cod, f.formula, g, h, form_res, n)

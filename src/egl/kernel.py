@@ -14,12 +14,19 @@ stencil points in one call of the map's tuple formula (``SmoothMap.formula``,
 which takes a block of coordinate columns), and the SVDs of a stack run
 in one LAPACK call; the results are those of the one-at-a-time
 computation, bit for bit.  A single point or matrix is the one-row
-stack.  A point that cannot be differenced (its stencil leaves the
-map's domain, or a difference is not finite) has all-NaN rows in
-``_differences``, and ``jacobian`` raises the first such point's
-error.  A stack of spanning sets is an (N, r, n) array (the recovered
-and the stated frames of a block; a frame shared by the block is
-broadcast, stride 0, and factored once), and ``subspace_angle``
+stack.
+
+Differencing fails closed by one rule: ``_differences`` decides once,
+per point, whether it is differenced and why not (it lies off the map's
+domain, its stencil leaves the domain along an axis, or a difference is
+not finite), and gives such a point all-NaN rows; ``exterior_derivative``
+gives a point whose stencil leaves the form's domain NaN.  ``jacobian``
+and ``pullback`` are the strict entry points: ``jacobian`` raises the
+first refused point's error, which carries the differences it made.
+
+A stack of spanning sets is an (N, r, n) array (the recovered and the
+stated frames of a block; a frame shared by the block is broadcast,
+stride 0, and factored as the stack it is), and ``subspace_angle``
 factors it through ``_orthonormal_rows``, with one rank rule: ranks,
 cutoffs and angles are computed as arrays, with one SVD call per stack
 and one per rank of the principal-angle products.  Stated frames are
@@ -352,17 +359,23 @@ def _images(f: SmoothMap, X) -> np.ndarray:
     return values
 
 
+# ``_differences``' record of each point of a stack: differenced, or why not
+DIFFERENCED, NOT_FINITE, OFF_DOMAIN, OFF_ALONG = 0, 1, 2, 3   # OFF_ALONG + j: along axis j
+
+
 def _differences(f: SmoothMap, points: np.ndarray, prof: ToleranceProfile):
     """Central differences of f at a stack (N, n) of points, failing closed.
 
-    Returns (J, base_ok, axis_ok): the (N, m, n) differences, whether each
-    point lies in f's domain, and whether both stencil points of each
-    axis do (N, n), from one call of ``f.valid``.  A point's 2n stencil
-    points are copies of it with one coordinate stepped; one call of
-    ``f.formula`` evaluates the stencils of the points where the domain
-    holds throughout (without a row copy when it holds everywhere).  J
-    is C-ordered, and all NaN at the other points and wherever a row
-    is not finite.
+    Returns (J, why): the (N, m, n) differences and the record of each
+    point, DIFFERENCED or why not: OFF_DOMAIN (the point lies off f's
+    domain), OFF_ALONG + j (a stencil point along axis j does, j the
+    first such axis) or NOT_FINITE (a difference is not finite).  A
+    point's 2n stencil points are copies of it with one coordinate
+    stepped; one call of ``f.valid`` decides the domain at the points
+    and their stencils, and one call of ``f.formula`` evaluates the
+    stencils of the points where it holds throughout (without a row
+    copy when it holds everywhere).  J is C-ordered, and all NaN at
+    every point not differenced.
     """
     h = prof.fd_step
     count, n = points.shape
@@ -374,9 +387,8 @@ def _differences(f: SmoothMap, points: np.ndarray, prof: ToleranceProfile):
     stencil[:, axes, axes] += h
     stencil[:, n + axes, axes] -= h
     inside = _holds(f.valid, tuple(X.T), len(X))
-    base_ok = inside[:count]
     axis_ok = inside[count:].reshape(count, 2, n).all(axis=1)
-    qualified = base_ok & axis_ok.all(axis=1)
+    qualified = inside[:count] & axis_ok.all(axis=1)
     every = qualified.all()
     evaluated = stencil if every else stencil[qualified]
     m = f.codomain_dim
@@ -388,8 +400,12 @@ def _differences(f: SmoothMap, points: np.ndarray, prof: ToleranceProfile):
     else:
         J = np.full((count, m, n), np.nan)
         J[qualified] = D
-    J[~np.isfinite(J).all(axis=(1, 2))] = np.nan
-    return J, base_ok, axis_ok
+    why = np.where(inside[:count], OFF_ALONG + np.argmin(axis_ok, axis=1), OFF_DOMAIN)
+    why[qualified] = NOT_FINITE
+    finite = np.isfinite(J).all(axis=(1, 2))
+    why[finite] = DIFFERENCED
+    J[~finite] = np.nan
+    return J, why
 
 
 def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
@@ -399,28 +415,30 @@ def jacobian(f: SmoothMap, p, prof: ToleranceProfile = DEFAULT_PROFILE) -> np.nd
     points (N, n), giving an (N, m, n) array; a point is the one-row
     stack.  Entry ``(i, j)`` is the central difference of component
     ``i`` along coordinate axis ``j`` with step ``prof.fd_step``, from
-    ``_differences``.  Where that gives all-NaN rows, the first such
-    point in stack order raises StencilOutsideDomain (its base point,
-    else its first axis whose stencil leaves the domain) or
-    NonFiniteValue.  The result is C-ordered.
+    ``_differences``.  The first point in stack order that it did not
+    difference raises StencilOutsideDomain (its base point, else its
+    first axis whose stencil leaves the domain) or NonFiniteValue, and
+    the error's ``differences`` are ``_differences``' (J, why) of the
+    stack.  The result is C-ordered.
     """
     P = np.asarray(p, dtype=float)
     n = f.domain_dim
     if P.ndim not in (1, 2) or P.shape[-1] != n:
         raise DimensionMismatch(
             f"{f.name or 'map'}: expected point of dim {n}, got {P.shape}")
-    J, base_ok, axis_ok = _differences(f, P.reshape(-1, n), prof)
-    # a point's differences are finite or all NaN: one entry tells which
-    failed = np.flatnonzero(np.isnan(J[:, :1, :1]).any(axis=(1, 2))
-                            | ~(base_ok & axis_ok.all(axis=1)))
+    J, why = _differences(f, P.reshape(-1, n), prof)
+    failed = np.flatnonzero(why)
     if len(failed):
-        i = failed[0]
-        if not base_ok[i]:
-            raise StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
-        if not axis_ok[i].all():
-            raise StencilOutsideDomain(
-                f"jacobian: stencil left domain of {f.name} along axis {np.argmin(axis_ok[i])}")
-        raise NonFiniteValue(f"non-finite value in jacobian of {f.name}")
+        code = why[failed[0]]
+        if code == NOT_FINITE:
+            error = NonFiniteValue(f"non-finite value in jacobian of {f.name}")
+        elif code == OFF_DOMAIN:
+            error = StencilOutsideDomain(f"jacobian: base point outside domain of {f.name}")
+        else:
+            error = StencilOutsideDomain(
+                f"jacobian: stencil left domain of {f.name} along axis {code - OFF_ALONG}")
+        error.differences = J, why
+        raise error
     return J if P.ndim == 2 else J[0]
 
 
@@ -461,9 +479,9 @@ def _orthonormal_rows(spans):
 
     Returns (Q, ranks): the first ``ranks[i]`` rows of Q[i], the
     right-singular vectors of set i, are an orthonormal basis of it.
-    The stack is factored by one SVD call, and a set broadcast over it
-    (stride 0, one frame stated for a whole block) by one call on that
-    set, its Q and rank broadcast back.  The rank counts the singular
+    The stack is factored by one SVD call, a set broadcast over it
+    (stride 0, one frame stated for a whole block) as the stack it is,
+    with the bits of the stack in memory.  The rank counts the singular
     values above both 1e-9 times the largest and the absolute floor
     1e-7, the one rank rule; an empty or all-zero set has rank 0.
     ``subspace_angle`` compares finite-difference images, and the floor
@@ -474,9 +492,6 @@ def _orthonormal_rows(spans):
     bits in any stack).
     """
     count, r, n = spans.shape
-    if count > 1 and spans.strides[0] == 0:
-        Q, ranks = _orthonormal_rows(spans[:1])
-        return _broadcast_rows(Q, count), _broadcast_rows(ranks, count)
     if min(r, n) == 0:
         return np.zeros((count, 0, n)), np.zeros(count, dtype=int)
     finite = np.isfinite(spans).all(axis=(1, 2))
@@ -485,11 +500,6 @@ def _orthonormal_rows(spans):
     _, svals, vt = np.linalg.svd(spans, full_matrices=False)
     cutoff = np.maximum(1e-9 * svals[:, 0], 1e-7)
     return vt, np.where(finite, np.count_nonzero(svals > cutoff[:, None], axis=1), -1)
-
-
-def _broadcast_rows(a, count: int):
-    """The one-row stack ``a`` as a read-only stack of ``count`` rows."""
-    return np.broadcast_to(a, (count,) + a.shape[1:])
 
 
 def subspace_angle(A, B):
@@ -503,9 +513,9 @@ def subspace_angle(A, B):
     ``A`` and ``B`` may also be stacks of N spanning sets, each an
     (N, r, n) array or anything ``np.asarray`` makes one (a list of N
     sets of one shape); the result is then the array of their angles,
-    with one SVD call per stack (one on the set of a stride-0 array, a
-    frame shared by the stack) and one per group of equal-rank pairs,
-    each pair with the bits of its own call.  The angle is arccos of the
+    with one SVD call per stack (a frame shared by the stack, a stride-0
+    array, included) and one per group of equal-rank pairs, each pair
+    with the bits of its own call.  The angle is arccos of the
     smallest singular value of Qa Qb^T, clipped to [-1, 1] (Björck &
     Golub, Math. Comp. 27, 1973).
     """
@@ -545,9 +555,10 @@ def exterior_derivative(form: FormField, p, vectors,
     its vectors, giving a scalar, or stacks (N, n), giving the column of
     N values from one ``form.func`` call per stencil point on the whole
     block (a point is the one-row stack); complex values combine as
-    CPython's complex arithmetic does.  A stencil point
-    outside the form's domain raises StencilOutsideDomain; NaN and Inf
-    are returned, for the caller to count as failures.
+    CPython's complex arithmetic does.  A point with a stencil point
+    outside the form's domain gets NaN, as ``_differences`` fails such a
+    point closed; NaN and Inf are returned, for the caller to count as
+    failures.
     """
     P = np.asarray(p, dtype=float)
     X = np.atleast_2d(P)
@@ -557,12 +568,12 @@ def exterior_derivative(form: FormField, p, vectors,
     h = prof.fd_step
     real = form.kind == "real"
     total = 0.0 if real else (0.0, 0.0)
+    inside = True
     for i, vi in enumerate(vs):
         rest = [v.T for v in vs[:i] + vs[i + 1:]]
         pp = X + h * vi
         pm = X - h * vi
-        if not (form.defined_at(pp).all() and form.defined_at(pm).all()):
-            raise StencilOutsideDomain("exterior_derivative: stencil left form domain")
+        inside = inside & form.defined_at(pp) & form.defined_at(pm)
         with np.errstate(all="ignore"):
             plus, minus = form.func(pp.T, rest), form.func(pm.T, rest)
             if real:
@@ -575,6 +586,7 @@ def exterior_derivative(form: FormField, p, vectors,
         out = np.array(np.broadcast_to(total, (len(X),)))
     else:
         out = _complex(*(np.broadcast_to(x, (len(X),)) for x in total))
+    out[~inside] = np.nan
     return out if P.ndim == 2 else out[0].item()
 
 

@@ -84,15 +84,10 @@ class SignedPermutation:
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         if self.degree != other.degree:
             raise DimensionMismatch("signed permutation degrees differ")
-        inv = _invert(self.perm)
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.degree))
-        flips = tuple((self.flips[i] + other.flips[inv[i]]) % 2 for i in range(self.degree))
-        return SignedPermutation._of(perm, flips)
+        return _signed(_compose(_points(self), _points(other)))
 
     def inverse(self) -> "SignedPermutation":
-        inv = _invert(self.perm)
-        flips = tuple(self.flips[self.perm[j]] for j in range(self.degree))
-        return SignedPermutation._of(inv, flips)
+        return _signed(_invert(_points(self)))
 
     def act(self, z: Sequence[complex]) -> Tuple[complex, ...]:
         """Permute, then conjugate flagged coordinates."""

@@ -34,8 +34,9 @@ from egl.groupoids import (GroupoidChartModel, _cabs, _cdiv, _cexp, _clog, _cmul
                            _square, case1_model, case2_quotient_model, caseIV_model,
                            fibre_product, ideal_values, smooth_factor_model,
                            ssc_surface_model, uniforms)
-from egl.kernel import (SmoothMap, exterior_derivative, jacobian, nullspace, pullback,
-                        pullback_at, subspace_angle)
+from egl.kernel import (DIFFERENCED, NOT_FINITE, OFF_ALONG, OFF_DOMAIN, SmoothMap,
+                        exterior_derivative, jacobian, nullspace, pullback, pullback_at,
+                        subspace_angle)
 from egl.registry import MODEL_NAMES, build_model
 from egl.report import RunConfig, run_verify
 from egl.signedperm import SignedPermutation, semidirect_mul
@@ -836,14 +837,24 @@ def test_nan_in_the_first_block_stays_the_maximum(monkeypatch):
 
 def _reference_jacobians(f, points, prof):
     """``_jacobians`` point by point: each point's ``jacobian``, or all NaN
-    where it raises either error."""
+    where it raises either error, and the record its error names."""
     out = np.full((len(points), f.codomain_dim, f.domain_dim), np.nan)
+    why = []
     for i, p in enumerate(points):
         try:
             out[i] = jacobian(f, p, prof)
-        except (NonFiniteValue, StencilOutsideDomain):
-            pass
-    return out
+            why.append(DIFFERENCED)
+        except NonFiniteValue as error:
+            assert str(error) == f"non-finite value in jacobian of {f.name}"
+            why.append(NOT_FINITE)
+        except StencilOutsideDomain as error:
+            if str(error) == f"jacobian: base point outside domain of {f.name}":
+                why.append(OFF_DOMAIN)
+            else:
+                prefix = f"jacobian: stencil left domain of {f.name} along axis "
+                assert str(error).startswith(prefix)
+                why.append(OFF_ALONG + int(str(error)[len(prefix):]))
+    return out, why
 
 
 def test_jacobians_are_the_per_point_loop_and_differentiate_each_point_once():
@@ -855,40 +866,36 @@ def test_jacobians_are_the_per_point_loop_and_differentiate_each_point_once():
         bad = np.where(x[2] > 1.0, np.nan, np.where(x[2] < -1.2, np.inf, 0.0))
         return (x[0] * x[1], x[2] * x[2] + bad, x[0] - x[2])
 
-    f = SmoothMap(3, 3, formula, lambda x: x[0] > -1.5, name="mixed")
+    f = SmoothMap(3, 3, formula, lambda x: (x[0] > -1.5) & (x[1] < 1.8), name="mixed")
     prof = checks.DEFAULT_PROFILE
     refused = non_finite = 0
+    seen = set()
     for seed in range(200):
         rng = rng_for(seed, "jacobians")
         points = rng.normal(size=(int(rng.integers(1, 12)), 3))
-        # base points and stencils just outside the domain
+        # base points and stencils just outside the domain, along axes 0 and 1
         edge = rng.random(len(points))
         points[edge < 0.1, 0] = -1.6
         points[(edge >= 0.1) & (edge < 0.15), 0] = -1.5 + 0.5 * prof.fd_step
-        want = _bits(_reference_jacobians(f, points, prof))
+        points[(edge >= 0.15) & (edge < 0.2), 1] = 1.8 - 0.5 * prof.fd_step
+        want, want_why = _reference_jacobians(f, points, prof)
         try:
             jacobian(f, points, prof)
-            taken = True
         except StencilOutsideDomain:
             refused += 1
-            taken = False
         except NonFiniteValue:
             non_finite += 1
-            taken = False
         rows.clear()
-        got = _bits(_jacobians(f, points, prof))
-        assert got == want, seed
-        if taken:
-            # a stack jacobian takes is differenced once
-            assert len(rows) == 1 and sum(rows) <= 2 * 3 * len(points), seed
-        else:
-            # one it refuses, once more by _differences: the same stencils
-            # both times (none at all when no point qualifies), never point
-            # by point
-            inside = points[:, 0] > -1.5 + prof.fd_step
-            assert rows == rows[:1] * 2, seed
-            assert sum(rows[:1]) <= 2 * 3 * int(inside.sum()), seed
+        J, why = _jacobians(f, points, prof)
+        assert _bits(J) == _bits(want) and why.tolist() == want_why, seed
+        seen.update(want_why)
+        # a stack is differenced once, taken or refused, on the stencils of
+        # its points inside the domain (none at all when there are none),
+        # never point by point
+        inside = (points[:, 0] > -1.5 + prof.fd_step) & (points[:, 1] < 1.8 - prof.fd_step)
+        assert len(rows) == int(inside.any()) and sum(rows) == 2 * 3 * int(inside.sum()), seed
     assert 20 < refused < 180 and 5 < non_finite < 180
+    assert seen == {DIFFERENCED, NOT_FINITE, OFF_DOMAIN, OFF_ALONG, OFF_ALONG + 1}
 
 
 def test_unit_vectors_are_the_one_vector_draws():
@@ -1446,36 +1453,89 @@ def _chart_cut_at(sym, edge):
 
 
 def test_arrows_off_the_chart_fail_the_symplectic_check_with_a_witness():
-    # the pullback comparison differentiates ts on the chart: a stencil
-    # that leaves it fails its sample, where jacobian itself refuses it
+    # the pullback comparison differentiates ts on the chart: a sample
+    # whose stencil leaves it fails through a chart exit, residual inf,
+    # naming the sample where the arrow itself is off the chart, else ts
     sym = SYMPLECTIC["sympl-nonzero"]
+    h = checks.DEFAULT_PROFILE.fd_step
     cut = _chart_cut_at(sym, 0.2)
     rep = check_symplectic(cut, 200, 7)
-    assert rep.verdict == "fail" and 0 < rep.passed < rep.samples == 200
-    assert math.isnan(rep.max_residual) and len(rep.witnesses) == 20
-    assert all(w["kind"] == "pullback" and math.isnan(w["residual"])
+    assert rep.verdict == "fail" and rep.samples - rep.passed == 44
+    assert rep.max_residual == math.inf and len(rep.witnesses) == 20
+    assert all(w["kind"] == "pullback" and w["residual"] == math.inf
+               and w["map"] == ("sample" if w["g"][2] >= 0.2 else "ts")
                and w["g"][2] >= 0.2 - 1e-4 for w in rep.witnesses)
     arrows = _dense_arrows(cut, rng_for(7, "symplectic:sympl-nonzero"), 200)
-    off = arrows[:, 2] >= 0.2 - checks.DEFAULT_PROFILE.fd_step
+    off = arrows[:, 2] >= 0.2 - h
     assert rep.passed == int((~off).sum())
     with pytest.raises(StencilOutsideDomain):
         jacobian(cut.model.ts, arrows)
+    # an arrow on the chart whose stencil leaves it along axis 2 names ts
+    rep = check_symplectic(_chart_cut_at(sym, arrows[0, 2] + h / 2), 200, 7)
+    assert rep.witnesses[0]["g"] == [round(x, 6) for x in arrows[0]]
+    assert rep.witnesses[0]["map"] == "ts" and rep.witnesses[0]["residual"] == math.inf
+    assert all(w["map"] == "sample" for w in rep.witnesses[1:])
     assert check_symplectic(sym, 200, 7).ok
 
 
 def test_pairs_off_the_chart_fail_the_multiplicative_check():
     # P and m(pr1, pr2) read the chart through P: a pair that leaves it
-    # fails its sample instead of passing on formulas off the chart
+    # fails its sample through a chart exit, residual inf, naming the
+    # sample where the drawn pair is off the chart, else m
     sym = SYMPLECTIC["sympl-nonzero"]
-    rep = check_multiplicative(_chart_cut_at(sym, 0.2), 200, 7)
-    assert rep.verdict == "fail" and 0 < rep.passed < rep.samples == 200
-    assert len(rep.witnesses) == 20 and all(math.isnan(w["residual"]) for w in rep.witnesses)
+    h = checks.DEFAULT_PROFILE.fd_step
     P = sym.pair_param[0]
     d = sym.model.arrow_dim
+    rep = check_multiplicative(_chart_cut_at(sym, 0.2), 200, 7)
+    assert rep.verdict == "fail" and rep.samples - rep.passed == 59
+    assert rep.max_residual == math.inf and len(rep.witnesses) == 20
     for w in rep.witnesses:
         gh = P(np.array(w["params"]))
+        assert w["residual"] == math.inf and w["map"] == "sample"
         assert max(gh[2], gh[d + 2]) >= 0.2 - 1e-4
+    # a pair on the chart whose stencil leaves it names m
+    w0 = np.column_stack(_pair_params(sym, rng_for(7, "multiplicative:sympl-nonzero"), 1))[0]
+    steps = w0 + h * np.concatenate([np.eye(len(w0)), -np.eye(len(w0))])
+    top = max(P(w0)[[2, d + 2]])
+    stencil_top = P(steps)[:, [2, d + 2]].max()
+    assert stencil_top > top
+    rep = check_multiplicative(_chart_cut_at(sym, (top + stencil_top) / 2), 200, 7)
+    assert rep.witnesses[0]["params"] == [round(x, 6) for x in w0]
+    assert rep.witnesses[0]["map"] == "m" and rep.witnesses[0]["residual"] == math.inf
     assert check_multiplicative(sym, 200, 7).ok
+
+
+@pytest.mark.parametrize("name,failed", [("sympl-nonzero", (44, 59, 0)),
+                                         ("sympl-zero", (70, 129, 25))],
+                         ids=["sympl-nonzero", "sympl-zero"])
+def test_the_calculus_suites_fail_closed_at_a_chart_edge(name, failed):
+    # every calculus suite returns a report on a chart cut under its
+    # samplers, and each sample refused at the edge names the sample
+    # (or the unit) or the differenced map
+    cut = _chart_cut_at(SYMPLECTIC[name], 0.2)
+    reports = [check_symplectic(cut, 200, 7), check_multiplicative(cut, 200, 7),
+               check_algebroid(cut.model, 100, 7)]
+    assert [r.samples - r.passed for r in reports] == list(failed)
+    for rep, names in zip(reports, [("sample", "ts"), ("sample", "m"), ("unit_at", "ts")]):
+        assert all(w["residual"] == math.inf and w["map"] in names for w in rep.witnesses)
+        assert rep.ok or rep.max_residual == math.inf
+    if name == "sympl-zero":
+        assert {w["map"] for w in reports[2].witnesses} == {"unit_at"}
+
+
+@pytest.mark.parametrize("name", ["sympl-nonzero", "sympl-zero"])
+def test_a_stencil_off_omegas_domain_fails_closedness(name):
+    # Omega's domain cut to a comb finer than the stencil: the closedness
+    # phase gives the points whose stencil leaves it NaN and fails with a
+    # witness, instead of the exterior derivative raising; the pullback
+    # comparison evaluates Omega only at its sampled arrows, and passes
+    sym = SYMPLECTIC[name]
+    comb = replace(sym.Omega, domain_predicate=lambda p: np.floor(p[2] * 1e5) % 2 == 0)
+    rep = check_symplectic(replace(sym, Omega=comb), 200, 7)
+    assert rep.verdict == "fail" and rep.passed == rep.samples == 200
+    assert math.isnan(rep.details["d_omega_max"])
+    assert [w["kind"] for w in rep.witnesses] == ["closedness"]
+    assert math.isnan(rep.witnesses[0]["residual"])
 
 
 # ---------------------------------------------------------------------------

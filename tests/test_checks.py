@@ -258,21 +258,25 @@ def test_model_maps_failing_at_a_point_fail_the_algebroid_check_there(mutant, ma
 
 
 def test_a_failing_block_is_differenced_as_a_block():
-    # the ts formula runs on whole blocks, never once per lost point:
-    # jacobian's call, and _differences' after jacobian refuses the block
+    # the ts formula runs once on the whole block's stencils, never once
+    # per lost point, and jacobian's refusal is not differenced again;
+    # the units are evaluated once, and name the check's exits
     base, model = _case1_source_inf()
-    calls = []
+    calls, units = [], []
 
     def source_of(g):
         calls.append(np.shape(g[0]))
         return model.source_of(g)
 
-    counted = replace(model, source_of=source_of)
+    def unit_at(p):
+        units.append(np.shape(p[0]))
+        return model.unit_at(p)
+
+    counted = replace(model, source_of=source_of, unit_at=unit_at)
     rep = check_algebroid(counted, n_points=60, seed=3)
     assert rep.to_dict() == check_algebroid(model, n_points=60, seed=3).to_dict()
     assert 0 < rep.passed < rep.samples
-    stencil = (60 * 2 * base.arrow_dim,)
-    assert calls == [stencil, stencil]
+    assert calls == [(60 * 2 * base.arrow_dim,)] and units == [(60,)]
 
 
 def test_kernels_of_mixed_dimension_keep_the_bits_of_their_points(monkeypatch):

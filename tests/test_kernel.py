@@ -1,5 +1,8 @@
 """Numerical kernel: Jacobians, nullspaces, forms, pullbacks."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -590,8 +593,9 @@ def test_stacked_subspace_angle_equals_pointwise(prof):
 
 @pytest.mark.parametrize("frame", ["finite", "zero", "nan", "inf"])
 def test_a_frame_shared_by_a_stack_gives_the_bits_of_the_materialised_stack(frame):
-    # a frame broadcast over the stack (stride 0) is factored once; every
-    # result must equal, bit for bit, that of the same stack in memory
+    # a frame broadcast over the stack (stride 0) is factored as the stack
+    # it is; every result must equal, bit for bit, that of the same stack
+    # in memory
     from egl.kernel import _orthonormal_rows
 
     rng = np.random.Generator(np.random.Philox(key=31))
@@ -624,12 +628,21 @@ def test_algebroid_frames_of_a_stack_equal_the_frames_of_its_points(name, prof):
 
 
 def test_exterior_derivative_refuses_a_wrong_vector_count_and_a_stencil_off_the_domain():
+    # a wrong vector count raises; a point whose stencil leaves the form's
+    # domain gets NaN, alone in its stack, the rest keeping their bits
     form = FormField(1, 2, lambda p, vs: p[0] * vs[0][1],
                      domain_predicate=lambda p: np.asarray(p[0]) > 0, name="x dy")
     e1, e2 = np.eye(2)
     with pytest.raises(DimensionMismatch, match="^exterior_derivative: need k\\+1 vectors$"):
         exterior_derivative(form, (1.0, 0.0), [e1])
-    with pytest.raises(StencilOutsideDomain,
-                       match="^exterior_derivative: stencil left form domain$"):
-        exterior_derivative(form, (0.0, 0.0), [e1, e2])
+    assert math.isnan(exterior_derivative(form, (0.0, 0.0), [e1, e2]))
     assert exterior_derivative(form, (1.0, 0.0), [e1, e2]) == pytest.approx(1.0)
+    points = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 3.0], [2e-5, 1.0]])
+    stack = exterior_derivative(form, points, [np.tile(e1, (4, 1)), np.tile(e2, (4, 1))])
+    assert np.isnan(stack).tolist() == [False, True, False, False]
+    assert np.isnan(exterior_derivative(form, points, [np.tile(e2, (4, 1)),
+                                                       np.tile(e1, (4, 1))])[1])
+    assert stack[[0, 2, 3]].tolist() == [exterior_derivative(form, p, [e1, e2])
+                                         for p in points[[0, 2, 3]]]
+    complex_form = replace(form, kind="complex")
+    assert np.isnan(exterior_derivative(complex_form, (0.0, 0.0), [e1, e2]))
