@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .kernel import DEFAULT_PROFILE, ToleranceProfile
 from .registry import CHECK_NAMES, build_model, normalise, run_check
 
-ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v4"}
+ARTIFACT = {"name": "egl", "version": __version__, "rng": "philox4x64-v5"}
 
 __all__ = ["RunConfig", "RunReport", "run_verify", "run_decide", "ARTIFACT",
            "DECISION_KINDS"]

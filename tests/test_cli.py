@@ -60,7 +60,7 @@ def test_verify_pass_run(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["overall"] == "pass"
-    assert doc["artifact"]["rng"] == "philox4x64-v4"
+    assert doc["artifact"]["rng"] == "philox4x64-v5"
     assert {r["check"] for r in doc["results"]} == {"axioms", "algebroid"}
     # every record embeds the tolerance actually used
     assert all("tolerance" in r for r in doc["results"])

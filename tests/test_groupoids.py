@@ -636,7 +636,7 @@ def test_divisor_slots_name_the_deepest_stratum(name):
             model.arrow_between(on, off, u)
 
 
-_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v4.json")
+_LAYOUT = json.loads((Path(__file__).parent / "draw_layout_philox4x64_v5.json")
                      .read_text(encoding="utf-8"))
 
 
